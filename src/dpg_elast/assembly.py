@@ -15,7 +15,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .basis import edge_basis_eval, gauss_rule, q_basis_eval
-from .local import (SideSegment, TraceEntry, error_representation, local_bmat,
+from .local import (SideSegment, error_representation, gram_factor, local_bmat,
                     local_gram, local_stiffness)
 from .material import Material
 from .mesh import DegreeMap, Mesh, bilinear_maps
@@ -32,6 +32,10 @@ class DofLayout:
     pinned: np.ndarray                       # bool mask over all dofs
     element_p: dict[int, int]
     segments: dict[int, list[SideSegment]]   # element -> side segments
+    # Gram Cholesky factors of this step by geometry class, filled lazily
+    # by element_full_bmat: (p_tilde, vertex offsets from vertex 0) -> L
+    gram_factors: dict[tuple, np.ndarray] = field(default_factory=dict,
+                                                  repr=False)
 
     @property
     def n_free(self) -> int:
@@ -155,17 +159,16 @@ def build_dof_layout(mesh: Mesh, degrees: DegreeMap, bc_spec: str = "dirichlet")
             owner, leaves = side_info[(k, s)]
             q = trace_q[owner]
             ecoords = mesh.edge_coords(owner)
-            entries = []
-            for gx, gy, w in _vertex_entries(mesh, vertex_dof, hanging, trace_q,
-                                             trace_base, mesh.edges[owner].v0):
-                entries.append(TraceEntry(ecoords, q, 0, w, gx, gy))
-            for gx, gy, w in _vertex_entries(mesh, vertex_dof, hanging, trace_q,
-                                             trace_base, mesh.edges[owner].v1):
-                entries.append(TraceEntry(ecoords, q, 1, w, gx, gy))
+            entries = []  # (basis index, weight, gx, gy) of each trace function
+            for index, v in enumerate((mesh.edges[owner].v0, mesh.edges[owner].v1)):
+                for gx, gy, w in _vertex_entries(mesh, vertex_dof, hanging,
+                                                 trace_q, trace_base, v):
+                    entries.append((index, w, gx, gy))
             tb = trace_base[owner]
             for kk in range(2, q + 1):
-                entries.append(TraceEntry(ecoords, q, kk, 1.0,
-                                          tb + 2 * (kk - 2), tb + 2 * (kk - 2) + 1))
+                entries.append((kk, 1.0, tb + 2 * (kk - 2), tb + 2 * (kk - 2) + 1))
+            index, weight, gx, gy = (np.array(col) for col in zip(*entries))
+            trace_gdofs = np.column_stack([gx, gy])
 
             nseg = len(leaves)
             for i, leaf in enumerate(leaves):
@@ -183,8 +186,11 @@ def build_dof_layout(mesh: Mesh, degrees: DegreeMap, bc_spec: str = "dirichlet")
                 outward = _side_outward_normal(coords, s)
                 sign = 1.0 if outward @ edge_normal > 0 else -1.0
                 segs.append(SideSegment(side=s, t0=t0, t1=t1,
+                                        trace_coords=ecoords, trace_q=q,
+                                        trace_index=index, trace_weight=weight,
+                                        trace_gdofs=trace_gdofs,
                                         flux_coords=lc, flux_p=p_e, flux_sign=sign,
-                                        flux_gdofs=gdofs, trace_entries=entries))
+                                        flux_gdofs=gdofs))
         segments[k] = segs
 
     return DofLayout(n_dofs=n, interior_base=interior_base, vertex_dof=vertex_dof,
@@ -204,23 +210,27 @@ def _side_outward_normal(coords: np.ndarray, side: int) -> np.ndarray:
 
 def element_full_bmat(mesh: Mesh, layout: DofLayout, material: Material, f,
                       eid: int, delta_p: int):
-    """Gram matrix, full local coupling matrix, load, and global dof ids."""
+    """Gram Cholesky factor, full local coupling matrix, load, global dof ids.
+
+    The Gram matrix depends only on the enriched degree and the element's
+    shape up to translation, so its factor is computed once per geometry
+    class on the translated vertices and kept in `layout.gram_factors`.
+    """
     p = layout.element_p[eid]
     p_tilde = p + delta_p
     coords = mesh.element_coords(eid)
-    G = local_gram(coords, p_tilde)
-    B_int, skel_cols, lvec = local_bmat(coords, p, p_tilde, material, f,
-                                        layout.segments[eid])
-    nt = (p + 1) ** 2
+    rel = coords - coords[0]
+    key = (p_tilde, rel.tobytes())
+    L = layout.gram_factors.get(key)
+    if L is None:
+        L = gram_factor(local_gram(rel, p_tilde))
+        L.setflags(write=False)
+        layout.gram_factors[key] = L
+    Bfull, skel_ids, lvec = local_bmat(coords, p, p_tilde, material, f,
+                                       layout.segments[eid])
     base = layout.interior_base[eid]
-    gdofs = list(range(base, base + 5 * nt))
-    cols = [B_int]
-    skel_ids = sorted(skel_cols)
-    if skel_ids:
-        cols.append(np.column_stack([skel_cols[i] for i in skel_ids]))
-        gdofs.extend(skel_ids)
-    Bfull = np.hstack(cols)
-    return G, Bfull, lvec, np.array(gdofs, dtype=int)
+    gdofs = np.concatenate([np.arange(base, base + 5 * (p + 1) ** 2), skel_ids])
+    return L, Bfull, lvec, gdofs
 
 
 def assemble(mesh: Mesh, degrees: DegreeMap, material: Material, f,
@@ -229,9 +239,9 @@ def assemble(mesh: Mesh, degrees: DegreeMap, material: Material, f,
     rows, cols, vals = [], [], []
     g = np.zeros(layout.n_dofs)
     for k in mesh.active_elements:
-        G, Bfull, lvec, gdofs = element_full_bmat(mesh, layout, material, f, k,
+        L, Bfull, lvec, gdofs = element_full_bmat(mesh, layout, material, f, k,
                                                   degrees.delta_p)
-        K, fl = local_stiffness(G, Bfull, lvec)
+        K, fl = local_stiffness(L, Bfull, lvec)
         idx = np.broadcast_to(gdofs, (gdofs.size, gdofs.size))
         rows.append(idx.T.ravel())
         cols.append(idx.ravel())
@@ -251,31 +261,37 @@ def apply_dirichlet(system: GlobalSystem, layout: DofLayout, g_data, mesh: Mesh)
 
 
 def dirichlet_values(layout: DofLayout, g_data, mesh: Mesh) -> np.ndarray:
-    """Pinned-dof vector interpolating/projecting the boundary displacement."""
+    """Pinned-dof vector interpolating/projecting the boundary displacement.
+
+    g_data maps an (n, 2) array of boundary points to (n, 2) displacements.
+    """
     xp = np.zeros(layout.n_dofs)
-    if g_data is not None:
-        for v, d in layout.vertex_dof.items():
-            if layout.pinned[d]:
-                val = np.asarray(g_data(np.array(mesh.vertices[v])), dtype=float)
-                xp[d:d + 2] = val
-        for e, (q, base) in layout.trace_edges.items():
-            if not mesh.edges[e].boundary or q < 2:
-                continue
-            coords = mesh.edge_coords(e)
-            rule = gauss_rule(q + 3)
-            pts = 0.5 * (1 - rule.points)[:, None] * coords[0] \
-                + 0.5 * (1 + rule.points)[:, None] * coords[1]
-            gv = np.array([g_data(pt) for pt in pts])  # (nq, 2)
-            vals = edge_basis_eval(q, rule.points)
-            v0 = np.asarray(g_data(coords[0]), dtype=float)
-            v1 = np.asarray(g_data(coords[1]), dtype=float)
-            resid = gv - np.outer(vals[0], v0) - np.outer(vals[1], v1)
-            bub = vals[2:]
-            M = (bub * rule.weights) @ bub.T
-            rhs = (bub * rule.weights) @ resid  # (q-1, 2)
-            c = np.linalg.solve(M, rhs)
-            for kk in range(q - 1):
-                xp[base + 2 * kk: base + 2 * kk + 2] = c[kk]
+    if g_data is None:
+        return xp
+    pinned_verts = [(v, d) for v, d in layout.vertex_dof.items()
+                    if layout.pinned[d]]
+    if pinned_verts:
+        verts, dofs = zip(*pinned_verts)
+        vals = g_data(np.array([mesh.vertices[v] for v in verts], dtype=float))
+        dofs = np.array(dofs)
+        xp[dofs] = vals[:, 0]
+        xp[dofs + 1] = vals[:, 1]
+    for e, (q, base) in layout.trace_edges.items():
+        if not mesh.edges[e].boundary or q < 2:
+            continue
+        coords = mesh.edge_coords(e)
+        rule = gauss_rule(q + 3)
+        pts = 0.5 * (1 - rule.points)[:, None] * coords[0] \
+            + 0.5 * (1 + rule.points)[:, None] * coords[1]
+        gv = g_data(np.vstack([pts, coords]))  # quadrature points, then ends
+        v0, v1 = gv[-2], gv[-1]
+        vals = edge_basis_eval(q, rule.points)
+        resid = gv[:-2] - np.outer(vals[0], v0) - np.outer(vals[1], v1)
+        bub = vals[2:]
+        M = (bub * rule.weights) @ bub.T
+        rhs = (bub * rule.weights) @ resid  # (q-1, 2)
+        c = np.linalg.solve(M, rhs)
+        xp[base: base + 2 * (q - 1)] = c.ravel()
     return xp
 
 
@@ -301,9 +317,9 @@ def error_indicators(mesh: Mesh, degrees: DegreeMap, material: Material, f,
     """Elementwise V-norms of the error representation function."""
     out = {}
     for k in mesh.active_elements:
-        G, Bfull, lvec, gdofs = element_full_bmat(mesh, layout, material, f, k,
+        L, Bfull, lvec, gdofs = element_full_bmat(mesh, layout, material, f, k,
                                                   degrees.delta_p)
-        _, eta = error_representation(G, Bfull, lvec, x[gdofs])
+        _, eta = error_representation(L, Bfull, lvec, x[gdofs])
         out[k] = eta
     return out
 
@@ -337,17 +353,17 @@ def solve_condensed(mesh: Mesh, degrees: DegreeMap, material: Material, f,
     g = np.zeros(layout.n_dofs)
     recover = {}
     for k in mesh.active_elements:
-        G, Bfull, lvec, gdofs = element_full_bmat(mesh, layout, material, f, k,
+        L, Bfull, lvec, gdofs = element_full_bmat(mesh, layout, material, f, k,
                                                   degrees.delta_p)
-        K, fl = local_stiffness(G, Bfull, lvec)
+        K, fl = local_stiffness(L, Bfull, lvec)
         p = layout.element_p[k]
         ni = 5 * (p + 1) ** 2
         Kii = K[:ni, :ni]
         Kis = K[:ni, ni:]
         Kss = K[ni:, ni:]
         fi, fs = fl[:ni], fl[ni:]
-        Kii_inv_Kis = np.linalg.solve(Kii, Kis)
-        Kii_inv_fi = np.linalg.solve(Kii, fi)
+        sol = np.linalg.solve(Kii, np.column_stack([Kis, fi]))
+        Kii_inv_Kis, Kii_inv_fi = sol[:, :-1], sol[:, -1]
         S = Kss - Kis.T @ Kii_inv_Kis
         fcond = fs - Kis.T @ Kii_inv_fi
         sk = gdofs[ni:]

@@ -20,29 +20,46 @@ class QuadratureRule:
     weights: np.ndarray
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Mark cached arrays read-only; returns them."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 @lru_cache(maxsize=None)
 def gauss_rule(n: int) -> QuadratureRule:
     """n-point Gauss-Legendre rule on [-1, 1]."""
     if n < 1:
         raise ValueError(f"need at least one quadrature point, got n={n}")
     x, w = npleg.leggauss(n)
-    x.setflags(write=False)
-    w.setflags(write=False)
+    _read_only(x, w)
     return QuadratureRule(points=x, weights=w)
 
 
+@lru_cache(maxsize=None)
 def gauss_rule_2d(n: int) -> QuadratureRule:
     """Tensor-product Gauss rule on [-1, 1]^2; points have shape (nq, 2)."""
     rule = gauss_rule(n)
     xi, eta = np.meshgrid(rule.points, rule.points, indexing="ij")
     pts = np.column_stack([xi.ravel(), eta.ravel()])
     w = np.outer(rule.weights, rule.weights).ravel()
+    _read_only(pts, w)
     return QuadratureRule(points=pts, weights=w)
 
 
 def _legendre_values(p: int, x: np.ndarray) -> np.ndarray:
-    """Legendre polynomials P_0..P_p at x, shape (p+1, len(x))."""
-    return np.stack([npleg.legval(x, [0.0] * k + [1.0]) for k in range(p + 1)])
+    """Legendre polynomials P_0..P_p at x, shape (p+1, len(x)).
+
+    Three-term recurrence (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}.
+    """
+    P = np.empty((p + 1, x.size))
+    P[0] = 1.0
+    if p >= 1:
+        P[1] = x
+    for k in range(1, p):
+        P[k + 1] = ((2 * k + 1) * x * P[k] - k * P[k - 1]) / (k + 1)
+    return P
 
 
 def edge_basis_eval(p: int, t: np.ndarray) -> np.ndarray:
@@ -95,16 +112,20 @@ def q_basis_eval(p: int, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     points = np.atleast_2d(np.asarray(points, dtype=float))
     vx, dx = edge_basis_eval_deriv(p, points[:, 0])
     vy, dy = edge_basis_eval_deriv(p, points[:, 1])
-    n1 = p + 1
+    n = (p + 1) ** 2
     nq = points.shape[0]
-    vals = np.empty((n1 * n1, nq))
-    grads = np.empty((n1 * n1, 2, nq))
-    for i in range(n1):
-        for j in range(n1):
-            a = i * n1 + j
-            vals[a] = vx[i] * vy[j]
-            grads[a, 0] = dx[i] * vy[j]
-            grads[a, 1] = vx[i] * dy[j]
+    vals = (vx[:, None] * vy[None]).reshape(n, nq)
+    grads = np.empty((n, 2, nq))
+    grads[:, 0] = (dx[:, None] * vy[None]).reshape(n, nq)
+    grads[:, 1] = (vx[:, None] * dy[None]).reshape(n, nq)
+    return vals, grads
+
+
+@lru_cache(maxsize=None)
+def q_basis_table(p: int, nq: int) -> tuple[np.ndarray, np.ndarray]:
+    """`q_basis_eval` at the points of `gauss_rule_2d(nq)`, cached read-only."""
+    vals, grads = q_basis_eval(p, gauss_rule_2d(nq).points)
+    _read_only(vals, grads)
     return vals, grads
 
 

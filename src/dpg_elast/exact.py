@@ -1,4 +1,8 @@
-"""Benchmark solutions: smooth manufactured solution and the L-shape singularity."""
+"""Benchmark solutions: smooth manufactured solution and the L-shape singularity.
+
+The solutions take a point of shape (2,) or an array of points of shape
+(..., 2); their results carry the same leading shape.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -16,9 +20,11 @@ def smooth_solution(material: Material, point) -> tuple[np.ndarray, np.ndarray, 
     """Manufactured solution on the unit square.
 
     u_x = u_y = sin(pi x) sin(pi y); sigma from the plane-strain stiffness;
-    the body force is f = -div sigma (row-wise).  Returns (u, sigma, f).
+    the body force is f = -div sigma (row-wise).  Returns (u, sigma, f) of
+    shapes (..., 2), (..., 2, 2) and (..., 2).
     """
-    x, y = float(point[0]), float(point[1])
+    point = np.asarray(point, dtype=float)
+    x, y = point[..., 0], point[..., 1]
     pi = np.pi
     s = np.sin(pi * x) * np.sin(pi * y)
     sx = pi * np.cos(pi * x) * np.sin(pi * y)
@@ -27,14 +33,19 @@ def smooth_solution(material: Material, point) -> tuple[np.ndarray, np.ndarray, 
     syy = -pi * pi * s
     sxy = pi * pi * np.cos(pi * x) * np.cos(pi * y)
 
-    u = np.array([s, s])
-    eps = np.array([[sx, 0.5 * (sx + sy)], [0.5 * (sx + sy), sy]])
-    sigma = apply_stiffness(material, eps)
+    u = np.stack([s, s], axis=-1)
+    sigma = apply_stiffness(material, _sym2(sx, 0.5 * (sx + sy), sy))
 
     lam, mu = material.lam, material.mu
     f1 = (2.0 * mu + lam) * sxx + (lam + mu) * sxy + mu * syy
     f2 = mu * sxx + (lam + mu) * sxy + (2.0 * mu + lam) * syy
-    return u, sigma, np.array([-f1, -f2])
+    return u, sigma, np.stack([-f1, -f2], axis=-1)
+
+
+def _sym2(a11, a12, a22) -> np.ndarray:
+    """Symmetric 2x2 matrices from their components, shape (..., 2, 2)."""
+    return np.stack([np.stack([a11, a12], axis=-1),
+                     np.stack([a12, a22], axis=-1)], axis=-2)
 
 
 def _corner_equation(a: float, nu: float) -> float:
@@ -136,13 +147,13 @@ def lshape_polar_angle(point) -> tuple[float, float]:
     {x > 0, y < 0}; the interior then spans standard polar angles
     (0, 3pi/2), so the bisector points along 3pi/4.
     """
-    x, y = float(point[0]), float(point[1])
+    point = np.asarray(point, dtype=float)
+    x, y = point[..., 0], point[..., 1]
     r = np.hypot(x, y)
     phi = np.arctan2(y, x)
     # interior angles run over (0, 3pi/2); fold the branch cut so the edge
     # along the negative y axis lands at 3pi/2 rather than -pi/2
-    if phi < -0.5 * np.pi + 1e-12:
-        phi += 2.0 * np.pi
+    phi = phi + 2.0 * np.pi * (phi < -0.5 * np.pi + 1e-12)
     return r, phi - CLAMP_ANGLE
 
 
@@ -153,7 +164,7 @@ def lshape_solution(material: Material, params: LShapeParams, point) -> tuple[np
     corner expansion and rotated to Cartesian axes.  The body force is zero.
     """
     r, theta = lshape_polar_angle(point)
-    if r == 0.0:
+    if np.any(r == 0.0):
         raise ValueError("singular solution cannot be evaluated at the corner")
     a = params.a
     nu, mu = material.nu, material.mu
@@ -169,9 +180,8 @@ def lshape_solution(material: Material, params: LShapeParams, point) -> tuple[np
     # rotate with the standard polar frame angle of the radial direction
     phi = theta + CLAMP_ANGLE
     c, s = np.cos(phi), np.sin(phi)
-    u = np.array([u_r * c - u_t * s, u_r * s + u_t * c])
+    u = np.stack([u_r * c - u_t * s, u_r * s + u_t * c], axis=-1)
     sxx = sig_r * c * c + sig_t * s * s - 2.0 * sig_rt * s * c
     syy = sig_r * s * s + sig_t * c * c + 2.0 * sig_rt * s * c
     sxy = (sig_r - sig_t) * s * c + sig_rt * (c * c - s * s)
-    sigma = np.array([[sxx, sxy], [sxy, syy]])
-    return u, sigma
+    return u, _sym2(sxx, sxy, syy)

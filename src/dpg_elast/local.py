@@ -8,14 +8,16 @@ bilinear form restricted to the element.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import solve_triangular
 
-from .basis import edge_basis_eval, gauss_rule, gauss_rule_2d, q_basis_eval
+from .basis import (_read_only, edge_basis_eval, gauss_rule, gauss_rule_2d,
+                    q_basis_eval, q_basis_table)
 from .material import Material
-from .mesh import bilinear_maps
+from .mesh import bilinear_shape
 
 # reference-side parameterizations: point(t) and constant reference tangent
 _SIDE_POINT = (
@@ -25,63 +27,87 @@ _SIDE_POINT = (
     lambda t: np.column_stack([-np.ones_like(t), -t]),
 )
 _SIDE_TANGENT = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
-
-
-@dataclass
-class TraceEntry:
-    """One global trace function visible on a side segment.
-
-    The scalar profile is basis function `index` of the degree-`q` edge
-    basis on the straight edge with endpoints `edge_coords`, scaled by
-    `weight` (hanging-node redistribution).  gdof_x/gdof_y are the global
-    dofs of its two vector components.
-    """
-
-    edge_coords: np.ndarray
-    q: int
-    index: int
-    weight: float
-    gdof_x: int
-    gdof_y: int
+# test blocks (tau11 tau12 tau22 v1 v2 = 0..4) hit by the trace functions'
+# (x, x, y, y) dofs and by the flux functions' (x, y) dofs
+_TRACE_BLOCKS = np.array([0, 1, 1, 2])
+_FLUX_BLOCKS = np.array([3, 4])
 
 
 @dataclass
 class SideSegment:
-    """Portion of an element side carried by one leaf (flux) edge."""
+    """Portion of an element side carried by one leaf (flux) edge.
+
+    The trace on the side lives on one owner edge with endpoints
+    `trace_coords` and degree `trace_q`.  Global trace function i is basis
+    function `trace_index[i]` of that edge, scaled by `trace_weight[i]`
+    (hanging-node redistribution); `trace_gdofs[i]` holds the global dofs of
+    its two vector components.  `flux_gdofs` does the same for the leaf
+    edge's flux basis, shape (flux_p + 1, 2).
+    """
 
     side: int
     t0: float
     t1: float
+    trace_coords: np.ndarray
+    trace_q: int
+    trace_index: np.ndarray
+    trace_weight: np.ndarray
+    trace_gdofs: np.ndarray
     flux_coords: np.ndarray
     flux_p: int
     flux_sign: float
-    flux_gdofs: np.ndarray        # shape (flux_p + 1, 2), global dof ids
-    trace_entries: list[TraceEntry] = field(default_factory=list)
+    flux_gdofs: np.ndarray
 
 
 def test_space_dim(p_tilde: int) -> int:
     return 5 * (p_tilde + 1) ** 2
 
 
-def _volume_tables(coords: np.ndarray, p: int, p_tilde: int, nq: int):
-    rule = gauss_rule_2d(nq)
-    _, jac = bilinear_maps(coords, rule.points)
-    det = np.linalg.det(jac)
+@lru_cache(maxsize=None)
+def _volume_map_table(nq: int) -> np.ndarray:
+    """`bilinear_shape` at the points of `gauss_rule_2d(nq)`."""
+    return _read_only(bilinear_shape(gauss_rule_2d(nq).points))[0]
+
+
+def _volume_tables(coords: np.ndarray, p_tilde: int, nq: int):
+    """Physical points, weights, test values and physical test gradients."""
+    phys, jac_xi, jac_eta = _volume_map_table(nq) @ coords
+    (x_xi, y_xi), (x_eta, y_eta) = jac_xi.T, jac_eta.T
+    det = x_xi * y_eta - x_eta * y_xi
     if np.any(det <= 0.0):
         raise ValueError("nonpositive Jacobian determinant in element quadrature")
-    w = rule.weights * det
-    tvals, tgrads = q_basis_eval(p_tilde, rule.points)
-    jinv = np.linalg.inv(jac)  # (nq, 2, 2)
-    # physical gradients: g_phys[a, i, q] = sum_j jinv[q, j, i] * g_ref[a, j, q]
-    gphys = np.einsum("qji,ajq->aiq", jinv, tgrads)
-    return rule, w, tvals, gphys
+    w = gauss_rule_2d(nq).weights * det
+    tvals, tgrads = q_basis_table(p_tilde, nq)
+    # chain rule with the inverse Jacobian
+    g_xi, g_eta = tgrads[:, 0], tgrads[:, 1]
+    gphys = np.empty(tgrads.shape)
+    gphys[:, 0] = (g_xi * y_eta - g_eta * y_xi) / det
+    gphys[:, 1] = (g_eta * x_xi - g_xi * x_eta) / det
+    return phys, w, tvals, gphys
+
+
+@lru_cache(maxsize=None)
+def _side_table(side: int, t0: float, t1: float, ne: int, p_tilde: int):
+    """Tables of one side segment at its ne Gauss points.
+
+    Returns (map rows (2, ne, 4) giving the physical points and the
+    tangent along the side, reference weights, test scalars (ns, ne)).
+    """
+    erule = gauss_rule(ne)
+    half = 0.5 * (t1 - t0)
+    ref_pts = _SIDE_POINT[side](0.5 * (t0 + t1) + half * erule.points)
+    n, dxi, deta = bilinear_shape(ref_pts)
+    tx, ty = _SIDE_TANGENT[side]
+    rows = np.stack([n, tx * dxi + ty * deta])
+    svals, _ = q_basis_eval(p_tilde, ref_pts)
+    return _read_only(rows, half * erule.weights, svals)
 
 
 def local_gram(coords: np.ndarray, p_tilde: int, nq: int | None = None) -> np.ndarray:
     """Gram matrix of the broken test norm on one element."""
     if nq is None:
         nq = p_tilde + 2
-    _, w, vals, g = _volume_tables(coords, 0, p_tilde, nq)
+    _, w, vals, g = _volume_tables(coords, p_tilde, nq)
     ns = vals.shape[0]
     M = (vals * w) @ vals.T
     Dxx = (g[:, 0] * w) @ g[:, 0].T
@@ -102,11 +128,58 @@ def local_gram(coords: np.ndarray, p_tilde: int, nq: int | None = None) -> np.nd
     return G
 
 
+def gram_factor(G: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor L of a Gram matrix, G = L L'."""
+    try:
+        return np.linalg.cholesky(G)
+    except np.linalg.LinAlgError as err:
+        raise RuntimeError("Gram matrix is not positive definite") from err
+
+
 def _edge_param(points: np.ndarray, edge_coords: np.ndarray) -> np.ndarray:
     """Parameter in [-1, 1] of physical points along a straight edge."""
     a, bb = edge_coords[0], edge_coords[1]
     d = bb - a
     return 2.0 * ((points - a) @ d) / (d @ d) - 1.0
+
+
+def _skeleton_columns(coords: np.ndarray, p_tilde: int,
+                      segments: list[SideSegment], nq_edge: int | None):
+    """Skeleton trace and flux couplings: (sorted global ids, (5 ns, n) block)."""
+    parts, dofs, blocks = [], [], []
+    for seg in segments:
+        ne = nq_edge if nq_edge is not None else max(p_tilde, seg.trace_q) + 3
+        rows_map, wref, svals = _side_table(seg.side, seg.t0, seg.t1, ne, p_tilde)
+        phys, tang = rows_map @ coords  # (ne, 2) each
+        # arc-length weight times unit outward normal
+        wn = (wref * tang[:, 1], -wref * tang[:, 0])
+
+        # -<u_hat, tau n>: trace function i adds R1[i], R2[i] to
+        # (tau11, tau12) of its x dof and to (tau12, tau22) of its y dof
+        prof = edge_basis_eval(seg.trace_q, _edge_param(phys, seg.trace_coords))
+        prof = prof[seg.trace_index] * seg.trace_weight[:, None]
+        n_tr = prof.shape[0]
+        R = np.concatenate([prof * wn[0], prof * wn[1]]) @ svals.T
+        gx, gy = seg.trace_gdofs[:, 0], seg.trace_gdofs[:, 1]
+        parts += [R, R]
+        dofs += [gx, gx, gy, gy]
+        blocks.append(np.repeat(_TRACE_BLOCKS, n_tr))
+
+        # -<v, sigma_hat_n>
+        fvals = edge_basis_eval(seg.flux_p, _edge_param(phys, seg.flux_coords))
+        wf = wref * np.hypot(tang[:, 0], tang[:, 1]) * seg.flux_sign
+        F = (fvals * wf) @ svals.T
+        parts += [F, F]
+        dofs += [seg.flux_gdofs[:, 0], seg.flux_gdofs[:, 1]]
+        blocks.append(np.repeat(_FLUX_BLOCKS, seg.flux_p + 1))
+
+    ns = (p_tilde + 1) ** 2
+    if not parts:
+        return np.zeros(0, dtype=int), np.zeros((5 * ns, 0))
+    ids, inv = np.unique(np.concatenate(dofs), return_inverse=True)
+    acc = np.zeros((5, ids.size, ns))
+    np.add.at(acc, (np.concatenate(blocks), inv), np.concatenate(parts))
+    return ids, -acc.transpose(0, 2, 1).reshape(5 * ns, ids.size)
 
 
 def local_bmat(
@@ -121,17 +194,22 @@ def local_bmat(
 ):
     """Trial-test coupling matrix and load vector on one element.
 
-    Returns (B_int, skel_cols, lvec) where B_int couples the element's
-    interior trial dofs (sigma then u, component-major) and skel_cols maps
-    global skeleton dof -> column of the coupling matrix.
+    Returns (B, skel_ids, lvec).  The columns of B are the element's
+    interior trial dofs (sigma then u, component-major) followed by the
+    global skeleton dofs skel_ids (sorted).  f maps an (n, 2) array of
+    physical points to the (n, 2) body force.
     """
     if nq is None:
         nq = p_tilde + 2
-    rule, w, tvals, g = _volume_tables(coords, p, p_tilde, nq)
-    uvals, _ = q_basis_eval(p, rule.points)
+    phys, w, tvals, g = _volume_tables(coords, p_tilde, nq)
+    uvals, _ = q_basis_table(p, nq)
     ns = tvals.shape[0]
     nt = uvals.shape[0]
     b = [slice(i * ns, (i + 1) * ns) for i in range(5)]
+
+    skel_ids, Bskel = _skeleton_columns(coords, p_tilde, segments, nq_edge)
+    B = np.zeros((5 * ns, 5 * nt + skel_ids.size))
+    B[:, 5 * nt:] = Bskel
 
     Mmix = (tvals * w) @ uvals.T          # (ns, nt)
     DxMix = (g[:, 0] * w) @ uvals.T
@@ -141,7 +219,6 @@ def local_bmat(
     alpha = 0.5 * (P + Q)
     beta = 0.5 * (Q - P)
 
-    B = np.zeros((5 * ns, 5 * nt))
     c = [slice(i * nt, (i + 1) * nt) for i in range(5)]  # s11 s12 s22 u1 u2
     # (A sigma, tau)
     B[b[0], c[0]] += alpha * Mmix
@@ -163,77 +240,33 @@ def local_bmat(
     # load (f, v)
     lvec = np.zeros(5 * ns)
     if f is not None:
-        phys, _ = bilinear_maps(coords, rule.points)
-        fv = np.array([f(pt) for pt in phys])  # (nq, 2)
+        fv = f(phys)  # (nq, 2)
         lvec[b[3]] = tvals @ (w * fv[:, 0])
         lvec[b[4]] = tvals @ (w * fv[:, 1])
 
-    # skeleton terms
-    skel_cols: dict[int, np.ndarray] = {}
-
-    def col(gdof: int) -> np.ndarray:
-        if gdof not in skel_cols:
-            skel_cols[gdof] = np.zeros(5 * ns)
-        return skel_cols[gdof]
-
-    for seg in segments:
-        q_tr = max([e.q for e in seg.trace_entries], default=1)
-        ne = nq_edge if nq_edge is not None else max(p_tilde, q_tr) + 3
-        erule = gauss_rule(ne)
-        half = 0.5 * (seg.t1 - seg.t0)
-        ts = 0.5 * (seg.t0 + seg.t1) + half * erule.points
-        ref_pts = _SIDE_POINT[seg.side](ts)
-        phys, jac = bilinear_maps(coords, ref_pts)
-        tan_ref = _SIDE_TANGENT[seg.side]
-        tang = jac[:, :, 0] * tan_ref[0] + jac[:, :, 1] * tan_ref[1]  # (ne, 2)
-        speed = np.hypot(tang[:, 0], tang[:, 1])
-        normal = np.column_stack([tang[:, 1], -tang[:, 0]]) / speed[:, None]
-        ws = erule.weights * half * speed  # arc-length weights
-
-        svals, _ = q_basis_eval(p_tilde, ref_pts)  # test scalars on the side
-
-        # -<u_hat, tau n>
-        for entry in seg.trace_entries:
-            s = _edge_param(phys, entry.edge_coords)
-            prof = edge_basis_eval(entry.q, s)[entry.index] * entry.weight
-            wn1 = ws * prof * normal[:, 0]
-            wn2 = ws * prof * normal[:, 1]
-            cx = col(entry.gdof_x)
-            cy = col(entry.gdof_y)
-            cx[b[0]] -= svals @ wn1
-            cx[b[1]] -= svals @ wn2
-            cy[b[1]] -= svals @ wn1
-            cy[b[2]] -= svals @ wn2
-
-        # -<v, sigma_hat_n>
-        s = _edge_param(phys, seg.flux_coords)
-        fvals = edge_basis_eval(seg.flux_p, s)
-        for i in range(seg.flux_p + 1):
-            wf = ws * fvals[i] * seg.flux_sign
-            gx, gy = seg.flux_gdofs[i]
-            col(gx)[b[3]] -= svals @ wf
-            col(gy)[b[4]] -= svals @ wf
-
-    return B, skel_cols, lvec
+    return B, skel_ids, lvec
 
 
-def local_stiffness(G: np.ndarray, Bfull: np.ndarray, lvec: np.ndarray):
-    """Condensed SPD element matrix B' G^{-1} B and load B' G^{-1} l."""
-    try:
-        cf = cho_factor(G, lower=True)
-    except np.linalg.LinAlgError as err:
-        raise RuntimeError("Gram matrix is not positive definite") from err
-    GinvB = cho_solve(cf, Bfull)
-    K = Bfull.T @ GinvB
+def local_stiffness(L: np.ndarray, Bfull: np.ndarray, lvec: np.ndarray):
+    """Condensed SPD element matrix B' G^{-1} B and load B' G^{-1} l.
+
+    L is the lower Cholesky factor of the Gram matrix G (`gram_factor`).
+    """
+    Z = solve_triangular(L, Bfull, lower=True, check_finite=False)
+    z = solve_triangular(L, lvec, lower=True, check_finite=False)
+    K = Z.T @ Z
     K = 0.5 * (K + K.T)
-    fl = Bfull.T @ cho_solve(cf, lvec)
-    return K, fl
+    return K, Z.T @ z
 
 
-def error_representation(G: np.ndarray, Bfull: np.ndarray, lvec: np.ndarray, x_loc: np.ndarray):
-    """Riesz representative of the local residual and its V-norm."""
+def error_representation(L: np.ndarray, Bfull: np.ndarray, lvec: np.ndarray,
+                         x_loc: np.ndarray):
+    """Riesz representative of the local residual and its V-norm.
+
+    L is the lower Cholesky factor of the Gram matrix G; the V-norm of
+    e = G^{-1} r is |L^{-1} r|.
+    """
     resid = lvec - Bfull @ x_loc
-    cf = cho_factor(G, lower=True)
-    e = cho_solve(cf, resid)
-    eta = float(np.sqrt(max(e @ G @ e, 0.0)))
-    return e, eta
+    z = solve_triangular(L, resid, lower=True, check_finite=False)
+    e = solve_triangular(L, z, lower=True, trans="T", check_finite=False)
+    return e, float(np.linalg.norm(z))

@@ -53,6 +53,8 @@ class Material:
 
 def make_isotropic(lam: float, mu: float) -> Material:
     """Build a plane-strain isotropic material from the Lame parameters."""
+    if not (np.isfinite(lam) and np.isfinite(mu)):
+        raise ValueError(f"Lame parameters must be finite, got lambda={lam}, mu={mu}")
     if mu <= 0.0:
         raise ValueError(f"shear modulus must be positive, got mu={mu}")
     if lam < 0.0:
@@ -76,6 +78,10 @@ def apply_compliance(material: Material, tau: np.ndarray) -> np.ndarray:
 
 
 def apply_stiffness(material: Material, eps: np.ndarray) -> np.ndarray:
-    """Inverse of the compliance: stress from (symmetric) strain."""
+    """Inverse of the compliance: stress from (symmetric) strain.
+
+    eps has shape (..., 2, 2); the stress has the same shape.
+    """
     eps = np.asarray(eps, dtype=float)
-    return 2.0 * material.mu * eps + material.lam * np.trace(eps) * np.eye(2)
+    tr = eps[..., 0, 0] + eps[..., 1, 1]
+    return 2.0 * material.mu * eps + material.lam * np.multiply.outer(tr, np.eye(2))

@@ -277,23 +277,30 @@ def reference_map(mesh: Mesh, element_id: int, xi_eta) -> tuple[np.ndarray, np.n
     return point, jac
 
 
+def bilinear_shape(points: np.ndarray) -> np.ndarray:
+    """Bilinear vertex functions and their reference derivatives.
+
+    points: (nq, 2) reference points.  Returns shape (3, nq, 4): values,
+    d/dxi and d/deta, so that `bilinear_shape(points) @ coords` stacks the
+    physical points and the two columns of the Jacobian.
+    """
+    xi = points[:, 0]
+    eta = points[:, 1]
+    n = [(1 - xi) * (1 - eta), (1 + xi) * (1 - eta),
+         (1 + xi) * (1 + eta), (1 - xi) * (1 + eta)]
+    dxi = [-(1 - eta), (1 - eta), (1 + eta), -(1 + eta)]
+    deta = [-(1 - xi), -(1 + xi), (1 + xi), (1 - xi)]
+    return 0.25 * np.array([n, dxi, deta]).transpose(0, 2, 1)
+
+
 def bilinear_maps(coords: np.ndarray, points: np.ndarray):
     """Vectorized bilinear map: physical points and Jacobians at many points.
 
     coords: (4, 2) ccw vertices; points: (nq, 2) reference points.
     Returns (phys (nq, 2), jac (nq, 2, 2)) with jac[q, i, j] = dx_i/dxi_j.
     """
-    xi = points[:, 0]
-    eta = points[:, 1]
-    n = 0.25 * np.stack([(1 - xi) * (1 - eta), (1 + xi) * (1 - eta),
-                         (1 + xi) * (1 + eta), (1 - xi) * (1 + eta)])
-    dxi = 0.25 * np.stack([-(1 - eta), (1 - eta), (1 + eta), -(1 + eta)])
-    deta = 0.25 * np.stack([-(1 - xi), -(1 + xi), (1 + xi), (1 - xi)])
-    phys = n.T @ coords
-    jac = np.empty((points.shape[0], 2, 2))
-    jac[:, :, 0] = dxi.T @ coords
-    jac[:, :, 1] = deta.T @ coords
-    return phys, jac
+    t = bilinear_shape(points) @ coords
+    return t[0], t[1:].transpose(1, 2, 0)
 
 
 class DegreeMap:

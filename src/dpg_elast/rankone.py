@@ -16,7 +16,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse.linalg import splu
 
 from .assembly import DofLayout, GlobalSystem, element_full_bmat
-from .basis import gauss_rule_2d, q_basis_eval
+from .basis import gauss_rule_2d, q_basis_table
 from .material import Material
 from .mesh import DegreeMap, Mesh, bilinear_maps
 
@@ -47,7 +47,7 @@ def ell_vector(mesh: Mesh, degrees: DegreeMap, material: Material,
         rule = gauss_rule_2d(p + 2)
         _, jac = bilinear_maps(coords, rule.points)
         w = rule.weights * np.linalg.det(jac)
-        vals, _ = q_basis_eval(p, rule.points)
+        vals, _ = q_basis_table(p, p + 2)
         integrals = scale * (vals @ w)
         nt = (p + 1) ** 2
         base = layout.interior_base[k]
@@ -65,7 +65,7 @@ def _alpha_rhs(coords: np.ndarray, p_tilde: int, material: Material) -> np.ndarr
     rule = gauss_rule_2d(p_tilde + 2)
     _, jac = bilinear_maps(coords, rule.points)
     w = rule.weights * np.linalg.det(jac)
-    vals, _ = q_basis_eval(p_tilde, rule.points)
+    vals, _ = q_basis_table(p_tilde, p_tilde + 2)
     ns = vals.shape[0]
     scale = material.Q / material.Q0
     r = np.zeros(5 * ns)
@@ -80,17 +80,17 @@ def border_terms(mesh: Mesh, degrees: DegreeMap, material: Material, f,
     """Border column c and diagonal d of the bordered system.
 
     The optimal test function of the scalar unknown is computed per element
-    by reusing the local Gram factorizations; its scalar component is zero,
-    so c is the plain bilinear form paired against that test function.
+    by reusing the local Gram factors; its scalar component is zero, so c
+    is the plain bilinear form paired against that test function.
     """
     c = np.zeros(layout.n_dofs)
     d = 0.0
     for k in mesh.active_elements:
-        G, Bfull, _, gdofs = element_full_bmat(mesh, layout, material, f, k,
+        L, Bfull, _, gdofs = element_full_bmat(mesh, layout, material, f, k,
                                                degrees.delta_p)
         p = layout.element_p[k]
         r = _alpha_rhs(mesh.element_coords(k), p + degrees.delta_p, material)
-        t = cho_solve(cho_factor(G, lower=True), r)
+        t = cho_solve((L, True), r, check_finite=False)
         c[gdofs] += Bfull.T @ t
         d += float(r @ t)
     return c, d
@@ -107,11 +107,27 @@ def build_bordered_system(mesh: Mesh, degrees: DegreeMap, material: Material,
     return BorderedSystem(E=E, g=system.g[free], ell=ell[free], c=c[free], d=d)
 
 
+# a pivot of the bordered solve counts as zero when it is this small
+# relative to the terms it is the sum of
+_SINGULAR_RTOL = 1e-10
+
+
+def _pivot(a: float, b: float, what: str) -> float:
+    """a + b, or RuntimeError when it cancels to roundoff (or is not finite)."""
+    s = a + b
+    if not np.isfinite(s) or abs(s) <= _SINGULAR_RTOL * max(abs(a), abs(b)):
+        raise RuntimeError(f"bordered system is singular: {what} is "
+                           f"{s:.3e} against terms {a:.3e}, {b:.3e}")
+    return s
+
+
 def solve_second_method(bordered: BorderedSystem) -> tuple[np.ndarray, float]:
     """Solve the bordered system with a rank-one update of the base matrix.
 
     Uses one factorization of E and three solves.  Returns the free-dof
-    vector and the scalar multiplier.
+    vector and the scalar multiplier.  Raises RuntimeError when E cannot be
+    factored or when a pivot of the rank-one update or of the border
+    vanishes relative to its terms.
     """
     E, g, ell, c, d = (bordered.E, bordered.g, bordered.ell, bordered.c,
                        bordered.d)
@@ -119,20 +135,21 @@ def solve_second_method(bordered: BorderedSystem) -> tuple[np.ndarray, float]:
         lu = splu(E.tocsc())
         esolve = lu.solve
     else:
-        cf = cho_factor(np.asarray(E), lower=True)
+        try:
+            cf = cho_factor(np.asarray(E), lower=True)
+        except np.linalg.LinAlgError as err:
+            raise RuntimeError("base matrix is not positive definite") from err
         esolve = lambda v: cho_solve(cf, v)
 
     w = esolve(ell)
-    a = 1.0 / (1.0 + ell @ w)
+    a = 1.0 / _pivot(1.0, ell @ w, "1 + ell'E^-1 ell")
 
     def etilde_solve(v):
         return esolve(v) - a * w * (w @ v)
 
     x_c = etilde_solve(c)
     x_g = etilde_solve(g)
-    denom = d - c @ x_c
-    if denom == 0.0:
-        raise RuntimeError("bordered system is singular: zero Schur complement")
+    denom = _pivot(d, -(c @ x_c), "the Schur complement d - c'x_c")
     alpha = -(c @ x_g) / denom
     x = x_g - x_c * alpha
     return x, float(alpha)

@@ -9,9 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import (apply_dirichlet, assemble, build_dof_layout,
-                       dirichlet_values, error_indicators, eval_element_fields,
-                       solve_condensed, solve_spd)
-from .basis import gauss_rule_2d, q_basis_eval
+                       dirichlet_values, error_indicators, solve_condensed)
+from .basis import gauss_rule_2d, q_basis_table
 from .exact import (LShapeParams, lshape_effective_material, lshape_solution,
                     smooth_solution)
 from .material import Material, make_isotropic
@@ -22,14 +21,18 @@ from .rankone import solve_second
 
 @dataclass
 class Benchmark:
-    """Problem data for one convergence study."""
+    """Problem data for one convergence study.
+
+    The callables take an (n, 2) array of physical points: f and g return
+    (n, 2) arrays, exact returns (u (n, 2), sigma (n, 2, 2)).
+    """
 
     name: str
     domain: str
     solver_material: Material    # material the discrete problem uses
     f: object                    # body force callable or None
     g: object                    # Dirichlet displacement data or None (zero)
-    exact: object                # point -> (u, sigma)
+    exact: object                # points -> (u, sigma)
     singular_point: tuple | None
     n_initial: int
 
@@ -49,11 +52,11 @@ def make_benchmark(name: str, material: Material) -> Benchmark:
         solver_material = make_isotropic(material.lam / scale,
                                          material.mu / scale)
 
-        def f(pt):
-            return smooth_solution(material, pt)[2]
+        def f(pts):
+            return smooth_solution(material, pts)[2]
 
-        def exact(pt):
-            u, sig, _ = smooth_solution(material, pt)
+        def exact(pts):
+            u, sig, _ = smooth_solution(material, pts)
             return scale * u, sig
 
         return Benchmark(name=name, domain="unit_square",
@@ -64,15 +67,16 @@ def make_benchmark(name: str, material: Material) -> Benchmark:
         eff = lshape_effective_material(material)
         solver_material = make_isotropic(eff.lam / scale, eff.mu / scale)
 
-        def exact(pt):
-            u, sig = lshape_solution(material, params, pt)
+        def exact(pts):
+            u, sig = lshape_solution(material, params, pts)
             return scale * u, sig
 
-        def g(pt):
+        def g(pts):
             # the displacement scales like r^a, so it vanishes at the corner
-            if np.hypot(pt[0], pt[1]) < 1e-14:
-                return np.zeros(2)
-            return exact(pt)[0]
+            u = np.zeros(pts.shape)
+            away = np.hypot(pts[:, 0], pts[:, 1]) >= 1e-14
+            u[away] = exact(pts[away])[0]
+            return u
 
         return Benchmark(name=name, domain="l_shape",
                          solver_material=solver_material,
@@ -106,6 +110,9 @@ class StudyConfig:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.p < 1:
             raise ValueError(f"p must be >= 1, got {self.p}")
+        if self.delta_p < 1:
+            raise ValueError(f"delta_p must be >= 1, got {self.delta_p}")
+        make_isotropic(self.lam, self.mu)
         if not 0.0 < self.marking_fraction <= 1.0:
             raise ValueError(
                 f"marking fraction must be in (0, 1], got {self.marking_fraction}")
@@ -140,19 +147,19 @@ def l2_errors(mesh: Mesh, degrees: DegreeMap, layout, x, exact,
     es = eu = ns = nu = 0.0
     for k in mesh.active_elements:
         p = layout.element_p[k]
-        rule = gauss_rule_2d(p + degrees.delta_p + nq_extra)
-        coords = mesh.element_coords(k)
-        phys, jac = bilinear_maps(coords, rule.points)
+        nq = p + degrees.delta_p + nq_extra
+        rule = gauss_rule_2d(nq)
+        phys, jac = bilinear_maps(mesh.element_coords(k), rule.points)
         w = rule.weights * np.linalg.det(jac)
-        sig_h, u_h = eval_element_fields(mesh, layout, k, x, rule.points)
-        for q in range(phys.shape[0]):
-            u_ex, s_ex = exact(phys[q])
-            ds = sig_h[q] - np.array([s_ex[0, 0], s_ex[0, 1], s_ex[1, 1]])
-            du = u_h[q] - u_ex
-            es += w[q] * (ds[0] ** 2 + 2.0 * ds[1] ** 2 + ds[2] ** 2)
-            eu += w[q] * (du @ du)
-            ns += w[q] * (s_ex[0, 0] ** 2 + 2.0 * s_ex[0, 1] ** 2 + s_ex[1, 1] ** 2)
-            nu += w[q] * (u_ex @ u_ex)
+        vals, _ = q_basis_table(p, nq)
+        base = layout.interior_base[k]
+        fields = x[base: base + 5 * vals.shape[0]].reshape(5, -1) @ vals
+        u_ex, s_ex = exact(phys)
+        s_ex = _sigma_flat(s_ex)
+        es += w @ _frobenius_sq(fields[:3].T - s_ex)
+        eu += w @ np.sum((fields[3:].T - u_ex) ** 2, axis=1)
+        ns += w @ _frobenius_sq(s_ex)
+        nu += w @ np.sum(u_ex ** 2, axis=1)
     return np.sqrt(es), np.sqrt(eu), np.sqrt(ns), np.sqrt(nu)
 
 
@@ -166,22 +173,26 @@ def best_approximation_errors(mesh: Mesh, degrees: DegreeMap, layout, exact,
         coords = mesh.element_coords(k)
         phys, jac = bilinear_maps(coords, rule.points)
         w = rule.weights * np.linalg.det(jac)
-        vals, _ = q_basis_eval(p, rule.points)
+        vals, _ = q_basis_table(p, p + nq_extra)
         M = (vals * w) @ vals.T
-        fields = np.array([[*_sigma_flat(exact(pt)[1]), *exact(pt)[0]]
-                           for pt in phys])  # (nq, 5)
+        u_ex, s_ex = exact(phys)
+        fields = np.column_stack([_sigma_flat(s_ex), u_ex])  # (nq, 5)
         rhs = (vals * w) @ fields
         coef = np.linalg.solve(M, rhs)       # ((p+1)^2, 5)
         resid = fields - vals.T @ coef
-        sq_s = resid[:, 0] ** 2 + 2.0 * resid[:, 1] ** 2 + resid[:, 2] ** 2
-        sq_u = resid[:, 3] ** 2 + resid[:, 4] ** 2
-        bs += w @ sq_s
-        bu += w @ sq_u
+        bs += w @ _frobenius_sq(resid[:, :3])
+        bu += w @ np.sum(resid[:, 3:] ** 2, axis=1)
     return np.sqrt(bs), np.sqrt(bu)
 
 
-def _sigma_flat(sig):
-    return (sig[0, 0], sig[0, 1], sig[1, 1])
+def _sigma_flat(sig: np.ndarray) -> np.ndarray:
+    """(s11, s12, s22) of stresses of shape (n, 2, 2), shape (n, 3)."""
+    return np.column_stack([sig[:, 0, 0], sig[:, 0, 1], sig[:, 1, 1]])
+
+
+def _frobenius_sq(s: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norms of symmetric stresses given as (n, 3)."""
+    return s[:, 0] ** 2 + 2.0 * s[:, 1] ** 2 + s[:, 2] ** 2
 
 
 def greedy_mark(indicators: dict[int, float], fraction: float = 0.5) -> set[int]:
@@ -270,6 +281,9 @@ def run_convergence_study(config: StudyConfig) -> list[ReportRow]:
 
         if step == config.steps - 1:
             break
+        # free this step's layout (with its Gram factors), matrix and
+        # solution before the next step builds its own
+        del layout, system, x
         if config.mode == "uniform_h":
             mesh = refine_uniform(mesh)
         elif config.mode == "uniform_p":

@@ -224,10 +224,11 @@ def test_criterion_08_test_function_identities():
     mesh = build_initial_mesh("unit_square", 1)
     degrees = DegreeMap(mesh, p=1, delta_p=2)
     layout = build_dof_layout(mesh, degrees)
-    G, Bfull, _, gdofs = element_full_bmat(mesh, layout, material, None, 0,
+    _, Bfull, _, gdofs = element_full_bmat(mesh, layout, material, None, 0,
                                            degrees.delta_p)
     p = layout.element_p[0]
     p_tilde = p + degrees.delta_p
+    G = local_gram(mesh.element_coords(0), p_tilde)
     nt = (p + 1) ** 2
     ns = (p_tilde + 1) ** 2
 

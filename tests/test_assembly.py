@@ -27,8 +27,8 @@ def linear_data(material):
     eps = 0.5 * (grad + grad.T)
     sigma = apply_stiffness(material, eps)
 
-    def u(pt):
-        return grad @ np.asarray(pt, dtype=float) + shift
+    def u(pts):
+        return np.asarray(pts, dtype=float) @ grad.T + shift
 
     return u, sigma
 
@@ -84,9 +84,9 @@ def test_dirichlet_trace_reproduces_polynomials():
     # quadratic data on a boundary edge is captured exactly at q = 3
     mesh, degrees, layout = make_problem(n=2, p=2)
 
-    def g(pt):
-        x, y = pt
-        return np.array([x * x - 0.5 * y, 2.0 * y * y + x])
+    def g(pts):
+        x, y = pts[:, 0], pts[:, 1]
+        return np.column_stack([x * x - 0.5 * y, 2.0 * y * y + x])
 
     xp = dirichlet_values(layout, g, mesh)
     for e, (q, base) in layout.trace_edges.items():
@@ -102,8 +102,7 @@ def test_dirichlet_trace_reproduces_polynomials():
             trace = xp[v0 + comp] * vals[0] + xp[v1 + comp] * vals[1]
             for k in range(2, q + 1):
                 trace = trace + xp[base + 2 * (k - 2) + comp] * vals[k]
-            np.testing.assert_allclose(trace, [g(pt)[comp] for pt in pts],
-                                       atol=1e-12)
+            np.testing.assert_allclose(trace, g(pts)[:, comp], atol=1e-12)
 
 
 def solve_linear_patch(mesh, degrees, layout, material):
@@ -149,8 +148,8 @@ def test_condensed_matches_full_solve():
     layout = build_dof_layout(mesh, degrees)
     g, _ = linear_data(MAT)
 
-    def f(pt):
-        return np.array([np.sin(3.0 * pt[0]), np.cos(2.0 * pt[1])])
+    def f(pts):
+        return np.column_stack([np.sin(3.0 * pts[:, 0]), np.cos(2.0 * pts[:, 1])])
 
     system = assemble(mesh, degrees, MAT, f, layout)
     apply_dirichlet(system, layout, g, mesh)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from numpy.polynomial import legendre as npleg
 
-from dpg_elast.basis import (edge_basis_eval, edge_basis_eval_deriv,
-                             gauss_rule, gauss_rule_2d, ones_coefficients_1d,
-                             ones_coefficients_2d, q_basis_eval)
+from dpg_elast.basis import (_legendre_values, edge_basis_eval,
+                             edge_basis_eval_deriv, gauss_rule, gauss_rule_2d,
+                             ones_coefficients_1d, ones_coefficients_2d,
+                             q_basis_eval, q_basis_table)
 
 
 def test_gauss_two_points():
@@ -110,3 +112,44 @@ def test_ones_coefficients():
         c = ones_coefficients_2d(p)
         vals, _ = q_basis_eval(p, pts)
         np.testing.assert_allclose(c @ vals, 1.0, atol=1e-14)
+
+
+def test_legendre_recurrence_matches_legval():
+    x = np.concatenate([np.linspace(-1.0, 1.0, 41),
+                        np.random.default_rng(5).uniform(-1.0, 1.0, 20)])
+    for p in range(11):
+        oracle = np.stack([npleg.legval(x, [0.0] * k + [1.0])
+                           for k in range(p + 1)])
+        np.testing.assert_allclose(_legendre_values(p, x), oracle,
+                                   rtol=0.0, atol=1e-14)
+
+
+def test_q_basis_matches_double_loop():
+    pts = np.random.default_rng(6).uniform(-1.0, 1.0, size=(9, 2))
+    for p in (0, 1, 3, 6):
+        vx, dx = edge_basis_eval_deriv(p, pts[:, 0])
+        vy, dy = edge_basis_eval_deriv(p, pts[:, 1])
+        n1 = p + 1
+        vals = np.empty((n1 * n1, len(pts)))
+        grads = np.empty((n1 * n1, 2, len(pts)))
+        for i in range(n1):
+            for j in range(n1):
+                vals[i * n1 + j] = vx[i] * vy[j]
+                grads[i * n1 + j, 0] = dx[i] * vy[j]
+                grads[i * n1 + j, 1] = vx[i] * dy[j]
+        got_vals, got_grads = q_basis_eval(p, pts)
+        np.testing.assert_array_equal(got_vals, vals)
+        np.testing.assert_array_equal(got_grads, grads)
+
+
+def test_cached_tables_are_read_only():
+    rule = gauss_rule_2d(4)
+    vals, grads = q_basis_table(2, 4)
+    np.testing.assert_array_equal(vals, q_basis_eval(2, rule.points)[0])
+    np.testing.assert_array_equal(grads, q_basis_eval(2, rule.points)[1])
+    assert q_basis_table(2, 4)[0] is vals
+    for a in (rule.points, rule.weights, vals, grads,
+              gauss_rule(4).points, gauss_rule(4).weights):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0

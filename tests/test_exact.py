@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from dpg_elast.exact import (LShapeParams, lshape_effective_material,
                              lshape_exponent, lshape_polar_angle,
                              lshape_solution, smooth_solution)
 from dpg_elast.material import apply_compliance, make_isotropic
+from dpg_elast.study import make_benchmark
 
 STEEL = make_isotropic(123.0, 79.3)
 
@@ -125,3 +128,60 @@ def test_lshape_compatibility_with_effective_material():
         eps = 0.5 * (grad + grad.T)
         np.testing.assert_allclose(apply_compliance(eff, sigma), eps,
                                    atol=1e-6 * max(np.abs(eps).max(), 1.0))
+
+
+def _polar_angle_oracle(x, y):
+    """Pointwise angle from the corner bisector with the branch-cut fold."""
+    phi = math.atan2(y, x)
+    if phi < -0.5 * math.pi + 1e-12:
+        phi += 2.0 * math.pi
+    return phi - 0.75 * math.pi
+
+
+LSHAPE_POINTS = np.array([
+    [-0.5, 0.3], [0.4, 0.7], [-0.3, -0.6], [-0.5, -0.5], [0.5, 0.0],
+    [-1.0, 1.0],
+    # the clamped edge on the negative y axis, where the fold matters
+    [0.0, -0.3], [0.0, -1.0], [-1e-13, -0.5],
+])
+
+
+def test_polar_angle_vectorized_matches_pointwise():
+    r, th = lshape_polar_angle(LSHAPE_POINTS)
+    assert r.shape == th.shape == (len(LSHAPE_POINTS),)
+    for (x, y), ri, ti in zip(LSHAPE_POINTS, r, th):
+        assert ri == pytest.approx(math.hypot(x, y), rel=1e-15)
+        assert ti == pytest.approx(_polar_angle_oracle(x, y), abs=1e-15)
+
+
+def test_smooth_callables_match_pointwise_loop():
+    m = make_isotropic(2.0, 0.7)
+    bench = make_benchmark("smooth", m)
+    pts = np.random.default_rng(11).uniform(0.0, 1.0, size=(13, 2))
+    f = bench.f(pts)
+    u, sigma = bench.exact(pts)
+    assert f.shape == u.shape == (13, 2) and sigma.shape == (13, 2, 2)
+    for i, pt in enumerate(pts):
+        u_i, s_i, f_i = smooth_solution(m, (float(pt[0]), float(pt[1])))
+        np.testing.assert_allclose(f[i], f_i, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(u[i], 2.0 * m.mu * u_i, rtol=1e-14,
+                                   atol=1e-14)
+        np.testing.assert_allclose(sigma[i], s_i, rtol=1e-14, atol=1e-14)
+
+
+def test_lshape_callables_match_pointwise_loop():
+    bench = make_benchmark("lshape", STEEL)
+    params = LShapeParams.from_material(STEEL)
+    scale = 2.0 * STEEL.mu
+    u, sigma = bench.exact(LSHAPE_POINTS)
+    with_corner = np.vstack([LSHAPE_POINTS[:4], [[0.0, 0.0]], LSHAPE_POINTS[4:]])
+    g = bench.g(with_corner)
+    assert g.shape == (len(with_corner), 2)
+    np.testing.assert_array_equal(g[4], [0.0, 0.0])
+    np.testing.assert_array_equal(np.delete(g, 4, axis=0), u)
+    for i, pt in enumerate(LSHAPE_POINTS):
+        u_i, s_i = lshape_solution(STEEL, params, (float(pt[0]), float(pt[1])))
+        np.testing.assert_allclose(u[i], scale * u_i, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(sigma[i], s_i, rtol=1e-13, atol=1e-12)
+    with pytest.raises(ValueError):
+        bench.exact(np.array([[0.5, 0.5], [0.0, 0.0]]))

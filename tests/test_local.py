@@ -3,10 +3,13 @@ import pytest
 from scipy.linalg import eigvalsh
 
 from dpg_elast.basis import ones_coefficients_2d
-from dpg_elast.local import (error_representation, local_bmat, local_gram,
-                             local_stiffness)
+from dpg_elast.assembly import build_dof_layout, element_full_bmat
+from dpg_elast.local import (_side_table, _volume_map_table,
+                             error_representation, gram_factor, local_bmat,
+                             local_gram, local_stiffness)
 from dpg_elast.local import test_space_dim as space_dim
 from dpg_elast.material import make_isotropic
+from dpg_elast.mesh import DegreeMap, build_initial_mesh, refine_marked
 
 UNIT = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 SHEARED = np.array([[0.0, 0.0], [1.0, 0.0], [1.5, 1.0], [0.5, 1.0]])
@@ -95,7 +98,8 @@ def test_bmat_divergence_pairing():
 
 def test_load_vector():
     m = make_isotropic(1.0, 1.0)
-    _, _, lvec = local_bmat(UNIT, 1, 3, m, lambda pt: np.array([2.0, -3.0]), [])
+    _, _, lvec = local_bmat(UNIT, 1, 3, m,
+                            lambda pts: np.tile([2.0, -3.0], (len(pts), 1)), [])
     v1 = constant_test_coeffs(3, v1=1.0)
     v2 = constant_test_coeffs(3, v2=1.0)
     assert v1 @ lvec == pytest.approx(2.0, abs=1e-12)
@@ -106,7 +110,7 @@ def test_local_stiffness_oracle():
     m = make_isotropic(2.0, 0.8)
     G = local_gram(SHEARED, 3)
     B, _, lvec = local_bmat(SHEARED, 1, 3, m, lambda pt: pt, [])
-    K, fl = local_stiffness(G, B, lvec)
+    K, fl = local_stiffness(gram_factor(G), B, lvec)
     Ginv = np.linalg.inv(G)
     np.testing.assert_allclose(K, B.T @ Ginv @ B, atol=1e-11 * np.abs(K).max())
     np.testing.assert_allclose(fl, B.T @ (Ginv @ lvec), atol=1e-12)
@@ -118,7 +122,7 @@ def test_local_stiffness_oracle():
 def test_local_stiffness_rejects_indefinite():
     G = -np.eye(4)
     with pytest.raises(RuntimeError):
-        local_stiffness(G, np.eye(4), np.zeros(4))
+        local_stiffness(gram_factor(G), np.eye(4), np.zeros(4))
 
 
 def test_error_representation_oracle():
@@ -127,7 +131,7 @@ def test_error_representation_oracle():
     G = local_gram(UNIT, 3)
     B, _, lvec = local_bmat(UNIT, 1, 3, m, lambda pt: np.sin(pt), [])
     x = rng.standard_normal(B.shape[1])
-    e, eta = error_representation(G, B, lvec, x)
+    e, eta = error_representation(gram_factor(G), B, lvec, x)
     r = lvec - B @ x
     np.testing.assert_allclose(e, np.linalg.solve(G, r), atol=1e-12)
     assert eta == pytest.approx(np.sqrt(r @ np.linalg.solve(G, r)), rel=1e-10)
@@ -144,5 +148,39 @@ def test_error_representation_zero_residual():
     x = np.zeros(B.shape[1])
     x[0] = 1.0
     lvec = B @ x
-    _, eta = error_representation(G, B, lvec, x)
+    _, eta = error_representation(gram_factor(G), B, lvec, x)
     assert eta <= 1e-12
+
+
+def test_translated_gram_factor_matches_absolute():
+    for shift in ((3.25, -1.5), (-7.1, 12.3)):
+        coords = SHEARED + np.array(shift)
+        for p_tilde in (2, 5):
+            L_abs = gram_factor(local_gram(coords, p_tilde))
+            L_rel = gram_factor(local_gram(coords - coords[0], p_tilde))
+            np.testing.assert_allclose(L_rel, L_abs, rtol=0.0, atol=1e-13)
+
+
+def test_gram_factor_cached_per_geometry_class():
+    # a class is the enriched degree plus the vertex offsets from the first
+    # vertex; refinement gives two sizes and several vertex orders
+    m = make_isotropic(1.0, 0.5)
+    mesh = refine_marked(build_initial_mesh("unit_square", 2), [0])
+    degrees = DegreeMap(mesh, p=1)
+    layout = build_dof_layout(mesh, degrees)
+    for k in mesh.active_elements:
+        L, _, _, _ = element_full_bmat(mesh, layout, m, None, k,
+                                       degrees.delta_p)
+        p_tilde = layout.element_p[k] + degrees.delta_p
+        L_abs = gram_factor(local_gram(mesh.element_coords(k), p_tilde))
+        np.testing.assert_allclose(L, L_abs, rtol=0.0, atol=1e-13)
+        assert not L.flags.writeable
+    classes = {(layout.element_p[k] + degrees.delta_p,
+                tuple((mesh.element_coords(k) - mesh.element_coords(k)[0]).ravel()))
+               for k in mesh.active_elements}
+    assert len(layout.gram_factors) == len(classes) < len(mesh.active_elements)
+
+
+def test_side_and_map_tables_are_read_only():
+    for table in (_volume_map_table(4), *_side_table(1, -1.0, 0.0, 5, 3)):
+        assert not table.flags.writeable

@@ -33,6 +33,13 @@ def test_invalid_parameters():
         lam_from_nu(0.5, 1.0)
 
 
+@pytest.mark.parametrize("lam, mu", [(float("nan"), 1.0), (1.0, float("nan")),
+                                     (float("inf"), 1.0), (1.0, float("inf"))])
+def test_nonfinite_parameters_rejected(lam, mu):
+    with pytest.raises(ValueError):
+        make_isotropic(lam, mu)
+
+
 def test_lam_from_nu_roundtrip():
     for nu in (0.3, 0.49, 0.499, 0.4999):
         lam = lam_from_nu(nu, 0.5)

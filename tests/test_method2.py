@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dpg_elast.assembly import (apply_dirichlet, assemble, build_dof_layout,
                                 solve_spd)
@@ -176,3 +177,31 @@ def test_degenerate_ell_reduces_to_first_method():
     x, alpha = solve_second_method(bordered)
     np.testing.assert_allclose(x, np.linalg.solve(E, g), atol=1e-12)
     assert alpha == 0.0
+
+
+def test_near_singular_schur_complement_raises():
+    # d equals c'E^{-1}c up to roundoff: the bordered matrix is singular
+    # although d - c'x_c is not exactly zero
+    c = np.array([0.3, -1.7, 2.2])
+    E = sp.identity(3, format="csc")
+    bordered = BorderedSystem(E=E, g=np.ones(3), ell=np.zeros(3), c=c,
+                              d=float(c @ c) * (1.0 + 4e-16))
+    assert bordered.d - c @ c != 0.0
+    with pytest.raises(RuntimeError, match="singular"):
+        solve_second_method(bordered)
+
+
+def test_singular_rank_one_update_raises():
+    # E + ell ell' = diag(0, 1, 1): 1 + ell'E^{-1}ell vanishes
+    E = sp.diags([-1.0, 1.0, 1.0], format="csc")
+    bordered = BorderedSystem(E=E, g=np.ones(3), ell=np.array([1.0, 0.0, 0.0]),
+                              c=np.array([0.0, 1.0, 0.0]), d=1.0)
+    with pytest.raises(RuntimeError, match="singular"):
+        solve_second_method(bordered)
+
+
+def test_indefinite_dense_base_matrix_raises():
+    bordered = BorderedSystem(E=-np.eye(2), g=np.ones(2), ell=np.zeros(2),
+                              c=np.ones(2), d=1.0)
+    with pytest.raises(RuntimeError):
+        solve_second_method(bordered)

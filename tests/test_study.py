@@ -75,6 +75,10 @@ def test_config_validation():
         StudyConfig(mode="uniform"),
         StudyConfig(steps=0),
         StudyConfig(p=0),
+        StudyConfig(delta_p=0),
+        StudyConfig(lam=-1.0),
+        StudyConfig(lam=float("nan")),
+        StudyConfig(mu=float("inf")),
         StudyConfig(marking_fraction=0.0),
         StudyConfig(method=2, benchmark="lshape"),
     ]:
@@ -161,3 +165,10 @@ def test_cli_no_config_defaults(tmp_path):
     code = cli.main(["run", "--steps", "1", "--out", str(out)])
     assert code == 0
     assert out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--delta-p", "0"), ("--lambda", "-1"),
+                                         ("--lambda", "nan"), ("--mu", "inf")])
+def test_cli_rejects_bad_flag_value(flag, value, capsys):
+    assert cli.main(["run", "--steps", "1", flag, value]) == 3
+    assert "config error" in capsys.readouterr().err
