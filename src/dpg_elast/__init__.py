@@ -1,13 +1,12 @@
 """DPG methods for 2D linear elasticity with strongly symmetric stresses."""
 
-from .assembly import (apply_dirichlet, assemble, build_dof_layout,
-                       dirichlet_values, error_indicators, eval_element_fields,
-                       solve_condensed, solve_spd)
+from .assembly import (build_dof_layout, dirichlet_values, error_indicators,
+                       eval_element_fields, solve_condensed)
 from .material import (Material, apply_compliance, apply_stiffness,
                        lam_from_nu, make_isotropic)
 from .mesh import (DegreeMap, Mesh, build_initial_mesh, refine_marked,
                    refine_uniform)
-from .rankone import BorderedSystem, solve_second, solve_second_method
+from .rankone import solve_second, solve_second_method
 from .study import (ReportRow, StudyConfig, greedy_mark, hp_decide,
                     make_benchmark, observed_rate, run_convergence_study)
 
@@ -23,14 +22,10 @@ __all__ = [
     "refine_marked",
     "refine_uniform",
     "build_dof_layout",
-    "assemble",
-    "apply_dirichlet",
     "dirichlet_values",
-    "solve_spd",
     "solve_condensed",
     "error_indicators",
     "eval_element_fields",
-    "BorderedSystem",
     "solve_second",
     "solve_second_method",
     "StudyConfig",

@@ -1,4 +1,4 @@
-"""Global dof layout, constrained assembly, Dirichlet data, and sparse solve.
+"""Global dof layout, Dirichlet data, static condensation, and sparse solve.
 
 Numbering is element-major for the interior (sigma, u) blocks, then vertex
 trace dofs, edge trace bubbles, and edge flux dofs.  Hanging-node coupling
@@ -47,14 +47,6 @@ class DofLayout:
         nt = (p + 1) ** 2
         base = self.interior_base[eid]
         return slice(base, base + 3 * nt), slice(base + 3 * nt, base + 5 * nt)
-
-
-@dataclass
-class GlobalSystem:
-    E: sp.csr_matrix
-    g: np.ndarray
-    layout: DofLayout
-    x_pinned: np.ndarray = field(default=None)  # values on pinned dofs
 
 
 def _vertex_entries(mesh: Mesh, layout_vertex: dict, hanging: dict,
@@ -233,33 +225,6 @@ def element_full_bmat(mesh: Mesh, layout: DofLayout, material: Material, f,
     return L, Bfull, lvec, gdofs
 
 
-def assemble(mesh: Mesh, degrees: DegreeMap, material: Material, f,
-             layout: DofLayout) -> GlobalSystem:
-    """Assemble the SPD DPG system over all dofs (pinned included)."""
-    rows, cols, vals = [], [], []
-    g = np.zeros(layout.n_dofs)
-    for k in mesh.active_elements:
-        L, Bfull, lvec, gdofs = element_full_bmat(mesh, layout, material, f, k,
-                                                  degrees.delta_p)
-        K, fl = local_stiffness(L, Bfull, lvec)
-        idx = np.broadcast_to(gdofs, (gdofs.size, gdofs.size))
-        rows.append(idx.T.ravel())
-        cols.append(idx.ravel())
-        vals.append(K.ravel())
-        g[gdofs] += fl
-    E = sp.coo_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(layout.n_dofs, layout.n_dofs)).tocsr()
-    return GlobalSystem(E=E, g=g, layout=layout,
-                        x_pinned=np.zeros(layout.n_dofs))
-
-
-def apply_dirichlet(system: GlobalSystem, layout: DofLayout, g_data, mesh: Mesh) -> GlobalSystem:
-    """Pin boundary trace dofs to the edgewise L2 projection of g_data."""
-    system.x_pinned = dirichlet_values(layout, g_data, mesh)
-    return system
-
-
 def dirichlet_values(layout: DofLayout, g_data, mesh: Mesh) -> np.ndarray:
     """Pinned-dof vector interpolating/projecting the boundary displacement.
 
@@ -295,23 +260,6 @@ def dirichlet_values(layout: DofLayout, g_data, mesh: Mesh) -> np.ndarray:
     return xp
 
 
-def solve_spd(system: GlobalSystem) -> np.ndarray:
-    """Direct sparse solve on the free dofs; returns the full dof vector."""
-    layout = system.layout
-    free = ~layout.pinned
-    E = system.E
-    xp = system.x_pinned
-    rhs = system.g[free] - E[np.ix_(free, layout.pinned)] @ xp[layout.pinned]
-    Eff = E[np.ix_(free, free)].tocsc()
-    try:
-        lu = splu(Eff)
-    except RuntimeError as err:
-        raise RuntimeError("sparse factorization failed; system not SPD") from err
-    x = xp.copy()
-    x[free] = lu.solve(rhs)
-    return x
-
-
 def error_indicators(mesh: Mesh, degrees: DegreeMap, material: Material, f,
                      layout: DofLayout, x: np.ndarray) -> dict[int, float]:
     """Elementwise V-norms of the error representation function."""
@@ -339,58 +287,91 @@ def eval_element_fields(mesh: Mesh, layout: DofLayout, eid: int,
     return fields[:3].T, fields[3:].T
 
 
-def solve_condensed(mesh: Mesh, degrees: DegreeMap, material: Material, f,
-                    layout: DofLayout, x_pinned: np.ndarray | None = None) -> np.ndarray:
-    """Solve with static condensation of the interior (sigma, u) blocks.
+@dataclass
+class CondensedSystem:
+    """Skeleton system left after condensing the element interiors.
 
-    Produces the same solution as the full solve, but factorizes only the
-    skeleton coupling and never forms the full sparse matrix, which keeps
-    memory bounded on fine high-order meshes.
+    Column j of `rhs` is load j condensed onto the free skeleton dofs;
+    column 0 is the DPG load with the Dirichlet lift folded in, the others
+    are the extra loads.  `recover` holds, per element, the interior and
+    skeleton dof ids, Kii^-1 Kis and Kii^-1 of the interior loads.
     """
-    if x_pinned is None:
-        x_pinned = np.zeros(layout.n_dofs)
+
+    S: sp.csc_matrix        # Schur complement on the free skeleton dofs
+    rhs: np.ndarray         # (n free skeleton dofs, 1 + m)
+    free: np.ndarray        # ids of the free skeleton dofs
+    x_pinned: np.ndarray
+    recover: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+
+    def expand(self, j: int, xs: np.ndarray) -> np.ndarray:
+        """Full dof vector of load j from its free skeleton values `xs`.
+
+        Only load 0 takes the Dirichlet values; the others vanish on the
+        pinned dofs.
+        """
+        x = self.x_pinned.copy() if j == 0 else np.zeros(self.x_pinned.size)
+        x[self.free] = xs
+        for ii, sk, A, b in self.recover:
+            x[ii] = b[:, j] - A @ x[sk]
+        return x
+
+
+def condense(mesh: Mesh, degrees: DegreeMap, material: Material, f,
+             layout: DofLayout, x_pinned: np.ndarray | None = None,
+             loads: np.ndarray | None = None) -> CondensedSystem:
+    """Statically condense the interior (sigma, u) blocks, element by element.
+
+    `x_pinned` holds the Dirichlet values on the pinned dofs (zero
+    elsewhere).  `loads` is an optional (n_dofs, m) block of extra
+    right-hand sides, which must vanish on the pinned dofs; each element
+    solves its interior block once for the coupling, its own load and the
+    extra loads together.  The full sparse matrix is never formed.
+    """
+    n = layout.n_dofs
+    xp = np.zeros(n) if x_pinned is None else x_pinned
+    loads = np.zeros((n, 0)) if loads is None else loads
+    g = np.column_stack([np.zeros(n), loads])
+    interior = np.zeros(n, dtype=bool)
     rows, cols, vals = [], [], []
-    g = np.zeros(layout.n_dofs)
-    recover = {}
+    recover = []
     for k in mesh.active_elements:
         L, Bfull, lvec, gdofs = element_full_bmat(mesh, layout, material, f, k,
                                                   degrees.delta_p)
         K, fl = local_stiffness(L, Bfull, lvec)
-        p = layout.element_p[k]
-        ni = 5 * (p + 1) ** 2
-        Kii = K[:ni, :ni]
-        Kis = K[:ni, ni:]
-        Kss = K[ni:, ni:]
-        fi, fs = fl[:ni], fl[ni:]
-        sol = np.linalg.solve(Kii, np.column_stack([Kis, fi]))
-        Kii_inv_Kis, Kii_inv_fi = sol[:, :-1], sol[:, -1]
-        S = Kss - Kis.T @ Kii_inv_Kis
-        fcond = fs - Kis.T @ Kii_inv_fi
-        sk = gdofs[ni:]
+        ni = 5 * (layout.element_p[k] + 1) ** 2
+        ii, sk = gdofs[:ni], gdofs[ni:]
+        Kii, Kis, Kss = K[:ni, :ni], K[:ni, ni:], K[ni:, ni:]
+        sol = np.linalg.solve(Kii, np.column_stack([Kis, fl[:ni], loads[ii]]))
+        A, b = sol[:, :sk.size], sol[:, sk.size:]
+        S = Kss - Kis.T @ A
+        gs = -(Kis.T @ b)
+        gs[:, 0] += fl[ni:] - S @ xp[sk]
+        g[sk] += gs
         idx = np.broadcast_to(sk, (sk.size, sk.size))
         rows.append(idx.T.ravel())
         cols.append(idx.ravel())
         vals.append(S.ravel())
-        g[sk] += fcond
-        recover[k] = (gdofs[:ni], sk, Kii_inv_Kis, Kii_inv_fi)
+        interior[ii] = True
+        recover.append((ii, sk, A, b))
 
     Ec = sp.coo_matrix((np.concatenate(vals),
                         (np.concatenate(rows), np.concatenate(cols))),
-                       shape=(layout.n_dofs, layout.n_dofs)).tocsr()
-    interior = np.zeros(layout.n_dofs, dtype=bool)
-    for k in mesh.active_elements:
-        sl_s, sl_u = layout.interior_slices(k)
-        interior[sl_s] = True
-        interior[sl_u] = True
-    free = ~layout.pinned & ~interior
-    xp = x_pinned
-    rhs = g[free] - Ec[np.ix_(free, layout.pinned)] @ xp[layout.pinned]
+                       shape=(n, n)).tocsr()
+    free = np.flatnonzero(~layout.pinned & ~interior)
+    return CondensedSystem(S=Ec[np.ix_(free, free)].tocsc(), rhs=g[free],
+                           free=free, x_pinned=xp, recover=recover)
+
+
+def solve_condensed(mesh: Mesh, degrees: DegreeMap, material: Material, f,
+                    layout: DofLayout, x_pinned: np.ndarray | None = None) -> np.ndarray:
+    """Solve with static condensation of the interior (sigma, u) blocks.
+
+    Factorizes only the skeleton coupling and never forms the full sparse
+    matrix, which keeps memory bounded on fine high-order meshes.
+    """
+    system = condense(mesh, degrees, material, f, layout, x_pinned)
     try:
-        lu = splu(Ec[np.ix_(free, free)].tocsc())
+        lu = splu(system.S)
     except RuntimeError as err:
         raise RuntimeError("sparse factorization failed; system not SPD") from err
-    x = xp.copy()
-    x[free] = lu.solve(rhs)
-    for k, (ii, sk, A, bvec) in recover.items():
-        x[ii] = bvec - A @ x[sk]
-    return x
+    return system.expand(0, lu.solve(system.rhs[:, 0]))

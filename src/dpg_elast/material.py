@@ -43,10 +43,6 @@ class Material:
         return self.Q / self.Q0
 
     @property
-    def P0(self) -> float:
-        return self.P
-
-    @property
     def nu(self) -> float:
         return self.lam / (2.0 * (self.lam + self.mu))
 

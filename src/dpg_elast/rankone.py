@@ -2,34 +2,22 @@
 
 The second formulation appends a scalar unknown enforcing the zero mean of
 tr(A sigma) and a scalar test component.  The resulting stiffness matrix is
-the first method's matrix plus a rank-one term, bordered by one extra row
-and column; the solve needs one factorization of the base matrix and three
-applications of its inverse.
+the first method's matrix E plus a rank-one term ell ell', bordered by one
+extra row and column.  The Sherman-Morrison solve needs three applications
+of E^-1, to the load, to ell and to the border column; static condensation
+supplies all three from one factorization of the condensed skeleton matrix,
+the same one the first method uses.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 from scipy.sparse.linalg import splu
 
-from .assembly import DofLayout, GlobalSystem, element_full_bmat
+from .assembly import DofLayout, condense, element_full_bmat
 from .basis import gauss_rule_2d, q_basis_table
 from .material import Material
 from .mesh import DegreeMap, Mesh, bilinear_maps
-
-
-@dataclass
-class BorderedSystem:
-    """Free-dof data of the bordered system [[E + ell ell', c], [c', d]]."""
-
-    E: sp.spmatrix | np.ndarray
-    g: np.ndarray
-    ell: np.ndarray
-    c: np.ndarray
-    d: float
 
 
 def ell_vector(mesh: Mesh, degrees: DegreeMap, material: Material,
@@ -96,17 +84,6 @@ def border_terms(mesh: Mesh, degrees: DegreeMap, material: Material, f,
     return c, d
 
 
-def build_bordered_system(mesh: Mesh, degrees: DegreeMap, material: Material,
-                          f, layout: DofLayout,
-                          system: GlobalSystem) -> BorderedSystem:
-    """Restrict the assembled system plus border data to the free dofs."""
-    ell = ell_vector(mesh, degrees, material, layout)
-    c, d = border_terms(mesh, degrees, material, f, layout)
-    free = ~layout.pinned
-    E = system.E[np.ix_(free, free)]
-    return BorderedSystem(E=E, g=system.g[free], ell=ell[free], c=c[free], d=d)
-
-
 # a pivot of the bordered solve counts as zero when it is this small
 # relative to the terms it is the sum of
 _SINGULAR_RTOL = 1e-10
@@ -121,34 +98,25 @@ def _pivot(a: float, b: float, what: str) -> float:
     return s
 
 
-def solve_second_method(bordered: BorderedSystem) -> tuple[np.ndarray, float]:
-    """Solve the bordered system with a rank-one update of the base matrix.
+def solve_second_method(esolve, ell: np.ndarray, c: np.ndarray,
+                        d: float) -> tuple[np.ndarray, float]:
+    """Solve the bordered system [[E + ell ell', c], [c', d]] [x, alpha] = [g, 0].
 
-    Uses one factorization of E and three solves.  Returns the free-dof
-    vector and the scalar multiplier.  Raises RuntimeError when E cannot be
-    factored or when a pivot of the rank-one update or of the border
+    `esolve(j)` applies E^-1 to load j (0: g, 1: ell, 2: c) and is called
+    once per load.  Pairings use ell'(E^-1 v) in place of (E^-1 ell)'v, so
+    g itself is never needed.  Returns x and the scalar multiplier; raises
+    RuntimeError when a pivot of the rank-one update or of the border
     vanishes relative to its terms.
     """
-    E, g, ell, c, d = (bordered.E, bordered.g, bordered.ell, bordered.c,
-                       bordered.d)
-    if sp.issparse(E):
-        lu = splu(E.tocsc())
-        esolve = lu.solve
-    else:
-        try:
-            cf = cho_factor(np.asarray(E), lower=True)
-        except np.linalg.LinAlgError as err:
-            raise RuntimeError("base matrix is not positive definite") from err
-        esolve = lambda v: cho_solve(cf, v)
-
-    w = esolve(ell)
+    w = esolve(1)
     a = 1.0 / _pivot(1.0, ell @ w, "1 + ell'E^-1 ell")
 
-    def etilde_solve(v):
-        return esolve(v) - a * w * (w @ v)
+    def etilde_solve(j):
+        y = esolve(j)
+        return y - a * w * (ell @ y)
 
-    x_c = etilde_solve(c)
-    x_g = etilde_solve(g)
+    x_c = etilde_solve(2)
+    x_g = etilde_solve(0)
     denom = _pivot(d, -(c @ x_c), "the Schur complement d - c'x_c")
     alpha = -(c @ x_g) / denom
     x = x_g - x_c * alpha
@@ -156,13 +124,21 @@ def solve_second_method(bordered: BorderedSystem) -> tuple[np.ndarray, float]:
 
 
 def solve_second(mesh: Mesh, degrees: DegreeMap, material: Material, f,
-                 layout: DofLayout, system: GlobalSystem) -> tuple[np.ndarray, float]:
+                 layout: DofLayout) -> tuple[np.ndarray, float]:
     """Second-method solve on homogeneous boundary data.
 
-    Returns the full dof vector (pinned entries zero) and the multiplier.
+    Condenses the first method's system with ell and c as extra loads and
+    factors the condensed skeleton matrix once.  Returns the full dof
+    vector (pinned entries zero) and the multiplier.
     """
-    bordered = build_bordered_system(mesh, degrees, material, f, layout, system)
-    x_free, alpha = solve_second_method(bordered)
-    x = np.zeros(layout.n_dofs)
-    x[~layout.pinned] = x_free
-    return x, alpha
+    ell = ell_vector(mesh, degrees, material, layout)
+    c, d = border_terms(mesh, degrees, material, f, layout)
+    c[layout.pinned] = 0.0  # the border row pairs only the free dofs
+    system = condense(mesh, degrees, material, f, layout,
+                      loads=np.column_stack([ell, c]))
+    try:
+        lu = splu(system.S)
+    except RuntimeError as err:
+        raise RuntimeError("sparse factorization failed; system not SPD") from err
+    return solve_second_method(
+        lambda j: system.expand(j, lu.solve(system.rhs[:, j])), ell, c, d)

@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import (apply_dirichlet, assemble, build_dof_layout,
-                       dirichlet_values, error_indicators, solve_condensed)
+from .assembly import (build_dof_layout, dirichlet_values, error_indicators,
+                       solve_condensed)
 from .basis import gauss_rule_2d, q_basis_table
 from .exact import (LShapeParams, lshape_effective_material, lshape_solution,
                     smooth_solution)
@@ -97,7 +97,6 @@ class StudyConfig:
     mu: float = 0.5
     marking_fraction: float = 0.5
     out: str | None = None
-    compute_best: bool = False
 
     def validate(self) -> None:
         if self.benchmark not in ("smooth", "lshape"):
@@ -119,6 +118,9 @@ class StudyConfig:
         if self.method == 2 and self.benchmark != "smooth":
             raise ValueError(
                 "method 2 requires homogeneous boundary data (smooth benchmark)")
+        if self.mode == "adaptive_hp" and self.benchmark != "lshape":
+            raise ValueError(
+                "adaptive_hp needs a singular point (lshape benchmark)")
 
 
 @dataclass
@@ -131,11 +133,10 @@ class ReportRow:
     e_u: float
     rel_combined: float
     eta: float
-    best_combined: float | None
     wall_time: float
 
     FIELDS = ("step", "n_dofs", "h_min", "p_max", "e_sigma", "e_u",
-              "rel_combined", "eta", "best_combined", "wall_time")
+              "rel_combined", "eta", "wall_time")
 
 
 def l2_errors(mesh: Mesh, degrees: DegreeMap, layout, x, exact,
@@ -226,22 +227,17 @@ def element_diameter(mesh: Mesh, eid: int) -> float:
 def _solve_step(mesh, degrees, bench, config):
     layout = build_dof_layout(mesh, degrees)
     if config.method == 1:
-        # static condensation: no global full-size matrix is ever formed
         xp = dirichlet_values(layout, bench.g, mesh)
         x = solve_condensed(mesh, degrees, bench.solver_material, bench.f,
                             layout, xp)
-        system = None
-        alpha = 0.0
     else:
-        system = assemble(mesh, degrees, bench.solver_material, bench.f, layout)
-        apply_dirichlet(system, layout, bench.g, mesh)
-        x, alpha = solve_second(mesh, degrees, bench.solver_material, bench.f,
-                                layout, system)
-    return layout, system, x, alpha
+        x, _ = solve_second(mesh, degrees, bench.solver_material, bench.f,
+                            layout)
+    return layout, x
 
 
 def run_convergence_study(config: StudyConfig) -> list[ReportRow]:
-    """Assemble/solve/estimate/refine loop; returns one row per step."""
+    """Solve/estimate/refine loop; returns one row per step."""
     config.validate()
     material = make_isotropic(config.lam, config.mu)
     bench = make_benchmark(config.benchmark, material)
@@ -252,12 +248,12 @@ def run_convergence_study(config: StudyConfig) -> list[ReportRow]:
     for step in range(config.steps):
         t0 = time.perf_counter()
         try:
-            layout, system, x, _ = _solve_step(mesh, degrees, bench, config)
+            layout, x = _solve_step(mesh, degrees, bench, config)
         except RuntimeError:
             rows.append(ReportRow(step=step, n_dofs=-1, h_min=np.nan, p_max=-1,
                                   e_sigma=np.nan, e_u=np.nan,
                                   rel_combined=np.nan, eta=np.nan,
-                                  best_combined=None, wall_time=np.nan))
+                                  wall_time=np.nan))
             if config.out:
                 write_csv(config.out, rows)
             raise
@@ -265,25 +261,19 @@ def run_convergence_study(config: StudyConfig) -> list[ReportRow]:
         indicators = error_indicators(mesh, degrees, bench.solver_material,
                                       bench.f, layout, x)
         eta = float(np.sqrt(sum(v * v for v in indicators.values())))
-        best = None
-        if config.compute_best:
-            bsig, bu = best_approximation_errors(mesh, degrees, layout,
-                                                 bench.exact)
-            best = float(np.hypot(bsig, bu))
         h_min = min(element_diameter(mesh, k) for k in mesh.active_elements)
         p_max = max(layout.element_p.values())
         rows.append(ReportRow(
             step=step, n_dofs=layout.n_dofs, h_min=h_min, p_max=p_max,
             e_sigma=float(es), e_u=float(eu),
             rel_combined=float(np.hypot(es, eu) / np.hypot(ns, nu)),
-            eta=eta, best_combined=best,
-            wall_time=time.perf_counter() - t0))
+            eta=eta, wall_time=time.perf_counter() - t0))
 
         if step == config.steps - 1:
             break
-        # free this step's layout (with its Gram factors), matrix and
-        # solution before the next step builds its own
-        del layout, system, x
+        # free this step's layout (with its Gram factors) and solution
+        # before the next step builds its own
+        del layout, x
         if config.mode == "uniform_h":
             mesh = refine_uniform(mesh)
         elif config.mode == "uniform_p":
@@ -305,8 +295,6 @@ def run_convergence_study(config: StudyConfig) -> list[ReportRow]:
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return f"{value:.12g}"

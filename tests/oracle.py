@@ -1,0 +1,46 @@
+"""Full-matrix DPG assembly and solve, the reference for the condensed solver.
+
+The library only ever factors the statically condensed skeleton matrix.
+These helpers assemble the stiffness matrix over all dofs (pinned and
+element-interior included) and solve it directly, so tests can check the
+condensed solves, the rank-one identity and the SPD property against it.
+"""
+import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
+
+from dpg_elast.assembly import element_full_bmat
+from dpg_elast.local import local_stiffness
+
+
+def assemble_full(mesh, degrees, material, f, layout):
+    """Stiffness matrix E (CSR) and load g over all dofs, pinned included."""
+    rows, cols, vals = [], [], []
+    g = np.zeros(layout.n_dofs)
+    for k in mesh.active_elements:
+        L, Bfull, lvec, gdofs = element_full_bmat(mesh, layout, material, f, k,
+                                                  degrees.delta_p)
+        K, fl = local_stiffness(L, Bfull, lvec)
+        idx = np.broadcast_to(gdofs, (gdofs.size, gdofs.size))
+        rows.append(idx.T.ravel())
+        cols.append(idx.ravel())
+        vals.append(K.ravel())
+        g[gdofs] += fl
+    E = sp.coo_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(layout.n_dofs, layout.n_dofs)).tocsr()
+    return E, g
+
+
+def solve_full(E, g, layout, x_pinned=None):
+    """Direct sparse solve on the free dofs; returns the full dof vector.
+
+    `x_pinned` holds the Dirichlet values on the pinned dofs (zero when
+    omitted).
+    """
+    free = ~layout.pinned
+    xp = np.zeros(layout.n_dofs) if x_pinned is None else x_pinned
+    rhs = g[free] - E[np.ix_(free, layout.pinned)] @ xp[layout.pinned]
+    x = xp.copy()
+    x[free] = splu(E[np.ix_(free, free)].tocsc()).solve(rhs)
+    return x

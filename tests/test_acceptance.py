@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import cho_factor
 from scipy.sparse.linalg import splu
 
-from dpg_elast.assembly import (assemble, build_dof_layout, dirichlet_values,
+from dpg_elast.assembly import (build_dof_layout, dirichlet_values,
                                 element_full_bmat, error_indicators,
                                 solve_condensed)
 from dpg_elast.basis import ones_coefficients_1d, ones_coefficients_2d
@@ -18,11 +18,11 @@ from dpg_elast.exact import (LShapeParams, lshape_effective_material,
 from dpg_elast.local import local_gram
 from dpg_elast.material import (apply_compliance, lam_from_nu, make_isotropic)
 from dpg_elast.mesh import DegreeMap, build_initial_mesh, refine_marked
-from dpg_elast.rankone import (build_bordered_system, ell_vector,
-                               solve_second, solve_second_method)
+from dpg_elast.rankone import border_terms, ell_vector, solve_second
 from dpg_elast.study import (StudyConfig, best_approximation_errors,
                              greedy_mark, l2_errors, make_benchmark,
                              observed_rate, run_convergence_study)
+from oracle import assemble_full, solve_full
 
 STEEL_LAM, STEEL_MU = 123.0, 79.3
 
@@ -99,11 +99,10 @@ def test_criterion_05_method_equivalence():
     mesh = build_initial_mesh("unit_square", 2)
     degrees = DegreeMap(mesh, p=2)
     layout = build_dof_layout(mesh, degrees)
-    system = assemble(mesh, degrees, bench.solver_material, bench.f, layout)
-    from dpg_elast.assembly import solve_spd
-    x1 = solve_spd(system)
+    E, g = assemble_full(mesh, degrees, bench.solver_material, bench.f, layout)
+    x1 = solve_full(E, g, layout)
     x2, alpha = solve_second(mesh, degrees, bench.solver_material, bench.f,
-                             layout, system)
+                             layout)
     norm = np.linalg.norm(x1)
     diff = np.linalg.norm(x1 - x2) / norm
     ok = abs(alpha) <= 1e-10 * norm and diff <= 1e-8
@@ -118,7 +117,7 @@ def test_criterion_06_rank_one_structure():
     mesh = build_initial_mesh("unit_square", 2)
     degrees = DegreeMap(mesh, p=1)
     layout = build_dof_layout(mesh, degrees)
-    system = assemble(mesh, degrees, bench.solver_material, bench.f, layout)
+    E, g = assemble_full(mesh, degrees, bench.solver_material, bench.f, layout)
 
     # direct assembly of the constraint row from the compliance definition
     from dpg_elast.basis import gauss_rule_2d, q_basis_eval
@@ -140,25 +139,28 @@ def test_criterion_06_rank_one_structure():
             tr = np.trace(apply_compliance(mat, unit)) / mat.Q0
             row[base + b * nt: base + (b + 1) * nt] += tr * (vals @ w)
 
-    E1 = system.E.toarray()
+    E1 = E.toarray()
     ell = ell_vector(mesh, degrees, mat, layout)
     err_rank1 = np.max(np.abs((E1 + np.outer(ell, ell))
                               - (E1 + np.outer(row, row))))
     scale = np.abs(E1).max()
     ok1 = err_rank1 <= 1e-11 * scale
 
-    bordered = build_bordered_system(mesh, degrees, mat, bench.f, layout,
-                                     system)
-    x, alpha = solve_second_method(bordered)
-    m = bordered.g.size
+    # the condensed Sherman-Morrison solve against the dense bordered matrix
+    # built from the full-matrix oracle, on the free dofs
+    x, alpha = solve_second(mesh, degrees, mat, bench.f, layout)
+    c, d = border_terms(mesh, degrees, mat, bench.f, layout)
+    free = ~layout.pinned
+    m = int(free.sum())
     big = np.zeros((m + 1, m + 1))
-    big[:m, :m] = bordered.E.toarray() + np.outer(bordered.ell, bordered.ell)
-    big[:m, m] = bordered.c
-    big[m, :m] = bordered.c
-    big[m, m] = bordered.d
-    sol = np.linalg.solve(big, np.concatenate([bordered.g, [0.0]]))
+    big[:m, :m] = E1[np.ix_(free, free)] + np.outer(ell[free], ell[free])
+    big[:m, m] = c[free]
+    big[m, :m] = c[free]
+    big[m, m] = d
+    sol = np.linalg.solve(big, np.concatenate([g[free], [0.0]]))
     sol_scale = max(np.abs(sol).max(), 1.0)
-    err_sm = max(np.abs(x - sol[:m]).max(), abs(alpha - sol[m])) / sol_scale
+    err_sm = max(np.abs(x[free] - sol[:m]).max(),
+                 abs(alpha - sol[m])) / sol_scale
     ok2 = m <= 400 and err_sm <= 1e-10
     report(6, "rank-one structure", ok1 and ok2,
            f"stiffness identity err={err_rank1 / scale:.2e} (<= 1e-11), "
@@ -192,9 +194,8 @@ def test_criterion_07_spd_suite():
     for mesh, p, bench in meshes:
         degrees = DegreeMap(mesh, p=p)
         layout = build_dof_layout(mesh, degrees)
-        system = assemble(mesh, degrees, bench.solver_material, bench.f,
-                          layout)
-        E = system.E
+        E, _ = assemble_full(mesh, degrees, bench.solver_material, bench.f,
+                             layout)
         max_asym = max(max_asym, abs(E - E.T).max() / abs(E).max())
         free = ~layout.pinned
         try:

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 from scipy.linalg import eigvalsh
+from scipy.sparse.linalg import splu
 
-from dpg_elast.assembly import (apply_dirichlet, assemble, build_dof_layout,
-                                dirichlet_values, error_indicators,
-                                eval_element_fields, solve_condensed,
-                                solve_spd)
+from dpg_elast.assembly import (build_dof_layout, condense, dirichlet_values,
+                                error_indicators, eval_element_fields,
+                                solve_condensed)
 from dpg_elast.basis import edge_basis_eval
 from dpg_elast.material import apply_stiffness, make_isotropic
 from dpg_elast.mesh import DegreeMap, build_initial_mesh, refine_marked
+from dpg_elast.rankone import border_terms, ell_vector
+from oracle import assemble_full, solve_full
 
 MAT = make_isotropic(1.0, 0.5)
 
@@ -62,8 +64,8 @@ def test_hanging_layout():
 
 def test_assembled_system_symmetric_spd():
     mesh, degrees, layout = make_problem(n=2, p=2)
-    system = assemble(mesh, degrees, MAT, None, layout)
-    E = system.E.toarray()
+    E, _ = assemble_full(mesh, degrees, MAT, None, layout)
+    E = E.toarray()
     assert np.max(np.abs(E - E.T)) <= 1e-12 * np.max(np.abs(E))
     free = ~layout.pinned
     w = eigvalsh(E[np.ix_(free, free)])
@@ -107,9 +109,8 @@ def test_dirichlet_trace_reproduces_polynomials():
 
 def solve_linear_patch(mesh, degrees, layout, material):
     g, sigma = linear_data(material)
-    system = assemble(mesh, degrees, material, None, layout)
-    apply_dirichlet(system, layout, g, mesh)
-    x = solve_spd(system)
+    x = solve_condensed(mesh, degrees, material, None, layout,
+                        dirichlet_values(layout, g, mesh))
     return x, g, sigma
 
 
@@ -141,7 +142,8 @@ def test_indicators_vanish_on_reproduced_solution():
     assert max(etas.values()) <= 1e-9
 
 
-def test_condensed_matches_full_solve():
+def hanging_problem():
+    """p = 2 on a hanging-node mesh, nonzero body force and Dirichlet data."""
     mesh = build_initial_mesh("unit_square", 2)
     mesh = refine_marked(mesh, [3])
     degrees = DegreeMap(mesh, p=2)
@@ -151,13 +153,43 @@ def test_condensed_matches_full_solve():
     def f(pts):
         return np.column_stack([np.sin(3.0 * pts[:, 0]), np.cos(2.0 * pts[:, 1])])
 
-    system = assemble(mesh, degrees, MAT, f, layout)
-    apply_dirichlet(system, layout, g, mesh)
-    x_full = solve_spd(system)
-    xp = dirichlet_values(layout, g, mesh)
+    return mesh, degrees, layout, f, dirichlet_values(layout, g, mesh)
+
+
+def test_condensed_matches_full_solve():
+    mesh, degrees, layout, f, xp = hanging_problem()
+    E, gvec = assemble_full(mesh, degrees, MAT, f, layout)
+    x_full = solve_full(E, gvec, layout, xp)
     x_cond = solve_condensed(mesh, degrees, MAT, f, layout, xp)
     scale = np.max(np.abs(x_full))
     np.testing.assert_allclose(x_cond, x_full, atol=1e-10 * scale)
+
+
+def test_condensed_extra_loads_match_full_solve():
+    # the method-2 loads ell and c go through the same condensation as the
+    # DPG load; only column 0 takes the Dirichlet lift
+    mesh, degrees, layout, f, xp = hanging_problem()
+    assert np.any(xp != 0.0) and layout.hanging
+    ell = ell_vector(mesh, degrees, MAT, layout)
+    c, _ = border_terms(mesh, degrees, MAT, f, layout)
+    c[layout.pinned] = 0.0
+    loads = np.column_stack([ell, c])
+    system = condense(mesh, degrees, MAT, f, layout, xp, loads)
+    unlifted = condense(mesh, degrees, MAT, f, layout, None, loads)
+    np.testing.assert_array_equal(system.rhs[:, 1:], unlifted.rhs[:, 1:])
+    assert np.any(system.rhs[:, 0] != unlifted.rhs[:, 0])
+
+    lu = splu(system.S)
+    E, _ = assemble_full(mesh, degrees, MAT, f, layout)
+    free = ~layout.pinned
+    Eff = E[np.ix_(free, free)].toarray()
+    for j, v in ((1, ell), (2, c)):
+        x = system.expand(j, lu.solve(system.rhs[:, j]))
+        assert np.all(x[layout.pinned] == 0.0)
+        ref = np.linalg.solve(Eff, v[free])
+        np.testing.assert_allclose(x[free], ref, atol=1e-10 * np.abs(ref).max())
+    x0 = system.expand(0, lu.solve(system.rhs[:, 0]))
+    np.testing.assert_array_equal(x0[layout.pinned], xp[layout.pinned])
 
 
 def test_solution_error_decreases_under_refinement():

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
-from dpg_elast.assembly import (apply_dirichlet, assemble, build_dof_layout,
-                                solve_spd)
+from dpg_elast import rankone
+from dpg_elast.assembly import build_dof_layout, dirichlet_values
 from dpg_elast.basis import gauss_rule_2d, q_basis_eval
 from dpg_elast.material import apply_compliance, make_isotropic
 from dpg_elast.mesh import DegreeMap, bilinear_maps, build_initial_mesh
-from dpg_elast.rankone import (BorderedSystem, build_bordered_system,
-                               ell_vector, solve_second, solve_second_method)
+from dpg_elast.rankone import (border_terms, ell_vector, solve_second,
+                               solve_second_method)
 from dpg_elast.study import make_benchmark
+from oracle import assemble_full, solve_full
 
 MAT = make_isotropic(1.0, 0.5)
 
@@ -18,8 +18,14 @@ def setup(n=2, p=1, material=MAT, f=None):
     mesh = build_initial_mesh("unit_square", n)
     degrees = DegreeMap(mesh, p=p)
     layout = build_dof_layout(mesh, degrees)
-    system = assemble(mesh, degrees, material, f, layout)
-    return mesh, degrees, layout, system
+    E, g = assemble_full(mesh, degrees, material, f, layout)
+    return mesh, degrees, layout, E, g
+
+
+def dense_solver(E, g, ell, c):
+    """E^-1 applied to load j (0: g, 1: ell, 2: c) by a dense solve."""
+    loads = (g, ell, c)
+    return lambda j: np.linalg.solve(E, loads[j])
 
 
 def constraint_row_reference(mesh, degrees, material, layout):
@@ -46,7 +52,7 @@ def constraint_row_reference(mesh, degrees, material, layout):
 
 def test_ell_vector_matches_independent_quadrature():
     for material in (MAT, make_isotropic(4.0, 1.3)):
-        mesh, degrees, layout, _ = setup(material=material)
+        mesh, degrees, layout, _, _ = setup(material=material)
         ell = ell_vector(mesh, degrees, material, layout)
         ref = constraint_row_reference(mesh, degrees, material, layout)
         np.testing.assert_allclose(ell, ref, atol=1e-13 * max(np.abs(ref).max(), 1.0))
@@ -56,7 +62,7 @@ def test_ell_vector_total_trace():
     # pairing ell against the constant sigma = I integrates tr(A I)/Q0 = 2
     from dpg_elast.basis import ones_coefficients_2d
 
-    mesh, degrees, layout, _ = setup()
+    mesh, degrees, layout, _, _ = setup()
     ell = ell_vector(mesh, degrees, MAT, layout)
     x = np.zeros(layout.n_dofs)
     ones = ones_coefficients_2d(1)
@@ -72,18 +78,18 @@ def test_ell_vector_total_trace():
 
 
 def test_border_diagonal_is_twice_area():
-    mesh, degrees, layout, system = setup()
-    bordered = build_bordered_system(mesh, degrees, MAT, None, layout, system)
-    assert bordered.d == pytest.approx(2.0, rel=1e-10)
+    mesh, degrees, layout, _, _ = setup()
+    _, d = border_terms(mesh, degrees, MAT, None, layout)
+    assert d == pytest.approx(2.0, rel=1e-10)
 
 
 def test_border_column_pairs_constants():
     # for the constant trial sigma = I (all traces and fluxes of the exact
     # lift excluded) the border entry reduces to the volume pairing, which
     # the rank-one vector also produces
-    mesh, degrees, layout, system = setup(material=make_isotropic(2.0, 0.7))
+    mesh, degrees, layout, _, _ = setup(material=make_isotropic(2.0, 0.7))
     m = make_isotropic(2.0, 0.7)
-    bordered = build_bordered_system(mesh, degrees, m, None, layout, system)
+    c, _ = border_terms(mesh, degrees, m, None, layout)
     ell_free = ell_vector(mesh, degrees, m, layout)[~layout.pinned]
     # c restricted to the interior stress dofs equals Q0 * ell there
     free_ids = np.flatnonzero(~layout.pinned)
@@ -92,16 +98,16 @@ def test_border_column_pairs_constants():
         sl_s, _ = layout.interior_slices(k)
         interior_stress[sl_s] = True
     mask = interior_stress[free_ids]
-    np.testing.assert_allclose(bordered.c[mask], m.Q0 * ell_free[mask],
+    np.testing.assert_allclose(c[free_ids][mask], m.Q0 * ell_free[mask],
                                atol=1e-12)
 
 
 def test_rank_one_identity():
     # the second method's stiffness is the first method's plus ell ell^T;
     # verified against an extended assembly with the scalar test component
-    mesh, degrees, layout, system = setup()
+    mesh, degrees, layout, E, _ = setup()
     ell = ell_vector(mesh, degrees, MAT, layout)
-    E1 = system.E.toarray()
+    E1 = E.toarray()
     ref_row = constraint_row_reference(mesh, degrees, MAT, layout)
     E2 = E1 + np.outer(ref_row, ref_row)
     Etilde = E1 + np.outer(ell, ell)
@@ -110,24 +116,26 @@ def test_rank_one_identity():
 
 
 def test_sherman_morrison_dense_oracle():
-    mesh, degrees, layout, system = setup()
     bench = make_benchmark("smooth", MAT)
-    system = assemble(mesh, degrees, bench.solver_material, bench.f, layout)
-    bordered = build_bordered_system(mesh, degrees, bench.solver_material,
-                                     bench.f, layout, system)
-    x, alpha = solve_second_method(bordered)
+    mat = bench.solver_material
+    mesh, degrees, layout, E, g = setup(material=mat, f=bench.f)
+    x, alpha = solve_second(mesh, degrees, mat, bench.f, layout)
+    ell = ell_vector(mesh, degrees, mat, layout)
+    c, d = border_terms(mesh, degrees, mat, bench.f, layout)
 
-    m = bordered.g.size
+    free = ~layout.pinned
+    m = int(free.sum())
     assert m <= 400
     big = np.zeros((m + 1, m + 1))
-    big[:m, :m] = bordered.E.toarray() + np.outer(bordered.ell, bordered.ell)
-    big[:m, m] = bordered.c
-    big[m, :m] = bordered.c
-    big[m, m] = bordered.d
-    rhs = np.concatenate([bordered.g, [0.0]])
+    big[:m, :m] = E[np.ix_(free, free)].toarray() + np.outer(ell[free],
+                                                             ell[free])
+    big[:m, m] = c[free]
+    big[m, :m] = c[free]
+    big[m, m] = d
+    rhs = np.concatenate([g[free], [0.0]])
     sol = np.linalg.solve(big, rhs)
     scale = max(np.abs(sol).max(), 1.0)
-    np.testing.assert_allclose(x, sol[:m], atol=1e-10 * scale)
+    np.testing.assert_allclose(x[free], sol[:m], atol=1e-10 * scale)
     assert alpha == pytest.approx(sol[m], abs=1e-10 * scale)
 
 
@@ -136,11 +144,10 @@ def test_methods_agree_on_smooth_problem():
     mesh = build_initial_mesh("unit_square", 2)
     degrees = DegreeMap(mesh, p=2)
     layout = build_dof_layout(mesh, degrees)
-    system = assemble(mesh, degrees, bench.solver_material, bench.f, layout)
-    apply_dirichlet(system, layout, bench.g, mesh)
-    x1 = solve_spd(system)
+    E, g = assemble_full(mesh, degrees, bench.solver_material, bench.f, layout)
+    x1 = solve_full(E, g, layout, dirichlet_values(layout, bench.g, mesh))
     x2, alpha = solve_second(mesh, degrees, bench.solver_material, bench.f,
-                             layout, system)
+                             layout)
     norm = np.linalg.norm(x1)
     assert abs(alpha) <= 1e-10 * norm
     assert np.linalg.norm(x1 - x2) <= 1e-8 * norm
@@ -152,19 +159,16 @@ def test_constraint_satisfied():
     mesh = build_initial_mesh("unit_square", 2)
     degrees = DegreeMap(mesh, p=2)
     layout = build_dof_layout(mesh, degrees)
-    system = assemble(mesh, degrees, bench.solver_material, bench.f, layout)
-    apply_dirichlet(system, layout, bench.g, mesh)
-    x, _ = solve_second(mesh, degrees, bench.solver_material, bench.f,
-                        layout, system)
+    x, _ = solve_second(mesh, degrees, bench.solver_material, bench.f, layout)
     ell = ell_vector(mesh, degrees, bench.solver_material, layout)
     assert abs(ell @ x) <= 1e-10 * max(np.linalg.norm(x), 1.0)
 
 
 def test_singular_border_raises():
-    bordered = BorderedSystem(E=np.eye(2), g=np.array([1.0, 0.0]),
-                              ell=np.zeros(2), c=np.zeros(2), d=0.0)
+    E, g = np.eye(2), np.array([1.0, 0.0])
+    ell, c = np.zeros(2), np.zeros(2)
     with pytest.raises(RuntimeError):
-        solve_second_method(bordered)
+        solve_second_method(dense_solver(E, g, ell, c), ell, c, 0.0)
 
 
 def test_degenerate_ell_reduces_to_first_method():
@@ -173,8 +177,8 @@ def test_degenerate_ell_reduces_to_first_method():
     A = rng.standard_normal((5, 5))
     E = A @ A.T + 5.0 * np.eye(5)
     g = rng.standard_normal(5)
-    bordered = BorderedSystem(E=E, g=g, ell=np.zeros(5), c=np.zeros(5), d=1.0)
-    x, alpha = solve_second_method(bordered)
+    ell, c = np.zeros(5), np.zeros(5)
+    x, alpha = solve_second_method(dense_solver(E, g, ell, c), ell, c, 1.0)
     np.testing.assert_allclose(x, np.linalg.solve(E, g), atol=1e-12)
     assert alpha == 0.0
 
@@ -183,25 +187,39 @@ def test_near_singular_schur_complement_raises():
     # d equals c'E^{-1}c up to roundoff: the bordered matrix is singular
     # although d - c'x_c is not exactly zero
     c = np.array([0.3, -1.7, 2.2])
-    E = sp.identity(3, format="csc")
-    bordered = BorderedSystem(E=E, g=np.ones(3), ell=np.zeros(3), c=c,
-                              d=float(c @ c) * (1.0 + 4e-16))
-    assert bordered.d - c @ c != 0.0
+    ell = np.zeros(3)
+    d = float(c @ c) * (1.0 + 4e-16)
+    assert d - c @ c != 0.0
     with pytest.raises(RuntimeError, match="singular"):
-        solve_second_method(bordered)
+        solve_second_method(dense_solver(np.eye(3), np.ones(3), ell, c),
+                            ell, c, d)
 
 
 def test_singular_rank_one_update_raises():
     # E + ell ell' = diag(0, 1, 1): 1 + ell'E^{-1}ell vanishes
-    E = sp.diags([-1.0, 1.0, 1.0], format="csc")
-    bordered = BorderedSystem(E=E, g=np.ones(3), ell=np.array([1.0, 0.0, 0.0]),
-                              c=np.array([0.0, 1.0, 0.0]), d=1.0)
+    E = np.diag([-1.0, 1.0, 1.0])
+    ell, c = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
     with pytest.raises(RuntimeError, match="singular"):
-        solve_second_method(bordered)
+        solve_second_method(dense_solver(E, np.ones(3), ell, c), ell, c, 1.0)
 
 
-def test_indefinite_dense_base_matrix_raises():
-    bordered = BorderedSystem(E=-np.eye(2), g=np.ones(2), ell=np.zeros(2),
-                              c=np.ones(2), d=1.0)
-    with pytest.raises(RuntimeError):
-        solve_second_method(bordered)
+def test_singular_schur_complement_fails_factorization(monkeypatch):
+    # a condensed skeleton matrix with an empty row and column cannot be
+    # factored; the SuperLU error becomes the solver-failure error
+    condense = rankone.condense
+
+    def singular(*args, **kwargs):
+        system = condense(*args, **kwargs)
+        S = system.S.tolil()
+        S[0, :] = 0.0
+        S[:, 0] = 0.0
+        system.S = S.tocsc()
+        return system
+
+    monkeypatch.setattr(rankone, "condense", singular)
+    bench = make_benchmark("smooth", MAT)
+    mesh = build_initial_mesh("unit_square", 2)
+    degrees = DegreeMap(mesh, p=1)
+    layout = build_dof_layout(mesh, degrees)
+    with pytest.raises(RuntimeError, match="sparse factorization failed"):
+        solve_second(mesh, degrees, bench.solver_material, bench.f, layout)

@@ -81,6 +81,7 @@ def test_config_validation():
         StudyConfig(mu=float("inf")),
         StudyConfig(marking_fraction=0.0),
         StudyConfig(method=2, benchmark="lshape"),
+        StudyConfig(mode="adaptive_hp", benchmark="smooth"),
     ]:
         with pytest.raises(ValueError):
             bad.validate()
@@ -158,6 +159,13 @@ def test_cli_config_errors(tmp_path):
     assert cli.main(["run", "--config", badval]) == 3
     conflict = write_config(tmp_path, "benchmark = lshape\nmethod = 2\n")
     assert cli.main(["run", "--config", conflict]) == 3
+
+
+def test_cli_rejects_hp_without_singular_point(tmp_path, capsys):
+    cfg = write_config(tmp_path, "benchmark = smooth\nmode = adaptive_hp\n"
+                                 "steps = 2\n")
+    assert cli.main(["run", "--config", cfg]) == 3
+    assert "singular point" in capsys.readouterr().err
 
 
 def test_cli_no_config_defaults(tmp_path):
