@@ -5,6 +5,14 @@ trace dofs, edge trace bubbles, and edge flux dofs.  Hanging-node coupling
 is handled when building the per-side trace entries: the trace on a
 constrained side expands directly in the master edge's basis, and a
 hanging-vertex value is redistributed onto the master's dofs.
+
+The layout also sorts the elements into classes.  An element's coupling
+matrix B depends only on its degrees, its shape up to translation and how
+its sides meet the skeleton, so elements that agree on these share one B
+(and one Gram factor), computed once per step.  Each element's skeleton
+dof ids are stored in its class's column order.  Condensation and the
+rank-one border terms do their dense algebra once per class; per element
+only the load, a few matrix-vector products and the scatter remain.
 """
 from __future__ import annotations
 
@@ -12,13 +20,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse.linalg import splu
 
 from .basis import edge_basis_eval, gauss_rule, q_basis_eval
 from .local import (SideSegment, error_representation, gram_factor, local_bmat,
-                    local_gram, local_stiffness)
+                    local_gram, local_load, local_stiffness)
 from .material import Material
-from .mesh import DegreeMap, Mesh, bilinear_maps
+from .mesh import DegreeMap, Mesh
 
 
 @dataclass
@@ -32,10 +41,18 @@ class DofLayout:
     pinned: np.ndarray                       # bool mask over all dofs
     element_p: dict[int, int]
     segments: dict[int, list[SideSegment]]   # element -> side segments
+    element_dofs: dict[int, np.ndarray]      # element -> interior, then
+                                             # skeleton ids in class order
+    element_class: dict[int, int]            # element -> class id
+    classes: list[list[int]]                 # class id -> its elements
     # Gram Cholesky factors of this step by geometry class, filled lazily
     # by element_full_bmat: (p_tilde, vertex offsets from vertex 0) -> L
     gram_factors: dict[tuple, np.ndarray] = field(default_factory=dict,
                                                   repr=False)
+    # read-only (L, B) per element class, filled lazily by
+    # element_full_bmat: (class id, p_tilde, material) -> (L, B)
+    class_kernels: dict[tuple, tuple] = field(default_factory=dict,
+                                              repr=False)
 
     @property
     def n_free(self) -> int:
@@ -142,10 +159,15 @@ def build_dof_layout(mesh: Mesh, degrees: DegreeMap, bc_spec: str = "dirichlet")
             b = trace_base[e]
             pinned[b:b + 2 * (trace_q[e] - 1)] = True
 
-    # per-element side segments
+    # per-element side segments and element classes
     segments: dict[int, list[SideSegment]] = {}
+    element_dofs: dict[int, np.ndarray] = {}
+    element_class: dict[int, int] = {}
+    class_ids: dict[tuple, int] = {}
+    classes: list[list[int]] = []
     for k in active:
         el = mesh.elements[k]
+        coords = mesh.element_coords(k)
         segs = []
         for s in range(4):
             owner, leaves = side_info[(k, s)]
@@ -174,7 +196,6 @@ def build_dof_layout(mesh: Mesh, degrees: DegreeMap, bc_spec: str = "dirichlet")
                 lc = mesh.edge_coords(leaf)
                 d = lc[1] - lc[0]
                 edge_normal = np.array([d[1], -d[0]])
-                coords = mesh.element_coords(k)
                 outward = _side_outward_normal(coords, s)
                 sign = 1.0 if outward @ edge_normal > 0 else -1.0
                 segs.append(SideSegment(side=s, t0=t0, t1=t1,
@@ -185,11 +206,44 @@ def build_dof_layout(mesh: Mesh, degrees: DegreeMap, bc_spec: str = "dirichlet")
                                         flux_gdofs=gdofs))
         segments[k] = segs
 
+        skel, pattern = _first_occurrence(np.concatenate(
+            [a for seg in segs for a in (seg.trace_gdofs.T.ravel(),
+                                         seg.flux_gdofs.T.ravel())]))
+        x0 = coords[0]
+        key = (element_p[k], element_p[k] + degrees.delta_p,
+               (coords - x0).tobytes(), pattern.tobytes(),
+               tuple(_segment_key(seg, x0) for seg in segs))
+        cls = class_ids.setdefault(key, len(classes))
+        if cls == len(classes):
+            classes.append([])
+        classes[cls].append(k)
+        element_class[k] = cls
+        base = interior_base[k]
+        dofs = np.concatenate([np.arange(base, base + 5 * (element_p[k] + 1) ** 2),
+                               skel])
+        dofs.setflags(write=False)
+        element_dofs[k] = dofs
+
     return DofLayout(n_dofs=n, interior_base=interior_base, vertex_dof=vertex_dof,
                      trace_edges={e: (trace_q[e], trace_base[e]) for e in trace_edges_set},
                      flux_edges={e: (flux_p[e], flux_base[e]) for e in flux_edges_set},
                      hanging=hanging, pinned=pinned, element_p=element_p,
-                     segments=segments)
+                     segments=segments, element_dofs=element_dofs,
+                     element_class=element_class, classes=classes)
+
+
+def _first_occurrence(dofs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct ids in order of first occurrence, and each entry's position."""
+    cols: dict[int, int] = {}
+    pattern = [cols.setdefault(d, len(cols)) for d in dofs.tolist()]
+    return np.array(list(cols)), np.array(pattern)
+
+
+def _segment_key(seg: SideSegment, x0: np.ndarray) -> tuple:
+    """Everything of a side segment that enters B, edges relative to x0."""
+    return (seg.side, seg.t0, seg.t1, seg.trace_q, seg.trace_index.tobytes(),
+            seg.trace_weight.tobytes(), seg.flux_p, seg.flux_sign,
+            (seg.trace_coords - x0).tobytes(), (seg.flux_coords - x0).tobytes())
 
 
 def _side_outward_normal(coords: np.ndarray, side: int) -> np.ndarray:
@@ -204,25 +258,45 @@ def element_full_bmat(mesh: Mesh, layout: DofLayout, material: Material, f,
                       eid: int, delta_p: int):
     """Gram Cholesky factor, full local coupling matrix, load, global dof ids.
 
-    The Gram matrix depends only on the enriched degree and the element's
-    shape up to translation, so its factor is computed once per geometry
-    class on the translated vertices and kept in `layout.gram_factors`.
+    L and B are the element class's read-only matrices, computed on the
+    first request of the step and kept in `layout.class_kernels`; the
+    columns of B follow `gdofs`.  Only the load is computed per call.
     """
-    p = layout.element_p[eid]
-    p_tilde = p + delta_p
+    p_tilde = layout.element_p[eid] + delta_p
     coords = mesh.element_coords(eid)
+    key = (layout.element_class[eid], p_tilde, material)
+    kernel = layout.class_kernels.get(key)
+    if kernel is None:
+        kernel = _class_kernel(layout, eid, coords, p_tilde, material)
+        layout.class_kernels[key] = kernel
+    L, B = kernel
+    return L, B, local_load(coords, p_tilde, f), layout.element_dofs[eid]
+
+
+def _class_kernel(layout: DofLayout, eid: int, coords: np.ndarray,
+                  p_tilde: int, material: Material):
+    """(L, B) of element eid's class, with B's columns in class order.
+
+    The Gram factor depends only on p_tilde and the vertex offsets, so it
+    is computed on the translated vertices and shared through
+    `layout.gram_factors` by every class of that shape.
+    """
     rel = coords - coords[0]
-    key = (p_tilde, rel.tobytes())
-    L = layout.gram_factors.get(key)
+    gkey = (p_tilde, rel.tobytes())
+    L = layout.gram_factors.get(gkey)
     if L is None:
         L = gram_factor(local_gram(rel, p_tilde))
         L.setflags(write=False)
-        layout.gram_factors[key] = L
-    Bfull, skel_ids, lvec = local_bmat(coords, p, p_tilde, material, f,
-                                       layout.segments[eid])
-    base = layout.interior_base[eid]
-    gdofs = np.concatenate([np.arange(base, base + 5 * (p + 1) ** 2), skel_ids])
-    return L, Bfull, lvec, gdofs
+        layout.gram_factors[gkey] = L
+    p = layout.element_p[eid]
+    B, skel_ids = local_bmat(coords, p, p_tilde, material, layout.segments[eid])
+    ni = 5 * (p + 1) ** 2
+    gdofs = layout.element_dofs[eid]
+    cols = np.concatenate([np.arange(ni),
+                           ni + np.searchsorted(skel_ids, gdofs[ni:])])
+    B = B[:, cols]
+    B.setflags(write=False)
+    return L, B
 
 
 def dirichlet_values(layout: DofLayout, g_data, mesh: Mesh) -> np.ndarray:
@@ -294,7 +368,8 @@ class CondensedSystem:
     Column j of `rhs` is load j condensed onto the free skeleton dofs;
     column 0 is the DPG load with the Dirichlet lift folded in, the others
     are the extra loads.  `recover` holds, per element, the interior and
-    skeleton dof ids, Kii^-1 Kis and Kii^-1 of the interior loads.
+    skeleton dof ids, Kii^-1 Kis (shared by the element's class) and
+    Kii^-1 of the interior loads.
     """
 
     S: sp.csc_matrix        # Schur complement on the free skeleton dofs
@@ -319,13 +394,15 @@ class CondensedSystem:
 def condense(mesh: Mesh, degrees: DegreeMap, material: Material, f,
              layout: DofLayout, x_pinned: np.ndarray | None = None,
              loads: np.ndarray | None = None) -> CondensedSystem:
-    """Statically condense the interior (sigma, u) blocks, element by element.
+    """Statically condense the interior (sigma, u) blocks, class by class.
 
     `x_pinned` holds the Dirichlet values on the pinned dofs (zero
     elsewhere).  `loads` is an optional (n_dofs, m) block of extra
-    right-hand sides, which must vanish on the pinned dofs; each element
-    solves its interior block once for the coupling, its own load and the
-    extra loads together.  The full sparse matrix is never formed.
+    right-hand sides, which must vanish on the pinned dofs.  Each element
+    class forms K = B'G^-1 B, factors its interior block Kii and computes
+    Kii^-1 Kis and the element Schur complement once; each element then
+    solves Kii for its own load and the extra loads together.  The full
+    sparse matrix is never formed.
     """
     n = layout.n_dofs
     xp = np.zeros(n) if x_pinned is None else x_pinned
@@ -334,25 +411,34 @@ def condense(mesh: Mesh, degrees: DegreeMap, material: Material, f,
     interior = np.zeros(n, dtype=bool)
     rows, cols, vals = [], [], []
     recover = []
-    for k in mesh.active_elements:
-        L, Bfull, lvec, gdofs = element_full_bmat(mesh, layout, material, f, k,
-                                                  degrees.delta_p)
-        K, fl = local_stiffness(L, Bfull, lvec)
-        ni = 5 * (layout.element_p[k] + 1) ** 2
-        ii, sk = gdofs[:ni], gdofs[ni:]
-        Kii, Kis, Kss = K[:ni, :ni], K[:ni, ni:], K[ni:, ni:]
-        sol = np.linalg.solve(Kii, np.column_stack([Kis, fl[:ni], loads[ii]]))
-        A, b = sol[:, :sk.size], sol[:, sk.size:]
-        S = Kss - Kis.T @ A
-        gs = -(Kis.T @ b)
-        gs[:, 0] += fl[ni:] - S @ xp[sk]
-        g[sk] += gs
-        idx = np.broadcast_to(sk, (sk.size, sk.size))
-        rows.append(idx.T.ravel())
-        cols.append(idx.ravel())
-        vals.append(S.ravel())
-        interior[ii] = True
-        recover.append((ii, sk, A, b))
+    for members in layout.classes:
+        ni = 5 * (layout.element_p[members[0]] + 1) ** 2
+        for k in members:
+            L, Bfull, lvec, gdofs = element_full_bmat(mesh, layout, material,
+                                                      f, k, degrees.delta_p)
+            if k == members[0]:
+                K, _ = local_stiffness(L, Bfull, lvec)
+                Kis, Kss = K[:ni, ni:], K[ni:, ni:]
+                try:
+                    Kii = cho_factor(K[:ni, :ni], lower=True, check_finite=False)
+                except np.linalg.LinAlgError as err:
+                    raise RuntimeError("interior block of an element matrix "
+                                       "is not positive definite") from err
+                A = cho_solve(Kii, Kis, check_finite=False)
+                S = Kss - Kis.T @ A
+            fl = Bfull.T @ cho_solve((L, True), lvec, check_finite=False)
+            ii, sk = gdofs[:ni], gdofs[ni:]
+            b = cho_solve(Kii, np.column_stack([fl[:ni], loads[ii]]),
+                          check_finite=False)
+            gs = -(Kis.T @ b)
+            gs[:, 0] += fl[ni:] - S @ xp[sk]
+            g[sk] += gs
+            idx = np.broadcast_to(sk, (sk.size, sk.size))
+            rows.append(idx.T.ravel())
+            cols.append(idx.ravel())
+            vals.append(S.ravel())
+            interior[ii] = True
+            recover.append((ii, sk, A, b))
 
     Ec = sp.coo_matrix((np.concatenate(vals),
                         (np.concatenate(rows), np.concatenate(cols))),

@@ -69,21 +69,26 @@ def _volume_map_table(nq: int) -> np.ndarray:
     return _read_only(bilinear_shape(gauss_rule_2d(nq).points))[0]
 
 
-def _volume_tables(coords: np.ndarray, p_tilde: int, nq: int):
-    """Physical points, weights, test values and physical test gradients."""
+def _volume_points(coords: np.ndarray, nq: int):
+    """Physical points, weights and the Jacobian (x_xi, y_xi, x_eta, y_eta, det)."""
     phys, jac_xi, jac_eta = _volume_map_table(nq) @ coords
     (x_xi, y_xi), (x_eta, y_eta) = jac_xi.T, jac_eta.T
     det = x_xi * y_eta - x_eta * y_xi
     if np.any(det <= 0.0):
         raise ValueError("nonpositive Jacobian determinant in element quadrature")
-    w = gauss_rule_2d(nq).weights * det
+    return phys, gauss_rule_2d(nq).weights * det, (x_xi, y_xi, x_eta, y_eta, det)
+
+
+def _volume_tables(coords: np.ndarray, p_tilde: int, nq: int):
+    """Quadrature weights, test values and physical test gradients."""
+    _, w, (x_xi, y_xi, x_eta, y_eta, det) = _volume_points(coords, nq)
     tvals, tgrads = q_basis_table(p_tilde, nq)
     # chain rule with the inverse Jacobian
     g_xi, g_eta = tgrads[:, 0], tgrads[:, 1]
     gphys = np.empty(tgrads.shape)
     gphys[:, 0] = (g_xi * y_eta - g_eta * y_xi) / det
     gphys[:, 1] = (g_eta * x_xi - g_xi * x_eta) / det
-    return phys, w, tvals, gphys
+    return w, tvals, gphys
 
 
 @lru_cache(maxsize=None)
@@ -107,7 +112,7 @@ def local_gram(coords: np.ndarray, p_tilde: int, nq: int | None = None) -> np.nd
     """Gram matrix of the broken test norm on one element."""
     if nq is None:
         nq = p_tilde + 2
-    _, w, vals, g = _volume_tables(coords, p_tilde, nq)
+    w, vals, g = _volume_tables(coords, p_tilde, nq)
     ns = vals.shape[0]
     M = (vals * w) @ vals.T
     Dxx = (g[:, 0] * w) @ g[:, 0].T
@@ -187,21 +192,21 @@ def local_bmat(
     p: int,
     p_tilde: int,
     material: Material,
-    f,
     segments: list[SideSegment],
     nq: int | None = None,
     nq_edge: int | None = None,
 ):
-    """Trial-test coupling matrix and load vector on one element.
+    """Trial-test coupling matrix on one element.
 
-    Returns (B, skel_ids, lvec).  The columns of B are the element's
-    interior trial dofs (sigma then u, component-major) followed by the
-    global skeleton dofs skel_ids (sorted).  f maps an (n, 2) array of
-    physical points to the (n, 2) body force.
+    Returns (B, skel_ids).  The columns of B are the element's interior
+    trial dofs (sigma then u, component-major) followed by the global
+    skeleton dofs skel_ids (sorted).  B does not depend on the element's
+    position: translating `coords` and the segments' edge coordinates
+    together leaves it unchanged.
     """
     if nq is None:
         nq = p_tilde + 2
-    phys, w, tvals, g = _volume_tables(coords, p_tilde, nq)
+    w, tvals, g = _volume_tables(coords, p_tilde, nq)
     uvals, _ = q_basis_table(p, nq)
     ns = tvals.shape[0]
     nt = uvals.shape[0]
@@ -236,15 +241,27 @@ def local_bmat(
     B[b[3], c[1]] += DyMix
     B[b[4], c[1]] += DxMix
     B[b[4], c[2]] += DyMix
+    return B, skel_ids
 
-    # load (f, v)
+
+def local_load(coords: np.ndarray, p_tilde: int, f,
+               nq: int | None = None) -> np.ndarray:
+    """Load vector (f, v) over the element's test space.
+
+    f maps an (n, 2) array of physical points to the (n, 2) body force;
+    None means no body force.
+    """
+    ns = (p_tilde + 1) ** 2
     lvec = np.zeros(5 * ns)
-    if f is not None:
-        fv = f(phys)  # (nq, 2)
-        lvec[b[3]] = tvals @ (w * fv[:, 0])
-        lvec[b[4]] = tvals @ (w * fv[:, 1])
-
-    return B, skel_ids, lvec
+    if f is None:
+        return lvec
+    if nq is None:
+        nq = p_tilde + 2
+    phys, w, _ = _volume_points(coords, nq)
+    tvals, _ = q_basis_table(p_tilde, nq)
+    fv = f(phys) * w[:, None]  # (nq, 2)
+    lvec[3 * ns:] = (tvals @ fv).T.ravel()
+    return lvec
 
 
 def local_stiffness(L: np.ndarray, Bfull: np.ndarray, lvec: np.ndarray):

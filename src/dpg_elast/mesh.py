@@ -1,12 +1,15 @@
 """Quadrilateral meshes with uniform and 1-irregular adaptive refinement.
 
-A mesh is immutable after construction: refinement copies the entity lists
-and returns a new mesh.  Elements and edges are kept for the whole history
-with active flags; ids are stable across refinements.
+A mesh is immutable after construction: refinement copies the vertex list,
+the edge lookup and every element and edge record, and returns a new mesh.
+Elements and edges are kept for the whole history with active flags; ids
+are stable across refinements.  Children keep their parent's orientation:
+child i holds parent vertex i at position i, so on a uniformly refined mesh
+every element has the same vertex order and equal elements differ only by
+a translation.
 """
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,6 +165,19 @@ class Mesh:
             lines.append("e " + " ".join(str(v) for v in el.verts) + f" {p}")
         return "\n".join(lines) + "\n"
 
+    def copy(self) -> "Mesh":
+        """Independent copy: no record or list is shared with this mesh."""
+        out = Mesh()
+        out.vertices = list(self.vertices)
+        out.elements = [Element(list(el.verts), list(el.edges), el.level,
+                                el.parent, list(el.children), el.active)
+                        for el in self.elements]
+        out.edges = [Edge(e.v0, e.v1, e.boundary, e.parent, list(e.children),
+                          list(e.elems))
+                     for e in self.edges]
+        out._edge_lookup = dict(self._edge_lookup)
+        return out
+
     # -- refinement ------------------------------------------------------------
 
     def _split_edge(self, eid: int) -> None:
@@ -195,11 +211,12 @@ class Mesh:
         coords = self.element_coords(k)
         center = self._add_vertex(*coords.mean(axis=0))
         v = el.verts
+        # child i keeps the parent's orientation and holds parent vertex i
         child_verts = [
             (v[0], mids[0], center, mids[3]),
-            (v[1], mids[1], center, mids[0]),
-            (v[2], mids[2], center, mids[1]),
-            (v[3], mids[3], center, mids[2]),
+            (mids[0], v[1], mids[1], center),
+            (center, mids[1], v[2], mids[2]),
+            (mids[3], center, mids[2], v[3]),
         ]
         el.active = False
         for cv in child_verts:
@@ -252,7 +269,7 @@ def refine_marked(mesh: Mesh, marked) -> Mesh:
     bad = set(marked) - active
     if bad:
         raise ValueError(f"marked ids are not active elements: {sorted(bad)}")
-    new = copy.deepcopy(mesh)
+    new = mesh.copy()
     for k in sorted(marked):
         new._refine_element(k)
     return new

@@ -67,20 +67,26 @@ def border_terms(mesh: Mesh, degrees: DegreeMap, material: Material, f,
                  layout: DofLayout) -> tuple[np.ndarray, float]:
     """Border column c and diagonal d of the bordered system.
 
-    The optimal test function of the scalar unknown is computed per element
-    by reusing the local Gram factors; its scalar component is zero, so c
-    is the plain bilinear form paired against that test function.
+    The optimal test function of the scalar unknown is computed by reusing
+    the local Gram factors; its scalar component is zero, so c is the plain
+    bilinear form paired against that test function.  Its load depends
+    only on the element's shape, so G^-1 r, B'G^-1 r and r'G^-1 r are
+    computed once per element class and scattered per element.
     """
     c = np.zeros(layout.n_dofs)
     d = 0.0
-    for k in mesh.active_elements:
-        L, Bfull, _, gdofs = element_full_bmat(mesh, layout, material, f, k,
-                                               degrees.delta_p)
-        p = layout.element_p[k]
-        r = _alpha_rhs(mesh.element_coords(k), p + degrees.delta_p, material)
-        t = cho_solve((L, True), r, check_finite=False)
-        c[gdofs] += Bfull.T @ t
-        d += float(r @ t)
+    for members in layout.classes:
+        for k in members:
+            L, Bfull, _, gdofs = element_full_bmat(mesh, layout, material, f,
+                                                   k, degrees.delta_p)
+            if k == members[0]:
+                p = layout.element_p[k]
+                r = _alpha_rhs(mesh.element_coords(k), p + degrees.delta_p,
+                               material)
+                t = cho_solve((L, True), r, check_finite=False)
+                ck, dk = Bfull.T @ t, float(r @ t)
+            c[gdofs] += ck
+            d += dk
     return c, d
 
 

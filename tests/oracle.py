@@ -4,13 +4,16 @@ The library only ever factors the statically condensed skeleton matrix.
 These helpers assemble the stiffness matrix over all dofs (pinned and
 element-interior included) and solve it directly, so tests can check the
 condensed solves, the rank-one identity and the SPD property against it.
+The element matrices are computed afresh on each element's own
+coordinates, with sorted skeleton ids, so they share nothing with the
+per-class tables the library keeps on the layout.
 """
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from dpg_elast.assembly import element_full_bmat
-from dpg_elast.local import local_stiffness
+from dpg_elast.local import (gram_factor, local_bmat, local_gram, local_load,
+                             local_stiffness)
 
 
 def assemble_full(mesh, degrees, material, f, layout):
@@ -18,8 +21,16 @@ def assemble_full(mesh, degrees, material, f, layout):
     rows, cols, vals = [], [], []
     g = np.zeros(layout.n_dofs)
     for k in mesh.active_elements:
-        L, Bfull, lvec, gdofs = element_full_bmat(mesh, layout, material, f, k,
-                                                  degrees.delta_p)
+        p = layout.element_p[k]
+        p_tilde = p + degrees.delta_p
+        coords = mesh.element_coords(k)
+        L = gram_factor(local_gram(coords, p_tilde))
+        Bfull, skel_ids = local_bmat(coords, p, p_tilde, material,
+                                     layout.segments[k])
+        lvec = local_load(coords, p_tilde, f)
+        base = layout.interior_base[k]
+        gdofs = np.concatenate([np.arange(base, base + 5 * (p + 1) ** 2),
+                                skel_ids])
         K, fl = local_stiffness(L, Bfull, lvec)
         idx = np.broadcast_to(gdofs, (gdofs.size, gdofs.size))
         rows.append(idx.T.ravel())

@@ -6,10 +6,11 @@ from dpg_elast.basis import ones_coefficients_2d
 from dpg_elast.assembly import build_dof_layout, element_full_bmat
 from dpg_elast.local import (_side_table, _volume_map_table,
                              error_representation, gram_factor, local_bmat,
-                             local_gram, local_stiffness)
+                             local_gram, local_load, local_stiffness)
 from dpg_elast.local import test_space_dim as space_dim
 from dpg_elast.material import make_isotropic
-from dpg_elast.mesh import DegreeMap, build_initial_mesh, refine_marked
+from dpg_elast.mesh import (DegreeMap, build_initial_mesh, refine_marked,
+                            refine_uniform)
 
 UNIT = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 SHEARED = np.array([[0.0, 0.0], [1.0, 0.0], [1.5, 1.0], [0.5, 1.0]])
@@ -61,7 +62,7 @@ def test_bmat_identity_pairing():
     # (A sigma, tau) for sigma = tau = I equals 2 Q |K|
     m = make_isotropic(0.0, 0.5)
     p, p_tilde = 1, 3
-    B, _, _ = local_bmat(UNIT, p, p_tilde, m, None, [])
+    B, _ = local_bmat(UNIT, p, p_tilde, m, [])
     nt = (p + 1) ** 2
     trial = np.zeros(5 * nt)
     ones_t = ones_coefficients_2d(p)
@@ -71,7 +72,7 @@ def test_bmat_identity_pairing():
     assert test @ (B @ trial) == pytest.approx(2.0 * m.Q, abs=1e-12)
     # with lam > 0 the pairing scales with Q
     m2 = make_isotropic(3.0, 0.5)
-    B2, _, _ = local_bmat(UNIT, p, p_tilde, m2, None, [])
+    B2, _ = local_bmat(UNIT, p, p_tilde, m2, [])
     assert test @ (B2 @ trial) == pytest.approx(2.0 * m2.Q, abs=1e-12)
 
 
@@ -79,7 +80,7 @@ def test_bmat_divergence_pairing():
     # (u, div tau): u = (1, 0) against tau = (x, 0; 0, 0) gives area
     m = make_isotropic(1.0, 1.0)
     p, p_tilde = 1, 3
-    B, _, _ = local_bmat(UNIT, p, p_tilde, m, None, [])
+    B, _ = local_bmat(UNIT, p, p_tilde, m, [])
     nt = (p + 1) ** 2
     ns = (p_tilde + 1) ** 2
     trial = np.zeros(5 * nt)
@@ -98,8 +99,7 @@ def test_bmat_divergence_pairing():
 
 def test_load_vector():
     m = make_isotropic(1.0, 1.0)
-    _, _, lvec = local_bmat(UNIT, 1, 3, m,
-                            lambda pts: np.tile([2.0, -3.0], (len(pts), 1)), [])
+    lvec = local_load(UNIT, 3, lambda pts: np.tile([2.0, -3.0], (len(pts), 1)))
     v1 = constant_test_coeffs(3, v1=1.0)
     v2 = constant_test_coeffs(3, v2=1.0)
     assert v1 @ lvec == pytest.approx(2.0, abs=1e-12)
@@ -109,7 +109,8 @@ def test_load_vector():
 def test_local_stiffness_oracle():
     m = make_isotropic(2.0, 0.8)
     G = local_gram(SHEARED, 3)
-    B, _, lvec = local_bmat(SHEARED, 1, 3, m, lambda pt: pt, [])
+    B, _ = local_bmat(SHEARED, 1, 3, m, [])
+    lvec = local_load(SHEARED, 3, lambda pt: pt)
     K, fl = local_stiffness(gram_factor(G), B, lvec)
     Ginv = np.linalg.inv(G)
     np.testing.assert_allclose(K, B.T @ Ginv @ B, atol=1e-11 * np.abs(K).max())
@@ -129,7 +130,8 @@ def test_error_representation_oracle():
     rng = np.random.default_rng(4)
     m = make_isotropic(1.0, 0.5)
     G = local_gram(UNIT, 3)
-    B, _, lvec = local_bmat(UNIT, 1, 3, m, lambda pt: np.sin(pt), [])
+    B, _ = local_bmat(UNIT, 1, 3, m, [])
+    lvec = local_load(UNIT, 3, lambda pt: np.sin(pt))
     x = rng.standard_normal(B.shape[1])
     e, eta = error_representation(gram_factor(G), B, lvec, x)
     r = lvec - B @ x
@@ -144,7 +146,7 @@ def test_error_representation_oracle():
 def test_error_representation_zero_residual():
     m = make_isotropic(1.0, 0.5)
     G = local_gram(UNIT, 3)
-    B, _, _ = local_bmat(UNIT, 1, 3, m, None, [])
+    B, _ = local_bmat(UNIT, 1, 3, m, [])
     x = np.zeros(B.shape[1])
     x[0] = 1.0
     lvec = B @ x
@@ -163,7 +165,8 @@ def test_translated_gram_factor_matches_absolute():
 
 def test_gram_factor_cached_per_geometry_class():
     # a class is the enriched degree plus the vertex offsets from the first
-    # vertex; refinement gives two sizes and several vertex orders
+    # vertex; refining one element gives two sizes, and its children keep
+    # the parent's vertex order
     m = make_isotropic(1.0, 0.5)
     mesh = refine_marked(build_initial_mesh("unit_square", 2), [0])
     degrees = DegreeMap(mesh, p=1)
@@ -179,6 +182,24 @@ def test_gram_factor_cached_per_geometry_class():
                 tuple((mesh.element_coords(k) - mesh.element_coords(k)[0]).ravel()))
                for k in mesh.active_elements}
     assert len(layout.gram_factors) == len(classes) < len(mesh.active_elements)
+
+
+def test_uniform_mesh_shares_kernels():
+    # children keep the parent's orientation, so the 64 equal squares share
+    # one Gram factor, and the boundary pattern and edge orientations leave
+    # only a handful of coupling classes
+    m = make_isotropic(1.0, 0.5)
+    mesh = build_initial_mesh("unit_square", 2)
+    for _ in range(2):
+        mesh = refine_uniform(mesh)
+    degrees = DegreeMap(mesh, p=2)
+    layout = build_dof_layout(mesh, degrees)
+    for k in mesh.active_elements:
+        element_full_bmat(mesh, layout, m, None, k, degrees.delta_p)
+    assert len(mesh.active_elements) == 64
+    assert len(layout.classes) <= 6
+    assert len(layout.class_kernels) == len(layout.classes)
+    assert len(layout.gram_factors) == 1
 
 
 def test_side_and_map_tables_are_read_only():

@@ -47,9 +47,25 @@ def test_reference_map_sheared():
     assert np.linalg.det(jac) > 0.0
 
 
+def assert_independent(mesh, fine):
+    """No record, list or dict of `mesh` is reachable from `fine`."""
+    def containers(m):
+        out = [m.vertices, m.elements, m.edges, m._edge_lookup]
+        for el in m.elements:
+            out += [el, el.verts, el.edges, el.children]
+        for e in m.edges:
+            out += [e, e.children, e.elems]
+        return {id(obj) for obj in out}
+
+    assert not containers(mesh) & containers(fine)
+
+
 def test_uniform_refinement():
     mesh = build_initial_mesh("unit_square", 1)
+    before = mesh.dump()
     fine = refine_uniform(mesh)
+    assert mesh.dump() == before
+    assert_independent(mesh, fine)
     assert len(fine.active_elements) == 4
     assert not fine.elements[0].active
     assert len(mesh.active_elements) == 1  # original untouched
@@ -62,7 +78,10 @@ def test_uniform_refinement():
 
 def test_marked_refinement_hanging():
     mesh = build_initial_mesh("unit_square", 2)
+    before = mesh.dump()
     fine = refine_marked(mesh, [0])
+    assert mesh.dump() == before
+    assert_independent(mesh, fine)
     fine.validate()
     assert len(fine.active_elements) == 7
     hang = fine.hanging_vertices()
@@ -72,6 +91,19 @@ def test_marked_refinement_hanging():
         mid = 0.5 * (np.array(fine.vertices[fine.edges[eid].v0])
                      + np.array(fine.vertices[fine.edges[eid].v1]))
         np.testing.assert_allclose(fine.vertices[v], mid, atol=1e-14)
+
+
+def test_children_keep_parent_orientation():
+    mesh = build_initial_mesh("l_shape", 1)
+    fine = refine_uniform(mesh)
+    for k in mesh.active_elements:
+        parent = fine.elements[k]
+        base = fine.element_coords(k)
+        for i, c in enumerate(parent.children):
+            assert fine.elements[c].verts[i] == parent.verts[i]
+            # same vertex order up to scaling about the parent's vertex i
+            rel = fine.element_coords(c) - fine.element_coords(c)[0]
+            np.testing.assert_allclose(rel, 0.5 * (base - base[0]), atol=1e-15)
 
 
 def test_closure_keeps_one_irregular():
