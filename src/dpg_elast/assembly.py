@@ -9,14 +9,18 @@ hanging-vertex value is redistributed onto the master's dofs.
 The layout also sorts the elements into classes.  An element's coupling
 matrix B depends only on its degrees, its shape up to translation and how
 its sides meet the skeleton, so elements that agree on these share one B
-(and one Gram factor), computed once per step.  Each element's skeleton
-dof ids are stored in its class's column order.  Condensation and the
-rank-one border terms do their dense algebra once per class; per element
-only the load, a few matrix-vector products and the scatter remain.
+(and one Gram factor).  Each element's skeleton dof ids are stored in its
+class's column order.  A class's B, Gram factor and interior condensation
+blocks are built on translated coordinates, so they depend on the class
+key alone; a `KernelCache` keyed by the class key carries them from one
+refinement step to the next, and each step builds only the classes that
+are new to it.  Condensation and the rank-one border terms do their dense
+algebra once per class; per element only the load (computed once per
+step), a few matrix-vector products and the scatter remain.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,6 +32,49 @@ from .local import (SideSegment, error_representation, gram_factor, local_bmat,
                     local_gram, local_load, local_stiffness)
 from .material import Material
 from .mesh import DegreeMap, Mesh
+
+# SuperLU options for the SPD condensed skeleton matrix: a symmetric
+# minimum-degree ordering of A'+A, with the pivots kept on the diagonal
+SPD_SPLU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                        options=dict(SymmetricMode=True))
+
+
+@dataclass
+class ClassKernel:
+    """Read-only matrices of one element class.
+
+    `L` is the Gram Cholesky factor and `B` the coupling matrix with its
+    columns in class order.  `condensed` holds the interior condensation
+    blocks (Cholesky factor of Kii, Kis, Kii^-1 Kis, element Schur block)
+    once `condense` has formed them.
+    """
+
+    L: np.ndarray
+    B: np.ndarray
+    condensed: tuple | None = None
+
+
+@dataclass
+class KernelCache:
+    """Element-class kernels of a study, carried from step to step.
+
+    `kernels` maps (class key, p_tilde, material) to a `ClassKernel`, and
+    `gram_factors` maps (p_tilde, vertex offsets from vertex 0) to a Gram
+    Cholesky factor.  `build_dof_layout` drops every entry its classes do
+    not use, so the cache holds at most one step's classes.
+    """
+
+    kernels: dict[tuple, ClassKernel] = field(default_factory=dict)
+    gram_factors: dict[tuple, np.ndarray] = field(default_factory=dict)
+
+    def retain(self, class_keys) -> None:
+        """Keep only the entries of the given class keys."""
+        keys = set(class_keys)
+        # a class key starts (p, p_tilde, vertex offsets, ...)
+        shapes = {(key[1], key[2]) for key in keys}
+        self.kernels = {k: v for k, v in self.kernels.items() if k[0] in keys}
+        self.gram_factors = {k: v for k, v in self.gram_factors.items()
+                             if k in shapes}
 
 
 @dataclass
@@ -45,14 +92,13 @@ class DofLayout:
                                              # skeleton ids in class order
     element_class: dict[int, int]            # element -> class id
     classes: list[list[int]]                 # class id -> its elements
-    # Gram Cholesky factors of this step by geometry class, filled lazily
-    # by element_full_bmat: (p_tilde, vertex offsets from vertex 0) -> L
-    gram_factors: dict[tuple, np.ndarray] = field(default_factory=dict,
-                                                  repr=False)
-    # read-only (L, B) per element class, filled lazily by
-    # element_full_bmat: (class id, p_tilde, material) -> (L, B)
-    class_kernels: dict[tuple, tuple] = field(default_factory=dict,
-                                              repr=False)
+    class_keys: list[tuple]                  # class id -> class key
+    # class kernels and Gram factors, filled lazily by element_full_bmat
+    # and shared with the other steps of a study
+    cache: KernelCache
+    # read-only element loads of this step, filled lazily by
+    # element_full_bmat: (f, p_tilde, element) -> load
+    loads: dict[tuple, np.ndarray] = field(default_factory=dict, repr=False)
 
     @property
     def n_free(self) -> int:
@@ -91,8 +137,14 @@ def _vertex_entries(mesh: Mesh, layout_vertex: dict, hanging: dict,
     return out
 
 
-def build_dof_layout(mesh: Mesh, degrees: DegreeMap, bc_spec: str = "dirichlet") -> DofLayout:
-    """Global numbering with hanging-node constraints and boundary pinning."""
+def build_dof_layout(mesh: Mesh, degrees: DegreeMap, bc_spec: str = "dirichlet",
+                     cache: KernelCache | None = None) -> DofLayout:
+    """Global numbering with hanging-node constraints and boundary pinning.
+
+    `cache` holds the class kernels of an earlier step; the entries this
+    layout's classes do not use are dropped.  Without it the layout starts
+    an empty cache.
+    """
     if bc_spec != "dirichlet":
         raise ValueError(f"unsupported boundary condition spec {bc_spec!r}")
     active = mesh.active_elements
@@ -224,12 +276,15 @@ def build_dof_layout(mesh: Mesh, degrees: DegreeMap, bc_spec: str = "dirichlet")
         dofs.setflags(write=False)
         element_dofs[k] = dofs
 
+    cache = KernelCache() if cache is None else cache
+    cache.retain(class_ids)
     return DofLayout(n_dofs=n, interior_base=interior_base, vertex_dof=vertex_dof,
                      trace_edges={e: (trace_q[e], trace_base[e]) for e in trace_edges_set},
                      flux_edges={e: (flux_p[e], flux_base[e]) for e in flux_edges_set},
                      hanging=hanging, pinned=pinned, element_p=element_p,
                      segments=segments, element_dofs=element_dofs,
-                     element_class=element_class, classes=classes)
+                     element_class=element_class, classes=classes,
+                     class_keys=list(class_ids), cache=cache)
 
 
 def _first_occurrence(dofs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -258,45 +313,87 @@ def element_full_bmat(mesh: Mesh, layout: DofLayout, material: Material, f,
                       eid: int, delta_p: int):
     """Gram Cholesky factor, full local coupling matrix, load, global dof ids.
 
-    L and B are the element class's read-only matrices, computed on the
-    first request of the step and kept in `layout.class_kernels`; the
-    columns of B follow `gdofs`.  Only the load is computed per call.
+    L and B are the element class's read-only matrices from `layout.cache`,
+    built on the first request of the study; the columns of B follow
+    `gdofs`.  The load is computed on the first request of the step and
+    kept in `layout.loads`.
     """
     p_tilde = layout.element_p[eid] + delta_p
-    coords = mesh.element_coords(eid)
-    key = (layout.element_class[eid], p_tilde, material)
-    kernel = layout.class_kernels.get(key)
+    kernel = _kernel(mesh, layout, material, eid, p_tilde)
+    key = (f, p_tilde, eid)
+    lvec = layout.loads.get(key)
+    if lvec is None:
+        lvec = local_load(mesh.element_coords(eid), p_tilde, f)
+        lvec.setflags(write=False)
+        layout.loads[key] = lvec
+    return kernel.L, kernel.B, lvec, layout.element_dofs[eid]
+
+
+def _kernel(mesh: Mesh, layout: DofLayout, material: Material, eid: int,
+            p_tilde: int) -> ClassKernel:
+    """Element eid's class kernel, from the cache or built and cached."""
+    key = (layout.class_keys[layout.element_class[eid]], p_tilde, material)
+    kernel = layout.cache.kernels.get(key)
     if kernel is None:
-        kernel = _class_kernel(layout, eid, coords, p_tilde, material)
-        layout.class_kernels[key] = kernel
-    L, B = kernel
-    return L, B, local_load(coords, p_tilde, f), layout.element_dofs[eid]
+        kernel = _class_kernel(mesh, layout, eid, p_tilde, material)
+        layout.cache.kernels[key] = kernel
+    return kernel
 
 
-def _class_kernel(layout: DofLayout, eid: int, coords: np.ndarray,
-                  p_tilde: int, material: Material):
+def _class_kernel(mesh: Mesh, layout: DofLayout, eid: int, p_tilde: int,
+                  material: Material) -> ClassKernel:
     """(L, B) of element eid's class, with B's columns in class order.
 
-    The Gram factor depends only on p_tilde and the vertex offsets, so it
-    is computed on the translated vertices and shared through
-    `layout.gram_factors` by every class of that shape.
+    Both are computed on the element translated to vertex 0, from exactly
+    the data of the class key, so they do not depend on which element or
+    step built them.  The Gram factor depends only on p_tilde and the
+    vertex offsets and is shared by every class of that shape.
     """
-    rel = coords - coords[0]
+    coords = mesh.element_coords(eid)
+    x0 = coords[0]
+    rel = coords - x0
     gkey = (p_tilde, rel.tobytes())
-    L = layout.gram_factors.get(gkey)
+    L = layout.cache.gram_factors.get(gkey)
     if L is None:
         L = gram_factor(local_gram(rel, p_tilde))
         L.setflags(write=False)
-        layout.gram_factors[gkey] = L
+        layout.cache.gram_factors[gkey] = L
     p = layout.element_p[eid]
-    B, skel_ids = local_bmat(coords, p, p_tilde, material, layout.segments[eid])
+    segments = [replace(seg, trace_coords=seg.trace_coords - x0,
+                        flux_coords=seg.flux_coords - x0)
+                for seg in layout.segments[eid]]
+    B, skel_ids = local_bmat(rel, p, p_tilde, material, segments)
     ni = 5 * (p + 1) ** 2
     gdofs = layout.element_dofs[eid]
     cols = np.concatenate([np.arange(ni),
                            ni + np.searchsorted(skel_ids, gdofs[ni:])])
     B = B[:, cols]
     B.setflags(write=False)
-    return L, B
+    return ClassKernel(L, B)
+
+
+def _condensation_blocks(kernel: ClassKernel, lvec: np.ndarray, ni: int):
+    """(Kii Cholesky factor, Kis, Kii^-1 Kis, Schur block) of a class.
+
+    Formed from K = B'G^-1 B on the first request and kept read-only on
+    the kernel.
+    """
+    if kernel.condensed is None:
+        K, _ = local_stiffness(kernel.L, kernel.B, lvec)
+        Kis, Kss = K[:ni, ni:], K[ni:, ni:]
+        try:
+            Kii, _ = cho_factor(K[:ni, :ni], lower=True, check_finite=False)
+        except np.linalg.LinAlgError as err:
+            raise RuntimeError("interior block of an element matrix "
+                               "is not positive definite") from err
+        A = cho_solve((Kii, True), Kis, check_finite=False)
+        S = Kss - Kis.T @ A
+        # a copy of Kis, so that K itself is not kept alive
+        blocks = (Kii, np.ascontiguousarray(Kis), A, S)
+        for a in blocks:
+            a.setflags(write=False)
+        kernel.condensed = blocks
+    return kernel.condensed
 
 
 def dirichlet_values(layout: DofLayout, g_data, mesh: Mesh) -> np.ndarray:
@@ -400,9 +497,10 @@ def condense(mesh: Mesh, degrees: DegreeMap, material: Material, f,
     elsewhere).  `loads` is an optional (n_dofs, m) block of extra
     right-hand sides, which must vanish on the pinned dofs.  Each element
     class forms K = B'G^-1 B, factors its interior block Kii and computes
-    Kii^-1 Kis and the element Schur complement once; each element then
-    solves Kii for its own load and the extra loads together.  The full
-    sparse matrix is never formed.
+    Kii^-1 Kis and the element Schur complement once, and the class kernel
+    keeps them for later steps; each element then solves Kii for its own
+    load and the extra loads together.  The full sparse matrix is never
+    formed.
     """
     n = layout.n_dofs
     xp = np.zeros(n) if x_pinned is None else x_pinned
@@ -417,18 +515,12 @@ def condense(mesh: Mesh, degrees: DegreeMap, material: Material, f,
             L, Bfull, lvec, gdofs = element_full_bmat(mesh, layout, material,
                                                       f, k, degrees.delta_p)
             if k == members[0]:
-                K, _ = local_stiffness(L, Bfull, lvec)
-                Kis, Kss = K[:ni, ni:], K[ni:, ni:]
-                try:
-                    Kii = cho_factor(K[:ni, :ni], lower=True, check_finite=False)
-                except np.linalg.LinAlgError as err:
-                    raise RuntimeError("interior block of an element matrix "
-                                       "is not positive definite") from err
-                A = cho_solve(Kii, Kis, check_finite=False)
-                S = Kss - Kis.T @ A
+                kernel = _kernel(mesh, layout, material, k,
+                                 layout.element_p[k] + degrees.delta_p)
+                Kii, Kis, A, S = _condensation_blocks(kernel, lvec, ni)
             fl = Bfull.T @ cho_solve((L, True), lvec, check_finite=False)
             ii, sk = gdofs[:ni], gdofs[ni:]
-            b = cho_solve(Kii, np.column_stack([fl[:ni], loads[ii]]),
+            b = cho_solve((Kii, True), np.column_stack([fl[:ni], loads[ii]]),
                           check_finite=False)
             gs = -(Kis.T @ b)
             gs[:, 0] += fl[ni:] - S @ xp[sk]
@@ -457,7 +549,7 @@ def solve_condensed(mesh: Mesh, degrees: DegreeMap, material: Material, f,
     """
     system = condense(mesh, degrees, material, f, layout, x_pinned)
     try:
-        lu = splu(system.S)
+        lu = splu(system.S, **SPD_SPLU_OPTIONS)
     except RuntimeError as err:
         raise RuntimeError("sparse factorization failed; system not SPD") from err
     return system.expand(0, lu.solve(system.rhs[:, 0]))

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 from scipy.sparse.linalg import splu
 
-from .assembly import DofLayout, condense, element_full_bmat
+from .assembly import SPD_SPLU_OPTIONS, DofLayout, condense, element_full_bmat
 from .basis import gauss_rule_2d, q_basis_table
 from .material import Material
 from .mesh import DegreeMap, Mesh, bilinear_maps
@@ -143,7 +143,7 @@ def solve_second(mesh: Mesh, degrees: DegreeMap, material: Material, f,
     system = condense(mesh, degrees, material, f, layout,
                       loads=np.column_stack([ell, c]))
     try:
-        lu = splu(system.S)
+        lu = splu(system.S, **SPD_SPLU_OPTIONS)
     except RuntimeError as err:
         raise RuntimeError("sparse factorization failed; system not SPD") from err
     return solve_second_method(

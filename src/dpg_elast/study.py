@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import (build_dof_layout, dirichlet_values, error_indicators,
-                       solve_condensed)
+from .assembly import (KernelCache, build_dof_layout, dirichlet_values,
+                       error_indicators, solve_condensed)
 from .basis import gauss_rule_2d, q_basis_table
 from .exact import (LShapeParams, lshape_effective_material, lshape_solution,
                     smooth_solution)
@@ -224,8 +224,8 @@ def element_diameter(mesh: Mesh, eid: int) -> float:
     return max(np.hypot(*(c[i] - c[j])) for i in range(4) for j in range(i))
 
 
-def _solve_step(mesh, degrees, bench, config):
-    layout = build_dof_layout(mesh, degrees)
+def _solve_step(mesh, degrees, bench, config, cache):
+    layout = build_dof_layout(mesh, degrees, cache=cache)
     if config.method == 1:
         xp = dirichlet_values(layout, bench.g, mesh)
         x = solve_condensed(mesh, degrees, bench.solver_material, bench.f,
@@ -244,11 +244,13 @@ def run_convergence_study(config: StudyConfig) -> list[ReportRow]:
     mesh = build_initial_mesh(bench.domain, bench.n_initial)
     degrees = DegreeMap(mesh, p=config.p, delta_p=config.delta_p)
     rows: list[ReportRow] = []
+    # class kernels carried between steps; each layout keeps only its own
+    cache = KernelCache()
 
     for step in range(config.steps):
         t0 = time.perf_counter()
         try:
-            layout, x = _solve_step(mesh, degrees, bench, config)
+            layout, x = _solve_step(mesh, degrees, bench, config, cache)
         except RuntimeError:
             rows.append(ReportRow(step=step, n_dofs=-1, h_min=np.nan, p_max=-1,
                                   e_sigma=np.nan, e_u=np.nan,
@@ -271,8 +273,8 @@ def run_convergence_study(config: StudyConfig) -> list[ReportRow]:
 
         if step == config.steps - 1:
             break
-        # free this step's layout (with its Gram factors) and solution
-        # before the next step builds its own
+        # free this step's layout and solution before the next step builds
+        # its own; the kernel cache stays for the classes that recur
         del layout, x
         if config.mode == "uniform_h":
             mesh = refine_uniform(mesh)

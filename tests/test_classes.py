@@ -2,19 +2,43 @@
 
 Each example refines a unit-square or L-shaped mesh along a random
 marking sequence, raising the degree of random elements on the way, and
-checks the mesh and every element's class coupling matrix against a
-fresh computation on the element's own coordinates.
+checks the mesh and, after every round, every element's class coupling
+matrix against a fresh computation on the element's own coordinates.
+One kernel cache is carried through the rounds, as in a study.  The
+cache's builds and evictions are counted on an adaptive L-shape run.
 """
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpg_elast.assembly import build_dof_layout, element_full_bmat
+from dpg_elast import assembly
+from dpg_elast.assembly import (KernelCache, build_dof_layout,
+                                dirichlet_values, element_full_bmat,
+                                error_indicators, solve_condensed)
 from dpg_elast.local import local_bmat
 from dpg_elast.material import make_isotropic
 from dpg_elast.mesh import DegreeMap, build_initial_mesh, refine_marked
+from dpg_elast.study import greedy_mark, make_benchmark
 
 MATERIAL = make_isotropic(1.0, 0.5)
+
+
+def check_class_matrices(mesh, layout, delta_p):
+    """Every element's (B, gdofs) against a fresh local_bmat, by dof id."""
+    for k in mesh.active_elements:
+        _, B, _, gdofs = element_full_bmat(mesh, layout, MATERIAL, None, k,
+                                           delta_p)
+        p = layout.element_p[k]
+        fresh, skel_ids = local_bmat(mesh.element_coords(k), p, p + delta_p,
+                                     MATERIAL, layout.segments[k])
+        ni = 5 * (p + 1) ** 2
+        base = layout.interior_base[k]
+        np.testing.assert_array_equal(gdofs[:ni], np.arange(base, base + ni))
+        order = np.argsort(gdofs[ni:])
+        np.testing.assert_array_equal(gdofs[ni:][order], skel_ids)
+        assert B.shape == fresh.shape
+        B = np.concatenate([B[:, :ni], B[:, ni:][:, order]], axis=1)
+        assert np.max(np.abs(B - fresh)) <= 1e-12 * np.max(np.abs(fresh))
 
 
 def signed_area(coords):
@@ -26,9 +50,16 @@ def signed_area(coords):
 @given(domain=st.sampled_from([("unit_square", 2), ("l_shape", 1)]),
        data=st.data())
 def test_random_refinement_keeps_classes_exact(domain, data):
+    # one kernel cache is carried through every round, as in a study; the
+    # kernels are requested with both enrichment degrees, so entries that
+    # differ only in p_tilde must never meet
     mesh = build_initial_mesh(*domain)
     degrees = DegreeMap(mesh, p=1, delta_p=data.draw(st.integers(1, 2)))
+    cache = KernelCache()
     for _ in range(data.draw(st.integers(1, 3))):
+        layout = build_dof_layout(mesh, degrees, cache=cache)
+        for delta_p in (1, 2):
+            check_class_matrices(mesh, layout, delta_p)
         active = mesh.active_elements
         for k in data.draw(st.sets(st.sampled_from(active), max_size=2)):
             degrees.increment(k, mesh)
@@ -44,19 +75,53 @@ def test_random_refinement_keeps_classes_exact(domain, data):
             assert signed_area(np.array([mesh.vertices[v]
                                          for v in child.verts])) > 0.0
 
-    layout = build_dof_layout(mesh, degrees)
-    for k in mesh.active_elements:
-        _, B, _, gdofs = element_full_bmat(mesh, layout, MATERIAL, None, k,
-                                           degrees.delta_p)
-        p = layout.element_p[k]
-        fresh, skel_ids = local_bmat(mesh.element_coords(k), p,
-                                     p + degrees.delta_p, MATERIAL,
-                                     layout.segments[k])
-        ni = 5 * (p + 1) ** 2
-        base = layout.interior_base[k]
-        np.testing.assert_array_equal(gdofs[:ni], np.arange(base, base + ni))
-        order = np.argsort(gdofs[ni:])
-        np.testing.assert_array_equal(gdofs[ni:][order], skel_ids)
-        # compare column by global dof id
-        B = np.concatenate([B[:, :ni], B[:, ni:][:, order]], axis=1)
-        assert np.max(np.abs(B - fresh)) <= 1e-12 * np.max(np.abs(fresh))
+    layout = build_dof_layout(mesh, degrees, cache=cache)
+    for delta_p in (1, 2):
+        check_class_matrices(mesh, layout, delta_p)
+
+
+def cached_arrays(cache, layout):
+    yield from cache.gram_factors.values()
+    for kernel in cache.kernels.values():
+        yield kernel.L
+        yield kernel.B
+        yield from kernel.condensed or ()
+    yield from layout.loads.values()
+
+
+def test_adaptive_run_builds_only_new_classes(monkeypatch):
+    builds = []
+
+    def counted_bmat(*args, **kwargs):
+        builds.append(1)
+        return local_bmat(*args, **kwargs)
+
+    monkeypatch.setattr(assembly, "local_bmat", counted_bmat)
+    material = make_isotropic(123.0, 79.3)
+    bench = make_benchmark("lshape", material)
+    mat = bench.solver_material
+    mesh = build_initial_mesh("l_shape", 1)
+    degrees = DegreeMap(mesh, p=1)
+    cache = KernelCache()
+    previous: set = set()
+    reused = 0
+    for _ in range(6):
+        layout = build_dof_layout(mesh, degrees, cache=cache)
+        keys = set(layout.class_keys)
+        # eviction comes before any kernel of the step is built
+        assert {key[0] for key in cache.kernels} <= keys & previous
+        before = len(builds)
+        x = solve_condensed(mesh, degrees, mat, bench.f, layout,
+                            dirichlet_values(layout, bench.g, mesh))
+        indicators = error_indicators(mesh, degrees, mat, bench.f, layout, x)
+        assert len(builds) - before == len(keys - previous)
+        # the cache holds exactly this step's classes and shapes
+        assert set(cache.kernels) == {(key, key[1], mat) for key in keys}
+        assert set(cache.gram_factors) == {(key[1], key[2]) for key in keys}
+        assert all(kernel.condensed is not None
+                   for kernel in cache.kernels.values())
+        assert not any(a.flags.writeable for a in cached_arrays(cache, layout))
+        reused += len(keys & previous)
+        previous = keys
+        mesh = refine_marked(mesh, greedy_mark(indicators))
+    assert reused > 0

@@ -181,7 +181,7 @@ def test_gram_factor_cached_per_geometry_class():
     classes = {(layout.element_p[k] + degrees.delta_p,
                 tuple((mesh.element_coords(k) - mesh.element_coords(k)[0]).ravel()))
                for k in mesh.active_elements}
-    assert len(layout.gram_factors) == len(classes) < len(mesh.active_elements)
+    assert len(layout.cache.gram_factors) == len(classes) < len(mesh.active_elements)
 
 
 def test_uniform_mesh_shares_kernels():
@@ -198,8 +198,8 @@ def test_uniform_mesh_shares_kernels():
         element_full_bmat(mesh, layout, m, None, k, degrees.delta_p)
     assert len(mesh.active_elements) == 64
     assert len(layout.classes) <= 6
-    assert len(layout.class_kernels) == len(layout.classes)
-    assert len(layout.gram_factors) == 1
+    assert len(layout.cache.kernels) == len(layout.classes)
+    assert len(layout.cache.gram_factors) == 1
 
 
 def test_side_and_map_tables_are_read_only():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dpg_elast import cli
+from dpg_elast import cli, study
 from dpg_elast.assembly import build_dof_layout
 from dpg_elast.material import make_isotropic
 from dpg_elast.mesh import DegreeMap, build_initial_mesh
@@ -97,6 +97,25 @@ def test_study_produces_rows():
     assert rows[1].eta < rows[0].eta
     assert rows[0].p_max == 1
     assert rows[1].h_min == pytest.approx(rows[0].h_min / 2.0)
+
+
+@pytest.mark.parametrize("mode, steps", [("adaptive_h", 8),
+                                         ("adaptive_hp", 6)])
+def test_carried_kernels_match_fresh_kernels(mode, steps, monkeypatch):
+    # the study carries class kernels across steps; building every step's
+    # kernels from an empty cache must give the same results
+    config = StudyConfig(benchmark="lshape", mode=mode, p=1, steps=steps,
+                         lam=123.0, mu=79.3)
+    carried = run_convergence_study(config)
+    monkeypatch.setattr(study, "build_dof_layout",
+                        lambda mesh, degrees, cache: build_dof_layout(mesh,
+                                                                      degrees))
+    fresh = run_convergence_study(config)
+    assert [r.n_dofs for r in carried] == [r.n_dofs for r in fresh]
+    for a, b in zip(carried, fresh):
+        for name in ("e_sigma", "e_u", "rel_combined", "eta"):
+            assert getattr(a, name) == pytest.approx(getattr(b, name),
+                                                     rel=1e-10, abs=0.0)
 
 
 def test_csv_roundtrip_and_determinism(tmp_path):
