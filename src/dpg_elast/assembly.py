@@ -1,22 +1,27 @@
 """Global dof layout, Dirichlet data, static condensation, and sparse solve.
 
 Numbering is element-major for the interior (sigma, u) blocks, then vertex
-trace dofs, edge trace bubbles, and edge flux dofs.  Hanging-node coupling
-is handled when building the per-side trace entries: the trace on a
-constrained side expands directly in the master edge's basis, and a
-hanging-vertex value is redistributed onto the master's dofs.
+trace dofs, edge trace bubbles, and edge flux dofs.  The skeleton unknowns
+live on edges: the layout builds each trace owner edge's trace functions
+and each leaf edge's flux functions once, as read-only arrays, and an
+element's side segments point at them.  Hanging-node coupling is part of
+the trace functions: the trace on a constrained side expands directly in
+the master edge's basis, and a hanging-vertex value is redistributed onto
+the master's dofs.  A segment's flux sign follows from the topology alone,
+since child edges run the way their parent runs.
 
 The layout also sorts the elements into classes.  An element's coupling
 matrix B depends only on its degrees, its shape up to translation and how
 its sides meet the skeleton, so elements that agree on these share one B
 (and one Gram factor).  Each element's skeleton dof ids are stored in its
-class's column order.  A class's B, Gram factor and interior condensation
-blocks are built on translated coordinates, so they depend on the class
-key alone; a `KernelCache` keyed by the class key carries them from one
-refinement step to the next, and each step builds only the classes that
-are new to it.  Condensation and the rank-one border terms do their dense
-algebra once per class; per element only the load (computed once per
-step), a few matrix-vector products and the scatter remain.
+class's column order.  A class's kernel (Gram factor, B and the interior
+condensation blocks) is built whole on translated coordinates, so it
+depends on the class key alone; a `KernelCache` keyed by the class key
+carries it from one refinement step to the next, and each step builds
+only the classes that are new to it.  Condensation and the rank-one border
+terms do their dense algebra once per class; per element only the load
+(computed once per step), a few matrix-vector products and the scatter
+remain.
 """
 from __future__ import annotations
 
@@ -27,9 +32,9 @@ import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse.linalg import splu
 
-from .basis import edge_basis_eval, gauss_rule, q_basis_eval
-from .local import (SideSegment, error_representation, gram_factor, local_bmat,
-                    local_gram, local_load, local_stiffness)
+from .basis import _read_only, edge_basis_eval, gauss_rule
+from .local import (SideSegment, _edge_param, error_representation, gram_factor,
+                    local_bmat, local_gram, local_load, local_stiffness)
 from .material import Material
 from .mesh import DegreeMap, Mesh
 
@@ -39,19 +44,23 @@ SPD_SPLU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                         options=dict(SymmetricMode=True))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClassKernel:
     """Read-only matrices of one element class.
 
     `L` is the Gram Cholesky factor and `B` the coupling matrix with its
-    columns in class order.  `condensed` holds the interior condensation
-    blocks (Cholesky factor of Kii, Kis, Kii^-1 Kis, element Schur block)
-    once `condense` has formed them.
+    columns in class order.  With K = B'G^-1 B split into interior and
+    skeleton blocks, `Kii` is the Cholesky factor of the interior block,
+    `Kis` the interior-skeleton block, `A` = Kii^-1 Kis and `S` the
+    element Schur complement Kss - Kis'A.
     """
 
     L: np.ndarray
     B: np.ndarray
-    condensed: tuple | None = None
+    Kii: np.ndarray
+    Kis: np.ndarray
+    A: np.ndarray
+    S: np.ndarray
 
 
 @dataclass
@@ -112,31 +121,6 @@ class DofLayout:
         return slice(base, base + 3 * nt), slice(base + 3 * nt, base + 5 * nt)
 
 
-def _vertex_entries(mesh: Mesh, layout_vertex: dict, hanging: dict,
-                    trace_q: dict, trace_base: dict, v: int) -> list[tuple[int, int, float]]:
-    """Express the trace value at a vertex in global dofs: (gx, gy, weight)."""
-    if v in layout_vertex:
-        gx = layout_vertex[v]
-        return [(gx, gx + 1, 1.0)]
-    master = hanging[v]
-    e = mesh.edges[master]
-    q = trace_q[master]
-    coords = mesh.edge_coords(master)
-    x = np.array(mesh.vertices[v])
-    d = coords[1] - coords[0]
-    s = 2.0 * ((x - coords[0]) @ d) / (d @ d) - 1.0
-    vals = edge_basis_eval(q, np.array([s]))[:, 0]
-    out = []
-    for gx, gy, w in _vertex_entries(mesh, layout_vertex, hanging, trace_q, trace_base, e.v0):
-        out.append((gx, gy, w * vals[0]))
-    for gx, gy, w in _vertex_entries(mesh, layout_vertex, hanging, trace_q, trace_base, e.v1):
-        out.append((gx, gy, w * vals[1]))
-    base = trace_base[master]
-    for k in range(2, q + 1):
-        out.append((base + 2 * (k - 2), base + 2 * (k - 2) + 1, vals[k]))
-    return out
-
-
 def build_dof_layout(mesh: Mesh, degrees: DegreeMap, bc_spec: str = "dirichlet",
                      cache: KernelCache | None = None) -> DofLayout:
     """Global numbering with hanging-node constraints and boundary pinning.
@@ -150,31 +134,26 @@ def build_dof_layout(mesh: Mesh, degrees: DegreeMap, bc_spec: str = "dirichlet",
     active = mesh.active_elements
     element_p = {k: degrees.degree_of(mesh, k) for k in active}
 
-    # classify sides: trace owner edge + flux leaf edges per (element, side)
-    side_info: dict[tuple[int, int], tuple[int, list[int]]] = {}
-    trace_edges_set: set[int] = set()
-    flux_edges_set: set[int] = set()
+    # each element side's trace owner edge and flux leaf edges
+    sides: dict[int, list[tuple[int, list[int]]]] = {}
     for k in active:
-        el = mesh.elements[k]
-        for s in range(4):
-            eid = el.edges[s]
-            if mesh.side_is_split(k, s):
-                owner = eid
-                leaves = mesh.side_subedges(k, s)
+        sides[k] = []
+        for s, eid in enumerate(mesh.elements[k].edges):
+            leaves = mesh.side_subedges(k, s)
+            parent = mesh.edges[eid].parent
+            if (len(leaves) == 1 and parent is not None
+                    and mesh.active_side_neighbor(parent) is not None):
+                owner = parent      # constrained side, master across the interface
             else:
-                parent = mesh.edges[eid].parent
-                if parent is not None and mesh.active_side_neighbor(parent) is not None:
-                    owner = parent      # constrained side, master across the interface
-                else:
-                    owner = eid
-                leaves = [eid]
-            side_info[(k, s)] = (owner, leaves)
-            trace_edges_set.add(owner)
-            flux_edges_set.update(leaves)
+                owner = eid
+            sides[k].append((owner, leaves))
+    trace_edges = sorted({owner for info in sides.values() for owner, _ in info})
+    flux_edges = sorted({leaf for info in sides.values()
+                         for _, leaves in info for leaf in leaves})
 
     hanging = mesh.hanging_vertices()
-    trace_q = {e: degrees.trace_degree(mesh, e) + 1 for e in trace_edges_set}
-    flux_p = {e: degrees.edge_degree(mesh, e) for e in flux_edges_set}
+    trace_q = {e: degrees.trace_degree(mesh, e) + 1 for e in trace_edges}
+    flux_p = {e: degrees.edge_degree(mesh, e) for e in flux_edges}
 
     boundary_verts = mesh.boundary_vertices()
 
@@ -186,19 +165,19 @@ def build_dof_layout(mesh: Mesh, degrees: DegreeMap, bc_spec: str = "dirichlet",
         n += 5 * (element_p[k] + 1) ** 2
 
     vertex_dof = {}
-    for e in sorted(trace_edges_set):
+    for e in trace_edges:
         for v in (mesh.edges[e].v0, mesh.edges[e].v1):
             if v not in hanging and v not in vertex_dof:
                 vertex_dof[v] = n
                 n += 2
 
     trace_base = {}
-    for e in sorted(trace_edges_set):
+    for e in trace_edges:
         trace_base[e] = n
         n += 2 * (trace_q[e] - 1)
 
     flux_base = {}
-    for e in sorted(flux_edges_set):
+    for e in flux_edges:
         flux_base[e] = n
         n += 2 * (flux_p[e] + 1)
 
@@ -206,10 +185,49 @@ def build_dof_layout(mesh: Mesh, degrees: DegreeMap, bc_spec: str = "dirichlet",
     for v, d in vertex_dof.items():
         if v in boundary_verts:
             pinned[d:d + 2] = True
-    for e in sorted(trace_edges_set):
+    for e in trace_edges:
         if mesh.edges[e].boundary:
             b = trace_base[e]
             pinned[b:b + 2 * (trace_q[e] - 1)] = True
+
+    def vertex_entries(v: int) -> list[tuple[float, int]]:
+        """The trace value at vertex v as (weight, x dof) pairs."""
+        if v in vertex_dof:
+            return [(1.0, vertex_dof[v])]
+        # a hanging vertex takes its master edge's trace at its position
+        master = hanging[v]
+        e = mesh.edges[master]
+        q = trace_q[master]
+        s = _edge_param(np.array([mesh.vertices[v]]), mesh.edge_coords(master))
+        vals = edge_basis_eval(q, s)[:, 0]
+        base = trace_base[master]
+        return ([(w * vals[0], g) for w, g in vertex_entries(e.v0)]
+                + [(w * vals[1], g) for w, g in vertex_entries(e.v1)]
+                + [(vals[i], base + 2 * (i - 2)) for i in range(2, q + 1)])
+
+    # each owner edge's trace functions: (coordinates, basis index, weight,
+    # x and y dofs); global function i is basis function index[i] scaled by
+    # weight[i], which redistributes a hanging vertex onto its master edge
+    trace_functions = {}
+    for e in trace_edges:
+        index, weight, gx = [], [], []
+        for i, v in enumerate((mesh.edges[e].v0, mesh.edges[e].v1)):
+            for w, g in vertex_entries(v):
+                index.append(i)
+                weight.append(w)
+                gx.append(g)
+        q, base = trace_q[e], trace_base[e]
+        index += range(2, q + 1)
+        weight += [1.0] * (q - 1)
+        gx += range(base, base + 2 * (q - 1), 2)
+        trace_functions[e] = _read_only(mesh.edge_coords(e), np.array(index),
+                                        np.array(weight),
+                                        np.array(gx)[:, None] + np.arange(2))
+    # each leaf edge's flux functions: (coordinates, x and y dofs)
+    flux_functions = {
+        e: _read_only(mesh.edge_coords(e),
+                      flux_base[e] + np.arange(2 * (flux_p[e] + 1)).reshape(-1, 2))
+        for e in flux_edges}
 
     # per-element side segments and element classes
     segments: dict[int, list[SideSegment]] = {}
@@ -219,48 +237,30 @@ def build_dof_layout(mesh: Mesh, degrees: DegreeMap, bc_spec: str = "dirichlet",
     classes: list[list[int]] = []
     for k in active:
         el = mesh.elements[k]
-        coords = mesh.element_coords(k)
         segs = []
-        for s in range(4):
-            owner, leaves = side_info[(k, s)]
-            q = trace_q[owner]
-            ecoords = mesh.edge_coords(owner)
-            entries = []  # (basis index, weight, gx, gy) of each trace function
-            for index, v in enumerate((mesh.edges[owner].v0, mesh.edges[owner].v1)):
-                for gx, gy, w in _vertex_entries(mesh, vertex_dof, hanging,
-                                                 trace_q, trace_base, v):
-                    entries.append((index, w, gx, gy))
-            tb = trace_base[owner]
-            for kk in range(2, q + 1):
-                entries.append((kk, 1.0, tb + 2 * (kk - 2), tb + 2 * (kk - 2) + 1))
-            index, weight, gx, gy = (np.array(col) for col in zip(*entries))
-            trace_gdofs = np.column_stack([gx, gy])
-
+        for s, (owner, leaves) in enumerate(sides[k]):
+            trace_coords, index, weight, trace_gdofs = trace_functions[owner]
+            # children run the way their parent edge runs, so every leaf
+            # runs along the side exactly when the side's own edge does;
+            # the flux sign is +1 when the outward normal is the leaf's
+            # normal (its v0 -> v1 direction turned clockwise)
+            sign = 1.0 if mesh.edges[el.edges[s]].v0 == el.verts[s] else -1.0
             nseg = len(leaves)
             for i, leaf in enumerate(leaves):
-                t0 = -1.0 + 2.0 * i / nseg
-                t1 = -1.0 + 2.0 * (i + 1) / nseg
-                p_e = flux_p[leaf]
-                fb = flux_base[leaf]
-                gdofs = np.array([[fb + 2 * j, fb + 2 * j + 1] for j in range(p_e + 1)])
-                # flux sign: +1 when the element's outward normal matches the
-                # edge's global normal (rotation of its v0->v1 direction)
-                lc = mesh.edge_coords(leaf)
-                d = lc[1] - lc[0]
-                edge_normal = np.array([d[1], -d[0]])
-                outward = _side_outward_normal(coords, s)
-                sign = 1.0 if outward @ edge_normal > 0 else -1.0
-                segs.append(SideSegment(side=s, t0=t0, t1=t1,
-                                        trace_coords=ecoords, trace_q=q,
-                                        trace_index=index, trace_weight=weight,
-                                        trace_gdofs=trace_gdofs,
-                                        flux_coords=lc, flux_p=p_e, flux_sign=sign,
-                                        flux_gdofs=gdofs))
+                flux_coords, flux_gdofs = flux_functions[leaf]
+                segs.append(SideSegment(
+                    side=s, t0=-1.0 + 2.0 * i / nseg,
+                    t1=-1.0 + 2.0 * (i + 1) / nseg,
+                    trace_coords=trace_coords, trace_q=trace_q[owner],
+                    trace_index=index, trace_weight=weight,
+                    trace_gdofs=trace_gdofs, flux_coords=flux_coords,
+                    flux_p=flux_p[leaf], flux_sign=sign, flux_gdofs=flux_gdofs))
         segments[k] = segs
 
         skel, pattern = _first_occurrence(np.concatenate(
             [a for seg in segs for a in (seg.trace_gdofs.T.ravel(),
                                          seg.flux_gdofs.T.ravel())]))
+        coords = mesh.element_coords(k)
         x0 = coords[0]
         key = (element_p[k], element_p[k] + degrees.delta_p,
                (coords - x0).tobytes(), pattern.tobytes(),
@@ -279,8 +279,8 @@ def build_dof_layout(mesh: Mesh, degrees: DegreeMap, bc_spec: str = "dirichlet",
     cache = KernelCache() if cache is None else cache
     cache.retain(class_ids)
     return DofLayout(n_dofs=n, interior_base=interior_base, vertex_dof=vertex_dof,
-                     trace_edges={e: (trace_q[e], trace_base[e]) for e in trace_edges_set},
-                     flux_edges={e: (flux_p[e], flux_base[e]) for e in flux_edges_set},
+                     trace_edges={e: (trace_q[e], trace_base[e]) for e in trace_edges},
+                     flux_edges={e: (flux_p[e], flux_base[e]) for e in flux_edges},
                      hanging=hanging, pinned=pinned, element_p=element_p,
                      segments=segments, element_dofs=element_dofs,
                      element_class=element_class, classes=classes,
@@ -299,14 +299,6 @@ def _segment_key(seg: SideSegment, x0: np.ndarray) -> tuple:
     return (seg.side, seg.t0, seg.t1, seg.trace_q, seg.trace_index.tobytes(),
             seg.trace_weight.tobytes(), seg.flux_p, seg.flux_sign,
             (seg.trace_coords - x0).tobytes(), (seg.flux_coords - x0).tobytes())
-
-
-def _side_outward_normal(coords: np.ndarray, side: int) -> np.ndarray:
-    """Outward normal of a straight side at its midpoint (ccw element)."""
-    a = coords[side]
-    b = coords[(side + 1) % 4]
-    t = b - a
-    return np.array([t[1], -t[0]])
 
 
 def element_full_bmat(mesh: Mesh, layout: DofLayout, material: Material, f,
@@ -342,12 +334,12 @@ def _kernel(mesh: Mesh, layout: DofLayout, material: Material, eid: int,
 
 def _class_kernel(mesh: Mesh, layout: DofLayout, eid: int, p_tilde: int,
                   material: Material) -> ClassKernel:
-    """(L, B) of element eid's class, with B's columns in class order.
+    """Kernel of element eid's class, with B's columns in class order.
 
-    Both are computed on the element translated to vertex 0, from exactly
-    the data of the class key, so they do not depend on which element or
-    step built them.  The Gram factor depends only on p_tilde and the
-    vertex offsets and is shared by every class of that shape.
+    Everything is computed on the element translated to vertex 0, from
+    exactly the data of the class key, so it does not depend on which
+    element or step built it.  The Gram factor depends only on p_tilde and
+    the vertex offsets and is shared by every class of that shape.
     """
     coords = mesh.element_coords(eid)
     x0 = coords[0]
@@ -368,32 +360,17 @@ def _class_kernel(mesh: Mesh, layout: DofLayout, eid: int, p_tilde: int,
     cols = np.concatenate([np.arange(ni),
                            ni + np.searchsorted(skel_ids, gdofs[ni:])])
     B = B[:, cols]
-    B.setflags(write=False)
-    return ClassKernel(L, B)
-
-
-def _condensation_blocks(kernel: ClassKernel, lvec: np.ndarray, ni: int):
-    """(Kii Cholesky factor, Kis, Kii^-1 Kis, Schur block) of a class.
-
-    Formed from K = B'G^-1 B on the first request and kept read-only on
-    the kernel.
-    """
-    if kernel.condensed is None:
-        K, _ = local_stiffness(kernel.L, kernel.B, lvec)
-        Kis, Kss = K[:ni, ni:], K[ni:, ni:]
-        try:
-            Kii, _ = cho_factor(K[:ni, :ni], lower=True, check_finite=False)
-        except np.linalg.LinAlgError as err:
-            raise RuntimeError("interior block of an element matrix "
-                               "is not positive definite") from err
-        A = cho_solve((Kii, True), Kis, check_finite=False)
-        S = Kss - Kis.T @ A
-        # a copy of Kis, so that K itself is not kept alive
-        blocks = (Kii, np.ascontiguousarray(Kis), A, S)
-        for a in blocks:
-            a.setflags(write=False)
-        kernel.condensed = blocks
-    return kernel.condensed
+    K = local_stiffness(L, B)
+    Kis, Kss = K[:ni, ni:], K[ni:, ni:]
+    try:
+        Kii, _ = cho_factor(K[:ni, :ni], lower=True, check_finite=False)
+    except np.linalg.LinAlgError as err:
+        raise RuntimeError("interior block of an element matrix "
+                           "is not positive definite") from err
+    A = cho_solve((Kii, True), Kis, check_finite=False)
+    S = Kss - Kis.T @ A
+    # a copy of Kis, so that K itself is not kept alive
+    return ClassKernel(*_read_only(L, B, Kii, np.ascontiguousarray(Kis), A, S))
 
 
 def dirichlet_values(layout: DofLayout, g_data, mesh: Mesh) -> np.ndarray:
@@ -443,21 +420,6 @@ def error_indicators(mesh: Mesh, degrees: DegreeMap, material: Material, f,
     return out
 
 
-def eval_element_fields(mesh: Mesh, layout: DofLayout, eid: int,
-                        x: np.ndarray, ref_points: np.ndarray):
-    """Discrete (sigma, u) on one element at reference points.
-
-    Returns (sigma (nq, 3) as [s11, s12, s22], u (nq, 2)).
-    """
-    p = layout.element_p[eid]
-    nt = (p + 1) ** 2
-    base = layout.interior_base[eid]
-    vals, _ = q_basis_eval(p, ref_points)  # (nt, nq)
-    coef = x[base: base + 5 * nt].reshape(5, nt)
-    fields = coef @ vals  # (5, nq)
-    return fields[:3].T, fields[3:].T
-
-
 @dataclass
 class CondensedSystem:
     """Skeleton system left after condensing the element interiors.
@@ -496,11 +458,9 @@ def condense(mesh: Mesh, degrees: DegreeMap, material: Material, f,
     `x_pinned` holds the Dirichlet values on the pinned dofs (zero
     elsewhere).  `loads` is an optional (n_dofs, m) block of extra
     right-hand sides, which must vanish on the pinned dofs.  Each element
-    class forms K = B'G^-1 B, factors its interior block Kii and computes
-    Kii^-1 Kis and the element Schur complement once, and the class kernel
-    keeps them for later steps; each element then solves Kii for its own
-    load and the extra loads together.  The full sparse matrix is never
-    formed.
+    class's kernel holds the factor of Kii, Kii^-1 Kis and the element
+    Schur complement; each element then solves Kii for its own load and
+    the extra loads together.  The full sparse matrix is never formed.
     """
     n = layout.n_dofs
     xp = np.zeros(n) if x_pinned is None else x_pinned
@@ -510,14 +470,13 @@ def condense(mesh: Mesh, degrees: DegreeMap, material: Material, f,
     rows, cols, vals = [], [], []
     recover = []
     for members in layout.classes:
-        ni = 5 * (layout.element_p[members[0]] + 1) ** 2
+        p = layout.element_p[members[0]]
+        kernel = _kernel(mesh, layout, material, members[0], p + degrees.delta_p)
+        Kii, Kis, A, S = kernel.Kii, kernel.Kis, kernel.A, kernel.S
+        ni = 5 * (p + 1) ** 2
         for k in members:
             L, Bfull, lvec, gdofs = element_full_bmat(mesh, layout, material,
                                                       f, k, degrees.delta_p)
-            if k == members[0]:
-                kernel = _kernel(mesh, layout, material, k,
-                                 layout.element_p[k] + degrees.delta_p)
-                Kii, Kis, A, S = _condensation_blocks(kernel, lvec, ni)
             fl = Bfull.T @ cho_solve((L, True), lvec, check_finite=False)
             ii, sk = gdofs[:ni], gdofs[ni:]
             b = cho_solve((Kii, True), np.column_stack([fl[:ni], loads[ii]]),

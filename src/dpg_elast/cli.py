@@ -1,33 +1,37 @@
 """Command line driver for convergence studies.
 
-Usage: dpg-elast run --config FILE [overrides]
+Usage: dpg-elast run [--config FILE] [--KEY VALUE ...]
 
 The config file is plain text with one key=value pair per line; blank
-lines and lines starting with '#' are ignored.  Recognized keys mirror the
-study configuration: benchmark, method, mode, p, delta_p, steps, lambda,
-mu, marking_fraction, out.
+lines and lines starting with '#' are ignored.  The keys are the fields of
+`StudyConfig`, with `lambda` for `lam`: benchmark, method, mode, p,
+delta_p, steps, lambda, mu, marking_fraction, out.  Each key is also a
+flag (`--delta-p`, `--marking-fraction`, ...) that overrides the file.
+Flag and file values are converted alike and checked by
+`StudyConfig.validate` before any step runs.
+
+Exit codes: 0 on success, 2 on solver failure, 3 on a configuration
+error.
 """
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .study import StudyConfig, run_convergence_study
 
-_KEYS = {
-    "benchmark": str,
-    "method": int,
-    "mode": str,
-    "p": int,
-    "delta_p": int,
-    "steps": int,
-    "lambda": float,
-    "mu": float,
-    "marking_fraction": float,
-    "out": str,
-}
-# config-file key -> StudyConfig attribute
-_ATTR = {"lambda": "lam"}
+# config-file key -> (StudyConfig field, converter of its string value)
+_KEYS = {("lambda" if f.name == "lam" else f.name):
+         (f.name, str if f.default is None else type(f.default))
+         for f in fields(StudyConfig)}
+
+
+def _convert(key: str, val: str):
+    try:
+        return _KEYS[key][1](val)
+    except ValueError as err:
+        raise ValueError(f"bad value for {key}: {val!r}") from err
 
 
 def parse_config_file(path: str) -> dict:
@@ -41,34 +45,22 @@ def parse_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, val = line.partition("=")
             key = key.strip()
-            val = val.strip()
             if key not in _KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                values[key] = _KEYS[key](val)
+                values[key] = _convert(key, val.strip())
             except ValueError as err:
-                raise ValueError(f"{path}:{lineno}: bad value for {key}: {val!r}") from err
+                raise ValueError(f"{path}:{lineno}: {err}") from err
     return values
 
 
 def build_config(args) -> StudyConfig:
     values = parse_config_file(args.config) if args.config else {}
-    overrides = {
-        "method": args.method,
-        "benchmark": args.benchmark,
-        "steps": args.steps,
-        "p": args.p,
-        "delta_p": args.delta_p,
-        "lambda": getattr(args, "lam"),
-        "mu": args.mu,
-        "out": args.out,
-    }
-    for key, val in overrides.items():
+    for key, (name, _) in _KEYS.items():
+        val = getattr(args, name)
         if val is not None:
-            values[key] = val
-    config = StudyConfig()
-    for key, val in values.items():
-        setattr(config, _ATTR.get(key, key), val)
+            values[key] = _convert(key, val)
+    config = StudyConfig(**{_KEYS[key][0]: val for key, val in values.items()})
     config.validate()
     return config
 
@@ -78,16 +70,14 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run a convergence study")
     run.add_argument("--config", help="key=value config file")
-    run.add_argument("--method", type=int, choices=(1, 2))
-    run.add_argument("--benchmark", choices=("smooth", "lshape"))
-    run.add_argument("--steps", type=int)
-    run.add_argument("--p", type=int)
-    run.add_argument("--delta-p", type=int, dest="delta_p")
-    run.add_argument("--lambda", type=float, dest="lam")
-    run.add_argument("--mu", type=float)
-    run.add_argument("--out", help="output CSV path")
+    for key, (name, _) in _KEYS.items():
+        run.add_argument("--" + key.replace("_", "-"), dest=name,
+                         metavar=key.upper())
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:   # usage errors; --help exits 0
+        return 0 if exc.code == 0 else 3
     try:
         config = build_config(args)
     except (OSError, ValueError) as err:

@@ -59,10 +59,6 @@ class SideSegment:
     flux_gdofs: np.ndarray
 
 
-def test_space_dim(p_tilde: int) -> int:
-    return 5 * (p_tilde + 1) ** 2
-
-
 @lru_cache(maxsize=None)
 def _volume_map_table(nq: int) -> np.ndarray:
     """`bilinear_shape` at the points of `gauss_rule_2d(nq)`."""
@@ -264,16 +260,14 @@ def local_load(coords: np.ndarray, p_tilde: int, f,
     return lvec
 
 
-def local_stiffness(L: np.ndarray, Bfull: np.ndarray, lvec: np.ndarray):
-    """Condensed SPD element matrix B' G^{-1} B and load B' G^{-1} l.
+def local_stiffness(L: np.ndarray, Bfull: np.ndarray) -> np.ndarray:
+    """SPD element matrix B' G^{-1} B.
 
     L is the lower Cholesky factor of the Gram matrix G (`gram_factor`).
     """
     Z = solve_triangular(L, Bfull, lower=True, check_finite=False)
-    z = solve_triangular(L, lvec, lower=True, check_finite=False)
     K = Z.T @ Z
-    K = 0.5 * (K + K.T)
-    return K, Z.T @ z
+    return 0.5 * (K + K.T)
 
 
 def error_representation(L: np.ndarray, Bfull: np.ndarray, lvec: np.ndarray,

@@ -39,10 +39,6 @@ class Material:
         return self.Q
 
     @property
-    def Bconst(self) -> float:
-        return self.Q / self.Q0
-
-    @property
     def nu(self) -> float:
         return self.lam / (2.0 * (self.lam + self.mu))
 

@@ -279,21 +279,6 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     return refine_marked(mesh, mesh.active_elements)
 
 
-def reference_map(mesh: Mesh, element_id: int, xi_eta) -> tuple[np.ndarray, np.ndarray]:
-    """Bilinear map from [-1,1]^2 and its Jacobian at one reference point."""
-    if not mesh.elements[element_id].active:
-        raise ValueError(f"element {element_id} is not active")
-    coords = mesh.element_coords(element_id)
-    xi, eta = float(xi_eta[0]), float(xi_eta[1])
-    n = 0.25 * np.array([(1 - xi) * (1 - eta), (1 + xi) * (1 - eta),
-                         (1 + xi) * (1 + eta), (1 - xi) * (1 + eta)])
-    dxi = 0.25 * np.array([-(1 - eta), (1 - eta), (1 + eta), -(1 + eta)])
-    deta = 0.25 * np.array([-(1 - xi), -(1 + xi), (1 + xi), (1 - xi)])
-    point = n @ coords
-    jac = np.column_stack([dxi @ coords, deta @ coords])  # J[i, j] = dx_i/dxi_j
-    return point, jac
-
-
 def bilinear_shape(points: np.ndarray) -> np.ndarray:
     """Bilinear vertex functions and their reference derivatives.
 

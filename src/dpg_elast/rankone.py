@@ -6,16 +6,17 @@ the first method's matrix E plus a rank-one term ell ell', bordered by one
 extra row and column.  The Sherman-Morrison solve needs three applications
 of E^-1, to the load, to ell and to the border column; static condensation
 supplies all three from one factorization of the condensed skeleton matrix,
-the same one the first method uses.
+the same one the first method uses.  The border terms need no Gram solve:
+the scalar unknown's optimal test function is the scaled identity, so each
+element class contributes a closed form.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_solve
 from scipy.sparse.linalg import splu
 
 from .assembly import SPD_SPLU_OPTIONS, DofLayout, condense, element_full_bmat
-from .basis import gauss_rule_2d, q_basis_table
+from .basis import gauss_rule_2d, ones_coefficients_2d, q_basis_table
 from .material import Material
 from .mesh import DegreeMap, Mesh, bilinear_maps
 
@@ -44,47 +45,34 @@ def ell_vector(mesh: Mesh, degrees: DegreeMap, material: Material,
     return ell
 
 
-def _alpha_rhs(coords: np.ndarray, p_tilde: int, material: Material) -> np.ndarray:
-    """Load of the scalar unknown's test problem on one element.
-
-    Pairs each test stress against the scaled identity: nonzero only on
-    the diagonal test-stress blocks.
-    """
-    rule = gauss_rule_2d(p_tilde + 2)
-    _, jac = bilinear_maps(coords, rule.points)
-    w = rule.weights * np.linalg.det(jac)
-    vals, _ = q_basis_table(p_tilde, p_tilde + 2)
-    ns = vals.shape[0]
-    scale = material.Q / material.Q0
-    r = np.zeros(5 * ns)
-    integrals = scale * (vals @ w)
-    r[:ns] = integrals              # tau_11
-    r[2 * ns: 3 * ns] = integrals   # tau_22
-    return r
-
-
 def border_terms(mesh: Mesh, degrees: DegreeMap, material: Material, f,
                  layout: DofLayout) -> tuple[np.ndarray, float]:
     """Border column c and diagonal d of the bordered system.
 
-    The optimal test function of the scalar unknown is computed by reusing
-    the local Gram factors; its scalar component is zero, so c is the plain
-    bilinear form paired against that test function.  Its load depends
-    only on the element's shape, so G^-1 r, B'G^-1 r and r'G^-1 r are
-    computed once per element class and scattered per element.
+    The scalar unknown's test load r pairs each test stress with the
+    scaled identity s I, s = Q / Q0.  Its optimal test function G^-1 r is
+    s I itself, the vector s e_I with the coefficients of the constant in
+    the tau_11 and tau_22 blocks (acceptance criterion 08 checks this).
+    So an element adds c_K = s B'e_I and d_K = r'G^-1 r = s^2 2|K|, both
+    without a Gram solve and once per element class.
     """
+    scale = material.Q / material.Q0
     c = np.zeros(layout.n_dofs)
     d = 0.0
     for members in layout.classes:
+        p_tilde = layout.element_p[members[0]] + degrees.delta_p
+        ns = (p_tilde + 1) ** 2
+        e_identity = np.zeros(5 * ns)
+        e_identity[:ns] = e_identity[2 * ns: 3 * ns] = ones_coefficients_2d(p_tilde)
+        # |K| is half the cross product of the diagonals
+        x, y = mesh.element_coords(members[0]).T
+        area = 0.5 * ((x[2] - x[0]) * (y[3] - y[1]) - (x[3] - x[1]) * (y[2] - y[0]))
+        dk = scale * scale * 2.0 * area
         for k in members:
-            L, Bfull, _, gdofs = element_full_bmat(mesh, layout, material, f,
+            _, Bfull, _, gdofs = element_full_bmat(mesh, layout, material, f,
                                                    k, degrees.delta_p)
             if k == members[0]:
-                p = layout.element_p[k]
-                r = _alpha_rhs(mesh.element_coords(k), p + degrees.delta_p,
-                               material)
-                t = cho_solve((L, True), r, check_finite=False)
-                ck, dk = Bfull.T @ t, float(r @ t)
+                ck = scale * (Bfull.T @ e_identity)
             c[gdofs] += ck
             d += dk
     return c, d

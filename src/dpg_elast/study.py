@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import time
 from dataclasses import dataclass
 
@@ -121,6 +122,9 @@ class StudyConfig:
         if self.mode == "adaptive_hp" and self.benchmark != "lshape":
             raise ValueError(
                 "adaptive_hp needs a singular point (lshape benchmark)")
+        if self.out is not None and not os.path.isdir(
+                os.path.dirname(os.path.abspath(self.out))):
+            raise ValueError(f"no directory for the output file {self.out!r}")
 
 
 @dataclass

@@ -10,6 +10,7 @@ per-class tables the library keeps on the layout.
 """
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import solve_triangular
 from scipy.sparse.linalg import splu
 
 from dpg_elast.local import (gram_factor, local_bmat, local_gram, local_load,
@@ -31,7 +32,8 @@ def assemble_full(mesh, degrees, material, f, layout):
         base = layout.interior_base[k]
         gdofs = np.concatenate([np.arange(base, base + 5 * (p + 1) ** 2),
                                 skel_ids])
-        K, fl = local_stiffness(L, Bfull, lvec)
+        K = local_stiffness(L, Bfull)
+        fl = load_product(L, Bfull, lvec)
         idx = np.broadcast_to(gdofs, (gdofs.size, gdofs.size))
         rows.append(idx.T.ravel())
         cols.append(idx.ravel())
@@ -41,6 +43,12 @@ def assemble_full(mesh, degrees, material, f, layout):
                        (np.concatenate(rows), np.concatenate(cols))),
                       shape=(layout.n_dofs, layout.n_dofs)).tocsr()
     return E, g
+
+
+def load_product(L, Bfull, lvec):
+    """Element load B'G^-1 l, with L the Gram Cholesky factor."""
+    Z = solve_triangular(L, Bfull, lower=True)
+    return Z.T @ solve_triangular(L, lvec, lower=True)
 
 
 def solve_full(E, g, layout, x_pinned=None):

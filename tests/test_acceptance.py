@@ -11,13 +11,15 @@ from scipy.sparse.linalg import splu
 from dpg_elast.assembly import (build_dof_layout, dirichlet_values,
                                 element_full_bmat, error_indicators,
                                 solve_condensed)
-from dpg_elast.basis import ones_coefficients_1d, ones_coefficients_2d
+from dpg_elast.basis import (gauss_rule_2d, ones_coefficients_1d,
+                             ones_coefficients_2d, q_basis_table)
 from dpg_elast.exact import (LShapeParams, lshape_effective_material,
                              lshape_exponent, lshape_solution,
                              _corner_equation)
 from dpg_elast.local import local_gram
 from dpg_elast.material import (apply_compliance, lam_from_nu, make_isotropic)
-from dpg_elast.mesh import DegreeMap, build_initial_mesh, refine_marked
+from dpg_elast.mesh import (DegreeMap, bilinear_maps, build_initial_mesh,
+                            refine_marked)
 from dpg_elast.rankone import border_terms, ell_vector, solve_second
 from dpg_elast.study import (StudyConfig, best_approximation_errors,
                              greedy_mark, l2_errors, make_benchmark,
@@ -238,11 +240,11 @@ def test_criterion_08_test_function_identities():
     ones_t = ones_coefficients_2d(p)
     sl_s, _ = layout.interior_slices(0)
     x[sl_s] = np.concatenate([ones_t, 0.0 * ones_t, ones_t])
-    from dpg_elast.assembly import _side_outward_normal
     coords = mesh.element_coords(0)
     for seg in layout.segments[0]:
-        n_hat = _side_outward_normal(coords, seg.side)
-        n_hat = n_hat / np.linalg.norm(n_hat)
+        # outward unit normal of the side (ccw element)
+        t = coords[(seg.side + 1) % 4] - coords[seg.side]
+        n_hat = np.array([t[1], -t[0]]) / np.linalg.norm(t)
         ones_e = ones_coefficients_1d(seg.flux_p)
         for i in range(seg.flux_p + 1):
             gx, gy = seg.flux_gdofs[i]
@@ -257,9 +259,16 @@ def test_criterion_08_test_function_identities():
     err_a = np.max(np.abs(t - expect))
     ok_a = err_a <= 1e-11
 
-    # border test function of the trace constraint
-    from dpg_elast.rankone import _alpha_rhs
-    r = _alpha_rhs(coords, p_tilde, material)
+    # border test function of the trace constraint: its load pairs each
+    # test stress with the scaled identity (Q / Q0) I
+    rule = gauss_rule_2d(p_tilde + 2)
+    _, jac = bilinear_maps(coords, rule.points)
+    vals, _ = q_basis_table(p_tilde, p_tilde + 2)
+    integrals = (material.Q / material.Q0) * (
+        vals @ (rule.weights * np.linalg.det(jac)))
+    r = np.zeros(5 * ns)
+    r[:ns] = integrals              # tau_11
+    r[2 * ns: 3 * ns] = integrals   # tau_22
     t2 = np.linalg.solve(G, r)
     expect2 = np.zeros(5 * ns)
     expect2[:ns] = ones_s

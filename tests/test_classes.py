@@ -3,10 +3,14 @@
 Each example refines a unit-square or L-shaped mesh along a random
 marking sequence, raising the degree of random elements on the way, and
 checks the mesh and, after every round, every element's class coupling
-matrix against a fresh computation on the element's own coordinates.
+matrix against a fresh computation on the element's own coordinates,
+every side segment against the edge it lies on, and the continuity of the
+trace at every hanging vertex.
 One kernel cache is carried through the rounds, as in a study.  The
 cache's builds and evictions are counted on an adaptive L-shape run.
 """
+from collections import defaultdict
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +19,8 @@ from dpg_elast import assembly
 from dpg_elast.assembly import (KernelCache, build_dof_layout,
                                 dirichlet_values, element_full_bmat,
                                 error_indicators, solve_condensed)
-from dpg_elast.local import local_bmat
+from dpg_elast.basis import edge_basis_eval
+from dpg_elast.local import _edge_param, local_bmat
 from dpg_elast.material import make_isotropic
 from dpg_elast.mesh import DegreeMap, build_initial_mesh, refine_marked
 from dpg_elast.study import greedy_mark, make_benchmark
@@ -41,6 +46,50 @@ def check_class_matrices(mesh, layout, delta_p):
         assert np.max(np.abs(B - fresh)) <= 1e-12 * np.max(np.abs(fresh))
 
 
+SEGMENT_ARRAYS = ("trace_coords", "trace_index", "trace_weight",
+                  "trace_gdofs", "flux_coords", "flux_gdofs")
+
+
+def trace_at(seg, point):
+    """The trace's x component at a point of the segment's owner edge, as
+    {global dof: coefficient}."""
+    t = _edge_param(point[None], seg.trace_coords)
+    vals = edge_basis_eval(seg.trace_q, t)[seg.trace_index, 0] * seg.trace_weight
+    out = defaultdict(float)
+    for g, v in zip(seg.trace_gdofs[:, 0].tolist(), vals):
+        out[g] += v
+    return out
+
+
+def check_segments(mesh, layout):
+    """Flux signs against the geometry, read-only arrays shared per owner
+    edge, and the trace's continuity at the hanging vertices."""
+    owners = {}
+    for k in mesh.active_elements:
+        coords = mesh.element_coords(k)
+        for seg in layout.segments[k]:
+            # the side's outward normal against the leaf's v0 -> v1 normal
+            t = coords[(seg.side + 1) % 4] - coords[seg.side]
+            d = seg.flux_coords[1] - seg.flux_coords[0]
+            outward = np.array([t[1], -t[0]])
+            assert seg.flux_sign == np.sign(outward @ np.array([d[1], -d[0]]))
+            assert not any(getattr(seg, name).flags.writeable
+                           for name in SEGMENT_ARRAYS)
+            # sides on one owner edge share its trace functions
+            first = owners.setdefault(seg.trace_coords.tobytes(), seg)
+            assert first.trace_gdofs is seg.trace_gdofs
+    # at a hanging vertex, every owner edge ending there has the trace of
+    # the master edge
+    for v, master in layout.hanging.items():
+        point = np.array(mesh.vertices[v])
+        expect = trace_at(owners[mesh.edge_coords(master).tobytes()], point)
+        for seg in owners.values():
+            if np.any(np.all(seg.trace_coords == point, axis=1)):
+                got = trace_at(seg, point)
+                for g in set(expect) | set(got):
+                    assert abs(got[g] - expect[g]) <= 1e-13
+
+
 def signed_area(coords):
     x, y = coords[:, 0], coords[:, 1]
     return 0.5 * float(x @ np.roll(y, -1) - y @ np.roll(x, -1))
@@ -60,6 +109,7 @@ def test_random_refinement_keeps_classes_exact(domain, data):
         layout = build_dof_layout(mesh, degrees, cache=cache)
         for delta_p in (1, 2):
             check_class_matrices(mesh, layout, delta_p)
+        check_segments(mesh, layout)
         active = mesh.active_elements
         for k in data.draw(st.sets(st.sampled_from(active), max_size=2)):
             degrees.increment(k, mesh)
@@ -78,14 +128,13 @@ def test_random_refinement_keeps_classes_exact(domain, data):
     layout = build_dof_layout(mesh, degrees, cache=cache)
     for delta_p in (1, 2):
         check_class_matrices(mesh, layout, delta_p)
+    check_segments(mesh, layout)
 
 
 def cached_arrays(cache, layout):
     yield from cache.gram_factors.values()
     for kernel in cache.kernels.values():
-        yield kernel.L
-        yield kernel.B
-        yield from kernel.condensed or ()
+        yield from vars(kernel).values()
     yield from layout.loads.values()
 
 
@@ -118,8 +167,6 @@ def test_adaptive_run_builds_only_new_classes(monkeypatch):
         # the cache holds exactly this step's classes and shapes
         assert set(cache.kernels) == {(key, key[1], mat) for key in keys}
         assert set(cache.gram_factors) == {(key[1], key[2]) for key in keys}
-        assert all(kernel.condensed is not None
-                   for kernel in cache.kernels.values())
         assert not any(a.flags.writeable for a in cached_arrays(cache, layout))
         reused += len(keys & previous)
         previous = keys

@@ -7,10 +7,10 @@ from dpg_elast.assembly import build_dof_layout, element_full_bmat
 from dpg_elast.local import (_side_table, _volume_map_table,
                              error_representation, gram_factor, local_bmat,
                              local_gram, local_load, local_stiffness)
-from dpg_elast.local import test_space_dim as space_dim
 from dpg_elast.material import make_isotropic
 from dpg_elast.mesh import (DegreeMap, build_initial_mesh, refine_marked,
                             refine_uniform)
+from oracle import load_product
 
 UNIT = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 SHEARED = np.array([[0.0, 0.0], [1.0, 0.0], [1.5, 1.0], [0.5, 1.0]])
@@ -31,7 +31,7 @@ def test_gram_spd_and_symmetric():
     for coords in (UNIT, SHEARED):
         for p_tilde in range(1, 9):
             G = local_gram(coords, p_tilde)
-            assert G.shape == (space_dim(p_tilde),) * 2
+            assert G.shape == (5 * (p_tilde + 1) ** 2,) * 2
             assert np.max(np.abs(G - G.T)) <= 1e-12 * np.max(np.abs(G))
             assert eigvalsh(G).min() > 0.0
 
@@ -111,10 +111,13 @@ def test_local_stiffness_oracle():
     G = local_gram(SHEARED, 3)
     B, _ = local_bmat(SHEARED, 1, 3, m, [])
     lvec = local_load(SHEARED, 3, lambda pt: pt)
-    K, fl = local_stiffness(gram_factor(G), B, lvec)
+    L = gram_factor(G)
+    K = local_stiffness(L, B)
     Ginv = np.linalg.inv(G)
     np.testing.assert_allclose(K, B.T @ Ginv @ B, atol=1e-11 * np.abs(K).max())
-    np.testing.assert_allclose(fl, B.T @ (Ginv @ lvec), atol=1e-12)
+    # the load product the oracle pairs with K
+    np.testing.assert_allclose(load_product(L, B, lvec), B.T @ (Ginv @ lvec),
+                               atol=1e-12)
     assert np.max(np.abs(K - K.T)) == 0.0
     w = eigvalsh(K)
     assert w.min() >= -1e-12 * w.max()
@@ -123,7 +126,7 @@ def test_local_stiffness_oracle():
 def test_local_stiffness_rejects_indefinite():
     G = -np.eye(4)
     with pytest.raises(RuntimeError):
-        local_stiffness(gram_factor(G), np.eye(4), np.zeros(4))
+        local_stiffness(gram_factor(G), np.eye(4))
 
 
 def test_error_representation_oracle():

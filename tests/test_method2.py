@@ -4,8 +4,10 @@ import pytest
 from dpg_elast import rankone
 from dpg_elast.assembly import build_dof_layout, dirichlet_values
 from dpg_elast.basis import gauss_rule_2d, q_basis_eval
+from dpg_elast.local import local_bmat, local_gram
 from dpg_elast.material import apply_compliance, make_isotropic
-from dpg_elast.mesh import DegreeMap, bilinear_maps, build_initial_mesh
+from dpg_elast.mesh import (DegreeMap, bilinear_maps, build_initial_mesh,
+                            refine_marked)
 from dpg_elast.rankone import (border_terms, ell_vector, solve_second,
                                solve_second_method)
 from dpg_elast.study import make_benchmark
@@ -81,6 +83,42 @@ def test_border_diagonal_is_twice_area():
     mesh, degrees, layout, _, _ = setup()
     _, d = border_terms(mesh, degrees, MAT, None, layout)
     assert d == pytest.approx(2.0, rel=1e-10)
+
+
+def test_border_terms_match_gram_solve():
+    # the closed form against c = B'G^-1 r and d = r'G^-1 r, with the
+    # scalar unknown's test load r built by quadrature, on a sheared mesh
+    # with hanging nodes and mixed degrees
+    mesh = refine_marked(build_initial_mesh("unit_square", 2), [0])
+    mesh.vertices = [(x + 0.3 * y, 0.8 * y) for x, y in mesh.vertices]
+    degrees = DegreeMap(mesh, p=1, delta_p=1)
+    degrees.increment(mesh.active_elements[-1], mesh)
+    layout = build_dof_layout(mesh, degrees)
+    m = make_isotropic(4.0, 1.3)
+    c, d = border_terms(mesh, degrees, m, None, layout)
+    c_ref = np.zeros(layout.n_dofs)
+    d_ref = 0.0
+    for k in mesh.active_elements:
+        p = layout.element_p[k]
+        p_tilde = p + degrees.delta_p
+        coords = mesh.element_coords(k)
+        rule = gauss_rule_2d(p_tilde + 2)
+        _, jac = bilinear_maps(coords, rule.points)
+        vals, _ = q_basis_eval(p_tilde, rule.points)
+        ns = vals.shape[0]
+        r = np.zeros(5 * ns)
+        r[:ns] = r[2 * ns: 3 * ns] = (m.Q / m.Q0) * (
+            vals @ (rule.weights * np.linalg.det(jac)))
+        B, skel_ids = local_bmat(coords, p, p_tilde, m, layout.segments[k])
+        t = np.linalg.solve(local_gram(coords, p_tilde), r)
+        base = layout.interior_base[k]
+        gdofs = np.concatenate([np.arange(base, base + 5 * (p + 1) ** 2),
+                                skel_ids])
+        c_ref[gdofs] += B.T @ t
+        d_ref += r @ t
+    np.testing.assert_allclose(c, c_ref, rtol=0.0,
+                               atol=1e-12 * np.abs(c_ref).max())
+    assert d == pytest.approx(d_ref, rel=1e-12)
 
 
 def test_border_column_pairs_constants():

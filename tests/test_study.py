@@ -178,6 +178,11 @@ def test_cli_config_errors(tmp_path):
     assert cli.main(["run", "--config", badval]) == 3
     conflict = write_config(tmp_path, "benchmark = lshape\nmethod = 2\n")
     assert cli.main(["run", "--config", conflict]) == 3
+    missing_dir = str(tmp_path / "missing" / "x.csv")
+    nowhere = write_config(tmp_path, f"steps = 1\nout = {missing_dir}\n")
+    assert cli.main(["run", "--config", nowhere]) == 3
+    assert cli.main(["run", "--steps", "1", "--out", missing_dir]) == 3
+    assert cli.main(["run", "--volume", "3"]) == 3
 
 
 def test_cli_rejects_hp_without_singular_point(tmp_path, capsys):
@@ -195,7 +200,11 @@ def test_cli_no_config_defaults(tmp_path):
 
 
 @pytest.mark.parametrize("flag, value", [("--delta-p", "0"), ("--lambda", "-1"),
-                                         ("--lambda", "nan"), ("--mu", "inf")])
+                                         ("--lambda", "nan"), ("--mu", "inf"),
+                                         ("--p", "1.5"), ("--method", "3"),
+                                         ("--benchmark", "foo"),
+                                         ("--mode", "sideways"),
+                                         ("--marking-fraction", "0")])
 def test_cli_rejects_bad_flag_value(flag, value, capsys):
     assert cli.main(["run", "--steps", "1", flag, value]) == 3
     assert "config error" in capsys.readouterr().err
