@@ -13,15 +13,24 @@ since child edges run the way their parent runs.
 The layout also sorts the elements into classes.  An element's coupling
 matrix B depends only on its degrees, its shape up to translation and how
 its sides meet the skeleton, so elements that agree on these share one B
-(and one Gram factor).  Each element's skeleton dof ids are stored in its
-class's column order.  A class's kernel (Gram factor, B and the interior
-condensation blocks) is built whole on translated coordinates, so it
-depends on the class key alone; a `KernelCache` keyed by the class key
-carries it from one refinement step to the next, and each step builds
-only the classes that are new to it.  Condensation and the rank-one border
-terms do their dense algebra once per class; per element only the load
-(computed once per step), a few matrix-vector products and the scatter
-remain.
+(and one Gram factor).  The class key is (p, p_tilde, vertex offsets from
+vertex 0, pattern), where the pattern replaces each of the element's
+skeleton dofs, listed segment by segment (trace x, trace y, flux x, flux
+y), by the position of that dof's first occurrence.  This is enough:
+every vertex lies on two sides and a hanging vertex expands into its
+master edge's dofs, so the coincidences in the pattern fix each side's
+edge orientation (hence the flux sign), its number of leaves and which
+half of a master edge a constrained side covers; the block lengths fix
+the trace and flux degrees; with the vertex offsets, that is every input
+`local_bmat` reads.  The element's skeleton dof ids are stored in the same
+first-occurrence order, which is the order of `local_bmat`'s columns.  A
+class's kernel (Gram factor, B and the interior condensation blocks) is
+built whole on translated coordinates, so it depends on the class key
+alone; a `KernelCache` keyed by the class key carries it from one
+refinement step to the next, and each step builds only the classes that
+are new to it.  Condensation and the rank-one border terms do their dense
+algebra once per class; per element only the load (computed once per
+step), a few matrix-vector products and the scatter remain.
 """
 from __future__ import annotations
 
@@ -33,8 +42,9 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse.linalg import splu
 
 from .basis import _read_only, edge_basis_eval, gauss_rule
-from .local import (SideSegment, _edge_param, error_representation, gram_factor,
-                    local_bmat, local_gram, local_load, local_stiffness)
+from .local import (SideSegment, _edge_param, _first_occurrence,
+                    error_representation, gram_factor, local_bmat, local_gram,
+                    local_load, local_stiffness)
 from .material import Material
 from .mesh import DegreeMap, Mesh
 
@@ -79,7 +89,7 @@ class KernelCache:
     def retain(self, class_keys) -> None:
         """Keep only the entries of the given class keys."""
         keys = set(class_keys)
-        # a class key starts (p, p_tilde, vertex offsets, ...)
+        # a class key is (p, p_tilde, vertex offsets, pattern)
         shapes = {(key[1], key[2]) for key in keys}
         self.kernels = {k: v for k, v in self.kernels.items() if k[0] in keys}
         self.gram_factors = {k: v for k, v in self.gram_factors.items()
@@ -92,7 +102,6 @@ class DofLayout:
     interior_base: dict[int, int]            # element -> first interior dof
     vertex_dof: dict[int, int]               # vertex -> dof of x component
     trace_edges: dict[int, tuple[int, int]]  # owner edge -> (q, bubble base)
-    flux_edges: dict[int, tuple[int, int]]   # leaf edge -> (p_E, base)
     hanging: dict[int, int]                  # hanging vertex -> master edge
     pinned: np.ndarray                       # bool mask over all dofs
     element_p: dict[int, int]
@@ -261,10 +270,8 @@ def build_dof_layout(mesh: Mesh, degrees: DegreeMap, bc_spec: str = "dirichlet",
             [a for seg in segs for a in (seg.trace_gdofs.T.ravel(),
                                          seg.flux_gdofs.T.ravel())]))
         coords = mesh.element_coords(k)
-        x0 = coords[0]
         key = (element_p[k], element_p[k] + degrees.delta_p,
-               (coords - x0).tobytes(), pattern.tobytes(),
-               tuple(_segment_key(seg, x0) for seg in segs))
+               (coords - coords[0]).tobytes(), pattern.tobytes())
         cls = class_ids.setdefault(key, len(classes))
         if cls == len(classes):
             classes.append([])
@@ -280,25 +287,10 @@ def build_dof_layout(mesh: Mesh, degrees: DegreeMap, bc_spec: str = "dirichlet",
     cache.retain(class_ids)
     return DofLayout(n_dofs=n, interior_base=interior_base, vertex_dof=vertex_dof,
                      trace_edges={e: (trace_q[e], trace_base[e]) for e in trace_edges},
-                     flux_edges={e: (flux_p[e], flux_base[e]) for e in flux_edges},
                      hanging=hanging, pinned=pinned, element_p=element_p,
                      segments=segments, element_dofs=element_dofs,
                      element_class=element_class, classes=classes,
                      class_keys=list(class_ids), cache=cache)
-
-
-def _first_occurrence(dofs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct ids in order of first occurrence, and each entry's position."""
-    cols: dict[int, int] = {}
-    pattern = [cols.setdefault(d, len(cols)) for d in dofs.tolist()]
-    return np.array(list(cols)), np.array(pattern)
-
-
-def _segment_key(seg: SideSegment, x0: np.ndarray) -> tuple:
-    """Everything of a side segment that enters B, edges relative to x0."""
-    return (seg.side, seg.t0, seg.t1, seg.trace_q, seg.trace_index.tobytes(),
-            seg.trace_weight.tobytes(), seg.flux_p, seg.flux_sign,
-            (seg.trace_coords - x0).tobytes(), (seg.flux_coords - x0).tobytes())
 
 
 def element_full_bmat(mesh: Mesh, layout: DofLayout, material: Material, f,
@@ -337,8 +329,8 @@ def _class_kernel(mesh: Mesh, layout: DofLayout, eid: int, p_tilde: int,
     """Kernel of element eid's class, with B's columns in class order.
 
     Everything is computed on the element translated to vertex 0, from
-    exactly the data of the class key, so it does not depend on which
-    element or step built it.  The Gram factor depends only on p_tilde and
+    data the class key fixes, so it does not depend on which element or
+    step built it.  The Gram factor depends only on p_tilde and
     the vertex offsets and is shared by every class of that shape.
     """
     coords = mesh.element_coords(eid)
@@ -354,12 +346,8 @@ def _class_kernel(mesh: Mesh, layout: DofLayout, eid: int, p_tilde: int,
     segments = [replace(seg, trace_coords=seg.trace_coords - x0,
                         flux_coords=seg.flux_coords - x0)
                 for seg in layout.segments[eid]]
-    B, skel_ids = local_bmat(rel, p, p_tilde, material, segments)
+    B, _ = local_bmat(rel, p, p_tilde, material, segments)
     ni = 5 * (p + 1) ** 2
-    gdofs = layout.element_dofs[eid]
-    cols = np.concatenate([np.arange(ni),
-                           ni + np.searchsorted(skel_ids, gdofs[ni:])])
-    B = B[:, cols]
     K = local_stiffness(L, B)
     Kis, Kss = K[:ni, ni:], K[ni:, ni:]
     try:

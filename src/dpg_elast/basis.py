@@ -68,37 +68,29 @@ def edge_basis_eval(p: int, t: np.ndarray) -> np.ndarray:
     Ordering: linear function for the t=-1 endpoint, then the t=+1
     endpoint, then integrated-Legendre bubbles of degree 2..p.
     """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    vals = np.empty((p + 1, t.size))
-    if p == 0:
-        vals[0] = 1.0
-        return vals
-    vals[0] = 0.5 * (1.0 - t)
-    vals[1] = 0.5 * (1.0 + t)
-    if p >= 2:
-        P = _legendre_values(p, t)
-        for k in range(2, p + 1):
-            c = 1.0 / np.sqrt(2.0 * (2.0 * k - 1.0))
-            vals[k] = c * (P[k] - P[k - 2])
-    return vals
+    return edge_basis_eval_deriv(p, t)[0]
 
 
 def edge_basis_eval_deriv(p: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Values and first derivatives of the 1D hierarchical basis."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    vals = edge_basis_eval(p, t)
+    vals = np.empty((p + 1, t.size))
     ders = np.empty_like(vals)
     if p == 0:
+        vals[0] = 1.0
         ders[0] = 0.0
         return vals, ders
+    vals[0] = 0.5 * (1.0 - t)
+    vals[1] = 0.5 * (1.0 + t)
     ders[0] = -0.5
     ders[1] = 0.5
     if p >= 2:
-        P = _legendre_values(max(p - 1, 0), t)
-        for k in range(2, p + 1):
-            # d/dx (P_k - P_{k-2}) = (2k-1) P_{k-1}
-            c = 1.0 / np.sqrt(2.0 * (2.0 * k - 1.0))
-            ders[k] = c * (2.0 * k - 1.0) * P[k - 1]
+        P = _legendre_values(p, t)
+        k = np.arange(2.0, p + 1.0)[:, None]
+        c = 1.0 / np.sqrt(2.0 * (2.0 * k - 1.0))
+        vals[2:] = c * (P[2:] - P[:-2])
+        # d/dx (P_k - P_{k-2}) = (2k-1) P_{k-1}
+        ders[2:] = c * (2.0 * k - 1.0) * P[1:-1]
     return vals, ders
 
 

@@ -75,8 +75,14 @@ def _volume_points(coords: np.ndarray, nq: int):
     return phys, gauss_rule_2d(nq).weights * det, (x_xi, y_xi, x_eta, y_eta, det)
 
 
-def _volume_tables(coords: np.ndarray, p_tilde: int, nq: int):
+def _volume_nq(p_tilde: int) -> int:
+    """Gauss points per direction of the element volume rule."""
+    return p_tilde + 2
+
+
+def _volume_tables(coords: np.ndarray, p_tilde: int):
     """Quadrature weights, test values and physical test gradients."""
+    nq = _volume_nq(p_tilde)
     _, w, (x_xi, y_xi, x_eta, y_eta, det) = _volume_points(coords, nq)
     tvals, tgrads = q_basis_table(p_tilde, nq)
     # chain rule with the inverse Jacobian
@@ -104,11 +110,9 @@ def _side_table(side: int, t0: float, t1: float, ne: int, p_tilde: int):
     return _read_only(rows, half * erule.weights, svals)
 
 
-def local_gram(coords: np.ndarray, p_tilde: int, nq: int | None = None) -> np.ndarray:
+def local_gram(coords: np.ndarray, p_tilde: int) -> np.ndarray:
     """Gram matrix of the broken test norm on one element."""
-    if nq is None:
-        nq = p_tilde + 2
-    w, vals, g = _volume_tables(coords, p_tilde, nq)
+    w, vals, g = _volume_tables(coords, p_tilde)
     ns = vals.shape[0]
     M = (vals * w) @ vals.T
     Dxx = (g[:, 0] * w) @ g[:, 0].T
@@ -144,12 +148,27 @@ def _edge_param(points: np.ndarray, edge_coords: np.ndarray) -> np.ndarray:
     return 2.0 * ((points - a) @ d) / (d @ d) - 1.0
 
 
+def _first_occurrence(dofs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct ids in order of first occurrence, and each entry's position.
+
+    With `ids, pattern = _first_occurrence(dofs)`, `ids[pattern]` is `dofs`.
+    """
+    cols: dict[int, int] = {}
+    pattern = [cols.setdefault(d, len(cols)) for d in dofs.tolist()]
+    return np.array(list(cols), dtype=int), np.array(pattern, dtype=int)
+
+
 def _skeleton_columns(coords: np.ndarray, p_tilde: int,
-                      segments: list[SideSegment], nq_edge: int | None):
-    """Skeleton trace and flux couplings: (sorted global ids, (5 ns, n) block)."""
+                      segments: list[SideSegment]):
+    """Skeleton trace and flux couplings: (global ids, (5 ns, n) block).
+
+    The ids come in order of first occurrence along the segments, each
+    segment's trace x, trace y, flux x and flux y dofs in turn, which is
+    the order `build_dof_layout` stores in `element_dofs`.
+    """
     parts, dofs, blocks = [], [], []
     for seg in segments:
-        ne = nq_edge if nq_edge is not None else max(p_tilde, seg.trace_q) + 3
+        ne = max(p_tilde, seg.trace_q) + 3
         rows_map, wref, svals = _side_table(seg.side, seg.t0, seg.t1, ne, p_tilde)
         phys, tang = rows_map @ coords  # (ne, 2) each
         # arc-length weight times unit outward normal
@@ -177,7 +196,7 @@ def _skeleton_columns(coords: np.ndarray, p_tilde: int,
     ns = (p_tilde + 1) ** 2
     if not parts:
         return np.zeros(0, dtype=int), np.zeros((5 * ns, 0))
-    ids, inv = np.unique(np.concatenate(dofs), return_inverse=True)
+    ids, inv = _first_occurrence(np.concatenate(dofs))
     acc = np.zeros((5, ids.size, ns))
     np.add.at(acc, (np.concatenate(blocks), inv), np.concatenate(parts))
     return ids, -acc.transpose(0, 2, 1).reshape(5 * ns, ids.size)
@@ -189,27 +208,25 @@ def local_bmat(
     p_tilde: int,
     material: Material,
     segments: list[SideSegment],
-    nq: int | None = None,
-    nq_edge: int | None = None,
 ):
     """Trial-test coupling matrix on one element.
 
     Returns (B, skel_ids).  The columns of B are the element's interior
     trial dofs (sigma then u, component-major) followed by the global
-    skeleton dofs skel_ids (sorted).  B does not depend on the element's
-    position: translating `coords` and the segments' edge coordinates
-    together leaves it unchanged.
+    skeleton dofs skel_ids, in order of first occurrence along the
+    segments (see `_skeleton_columns`).  B does not depend on the
+    element's position: translating `coords` and the segments' edge
+    coordinates together leaves it unchanged.
     """
-    if nq is None:
-        nq = p_tilde + 2
-    w, tvals, g = _volume_tables(coords, p_tilde, nq)
-    uvals, _ = q_basis_table(p, nq)
+    w, tvals, g = _volume_tables(coords, p_tilde)
+    uvals, _ = q_basis_table(p, _volume_nq(p_tilde))
     ns = tvals.shape[0]
     nt = uvals.shape[0]
     b = [slice(i * ns, (i + 1) * ns) for i in range(5)]
 
-    skel_ids, Bskel = _skeleton_columns(coords, p_tilde, segments, nq_edge)
-    B = np.zeros((5 * ns, 5 * nt + skel_ids.size))
+    skel_ids, Bskel = _skeleton_columns(coords, p_tilde, segments)
+    # column-major, which LAPACK's triangular solve takes without a copy
+    B = np.zeros((5 * ns, 5 * nt + skel_ids.size), order="F")
     B[:, 5 * nt:] = Bskel
 
     Mmix = (tvals * w) @ uvals.T          # (ns, nt)
@@ -240,8 +257,7 @@ def local_bmat(
     return B, skel_ids
 
 
-def local_load(coords: np.ndarray, p_tilde: int, f,
-               nq: int | None = None) -> np.ndarray:
+def local_load(coords: np.ndarray, p_tilde: int, f) -> np.ndarray:
     """Load vector (f, v) over the element's test space.
 
     f maps an (n, 2) array of physical points to the (n, 2) body force;
@@ -251,8 +267,7 @@ def local_load(coords: np.ndarray, p_tilde: int, f,
     lvec = np.zeros(5 * ns)
     if f is None:
         return lvec
-    if nq is None:
-        nq = p_tilde + 2
+    nq = _volume_nq(p_tilde)
     phys, w, _ = _volume_points(coords, nq)
     tvals, _ = q_basis_table(p_tilde, nq)
     fv = f(phys) * w[:, None]  # (nq, 2)

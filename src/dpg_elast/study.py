@@ -143,8 +143,7 @@ class ReportRow:
               "rel_combined", "eta", "wall_time")
 
 
-def l2_errors(mesh: Mesh, degrees: DegreeMap, layout, x, exact,
-              nq_extra: int = 2):
+def l2_errors(mesh: Mesh, degrees: DegreeMap, layout, x, exact):
     """Absolute L2 errors and exact norms: (e_sigma, e_u, n_sigma, n_u).
 
     Stress uses the Frobenius norm (off-diagonal counted twice).
@@ -152,7 +151,7 @@ def l2_errors(mesh: Mesh, degrees: DegreeMap, layout, x, exact,
     es = eu = ns = nu = 0.0
     for k in mesh.active_elements:
         p = layout.element_p[k]
-        nq = p + degrees.delta_p + nq_extra
+        nq = p + degrees.delta_p + 2
         rule = gauss_rule_2d(nq)
         phys, jac = bilinear_maps(mesh.element_coords(k), rule.points)
         w = rule.weights * np.linalg.det(jac)
@@ -168,17 +167,17 @@ def l2_errors(mesh: Mesh, degrees: DegreeMap, layout, x, exact,
     return np.sqrt(es), np.sqrt(eu), np.sqrt(ns), np.sqrt(nu)
 
 
-def best_approximation_errors(mesh: Mesh, degrees: DegreeMap, layout, exact,
-                              nq_extra: int = 4):
+def best_approximation_errors(mesh: Mesh, degrees: DegreeMap, layout, exact):
     """L2 errors of the elementwise projections onto the trial spaces."""
     bs = bu = 0.0
     for k in mesh.active_elements:
         p = layout.element_p[k]
-        rule = gauss_rule_2d(p + nq_extra)
+        nq = p + 4
+        rule = gauss_rule_2d(nq)
         coords = mesh.element_coords(k)
         phys, jac = bilinear_maps(coords, rule.points)
         w = rule.weights * np.linalg.det(jac)
-        vals, _ = q_basis_table(p, p + nq_extra)
+        vals, _ = q_basis_table(p, nq)
         M = (vals * w) @ vals.T
         u_ex, s_ex = exact(phys)
         fields = np.column_stack([_sigma_flat(s_ex), u_ex])  # (nq, 5)

@@ -5,8 +5,8 @@ These helpers assemble the stiffness matrix over all dofs (pinned and
 element-interior included) and solve it directly, so tests can check the
 condensed solves, the rank-one identity and the SPD property against it.
 The element matrices are computed afresh on each element's own
-coordinates, with sorted skeleton ids, so they share nothing with the
-per-class tables the library keeps on the layout.
+coordinates, with the skeleton ids `local_bmat` returns, so they share
+nothing with the per-class tables the library keeps on the layout.
 """
 import numpy as np
 import scipy.sparse as sp

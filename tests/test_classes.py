@@ -4,8 +4,9 @@ Each example refines a unit-square or L-shaped mesh along a random
 marking sequence, raising the degree of random elements on the way, and
 checks the mesh and, after every round, every element's class coupling
 matrix against a fresh computation on the element's own coordinates,
-every side segment against the edge it lies on, and the continuity of the
-trace at every hanging vertex.
+every side segment against the edge it lies on, the continuity of the
+trace at every hanging vertex, and the class partition against a key that
+spells out every segment's data.
 One kernel cache is carried through the rounds, as in a study.  The
 cache's builds and evictions are counted on an adaptive L-shape run.
 """
@@ -20,7 +21,7 @@ from dpg_elast.assembly import (KernelCache, build_dof_layout,
                                 dirichlet_values, element_full_bmat,
                                 error_indicators, solve_condensed)
 from dpg_elast.basis import edge_basis_eval
-from dpg_elast.local import _edge_param, local_bmat
+from dpg_elast.local import _edge_param, _first_occurrence, local_bmat
 from dpg_elast.material import make_isotropic
 from dpg_elast.mesh import DegreeMap, build_initial_mesh, refine_marked
 from dpg_elast.study import greedy_mark, make_benchmark
@@ -39,11 +40,34 @@ def check_class_matrices(mesh, layout, delta_p):
         ni = 5 * (p + 1) ** 2
         base = layout.interior_base[k]
         np.testing.assert_array_equal(gdofs[:ni], np.arange(base, base + ni))
-        order = np.argsort(gdofs[ni:])
-        np.testing.assert_array_equal(gdofs[ni:][order], skel_ids)
+        np.testing.assert_array_equal(gdofs[ni:], skel_ids)
         assert B.shape == fresh.shape
-        B = np.concatenate([B[:, :ni], B[:, ni:][:, order]], axis=1)
         assert np.max(np.abs(B - fresh)) <= 1e-12 * np.max(np.abs(fresh))
+
+
+def segment_data(mesh, layout, k):
+    """Everything of element k's side segments that enters B, with the
+    edge coordinates relative to the element's vertex 0."""
+    x0 = mesh.element_coords(k)[0]
+    return tuple((seg.side, seg.t0, seg.t1, seg.trace_q,
+                  seg.trace_index.tobytes(), seg.trace_weight.tobytes(),
+                  seg.flux_p, seg.flux_sign,
+                  (seg.trace_coords - x0).tobytes(),
+                  (seg.flux_coords - x0).tobytes())
+                 for seg in layout.segments[k])
+
+
+def check_class_keys(mesh, layout, seen):
+    """The class partition against the full key, which adds every
+    segment's data to the class key; then each class key against the
+    segment data it had in earlier rounds (`seen`, updated)."""
+    full = {}
+    for key, members in zip(layout.class_keys, layout.classes):
+        for k in members:
+            full.setdefault((key, segment_data(mesh, layout, k)), []).append(k)
+    assert sorted(full.values()) == sorted(layout.classes)
+    for key, data in full:
+        assert seen.setdefault(key, data) == data
 
 
 SEGMENT_ARRAYS = ("trace_coords", "trace_index", "trace_weight",
@@ -105,11 +129,13 @@ def test_random_refinement_keeps_classes_exact(domain, data):
     mesh = build_initial_mesh(*domain)
     degrees = DegreeMap(mesh, p=1, delta_p=data.draw(st.integers(1, 2)))
     cache = KernelCache()
+    seen: dict = {}
     for _ in range(data.draw(st.integers(1, 3))):
         layout = build_dof_layout(mesh, degrees, cache=cache)
         for delta_p in (1, 2):
             check_class_matrices(mesh, layout, delta_p)
         check_segments(mesh, layout)
+        check_class_keys(mesh, layout, seen)
         active = mesh.active_elements
         for k in data.draw(st.sets(st.sampled_from(active), max_size=2)):
             degrees.increment(k, mesh)
@@ -129,6 +155,15 @@ def test_random_refinement_keeps_classes_exact(domain, data):
     for delta_p in (1, 2):
         check_class_matrices(mesh, layout, delta_p)
     check_segments(mesh, layout)
+    check_class_keys(mesh, layout, seen)
+
+
+@given(st.lists(st.integers(-3, 5), max_size=12))
+def test_first_occurrence_ids_and_pattern(dofs):
+    ids, pattern = _first_occurrence(np.array(dofs, dtype=int))
+    assert ids[pattern].tolist() == dofs
+    firsts = [d for i, d in enumerate(dofs) if d not in dofs[:i]]
+    assert ids.tolist() == firsts
 
 
 def cached_arrays(cache, layout):
