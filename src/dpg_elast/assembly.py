@@ -28,9 +28,10 @@ class's kernel (Gram factor, B and the interior condensation blocks) is
 built whole on translated coordinates, so it depends on the class key
 alone; a `KernelCache` keyed by the class key carries it from one
 refinement step to the next, and each step builds only the classes that
-are new to it.  Condensation and the rank-one border terms do their dense
-algebra once per class; per element only the load (computed once per
-step), a few matrix-vector products and the scatter remain.
+are new to it.  Condensation, the error estimator and the rank-one border
+terms stack the members of a class and do their dense algebra once per
+class, with one scatter per class.  The loads of a step are computed once,
+with one call of f per degree group.
 """
 from __future__ import annotations
 
@@ -38,13 +39,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.sparse.linalg import splu
 
 from .basis import _read_only, edge_basis_eval, gauss_rule
 from .local import (SideSegment, _edge_param, _first_occurrence,
-                    error_representation, gram_factor, local_bmat, local_gram,
-                    local_load, local_stiffness)
+                    _skeleton_dofs, gram_factor, local_bmat, local_gram,
+                    local_loads, local_stiffness)
 from .material import Material
 from .mesh import DegreeMap, Mesh
 
@@ -105,6 +106,9 @@ class DofLayout:
     hanging: dict[int, int]                  # hanging vertex -> master edge
     pinned: np.ndarray                       # bool mask over all dofs
     element_p: dict[int, int]
+    elements: np.ndarray                     # active elements, layout order
+    coords: np.ndarray                       # (n, 4, 2) vertices, layout order
+    degree_groups: dict[int, np.ndarray]     # p -> positions of degree p
     segments: dict[int, list[SideSegment]]   # element -> side segments
     element_dofs: dict[int, np.ndarray]      # element -> interior, then
                                              # skeleton ids in class order
@@ -114,13 +118,18 @@ class DofLayout:
     # class kernels and Gram factors, filled lazily by element_full_bmat
     # and shared with the other steps of a study
     cache: KernelCache
-    # read-only element loads of this step, filled lazily by
-    # element_full_bmat: (f, p_tilde, element) -> load
+    # read-only element loads of this step, filled by element_full_bmat
+    # for a whole degree group at a time: (f, p_tilde, element) -> load
     loads: dict[tuple, np.ndarray] = field(default_factory=dict, repr=False)
 
     @property
     def n_free(self) -> int:
         return int(self.n_dofs - self.pinned.sum())
+
+    def interior_bases(self, rows: np.ndarray) -> np.ndarray:
+        """First interior dof of the elements at the given layout positions."""
+        return np.array([self.interior_base[k]
+                         for k in self.elements[rows].tolist()], dtype=int)
 
     def interior_slices(self, eid: int):
         """(sigma slice, u slice) of an element's interior dofs."""
@@ -142,6 +151,9 @@ def build_dof_layout(mesh: Mesh, degrees: DegreeMap, bc_spec: str = "dirichlet",
         raise ValueError(f"unsupported boundary condition spec {bc_spec!r}")
     active = mesh.active_elements
     element_p = {k: degrees.degree_of(mesh, k) for k in active}
+    all_coords = mesh.coords_of(active)
+    all_coords.setflags(write=False)
+    degree_of = np.array(list(element_p.values()), dtype=int)
 
     # each element side's trace owner edge and flux leaf edges
     sides: dict[int, list[tuple[int, list[int]]]] = {}
@@ -244,7 +256,7 @@ def build_dof_layout(mesh: Mesh, degrees: DegreeMap, bc_spec: str = "dirichlet",
     element_class: dict[int, int] = {}
     class_ids: dict[tuple, int] = {}
     classes: list[list[int]] = []
-    for k in active:
+    for k, coords in zip(active, all_coords):
         el = mesh.elements[k]
         segs = []
         for s, (owner, leaves) in enumerate(sides[k]):
@@ -266,10 +278,7 @@ def build_dof_layout(mesh: Mesh, degrees: DegreeMap, bc_spec: str = "dirichlet",
                     flux_p=flux_p[leaf], flux_sign=sign, flux_gdofs=flux_gdofs))
         segments[k] = segs
 
-        skel, pattern = _first_occurrence(np.concatenate(
-            [a for seg in segs for a in (seg.trace_gdofs.T.ravel(),
-                                         seg.flux_gdofs.T.ravel())]))
-        coords = mesh.element_coords(k)
+        skel, pattern = _first_occurrence(_skeleton_dofs(segs))
         key = (element_p[k], element_p[k] + degrees.delta_p,
                (coords - coords[0]).tobytes(), pattern.tobytes())
         cls = class_ids.setdefault(key, len(classes))
@@ -288,6 +297,9 @@ def build_dof_layout(mesh: Mesh, degrees: DegreeMap, bc_spec: str = "dirichlet",
     return DofLayout(n_dofs=n, interior_base=interior_base, vertex_dof=vertex_dof,
                      trace_edges={e: (trace_q[e], trace_base[e]) for e in trace_edges},
                      hanging=hanging, pinned=pinned, element_p=element_p,
+                     elements=np.array(active, dtype=int), coords=all_coords,
+                     degree_groups={int(p): np.flatnonzero(degree_of == p)
+                                    for p in np.unique(degree_of)},
                      segments=segments, element_dofs=element_dofs,
                      element_class=element_class, classes=classes,
                      class_keys=list(class_ids), cache=cache)
@@ -299,18 +311,33 @@ def element_full_bmat(mesh: Mesh, layout: DofLayout, material: Material, f,
 
     L and B are the element class's read-only matrices from `layout.cache`,
     built on the first request of the study; the columns of B follow
-    `gdofs`.  The load is computed on the first request of the step and
-    kept in `layout.loads`.
+    `gdofs`.  The first load request of the step for a degree computes the
+    loads of every element of that degree and keeps them in `layout.loads`.
     """
-    p_tilde = layout.element_p[eid] + delta_p
-    kernel = _kernel(mesh, layout, material, eid, p_tilde)
-    key = (f, p_tilde, eid)
-    lvec = layout.loads.get(key)
-    if lvec is None:
-        lvec = local_load(mesh.element_coords(eid), p_tilde, f)
-        lvec.setflags(write=False)
-        layout.loads[key] = lvec
-    return kernel.L, kernel.B, lvec, layout.element_dofs[eid]
+    p = layout.element_p[eid]
+    kernel = _kernel(mesh, layout, material, eid, p + delta_p)
+    key = (f, p + delta_p, eid)
+    if key not in layout.loads:
+        rows = layout.degree_groups[p]
+        lvecs = local_loads(layout.coords[rows], p + delta_p, f)
+        lvecs.setflags(write=False)
+        layout.loads.update(((f, p + delta_p, k), lvec) for k, lvec
+                            in zip(layout.elements[rows].tolist(), lvecs))
+    return kernel.L, kernel.B, layout.loads[key], layout.element_dofs[eid]
+
+
+def _class_members(mesh: Mesh, layout: DofLayout, material: Material, f,
+                   members: list[int], delta_p: int):
+    """A class's L and B, with its members' loads as the columns of a
+    (5 ns, m) block and their dof ids as the rows of an (m, n) block.
+
+    Every member goes through `element_full_bmat` once.
+    """
+    parts = [element_full_bmat(mesh, layout, material, f, k, delta_p)
+             for k in members]
+    L, B = parts[0][:2]
+    return (L, B, np.column_stack([part[2] for part in parts]),
+            np.array([part[3] for part in parts]))
 
 
 def _kernel(mesh: Mesh, layout: DofLayout, material: Material, eid: int,
@@ -365,46 +392,64 @@ def dirichlet_values(layout: DofLayout, g_data, mesh: Mesh) -> np.ndarray:
     """Pinned-dof vector interpolating/projecting the boundary displacement.
 
     g_data maps an (n, 2) array of boundary points to (n, 2) displacements.
+    It is called once, at the pinned vertices and at the quadrature points
+    and ends of every boundary edge; the bubble coefficients of the edges of
+    one trace degree come from one solve.
     """
     xp = np.zeros(layout.n_dofs)
     if g_data is None:
         return xp
+    verts = np.asarray(mesh.vertices, dtype=float)
     pinned_verts = [(v, d) for v, d in layout.vertex_dof.items()
                     if layout.pinned[d]]
-    if pinned_verts:
-        verts, dofs = zip(*pinned_verts)
-        vals = g_data(np.array([mesh.vertices[v] for v in verts], dtype=float))
-        dofs = np.array(dofs)
-        xp[dofs] = vals[:, 0]
-        xp[dofs + 1] = vals[:, 1]
+    # boundary edges with bubbles, by trace degree q: (bubble base, ends)
+    by_q: dict[int, list[tuple[int, int, int]]] = {}
     for e, (q, base) in layout.trace_edges.items():
-        if not mesh.edges[e].boundary or q < 2:
-            continue
-        coords = mesh.edge_coords(e)
+        edge = mesh.edges[e]
+        if edge.boundary and q >= 2:
+            by_q.setdefault(q, []).append((base, edge.v0, edge.v1))
+    # the pinned vertices, then per edge its quadrature points and its ends
+    points = [verts[[v for v, _ in pinned_verts]].reshape(-1, 2)]
+    for q, edges in by_q.items():
+        ends = verts[[(v0, v1) for _, v0, v1 in edges]]
+        t = gauss_rule(q + 3).points[:, None]
+        pts = 0.5 * (1 - t) * ends[:, None, 0] + 0.5 * (1 + t) * ends[:, None, 1]
+        points.append(np.concatenate([pts, ends], axis=1).reshape(-1, 2))
+    values = np.split(g_data(np.concatenate(points)),
+                      np.cumsum([len(pts) for pts in points[:-1]]))
+    vdofs = np.array([d for _, d in pinned_verts], dtype=int)
+    xp[vdofs] = values[0][:, 0]
+    xp[vdofs + 1] = values[0][:, 1]
+    for (q, edges), gv in zip(by_q.items(), values[1:]):
         rule = gauss_rule(q + 3)
-        pts = 0.5 * (1 - rule.points)[:, None] * coords[0] \
-            + 0.5 * (1 + rule.points)[:, None] * coords[1]
-        gv = g_data(np.vstack([pts, coords]))  # quadrature points, then ends
-        v0, v1 = gv[-2], gv[-1]
+        gv = gv.reshape(len(edges), -1, 2)
         vals = edge_basis_eval(q, rule.points)
-        resid = gv[:-2] - np.outer(vals[0], v0) - np.outer(vals[1], v1)
+        resid = (gv[:, :-2] - vals[0][:, None] * gv[:, None, -2]
+                 - vals[1][:, None] * gv[:, None, -1])
         bub = vals[2:]
         M = (bub * rule.weights) @ bub.T
-        rhs = (bub * rule.weights) @ resid  # (q-1, 2)
-        c = np.linalg.solve(M, rhs)
-        xp[base: base + 2 * (q - 1)] = c.ravel()
+        rhs = (bub * rule.weights) @ resid  # (edges, q-1, 2)
+        c = np.linalg.solve(M, rhs.transpose(1, 0, 2).reshape(q - 1, -1))
+        bases = np.array([base for base, _, _ in edges])
+        xp[bases[:, None] + np.arange(2 * (q - 1))] = \
+            c.reshape(q - 1, len(edges), 2).transpose(1, 0, 2).reshape(len(edges), -1)
     return xp
 
 
 def error_indicators(mesh: Mesh, degrees: DegreeMap, material: Material, f,
                      layout: DofLayout, x: np.ndarray) -> dict[int, float]:
-    """Elementwise V-norms of the error representation function."""
-    out = {}
-    for k in mesh.active_elements:
-        L, Bfull, lvec, gdofs = element_full_bmat(mesh, layout, material, f, k,
-                                                  degrees.delta_p)
-        _, eta = error_representation(L, Bfull, lvec, x[gdofs])
-        out[k] = eta
+    """Elementwise V-norms of the error representation function.
+
+    The V-norm of e = G^-1 r is |L^-1 r|, with r = l - B x the residual;
+    each class does one triangular solve for all its members.
+    """
+    out = dict.fromkeys(layout.element_p, 0.0)
+    for members in layout.classes:
+        L, B, lvecs, gdofs = _class_members(mesh, layout, material, f, members,
+                                            degrees.delta_p)
+        z = solve_triangular(L, lvecs - B @ x[gdofs].T, lower=True,
+                             check_finite=False)
+        out.update(zip(members, np.linalg.norm(z, axis=0).tolist()))
     return out
 
 
@@ -414,9 +459,9 @@ class CondensedSystem:
 
     Column j of `rhs` is load j condensed onto the free skeleton dofs;
     column 0 is the DPG load with the Dirichlet lift folded in, the others
-    are the extra loads.  `recover` holds, per element, the interior and
-    skeleton dof ids, Kii^-1 Kis (shared by the element's class) and
-    Kii^-1 of the interior loads.
+    are the extra loads.  `recover` holds, per element class, the members'
+    interior and skeleton dof ids as (m, ni) and (m, nsk) blocks, Kii^-1 Kis,
+    and Kii^-1 of the members' interior loads as an (ni, m, 1 + extra) block.
     """
 
     S: sp.csc_matrix        # Schur complement on the free skeleton dofs
@@ -434,7 +479,7 @@ class CondensedSystem:
         x = self.x_pinned.copy() if j == 0 else np.zeros(self.x_pinned.size)
         x[self.free] = xs
         for ii, sk, A, b in self.recover:
-            x[ii] = b[:, j] - A @ x[sk]
+            x[ii] = (b[:, :, j] - A @ x[sk].T).T
         return x
 
 
@@ -447,8 +492,9 @@ def condense(mesh: Mesh, degrees: DegreeMap, material: Material, f,
     elsewhere).  `loads` is an optional (n_dofs, m) block of extra
     right-hand sides, which must vanish on the pinned dofs.  Each element
     class's kernel holds the factor of Kii, Kii^-1 Kis and the element
-    Schur complement; each element then solves Kii for its own load and
-    the extra loads together.  The full sparse matrix is never formed.
+    Schur complement; the members of a class then solve Kii for their own
+    loads and the extra loads in one call.  The full sparse matrix is never
+    formed.
     """
     n = layout.n_dofs
     xp = np.zeros(n) if x_pinned is None else x_pinned
@@ -461,23 +507,25 @@ def condense(mesh: Mesh, degrees: DegreeMap, material: Material, f,
         p = layout.element_p[members[0]]
         kernel = _kernel(mesh, layout, material, members[0], p + degrees.delta_p)
         Kii, Kis, A, S = kernel.Kii, kernel.Kis, kernel.A, kernel.S
-        ni = 5 * (p + 1) ** 2
-        for k in members:
-            L, Bfull, lvec, gdofs = element_full_bmat(mesh, layout, material,
-                                                      f, k, degrees.delta_p)
-            fl = Bfull.T @ cho_solve((L, True), lvec, check_finite=False)
-            ii, sk = gdofs[:ni], gdofs[ni:]
-            b = cho_solve((Kii, True), np.column_stack([fl[:ni], loads[ii]]),
-                          check_finite=False)
-            gs = -(Kis.T @ b)
-            gs[:, 0] += fl[ni:] - S @ xp[sk]
-            g[sk] += gs
-            idx = np.broadcast_to(sk, (sk.size, sk.size))
-            rows.append(idx.T.ravel())
-            cols.append(idx.ravel())
-            vals.append(S.ravel())
-            interior[ii] = True
-            recover.append((ii, sk, A, b))
+        L, B, lvecs, gdofs = _class_members(mesh, layout, material, f, members,
+                                            degrees.delta_p)
+        ni, m = 5 * (p + 1) ** 2, len(members)
+        fl = B.T @ cho_solve((L, True), lvecs, check_finite=False)
+        ii, sk = gdofs[:, :ni], gdofs[:, ni:]
+        rhs = np.empty((ni, m, g.shape[1]))
+        rhs[:, :, 0] = fl[:ni]
+        rhs[:, :, 1:] = loads[ii].transpose(1, 0, 2)
+        b = cho_solve((Kii, True), rhs.reshape(ni, -1),
+                      check_finite=False).reshape(rhs.shape)
+        gs = -(Kis.T @ b.reshape(ni, -1)).reshape(-1, m, g.shape[1])
+        gs[:, :, 0] += fl[ni:] - S @ xp[sk].T
+        np.add.at(g, sk, gs.transpose(1, 0, 2))
+        block = (m, sk.shape[1], sk.shape[1])
+        rows.append(np.broadcast_to(sk[:, :, None], block).ravel())
+        cols.append(np.broadcast_to(sk[:, None, :], block).ravel())
+        vals += [S.ravel()] * m
+        interior[ii] = True
+        recover.append((ii, sk, A, b))
 
     Ec = sp.coo_matrix((np.concatenate(vals),
                         (np.concatenate(rows), np.concatenate(cols))),

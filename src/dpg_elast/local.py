@@ -66,9 +66,15 @@ def _volume_map_table(nq: int) -> np.ndarray:
 
 
 def _volume_points(coords: np.ndarray, nq: int):
-    """Physical points, weights and the Jacobian (x_xi, y_xi, x_eta, y_eta, det)."""
-    phys, jac_xi, jac_eta = _volume_map_table(nq) @ coords
-    (x_xi, y_xi), (x_eta, y_eta) = jac_xi.T, jac_eta.T
+    """Physical points, weights and the Jacobian (x_xi, y_xi, x_eta, y_eta, det).
+
+    `coords` holds one element's vertices, shape (4, 2), or a stack of
+    elements, shape (m, 4, 2); every result then gains a leading axis m.
+    """
+    maps = _volume_map_table(nq) @ coords[..., None, :, :]
+    phys, jac_xi, jac_eta = np.moveaxis(maps, -3, 0)
+    x_xi, y_xi = jac_xi[..., 0], jac_xi[..., 1]
+    x_eta, y_eta = jac_eta[..., 0], jac_eta[..., 1]
     det = x_xi * y_eta - x_eta * y_xi
     if np.any(det <= 0.0):
         raise ValueError("nonpositive Jacobian determinant in element quadrature")
@@ -158,16 +164,34 @@ def _first_occurrence(dofs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(list(cols), dtype=int), np.array(pattern, dtype=int)
 
 
+def _skeleton_dofs(segments: list[SideSegment]) -> np.ndarray:
+    """An element's skeleton dofs, segment by segment: trace x, trace y,
+    flux x, flux y.  Dofs the segments share repeat."""
+    return np.concatenate([a for seg in segments
+                           for a in (seg.trace_gdofs.T.ravel(),
+                                     seg.flux_gdofs.T.ravel())])
+
+
 def _skeleton_columns(coords: np.ndarray, p_tilde: int,
                       segments: list[SideSegment]):
     """Skeleton trace and flux couplings: (global ids, (5 ns, n) block).
 
-    The ids come in order of first occurrence along the segments, each
-    segment's trace x, trace y, flux x and flux y dofs in turn, which is
-    the order `build_dof_layout` stores in `element_dofs`.
+    The ids come in order of first occurrence in `_skeleton_dofs`, which
+    is the order `build_dof_layout` stores in `element_dofs`.
     """
-    parts, dofs, blocks = [], [], []
+    ns = (p_tilde + 1) ** 2
+    if not segments:
+        return np.zeros(0, dtype=int), np.zeros((5 * ns, 0))
+    ids, inv = _first_occurrence(_skeleton_dofs(segments))
+    parts, cols, blocks = [], [], []
+    start = 0
     for seg in segments:
+        # the segment's columns: trace x, trace y (n_tr each), then flux x
+        # and flux y
+        n_tr, n_fl = seg.trace_index.size, seg.flux_p + 1
+        tx, ty = inv[start: start + 2 * n_tr].reshape(2, n_tr)
+        flux_cols = inv[start + 2 * n_tr: start + 2 * (n_tr + n_fl)]
+        start += 2 * (n_tr + n_fl)
         ne = max(p_tilde, seg.trace_q) + 3
         rows_map, wref, svals = _side_table(seg.side, seg.t0, seg.t1, ne, p_tilde)
         phys, tang = rows_map @ coords  # (ne, 2) each
@@ -178,11 +202,9 @@ def _skeleton_columns(coords: np.ndarray, p_tilde: int,
         # (tau11, tau12) of its x dof and to (tau12, tau22) of its y dof
         prof = edge_basis_eval(seg.trace_q, _edge_param(phys, seg.trace_coords))
         prof = prof[seg.trace_index] * seg.trace_weight[:, None]
-        n_tr = prof.shape[0]
         R = np.concatenate([prof * wn[0], prof * wn[1]]) @ svals.T
-        gx, gy = seg.trace_gdofs[:, 0], seg.trace_gdofs[:, 1]
         parts += [R, R]
-        dofs += [gx, gx, gy, gy]
+        cols += [tx, tx, ty, ty]
         blocks.append(np.repeat(_TRACE_BLOCKS, n_tr))
 
         # -<v, sigma_hat_n>
@@ -190,15 +212,12 @@ def _skeleton_columns(coords: np.ndarray, p_tilde: int,
         wf = wref * np.hypot(tang[:, 0], tang[:, 1]) * seg.flux_sign
         F = (fvals * wf) @ svals.T
         parts += [F, F]
-        dofs += [seg.flux_gdofs[:, 0], seg.flux_gdofs[:, 1]]
-        blocks.append(np.repeat(_FLUX_BLOCKS, seg.flux_p + 1))
+        cols.append(flux_cols)
+        blocks.append(np.repeat(_FLUX_BLOCKS, n_fl))
 
-    ns = (p_tilde + 1) ** 2
-    if not parts:
-        return np.zeros(0, dtype=int), np.zeros((5 * ns, 0))
-    ids, inv = _first_occurrence(np.concatenate(dofs))
     acc = np.zeros((5, ids.size, ns))
-    np.add.at(acc, (np.concatenate(blocks), inv), np.concatenate(parts))
+    np.add.at(acc, (np.concatenate(blocks), np.concatenate(cols)),
+              np.concatenate(parts))
     return ids, -acc.transpose(0, 2, 1).reshape(5 * ns, ids.size)
 
 
@@ -257,22 +276,24 @@ def local_bmat(
     return B, skel_ids
 
 
-def local_load(coords: np.ndarray, p_tilde: int, f) -> np.ndarray:
-    """Load vector (f, v) over the element's test space.
+def local_loads(coords: np.ndarray, p_tilde: int, f) -> np.ndarray:
+    """Load vectors (f, v) over the test spaces of a stack of elements.
 
-    f maps an (n, 2) array of physical points to the (n, 2) body force;
-    None means no body force.
+    `coords` has shape (m, 4, 2); the result has shape (m, 5 ns), one
+    element per row.  f maps an (n, 2) array of physical points to the
+    (n, 2) body force and is called once, with every element's quadrature
+    points; None means no body force.
     """
     ns = (p_tilde + 1) ** 2
-    lvec = np.zeros(5 * ns)
+    lvecs = np.zeros((len(coords), 5 * ns))
     if f is None:
-        return lvec
+        return lvecs
     nq = _volume_nq(p_tilde)
     phys, w, _ = _volume_points(coords, nq)
     tvals, _ = q_basis_table(p_tilde, nq)
-    fv = f(phys) * w[:, None]  # (nq, 2)
-    lvec[3 * ns:] = (tvals @ fv).T.ravel()
-    return lvec
+    fv = f(phys.reshape(-1, 2)).reshape(phys.shape) * w[..., None]  # (m, nq, 2)
+    lvecs[:, 3 * ns:] = (tvals @ fv).transpose(0, 2, 1).reshape(len(coords), -1)
+    return lvecs
 
 
 def local_stiffness(L: np.ndarray, Bfull: np.ndarray) -> np.ndarray:
@@ -283,16 +304,3 @@ def local_stiffness(L: np.ndarray, Bfull: np.ndarray) -> np.ndarray:
     Z = solve_triangular(L, Bfull, lower=True, check_finite=False)
     K = Z.T @ Z
     return 0.5 * (K + K.T)
-
-
-def error_representation(L: np.ndarray, Bfull: np.ndarray, lvec: np.ndarray,
-                         x_loc: np.ndarray):
-    """Riesz representative of the local residual and its V-norm.
-
-    L is the lower Cholesky factor of the Gram matrix G; the V-norm of
-    e = G^{-1} r is |L^{-1} r|.
-    """
-    resid = lvec - Bfull @ x_loc
-    z = solve_triangular(L, resid, lower=True, check_finite=False)
-    e = solve_triangular(L, z, lower=True, trans="T", check_finite=False)
-    return e, float(np.linalg.norm(z))

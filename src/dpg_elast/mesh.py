@@ -76,6 +76,11 @@ class Mesh:
         """Vertex coordinates of an element, shape (4, 2)."""
         return np.array([self.vertices[v] for v in self.elements[eid].verts])
 
+    def coords_of(self, eids) -> np.ndarray:
+        """Vertex coordinates of several elements, shape (len(eids), 4, 2)."""
+        verts = [self.elements[k].verts for k in eids]
+        return np.asarray(self.vertices, dtype=float)[verts].reshape(-1, 4, 2)
+
     def edge_coords(self, eid: int) -> np.ndarray:
         e = self.edges[eid]
         return np.array([self.vertices[e.v0], self.vertices[e.v1]])

@@ -15,10 +15,11 @@ from __future__ import annotations
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .assembly import SPD_SPLU_OPTIONS, DofLayout, condense, element_full_bmat
-from .basis import gauss_rule_2d, ones_coefficients_2d, q_basis_table
+from .assembly import SPD_SPLU_OPTIONS, DofLayout, _class_members, condense
+from .basis import ones_coefficients_2d, q_basis_table
+from .local import _volume_points
 from .material import Material
-from .mesh import DegreeMap, Mesh, bilinear_maps
+from .mesh import DegreeMap, Mesh
 
 
 def ell_vector(mesh: Mesh, degrees: DegreeMap, material: Material,
@@ -30,18 +31,14 @@ def ell_vector(mesh: Mesh, degrees: DegreeMap, material: Material,
     """
     ell = np.zeros(layout.n_dofs)
     scale = material.Q / material.Q0
-    for k in mesh.active_elements:
-        p = layout.element_p[k]
-        coords = mesh.element_coords(k)
-        rule = gauss_rule_2d(p + 2)
-        _, jac = bilinear_maps(coords, rule.points)
-        w = rule.weights * np.linalg.det(jac)
+    for p, rows in layout.degree_groups.items():
+        _, w, _ = _volume_points(layout.coords[rows], p + 2)
         vals, _ = q_basis_table(p, p + 2)
-        integrals = scale * (vals @ w)
+        integrals = scale * (w @ vals.T)                       # (m, nt)
         nt = (p + 1) ** 2
-        base = layout.interior_base[k]
-        ell[base: base + nt] += integrals                      # sigma_11 block
-        ell[base + 2 * nt: base + 3 * nt] += integrals         # sigma_22 block
+        idx = layout.interior_bases(rows)[:, None] + np.arange(nt)
+        ell[idx] = integrals                                   # sigma_11 block
+        ell[idx + 2 * nt] = integrals                          # sigma_22 block
     return ell
 
 
@@ -68,13 +65,11 @@ def border_terms(mesh: Mesh, degrees: DegreeMap, material: Material, f,
         x, y = mesh.element_coords(members[0]).T
         area = 0.5 * ((x[2] - x[0]) * (y[3] - y[1]) - (x[3] - x[1]) * (y[2] - y[0]))
         dk = scale * scale * 2.0 * area
-        for k in members:
-            _, Bfull, _, gdofs = element_full_bmat(mesh, layout, material, f,
-                                                   k, degrees.delta_p)
-            if k == members[0]:
-                ck = scale * (Bfull.T @ e_identity)
-            c[gdofs] += ck
-            d += dk
+        _, B, _, gdofs = _class_members(mesh, layout, material, f, members,
+                                        degrees.delta_p)
+        ck = scale * (B.T @ e_identity)
+        np.add.at(c, gdofs, np.broadcast_to(ck, gdofs.shape))
+        d += dk * len(members)
     return c, d
 
 

@@ -11,12 +11,13 @@ import numpy as np
 
 from .assembly import (KernelCache, build_dof_layout, dirichlet_values,
                        error_indicators, solve_condensed)
-from .basis import gauss_rule_2d, q_basis_table
+from .basis import q_basis_table
 from .exact import (LShapeParams, lshape_effective_material, lshape_solution,
                     smooth_solution)
 from .material import Material, make_isotropic
-from .mesh import (DegreeMap, Mesh, bilinear_maps, build_initial_mesh,
-                   refine_marked, refine_uniform)
+from .local import _volume_points
+from .mesh import (DegreeMap, Mesh, build_initial_mesh, refine_marked,
+                   refine_uniform)
 from .rankone import solve_second
 
 
@@ -143,49 +144,54 @@ class ReportRow:
               "rel_combined", "eta", "wall_time")
 
 
+def _exact_by_degree(layout, exact, nq_of):
+    """The exact solution at the volume quadrature points, per degree group.
+
+    Yields (p, nq, interior dof bases (m,), weights (m, nq^2), u (m, nq^2, 2),
+    sigma as (s11, s12, s22) (m, nq^2, 3)) for each degree p of the layout,
+    with nq = nq_of(p) points per direction and one call of `exact` per
+    group.
+    """
+    for p, rows in layout.degree_groups.items():
+        nq = nq_of(p)
+        phys, w, _ = _volume_points(layout.coords[rows], nq)
+        u, sig = exact(phys.reshape(-1, 2))
+        yield (p, nq, layout.interior_bases(rows), w, u.reshape(phys.shape),
+               _sigma_flat(sig).reshape(*w.shape, 3))
+
+
 def l2_errors(mesh: Mesh, degrees: DegreeMap, layout, x, exact):
     """Absolute L2 errors and exact norms: (e_sigma, e_u, n_sigma, n_u).
 
     Stress uses the Frobenius norm (off-diagonal counted twice).
     """
     es = eu = ns = nu = 0.0
-    for k in mesh.active_elements:
-        p = layout.element_p[k]
-        nq = p + degrees.delta_p + 2
-        rule = gauss_rule_2d(nq)
-        phys, jac = bilinear_maps(mesh.element_coords(k), rule.points)
-        w = rule.weights * np.linalg.det(jac)
+    for p, nq, base, w, u_ex, s_ex in _exact_by_degree(
+            layout, exact, lambda p: p + degrees.delta_p + 2):
         vals, _ = q_basis_table(p, nq)
-        base = layout.interior_base[k]
-        fields = x[base: base + 5 * vals.shape[0]].reshape(5, -1) @ vals
-        u_ex, s_ex = exact(phys)
-        s_ex = _sigma_flat(s_ex)
-        es += w @ _frobenius_sq(fields[:3].T - s_ex)
-        eu += w @ np.sum((fields[3:].T - u_ex) ** 2, axis=1)
-        ns += w @ _frobenius_sq(s_ex)
-        nu += w @ np.sum(u_ex ** 2, axis=1)
+        nt = vals.shape[0]
+        coef = x[base[:, None] + np.arange(5 * nt)].reshape(-1, 5, nt)
+        fields = (coef @ vals).transpose(0, 2, 1)  # (m, nq^2, 5)
+        es += np.sum(w * _frobenius_sq(fields[..., :3] - s_ex))
+        eu += np.sum(w * np.sum((fields[..., 3:] - u_ex) ** 2, axis=-1))
+        ns += np.sum(w * _frobenius_sq(s_ex))
+        nu += np.sum(w * np.sum(u_ex ** 2, axis=-1))
     return np.sqrt(es), np.sqrt(eu), np.sqrt(ns), np.sqrt(nu)
 
 
 def best_approximation_errors(mesh: Mesh, degrees: DegreeMap, layout, exact):
     """L2 errors of the elementwise projections onto the trial spaces."""
     bs = bu = 0.0
-    for k in mesh.active_elements:
-        p = layout.element_p[k]
-        nq = p + 4
-        rule = gauss_rule_2d(nq)
-        coords = mesh.element_coords(k)
-        phys, jac = bilinear_maps(coords, rule.points)
-        w = rule.weights * np.linalg.det(jac)
+    for p, nq, _, w, u_ex, s_ex in _exact_by_degree(layout, exact,
+                                                     lambda p: p + 4):
         vals, _ = q_basis_table(p, nq)
-        M = (vals * w) @ vals.T
-        u_ex, s_ex = exact(phys)
-        fields = np.column_stack([_sigma_flat(s_ex), u_ex])  # (nq, 5)
-        rhs = (vals * w) @ fields
-        coef = np.linalg.solve(M, rhs)       # ((p+1)^2, 5)
+        wvals = vals * w[:, None, :]                  # (m, nt, nq^2)
+        M = wvals @ vals.T
+        fields = np.concatenate([s_ex, u_ex], axis=-1)  # (m, nq^2, 5)
+        coef = np.linalg.solve(M, wvals @ fields)     # (m, nt, 5)
         resid = fields - vals.T @ coef
-        bs += w @ _frobenius_sq(resid[:, :3])
-        bu += w @ np.sum(resid[:, 3:] ** 2, axis=1)
+        bs += np.sum(w * _frobenius_sq(resid[..., :3]))
+        bu += np.sum(w * np.sum(resid[..., 3:] ** 2, axis=-1))
     return np.sqrt(bs), np.sqrt(bu)
 
 
@@ -195,8 +201,8 @@ def _sigma_flat(sig: np.ndarray) -> np.ndarray:
 
 
 def _frobenius_sq(s: np.ndarray) -> np.ndarray:
-    """Squared Frobenius norms of symmetric stresses given as (n, 3)."""
-    return s[:, 0] ** 2 + 2.0 * s[:, 1] ** 2 + s[:, 2] ** 2
+    """Squared Frobenius norms of symmetric stresses given as (..., 3)."""
+    return s[..., 0] ** 2 + 2.0 * s[..., 1] ** 2 + s[..., 2] ** 2
 
 
 def greedy_mark(indicators: dict[int, float], fraction: float = 0.5) -> set[int]:
@@ -212,19 +218,18 @@ def greedy_mark(indicators: dict[int, float], fraction: float = 0.5) -> set[int]
 def hp_decide(marked: set[int], mesh: Mesh, singular_point) -> tuple[set[int], set[int]]:
     """Split marked elements: touching the singular point -> h, else -> p."""
     sp = np.asarray(singular_point, dtype=float)
-    h_set, p_set = set(), set()
-    for k in marked:
-        coords = mesh.element_coords(k)
-        if np.min(np.hypot(coords[:, 0] - sp[0], coords[:, 1] - sp[1])) < 1e-12:
-            h_set.add(k)
-        else:
-            p_set.add(k)
-    return h_set, p_set
+    order = sorted(marked)
+    coords = mesh.coords_of(order)
+    dist = np.hypot(coords[..., 0] - sp[0], coords[..., 1] - sp[1])
+    touching = (dist.min(axis=1) < 1e-12).tolist()
+    h_set = {k for k, t in zip(order, touching) if t}
+    return h_set, set(order) - h_set
 
 
-def element_diameter(mesh: Mesh, eid: int) -> float:
-    c = mesh.element_coords(eid)
-    return max(np.hypot(*(c[i] - c[j])) for i in range(4) for j in range(i))
+def _diameters(coords: np.ndarray) -> np.ndarray:
+    """Largest vertex distance of each element of an (n, 4, 2) stack."""
+    d = coords[:, :, None] - coords[:, None]
+    return np.hypot(d[..., 0], d[..., 1]).max(axis=(1, 2))
 
 
 def _solve_step(mesh, degrees, bench, config, cache):
@@ -266,7 +271,7 @@ def run_convergence_study(config: StudyConfig) -> list[ReportRow]:
         indicators = error_indicators(mesh, degrees, bench.solver_material,
                                       bench.f, layout, x)
         eta = float(np.sqrt(sum(v * v for v in indicators.values())))
-        h_min = min(element_diameter(mesh, k) for k in mesh.active_elements)
+        h_min = float(_diameters(layout.coords).min())
         p_max = max(layout.element_p.values())
         rows.append(ReportRow(
             step=step, n_dofs=layout.n_dofs, h_min=h_min, p_max=p_max,

@@ -1,20 +1,63 @@
-"""Full-matrix DPG assembly and solve, the reference for the condensed solver.
+"""Reference computations for the library's batched and condensed paths.
 
 The library only ever factors the statically condensed skeleton matrix.
-These helpers assemble the stiffness matrix over all dofs (pinned and
-element-interior included) and solve it directly, so tests can check the
-condensed solves, the rank-one identity and the SPD property against it.
-The element matrices are computed afresh on each element's own
-coordinates, with the skeleton ids `local_bmat` returns, so they share
-nothing with the per-class tables the library keeps on the layout.
+`assemble_full` and `solve_full` assemble the stiffness matrix over all
+dofs (pinned and element-interior included) and solve it directly, so
+tests can check the condensed solves, the rank-one identity and the SPD
+property against it.  Its element matrices are computed afresh on each
+element's own coordinates, with the skeleton ids `local_bmat` returns, so
+they share nothing with the per-class tables the library keeps on the
+layout.
+
+The library stacks the elements of a class or of a degree for the loads,
+condensation, the error estimator, the L2 errors and the Dirichlet data.
+The `*_per_element` helpers do the same work one element (or boundary
+edge) at a time, with one data call each, for tests to compare against.
+They take each element's L and B from `element_full_bmat` (the class
+kernels, which `test_classes.py` checks against fresh matrices) and
+compute its load with the single-element `local_load` below.
 """
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.sparse.linalg import splu
 
-from dpg_elast.local import (gram_factor, local_bmat, local_gram, local_load,
-                             local_stiffness)
+from dpg_elast.assembly import element_full_bmat
+from dpg_elast.basis import (edge_basis_eval, gauss_rule, gauss_rule_2d,
+                             q_basis_table)
+from dpg_elast.local import (_volume_nq, _volume_points, gram_factor,
+                             local_bmat, local_gram, local_stiffness)
+from dpg_elast.mesh import bilinear_maps
+
+
+def local_load(coords, p_tilde, f):
+    """Load vector (f, v) over one element's test space.
+
+    f maps an (n, 2) array of physical points to the (n, 2) body force;
+    None means no body force.
+    """
+    ns = (p_tilde + 1) ** 2
+    lvec = np.zeros(5 * ns)
+    if f is None:
+        return lvec
+    nq = _volume_nq(p_tilde)
+    phys, w, _ = _volume_points(coords, nq)
+    tvals, _ = q_basis_table(p_tilde, nq)
+    fv = f(phys) * w[:, None]  # (nq, 2)
+    lvec[3 * ns:] = (tvals @ fv).T.ravel()
+    return lvec
+
+
+def error_representation(L, Bfull, lvec, x_loc):
+    """Riesz representative of one element's residual and its V-norm.
+
+    L is the lower Cholesky factor of the Gram matrix G; the V-norm of
+    e = G^{-1} r is |L^{-1} r|.
+    """
+    resid = lvec - Bfull @ x_loc
+    z = solve_triangular(L, resid, lower=True, check_finite=False)
+    e = solve_triangular(L, z, lower=True, trans="T", check_finite=False)
+    return e, float(np.linalg.norm(z))
 
 
 def assemble_full(mesh, degrees, material, f, layout):
@@ -63,3 +106,111 @@ def solve_full(E, g, layout, x_pinned=None):
     x = xp.copy()
     x[free] = splu(E[np.ix_(free, free)].tocsc()).solve(rhs)
     return x
+
+
+def _element_matrices(mesh, layout, material, f, k, delta_p):
+    """Element k's class L and B and its dof ids, with its own load."""
+    L, B, _, gdofs = element_full_bmat(mesh, layout, material, f, k, delta_p)
+    lvec = local_load(mesh.element_coords(k), layout.element_p[k] + delta_p, f)
+    return L, B, lvec, gdofs
+
+
+def condense_per_element(mesh, degrees, material, f, layout, x_pinned,
+                         loads):
+    """Condensation one element at a time: (S, g, expand).
+
+    S is the condensed skeleton matrix over all dofs (CSR) and g the
+    (n_dofs, 1 + m) block of condensed loads, column 0 the DPG load with
+    the Dirichlet lift, then the extra loads `loads` (n_dofs, m).
+    `expand(j, x)` returns a copy of the dof vector x with the element
+    interiors of load j recovered from x's skeleton values.
+    """
+    n = layout.n_dofs
+    g = np.column_stack([np.zeros(n), loads])
+    rows, cols, vals, recover = [], [], [], []
+    for k in mesh.active_elements:
+        L, B, lvec, gdofs = _element_matrices(mesh, layout, material, f, k,
+                                              degrees.delta_p)
+        ni = 5 * (layout.element_p[k] + 1) ** 2
+        K = local_stiffness(L, B)
+        Kii = cho_factor(K[:ni, :ni], lower=True)
+        Kis = K[:ni, ni:]
+        A = cho_solve(Kii, Kis)
+        S = K[ni:, ni:] - Kis.T @ A
+        fl = load_product(L, B, lvec)
+        ii, sk = gdofs[:ni], gdofs[ni:]
+        b = cho_solve(Kii, np.column_stack([fl[:ni], loads[ii]]))
+        gs = -(Kis.T @ b)
+        gs[:, 0] += fl[ni:] - S @ x_pinned[sk]
+        g[sk] += gs
+        idx = np.broadcast_to(sk, (sk.size, sk.size))
+        rows.append(idx.T.ravel())
+        cols.append(idx.ravel())
+        vals.append(S.ravel())
+        recover.append((ii, sk, A, b))
+    S = sp.coo_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n, n)).tocsr()
+
+    def expand(j, x):
+        x = x.copy()
+        for ii, sk, A, b in recover:
+            x[ii] = b[:, j] - A @ x[sk]
+        return x
+
+    return S, g, expand
+
+
+def error_indicators_per_element(mesh, degrees, material, f, layout, x):
+    """Elementwise V-norms of the error representation function."""
+    out = {}
+    for k in mesh.active_elements:
+        L, B, lvec, gdofs = _element_matrices(mesh, layout, material, f, k,
+                                              degrees.delta_p)
+        out[k] = error_representation(L, B, lvec, x[gdofs])[1]
+    return out
+
+
+def l2_errors_per_element(mesh, degrees, layout, x, exact):
+    """(e_sigma, e_u, n_sigma, n_u) with one `exact` call per element."""
+    es = eu = ns = nu = 0.0
+    for k in mesh.active_elements:
+        p = layout.element_p[k]
+        nq = p + degrees.delta_p + 2
+        rule = gauss_rule_2d(nq)
+        phys, jac = bilinear_maps(mesh.element_coords(k), rule.points)
+        w = rule.weights * np.linalg.det(jac)
+        vals, _ = q_basis_table(p, nq)
+        base = layout.interior_base[k]
+        fields = x[base: base + 5 * vals.shape[0]].reshape(5, -1) @ vals
+        u_ex, sig = exact(phys)
+        s_ex = np.column_stack([sig[:, 0, 0], sig[:, 0, 1], sig[:, 1, 1]])
+        ds = fields[:3].T - s_ex
+        es += w @ (ds[:, 0] ** 2 + 2.0 * ds[:, 1] ** 2 + ds[:, 2] ** 2)
+        eu += w @ np.sum((fields[3:].T - u_ex) ** 2, axis=1)
+        ns += w @ (s_ex[:, 0] ** 2 + 2.0 * s_ex[:, 1] ** 2 + s_ex[:, 2] ** 2)
+        nu += w @ np.sum(u_ex ** 2, axis=1)
+    return np.sqrt(es), np.sqrt(eu), np.sqrt(ns), np.sqrt(nu)
+
+
+def dirichlet_values_per_element(layout, g_data, mesh):
+    """Pinned-dof vector with one `g_data` call per boundary edge."""
+    xp = np.zeros(layout.n_dofs)
+    for v, d in layout.vertex_dof.items():
+        if layout.pinned[d]:
+            xp[d: d + 2] = g_data(np.array([mesh.vertices[v]]))[0]
+    for e, (q, base) in layout.trace_edges.items():
+        if not mesh.edges[e].boundary or q < 2:
+            continue
+        coords = mesh.edge_coords(e)
+        rule = gauss_rule(q + 3)
+        pts = 0.5 * (1 - rule.points)[:, None] * coords[0] \
+            + 0.5 * (1 + rule.points)[:, None] * coords[1]
+        gv = g_data(np.vstack([pts, coords]))
+        vals = edge_basis_eval(q, rule.points)
+        resid = gv[:-2] - np.outer(vals[0], gv[-2]) - np.outer(vals[1], gv[-1])
+        bub = vals[2:]
+        c = np.linalg.solve((bub * rule.weights) @ bub.T,
+                            (bub * rule.weights) @ resid)
+        xp[base: base + 2 * (q - 1)] = c.ravel()
+    return xp

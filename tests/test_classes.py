@@ -1,4 +1,5 @@
-"""Randomized checks of refinement and of the per-class element kernels.
+"""Randomized checks of refinement, of the per-class element kernels and
+of the batched per-step work.
 
 Each example refines a unit-square or L-shaped mesh along a random
 marking sequence, raising the degree of random elements on the way, and
@@ -9,6 +10,9 @@ trace at every hanging vertex, and the class partition against a key that
 spells out every segment's data.
 One kernel cache is carried through the rounds, as in a study.  The
 cache's builds and evictions are counted on an adaptive L-shape run.
+On such meshes, condensation, the error estimator, the L2 errors and the
+Dirichlet data, which the library does a class or a degree group at a
+time, are checked against element-by-element loops in `oracle.py`.
 """
 from collections import defaultdict
 
@@ -17,14 +21,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpg_elast import assembly
-from dpg_elast.assembly import (KernelCache, build_dof_layout,
+from dpg_elast.assembly import (KernelCache, build_dof_layout, condense,
                                 dirichlet_values, element_full_bmat,
                                 error_indicators, solve_condensed)
 from dpg_elast.basis import edge_basis_eval
 from dpg_elast.local import _edge_param, _first_occurrence, local_bmat
 from dpg_elast.material import make_isotropic
 from dpg_elast.mesh import DegreeMap, build_initial_mesh, refine_marked
-from dpg_elast.study import greedy_mark, make_benchmark
+from dpg_elast.study import greedy_mark, l2_errors, make_benchmark
+from oracle import (condense_per_element, dirichlet_values_per_element,
+                    error_indicators_per_element, l2_errors_per_element)
 
 MATERIAL = make_isotropic(1.0, 0.5)
 
@@ -207,3 +213,73 @@ def test_adaptive_run_builds_only_new_classes(monkeypatch):
         previous = keys
         mesh = refine_marked(mesh, greedy_mark(indicators))
     assert reused > 0
+
+
+def assert_close(got, expect, rtol=1e-12):
+    """Max-norm agreement relative to the largest entry of `expect`."""
+    got, expect = np.asarray(got, dtype=float), np.asarray(expect, dtype=float)
+    assert got.shape == expect.shape
+    assert np.max(np.abs(got - expect)) <= rtol * np.max(np.abs(expect))
+
+
+def boundary_data(pts):
+    x, y = pts[:, 0], pts[:, 1]
+    return np.column_stack([np.sin(2.0 * x) + y, np.cos(x - y) * x])
+
+
+@settings(max_examples=10, deadline=None)
+@given(domain=st.sampled_from([("unit_square", 2), ("l_shape", 1)]),
+       data=st.data())
+def test_batched_step_matches_per_element_oracle(domain, data):
+    # delta_p >= 2: with delta_p = 1 the condensed matrix has a null space
+    mesh = build_initial_mesh(*domain)
+    degrees = DegreeMap(mesh, p=1, delta_p=data.draw(st.integers(2, 3)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        active = mesh.active_elements
+        for k in data.draw(st.sets(st.sampled_from(active), max_size=3)):
+            degrees.increment(k, mesh)
+        mesh = refine_marked(mesh, data.draw(
+            st.sets(st.sampled_from(active), min_size=1, max_size=3)))
+    bench = make_benchmark("smooth", MATERIAL)
+    f = bench.f
+    layout = build_dof_layout(mesh, degrees)
+
+    xp = dirichlet_values(layout, boundary_data, mesh)
+    assert_close(xp, dirichlet_values_per_element(layout, boundary_data, mesh))
+
+    # two extra loads, vanishing on the pinned dofs, as method 2 passes
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    loads = rng.standard_normal((layout.n_dofs, 2))
+    loads[layout.pinned] = 0.0
+    system = condense(mesh, degrees, MATERIAL, f, layout, xp, loads)
+    S_ref, g_ref, expand_ref = condense_per_element(mesh, degrees, MATERIAL, f,
+                                                    layout, xp, loads)
+    free = system.free
+    S = system.S.toarray()
+    assert_close(S, S_ref[np.ix_(free, free)].toarray())
+    assert_close(system.rhs, g_ref[free])
+    # the condensed matrix is symmetric and positive definite
+    assert np.max(np.abs(S - S.T)) <= 1e-12 * np.max(np.abs(S))
+    assert np.linalg.eigvalsh(0.5 * (S + S.T)).min() > 0.0
+
+    xs = np.linalg.solve(S, system.rhs)
+    for j in range(3):
+        x = system.x_pinned.copy() if j == 0 else np.zeros(layout.n_dofs)
+        x[free] = xs[:, j]
+        got, expect = system.expand(j, xs[:, j]), expand_ref(j, x)
+        # the interiors are b - A x_sk, so the roundoff scales with the
+        # terms, which can be much larger than the result
+        terms = max(np.abs(A).sum(axis=1).max() * np.abs(x[sk]).max()
+                    + np.abs(b[:, :, j]).max()
+                    for _, sk, A, b in system.recover)
+        assert np.max(np.abs(got - expect)) <= 1e-12 * terms
+        np.testing.assert_array_equal(got[free], expect[free])
+    x = system.expand(0, xs[:, 0])
+
+    eta = error_indicators(mesh, degrees, MATERIAL, f, layout, x)
+    eta_ref = error_indicators_per_element(mesh, degrees, MATERIAL, f,
+                                           layout, x)
+    assert list(eta) == list(eta_ref) == mesh.active_elements
+    assert_close(list(eta.values()), list(eta_ref.values()))
+    assert_close(l2_errors(mesh, degrees, layout, x, bench.exact),
+                 l2_errors_per_element(mesh, degrees, layout, x, bench.exact))

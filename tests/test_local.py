@@ -4,13 +4,13 @@ from scipy.linalg import eigvalsh
 
 from dpg_elast.basis import ones_coefficients_2d
 from dpg_elast.assembly import build_dof_layout, element_full_bmat
-from dpg_elast.local import (_side_table, _volume_map_table,
-                             error_representation, gram_factor, local_bmat,
-                             local_gram, local_load, local_stiffness)
+from dpg_elast.local import (_side_table, _volume_map_table, gram_factor,
+                             local_bmat, local_gram, local_loads,
+                             local_stiffness)
 from dpg_elast.material import make_isotropic
 from dpg_elast.mesh import (DegreeMap, build_initial_mesh, refine_marked,
                             refine_uniform)
-from oracle import load_product
+from oracle import error_representation, load_product, local_load
 
 UNIT = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 SHEARED = np.array([[0.0, 0.0], [1.0, 0.0], [1.5, 1.0], [0.5, 1.0]])
@@ -104,6 +104,21 @@ def test_load_vector():
     v2 = constant_test_coeffs(3, v2=1.0)
     assert v1 @ lvec == pytest.approx(2.0, abs=1e-12)
     assert v2 @ lvec == pytest.approx(-3.0, abs=1e-12)
+
+
+def test_stacked_loads_match_single_element_loads():
+    def f(pts):
+        return np.column_stack([np.sin(pts[:, 0]), pts[:, 0] * pts[:, 1]])
+
+    coords = np.stack([UNIT, SHEARED, 0.5 * SHEARED + 2.0])
+    lvecs = local_loads(coords, 3, f)
+    assert lvecs.shape == (3, 5 * 16)
+    for c, lvec in zip(coords, lvecs):
+        np.testing.assert_array_equal(lvec, local_load(c, 3, f))
+    assert not local_loads(coords, 3, None).any()
+    # one clockwise element fails the whole stack
+    with pytest.raises(ValueError):
+        local_loads(np.stack([UNIT, UNIT[::-1]]), 3, f)
 
 
 def test_local_stiffness_oracle():

@@ -1,3 +1,6 @@
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -57,6 +60,48 @@ def test_hp_decide():
     h_set, p_set = hp_decide(set(mesh2.active_elements), mesh2, (0.0, 0.0))
     assert len(h_set) == 3
     assert len(p_set) == 9
+    assert hp_decide(set(), mesh2, (0.0, 0.0)) == (set(), set())
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(benchmark="smooth", method=2, mode="uniform_h", p=2, steps=2),
+    dict(benchmark="lshape", method=1, mode="adaptive_hp", p=1, steps=4,
+         marking_fraction=0.1),
+])
+def test_data_callables_called_once_per_degree_group_and_step(kwargs,
+                                                              monkeypatch):
+    # the loads, the L2 errors and the Dirichlet data each evaluate their
+    # callable once per degree group (g: once) and step, never per element
+    calls = Counter()
+    groups = []
+    make, build = study.make_benchmark, study.build_dof_layout
+
+    def counted(name, fn):
+        def wrapper(pts):
+            calls[name] += 1
+            return fn(pts)
+        return wrapper
+
+    def counting_benchmark(*args):
+        bench = make(*args)
+        return replace(bench, **{name: counted(name, getattr(bench, name))
+                                 for name in ("f", "g", "exact")
+                                 if getattr(bench, name) is not None})
+
+    def recording_layout(*args, **kw):
+        layout = build(*args, **kw)
+        groups.append(len(layout.degree_groups))
+        return layout
+
+    monkeypatch.setattr(study, "make_benchmark", counting_benchmark)
+    monkeypatch.setattr(study, "build_dof_layout", recording_layout)
+    run_convergence_study(StudyConfig(**kwargs))
+    assert len(groups) == kwargs["steps"]
+    if kwargs["benchmark"] == "smooth":
+        assert calls == {"f": sum(groups), "exact": sum(groups)}
+    else:
+        assert max(groups) > 1
+        assert calls == {"g": len(groups), "exact": sum(groups)}
 
 
 def test_observed_rate():
