@@ -68,27 +68,40 @@ def edge_basis_eval(p: int, t: np.ndarray) -> np.ndarray:
     Ordering: linear function for the t=-1 endpoint, then the t=+1
     endpoint, then integrated-Legendre bubbles of degree 2..p.
     """
-    return edge_basis_eval_deriv(p, t)[0]
+    return _edge_values(p, np.atleast_1d(np.asarray(t, dtype=float)))[0]
 
 
-def edge_basis_eval_deriv(p: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Values and first derivatives of the 1D hierarchical basis."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
+def _edge_values(p: int, t: np.ndarray):
+    """Values of the 1D hierarchical basis at the 1D array t, with what the
+    bubbles are built from: the Legendre table P_0..P_p, the degrees
+    k = 2..p and the scales c_k as columns (all None for p < 2).
+    """
     vals = np.empty((p + 1, t.size))
-    ders = np.empty_like(vals)
+    P = k = c = None
     if p == 0:
         vals[0] = 1.0
-        ders[0] = 0.0
-        return vals, ders
+        return vals, P, k, c
     vals[0] = 0.5 * (1.0 - t)
     vals[1] = 0.5 * (1.0 + t)
-    ders[0] = -0.5
-    ders[1] = 0.5
     if p >= 2:
         P = _legendre_values(p, t)
         k = np.arange(2.0, p + 1.0)[:, None]
         c = 1.0 / np.sqrt(2.0 * (2.0 * k - 1.0))
         vals[2:] = c * (P[2:] - P[:-2])
+    return vals, P, k, c
+
+
+def edge_basis_eval_deriv(p: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values and first derivatives of the 1D hierarchical basis."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    vals, P, k, c = _edge_values(p, t)
+    ders = np.empty_like(vals)
+    if p == 0:
+        ders[0] = 0.0
+        return vals, ders
+    ders[0] = -0.5
+    ders[1] = 0.5
+    if p >= 2:
         # d/dx (P_k - P_{k-2}) = (2k-1) P_{k-1}
         ders[2:] = c * (2.0 * k - 1.0) * P[1:-1]
     return vals, ders

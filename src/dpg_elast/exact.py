@@ -8,7 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .material import Material, apply_stiffness
 
@@ -85,13 +84,24 @@ def lshape_exponent(material: Material, bracket=(0.01, 0.999)) -> float:
         raise ValueError(f"Poisson ratio out of range: {nu}")
     lo, hi = bracket
     grid = np.linspace(lo, hi, 800)
-    vals = np.array([_corner_equation_cleared(a, nu) for a in grid])
-    roots = []
-    for i in np.nonzero(np.diff(np.sign(vals)) != 0)[0]:
-        a = brentq(_corner_equation_cleared, grid[i], grid[i + 1], args=(nu,), xtol=1e-14)
-        # keep only roots of the original equation, not poles of C1
-        if abs(_corner_equation(a, nu)) < 1e-9:
-            roots.append(a)
+    vals = _corner_equation_cleared(grid, nu)
+    i = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
+    a, b, fa, fb = grid[i], grid[i + 1], vals[i], vals[i + 1]
+    # bisect every sign change at once, until no midpoint lies strictly
+    # between its neighbouring floats
+    while True:
+        mid = 0.5 * (a + b)
+        inside = (a < mid) & (mid < b)
+        if not inside.any():
+            break
+        fm = _corner_equation_cleared(mid, nu)
+        right = inside & (np.sign(fm) == np.sign(fa))
+        left = inside & ~right
+        a, fa = np.where(right, mid, a), np.where(right, fm, fa)
+        b, fb = np.where(left, mid, b), np.where(left, fm, fb)
+    roots = np.where(np.abs(fa) <= np.abs(fb), a, b)
+    # keep only roots of the original equation, not poles of C1
+    roots = [r for r in roots if abs(_corner_equation(r, nu)) < 1e-9]
     if not roots:
         raise RuntimeError("no root found for the corner exponent equation")
     return float(min(roots))

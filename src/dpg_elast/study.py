@@ -111,8 +111,10 @@ class StudyConfig:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.p < 1:
             raise ValueError(f"p must be >= 1, got {self.p}")
-        if self.delta_p < 1:
-            raise ValueError(f"delta_p must be >= 1, got {self.delta_p}")
+        if self.delta_p < 2:
+            raise ValueError(
+                f"delta_p must be >= 2, got {self.delta_p}: with a smaller "
+                "test enrichment the condensed skeleton matrix is singular")
         make_isotropic(self.lam, self.mu)
         if not 0.0 < self.marking_fraction <= 1.0:
             raise ValueError(

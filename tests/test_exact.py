@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from dpg_elast.exact import (LShapeParams, lshape_effective_material,
-                             lshape_exponent, lshape_polar_angle,
-                             lshape_solution, smooth_solution)
-from dpg_elast.material import apply_compliance, make_isotropic
+from dpg_elast.exact import (LShapeParams, _corner_equation,
+                             lshape_effective_material, lshape_exponent,
+                             lshape_polar_angle, lshape_solution,
+                             smooth_solution)
+from dpg_elast.material import Material, apply_compliance, make_isotropic
 from dpg_elast.study import make_benchmark
 
 STEEL = make_isotropic(123.0, 79.3)
@@ -62,6 +63,32 @@ def test_lshape_exponent_monotone_in_nu():
     a_lo = lshape_exponent(make_isotropic(0.2, 1.0))
     a_hi = lshape_exponent(make_isotropic(5.0, 1.0))
     assert a_lo != pytest.approx(a_hi, abs=1e-6)
+
+
+# (lambda, mu) and its exponent a, as Brent's method at xtol 1e-14 gave it
+# (the bisection agrees to within an ulp or two)
+PINNED_EXPONENTS = [
+    ((123.0, 79.3), 0.6037781005214915),
+    ((0.2, 1.0), 0.617554042173402),
+    ((5.0, 1.0), 0.5960098601939967),
+    ((1.0, 0.5), 0.6018077748921468),
+    ((1e4, 1.0), 0.5898989009495439),
+]
+
+
+@pytest.mark.parametrize("lam_mu, expected", PINNED_EXPONENTS)
+def test_lshape_exponent_pinned(lam_mu, expected):
+    material = make_isotropic(*lam_mu)
+    a = lshape_exponent(material)
+    assert a == pytest.approx(expected, rel=1e-14)
+    assert abs(_corner_equation(a, material.nu)) <= 1e-12
+
+
+def test_lshape_exponent_rejects_bad_input():
+    with pytest.raises(RuntimeError):
+        lshape_exponent(STEEL, bracket=(0.01, 0.1))
+    with pytest.raises(ValueError):
+        lshape_exponent(Material(lam=0.0, mu=1.0))   # nu = 0
 
 
 def test_polar_angle_mapping():

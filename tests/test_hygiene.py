@@ -1,13 +1,25 @@
 """Static checks of the package source, in place of a linter.
 
 An AST scan of every module of `dpg_elast` fails on an imported name the
-module never uses (names listed in `__all__` count as used) and on a
-module-level `_private` function that no module of the package refers to.
+module never uses (names listed in `__all__` count as used), on a
+module-level `_private` function that no module of the package refers to,
+and on a third-party import outside `ALLOWED_THIRD_PARTY`.  A subprocess
+check keeps the heavy scipy subpackages out of `sys.modules`, at import
+and after a study: each one adds its import time and memory to every run.
 """
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dpg_elast"
+
+# every third-party module the package may import
+ALLOWED_THIRD_PARTY = {"numpy", "numpy.polynomial", "scipy.linalg",
+                       "scipy.sparse", "scipy.sparse.linalg"}
+FORBIDDEN_AT_RUN_TIME = ("scipy.optimize", "scipy.special", "scipy.fft")
 
 
 def parse_package():
@@ -68,3 +80,49 @@ def test_no_unreferenced_private_functions():
                     and not node.name.startswith("__")
                     and node.name not in referenced]
     assert unreferenced == []
+
+
+def imported_modules(tree):
+    """(module, line) of every absolute import, `__future__` ones left out."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, node.lineno
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and node.module != "__future__"):
+            yield node.module, node.lineno
+
+
+def test_third_party_imports_allowed():
+    stray = [f"{name}:{line} {module}"
+             for name, tree in parse_package().items()
+             for module, line in imported_modules(tree)
+             if module.split(".")[0] not in sys.stdlib_module_names
+             and module not in ALLOWED_THIRD_PARTY]
+    assert stray == []
+
+
+IMPORT_PROBE = """
+import json, sys
+import dpg_elast, dpg_elast.cli
+from dpg_elast import StudyConfig, run_convergence_study
+at_import = set(sys.modules)
+run_convergence_study(StudyConfig(benchmark="lshape", mode="adaptive_hp",
+                                  steps=2))
+run_convergence_study(StudyConfig(method=2, steps=1))
+print(json.dumps({"at_import": sorted(at_import),
+                  "after_study": sorted(set(sys.modules) - at_import)}))
+"""
+
+
+def test_heavy_scipy_not_imported():
+    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    modules = json.loads(out.splitlines()[-1])
+    loaded = [m for m in modules["at_import"]
+              if ".".join(m.split(".")[:2]) in FORBIDDEN_AT_RUN_TIME]
+    assert loaded == []
+    # nothing is imported lazily inside a study
+    assert modules["after_study"] == []

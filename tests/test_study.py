@@ -121,6 +121,7 @@ def test_config_validation():
         StudyConfig(steps=0),
         StudyConfig(p=0),
         StudyConfig(delta_p=0),
+        StudyConfig(delta_p=1),
         StudyConfig(lam=-1.0),
         StudyConfig(lam=float("nan")),
         StudyConfig(mu=float("inf")),
@@ -130,6 +131,9 @@ def test_config_validation():
     ]:
         with pytest.raises(ValueError):
             bad.validate()
+    # with delta_p = 1 the condensed skeleton matrix has a null space
+    with pytest.raises(ValueError, match="singular"):
+        StudyConfig(delta_p=1).validate()
 
 
 def test_study_produces_rows():
@@ -244,7 +248,8 @@ def test_cli_no_config_defaults(tmp_path):
     assert out.exists()
 
 
-@pytest.mark.parametrize("flag, value", [("--delta-p", "0"), ("--lambda", "-1"),
+@pytest.mark.parametrize("flag, value", [("--delta-p", "0"), ("--delta-p", "1"),
+                                         ("--lambda", "-1"),
                                          ("--lambda", "nan"), ("--mu", "inf"),
                                          ("--p", "1.5"), ("--method", "3"),
                                          ("--benchmark", "foo"),
