@@ -25,10 +25,9 @@ def main():
         degrees = DegreeMap(mesh, p=1)
         layout = build_dof_layout(mesh, degrees)
         xp = dirichlet_values(layout, bench.g, mesh)
-        x = solve_condensed(mesh, degrees, bench.solver_material, bench.f,
-                            layout, xp)
-        es, eu, _, _ = l2_errors(mesh, degrees, layout, x, bench.exact)
-        bs, bu = best_approximation_errors(mesh, degrees, layout, bench.exact)
+        x = solve_condensed(bench.solver_material, bench.f, layout, xp)
+        es, eu, _, _ = l2_errors(layout, x, bench.exact)
+        bs, bu = best_approximation_errors(layout, bench.exact)
         err = np.hypot(es, eu)
         best = np.hypot(bs, bu)
         print(f"{nu:>8} {material.lam:>12.4g} {err:>12.4e} "

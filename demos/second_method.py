@@ -23,10 +23,9 @@ def main():
     degrees = DegreeMap(mesh, p=2)
     layout = build_dof_layout(mesh, degrees)
 
-    x1 = solve_condensed(mesh, degrees, bench.solver_material, bench.f,
+    x1 = solve_condensed(bench.solver_material, bench.f,
                          layout, dirichlet_values(layout, bench.g, mesh))
-    x2, alpha = solve_second(mesh, degrees, bench.solver_material, bench.f,
-                             layout)
+    x2, alpha = solve_second(bench.solver_material, bench.f, layout)
 
     norm = np.linalg.norm(x1)
     print(f"free dofs: {layout.n_free}")
@@ -34,7 +33,7 @@ def main():
     print(f"relative difference between the methods: "
           f"{np.linalg.norm(x1 - x2) / norm:.3e}")
 
-    ell = ell_vector(mesh, degrees, bench.solver_material, layout)
+    ell = ell_vector(bench.solver_material, layout)
     print(f"constraint value ell.x = {ell @ x2:.3e} "
           f"(the second method enforces zero mean of tr(A sigma))")
 

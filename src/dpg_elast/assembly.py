@@ -1,5 +1,16 @@
 """Global dof layout, Dirichlet data, static condensation, and sparse solve.
 
+`build_dof_layout` is the one reader of the mesh topology and of the
+`DegreeMap` in a step.  One pass over the active elements' sides finds
+each side's trace owner edge and flux leaf edges, gives each edge the
+largest degree of the elements whose sides carry it (the maximum rule),
+records the midpoint of each split side as a hanging vertex constrained
+by that side's edge, and collects the ends of the boundary leaves as the
+vertices to pin.  The layout carries the element degrees, delta_p and the
+element coordinates, so the solver functions below take the layout in
+place of the mesh and the degree map; only `dirichlet_values` also reads
+the mesh, for the boundary coordinates.
+
 Numbering is element-major for the interior (sigma, u) blocks, then vertex
 trace dofs, edge trace bubbles, and edge flux dofs.  The skeleton unknowns
 live on edges: the layout builds each trace owner edge's trace functions
@@ -26,12 +37,12 @@ the trace and flux degrees; with the vertex offsets, that is every input
 first-occurrence order, which is the order of `local_bmat`'s columns.  A
 class's kernel (Gram factor, B and the interior condensation blocks) is
 built whole on translated coordinates, so it depends on the class key
-alone; a `KernelCache` keyed by the class key carries it from one
-refinement step to the next, and each step builds only the classes that
-are new to it.  Condensation, the error estimator and the rank-one border
-terms stack the members of a class and do their dense algebra once per
-class, with one scatter per class.  The loads of a step are computed once,
-with one call of f per degree group.
+alone; a `KernelCache` keyed by the class key and the material carries
+it from one refinement step to the next, and each step builds only the
+classes that are new to it.  Condensation, the error estimator and the
+rank-one border terms stack the members of a class and do their dense
+algebra once per class, with one scatter per class.  The loads of a step
+are computed once, with one call of f per degree group.
 """
 from __future__ import annotations
 
@@ -78,7 +89,7 @@ class ClassKernel:
 class KernelCache:
     """Element-class kernels of a study, carried from step to step.
 
-    `kernels` maps (class key, p_tilde, material) to a `ClassKernel`, and
+    `kernels` maps (class key, material) to a `ClassKernel`, and
     `gram_factors` maps (p_tilde, vertex offsets from vertex 0) to a Gram
     Cholesky factor.  `build_dof_layout` drops every entry its classes do
     not use, so the cache holds at most one step's classes.
@@ -106,7 +117,9 @@ class DofLayout:
     hanging: dict[int, int]                  # hanging vertex -> master edge
     pinned: np.ndarray                       # bool mask over all dofs
     element_p: dict[int, int]
+    delta_p: int                             # test enrichment, p_tilde - p
     elements: np.ndarray                     # active elements, layout order
+    position: dict[int, int]                 # element -> layout position
     coords: np.ndarray                       # (n, 4, 2) vertices, layout order
     degree_groups: dict[int, np.ndarray]     # p -> positions of degree p
     segments: dict[int, list[SideSegment]]   # element -> side segments
@@ -119,7 +132,7 @@ class DofLayout:
     # and shared with the other steps of a study
     cache: KernelCache
     # read-only element loads of this step, filled by element_full_bmat
-    # for a whole degree group at a time: (f, p_tilde, element) -> load
+    # for a whole degree group at a time: (f, element) -> load
     loads: dict[tuple, np.ndarray] = field(default_factory=dict, repr=False)
 
     @property
@@ -130,13 +143,6 @@ class DofLayout:
         """First interior dof of the elements at the given layout positions."""
         return np.array([self.interior_base[k]
                          for k in self.elements[rows].tolist()], dtype=int)
-
-    def interior_slices(self, eid: int):
-        """(sigma slice, u slice) of an element's interior dofs."""
-        p = self.element_p[eid]
-        nt = (p + 1) ** 2
-        base = self.interior_base[eid]
-        return slice(base, base + 3 * nt), slice(base + 3 * nt, base + 5 * nt)
 
 
 def build_dof_layout(mesh: Mesh, degrees: DegreeMap, bc_spec: str = "dirichlet",
@@ -155,28 +161,38 @@ def build_dof_layout(mesh: Mesh, degrees: DegreeMap, bc_spec: str = "dirichlet",
     all_coords.setflags(write=False)
     degree_of = np.array(list(element_p.values()), dtype=int)
 
-    # each element side's trace owner edge and flux leaf edges
+    # one pass over the element sides: each side's trace owner edge and
+    # flux leaf edges, the edge degrees by the maximum rule over the
+    # elements whose sides carry the edge, the hanging vertices (midpoints
+    # of split sides) and the boundary vertices (ends of boundary leaves)
     sides: dict[int, list[tuple[int, list[int]]]] = {}
+    trace_q: dict[int, int] = {}
+    flux_p: dict[int, int] = {}
+    hanging: dict[int, int] = {}
+    boundary_verts: set[int] = set()
     for k in active:
+        p = element_p[k]
         sides[k] = []
         for s, eid in enumerate(mesh.elements[k].edges):
             leaves = mesh.side_subedges(k, s)
             parent = mesh.edges[eid].parent
-            if (len(leaves) == 1 and parent is not None
+            if len(leaves) > 1:
+                hanging[mesh.edge_midpoint_vertex(eid)] = eid
+                owner = eid
+            elif (parent is not None
                     and mesh.active_side_neighbor(parent) is not None):
                 owner = parent      # constrained side, master across the interface
             else:
                 owner = eid
             sides[k].append((owner, leaves))
-    trace_edges = sorted({owner for info in sides.values() for owner, _ in info})
-    flux_edges = sorted({leaf for info in sides.values()
-                         for _, leaves in info for leaf in leaves})
-
-    hanging = mesh.hanging_vertices()
-    trace_q = {e: degrees.trace_degree(mesh, e) + 1 for e in trace_edges}
-    flux_p = {e: degrees.edge_degree(mesh, e) for e in flux_edges}
-
-    boundary_verts = mesh.boundary_vertices()
+            trace_q[owner] = max(trace_q.get(owner, 0), p + 1)
+            for leaf in leaves:
+                flux_p[leaf] = max(flux_p.get(leaf, 0), p)
+                edge = mesh.edges[leaf]
+                if edge.boundary:
+                    boundary_verts.update((edge.v0, edge.v1))
+    trace_edges = sorted(trace_q)
+    flux_edges = sorted(flux_p)
 
     # numbering
     n = 0
@@ -297,7 +313,10 @@ def build_dof_layout(mesh: Mesh, degrees: DegreeMap, bc_spec: str = "dirichlet",
     return DofLayout(n_dofs=n, interior_base=interior_base, vertex_dof=vertex_dof,
                      trace_edges={e: (trace_q[e], trace_base[e]) for e in trace_edges},
                      hanging=hanging, pinned=pinned, element_p=element_p,
-                     elements=np.array(active, dtype=int), coords=all_coords,
+                     delta_p=degrees.delta_p,
+                     elements=np.array(active, dtype=int),
+                     position={k: i for i, k in enumerate(active)},
+                     coords=all_coords,
                      degree_groups={int(p): np.flatnonzero(degree_of == p)
                                     for p in np.unique(degree_of)},
                      segments=segments, element_dofs=element_dofs,
@@ -305,8 +324,7 @@ def build_dof_layout(mesh: Mesh, degrees: DegreeMap, bc_spec: str = "dirichlet",
                      class_keys=list(class_ids), cache=cache)
 
 
-def element_full_bmat(mesh: Mesh, layout: DofLayout, material: Material, f,
-                      eid: int, delta_p: int):
+def element_full_bmat(layout: DofLayout, material: Material, f, eid: int):
     """Gram Cholesky factor, full local coupling matrix, load, global dof ids.
 
     L and B are the element class's read-only matrices from `layout.cache`,
@@ -314,44 +332,41 @@ def element_full_bmat(mesh: Mesh, layout: DofLayout, material: Material, f,
     `gdofs`.  The first load request of the step for a degree computes the
     loads of every element of that degree and keeps them in `layout.loads`.
     """
-    p = layout.element_p[eid]
-    kernel = _kernel(mesh, layout, material, eid, p + delta_p)
-    key = (f, p + delta_p, eid)
-    if key not in layout.loads:
+    kernel = _kernel(layout, material, eid)
+    if (f, eid) not in layout.loads:
+        p = layout.element_p[eid]
         rows = layout.degree_groups[p]
-        lvecs = local_loads(layout.coords[rows], p + delta_p, f)
+        lvecs = local_loads(layout.coords[rows], p + layout.delta_p, f)
         lvecs.setflags(write=False)
-        layout.loads.update(((f, p + delta_p, k), lvec) for k, lvec
+        layout.loads.update(((f, k), lvec) for k, lvec
                             in zip(layout.elements[rows].tolist(), lvecs))
-    return kernel.L, kernel.B, layout.loads[key], layout.element_dofs[eid]
+    return kernel.L, kernel.B, layout.loads[f, eid], layout.element_dofs[eid]
 
 
-def _class_members(mesh: Mesh, layout: DofLayout, material: Material, f,
-                   members: list[int], delta_p: int):
-    """A class's L and B, with its members' loads as the columns of a
+def _class_members(layout: DofLayout, material: Material, f,
+                   members: list[int]):
+    """A class's kernel, with its members' loads as the columns of a
     (5 ns, m) block and their dof ids as the rows of an (m, n) block.
 
     Every member goes through `element_full_bmat` once.
     """
-    parts = [element_full_bmat(mesh, layout, material, f, k, delta_p)
-             for k in members]
-    L, B = parts[0][:2]
-    return (L, B, np.column_stack([part[2] for part in parts]),
+    parts = [element_full_bmat(layout, material, f, k) for k in members]
+    return (_kernel(layout, material, members[0]),
+            np.column_stack([part[2] for part in parts]),
             np.array([part[3] for part in parts]))
 
 
-def _kernel(mesh: Mesh, layout: DofLayout, material: Material, eid: int,
-            p_tilde: int) -> ClassKernel:
+def _kernel(layout: DofLayout, material: Material, eid: int) -> ClassKernel:
     """Element eid's class kernel, from the cache or built and cached."""
-    key = (layout.class_keys[layout.element_class[eid]], p_tilde, material)
+    key = (layout.class_keys[layout.element_class[eid]], material)
     kernel = layout.cache.kernels.get(key)
     if kernel is None:
-        kernel = _class_kernel(mesh, layout, eid, p_tilde, material)
+        kernel = _class_kernel(layout, eid, material)
         layout.cache.kernels[key] = kernel
     return kernel
 
 
-def _class_kernel(mesh: Mesh, layout: DofLayout, eid: int, p_tilde: int,
+def _class_kernel(layout: DofLayout, eid: int,
                   material: Material) -> ClassKernel:
     """Kernel of element eid's class, with B's columns in class order.
 
@@ -360,16 +375,17 @@ def _class_kernel(mesh: Mesh, layout: DofLayout, eid: int, p_tilde: int,
     step built it.  The Gram factor depends only on p_tilde and
     the vertex offsets and is shared by every class of that shape.
     """
-    coords = mesh.element_coords(eid)
+    coords = layout.coords[layout.position[eid]]
     x0 = coords[0]
     rel = coords - x0
+    p = layout.element_p[eid]
+    p_tilde = p + layout.delta_p
     gkey = (p_tilde, rel.tobytes())
     L = layout.cache.gram_factors.get(gkey)
     if L is None:
         L = gram_factor(local_gram(rel, p_tilde))
         L.setflags(write=False)
         layout.cache.gram_factors[gkey] = L
-    p = layout.element_p[eid]
     segments = [replace(seg, trace_coords=seg.trace_coords - x0,
                         flux_coords=seg.flux_coords - x0)
                 for seg in layout.segments[eid]]
@@ -436,8 +452,8 @@ def dirichlet_values(layout: DofLayout, g_data, mesh: Mesh) -> np.ndarray:
     return xp
 
 
-def error_indicators(mesh: Mesh, degrees: DegreeMap, material: Material, f,
-                     layout: DofLayout, x: np.ndarray) -> dict[int, float]:
+def error_indicators(material: Material, f, layout: DofLayout,
+                     x: np.ndarray) -> dict[int, float]:
     """Elementwise V-norms of the error representation function.
 
     The V-norm of e = G^-1 r is |L^-1 r|, with r = l - B x the residual;
@@ -445,10 +461,9 @@ def error_indicators(mesh: Mesh, degrees: DegreeMap, material: Material, f,
     """
     out = dict.fromkeys(layout.element_p, 0.0)
     for members in layout.classes:
-        L, B, lvecs, gdofs = _class_members(mesh, layout, material, f, members,
-                                            degrees.delta_p)
-        z = solve_triangular(L, lvecs - B @ x[gdofs].T, lower=True,
-                             check_finite=False)
+        kernel, lvecs, gdofs = _class_members(layout, material, f, members)
+        z = solve_triangular(kernel.L, lvecs - kernel.B @ x[gdofs].T,
+                             lower=True, check_finite=False)
         out.update(zip(members, np.linalg.norm(z, axis=0).tolist()))
     return out
 
@@ -483,8 +498,8 @@ class CondensedSystem:
         return x
 
 
-def condense(mesh: Mesh, degrees: DegreeMap, material: Material, f,
-             layout: DofLayout, x_pinned: np.ndarray | None = None,
+def condense(material: Material, f, layout: DofLayout,
+             x_pinned: np.ndarray | None = None,
              loads: np.ndarray | None = None) -> CondensedSystem:
     """Statically condense the interior (sigma, u) blocks, class by class.
 
@@ -504,13 +519,10 @@ def condense(mesh: Mesh, degrees: DegreeMap, material: Material, f,
     rows, cols, vals = [], [], []
     recover = []
     for members in layout.classes:
-        p = layout.element_p[members[0]]
-        kernel = _kernel(mesh, layout, material, members[0], p + degrees.delta_p)
+        kernel, lvecs, gdofs = _class_members(layout, material, f, members)
         Kii, Kis, A, S = kernel.Kii, kernel.Kis, kernel.A, kernel.S
-        L, B, lvecs, gdofs = _class_members(mesh, layout, material, f, members,
-                                            degrees.delta_p)
-        ni, m = 5 * (p + 1) ** 2, len(members)
-        fl = B.T @ cho_solve((L, True), lvecs, check_finite=False)
+        ni, m = 5 * (layout.element_p[members[0]] + 1) ** 2, len(members)
+        fl = kernel.B.T @ cho_solve((kernel.L, True), lvecs, check_finite=False)
         ii, sk = gdofs[:, :ni], gdofs[:, ni:]
         rhs = np.empty((ni, m, g.shape[1]))
         rhs[:, :, 0] = fl[:ni]
@@ -535,14 +547,14 @@ def condense(mesh: Mesh, degrees: DegreeMap, material: Material, f,
                            free=free, x_pinned=xp, recover=recover)
 
 
-def solve_condensed(mesh: Mesh, degrees: DegreeMap, material: Material, f,
-                    layout: DofLayout, x_pinned: np.ndarray | None = None) -> np.ndarray:
+def solve_condensed(material: Material, f, layout: DofLayout,
+                    x_pinned: np.ndarray | None = None) -> np.ndarray:
     """Solve with static condensation of the interior (sigma, u) blocks.
 
     Factorizes only the skeleton coupling and never forms the full sparse
     matrix, which keeps memory bounded on fine high-order meshes.
     """
-    system = condense(mesh, degrees, material, f, layout, x_pinned)
+    system = condense(material, f, layout, x_pinned)
     try:
         lu = splu(system.S, **SPD_SPLU_OPTIONS)
     except RuntimeError as err:

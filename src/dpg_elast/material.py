@@ -61,14 +61,6 @@ def lam_from_nu(nu: float, mu: float) -> float:
     return 2.0 * mu * nu / (1.0 - 2.0 * nu)
 
 
-def apply_compliance(material: Material, tau: np.ndarray) -> np.ndarray:
-    """Apply the compliance to a 2x2 matrix (not necessarily symmetric)."""
-    tau = np.asarray(tau, dtype=float)
-    m = np.trace(tau) / material.N
-    dev = tau - m * np.eye(2)
-    return material.P * dev + material.Q * m * np.eye(2)
-
-
 def apply_stiffness(material: Material, eps: np.ndarray) -> np.ndarray:
     """Inverse of the compliance: stress from (symmetric) strain.
 

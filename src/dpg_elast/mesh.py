@@ -118,27 +118,6 @@ class Mesh:
             children = children[::-1]
         return children
 
-    def hanging_vertices(self) -> dict[int, int]:
-        """Map from hanging vertex to the constraining (split) edge."""
-        out = {}
-        for k in self.active_elements:
-            for s in range(4):
-                if self.side_is_split(k, s):
-                    eid = self.elements[k].edges[s]
-                    out[self.edge_midpoint_vertex(eid)] = eid
-        return out
-
-    def boundary_vertices(self) -> set[int]:
-        out = set()
-        for k in self.active_elements:
-            for s in range(4):
-                for eid in self.side_subedges(k, s):
-                    e = self.edges[eid]
-                    if e.boundary:
-                        out.add(e.v0)
-                        out.add(e.v1)
-        return out
-
     def validate(self) -> None:
         """Check 1-irregularity and interface counts; raises on violation."""
         side_count: dict[int, int] = {}
@@ -300,16 +279,6 @@ def bilinear_shape(points: np.ndarray) -> np.ndarray:
     return 0.25 * np.array([n, dxi, deta]).transpose(0, 2, 1)
 
 
-def bilinear_maps(coords: np.ndarray, points: np.ndarray):
-    """Vectorized bilinear map: physical points and Jacobians at many points.
-
-    coords: (4, 2) ccw vertices; points: (nq, 2) reference points.
-    Returns (phys (nq, 2), jac (nq, 2, 2)) with jac[q, i, j] = dx_i/dxi_j.
-    """
-    t = bilinear_shape(points) @ coords
-    return t[0], t[1:].transpose(1, 2, 0)
-
-
 class DegreeMap:
     """Per-element polynomial degrees with inheritance through refinement."""
 
@@ -336,45 +305,3 @@ class DegreeMap:
 
     def increment(self, eid: int, mesh: Mesh, by: int = 1) -> None:
         self.set_degree(eid, self.degree_of(mesh, eid) + by)
-
-    def copy(self) -> "DegreeMap":
-        out = DegreeMap.__new__(DegreeMap)
-        out.delta_p = self.delta_p
-        out._p = dict(self._p)
-        return out
-
-    def edge_degree(self, mesh: Mesh, leaf_edge: int) -> int:
-        """Maximum rule over the active elements adjacent to a leaf edge."""
-        ps = []
-        eid = leaf_edge
-        while eid is not None:
-            for k, _ in mesh.edges[eid].elems:
-                if mesh.elements[k].active:
-                    ps.append(self.degree_of(mesh, k))
-            eid = mesh.edges[eid].parent
-        if not ps:
-            raise ValueError(f"edge {leaf_edge} borders no active element")
-        return max(ps)
-
-    def trace_degree(self, mesh: Mesh, trace_edge: int) -> int:
-        """Maximum rule including the fine elements across a split edge."""
-        p = 0
-        stack = [trace_edge]
-        seen_any = False
-        while stack:
-            eid = stack.pop()
-            for k, _ in mesh.edges[eid].elems:
-                if mesh.elements[k].active:
-                    p = max(p, self.degree_of(mesh, k))
-                    seen_any = True
-            stack.extend(mesh.edges[eid].children)
-        parent = mesh.edges[trace_edge].parent
-        while parent is not None:
-            for k, _ in mesh.edges[parent].elems:
-                if mesh.elements[k].active:
-                    p = max(p, self.degree_of(mesh, k))
-                    seen_any = True
-            parent = mesh.edges[parent].parent
-        if not seen_any:
-            raise ValueError(f"edge {trace_edge} borders no active element")
-        return p

@@ -19,11 +19,9 @@ from .assembly import SPD_SPLU_OPTIONS, DofLayout, _class_members, condense
 from .basis import ones_coefficients_2d, q_basis_table
 from .local import _volume_points
 from .material import Material
-from .mesh import DegreeMap, Mesh
 
 
-def ell_vector(mesh: Mesh, degrees: DegreeMap, material: Material,
-               layout: DofLayout) -> np.ndarray:
+def ell_vector(material: Material, layout: DofLayout) -> np.ndarray:
     """Rank-one vector: ell_j is the scaled mean of tr(A sigma_j).
 
     Zero except on the diagonal stress dofs, where the entry is
@@ -42,7 +40,7 @@ def ell_vector(mesh: Mesh, degrees: DegreeMap, material: Material,
     return ell
 
 
-def border_terms(mesh: Mesh, degrees: DegreeMap, material: Material, f,
+def border_terms(material: Material, f,
                  layout: DofLayout) -> tuple[np.ndarray, float]:
     """Border column c and diagonal d of the bordered system.
 
@@ -57,17 +55,16 @@ def border_terms(mesh: Mesh, degrees: DegreeMap, material: Material, f,
     c = np.zeros(layout.n_dofs)
     d = 0.0
     for members in layout.classes:
-        p_tilde = layout.element_p[members[0]] + degrees.delta_p
+        p_tilde = layout.element_p[members[0]] + layout.delta_p
         ns = (p_tilde + 1) ** 2
         e_identity = np.zeros(5 * ns)
         e_identity[:ns] = e_identity[2 * ns: 3 * ns] = ones_coefficients_2d(p_tilde)
         # |K| is half the cross product of the diagonals
-        x, y = mesh.element_coords(members[0]).T
+        x, y = layout.coords[layout.position[members[0]]].T
         area = 0.5 * ((x[2] - x[0]) * (y[3] - y[1]) - (x[3] - x[1]) * (y[2] - y[0]))
         dk = scale * scale * 2.0 * area
-        _, B, _, gdofs = _class_members(mesh, layout, material, f, members,
-                                        degrees.delta_p)
-        ck = scale * (B.T @ e_identity)
+        kernel, _, gdofs = _class_members(layout, material, f, members)
+        ck = scale * (kernel.B.T @ e_identity)
         np.add.at(c, gdofs, np.broadcast_to(ck, gdofs.shape))
         d += dk * len(members)
     return c, d
@@ -112,7 +109,7 @@ def solve_second_method(esolve, ell: np.ndarray, c: np.ndarray,
     return x, float(alpha)
 
 
-def solve_second(mesh: Mesh, degrees: DegreeMap, material: Material, f,
+def solve_second(material: Material, f,
                  layout: DofLayout) -> tuple[np.ndarray, float]:
     """Second-method solve on homogeneous boundary data.
 
@@ -120,11 +117,10 @@ def solve_second(mesh: Mesh, degrees: DegreeMap, material: Material, f,
     factors the condensed skeleton matrix once.  Returns the full dof
     vector (pinned entries zero) and the multiplier.
     """
-    ell = ell_vector(mesh, degrees, material, layout)
-    c, d = border_terms(mesh, degrees, material, f, layout)
+    ell = ell_vector(material, layout)
+    c, d = border_terms(material, f, layout)
     c[layout.pinned] = 0.0  # the border row pairs only the free dofs
-    system = condense(mesh, degrees, material, f, layout,
-                      loads=np.column_stack([ell, c]))
+    system = condense(material, f, layout, loads=np.column_stack([ell, c]))
     try:
         lu = splu(system.S, **SPD_SPLU_OPTIONS)
     except RuntimeError as err:

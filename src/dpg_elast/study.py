@@ -162,14 +162,14 @@ def _exact_by_degree(layout, exact, nq_of):
                _sigma_flat(sig).reshape(*w.shape, 3))
 
 
-def l2_errors(mesh: Mesh, degrees: DegreeMap, layout, x, exact):
+def l2_errors(layout, x, exact):
     """Absolute L2 errors and exact norms: (e_sigma, e_u, n_sigma, n_u).
 
     Stress uses the Frobenius norm (off-diagonal counted twice).
     """
     es = eu = ns = nu = 0.0
     for p, nq, base, w, u_ex, s_ex in _exact_by_degree(
-            layout, exact, lambda p: p + degrees.delta_p + 2):
+            layout, exact, lambda p: p + layout.delta_p + 2):
         vals, _ = q_basis_table(p, nq)
         nt = vals.shape[0]
         coef = x[base[:, None] + np.arange(5 * nt)].reshape(-1, 5, nt)
@@ -181,7 +181,7 @@ def l2_errors(mesh: Mesh, degrees: DegreeMap, layout, x, exact):
     return np.sqrt(es), np.sqrt(eu), np.sqrt(ns), np.sqrt(nu)
 
 
-def best_approximation_errors(mesh: Mesh, degrees: DegreeMap, layout, exact):
+def best_approximation_errors(layout, exact):
     """L2 errors of the elementwise projections onto the trial spaces."""
     bs = bu = 0.0
     for p, nq, _, w, u_ex, s_ex in _exact_by_degree(layout, exact,
@@ -238,11 +238,9 @@ def _solve_step(mesh, degrees, bench, config, cache):
     layout = build_dof_layout(mesh, degrees, cache=cache)
     if config.method == 1:
         xp = dirichlet_values(layout, bench.g, mesh)
-        x = solve_condensed(mesh, degrees, bench.solver_material, bench.f,
-                            layout, xp)
+        x = solve_condensed(bench.solver_material, bench.f, layout, xp)
     else:
-        x, _ = solve_second(mesh, degrees, bench.solver_material, bench.f,
-                            layout)
+        x, _ = solve_second(bench.solver_material, bench.f, layout)
     return layout, x
 
 
@@ -269,9 +267,9 @@ def run_convergence_study(config: StudyConfig) -> list[ReportRow]:
             if config.out:
                 write_csv(config.out, rows)
             raise
-        es, eu, ns, nu = l2_errors(mesh, degrees, layout, x, bench.exact)
-        indicators = error_indicators(mesh, degrees, bench.solver_material,
-                                      bench.f, layout, x)
+        es, eu, ns, nu = l2_errors(layout, x, bench.exact)
+        indicators = error_indicators(bench.solver_material, bench.f,
+                                      layout, x)
         eta = float(np.sqrt(sum(v * v for v in indicators.values())))
         h_min = float(_diameters(layout.coords).min())
         p_max = max(layout.element_p.values())

@@ -16,6 +16,16 @@ edge) at a time, with one data call each, for tests to compare against.
 They take each element's L and B from `element_full_bmat` (the class
 kernels, which `test_classes.py` checks against fresh matrices) and
 compute its load with the single-element `local_load` below.
+
+`bilinear_maps`, `apply_compliance` and `interior_slices` are pointwise
+and per-element forms of what the library does in batches, for tests to
+build independent references with.
+
+`build_dof_layout` reads the skeleton off the mesh topology (edge
+parents and children).  The `*_by_overlap` helpers find the same facts
+from coordinates alone, by which active element sides overlap a segment
+or contain a vertex: the edge degrees by the maximum rule, the hanging
+vertices with their master sides, and the boundary vertices.
 """
 import numpy as np
 import scipy.sparse as sp
@@ -27,7 +37,32 @@ from dpg_elast.basis import (edge_basis_eval, gauss_rule, gauss_rule_2d,
                              q_basis_table)
 from dpg_elast.local import (_volume_nq, _volume_points, gram_factor,
                              local_bmat, local_gram, local_stiffness)
-from dpg_elast.mesh import bilinear_maps
+from dpg_elast.mesh import bilinear_shape
+
+
+def bilinear_maps(coords, points):
+    """Bilinear map of one element: physical points and Jacobians.
+
+    coords: (4, 2) ccw vertices; points: (nq, 2) reference points.
+    Returns (phys (nq, 2), jac (nq, 2, 2)) with jac[q, i, j] = dx_i/dxi_j.
+    """
+    t = bilinear_shape(points) @ coords
+    return t[0], t[1:].transpose(1, 2, 0)
+
+
+def apply_compliance(material, tau):
+    """Apply the compliance to a 2x2 matrix (not necessarily symmetric)."""
+    tau = np.asarray(tau, dtype=float)
+    m = np.trace(tau) / material.N
+    dev = tau - m * np.eye(2)
+    return material.P * dev + material.Q * m * np.eye(2)
+
+
+def interior_slices(layout, eid):
+    """(sigma slice, u slice) of an element's interior dofs."""
+    nt = (layout.element_p[eid] + 1) ** 2
+    base = layout.interior_base[eid]
+    return slice(base, base + 3 * nt), slice(base + 3 * nt, base + 5 * nt)
 
 
 def local_load(coords, p_tilde, f):
@@ -110,7 +145,7 @@ def solve_full(E, g, layout, x_pinned=None):
 
 def _element_matrices(mesh, layout, material, f, k, delta_p):
     """Element k's class L and B and its dof ids, with its own load."""
-    L, B, _, gdofs = element_full_bmat(mesh, layout, material, f, k, delta_p)
+    L, B, _, gdofs = element_full_bmat(layout, material, f, k)
     lvec = local_load(mesh.element_coords(k), layout.element_p[k] + delta_p, f)
     return L, B, lvec, gdofs
 
@@ -214,3 +249,65 @@ def dirichlet_values_per_element(layout, g_data, mesh):
                             (bub * rule.weights) @ resid)
         xp[base: base + 2 * (q - 1)] = c.ravel()
     return xp
+
+
+
+def active_sides(mesh, degrees):
+    """Ends (n, 2, 2) and degrees (n,) of the sides of the active elements."""
+    active = mesh.active_elements
+    c = mesh.coords_of(active)
+    ends = np.stack([c, np.roll(c, -1, axis=1)], axis=2).reshape(-1, 2, 2)
+    return ends, np.repeat([degrees.degree_of(mesh, k) for k in active], 4)
+
+
+def _along(a, b, x):
+    """Parameter t of the points x on the lines a + t (b - a), and whether
+    each point lies on its line; the arguments broadcast."""
+    d, r = b - a, x - a
+    dd = np.sum(d * d, axis=-1)
+    cross = r[..., 0] * d[..., 1] - r[..., 1] * d[..., 0]
+    return np.sum(r * d, axis=-1) / dd, np.abs(cross) <= 1e-12 * dd
+
+
+def overlapping(ends, a, b):
+    """Mask of the segments `ends` (n, 2, 2) that share a piece of positive
+    length with the segment [a, b]."""
+    t, on = _along(a, b, ends)
+    shared = np.minimum(t.max(axis=1), 1.0) - np.maximum(t.min(axis=1), 0.0)
+    return on.all(axis=1) & (shared > 1e-12)
+
+
+def degree_by_overlap(sides, seg_ends):
+    """The maximum rule from geometry: the largest degree of the element
+    sides that share a piece of positive length with a segment."""
+    ends, p = sides
+    return int(p[overlapping(ends, *seg_ends)].max())
+
+
+def corner_vertices(mesh):
+    """The vertices of the active elements."""
+    return {v for k in mesh.active_elements for v in mesh.elements[k].verts}
+
+
+def hanging_by_overlap(mesh, sides):
+    """{corner vertex: ends of the element side it lies strictly inside}."""
+    ends, _ = sides
+    out = {}
+    for v in corner_vertices(mesh):
+        t, on = _along(ends[:, 0], ends[:, 1], np.array(mesh.vertices[v]))
+        inside = np.flatnonzero(on & (t > 1e-12) & (t < 1.0 - 1e-12))
+        if inside.size:
+            out[v] = ends[inside[0]]
+    return out
+
+
+def boundary_vertices_by_overlap(mesh, sides):
+    """Corner vertices on an element side that no other side overlaps."""
+    ends, _ = sides
+    lone = ends[[overlapping(ends, a, b).sum() == 1 for a, b in ends]]
+    out = set()
+    for v in corner_vertices(mesh):
+        t, on = _along(lone[:, 0], lone[:, 1], np.array(mesh.vertices[v]))
+        if np.any(on & (t >= -1e-12) & (t <= 1.0 + 1e-12)):
+            out.add(v)
+    return out

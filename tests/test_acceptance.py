@@ -17,14 +17,14 @@ from dpg_elast.exact import (LShapeParams, lshape_effective_material,
                              lshape_exponent, lshape_solution,
                              _corner_equation)
 from dpg_elast.local import local_gram
-from dpg_elast.material import (apply_compliance, lam_from_nu, make_isotropic)
-from dpg_elast.mesh import (DegreeMap, bilinear_maps, build_initial_mesh,
-                            refine_marked)
+from dpg_elast.material import lam_from_nu, make_isotropic
+from dpg_elast.mesh import DegreeMap, build_initial_mesh, refine_marked
 from dpg_elast.rankone import border_terms, ell_vector, solve_second
 from dpg_elast.study import (StudyConfig, best_approximation_errors,
                              greedy_mark, l2_errors, make_benchmark,
                              observed_rate, run_convergence_study)
-from oracle import assemble_full, solve_full
+from oracle import (apply_compliance, assemble_full, bilinear_maps,
+                    interior_slices, solve_full)
 
 STEEL_LAM, STEEL_MU = 123.0, 79.3
 
@@ -83,10 +83,9 @@ def test_criterion_04_locking_free():
         degrees = DegreeMap(mesh, p=1)
         layout = build_dof_layout(mesh, degrees)
         xp = dirichlet_values(layout, bench.g, mesh)
-        x = solve_condensed(mesh, degrees, bench.solver_material, bench.f,
-                            layout, xp)
-        es, eu, _, _ = l2_errors(mesh, degrees, layout, x, bench.exact)
-        bs, bu = best_approximation_errors(mesh, degrees, layout, bench.exact)
+        x = solve_condensed(bench.solver_material, bench.f, layout, xp)
+        es, eu, _, _ = l2_errors(layout, x, bench.exact)
+        bs, bu = best_approximation_errors(layout, bench.exact)
         ratios.append(np.hypot(es, eu) / np.hypot(bs, bu))
     spread = (max(ratios) - min(ratios)) / min(ratios)
     ok = max(ratios) <= 1.5 and spread <= 0.15
@@ -103,8 +102,7 @@ def test_criterion_05_method_equivalence():
     layout = build_dof_layout(mesh, degrees)
     E, g = assemble_full(mesh, degrees, bench.solver_material, bench.f, layout)
     x1 = solve_full(E, g, layout)
-    x2, alpha = solve_second(mesh, degrees, bench.solver_material, bench.f,
-                             layout)
+    x2, alpha = solve_second(bench.solver_material, bench.f, layout)
     norm = np.linalg.norm(x1)
     diff = np.linalg.norm(x1 - x2) / norm
     ok = abs(alpha) <= 1e-10 * norm and diff <= 1e-8
@@ -123,7 +121,6 @@ def test_criterion_06_rank_one_structure():
 
     # direct assembly of the constraint row from the compliance definition
     from dpg_elast.basis import gauss_rule_2d, q_basis_eval
-    from dpg_elast.mesh import bilinear_maps
     mat = bench.solver_material
     row = np.zeros(layout.n_dofs)
     units = [np.array([[1.0, 0.0], [0.0, 0.0]]),
@@ -142,7 +139,7 @@ def test_criterion_06_rank_one_structure():
             row[base + b * nt: base + (b + 1) * nt] += tr * (vals @ w)
 
     E1 = E.toarray()
-    ell = ell_vector(mesh, degrees, mat, layout)
+    ell = ell_vector(mat, layout)
     err_rank1 = np.max(np.abs((E1 + np.outer(ell, ell))
                               - (E1 + np.outer(row, row))))
     scale = np.abs(E1).max()
@@ -150,8 +147,8 @@ def test_criterion_06_rank_one_structure():
 
     # the condensed Sherman-Morrison solve against the dense bordered matrix
     # built from the full-matrix oracle, on the free dofs
-    x, alpha = solve_second(mesh, degrees, mat, bench.f, layout)
-    c, d = border_terms(mesh, degrees, mat, bench.f, layout)
+    x, alpha = solve_second(mat, bench.f, layout)
+    c, d = border_terms(mat, bench.f, layout)
     free = ~layout.pinned
     m = int(free.sum())
     big = np.zeros((m + 1, m + 1))
@@ -181,10 +178,9 @@ def test_criterion_07_spd_suite():
     mesh = build_initial_mesh("l_shape", 1)
     degrees = DegreeMap(mesh, p=1)
     layout = build_dof_layout(mesh, degrees)
-    x = solve_condensed(mesh, degrees, lbench.solver_material, lbench.f,
+    x = solve_condensed(lbench.solver_material, lbench.f,
                         layout, dirichlet_values(layout, lbench.g, mesh))
-    etas = error_indicators(mesh, degrees, lbench.solver_material, lbench.f,
-                            layout, x)
+    etas = error_indicators(lbench.solver_material, lbench.f, layout, x)
     refined = refine_marked(mesh, greedy_mark(etas, 0.5))
 
     checked = 0
@@ -227,8 +223,7 @@ def test_criterion_08_test_function_identities():
     mesh = build_initial_mesh("unit_square", 1)
     degrees = DegreeMap(mesh, p=1, delta_p=2)
     layout = build_dof_layout(mesh, degrees)
-    _, Bfull, _, gdofs = element_full_bmat(mesh, layout, material, None, 0,
-                                           degrees.delta_p)
+    _, Bfull, _, gdofs = element_full_bmat(layout, material, None, 0)
     p = layout.element_p[0]
     p_tilde = p + degrees.delta_p
     G = local_gram(mesh.element_coords(0), p_tilde)
@@ -238,7 +233,7 @@ def test_criterion_08_test_function_identities():
     # trial function (sigma = I, u = 0, u_hat = 0, flux = I n)
     x = np.zeros(layout.n_dofs)
     ones_t = ones_coefficients_2d(p)
-    sl_s, _ = layout.interior_slices(0)
+    sl_s, _ = interior_slices(layout, 0)
     x[sl_s] = np.concatenate([ones_t, 0.0 * ones_t, ones_t])
     coords = mesh.element_coords(0)
     for seg in layout.segments[0]:

@@ -9,7 +9,7 @@ from dpg_elast.basis import edge_basis_eval, q_basis_eval
 from dpg_elast.material import apply_stiffness, make_isotropic
 from dpg_elast.mesh import DegreeMap, build_initial_mesh, refine_marked
 from dpg_elast.rankone import border_terms, ell_vector
-from oracle import assemble_full, solve_full
+from oracle import assemble_full, bilinear_maps, interior_slices, solve_full
 
 MAT = make_isotropic(1.0, 0.5)
 
@@ -121,7 +121,7 @@ def test_dirichlet_trace_reproduces_polynomials():
 
 def solve_linear_patch(mesh, degrees, layout, material):
     g, sigma = linear_data(material)
-    x = solve_condensed(mesh, degrees, material, None, layout,
+    x = solve_condensed(material, None, layout,
                         dirichlet_values(layout, g, mesh))
     return x, g, sigma
 
@@ -138,7 +138,6 @@ def test_patch_test_exact_reproduction():
     ref = np.array([[-0.5, 0.2], [0.7, -0.6], [0.0, 0.0]])
     for k in mesh.active_elements:
         sig_h, u_h = eval_element_fields(layout, k, x, ref)
-        from dpg_elast.mesh import bilinear_maps
         phys, _ = bilinear_maps(mesh.element_coords(k), ref)
         for q in range(ref.shape[0]):
             np.testing.assert_allclose(u_h[q], g(phys[q]), atol=1e-9)
@@ -149,7 +148,7 @@ def test_patch_test_exact_reproduction():
 def test_indicators_vanish_on_reproduced_solution():
     mesh, degrees, layout = make_problem(n=2, p=1)
     x, _, _ = solve_linear_patch(mesh, degrees, layout, MAT)
-    etas = error_indicators(mesh, degrees, MAT, None, layout, x)
+    etas = error_indicators(MAT, None, layout, x)
     assert set(etas) == set(mesh.active_elements)
     assert max(etas.values()) <= 1e-9
 
@@ -172,7 +171,7 @@ def test_condensed_matches_full_solve():
     mesh, degrees, layout, f, xp = hanging_problem()
     E, gvec = assemble_full(mesh, degrees, MAT, f, layout)
     x_full = solve_full(E, gvec, layout, xp)
-    x_cond = solve_condensed(mesh, degrees, MAT, f, layout, xp)
+    x_cond = solve_condensed(MAT, f, layout, xp)
     scale = np.max(np.abs(x_full))
     np.testing.assert_allclose(x_cond, x_full, atol=1e-10 * scale)
 
@@ -182,12 +181,12 @@ def test_condensed_extra_loads_match_full_solve():
     # DPG load; only column 0 takes the Dirichlet lift
     mesh, degrees, layout, f, xp = hanging_problem()
     assert np.any(xp != 0.0) and layout.hanging
-    ell = ell_vector(mesh, degrees, MAT, layout)
-    c, _ = border_terms(mesh, degrees, MAT, f, layout)
+    ell = ell_vector(MAT, layout)
+    c, _ = border_terms(MAT, f, layout)
     c[layout.pinned] = 0.0
     loads = np.column_stack([ell, c])
-    system = condense(mesh, degrees, MAT, f, layout, xp, loads)
-    unlifted = condense(mesh, degrees, MAT, f, layout, None, loads)
+    system = condense(MAT, f, layout, xp, loads)
+    unlifted = condense(MAT, f, layout, None, loads)
     np.testing.assert_array_equal(system.rhs[:, 1:], unlifted.rhs[:, 1:])
     assert np.any(system.rhs[:, 0] != unlifted.rhs[:, 0])
 
@@ -214,9 +213,8 @@ def test_solution_error_decreases_under_refinement():
         degrees = DegreeMap(mesh, p=1)
         layout = build_dof_layout(mesh, degrees)
         xp = dirichlet_values(layout, bench.g, mesh)
-        x = solve_condensed(mesh, degrees, bench.solver_material, bench.f,
-                            layout, xp)
-        es, eu, ns, nu = l2_errors(mesh, degrees, layout, x, bench.exact)
+        x = solve_condensed(bench.solver_material, bench.f, layout, xp)
+        es, eu, ns, nu = l2_errors(layout, x, bench.exact)
         errs.append(np.hypot(es, eu))
         from dpg_elast.mesh import refine_uniform
         mesh = refine_uniform(mesh)
@@ -228,7 +226,7 @@ def test_eval_element_fields_constant():
     from dpg_elast.basis import ones_coefficients_2d
 
     x = np.zeros(layout.n_dofs)
-    sl_s, sl_u = layout.interior_slices(0)
+    sl_s, sl_u = interior_slices(layout, 0)
     ones = ones_coefficients_2d(1)
     nt = 4
     x[sl_s] = np.concatenate([2.0 * ones, -1.0 * ones, 0.5 * ones])

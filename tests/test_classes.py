@@ -35,14 +35,14 @@ from oracle import (condense_per_element, dirichlet_values_per_element,
 MATERIAL = make_isotropic(1.0, 0.5)
 
 
-def check_class_matrices(mesh, layout, delta_p):
+def check_class_matrices(mesh, layout):
     """Every element's (B, gdofs) against a fresh local_bmat, by dof id."""
     for k in mesh.active_elements:
-        _, B, _, gdofs = element_full_bmat(mesh, layout, MATERIAL, None, k,
-                                           delta_p)
+        _, B, _, gdofs = element_full_bmat(layout, MATERIAL, None, k)
         p = layout.element_p[k]
-        fresh, skel_ids = local_bmat(mesh.element_coords(k), p, p + delta_p,
-                                     MATERIAL, layout.segments[k])
+        fresh, skel_ids = local_bmat(mesh.element_coords(k), p,
+                                     p + layout.delta_p, MATERIAL,
+                                     layout.segments[k])
         ni = 5 * (p + 1) ** 2
         base = layout.interior_base[k]
         np.testing.assert_array_equal(gdofs[:ni], np.arange(base, base + ni))
@@ -125,23 +125,34 @@ def signed_area(coords):
     return 0.5 * float(x @ np.roll(y, -1) - y @ np.roll(x, -1))
 
 
+def layouts_of_both_enrichments(mesh, degrees, cache):
+    """One layout per enrichment degree 1 and 2, on one kernel cache, with
+    every element's class matrices checked: the cache then holds the
+    kernels of both, so entries that differ only in p_tilde must never
+    meet.  Returns the layouts."""
+    layouts = []
+    for delta_p in (1, 2):
+        degrees.delta_p = delta_p
+        layouts.append(build_dof_layout(mesh, degrees, cache=cache))
+    for layout in layouts:
+        check_class_matrices(mesh, layout)
+    assert len(cache.kernels) == sum(len(layout.classes) for layout in layouts)
+    return layouts
+
+
 @settings(max_examples=12, deadline=None)
 @given(domain=st.sampled_from([("unit_square", 2), ("l_shape", 1)]),
        data=st.data())
 def test_random_refinement_keeps_classes_exact(domain, data):
-    # one kernel cache is carried through every round, as in a study; the
-    # kernels are requested with both enrichment degrees, so entries that
-    # differ only in p_tilde must never meet
+    # one kernel cache is carried through every round, as in a study
     mesh = build_initial_mesh(*domain)
-    degrees = DegreeMap(mesh, p=1, delta_p=data.draw(st.integers(1, 2)))
+    degrees = DegreeMap(mesh, p=1)
     cache = KernelCache()
     seen: dict = {}
     for _ in range(data.draw(st.integers(1, 3))):
-        layout = build_dof_layout(mesh, degrees, cache=cache)
-        for delta_p in (1, 2):
-            check_class_matrices(mesh, layout, delta_p)
-        check_segments(mesh, layout)
-        check_class_keys(mesh, layout, seen)
+        for layout in layouts_of_both_enrichments(mesh, degrees, cache):
+            check_segments(mesh, layout)
+            check_class_keys(mesh, layout, seen)
         active = mesh.active_elements
         for k in data.draw(st.sets(st.sampled_from(active), max_size=2)):
             degrees.increment(k, mesh)
@@ -157,11 +168,9 @@ def test_random_refinement_keeps_classes_exact(domain, data):
             assert signed_area(np.array([mesh.vertices[v]
                                          for v in child.verts])) > 0.0
 
-    layout = build_dof_layout(mesh, degrees, cache=cache)
-    for delta_p in (1, 2):
-        check_class_matrices(mesh, layout, delta_p)
-    check_segments(mesh, layout)
-    check_class_keys(mesh, layout, seen)
+    for layout in layouts_of_both_enrichments(mesh, degrees, cache):
+        check_segments(mesh, layout)
+        check_class_keys(mesh, layout, seen)
 
 
 @given(st.lists(st.integers(-3, 5), max_size=12))
@@ -201,12 +210,12 @@ def test_adaptive_run_builds_only_new_classes(monkeypatch):
         # eviction comes before any kernel of the step is built
         assert {key[0] for key in cache.kernels} <= keys & previous
         before = len(builds)
-        x = solve_condensed(mesh, degrees, mat, bench.f, layout,
+        x = solve_condensed(mat, bench.f, layout,
                             dirichlet_values(layout, bench.g, mesh))
-        indicators = error_indicators(mesh, degrees, mat, bench.f, layout, x)
+        indicators = error_indicators(mat, bench.f, layout, x)
         assert len(builds) - before == len(keys - previous)
         # the cache holds exactly this step's classes and shapes
-        assert set(cache.kernels) == {(key, key[1], mat) for key in keys}
+        assert set(cache.kernels) == {(key, mat) for key in keys}
         assert set(cache.gram_factors) == {(key[1], key[2]) for key in keys}
         assert not any(a.flags.writeable for a in cached_arrays(cache, layout))
         reused += len(keys & previous)
@@ -251,7 +260,7 @@ def test_batched_step_matches_per_element_oracle(domain, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
     loads = rng.standard_normal((layout.n_dofs, 2))
     loads[layout.pinned] = 0.0
-    system = condense(mesh, degrees, MATERIAL, f, layout, xp, loads)
+    system = condense(MATERIAL, f, layout, xp, loads)
     S_ref, g_ref, expand_ref = condense_per_element(mesh, degrees, MATERIAL, f,
                                                     layout, xp, loads)
     free = system.free
@@ -276,10 +285,10 @@ def test_batched_step_matches_per_element_oracle(domain, data):
         np.testing.assert_array_equal(got[free], expect[free])
     x = system.expand(0, xs[:, 0])
 
-    eta = error_indicators(mesh, degrees, MATERIAL, f, layout, x)
+    eta = error_indicators(MATERIAL, f, layout, x)
     eta_ref = error_indicators_per_element(mesh, degrees, MATERIAL, f,
                                            layout, x)
     assert list(eta) == list(eta_ref) == mesh.active_elements
     assert_close(list(eta.values()), list(eta_ref.values()))
-    assert_close(l2_errors(mesh, degrees, layout, x, bench.exact),
+    assert_close(l2_errors(layout, x, bench.exact),
                  l2_errors_per_element(mesh, degrees, layout, x, bench.exact))

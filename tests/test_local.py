@@ -190,8 +190,7 @@ def test_gram_factor_cached_per_geometry_class():
     degrees = DegreeMap(mesh, p=1)
     layout = build_dof_layout(mesh, degrees)
     for k in mesh.active_elements:
-        L, _, _, _ = element_full_bmat(mesh, layout, m, None, k,
-                                       degrees.delta_p)
+        L, _, _, _ = element_full_bmat(layout, m, None, k)
         p_tilde = layout.element_p[k] + degrees.delta_p
         L_abs = gram_factor(local_gram(mesh.element_coords(k), p_tilde))
         np.testing.assert_allclose(L, L_abs, rtol=0.0, atol=1e-13)
@@ -213,7 +212,7 @@ def test_uniform_mesh_shares_kernels():
     degrees = DegreeMap(mesh, p=2)
     layout = build_dof_layout(mesh, degrees)
     for k in mesh.active_elements:
-        element_full_bmat(mesh, layout, m, None, k, degrees.delta_p)
+        element_full_bmat(layout, m, None, k)
     assert len(mesh.active_elements) == 64
     assert len(layout.classes) <= 6
     assert len(layout.cache.kernels) == len(layout.classes)

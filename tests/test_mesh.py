@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dpg_elast.mesh import (DegreeMap, bilinear_maps, build_initial_mesh,
-                            refine_marked, refine_uniform)
+from dpg_elast.assembly import build_dof_layout
+from dpg_elast.mesh import (DegreeMap, build_initial_mesh, refine_marked,
+                            refine_uniform)
+from oracle import (active_sides, bilinear_maps, boundary_vertices_by_overlap,
+                    corner_vertices, degree_by_overlap, hanging_by_overlap)
+
+
+def pinned_vertices(layout):
+    return {v for v, d in layout.vertex_dof.items() if layout.pinned[d]}
 
 
 def test_unit_square_counts():
@@ -70,7 +79,7 @@ def test_uniform_refinement():
     assert not fine.elements[0].active
     assert len(mesh.active_elements) == 1  # original untouched
     fine.validate()
-    assert not fine.hanging_vertices()
+    assert not build_dof_layout(fine, DegreeMap(fine)).hanging
     area = sum(abs(np.linalg.det(bilinear_maps(fine.element_coords(k),
                                                np.zeros((1, 2)))[1][0])) * 4.0
                for k in fine.active_elements)
@@ -85,7 +94,7 @@ def test_marked_refinement_hanging():
     assert_independent(mesh, fine)
     fine.validate()
     assert len(fine.active_elements) == 7
-    hang = fine.hanging_vertices()
+    hang = build_dof_layout(fine, DegreeMap(fine)).hanging
     # element 0 has two interior sides, each contributing a hanging vertex
     assert len(hang) == 2
     for v, eid in hang.items():
@@ -132,7 +141,7 @@ def test_refine_inactive_raises():
 
 def test_boundary_vertices():
     mesh = build_initial_mesh("unit_square", 2)
-    bnd = mesh.boundary_vertices()
+    bnd = pinned_vertices(build_dof_layout(mesh, DegreeMap(mesh)))
     interior = [v for v, xy in enumerate(mesh.vertices)
                 if 0.0 < xy[0] < 1.0 and 0.0 < xy[1] < 1.0]
     assert len(bnd) == 8
@@ -172,13 +181,48 @@ def test_degree_map_edge_rules():
     mesh = build_initial_mesh("unit_square", 2)
     degrees = DegreeMap(mesh, p=1)
     degrees.set_degree(0, 4)
+    layout = build_dof_layout(mesh, degrees)
     el = mesh.elements[0]
-    for s in range(4):
-        assert degrees.edge_degree(mesh, el.edges[s]) == 4
-    far = mesh.elements[3].edges  # element diagonal from 0 shares no edge
-    shared = set(el.edges)
-    only_far = [e for e in far if e not in shared]
-    assert any(degrees.edge_degree(mesh, e) == 1 for e in only_far)
+    for e in el.edges:
+        assert layout.trace_edges[e][0] - 1 == 4
+    assert [seg.flux_p for seg in layout.segments[0]] == [4] * 4
+    # element 3, diagonal from 0, shares no edge with it
+    only_far = [s for s, e in enumerate(mesh.elements[3].edges)
+                if e not in el.edges]
+    assert any(layout.segments[3][s].flux_p == 1 for s in only_far)
+    assert any(layout.trace_edges[mesh.elements[3].edges[s]][0] - 1 == 1
+               for s in only_far)
+
+
+@settings(max_examples=15, deadline=None)
+@given(domain=st.sampled_from([("unit_square", 2), ("l_shape", 1)]),
+       data=st.data())
+def test_layout_skeleton_matches_geometry(domain, data):
+    # random hp meshes: the layout's trace and flux degrees, hanging
+    # vertices and pinned vertices against the element sides' geometry
+    mesh = build_initial_mesh(*domain)
+    degrees = DegreeMap(mesh, p=1)
+    for _ in range(data.draw(st.integers(0, 3))):
+        active = mesh.active_elements
+        for k in data.draw(st.sets(st.sampled_from(active), max_size=3)):
+            degrees.increment(k, mesh, by=data.draw(st.integers(1, 2)))
+        mesh = refine_marked(mesh, data.draw(
+            st.sets(st.sampled_from(active), min_size=1, max_size=3)))
+    layout = build_dof_layout(mesh, degrees)
+    sides = active_sides(mesh, degrees)
+
+    for k in mesh.active_elements:
+        for seg in layout.segments[k]:
+            assert seg.trace_q - 1 == degree_by_overlap(sides, seg.trace_coords)
+            assert seg.flux_p == degree_by_overlap(sides, seg.flux_coords)
+    hanging = hanging_by_overlap(mesh, sides)
+    assert set(layout.hanging) == set(hanging)
+    for v, master in layout.hanging.items():
+        # the master edge is the side, in either direction
+        assert (sorted(mesh.edge_coords(master).tolist())
+                == sorted(hanging[v].tolist()))
+    assert pinned_vertices(layout) == boundary_vertices_by_overlap(mesh, sides)
+    assert set(layout.vertex_dof) == corner_vertices(mesh) - set(hanging)
 
 
 def test_degree_map_validation():

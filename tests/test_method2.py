@@ -5,13 +5,13 @@ from dpg_elast import rankone
 from dpg_elast.assembly import build_dof_layout, dirichlet_values
 from dpg_elast.basis import gauss_rule_2d, q_basis_eval
 from dpg_elast.local import local_bmat, local_gram
-from dpg_elast.material import apply_compliance, make_isotropic
-from dpg_elast.mesh import (DegreeMap, bilinear_maps, build_initial_mesh,
-                            refine_marked)
+from dpg_elast.material import make_isotropic
+from dpg_elast.mesh import DegreeMap, build_initial_mesh, refine_marked
 from dpg_elast.rankone import (border_terms, ell_vector, solve_second,
                                solve_second_method)
 from dpg_elast.study import make_benchmark
-from oracle import assemble_full, solve_full
+from oracle import (apply_compliance, assemble_full, bilinear_maps,
+                    interior_slices, solve_full)
 
 MAT = make_isotropic(1.0, 0.5)
 
@@ -55,7 +55,7 @@ def constraint_row_reference(mesh, degrees, material, layout):
 def test_ell_vector_matches_independent_quadrature():
     for material in (MAT, make_isotropic(4.0, 1.3)):
         mesh, degrees, layout, _, _ = setup(material=material)
-        ell = ell_vector(mesh, degrees, material, layout)
+        ell = ell_vector(material, layout)
         ref = constraint_row_reference(mesh, degrees, material, layout)
         np.testing.assert_allclose(ell, ref, atol=1e-13 * max(np.abs(ref).max(), 1.0))
 
@@ -65,23 +65,23 @@ def test_ell_vector_total_trace():
     from dpg_elast.basis import ones_coefficients_2d
 
     mesh, degrees, layout, _, _ = setup()
-    ell = ell_vector(mesh, degrees, MAT, layout)
+    ell = ell_vector(MAT, layout)
     x = np.zeros(layout.n_dofs)
     ones = ones_coefficients_2d(1)
     for k in mesh.active_elements:
-        sl_s, _ = layout.interior_slices(k)
+        sl_s, _ = interior_slices(layout, k)
         x[sl_s] = np.concatenate([ones, 0.0 * ones, ones])
     assert ell @ x == pytest.approx(2.0, abs=1e-12)
     # off-stress dofs carry no constraint weight
     for k in mesh.active_elements:
-        _, sl_u = layout.interior_slices(k)
+        _, sl_u = interior_slices(layout, k)
         assert np.all(ell[sl_u] == 0.0)
     assert np.all(ell[min(layout.vertex_dof.values()):] == 0.0)
 
 
 def test_border_diagonal_is_twice_area():
     mesh, degrees, layout, _, _ = setup()
-    _, d = border_terms(mesh, degrees, MAT, None, layout)
+    _, d = border_terms(MAT, None, layout)
     assert d == pytest.approx(2.0, rel=1e-10)
 
 
@@ -95,7 +95,7 @@ def test_border_terms_match_gram_solve():
     degrees.increment(mesh.active_elements[-1], mesh)
     layout = build_dof_layout(mesh, degrees)
     m = make_isotropic(4.0, 1.3)
-    c, d = border_terms(mesh, degrees, m, None, layout)
+    c, d = border_terms(m, None, layout)
     c_ref = np.zeros(layout.n_dofs)
     d_ref = 0.0
     for k in mesh.active_elements:
@@ -127,13 +127,13 @@ def test_border_column_pairs_constants():
     # the rank-one vector also produces
     mesh, degrees, layout, _, _ = setup(material=make_isotropic(2.0, 0.7))
     m = make_isotropic(2.0, 0.7)
-    c, _ = border_terms(mesh, degrees, m, None, layout)
-    ell_free = ell_vector(mesh, degrees, m, layout)[~layout.pinned]
+    c, _ = border_terms(m, None, layout)
+    ell_free = ell_vector(m, layout)[~layout.pinned]
     # c restricted to the interior stress dofs equals Q0 * ell there
     free_ids = np.flatnonzero(~layout.pinned)
     interior_stress = np.zeros(layout.n_dofs, dtype=bool)
     for k in mesh.active_elements:
-        sl_s, _ = layout.interior_slices(k)
+        sl_s, _ = interior_slices(layout, k)
         interior_stress[sl_s] = True
     mask = interior_stress[free_ids]
     np.testing.assert_allclose(c[free_ids][mask], m.Q0 * ell_free[mask],
@@ -144,7 +144,7 @@ def test_rank_one_identity():
     # the second method's stiffness is the first method's plus ell ell^T;
     # verified against an extended assembly with the scalar test component
     mesh, degrees, layout, E, _ = setup()
-    ell = ell_vector(mesh, degrees, MAT, layout)
+    ell = ell_vector(MAT, layout)
     E1 = E.toarray()
     ref_row = constraint_row_reference(mesh, degrees, MAT, layout)
     E2 = E1 + np.outer(ref_row, ref_row)
@@ -157,9 +157,9 @@ def test_sherman_morrison_dense_oracle():
     bench = make_benchmark("smooth", MAT)
     mat = bench.solver_material
     mesh, degrees, layout, E, g = setup(material=mat, f=bench.f)
-    x, alpha = solve_second(mesh, degrees, mat, bench.f, layout)
-    ell = ell_vector(mesh, degrees, mat, layout)
-    c, d = border_terms(mesh, degrees, mat, bench.f, layout)
+    x, alpha = solve_second(mat, bench.f, layout)
+    ell = ell_vector(mat, layout)
+    c, d = border_terms(mat, bench.f, layout)
 
     free = ~layout.pinned
     m = int(free.sum())
@@ -184,8 +184,7 @@ def test_methods_agree_on_smooth_problem():
     layout = build_dof_layout(mesh, degrees)
     E, g = assemble_full(mesh, degrees, bench.solver_material, bench.f, layout)
     x1 = solve_full(E, g, layout, dirichlet_values(layout, bench.g, mesh))
-    x2, alpha = solve_second(mesh, degrees, bench.solver_material, bench.f,
-                             layout)
+    x2, alpha = solve_second(bench.solver_material, bench.f, layout)
     norm = np.linalg.norm(x1)
     assert abs(alpha) <= 1e-10 * norm
     assert np.linalg.norm(x1 - x2) <= 1e-8 * norm
@@ -197,8 +196,8 @@ def test_constraint_satisfied():
     mesh = build_initial_mesh("unit_square", 2)
     degrees = DegreeMap(mesh, p=2)
     layout = build_dof_layout(mesh, degrees)
-    x, _ = solve_second(mesh, degrees, bench.solver_material, bench.f, layout)
-    ell = ell_vector(mesh, degrees, bench.solver_material, layout)
+    x, _ = solve_second(bench.solver_material, bench.f, layout)
+    ell = ell_vector(bench.solver_material, layout)
     assert abs(ell @ x) <= 1e-10 * max(np.linalg.norm(x), 1.0)
 
 
@@ -260,4 +259,4 @@ def test_singular_schur_complement_fails_factorization(monkeypatch):
     degrees = DegreeMap(mesh, p=1)
     layout = build_dof_layout(mesh, degrees)
     with pytest.raises(RuntimeError, match="sparse factorization failed"):
-        solve_second(mesh, degrees, bench.solver_material, bench.f, layout)
+        solve_second(bench.solver_material, bench.f, layout)

@@ -23,7 +23,7 @@ def test_l2_errors_of_zero_solution():
     degrees = DegreeMap(mesh, p=2)
     layout = build_dof_layout(mesh, degrees)
     x = np.zeros(layout.n_dofs)
-    es, eu, ns, nu = l2_errors(mesh, degrees, layout, x, bench.exact)
+    es, eu, ns, nu = l2_errors(layout, x, bench.exact)
     assert es == pytest.approx(ns, rel=1e-12)
     assert eu == pytest.approx(nu, rel=1e-12)
     # || sin(pi x) sin(pi y) ||_{L2}^2 = 1/4 per component, two components,
@@ -36,9 +36,8 @@ def test_best_approximation_below_exact_norm():
     mesh = build_initial_mesh("unit_square", 2)
     degrees = DegreeMap(mesh, p=1)
     layout = build_dof_layout(mesh, degrees)
-    bs, bu = best_approximation_errors(mesh, degrees, layout, bench.exact)
-    _, _, ns, nu = l2_errors(mesh, degrees, layout,
-                             np.zeros(layout.n_dofs), bench.exact)
+    bs, bu = best_approximation_errors(layout, bench.exact)
+    _, _, ns, nu = l2_errors(layout, np.zeros(layout.n_dofs), bench.exact)
     assert 0.0 < bs < ns
     assert 0.0 < bu < nu
 
