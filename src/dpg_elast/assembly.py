@@ -12,51 +12,53 @@ place of the mesh and the degree map; only `dirichlet_values` also reads
 the mesh, for the boundary coordinates.
 
 Numbering is element-major for the interior (sigma, u) blocks, then vertex
-trace dofs, edge trace bubbles, and edge flux dofs.  The skeleton unknowns
-live on edges: the layout builds each trace owner edge's trace functions
-and each leaf edge's flux functions once, as read-only arrays, and an
-element's side segments point at them.  Hanging-node coupling is part of
-the trace functions: the trace on a constrained side expands directly in
-the master edge's basis, and a hanging-vertex value is redistributed onto
-the master's dofs.  A segment's flux sign follows from the topology alone,
-since child edges run the way their parent runs.
+trace dofs, edge trace bubbles, and edge flux dofs.
 
-The layout also sorts the elements into classes.  An element's coupling
-matrix B depends only on its degrees, its shape up to translation and how
-its sides meet the skeleton, so elements that agree on these share one B
-(and one Gram factor).  The class key is (p, p_tilde, vertex offsets from
-vertex 0, pattern), where the pattern replaces each of the element's
-skeleton dofs, listed segment by segment (trace x, trace y, flux x, flux
-y), by the position of that dof's first occurrence.  This is enough:
-every vertex lies on two sides and a hanging vertex expands into its
-master edge's dofs, so the coincidences in the pattern fix each side's
-edge orientation (hence the flux sign), its number of leaves and which
-half of a master edge a constrained side covers; the block lengths fix
-the trace and flux degrees; with the vertex offsets, that is every input
-`local_bmat` reads.  The element's skeleton dof ids are stored in the same
-first-occurrence order, which is the order of `local_bmat`'s columns.  A
-class's kernel (Gram factor, B and the interior condensation blocks) is
-built whole on translated coordinates, so it depends on the class key
-alone; a `KernelCache` keyed by the class key and the material carries
-it from one refinement step to the next, and each step builds only the
-classes that are new to it.  Condensation, the error estimator and the
-rank-one border terms stack the members of a class and do their dense
-algebra once per class, with one scatter per class.  The loads of a step
-are computed once, with one call of f per degree group.
+Each element computes on its own skeleton basis (`SideSegment`): the
+trace of degree q along each counterclockwise side, with the element's
+corner functions at the side's ends, and one flux basis per leaf, along
+the side.  Everything topological lives in the element's constraint map
+C_K from the global to the local skeleton dofs, which `build_dof_layout`
+builds in one place:
+- a side that runs against its edge swaps the edge's ends, and its trace
+  bubbles and flux bubbles of odd degree change sign;
+- the flux takes the sign of the outward normal against the leaf's normal;
+- a constrained side (a half of its master edge, whose other side is one
+  element) takes the restriction of the master's trace bubbles to that
+  half, a small dense block per (q, half, reversed);
+- a hanging corner takes the master's trace at the edge midpoint, spread
+  onto the master's dofs (`vertex_entries`).
+Then the element's skeleton unknowns are x_K = C_K x, and its matrix and
+loads enter the global system as C_K' S_K C_K and C_K' g_K.
+
+The layout sorts the elements into classes.  An element's coupling
+matrix B (and its Gram factor) depends only on its degrees, its shape up
+to translation and its segments' degrees, so the class key is (p,
+p_tilde, vertex offsets from vertex 0, per side: the trace degree q and
+the leaves' flux degrees).  Orientation, flux signs and hanging nodes do
+not split classes.  A class's kernel (Gram factor, B and the interior
+condensation blocks) is built whole on translated coordinates, so it
+depends on the class key alone; a `KernelCache` keyed by the class key and
+the material carries it from one refinement step to the next, and each
+step builds only the classes that are new to it.  Condensation, the error
+estimator and the rank-one border terms stack the members of a class and
+do their dense algebra once per class, with one scatter through the
+members' C_K per class (`ClassMap`).  The loads of a step are computed
+once, with one call of f per degree group.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import lapack
 from scipy.sparse.linalg import splu
 
 from .basis import _read_only, edge_basis_eval, gauss_rule
-from .local import (SideSegment, _edge_param, _first_occurrence,
-                    _skeleton_dofs, gram_factor, local_bmat, local_gram,
-                    local_loads, local_stiffness)
+from .local import (SideSegment, cholesky_solve, gram_factor, local_bmat,
+                    local_gram, local_loads, local_stiffness, lower_solve)
 from .material import Material
 from .mesh import DegreeMap, Mesh
 
@@ -108,12 +110,64 @@ class KernelCache:
                              if k in shapes}
 
 
+@dataclass(frozen=True)
+class ClassMap:
+    """The constraint maps C_K of a class's members, with their interior dofs.
+
+    Local skeleton dof `rows[i, t]` of member i takes `weights[i, t]` times
+    global dof `ids[i, t]`, and x_K = C_K x sums these over t.  `rows` is
+    None when every member's C_K is a scaled copy, one entry per local dof
+    in local order; otherwise a member's unused trailing entries have
+    weight zero.  `interior` holds the members' interior dof ids.
+    """
+
+    interior: np.ndarray        # (m, ni)
+    ids: np.ndarray             # (m, nnz)
+    rows: np.ndarray | None     # (m, nnz), or None: rows[i, t] == t
+    weights: np.ndarray         # (m, nnz)
+    n_skel: int                 # local skeleton dofs per member
+
+    def gather(self, x: np.ndarray) -> np.ndarray:
+        """The members' local skeleton values C_K x, shape (m, n_skel)."""
+        vals = self.weights * x[self.ids]
+        if self.rows is None:
+            return vals
+        m = len(self.ids)
+        flat = (np.arange(m)[:, None] * self.n_skel + self.rows).ravel()
+        return np.bincount(flat, vals.ravel(),
+                           m * self.n_skel).reshape(m, self.n_skel)
+
+    def scatter(self, out: np.ndarray, vals: np.ndarray) -> None:
+        """Add C_K' vals[i] of every member i to `out`; `vals` has shape
+        (m, n_skel) or (m, n_skel, k) for an (n_dofs, k) `out`."""
+        if self.rows is not None:
+            vals = vals[np.arange(len(self.ids))[:, None], self.rows]
+        w = self.weights if vals.ndim == 2 else self.weights[..., None]
+        np.add.at(out, self.ids, w * vals)
+
+    def coo(self, S: np.ndarray):
+        """(rows, cols, values) of the sum of C_K' S C_K over the members."""
+        if self.rows is not None:
+            S = S[self.rows[:, :, None], self.rows[:, None, :]]
+        vals = self.weights[:, :, None] * S * self.weights[:, None, :]
+        return (np.broadcast_to(self.ids[:, :, None], vals.shape).ravel(),
+                np.broadcast_to(self.ids[:, None, :], vals.shape).ravel(),
+                vals.ravel())
+
+    def member(self, i: int) -> "ClassMap":
+        """The one-member map of member i."""
+        rows = None if self.rows is None else self.rows[i:i + 1]
+        return ClassMap(self.interior[i:i + 1], self.ids[i:i + 1], rows,
+                        self.weights[i:i + 1], self.n_skel)
+
+
 @dataclass
 class DofLayout:
     n_dofs: int
     interior_base: dict[int, int]            # element -> first interior dof
     vertex_dof: dict[int, int]               # vertex -> dof of x component
     trace_edges: dict[int, tuple[int, int]]  # owner edge -> (q, bubble base)
+    flux_edges: dict[int, tuple[int, int]]   # leaf edge -> (degree, base)
     hanging: dict[int, int]                  # hanging vertex -> master edge
     pinned: np.ndarray                       # bool mask over all dofs
     element_p: dict[int, int]
@@ -123,11 +177,10 @@ class DofLayout:
     coords: np.ndarray                       # (n, 4, 2) vertices, layout order
     degree_groups: dict[int, np.ndarray]     # p -> positions of degree p
     segments: dict[int, list[SideSegment]]   # element -> side segments
-    element_dofs: dict[int, np.ndarray]      # element -> interior, then
-                                             # skeleton ids in class order
-    element_class: dict[int, int]            # element -> class id
+    element_class: dict[int, tuple[int, int]]  # element -> (class id, row)
     classes: list[list[int]]                 # class id -> its elements
     class_keys: list[tuple]                  # class id -> class key
+    class_maps: list[ClassMap]               # class id -> members' C_K
     # class kernels and Gram factors, filled lazily by element_full_bmat
     # and shared with the other steps of a study
     cache: KernelCache
@@ -145,9 +198,62 @@ class DofLayout:
                          for k in self.elements[rows].tolist()], dtype=int)
 
 
+@lru_cache(maxsize=None)
+def _restriction(q: int, half: int | None, reverse: bool):
+    """Side coefficients from edge coefficients of the degree q edge basis,
+    as rows of (weight, edge function) pairs, one row per side function.
+
+    The side covers child `half` of the edge (the whole edge for None) and
+    runs against the edge when `reverse`: then the ends swap and the
+    bubbles of odd degree change sign.  On a half, a bubble restricts to
+    bubbles of at most its degree plus a linear part, which the corner
+    values carry; the rows of the side's ends are left out there.
+    """
+    if half is None:
+        T = np.eye(q + 1)
+        if reverse:
+            T = T[[1, 0, *range(2, q + 1)]]
+            T[2:] *= ((-1.0) ** np.arange(2, q + 1))[:, None]
+    else:
+        t = gauss_rule(q + 1).points
+        t_edge = 0.5 * ((-t if reverse else t) + 2 * half - 1)
+        # the edge functions at the points are T' times the side functions
+        T = np.linalg.solve(edge_basis_eval(q, t).T,
+                            edge_basis_eval(q, t_edge).T)
+        T = np.vstack([np.zeros((2, q + 1)), np.triu(T[2:], 2)])
+    return tuple(tuple((w, i) for i, w in enumerate(row) if w)
+                 for row in T.tolist())
+
+
+def _class_map(interior: np.ndarray, member_rows: list) -> ClassMap:
+    """A class's `ClassMap` from its members' C_K, given per member as
+    rows of (weight, global x dof) pairs, one row per local skeleton
+    function; local dof 2 r + c takes global dof g + c."""
+    m, n = len(member_rows), len(member_rows[0])
+    nnz = [sum(map(len, rows)) for rows in member_rows]
+    member, row, w, g = np.array(
+        [(i, r, w, g) for i, rows in enumerate(member_rows)
+         for r, entries in enumerate(rows) for w, g in entries]).T
+    member, row, g = member.astype(int), row.astype(int), g.astype(int)
+    start = np.cumsum([0] + nnz[:-1])
+    slot = np.arange(member.size) - np.repeat(start, nnz)
+    # a member's unused slots: its first dof, with weight zero
+    ids = np.repeat(g[start][:, None], max(nnz), axis=1)
+    rows = np.zeros(ids.shape, dtype=int)
+    weights = np.zeros(ids.shape)
+    ids[member, slot], rows[member, slot], weights[member, slot] = g, row, w
+    comp = np.arange(2)
+    ids = (ids[:, :, None] + comp).reshape(m, -1)
+    rows = (2 * rows[:, :, None] + comp).reshape(m, -1)
+    copies = max(nnz) == n
+    return ClassMap(*_read_only(interior, ids),
+                    None if copies else _read_only(rows)[0],
+                    _read_only(np.repeat(weights, 2, axis=1))[0], 2 * n)
+
+
 def build_dof_layout(mesh: Mesh, degrees: DegreeMap, bc_spec: str = "dirichlet",
                      cache: KernelCache | None = None) -> DofLayout:
-    """Global numbering with hanging-node constraints and boundary pinning.
+    """Global numbering, constraint maps and boundary pinning.
 
     `cache` holds the class kernels of an earlier step; the entries this
     layout's classes do not use are dropped.  Without it the layout starts
@@ -227,91 +333,80 @@ def build_dof_layout(mesh: Mesh, degrees: DegreeMap, bc_spec: str = "dirichlet",
             b = trace_base[e]
             pinned[b:b + 2 * (trace_q[e] - 1)] = True
 
+    @lru_cache(maxsize=None)
     def vertex_entries(v: int) -> list[tuple[float, int]]:
         """The trace value at vertex v as (weight, x dof) pairs."""
         if v in vertex_dof:
             return [(1.0, vertex_dof[v])]
-        # a hanging vertex takes its master edge's trace at its position
+        # a hanging vertex takes its master edge's trace at the midpoint
         master = hanging[v]
         e = mesh.edges[master]
         q = trace_q[master]
-        s = _edge_param(np.array([mesh.vertices[v]]), mesh.edge_coords(master))
-        vals = edge_basis_eval(q, s)[:, 0]
+        vals = edge_basis_eval(q, 0.0)[:, 0]
         base = trace_base[master]
         return ([(w * vals[0], g) for w, g in vertex_entries(e.v0)]
                 + [(w * vals[1], g) for w, g in vertex_entries(e.v1)]
                 + [(vals[i], base + 2 * (i - 2)) for i in range(2, q + 1)])
 
-    # each owner edge's trace functions: (coordinates, basis index, weight,
-    # x and y dofs); global function i is basis function index[i] scaled by
-    # weight[i], which redistributes a hanging vertex onto its master edge
-    trace_functions = {}
-    for e in trace_edges:
-        index, weight, gx = [], [], []
-        for i, v in enumerate((mesh.edges[e].v0, mesh.edges[e].v1)):
-            for w, g in vertex_entries(v):
-                index.append(i)
-                weight.append(w)
-                gx.append(g)
-        q, base = trace_q[e], trace_base[e]
-        index += range(2, q + 1)
-        weight += [1.0] * (q - 1)
-        gx += range(base, base + 2 * (q - 1), 2)
-        trace_functions[e] = _read_only(mesh.edge_coords(e), np.array(index),
-                                        np.array(weight),
-                                        np.array(gx)[:, None] + np.arange(2))
-    # each leaf edge's flux functions: (coordinates, x and y dofs)
-    flux_functions = {
-        e: _read_only(mesh.edge_coords(e),
-                      flux_base[e] + np.arange(2 * (flux_p[e] + 1)).reshape(-1, 2))
-        for e in flux_edges}
-
-    # per-element side segments and element classes
+    # per element: side segments, class key and C_K, whose rows are the
+    # local skeleton functions (four corners, each side's trace bubbles,
+    # each segment's flux functions) as lists of (weight, global x dof)
     segments: dict[int, list[SideSegment]] = {}
-    element_dofs: dict[int, np.ndarray] = {}
-    element_class: dict[int, int] = {}
+    element_class: dict[int, tuple[int, int]] = {}
     class_ids: dict[tuple, int] = {}
     classes: list[list[int]] = []
+    class_rows: list[list] = []
     for k, coords in zip(active, all_coords):
         el = mesh.elements[k]
-        segs = []
+        segs, key_sides = [], []
+        rows = [vertex_entries(v) for v in el.verts]
+        flux_rows = []
         for s, (owner, leaves) in enumerate(sides[k]):
-            trace_coords, index, weight, trace_gdofs = trace_functions[owner]
+            q, base = trace_q[owner], trace_base[owner]
             # children run the way their parent edge runs, so every leaf
-            # runs along the side exactly when the side's own edge does;
-            # the flux sign is +1 when the outward normal is the leaf's
-            # normal (its v0 -> v1 direction turned clockwise)
-            sign = 1.0 if mesh.edges[el.edges[s]].v0 == el.verts[s] else -1.0
+            # and the owner run along the side exactly when the side's
+            # own edge does
+            own = el.edges[s]
+            reverse = mesh.edges[own].v0 != el.verts[s]
+            half = None if owner == own else mesh.edges[owner].children.index(own)
+            rows += [[(w, base + 2 * (j - 2)) for w, j in r]
+                     for r in _restriction(q, half, reverse)[2:]]
+            # the flux also changes sign with the normal
+            sign = -1.0 if reverse else 1.0
             nseg = len(leaves)
             for i, leaf in enumerate(leaves):
-                flux_coords, flux_gdofs = flux_functions[leaf]
-                segs.append(SideSegment(
-                    side=s, t0=-1.0 + 2.0 * i / nseg,
-                    t1=-1.0 + 2.0 * (i + 1) / nseg,
-                    trace_coords=trace_coords, trace_q=trace_q[owner],
-                    trace_index=index, trace_weight=weight,
-                    trace_gdofs=trace_gdofs, flux_coords=flux_coords,
-                    flux_p=flux_p[leaf], flux_sign=sign, flux_gdofs=flux_gdofs))
+                segs.append(SideSegment(side=s, t0=-1.0 + 2.0 * i / nseg,
+                                        t1=-1.0 + 2.0 * (i + 1) / nseg,
+                                        trace_q=q, flux_p=flux_p[leaf]))
+                fb = flux_base[leaf]
+                flux_rows += [[(sign * w, fb + 2 * j) for w, j in r]
+                              for r in _restriction(flux_p[leaf], None, reverse)]
+            key_sides.append((q, tuple(flux_p[leaf] for leaf in leaves)))
         segments[k] = segs
+        rows += flux_rows
 
-        skel, pattern = _first_occurrence(_skeleton_dofs(segs))
         key = (element_p[k], element_p[k] + degrees.delta_p,
-               (coords - coords[0]).tobytes(), pattern.tobytes())
+               (coords - coords[0]).tobytes(), tuple(key_sides))
         cls = class_ids.setdefault(key, len(classes))
         if cls == len(classes):
             classes.append([])
+            class_rows.append([])
+        element_class[k] = (cls, len(classes[cls]))
         classes[cls].append(k)
-        element_class[k] = cls
-        base = interior_base[k]
-        dofs = np.concatenate([np.arange(base, base + 5 * (element_p[k] + 1) ** 2),
-                               skel])
-        dofs.setflags(write=False)
-        element_dofs[k] = dofs
+        class_rows[cls].append(rows)
+
+    class_maps = []
+    for members, member_rows in zip(classes, class_rows):
+        ni = 5 * (element_p[members[0]] + 1) ** 2
+        interior = (np.array([interior_base[k] for k in members])[:, None]
+                    + np.arange(ni))
+        class_maps.append(_class_map(interior, member_rows))
 
     cache = KernelCache() if cache is None else cache
     cache.retain(class_ids)
     return DofLayout(n_dofs=n, interior_base=interior_base, vertex_dof=vertex_dof,
                      trace_edges={e: (trace_q[e], trace_base[e]) for e in trace_edges},
+                     flux_edges={e: (flux_p[e], flux_base[e]) for e in flux_edges},
                      hanging=hanging, pinned=pinned, element_p=element_p,
                      delta_p=degrees.delta_p,
                      elements=np.array(active, dtype=int),
@@ -319,18 +414,20 @@ def build_dof_layout(mesh: Mesh, degrees: DegreeMap, bc_spec: str = "dirichlet",
                      coords=all_coords,
                      degree_groups={int(p): np.flatnonzero(degree_of == p)
                                     for p in np.unique(degree_of)},
-                     segments=segments, element_dofs=element_dofs,
-                     element_class=element_class, classes=classes,
-                     class_keys=list(class_ids), cache=cache)
+                     segments=segments, element_class=element_class,
+                     classes=classes, class_keys=list(class_ids),
+                     class_maps=class_maps, cache=cache)
 
 
 def element_full_bmat(layout: DofLayout, material: Material, f, eid: int):
-    """Gram Cholesky factor, full local coupling matrix, load, global dof ids.
+    """Gram Cholesky factor, full local coupling matrix, load, and the
+    element's one-member `ClassMap` (its interior dofs and C_K).
 
     L and B are the element class's read-only matrices from `layout.cache`,
-    built on the first request of the study; the columns of B follow
-    `gdofs`.  The first load request of the step for a degree computes the
-    loads of every element of that degree and keeps them in `layout.loads`.
+    built on the first request of the study; B's skeleton columns are the
+    element's local skeleton dofs.  The first load request of the step for
+    a degree computes the loads of every element of that degree and keeps
+    them in `layout.loads`.
     """
     kernel = _kernel(layout, material, eid)
     if (f, eid) not in layout.loads:
@@ -340,25 +437,27 @@ def element_full_bmat(layout: DofLayout, material: Material, f, eid: int):
         lvecs.setflags(write=False)
         layout.loads.update(((f, k), lvec) for k, lvec
                             in zip(layout.elements[rows].tolist(), lvecs))
-    return kernel.L, kernel.B, layout.loads[f, eid], layout.element_dofs[eid]
+    cls, row = layout.element_class[eid]
+    return (kernel.L, kernel.B, layout.loads[f, eid],
+            layout.class_maps[cls].member(row))
 
 
-def _class_members(layout: DofLayout, material: Material, f,
-                   members: list[int]):
-    """A class's kernel, with its members' loads as the columns of a
-    (5 ns, m) block and their dof ids as the rows of an (m, n) block.
+def _class_members(layout: DofLayout, material: Material, f, cls: int):
+    """Class cls's kernel, its members' loads as the columns of a
+    (5 ns, m) block, and its `ClassMap`.
 
     Every member goes through `element_full_bmat` once.
     """
-    parts = [element_full_bmat(layout, material, f, k) for k in members]
-    return (_kernel(layout, material, members[0]),
-            np.column_stack([part[2] for part in parts]),
-            np.array([part[3] for part in parts]))
+    members = layout.classes[cls]
+    lvecs = np.column_stack([element_full_bmat(layout, material, f, k)[2]
+                             for k in members])
+    return (_kernel(layout, material, members[0]), lvecs,
+            layout.class_maps[cls])
 
 
 def _kernel(layout: DofLayout, material: Material, eid: int) -> ClassKernel:
     """Element eid's class kernel, from the cache or built and cached."""
-    key = (layout.class_keys[layout.element_class[eid]], material)
+    key = (layout.class_keys[layout.element_class[eid][0]], material)
     kernel = layout.cache.kernels.get(key)
     if kernel is None:
         kernel = _class_kernel(layout, eid, material)
@@ -368,7 +467,7 @@ def _kernel(layout: DofLayout, material: Material, eid: int) -> ClassKernel:
 
 def _class_kernel(layout: DofLayout, eid: int,
                   material: Material) -> ClassKernel:
-    """Kernel of element eid's class, with B's columns in class order.
+    """Kernel of element eid's class, on the class's local skeleton basis.
 
     Everything is computed on the element translated to vertex 0, from
     data the class key fixes, so it does not depend on which element or
@@ -376,8 +475,7 @@ def _class_kernel(layout: DofLayout, eid: int,
     the vertex offsets and is shared by every class of that shape.
     """
     coords = layout.coords[layout.position[eid]]
-    x0 = coords[0]
-    rel = coords - x0
+    rel = coords - coords[0]
     p = layout.element_p[eid]
     p_tilde = p + layout.delta_p
     gkey = (p_tilde, rel.tobytes())
@@ -386,19 +484,18 @@ def _class_kernel(layout: DofLayout, eid: int,
         L = gram_factor(local_gram(rel, p_tilde))
         L.setflags(write=False)
         layout.cache.gram_factors[gkey] = L
-    segments = [replace(seg, trace_coords=seg.trace_coords - x0,
-                        flux_coords=seg.flux_coords - x0)
-                for seg in layout.segments[eid]]
-    B, _ = local_bmat(rel, p, p_tilde, material, segments)
+    B = local_bmat(rel, p, p_tilde, material, layout.segments[eid])
     ni = 5 * (p + 1) ** 2
     K = local_stiffness(L, B)
     Kis, Kss = K[:ni, ni:], K[ni:, ni:]
-    try:
-        Kii, _ = cho_factor(K[:ni, :ni], lower=True, check_finite=False)
-    except np.linalg.LinAlgError as err:
+    Kii, info = lapack.dpotrf(K[:ni, :ni], lower=1)
+    if info > 0:
         raise RuntimeError("interior block of an element matrix "
-                           "is not positive definite") from err
-    A = cho_solve((Kii, True), Kis, check_finite=False)
+                           "is not positive definite")
+    if info < 0:
+        raise ValueError(f"LAPACK reported an illegal value in {-info}-th "
+                         "argument on entry to POTRF")
+    A = cholesky_solve(Kii, Kis)
     S = Kss - Kis.T @ A
     # a copy of Kis, so that K itself is not kept alive
     return ClassKernel(*_read_only(L, B, Kii, np.ascontiguousarray(Kis), A, S))
@@ -456,14 +553,15 @@ def error_indicators(material: Material, f, layout: DofLayout,
                      x: np.ndarray) -> dict[int, float]:
     """Elementwise V-norms of the error representation function.
 
-    The V-norm of e = G^-1 r is |L^-1 r|, with r = l - B x the residual;
-    each class does one triangular solve for all its members.
+    The V-norm of e = G^-1 r is |L^-1 r|, with r = l - B x_K the residual
+    and x_K the element's interior dofs and C_K x; each class does one
+    triangular solve for all its members.
     """
     out = dict.fromkeys(layout.element_p, 0.0)
-    for members in layout.classes:
-        kernel, lvecs, gdofs = _class_members(layout, material, f, members)
-        z = solve_triangular(kernel.L, lvecs - kernel.B @ x[gdofs].T,
-                             lower=True, check_finite=False)
+    for cls, members in enumerate(layout.classes):
+        kernel, lvecs, cmap = _class_members(layout, material, f, cls)
+        xk = np.concatenate([x[cmap.interior], cmap.gather(x)], axis=1)
+        z = lower_solve(kernel.L, lvecs - kernel.B @ xk.T)
         out.update(zip(members, np.linalg.norm(z, axis=0).tolist()))
     return out
 
@@ -475,15 +573,15 @@ class CondensedSystem:
     Column j of `rhs` is load j condensed onto the free skeleton dofs;
     column 0 is the DPG load with the Dirichlet lift folded in, the others
     are the extra loads.  `recover` holds, per element class, the members'
-    interior and skeleton dof ids as (m, ni) and (m, nsk) blocks, Kii^-1 Kis,
-    and Kii^-1 of the members' interior loads as an (ni, m, 1 + extra) block.
+    `ClassMap`, Kii^-1 Kis, and Kii^-1 of the members' interior loads as an
+    (ni, m, 1 + extra) block.
     """
 
     S: sp.csc_matrix        # Schur complement on the free skeleton dofs
     rhs: np.ndarray         # (n free skeleton dofs, 1 + m)
     free: np.ndarray        # ids of the free skeleton dofs
     x_pinned: np.ndarray
-    recover: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+    recover: list[tuple[ClassMap, np.ndarray, np.ndarray]]
 
     def expand(self, j: int, xs: np.ndarray) -> np.ndarray:
         """Full dof vector of load j from its free skeleton values `xs`.
@@ -493,8 +591,8 @@ class CondensedSystem:
         """
         x = self.x_pinned.copy() if j == 0 else np.zeros(self.x_pinned.size)
         x[self.free] = xs
-        for ii, sk, A, b in self.recover:
-            x[ii] = (b[:, :, j] - A @ x[sk].T).T
+        for cmap, A, b in self.recover:
+            x[cmap.interior] = (b[:, :, j] - A @ cmap.gather(x).T).T
         return x
 
 
@@ -509,7 +607,7 @@ def condense(material: Material, f, layout: DofLayout,
     class's kernel holds the factor of Kii, Kii^-1 Kis and the element
     Schur complement; the members of a class then solve Kii for their own
     loads and the extra loads in one call.  The full sparse matrix is never
-    formed.
+    formed; each class's element Schur complement enters as C_K' S C_K.
     """
     n = layout.n_dofs
     xp = np.zeros(n) if x_pinned is None else x_pinned
@@ -518,26 +616,25 @@ def condense(material: Material, f, layout: DofLayout,
     interior = np.zeros(n, dtype=bool)
     rows, cols, vals = [], [], []
     recover = []
-    for members in layout.classes:
-        kernel, lvecs, gdofs = _class_members(layout, material, f, members)
+    for cls, members in enumerate(layout.classes):
+        kernel, lvecs, cmap = _class_members(layout, material, f, cls)
         Kii, Kis, A, S = kernel.Kii, kernel.Kis, kernel.A, kernel.S
-        ni, m = 5 * (layout.element_p[members[0]] + 1) ** 2, len(members)
-        fl = kernel.B.T @ cho_solve((kernel.L, True), lvecs, check_finite=False)
-        ii, sk = gdofs[:, :ni], gdofs[:, ni:]
+        ii = cmap.interior
+        ni, m = ii.shape[1], len(members)
+        fl = kernel.B.T @ cholesky_solve(kernel.L, lvecs)
         rhs = np.empty((ni, m, g.shape[1]))
         rhs[:, :, 0] = fl[:ni]
         rhs[:, :, 1:] = loads[ii].transpose(1, 0, 2)
-        b = cho_solve((Kii, True), rhs.reshape(ni, -1),
-                      check_finite=False).reshape(rhs.shape)
+        b = cholesky_solve(Kii, rhs.reshape(ni, -1)).reshape(rhs.shape)
         gs = -(Kis.T @ b.reshape(ni, -1)).reshape(-1, m, g.shape[1])
-        gs[:, :, 0] += fl[ni:] - S @ xp[sk].T
-        np.add.at(g, sk, gs.transpose(1, 0, 2))
-        block = (m, sk.shape[1], sk.shape[1])
-        rows.append(np.broadcast_to(sk[:, :, None], block).ravel())
-        cols.append(np.broadcast_to(sk[:, None, :], block).ravel())
-        vals += [S.ravel()] * m
+        gs[:, :, 0] += fl[ni:] - S @ cmap.gather(xp).T
+        cmap.scatter(g, gs.transpose(1, 0, 2))
+        r, c, v = cmap.coo(S)
+        rows.append(r)
+        cols.append(c)
+        vals.append(v)
         interior[ii] = True
-        recover.append((ii, sk, A, b))
+        recover.append((cmap, A, b))
 
     Ec = sp.coo_matrix((np.concatenate(vals),
                         (np.concatenate(rows), np.concatenate(cols))),

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import lapack
 
 from .basis import (_read_only, edge_basis_eval, gauss_rule, gauss_rule_2d,
                     q_basis_eval, q_basis_table)
@@ -33,30 +33,25 @@ _TRACE_BLOCKS = np.array([0, 1, 1, 2])
 _FLUX_BLOCKS = np.array([3, 4])
 
 
-@dataclass
+@dataclass(frozen=True)
 class SideSegment:
-    """Portion of an element side carried by one leaf (flux) edge.
+    """Portion [t0, t1] of an element side carried by one leaf (flux) edge.
 
-    The trace on the side lives on one owner edge with endpoints
-    `trace_coords` and degree `trace_q`.  Global trace function i is basis
-    function `trace_index[i]` of that edge, scaled by `trace_weight[i]`
-    (hanging-node redistribution); `trace_gdofs[i]` holds the global dofs of
-    its two vector components.  `flux_gdofs` does the same for the leaf
-    edge's flux basis, shape (flux_p + 1, 2).
+    The element's skeleton basis is its own, in the counterclockwise
+    parameter t in [-1, 1] of each side: the trace on side `side` is the
+    degree `trace_q` edge basis along the side, whose end functions are
+    the element's corner functions, and the flux on the segment is the
+    degree `flux_p` edge basis along the segment, times the outward
+    normal.  A segment holds no global dof: the layout's constraint map
+    C_K takes the global skeleton dofs to this basis, with the edge
+    orientations, the flux signs and the hanging nodes.
     """
 
     side: int
     t0: float
     t1: float
-    trace_coords: np.ndarray
     trace_q: int
-    trace_index: np.ndarray
-    trace_weight: np.ndarray
-    trace_gdofs: np.ndarray
-    flux_coords: np.ndarray
     flux_p: int
-    flux_sign: float
-    flux_gdofs: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -147,78 +142,60 @@ def gram_factor(G: np.ndarray) -> np.ndarray:
         raise RuntimeError("Gram matrix is not positive definite") from err
 
 
-def _edge_param(points: np.ndarray, edge_coords: np.ndarray) -> np.ndarray:
-    """Parameter in [-1, 1] of physical points along a straight edge."""
-    a, bb = edge_coords[0], edge_coords[1]
-    d = bb - a
-    return 2.0 * ((points - a) @ d) / (d @ d) - 1.0
-
-
-def _first_occurrence(dofs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct ids in order of first occurrence, and each entry's position.
-
-    With `ids, pattern = _first_occurrence(dofs)`, `ids[pattern]` is `dofs`.
-    """
-    cols: dict[int, int] = {}
-    pattern = [cols.setdefault(d, len(cols)) for d in dofs.tolist()]
-    return np.array(list(cols), dtype=int), np.array(pattern, dtype=int)
-
-
-def _skeleton_dofs(segments: list[SideSegment]) -> np.ndarray:
-    """An element's skeleton dofs, segment by segment: trace x, trace y,
-    flux x, flux y.  Dofs the segments share repeat."""
-    return np.concatenate([a for seg in segments
-                           for a in (seg.trace_gdofs.T.ravel(),
-                                     seg.flux_gdofs.T.ravel())])
-
-
 def _skeleton_columns(coords: np.ndarray, p_tilde: int,
-                      segments: list[SideSegment]):
-    """Skeleton trace and flux couplings: (global ids, (5 ns, n) block).
+                      segments: list[SideSegment]) -> np.ndarray:
+    """Skeleton trace and flux couplings on the element's own basis, a
+    (5 ns, n) block.
 
-    The ids come in order of first occurrence in `_skeleton_dofs`, which
-    is the order `build_dof_layout` stores in `element_dofs`.
+    The n columns are the x and y components (interleaved) of the local
+    skeleton functions: the four corner functions, then each side's trace
+    bubbles, side by side, then each segment's flux functions, segment by
+    segment.
     """
     ns = (p_tilde + 1) ** 2
     if not segments:
-        return np.zeros(0, dtype=int), np.zeros((5 * ns, 0))
-    ids, inv = _first_occurrence(_skeleton_dofs(segments))
-    parts, cols, blocks = [], [], []
-    start = 0
+        return np.zeros((5 * ns, 0))
+    # first local bubble of each side, after the four corners
+    bubble, n = {}, 4
     for seg in segments:
-        # the segment's columns: trace x, trace y (n_tr each), then flux x
-        # and flux y
-        n_tr, n_fl = seg.trace_index.size, seg.flux_p + 1
-        tx, ty = inv[start: start + 2 * n_tr].reshape(2, n_tr)
-        flux_cols = inv[start + 2 * n_tr: start + 2 * (n_tr + n_fl)]
-        start += 2 * (n_tr + n_fl)
-        ne = max(p_tilde, seg.trace_q) + 3
-        rows_map, wref, svals = _side_table(seg.side, seg.t0, seg.t1, ne, p_tilde)
-        phys, tang = rows_map @ coords  # (ne, 2) each
+        if seg.side not in bubble:
+            bubble[seg.side] = n
+            n += seg.trace_q - 1
+    parts, cols, blocks = [], [], []
+    for seg in segments:
+        q, s = seg.trace_q, seg.side
+        trace = np.concatenate([[s, (s + 1) % 4],
+                                bubble[s] + np.arange(q - 1)])
+        flux = n + np.arange(seg.flux_p + 1)
+        n += seg.flux_p + 1
+        ne = max(p_tilde, q) + 3
+        rows_map, wref, svals = _side_table(s, seg.t0, seg.t1, ne, p_tilde)
+        tang = rows_map[1] @ coords  # (ne, 2)
         # arc-length weight times unit outward normal
         wn = (wref * tang[:, 1], -wref * tang[:, 0])
 
         # -<u_hat, tau n>: trace function i adds R1[i], R2[i] to
-        # (tau11, tau12) of its x dof and to (tau12, tau22) of its y dof
-        prof = edge_basis_eval(seg.trace_q, _edge_param(phys, seg.trace_coords))
-        prof = prof[seg.trace_index] * seg.trace_weight[:, None]
+        # (tau11, tau12) of its x dof and to (tau12, tau22) of its y dof;
+        # the side parameter of the segment's points
+        tau = gauss_rule(ne).points
+        prof = edge_basis_eval(q, 0.5 * (seg.t0 + seg.t1)
+                               + 0.5 * (seg.t1 - seg.t0) * tau)
         R = np.concatenate([prof * wn[0], prof * wn[1]]) @ svals.T
         parts += [R, R]
-        cols += [tx, tx, ty, ty]
-        blocks.append(np.repeat(_TRACE_BLOCKS, n_tr))
+        cols += [2 * trace, 2 * trace, 2 * trace + 1, 2 * trace + 1]
+        blocks.append(np.repeat(_TRACE_BLOCKS, q + 1))
 
         # -<v, sigma_hat_n>
-        fvals = edge_basis_eval(seg.flux_p, _edge_param(phys, seg.flux_coords))
-        wf = wref * np.hypot(tang[:, 0], tang[:, 1]) * seg.flux_sign
-        F = (fvals * wf) @ svals.T
+        wf = wref * np.hypot(tang[:, 0], tang[:, 1])
+        F = (edge_basis_eval(seg.flux_p, tau) * wf) @ svals.T
         parts += [F, F]
-        cols.append(flux_cols)
-        blocks.append(np.repeat(_FLUX_BLOCKS, n_fl))
+        cols += [2 * flux, 2 * flux + 1]
+        blocks.append(np.repeat(_FLUX_BLOCKS, seg.flux_p + 1))
 
-    acc = np.zeros((5, ids.size, ns))
+    acc = np.zeros((5, 2 * n, ns))
     np.add.at(acc, (np.concatenate(blocks), np.concatenate(cols)),
               np.concatenate(parts))
-    return ids, -acc.transpose(0, 2, 1).reshape(5 * ns, ids.size)
+    return -acc.transpose(0, 2, 1).reshape(5 * ns, 2 * n)
 
 
 def local_bmat(
@@ -230,12 +207,10 @@ def local_bmat(
 ):
     """Trial-test coupling matrix on one element.
 
-    Returns (B, skel_ids).  The columns of B are the element's interior
-    trial dofs (sigma then u, component-major) followed by the global
-    skeleton dofs skel_ids, in order of first occurrence along the
-    segments (see `_skeleton_columns`).  B does not depend on the
-    element's position: translating `coords` and the segments' edge
-    coordinates together leaves it unchanged.
+    The columns of B are the element's interior trial dofs (sigma then u,
+    component-major) followed by its local skeleton dofs (see
+    `_skeleton_columns`).  B depends on the vertex offsets, the degrees
+    and the segments' degrees alone, not on the element's position.
     """
     w, tvals, g = _volume_tables(coords, p_tilde)
     uvals, _ = q_basis_table(p, _volume_nq(p_tilde))
@@ -243,9 +218,9 @@ def local_bmat(
     nt = uvals.shape[0]
     b = [slice(i * ns, (i + 1) * ns) for i in range(5)]
 
-    skel_ids, Bskel = _skeleton_columns(coords, p_tilde, segments)
+    Bskel = _skeleton_columns(coords, p_tilde, segments)
     # column-major, which LAPACK's triangular solve takes without a copy
-    B = np.zeros((5 * ns, 5 * nt + skel_ids.size), order="F")
+    B = np.zeros((5 * ns, 5 * nt + Bskel.shape[1]), order="F")
     B[:, 5 * nt:] = Bskel
 
     Mmix = (tvals * w) @ uvals.T          # (ns, nt)
@@ -273,7 +248,7 @@ def local_bmat(
     B[b[3], c[1]] += DyMix
     B[b[4], c[1]] += DxMix
     B[b[4], c[2]] += DyMix
-    return B, skel_ids
+    return B
 
 
 def local_loads(coords: np.ndarray, p_tilde: int, f) -> np.ndarray:
@@ -296,11 +271,34 @@ def local_loads(coords: np.ndarray, p_tilde: int, f) -> np.ndarray:
     return lvecs
 
 
+def lower_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """L^-1 b for a C-ordered lower triangular L, by LAPACK's trtrs.
+
+    trtrs reads Fortran order, so it solves with L' (upper, transposed),
+    which is L's own memory.
+    """
+    x, info = lapack.dtrtrs(L.T, b, lower=0, trans=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    return x
+
+
+def cholesky_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A^-1 b from the lower Cholesky factor c of A, by LAPACK's potrs."""
+    x, info = lapack.dpotrs(c, b, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return x
+
+
 def local_stiffness(L: np.ndarray, Bfull: np.ndarray) -> np.ndarray:
     """SPD element matrix B' G^{-1} B.
 
     L is the lower Cholesky factor of the Gram matrix G (`gram_factor`).
     """
-    Z = solve_triangular(L, Bfull, lower=True, check_finite=False)
+    Z = lower_solve(L, Bfull)
     K = Z.T @ Z
     return 0.5 * (K + K.T)

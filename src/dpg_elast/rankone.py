@@ -54,7 +54,7 @@ def border_terms(material: Material, f,
     scale = material.Q / material.Q0
     c = np.zeros(layout.n_dofs)
     d = 0.0
-    for members in layout.classes:
+    for cls, members in enumerate(layout.classes):
         p_tilde = layout.element_p[members[0]] + layout.delta_p
         ns = (p_tilde + 1) ** 2
         e_identity = np.zeros(5 * ns)
@@ -63,9 +63,11 @@ def border_terms(material: Material, f,
         x, y = layout.coords[layout.position[members[0]]].T
         area = 0.5 * ((x[2] - x[0]) * (y[3] - y[1]) - (x[3] - x[1]) * (y[2] - y[0]))
         dk = scale * scale * 2.0 * area
-        kernel, _, gdofs = _class_members(layout, material, f, members)
+        kernel, _, cmap = _class_members(layout, material, f, cls)
         ck = scale * (kernel.B.T @ e_identity)
-        np.add.at(c, gdofs, np.broadcast_to(ck, gdofs.shape))
+        ni = cmap.interior.shape[1]
+        c[cmap.interior] += ck[:ni]
+        cmap.scatter(c, np.broadcast_to(ck[ni:], (len(members), cmap.n_skel)))
         d += dk * len(members)
     return c, d
 

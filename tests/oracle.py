@@ -4,17 +4,20 @@ The library only ever factors the statically condensed skeleton matrix.
 `assemble_full` and `solve_full` assemble the stiffness matrix over all
 dofs (pinned and element-interior included) and solve it directly, so
 tests can check the condensed solves, the rank-one identity and the SPD
-property against it.  Its element matrices are computed afresh on each
-element's own coordinates, with the skeleton ids `local_bmat` returns, so
-they share nothing with the per-class tables the library keeps on the
-layout.
+property against it.  Its element matrices come from `global_bmat`, which
+couples each element's test space to the global trace and flux functions
+directly: it finds each side's trace owner edge and flux leaves from the
+coordinates, evaluates the owner's basis at the owner's own parameter and
+expands a hanging vertex through its master edge's trace at the vertex's
+coordinates.  So it shares neither the per-class tables nor the
+constraint maps C_K the library keeps on the layout.
 
 The library stacks the elements of a class or of a degree for the loads,
 condensation, the error estimator, the L2 errors and the Dirichlet data.
 The `*_per_element` helpers do the same work one element (or boundary
 edge) at a time, with one data call each, for tests to compare against.
-They take each element's L and B from `element_full_bmat` (the class
-kernels, which `test_classes.py` checks against fresh matrices) and
+They take each element's L, B and C_K from `element_full_bmat` (the class
+kernels, whose B C_K `test_classes.py` checks against `global_bmat`) and
 compute its load with the single-element `local_load` below.
 
 `bilinear_maps`, `apply_compliance` and `interior_slices` are pointwise
@@ -27,6 +30,8 @@ from coordinates alone, by which active element sides overlap a segment
 or contain a vertex: the edge degrees by the maximum rule, the hanging
 vertices with their master sides, and the boundary vertices.
 """
+from collections import defaultdict
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
@@ -35,7 +40,8 @@ from scipy.sparse.linalg import splu
 from dpg_elast.assembly import element_full_bmat
 from dpg_elast.basis import (edge_basis_eval, gauss_rule, gauss_rule_2d,
                              q_basis_table)
-from dpg_elast.local import (_volume_nq, _volume_points, gram_factor,
+from dpg_elast.local import (_FLUX_BLOCKS, _TRACE_BLOCKS, _side_table,
+                             _volume_nq, _volume_points, gram_factor,
                              local_bmat, local_gram, local_stiffness)
 from dpg_elast.mesh import bilinear_shape
 
@@ -95,6 +101,104 @@ def error_representation(L, Bfull, lvec, x_loc):
     return e, float(np.linalg.norm(z))
 
 
+def edge_param(points, edge_coords):
+    """Parameter in [-1, 1] of physical points along a straight edge."""
+    a, b = edge_coords
+    d = b - a
+    return 2.0 * ((points - a) @ d) / (d @ d) - 1.0
+
+
+def trace_functions(mesh, layout, e):
+    """Owner edge e's trace basis functions as {global x dof: weight}."""
+    q, base = layout.trace_edges[e]
+    edge = mesh.edges[e]
+    return ([vertex_trace(mesh, layout, v) for v in (edge.v0, edge.v1)]
+            + [{base + 2 * (i - 2): 1.0} for i in range(2, q + 1)])
+
+
+def trace_at(mesh, layout, e, point):
+    """The trace's x component at a point of owner edge e, as
+    {global x dof: coefficient}."""
+    q, _ = layout.trace_edges[e]
+    vals = edge_basis_eval(q, edge_param(point[None], mesh.edge_coords(e)))
+    out = defaultdict(float)
+    for val, fn in zip(vals[:, 0], trace_functions(mesh, layout, e)):
+        for g, w in fn.items():
+            out[g] += val * w
+    return out
+
+
+def vertex_trace(mesh, layout, v):
+    """The trace at vertex v: its own dof, or its master edge's trace at
+    the vertex's coordinates."""
+    if v in layout.vertex_dof:
+        return {layout.vertex_dof[v]: 1.0}
+    return trace_at(mesh, layout, layout.hanging[v], np.array(mesh.vertices[v]))
+
+
+def global_bmat(mesh, layout, material, k):
+    """Element k's coupling matrix on the global trial functions, with its
+    dof ids: (B (5 ns, ni + n), interior ids then the n skeleton ids)."""
+    p = layout.element_p[k]
+    p_tilde = p + layout.delta_p
+    ns = (p_tilde + 1) ** 2
+    coords = mesh.element_coords(k)
+    edges = {name: (list(table), np.array([mesh.edge_coords(e) for e in table]))
+             for name, table in (("trace", layout.trace_edges),
+                                 ("flux", layout.flux_edges))}
+    parts, cols, blocks = [], [], []
+    for s in range(4):
+        a, b = coords[s], coords[(s + 1) % 4]
+        trace_ids, trace_ends = edges["trace"]
+        (owner,) = np.flatnonzero(overlapping(trace_ends, a, b))
+        owner = trace_ids[owner]
+        q, _ = layout.trace_edges[owner]
+        flux_ids, flux_ends = edges["flux"]
+        for leaf in np.flatnonzero(overlapping(flux_ends, a, b)):
+            t0, t1 = sorted(edge_param(flux_ends[leaf], np.array([a, b])))
+            leaf = flux_ids[leaf]
+            ne = max(p_tilde, q) + 3
+            rows_map, wref, svals = _side_table(s, t0, t1, ne, p_tilde)
+            phys, tang = rows_map @ coords
+            wn = (wref * tang[:, 1], -wref * tang[:, 0])
+            prof = edge_basis_eval(q, edge_param(phys, mesh.edge_coords(owner)))
+            for val, fn in zip(prof, trace_functions(mesh, layout, owner)):
+                for g, w in fn.items():
+                    R = np.array([w * val * wn[0], w * val * wn[1]]) @ svals.T
+                    parts += [R[0], R[1], R[0], R[1]]
+                    cols += [g, g, g + 1, g + 1]
+                    blocks += _TRACE_BLOCKS.tolist()
+            # the flux sign: the outward normal against the leaf's normal
+            d = np.diff(mesh.edge_coords(leaf), axis=0)[0]
+            sign = np.sign((b - a) @ d)
+            fp, base = layout.flux_edges[leaf]
+            fvals = edge_basis_eval(fp, edge_param(phys, mesh.edge_coords(leaf)))
+            F = (fvals * wref * np.hypot(tang[:, 0], tang[:, 1]) * sign) @ svals.T
+            for i in range(fp + 1):
+                parts += [F[i], F[i]]
+                cols += [base + 2 * i, base + 2 * i + 1]
+                blocks += _FLUX_BLOCKS.tolist()
+    ids, inv = np.unique(cols, return_inverse=True)
+    acc = np.zeros((5, ids.size, ns))
+    np.add.at(acc, (np.array(blocks), inv), np.array(parts))
+    B = np.hstack([local_bmat(coords, p, p_tilde, material, []),
+                   -acc.transpose(0, 2, 1).reshape(5 * ns, ids.size)])
+    base = layout.interior_base[k]
+    return B, np.concatenate([np.arange(base, base + 5 * (p + 1) ** 2), ids])
+
+
+def full_map(cmap, n_dofs):
+    """A one-member `ClassMap` as a dense (ni + n_skel, n_dofs) matrix:
+    the identity on the interior dofs, then C_K."""
+    ni = cmap.interior.shape[1]
+    C = np.zeros((ni + cmap.n_skel, n_dofs))
+    C[np.arange(ni), cmap.interior[0]] = 1.0
+    rows = (np.arange(cmap.ids.shape[1]) if cmap.rows is None
+            else cmap.rows[0])
+    np.add.at(C, (ni + rows, cmap.ids[0]), cmap.weights[0])
+    return C
+
+
 def assemble_full(mesh, degrees, material, f, layout):
     """Stiffness matrix E (CSR) and load g over all dofs, pinned included."""
     rows, cols, vals = [], [], []
@@ -104,12 +208,8 @@ def assemble_full(mesh, degrees, material, f, layout):
         p_tilde = p + degrees.delta_p
         coords = mesh.element_coords(k)
         L = gram_factor(local_gram(coords, p_tilde))
-        Bfull, skel_ids = local_bmat(coords, p, p_tilde, material,
-                                     layout.segments[k])
+        Bfull, gdofs = global_bmat(mesh, layout, material, k)
         lvec = local_load(coords, p_tilde, f)
-        base = layout.interior_base[k]
-        gdofs = np.concatenate([np.arange(base, base + 5 * (p + 1) ** 2),
-                                skel_ids])
         K = local_stiffness(L, Bfull)
         fl = load_product(L, Bfull, lvec)
         idx = np.broadcast_to(gdofs, (gdofs.size, gdofs.size))
@@ -144,10 +244,11 @@ def solve_full(E, g, layout, x_pinned=None):
 
 
 def _element_matrices(mesh, layout, material, f, k, delta_p):
-    """Element k's class L and B and its dof ids, with its own load."""
-    L, B, _, gdofs = element_full_bmat(layout, material, f, k)
+    """Element k's class L and B and its dense map from the global to its
+    local dofs (`full_map`), with its own load."""
+    L, B, _, cmap = element_full_bmat(layout, material, f, k)
     lvec = local_load(mesh.element_coords(k), layout.element_p[k] + delta_p, f)
-    return L, B, lvec, gdofs
+    return L, B, lvec, full_map(cmap, layout.n_dofs)
 
 
 def condense_per_element(mesh, degrees, material, f, layout, x_pinned,
@@ -164,8 +265,8 @@ def condense_per_element(mesh, degrees, material, f, layout, x_pinned,
     g = np.column_stack([np.zeros(n), loads])
     rows, cols, vals, recover = [], [], [], []
     for k in mesh.active_elements:
-        L, B, lvec, gdofs = _element_matrices(mesh, layout, material, f, k,
-                                              degrees.delta_p)
+        L, B, lvec, C = _element_matrices(mesh, layout, material, f, k,
+                                          degrees.delta_p)
         ni = 5 * (layout.element_p[k] + 1) ** 2
         K = local_stiffness(L, B)
         Kii = cho_factor(K[:ni, :ni], lower=True)
@@ -173,24 +274,26 @@ def condense_per_element(mesh, degrees, material, f, layout, x_pinned,
         A = cho_solve(Kii, Kis)
         S = K[ni:, ni:] - Kis.T @ A
         fl = load_product(L, B, lvec)
-        ii, sk = gdofs[:ni], gdofs[ni:]
+        ii, Csk = np.flatnonzero(C[:ni].any(axis=0)), C[ni:]
         b = cho_solve(Kii, np.column_stack([fl[:ni], loads[ii]]))
         gs = -(Kis.T @ b)
-        gs[:, 0] += fl[ni:] - S @ x_pinned[sk]
-        g[sk] += gs
+        gs[:, 0] += fl[ni:] - S @ (Csk @ x_pinned)
+        g += Csk.T @ gs
+        sk = np.flatnonzero(Csk.any(axis=0))
+        Sg = Csk[:, sk].T @ S @ Csk[:, sk]
         idx = np.broadcast_to(sk, (sk.size, sk.size))
         rows.append(idx.T.ravel())
         cols.append(idx.ravel())
-        vals.append(S.ravel())
-        recover.append((ii, sk, A, b))
+        vals.append(Sg.ravel())
+        recover.append((ii, Csk, A, b))
     S = sp.coo_matrix((np.concatenate(vals),
                        (np.concatenate(rows), np.concatenate(cols))),
                       shape=(n, n)).tocsr()
 
     def expand(j, x):
         x = x.copy()
-        for ii, sk, A, b in recover:
-            x[ii] = b[:, j] - A @ x[sk]
+        for ii, Csk, A, b in recover:
+            x[ii] = b[:, j] - A @ (Csk @ x)
         return x
 
     return S, g, expand
@@ -200,9 +303,9 @@ def error_indicators_per_element(mesh, degrees, material, f, layout, x):
     """Elementwise V-norms of the error representation function."""
     out = {}
     for k in mesh.active_elements:
-        L, B, lvec, gdofs = _element_matrices(mesh, layout, material, f, k,
-                                              degrees.delta_p)
-        out[k] = error_representation(L, B, lvec, x[gdofs])[1]
+        L, B, lvec, C = _element_matrices(mesh, layout, material, f, k,
+                                          degrees.delta_p)
+        out[k] = error_representation(L, B, lvec, C @ x)[1]
     return out
 
 

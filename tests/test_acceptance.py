@@ -223,7 +223,7 @@ def test_criterion_08_test_function_identities():
     mesh = build_initial_mesh("unit_square", 1)
     degrees = DegreeMap(mesh, p=1, delta_p=2)
     layout = build_dof_layout(mesh, degrees)
-    _, Bfull, _, gdofs = element_full_bmat(layout, material, None, 0)
+    _, Bfull, _, cmap = element_full_bmat(layout, material, None, 0)
     p = layout.element_p[0]
     p_tilde = p + degrees.delta_p
     G = local_gram(mesh.element_coords(0), p_tilde)
@@ -236,17 +236,16 @@ def test_criterion_08_test_function_identities():
     sl_s, _ = interior_slices(layout, 0)
     x[sl_s] = np.concatenate([ones_t, 0.0 * ones_t, ones_t])
     coords = mesh.element_coords(0)
-    for seg in layout.segments[0]:
-        # outward unit normal of the side (ccw element)
-        t = coords[(seg.side + 1) % 4] - coords[seg.side]
-        n_hat = np.array([t[1], -t[0]]) / np.linalg.norm(t)
-        ones_e = ones_coefficients_1d(seg.flux_p)
-        for i in range(seg.flux_p + 1):
-            gx, gy = seg.flux_gdofs[i]
-            x[gx] = seg.flux_sign * n_hat[0] * ones_e[i]
-            x[gy] = seg.flux_sign * n_hat[1] * ones_e[i]
+    for e, (flux_p, base) in layout.flux_edges.items():
+        # the flux I n on the leaf, n its unit normal (the leaf's
+        # v0 -> v1 direction turned clockwise)
+        d = np.diff(mesh.edge_coords(e), axis=0)[0]
+        n_leaf = np.array([d[1], -d[0]]) / np.linalg.norm(d)
+        x[base: base + 2 * (flux_p + 1)] = np.outer(
+            ones_coefficients_1d(flux_p), n_leaf).ravel()
 
-    t = np.linalg.solve(G, Bfull @ x[gdofs])
+    x_local = np.concatenate([x[cmap.interior[0]], cmap.gather(x)[0]])
+    t = np.linalg.solve(G, Bfull @ x_local)
     expect = np.zeros(5 * ns)
     ones_s = ones_coefficients_2d(p_tilde)
     expect[:ns] = material.Q0 * ones_s

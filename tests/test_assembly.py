@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigvalsh
 from scipy.sparse.linalg import splu
 
@@ -143,6 +145,41 @@ def test_patch_test_exact_reproduction():
             np.testing.assert_allclose(u_h[q], g(phys[q]), atol=1e-9)
             np.testing.assert_allclose(
                 sig_h[q], [sigma[0, 0], sigma[0, 1], sigma[1, 1]], atol=1e-9)
+
+
+def check_patch_reproduction(mesh, layout, x, g, sigma):
+    """The discrete fields of every element against the linear
+    displacement g and its constant stress, to roundoff."""
+    ref = np.array([[-0.5, 0.2], [0.7, -0.6], [0.0, 0.0], [1.0, -1.0]])
+    for k in mesh.active_elements:
+        sig_h, u_h = eval_element_fields(layout, k, x, ref)
+        phys, _ = bilinear_maps(mesh.element_coords(k), ref)
+        np.testing.assert_allclose(u_h, g(phys), atol=1e-9)
+        np.testing.assert_allclose(
+            sig_h, np.broadcast_to([sigma[0, 0], sigma[0, 1], sigma[1, 1]],
+                                   sig_h.shape), atol=1e-9)
+
+
+@settings(max_examples=12, deadline=None)
+@given(domain=st.sampled_from([("unit_square", 2), ("l_shape", 1)]),
+       delta_p=st.sampled_from([2, 3]), data=st.data())
+def test_patch_test_on_random_hanging_meshes(domain, delta_p, data):
+    # random hp meshes with hanging nodes: a linear displacement with
+    # constant stress lies in every trial space, so the solve reproduces
+    # it and every element's error indicator vanishes
+    mesh = build_initial_mesh(*domain)
+    degrees = DegreeMap(mesh, p=1, delta_p=delta_p)
+    for _ in range(data.draw(st.integers(1, 3))):
+        active = mesh.active_elements
+        for k in data.draw(st.sets(st.sampled_from(active), max_size=3)):
+            degrees.increment(k, mesh)
+        mesh = refine_marked(mesh, data.draw(
+            st.sets(st.sampled_from(active), min_size=1, max_size=3)))
+    layout = build_dof_layout(mesh, degrees)
+    x, g, sigma = solve_linear_patch(mesh, degrees, layout, MAT)
+    check_patch_reproduction(mesh, layout, x, g, sigma)
+    etas = error_indicators(MAT, None, layout, x)
+    assert max(etas.values()) <= 1e-9
 
 
 def test_indicators_vanish_on_reproduced_solution():

@@ -1,123 +1,147 @@
 """Randomized checks of refinement, of the per-class element kernels and
-of the batched per-step work.
+constraint maps, and of the batched per-step work.
 
 Each example refines a unit-square or L-shaped mesh along a random
 marking sequence, raising the degree of random elements on the way, and
 checks the mesh and, after every round, every element's class coupling
-matrix against a fresh computation on the element's own coordinates,
-every side segment against the edge it lies on, the continuity of the
-trace at every hanging vertex, and the class partition against a key that
-spells out every segment's data.
+matrix times its constraint map, B_K C_K, against a fresh computation on
+the global trace and flux functions (`oracle.global_bmat`), every
+element's local trace and flux against the global ones pointwise along
+its sides (which covers the edge orientations, the flux signs and the
+trace at every hanging vertex), and the class partition against a key
+that spells out every segment's data.
 One kernel cache is carried through the rounds, as in a study.  The
-cache's builds and evictions are counted on an adaptive L-shape run.
+cache's builds and evictions are counted on an adaptive L-shape run, and
+the kernel builds of whole studies are counted exactly.
 On such meshes, condensation, the error estimator, the L2 errors and the
 Dirichlet data, which the library does a class or a degree group at a
 time, are checked against element-by-element loops in `oracle.py`.
 """
-from collections import defaultdict
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpg_elast import assembly
+from dpg_elast import assembly, study
 from dpg_elast.assembly import (KernelCache, build_dof_layout, condense,
                                 dirichlet_values, element_full_bmat,
                                 error_indicators, solve_condensed)
 from dpg_elast.basis import edge_basis_eval
-from dpg_elast.local import _edge_param, _first_occurrence, local_bmat
+from dpg_elast.local import local_bmat
 from dpg_elast.material import make_isotropic
 from dpg_elast.mesh import DegreeMap, build_initial_mesh, refine_marked
-from dpg_elast.study import greedy_mark, l2_errors, make_benchmark
+from dpg_elast.study import (StudyConfig, greedy_mark, l2_errors,
+                             make_benchmark, run_convergence_study)
 from oracle import (condense_per_element, dirichlet_values_per_element,
-                    error_indicators_per_element, l2_errors_per_element)
+                    edge_param, error_indicators_per_element, full_map,
+                    global_bmat, l2_errors_per_element, overlapping,
+                    trace_at)
 
 MATERIAL = make_isotropic(1.0, 0.5)
 
 
+def element_map(layout, k):
+    """Element k's dense map from the global to its local dofs: the
+    identity on its interior dofs, then C_K."""
+    _, _, _, cmap = element_full_bmat(layout, MATERIAL, None, k)
+    return full_map(cmap, layout.n_dofs)
+
+
 def check_class_matrices(mesh, layout):
-    """Every element's (B, gdofs) against a fresh local_bmat, by dof id."""
+    """Every element's class B times its C_K against a fresh coupling
+    matrix on the global functions, by dof id."""
     for k in mesh.active_elements:
-        _, B, _, gdofs = element_full_bmat(layout, MATERIAL, None, k)
-        p = layout.element_p[k]
-        fresh, skel_ids = local_bmat(mesh.element_coords(k), p,
-                                     p + layout.delta_p, MATERIAL,
-                                     layout.segments[k])
-        ni = 5 * (p + 1) ** 2
-        base = layout.interior_base[k]
-        np.testing.assert_array_equal(gdofs[:ni], np.arange(base, base + ni))
-        np.testing.assert_array_equal(gdofs[ni:], skel_ids)
-        assert B.shape == fresh.shape
-        assert np.max(np.abs(B - fresh)) <= 1e-12 * np.max(np.abs(fresh))
+        _, B, _, _ = element_full_bmat(layout, MATERIAL, None, k)
+        fresh, gdofs = global_bmat(mesh, layout, MATERIAL, k)
+        expect = np.zeros((B.shape[0], layout.n_dofs))
+        expect[:, gdofs] = fresh
+        got = B @ element_map(layout, k)
+        assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(fresh))
 
 
-def segment_data(mesh, layout, k):
-    """Everything of element k's side segments that enters B, with the
-    edge coordinates relative to the element's vertex 0."""
-    x0 = mesh.element_coords(k)[0]
-    return tuple((seg.side, seg.t0, seg.t1, seg.trace_q,
-                  seg.trace_index.tobytes(), seg.trace_weight.tobytes(),
-                  seg.flux_p, seg.flux_sign,
-                  (seg.trace_coords - x0).tobytes(),
-                  (seg.flux_coords - x0).tobytes())
+def segment_data(layout, k):
+    """Everything of element k's side segments that enters B."""
+    return tuple((seg.side, seg.t0, seg.t1, seg.trace_q, seg.flux_p)
                  for seg in layout.segments[k])
 
 
-def check_class_keys(mesh, layout, seen):
+def check_class_keys(layout, seen):
     """The class partition against the full key, which adds every
     segment's data to the class key; then each class key against the
     segment data it had in earlier rounds (`seen`, updated)."""
     full = {}
     for key, members in zip(layout.class_keys, layout.classes):
         for k in members:
-            full.setdefault((key, segment_data(mesh, layout, k)), []).append(k)
+            full.setdefault((key, segment_data(layout, k)), []).append(k)
     assert sorted(full.values()) == sorted(layout.classes)
     for key, data in full:
         assert seen.setdefault(key, data) == data
 
 
-SEGMENT_ARRAYS = ("trace_coords", "trace_index", "trace_weight",
-                  "trace_gdofs", "flux_coords", "flux_gdofs")
-
-
-def trace_at(seg, point):
-    """The trace's x component at a point of the segment's owner edge, as
-    {global dof: coefficient}."""
-    t = _edge_param(point[None], seg.trace_coords)
-    vals = edge_basis_eval(seg.trace_q, t)[seg.trace_index, 0] * seg.trace_weight
-    out = defaultdict(float)
-    for g, v in zip(seg.trace_gdofs[:, 0].tolist(), vals):
-        out[g] += v
+def local_functions(layout, k):
+    """Element k's local skeleton functions, in the order of B's columns:
+    per segment (trace functions of its side, flux functions), as
+    indices of the local scalar functions (local dof 2 i + c)."""
+    segs = layout.segments[k]
+    bubble, n = {}, 4
+    for seg in segs:
+        if seg.side not in bubble:
+            bubble[seg.side] = n
+            n += seg.trace_q - 1
+    out = []
+    for seg in segs:
+        s = seg.side
+        trace = [s, (s + 1) % 4] + list(range(bubble[s],
+                                              bubble[s] + seg.trace_q - 1))
+        out.append((trace, list(range(n, n + seg.flux_p + 1))))
+        n += seg.flux_p + 1
     return out
 
 
-def check_segments(mesh, layout):
-    """Flux signs against the geometry, read-only arrays shared per owner
-    edge, and the trace's continuity at the hanging vertices."""
-    owners = {}
+def check_constraint_maps(mesh, layout):
+    """Each element's local trace and flux against the global functions at
+    points along every segment, through its C_K: the trace against its
+    owner edge's trace (at a hanging corner, the master's trace there),
+    the flux against the leaf's flux times the sign of the outward normal
+    against the leaf's normal.  Also the class maps are read-only and
+    act on the x and y components alike."""
+    ts = np.array([-1.0, -0.6, 0.0, 0.3, 1.0])
+    trace_ids = list(layout.trace_edges)
+    trace_ends = np.array([mesh.edge_coords(e) for e in trace_ids])
+    flux_ids = list(layout.flux_edges)
+    flux_ends = np.array([mesh.edge_coords(e) for e in flux_ids])
+    for cmap in layout.class_maps:
+        arrays = [cmap.interior, cmap.ids, cmap.weights]
+        arrays += [] if cmap.rows is None else [cmap.rows]
+        assert not any(a.flags.writeable for a in arrays)
     for k in mesh.active_elements:
         coords = mesh.element_coords(k)
-        for seg in layout.segments[k]:
-            # the side's outward normal against the leaf's v0 -> v1 normal
-            t = coords[(seg.side + 1) % 4] - coords[seg.side]
-            d = seg.flux_coords[1] - seg.flux_coords[0]
-            outward = np.array([t[1], -t[0]])
-            assert seg.flux_sign == np.sign(outward @ np.array([d[1], -d[0]]))
-            assert not any(getattr(seg, name).flags.writeable
-                           for name in SEGMENT_ARRAYS)
-            # sides on one owner edge share its trace functions
-            first = owners.setdefault(seg.trace_coords.tobytes(), seg)
-            assert first.trace_gdofs is seg.trace_gdofs
-    # at a hanging vertex, every owner edge ending there has the trace of
-    # the master edge
-    for v, master in layout.hanging.items():
-        point = np.array(mesh.vertices[v])
-        expect = trace_at(owners[mesh.edge_coords(master).tobytes()], point)
-        for seg in owners.values():
-            if np.any(np.all(seg.trace_coords == point, axis=1)):
-                got = trace_at(seg, point)
-                for g in set(expect) | set(got):
-                    assert abs(got[g] - expect[g]) <= 1e-13
+        ni = 5 * (layout.element_p[k] + 1) ** 2
+        C = element_map(layout, k)[ni:]
+        Cx = C[0::2]
+        np.testing.assert_array_equal(C[1::2, 1:], Cx[:, :-1])
+        for seg, (trace, flux) in zip(layout.segments[k],
+                                      local_functions(layout, k)):
+            a, b = coords[seg.side], coords[(seg.side + 1) % 4]
+            t = 0.5 * (seg.t0 + seg.t1) + 0.5 * (seg.t1 - seg.t0) * ts
+            points = a + 0.5 * (1.0 + t)[:, None] * (b - a)
+            (owner,) = np.flatnonzero(overlapping(trace_ends, *points[[0, -1]]))
+            local = edge_basis_eval(seg.trace_q, t).T @ Cx[trace]
+            for point, got in zip(points, local):
+                expect = np.zeros(layout.n_dofs)
+                for g, w in trace_at(mesh, layout, trace_ids[owner],
+                                     point).items():
+                    expect[g] += w
+                assert np.max(np.abs(got - expect)) <= 1e-13
+            (leaf,) = np.flatnonzero(overlapping(flux_ends, *points[[0, -1]]))
+            d = flux_ends[leaf][1] - flux_ends[leaf][0]
+            sign = np.sign((b - a) @ d)
+            flux_p, base = layout.flux_edges[flux_ids[leaf]]
+            assert flux_p == seg.flux_p
+            expect = np.zeros((ts.size, layout.n_dofs))
+            expect[:, base: base + 2 * (flux_p + 1): 2] = sign * edge_basis_eval(
+                flux_p, edge_param(points, flux_ends[leaf])).T
+            local = edge_basis_eval(seg.flux_p, ts).T @ Cx[flux]
+            assert np.max(np.abs(local - expect)) <= 1e-13
 
 
 def signed_area(coords):
@@ -151,8 +175,8 @@ def test_random_refinement_keeps_classes_exact(domain, data):
     seen: dict = {}
     for _ in range(data.draw(st.integers(1, 3))):
         for layout in layouts_of_both_enrichments(mesh, degrees, cache):
-            check_segments(mesh, layout)
-            check_class_keys(mesh, layout, seen)
+            check_constraint_maps(mesh, layout)
+            check_class_keys(layout, seen)
         active = mesh.active_elements
         for k in data.draw(st.sets(st.sampled_from(active), max_size=2)):
             degrees.increment(k, mesh)
@@ -169,16 +193,8 @@ def test_random_refinement_keeps_classes_exact(domain, data):
                                          for v in child.verts])) > 0.0
 
     for layout in layouts_of_both_enrichments(mesh, degrees, cache):
-        check_segments(mesh, layout)
-        check_class_keys(mesh, layout, seen)
-
-
-@given(st.lists(st.integers(-3, 5), max_size=12))
-def test_first_occurrence_ids_and_pattern(dofs):
-    ids, pattern = _first_occurrence(np.array(dofs, dtype=int))
-    assert ids[pattern].tolist() == dofs
-    firsts = [d for i, d in enumerate(dofs) if d not in dofs[:i]]
-    assert ids.tolist() == firsts
+        check_constraint_maps(mesh, layout)
+        check_class_keys(layout, seen)
 
 
 def cached_arrays(cache, layout):
@@ -222,6 +238,40 @@ def test_adaptive_run_builds_only_new_classes(monkeypatch):
         previous = keys
         mesh = refine_marked(mesh, greedy_mark(indicators))
     assert reused > 0
+
+
+def count_kernel_builds(monkeypatch, config):
+    """A study's kernel builds, and the builds its class keys call for:
+    each step builds the keys the step before it did not use."""
+    builds, keys = [], []
+
+    def counted_bmat(*args, **kwargs):
+        builds.append(1)
+        return local_bmat(*args, **kwargs)
+
+    def recorded_layout(*args, **kwargs):
+        layout = build_dof_layout(*args, **kwargs)
+        keys.append(set(layout.class_keys))
+        return layout
+
+    monkeypatch.setattr(assembly, "local_bmat", counted_bmat)
+    monkeypatch.setattr(study, "build_dof_layout", recorded_layout)
+    run_convergence_study(config)
+    return len(builds), sum(len(now - before)
+                            for before, now in zip([set()] + keys, keys))
+
+
+def test_study_kernel_builds_are_exact(monkeypatch):
+    # the bench's lshape-adapt workload: orientation and hanging nodes do
+    # not split classes
+    builds, new = count_kernel_builds(monkeypatch, StudyConfig(
+        benchmark="lshape", mode="adaptive_h", p=1, delta_p=2, steps=8,
+        lam=123.0, mu=79.3))
+    assert builds == new <= 35
+    # the equal squares of a uniform mesh form one class per step
+    builds, new = count_kernel_builds(monkeypatch, StudyConfig(
+        mode="uniform_h", p=3, steps=3))
+    assert builds == new == 3
 
 
 def assert_close(got, expect, rtol=1e-12):
@@ -278,9 +328,9 @@ def test_batched_step_matches_per_element_oracle(domain, data):
         got, expect = system.expand(j, xs[:, j]), expand_ref(j, x)
         # the interiors are b - A x_sk, so the roundoff scales with the
         # terms, which can be much larger than the result
-        terms = max(np.abs(A).sum(axis=1).max() * np.abs(x[sk]).max()
-                    + np.abs(b[:, :, j]).max()
-                    for _, sk, A, b in system.recover)
+        terms = max(np.abs(A).sum(axis=1).max()
+                    * np.abs(cmap.gather(x)).max() + np.abs(b[:, :, j]).max()
+                    for cmap, A, b in system.recover)
         assert np.max(np.abs(got - expect)) <= 1e-12 * terms
         np.testing.assert_array_equal(got[free], expect[free])
     x = system.expand(0, xs[:, 0])

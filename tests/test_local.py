@@ -62,7 +62,7 @@ def test_bmat_identity_pairing():
     # (A sigma, tau) for sigma = tau = I equals 2 Q |K|
     m = make_isotropic(0.0, 0.5)
     p, p_tilde = 1, 3
-    B, _ = local_bmat(UNIT, p, p_tilde, m, [])
+    B = local_bmat(UNIT, p, p_tilde, m, [])
     nt = (p + 1) ** 2
     trial = np.zeros(5 * nt)
     ones_t = ones_coefficients_2d(p)
@@ -72,7 +72,7 @@ def test_bmat_identity_pairing():
     assert test @ (B @ trial) == pytest.approx(2.0 * m.Q, abs=1e-12)
     # with lam > 0 the pairing scales with Q
     m2 = make_isotropic(3.0, 0.5)
-    B2, _ = local_bmat(UNIT, p, p_tilde, m2, [])
+    B2 = local_bmat(UNIT, p, p_tilde, m2, [])
     assert test @ (B2 @ trial) == pytest.approx(2.0 * m2.Q, abs=1e-12)
 
 
@@ -80,7 +80,7 @@ def test_bmat_divergence_pairing():
     # (u, div tau): u = (1, 0) against tau = (x, 0; 0, 0) gives area
     m = make_isotropic(1.0, 1.0)
     p, p_tilde = 1, 3
-    B, _ = local_bmat(UNIT, p, p_tilde, m, [])
+    B = local_bmat(UNIT, p, p_tilde, m, [])
     nt = (p + 1) ** 2
     ns = (p_tilde + 1) ** 2
     trial = np.zeros(5 * nt)
@@ -124,7 +124,7 @@ def test_stacked_loads_match_single_element_loads():
 def test_local_stiffness_oracle():
     m = make_isotropic(2.0, 0.8)
     G = local_gram(SHEARED, 3)
-    B, _ = local_bmat(SHEARED, 1, 3, m, [])
+    B = local_bmat(SHEARED, 1, 3, m, [])
     lvec = local_load(SHEARED, 3, lambda pt: pt)
     L = gram_factor(G)
     K = local_stiffness(L, B)
@@ -148,7 +148,7 @@ def test_error_representation_oracle():
     rng = np.random.default_rng(4)
     m = make_isotropic(1.0, 0.5)
     G = local_gram(UNIT, 3)
-    B, _ = local_bmat(UNIT, 1, 3, m, [])
+    B = local_bmat(UNIT, 1, 3, m, [])
     lvec = local_load(UNIT, 3, lambda pt: np.sin(pt))
     x = rng.standard_normal(B.shape[1])
     e, eta = error_representation(gram_factor(G), B, lvec, x)
@@ -164,7 +164,7 @@ def test_error_representation_oracle():
 def test_error_representation_zero_residual():
     m = make_isotropic(1.0, 0.5)
     G = local_gram(UNIT, 3)
-    B, _ = local_bmat(UNIT, 1, 3, m, [])
+    B = local_bmat(UNIT, 1, 3, m, [])
     x = np.zeros(B.shape[1])
     x[0] = 1.0
     lvec = B @ x
@@ -203,8 +203,8 @@ def test_gram_factor_cached_per_geometry_class():
 
 def test_uniform_mesh_shares_kernels():
     # children keep the parent's orientation, so the 64 equal squares share
-    # one Gram factor, and the boundary pattern and edge orientations leave
-    # only a handful of coupling classes
+    # one Gram factor, and since edge orientations and the boundary live in
+    # the constraint maps, one coupling class
     m = make_isotropic(1.0, 0.5)
     mesh = build_initial_mesh("unit_square", 2)
     for _ in range(2):
@@ -214,7 +214,7 @@ def test_uniform_mesh_shares_kernels():
     for k in mesh.active_elements:
         element_full_bmat(layout, m, None, k)
     assert len(mesh.active_elements) == 64
-    assert len(layout.classes) <= 6
+    assert len(layout.classes) == 1
     assert len(layout.cache.kernels) == len(layout.classes)
     assert len(layout.cache.gram_factors) == 1
 

@@ -7,7 +7,8 @@ from dpg_elast.assembly import build_dof_layout
 from dpg_elast.mesh import (DegreeMap, build_initial_mesh, refine_marked,
                             refine_uniform)
 from oracle import (active_sides, bilinear_maps, boundary_vertices_by_overlap,
-                    corner_vertices, degree_by_overlap, hanging_by_overlap)
+                    corner_vertices, degree_by_overlap, hanging_by_overlap,
+                    overlapping)
 
 
 def pinned_vertices(layout):
@@ -211,10 +212,25 @@ def test_layout_skeleton_matches_geometry(domain, data):
     layout = build_dof_layout(mesh, degrees)
     sides = active_sides(mesh, degrees)
 
+    trace_ends = np.array([mesh.edge_coords(e) for e in layout.trace_edges])
+    flux_ends = {frozenset(map(tuple, mesh.edge_coords(e).tolist()))
+                 for e in layout.flux_edges}
     for k in mesh.active_elements:
+        coords = mesh.element_coords(k)
         for seg in layout.segments[k]:
-            assert seg.trace_q - 1 == degree_by_overlap(sides, seg.trace_coords)
-            assert seg.flux_p == degree_by_overlap(sides, seg.flux_coords)
+            # the segment's piece of the side is a flux leaf, and the trace
+            # lives on the one owner edge that overlaps it
+            a, b = coords[seg.side], coords[(seg.side + 1) % 4]
+            piece = np.array([a + 0.5 * (1.0 + t) * (b - a)
+                              for t in (seg.t0, seg.t1)])
+            assert frozenset(map(tuple, piece.tolist())) in flux_ends
+            (owner,) = np.flatnonzero(overlapping(trace_ends, *piece))
+            assert seg.trace_q - 1 == degree_by_overlap(sides, trace_ends[owner])
+            assert seg.flux_p == degree_by_overlap(sides, piece)
+    for table in (layout.trace_edges, layout.flux_edges):
+        for e, (degree, _) in table.items():
+            assert degree - (table is layout.trace_edges) == degree_by_overlap(
+                sides, mesh.edge_coords(e))
     hanging = hanging_by_overlap(mesh, sides)
     assert set(layout.hanging) == set(hanging)
     for v, master in layout.hanging.items():

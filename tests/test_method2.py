@@ -4,14 +4,14 @@ import pytest
 from dpg_elast import rankone
 from dpg_elast.assembly import build_dof_layout, dirichlet_values
 from dpg_elast.basis import gauss_rule_2d, q_basis_eval
-from dpg_elast.local import local_bmat, local_gram
+from dpg_elast.local import local_gram
 from dpg_elast.material import make_isotropic
 from dpg_elast.mesh import DegreeMap, build_initial_mesh, refine_marked
 from dpg_elast.rankone import (border_terms, ell_vector, solve_second,
                                solve_second_method)
 from dpg_elast.study import make_benchmark
 from oracle import (apply_compliance, assemble_full, bilinear_maps,
-                    interior_slices, solve_full)
+                    global_bmat, interior_slices, solve_full)
 
 MAT = make_isotropic(1.0, 0.5)
 
@@ -109,11 +109,8 @@ def test_border_terms_match_gram_solve():
         r = np.zeros(5 * ns)
         r[:ns] = r[2 * ns: 3 * ns] = (m.Q / m.Q0) * (
             vals @ (rule.weights * np.linalg.det(jac)))
-        B, skel_ids = local_bmat(coords, p, p_tilde, m, layout.segments[k])
+        B, gdofs = global_bmat(mesh, layout, m, k)
         t = np.linalg.solve(local_gram(coords, p_tilde), r)
-        base = layout.interior_base[k]
-        gdofs = np.concatenate([np.arange(base, base + 5 * (p + 1) ** 2),
-                                skel_ids])
         c_ref[gdofs] += B.T @ t
         d_ref += r @ t
     np.testing.assert_allclose(c, c_ref, rtol=0.0,
