@@ -1,50 +1,41 @@
 """Global dof layout, Dirichlet data, static condensation, and sparse solve.
 
 `build_dof_layout` is the one reader of the mesh topology and of the
-`DegreeMap` in a step.  One pass over the active elements' sides finds
-each side's trace owner edge and flux leaf edges, gives each edge the
-largest degree of the elements whose sides carry it (the maximum rule),
-records the midpoint of each split side as a hanging vertex constrained
-by that side's edge, and collects the ends of the boundary leaves as the
-vertices to pin.  The layout carries the element degrees, delta_p and the
-element coordinates, so the solver functions below take the layout in
-place of the mesh and the degree map; only `dirichlet_values` also reads
-the mesh, for the boundary coordinates.
-
-Numbering is element-major for the interior (sigma, u) blocks, then vertex
-trace dofs, edge trace bubbles, and edge flux dofs.
+`DegreeMap` in a step.  From one array snapshot of the topology it finds,
+in a fixed number of array passes and no loop over sides or dofs, each
+side's trace owner edge and flux leaves, the edge degrees by the maximum
+rule, the hanging and pinned vertices, the numbering (element interiors,
+then vertex trace dofs, edge trace bubbles and edge flux dofs), and every
+element's class and constraint map C_K.  The solver functions take the
+layout in place of the mesh and the degree map; only `dirichlet_values`
+also reads the mesh, for the boundary coordinates.
 
 Each element computes on its own skeleton basis (`SideSegment`): the
 trace of degree q along each counterclockwise side, with the element's
-corner functions at the side's ends, and one flux basis per leaf, along
-the side.  Everything topological lives in the element's constraint map
-C_K from the global to the local skeleton dofs, which `build_dof_layout`
-builds in one place:
+corner functions at the side's ends, and one flux basis per leaf.  C_K
+takes the global skeleton dofs to this basis and holds everything
+topological:
 - a side that runs against its edge swaps the edge's ends, and its trace
   bubbles and flux bubbles of odd degree change sign;
 - the flux takes the sign of the outward normal against the leaf's normal;
-- a constrained side (a half of its master edge, whose other side is one
-  element) takes the restriction of the master's trace bubbles to that
-  half, a small dense block per (q, half, reversed);
+- a constrained side (half of its master edge) takes the restriction of
+  the master's trace bubbles to that half, a small dense block per
+  (q, half, reversed);
 - a hanging corner takes the master's trace at the edge midpoint, spread
   onto the master's dofs (`vertex_entries`).
-Then the element's skeleton unknowns are x_K = C_K x, and its matrix and
-loads enter the global system as C_K' S_K C_K and C_K' g_K.
+The element's skeleton unknowns are x_K = C_K x, and its matrix and loads
+enter the global system as C_K' S_K C_K and C_K' g_K.
 
-The layout sorts the elements into classes.  An element's coupling
-matrix B (and its Gram factor) depends only on its degrees, its shape up
-to translation and its segments' degrees, so the class key is (p,
-p_tilde, vertex offsets from vertex 0, per side: the trace degree q and
-the leaves' flux degrees).  Orientation, flux signs and hanging nodes do
-not split classes.  A class's kernel (Gram factor, B and the interior
-condensation blocks) is built whole on translated coordinates, so it
-depends on the class key alone; a `KernelCache` keyed by the class key and
-the material carries it from one refinement step to the next, and each
-step builds only the classes that are new to it.  Condensation, the error
-estimator and the rank-one border terms stack the members of a class and
-do their dense algebra once per class, with one scatter through the
-members' C_K per class (`ClassMap`).  The loads of a step are computed
-once, with one call of f per degree group.
+The class key is (p, p_tilde, vertex offsets from vertex 0, per side: the
+trace degree q and the leaves' flux degrees), every input of B and of the
+Gram factor; orientation, flux signs and hanging nodes do not split
+classes.  A class's kernel (Gram factor, B and the interior condensation
+blocks) is built whole on translated coordinates, so it depends on the
+class key alone; a `KernelCache` keyed by the class key and the material
+carries it from one refinement step to the next.  Condensation, the error
+estimator and the rank-one border terms do their dense algebra once per
+class, with one scatter through the members' C_K (`ClassMap`), and the
+loads of a step take one call of f per degree group.
 """
 from __future__ import annotations
 
@@ -103,7 +94,8 @@ class KernelCache:
     def retain(self, class_keys) -> None:
         """Keep only the entries of the given class keys."""
         keys = set(class_keys)
-        # a class key is (p, p_tilde, vertex offsets, pattern)
+        # a class key is (p, p_tilde, vertex offsets, per side: the trace
+        # degree q and the leaves' flux degrees)
         shapes = {(key[1], key[2]) for key in keys}
         self.kernels = {k: v for k, v in self.kernels.items() if k[0] in keys}
         self.gram_factors = {k: v for k, v in self.gram_factors.items()
@@ -164,91 +156,101 @@ class ClassMap:
 @dataclass
 class DofLayout:
     n_dofs: int
-    interior_base: dict[int, int]            # element -> first interior dof
     vertex_dof: dict[int, int]               # vertex -> dof of x component
     trace_edges: dict[int, tuple[int, int]]  # owner edge -> (q, bubble base)
     flux_edges: dict[int, tuple[int, int]]   # leaf edge -> (degree, base)
     hanging: dict[int, int]                  # hanging vertex -> master edge
     pinned: np.ndarray                       # bool mask over all dofs
-    element_p: dict[int, int]
     delta_p: int                             # test enrichment, p_tilde - p
     elements: np.ndarray                     # active elements, layout order
     position: dict[int, int]                 # element -> layout position
-    coords: np.ndarray                       # (n, 4, 2) vertices, layout order
+    element_p: np.ndarray                    # position -> degree p
+    interior_base: np.ndarray                # position -> first interior dof
+    coords: np.ndarray                       # (n, 4, 2) vertices, by position
+    element_class: np.ndarray                # position -> class id
+    element_row: np.ndarray                  # position -> row in its class
     degree_groups: dict[int, np.ndarray]     # p -> positions of degree p
-    segments: dict[int, list[SideSegment]]   # element -> side segments
-    element_class: dict[int, tuple[int, int]]  # element -> (class id, row)
-    classes: list[list[int]]                 # class id -> its elements
+    classes: list[np.ndarray]                # class id -> member positions
     class_keys: list[tuple]                  # class id -> class key
     class_maps: list[ClassMap]               # class id -> members' C_K
-    # class kernels and Gram factors, filled lazily by element_full_bmat
-    # and shared with the other steps of a study
+    # class kernels and Gram factors of the study, built by `_kernel` on
+    # a class's first request and kept for the steps after this one
     cache: KernelCache
-    # read-only element loads of this step, filled by element_full_bmat
-    # for a whole degree group at a time: (f, element) -> load
+    # read-only element loads of this step, (f, element) -> load; the first
+    # request for an element's load computes its whole degree group
     loads: dict[tuple, np.ndarray] = field(default_factory=dict, repr=False)
 
     @property
     def n_free(self) -> int:
         return int(self.n_dofs - self.pinned.sum())
 
-    def interior_bases(self, rows: np.ndarray) -> np.ndarray:
-        """First interior dof of the elements at the given layout positions."""
-        return np.array([self.interior_base[k]
-                         for k in self.elements[rows].tolist()], dtype=int)
+
+def _ranges(counts: np.ndarray):
+    """Ranges of the given lengths laid end to end: for each entry, the
+    range i it belongs to and its offset 0..counts[i]-1 there."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    return owner, np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
 
 
 @lru_cache(maxsize=None)
-def _restriction(q: int, half: int | None, reverse: bool):
-    """Side coefficients from edge coefficients of the degree q edge basis,
-    as rows of (weight, edge function) pairs, one row per side function.
+def _reversal(q: int):
+    """The degree q edge basis on the reversed edge: function i there is
+    sign[i] times function col[i] of the edge.  The ends swap and the
+    bubbles of odd degree change sign."""
+    return _read_only(np.array([1, 0, *range(2, q + 1)]),
+                      np.concatenate([[1.0, 1.0], (-1.0) ** np.arange(2, q + 1)]))
 
-    The side covers child `half` of the edge (the whole edge for None) and
-    runs against the edge when `reverse`: then the ends swap and the
-    bubbles of odd degree change sign.  On a half, a bubble restricts to
+
+@lru_cache(maxsize=None)
+def _bubble_table(q_max: int):
+    """A side's trace bubbles from its owner edge's, for q up to q_max:
+    (start, size) of block ((q - 2) 3 + half + 1) 2 + reverse, then the
+    blocks' nonzeros (side bubble, edge bubble, weight, place in its row).
+    The side covers child `half` of the edge (the whole edge for -1) and
+    runs against it when `reverse`.  On a half, a bubble restricts to
     bubbles of at most its degree plus a linear part, which the corner
-    values carry; the rows of the side's ends are left out there.
-    """
-    if half is None:
-        T = np.eye(q + 1)
-        if reverse:
-            T = T[[1, 0, *range(2, q + 1)]]
-            T[2:] *= ((-1.0) ** np.arange(2, q + 1))[:, None]
-    else:
+    values carry."""
+    blocks = []
+    for q in range(2, q_max + 1):
         t = gauss_rule(q + 1).points
-        t_edge = 0.5 * ((-t if reverse else t) + 2 * half - 1)
-        # the edge functions at the points are T' times the side functions
-        T = np.linalg.solve(edge_basis_eval(q, t).T,
-                            edge_basis_eval(q, t_edge).T)
-        T = np.vstack([np.zeros((2, q + 1)), np.triu(T[2:], 2)])
-    return tuple(tuple((w, i) for i, w in enumerate(row) if w)
-                 for row in T.tolist())
+        for half, reverse in [(h, r) for h in (-1, 0, 1) for r in (False, True)]:
+            if half < 0:
+                T = np.diag(_reversal(q)[1][2:] if reverse else np.ones(q - 1))
+            else:   # the edge functions at the points are T' times the side's
+                t_edge = 0.5 * ((-t if reverse else t) + 2 * half - 1)
+                T = np.triu(np.linalg.solve(edge_basis_eval(q, t).T,
+                                            edge_basis_eval(q, t_edge).T)[2:, 2:])
+            rows, cols = np.nonzero(T)
+            blocks.append((rows, cols, T[rows, cols],
+                           np.arange(rows.size) - np.searchsorted(rows, rows)))
+    size = np.array([b[0].size for b in blocks])
+    return _read_only(np.cumsum(size) - size, size, *map(np.concatenate, zip(*blocks)))
 
 
-def _class_map(interior: np.ndarray, member_rows: list) -> ClassMap:
-    """A class's `ClassMap` from its members' C_K, given per member as
-    rows of (weight, global x dof) pairs, one row per local skeleton
-    function; local dof 2 r + c takes global dof g + c."""
-    m, n = len(member_rows), len(member_rows[0])
-    nnz = [sum(map(len, rows)) for rows in member_rows]
-    member, row, w, g = np.array(
-        [(i, r, w, g) for i, rows in enumerate(member_rows)
-         for r, entries in enumerate(rows) for w, g in entries]).T
-    member, row, g = member.astype(int), row.astype(int), g.astype(int)
-    start = np.cumsum([0] + nnz[:-1])
-    slot = np.arange(member.size) - np.repeat(start, nnz)
-    # a member's unused slots: its first dof, with weight zero
-    ids = np.repeat(g[start][:, None], max(nnz), axis=1)
-    rows = np.zeros(ids.shape, dtype=int)
-    weights = np.zeros(ids.shape)
-    ids[member, slot], rows[member, slot], weights[member, slot] = g, row, w
-    comp = np.arange(2)
-    ids = (ids[:, :, None] + comp).reshape(m, -1)
-    rows = (2 * rows[:, :, None] + comp).reshape(m, -1)
-    copies = max(nnz) == n
-    return ClassMap(*_read_only(interior, ids),
-                    None if copies else _read_only(rows)[0],
-                    _read_only(np.repeat(weights, 2, axis=1))[0], 2 * n)
+@lru_cache(maxsize=None)
+def _midpoint_values(q: int) -> tuple[float, ...]:
+    """The degree q edge basis at the edge midpoint."""
+    return tuple(edge_basis_eval(q, 0.0)[:, 0].tolist())
+
+
+@lru_cache(maxsize=1024)    # bounded: an adaptive study meets 100 to 150 keys
+def _class_key(row: bytes, delta_p: int) -> tuple:
+    """The class key from a row of the layout's integer key, as bytes: p,
+    the vertex offsets' 8 words, q per side, then per side the leaves' flux
+    degrees (-1: no second leaf)."""
+    p, *_, q0, q1, q2, q3 = np.frombuffer(row[:104], np.int64).tolist()
+    fs = np.frombuffer(row[104:], np.int64).tolist()
+    return (p, p + delta_p, row[8:72],
+            tuple((q, tuple(f for f in fs[2 * s:2 * s + 2] if f >= 0))
+                  for s, q in enumerate((q0, q1, q2, q3))))
+
+
+def _segments(sides: tuple) -> list[SideSegment]:
+    """An element's side segments from its class key's sides, each side
+    split evenly among its leaves."""
+    return [SideSegment(side=s, t0=-1.0 + 2.0 * i / len(fps),
+                        t1=-1.0 + 2.0 * (i + 1) / len(fps), trace_q=q, flux_p=fp)
+            for s, (q, fps) in enumerate(sides) for i, fp in enumerate(fps)]
 
 
 def build_dof_layout(mesh: Mesh, degrees: DegreeMap, bc_spec: str = "dirichlet",
@@ -262,161 +264,205 @@ def build_dof_layout(mesh: Mesh, degrees: DegreeMap, bc_spec: str = "dirichlet",
     if bc_spec != "dirichlet":
         raise ValueError(f"unsupported boundary condition spec {bc_spec!r}")
     active = mesh.active_elements
-    element_p = {k: degrees.degree_of(mesh, k) for k in active}
-    all_coords = mesh.coords_of(active)
-    all_coords.setflags(write=False)
-    degree_of = np.array(list(element_p.values()), dtype=int)
+    n_el, n_verts = len(active), len(mesh.vertices)
+    # one snapshot of the topology: the elements' corners and side edges
+    # (corner and side s of element i at 4 i + s), and every edge's ends,
+    # parent and boundary flag
+    els = [mesh.elements[k] for k in active]
+    p = np.array([degrees.degree_of(mesh, k) for k in active])
+    verts = np.array([v for el in els for v in el.verts])
+    side_edge = np.array([e for el in els for e in el.edges])
+    edges = mesh.edges
+    v0 = np.array([e.v0 for e in edges])
+    v1 = np.array([e.v1 for e in edges])
+    parent = np.array([-1 if e.parent is None else e.parent for e in edges])
+    boundary = np.array([e.boundary for e in edges])
+    coords = np.asarray(mesh.vertices, dtype=float)[verts].reshape(n_el, 4, 2)
+    coords.setflags(write=False)
 
-    # one pass over the element sides: each side's trace owner edge and
-    # flux leaf edges, the edge degrees by the maximum rule over the
-    # elements whose sides carry the edge, the hanging vertices (midpoints
-    # of split sides) and the boundary vertices (ends of boundary leaves)
-    sides: dict[int, list[tuple[int, list[int]]]] = {}
-    trace_q: dict[int, int] = {}
-    flux_p: dict[int, int] = {}
-    hanging: dict[int, int] = {}
-    boundary_verts: set[int] = set()
-    for k in active:
-        p = element_p[k]
-        sides[k] = []
-        for s, eid in enumerate(mesh.elements[k].edges):
-            leaves = mesh.side_subedges(k, s)
-            parent = mesh.edges[eid].parent
-            if len(leaves) > 1:
-                hanging[mesh.edge_midpoint_vertex(eid)] = eid
-                owner = eid
-            elif (parent is not None
-                    and mesh.active_side_neighbor(parent) is not None):
-                owner = parent      # constrained side, master across the interface
-            else:
-                owner = eid
-            sides[k].append((owner, leaves))
-            trace_q[owner] = max(trace_q.get(owner, 0), p + 1)
-            for leaf in leaves:
-                flux_p[leaf] = max(flux_p.get(leaf, 0), p)
-                edge = mesh.edges[leaf]
-                if edge.boundary:
-                    boundary_verts.update((edge.v0, edge.v1))
-    trace_edges = sorted(trace_q)
-    flux_edges = sorted(flux_p)
+    # a side whose edge has active sides as children is split into those
+    # leaves, and its edge owns the trace; a side whose edge is a child of
+    # an active side is constrained, and that master edge owns the trace
+    up = parent[side_edge]
+    is_side, has_side_child = np.zeros((2, len(edges) + 1), dtype=bool)  # [-1]: none
+    is_side[side_edge] = True
+    has_side_child[up] = True
+    split = has_side_child[side_edge]
+    constrained = is_side[up] & ~split
+    owner = np.where(constrained, up, side_edge)
+    # children run from their parent's v0 to its v1, so child 1 starts at
+    # the midpoint; every leaf and the owner run along the side exactly
+    # when the side's own edge does
+    half = np.where(constrained, v0[side_edge] != v0[up], -1)
+    reverse = v0[side_edge] != verts
+    masters = side_edge[split]
+    kids = np.array([edges[e].children for e in masters.tolist()], int).reshape(-1, 2)
+    hanging = dict(zip(v1[kids[:, 0]].tolist(), masters.tolist()))
+    leaves = np.full((4 * n_el, 2), -1)
+    leaves[:, 0] = side_edge
+    leaves[split] = np.where(reverse[split, None], kids[:, ::-1], kids)
+    has_leaf = leaves >= 0
+    leaf = leaves[has_leaf]
+    leaf_side = np.flatnonzero(has_leaf) // 2
 
-    # numbering
-    n = 0
-    interior_base = {}
-    for k in active:
-        interior_base[k] = n
-        n += 5 * (element_p[k] + 1) ** 2
+    # the maximum rule: an edge's degree is the largest of the elements
+    # whose sides carry it
+    side_p = np.repeat(p, 4)
+    trace_q, flux_p = np.zeros((2, len(edges)), dtype=int)
+    np.maximum.at(trace_q, owner, side_p + 1)
+    np.maximum.at(flux_p, leaf, side_p[leaf_side])
 
-    vertex_dof = {}
-    for e in trace_edges:
-        for v in (mesh.edges[e].v0, mesh.edges[e].v1):
-            if v not in hanging and v not in vertex_dof:
-                vertex_dof[v] = n
-                n += 2
+    # numbering: element interiors, then the owner edges' ends in order
+    # (hanging vertices left out), and edge by edge the owners' bubbles
+    # and the leaves' fluxes; pinned are the ends of the boundary leaves
+    # and the bubbles of the boundary owners
+    ni = 5 * (p + 1) ** 2
+    interior_base = np.cumsum(ni) - ni
+    n = int(ni.sum())
+    trace_edges, flux_edges = np.flatnonzero(trace_q), np.flatnonzero(flux_p)
+    ends = np.column_stack([v0[trace_edges], v1[trace_edges]]).ravel()
+    numbered = np.array([v for v in dict.fromkeys(ends.tolist())
+                         if v not in hanging], dtype=int)
+    vdof = np.full(n_verts, -1)
+    vdof[numbered] = n + 2 * np.arange(numbered.size)
+    bubbles = 2 * np.maximum(trace_q - 1, 0)
+    fluxes = 2 * (flux_p + 1) * (flux_p > 0)
+    trace_base = n + 2 * numbered.size + np.cumsum(bubbles) - bubbles
+    flux_base = trace_base[-1] + bubbles[-1] + np.cumsum(fluxes) - fluxes
+    on_boundary = np.zeros(n_verts, dtype=bool)
+    leaf_b = leaf[boundary[leaf]]
+    on_boundary[v0[leaf_b]] = on_boundary[v1[leaf_b]] = True
+    pinned = np.concatenate([np.zeros(n, dtype=bool),
+                             np.repeat(on_boundary[numbered], 2),
+                             np.repeat(boundary, bubbles),
+                             np.zeros(fluxes.sum(), dtype=bool)])
 
-    trace_base = {}
-    for e in trace_edges:
-        trace_base[e] = n
-        n += 2 * (trace_q[e] - 1)
+    # C_K as entries (element, local row, place in the row, weight, global
+    # x dof); the local rows are the four corners, then each side's trace
+    # bubbles, then each leaf's flux functions
+    side_q = trace_q[owner]
+    fps = np.where(has_leaf, flux_p[leaves], -1).reshape(n_el, 8)
+    nb = (side_q - 1).reshape(n_el, 4)
+    bubble_row = (4 + np.cumsum(nb, axis=1) - nb).ravel()
+    flux_row = 4 + nb.sum(axis=1)[:, None] + np.cumsum(fps + 1, axis=1) - fps - 1
+    n_rows = flux_row[:, -1] + fps[:, -1] + 1
 
-    flux_base = {}
-    for e in flux_edges:
-        flux_base[e] = n
-        n += 2 * (flux_p[e] + 1)
-
-    pinned = np.zeros(n, dtype=bool)
-    for v, d in vertex_dof.items():
-        if v in boundary_verts:
-            pinned[d:d + 2] = True
-    for e in trace_edges:
-        if mesh.edges[e].boundary:
-            b = trace_base[e]
-            pinned[b:b + 2 * (trace_q[e] - 1)] = True
+    # a corner is its vertex's dof, or at a hanging vertex the master's
+    # trace at the midpoint, spread onto the master's dofs
+    master = dict(zip(hanging, zip(trace_q[masters].tolist(),
+                                   trace_base[masters].tolist(),
+                                   v0[masters].tolist(), v1[masters].tolist())))
+    table_w, table_g = [1.0] * n_verts, vdof.tolist()
 
     @lru_cache(maxsize=None)
-    def vertex_entries(v: int) -> list[tuple[float, int]]:
-        """The trace value at vertex v as (weight, x dof) pairs."""
-        if v in vertex_dof:
-            return [(1.0, vertex_dof[v])]
-        # a hanging vertex takes its master edge's trace at the midpoint
-        master = hanging[v]
-        e = mesh.edges[master]
-        q = trace_q[master]
-        vals = edge_basis_eval(q, 0.0)[:, 0]
-        base = trace_base[master]
-        return ([(w * vals[0], g) for w, g in vertex_entries(e.v0)]
-                + [(w * vals[1], g) for w, g in vertex_entries(e.v1)]
-                + [(vals[i], base + 2 * (i - 2)) for i in range(2, q + 1)])
+    def vertex_entries(v: int) -> tuple[list, list]:
+        """The trace at vertex v: weights and global x dofs."""
+        if v not in master:
+            return [1.0], [table_g[v]]
+        q, base, end0, end1 = master[v]
+        vals = _midpoint_values(q)
+        (w0, g0), (w1, g1) = vertex_entries(end0), vertex_entries(end1)
+        return ([w * vals[0] for w in w0] + [w * vals[1] for w in w1] + list(vals[2:]),
+                g0 + g1 + list(range(base, base + 2 * q - 2, 2)))
 
-    # per element: side segments, class key and C_K, whose rows are the
-    # local skeleton functions (four corners, each side's trace bubbles,
-    # each segment's flux functions) as lists of (weight, global x dof)
-    segments: dict[int, list[SideSegment]] = {}
-    element_class: dict[int, tuple[int, int]] = {}
-    class_ids: dict[tuple, int] = {}
-    classes: list[list[int]] = []
-    class_rows: list[list] = []
-    for k, coords in zip(active, all_coords):
-        el = mesh.elements[k]
-        segs, key_sides = [], []
-        rows = [vertex_entries(v) for v in el.verts]
-        flux_rows = []
-        for s, (owner, leaves) in enumerate(sides[k]):
-            q, base = trace_q[owner], trace_base[owner]
-            # children run the way their parent edge runs, so every leaf
-            # and the owner run along the side exactly when the side's
-            # own edge does
-            own = el.edges[s]
-            reverse = mesh.edges[own].v0 != el.verts[s]
-            half = None if owner == own else mesh.edges[owner].children.index(own)
-            rows += [[(w, base + 2 * (j - 2)) for w, j in r]
-                     for r in _restriction(q, half, reverse)[2:]]
-            # the flux also changes sign with the normal
-            sign = -1.0 if reverse else 1.0
-            nseg = len(leaves)
-            for i, leaf in enumerate(leaves):
-                segs.append(SideSegment(side=s, t0=-1.0 + 2.0 * i / nseg,
-                                        t1=-1.0 + 2.0 * (i + 1) / nseg,
-                                        trace_q=q, flux_p=flux_p[leaf]))
-                fb = flux_base[leaf]
-                flux_rows += [[(sign * w, fb + 2 * j) for w, j in r]
-                              for r in _restriction(flux_p[leaf], None, reverse)]
-            key_sides.append((q, tuple(flux_p[leaf] for leaf in leaves)))
-        segments[k] = segs
-        rows += flux_rows
+    start, count = np.arange(n_verts), np.ones(n_verts, dtype=int)
+    for v in hanging:
+        w, g = vertex_entries(v)
+        start[v], count[v] = len(table_w), len(w)
+        table_w += w
+        table_g += g
+    c, c_place = _ranges(count[verts])
+    t_corner = start[verts][c] + c_place
 
-        key = (element_p[k], element_p[k] + degrees.delta_p,
-               (coords - coords[0]).tobytes(), tuple(key_sides))
-        cls = class_ids.setdefault(key, len(classes))
-        if cls == len(classes):
-            classes.append([])
-            class_rows.append([])
-        element_class[k] = (cls, len(classes[cls]))
-        classes[cls].append(k)
-        class_rows[cls].append(rows)
+    # a side's bubbles: the block of its degree, half and direction
+    b_start, b_size, b_row, b_col, b_w, b_place = _bubble_table(int(side_q.max()))
+    code = ((side_q - 2) * 3 + half + 1) * 2 + reverse
+    s, s_off = _ranges(b_size[code])
+    t_side = b_start[code][s] + s_off
 
-    class_maps = []
-    for members, member_rows in zip(classes, class_rows):
-        ni = 5 * (element_p[members[0]] + 1) ** 2
-        interior = (np.array([interior_base[k] for k in members])[:, None]
-                    + np.arange(ni))
-        class_maps.append(_class_map(interior, member_rows))
+    # a leaf's flux: a reversed leaf swaps its ends and changes the sign of
+    # its bubbles of odd degree, and the flux takes the sign of the normal
+    f, j = _ranges(flux_p[leaf] + 1)
+    rev = reverse[leaf_side][f]
+    col, sign = _reversal(int(flux_p.max()))
+
+    pos = np.concatenate([c // 4, s // 4, leaf_side[f] // 4])
+    row = np.concatenate([c % 4, bubble_row[s] + b_row[t_side],
+                          flux_row.ravel()[has_leaf.ravel()][f] + j])
+    place = np.concatenate([c_place, b_place[t_side], np.zeros(f.size, int)])
+    weight = np.concatenate([np.array(table_w)[t_corner], b_w[t_side],
+                             np.where(rev, -sign[j], 1.0)])
+    dof = np.concatenate([np.array(table_g)[t_corner],
+                          trace_base[owner[s]] + 2 * b_col[t_side],
+                          flux_base[leaf[f]] + 2 * np.where(rev, col[j], j)])
+
+    # classes by the first occurrence of the integer class key: p, the bits
+    # of the vertex offsets, per side q and the leaves' flux degrees (-1
+    # where a side has one leaf)
+    offsets = (coords - coords[:, :1]).reshape(n_el, 8).view(np.int64)
+    key = np.concatenate([p[:, None], offsets, nb + 1, fps], axis=1)
+    raw, size = key.tobytes(), key.itemsize * key.shape[1]
+    class_of: dict[bytes, int] = {}
+    element_class = np.array([class_of.setdefault(raw[i:i + size], len(class_of))
+                              for i in range(0, len(raw), size)])
+    class_keys = [_class_key(k, degrees.delta_p) for k in class_of]
+
+    # every class's ClassMap at once: the members class by class in layout
+    # order, each member's entries at its rows' places, as many as the
+    # class's widest member has (the unused ones take the member's first
+    # dof with weight zero); then the x and y components interleaved
+    order = np.argsort(element_class, kind="stable")
+    members = np.bincount(element_class)
+    first = np.cumsum(members) - members
+    slot = np.empty(n_el, dtype=int)
+    slot[order] = np.arange(n_el)
+    r_max = int(n_rows.max())
+    counts = np.bincount(pos * r_max + row, minlength=n_el * r_max).reshape(n_el, -1)
+    width = np.maximum.reduceat(counts.sum(axis=1)[order], first)
+    slot_width = np.repeat(width, members)
+    slot_start = np.cumsum(slot_width) - slot_width
+    at = (slot_start[slot[pos]] + place
+          + (np.cumsum(counts, axis=1) - counts).ravel()[pos * r_max + row])
+    ids = np.repeat(dof[:c.size][c_place == 0][::4][order], slot_width)
+    ids[at] = dof
+    rows = np.zeros(ids.size, dtype=int)
+    rows[at] = row
+    weights = np.zeros(ids.size)
+    weights[at] = weight
+    ids = (ids[:, None] + np.arange(2)).ravel()
+    rows = (2 * rows[:, None] + np.arange(2)).ravel()
+    weights = np.repeat(weights, 2)
+    i, off = _ranges(ni[order])
+    interior = interior_base[order][i] + off
+    _read_only(ids, rows, weights, interior)
+    classes, class_maps = [], []
+    for a, m, wd, nr, nii, e, o in zip(*(x.tolist() for x in (
+            first, members, width, n_rows[order[first]], ni[order[first]],
+            2 * slot_start[first], (np.cumsum(ni[order]) - ni[order])[first]))):
+        span = slice(e, e + 2 * m * wd)
+        class_maps.append(ClassMap(
+            interior[o:o + m * nii].reshape(m, nii), ids[span].reshape(m, -1),
+            None if wd == nr else rows[span].reshape(m, -1),
+            weights[span].reshape(m, -1), 2 * nr))
+        classes.append(order[a:a + m])
 
     cache = KernelCache() if cache is None else cache
-    cache.retain(class_ids)
-    return DofLayout(n_dofs=n, interior_base=interior_base, vertex_dof=vertex_dof,
-                     trace_edges={e: (trace_q[e], trace_base[e]) for e in trace_edges},
-                     flux_edges={e: (flux_p[e], flux_base[e]) for e in flux_edges},
-                     hanging=hanging, pinned=pinned, element_p=element_p,
-                     delta_p=degrees.delta_p,
-                     elements=np.array(active, dtype=int),
-                     position={k: i for i, k in enumerate(active)},
-                     coords=all_coords,
-                     degree_groups={int(p): np.flatnonzero(degree_of == p)
-                                    for p in np.unique(degree_of)},
-                     segments=segments, element_class=element_class,
-                     classes=classes, class_keys=list(class_ids),
-                     class_maps=class_maps, cache=cache)
+    cache.retain(class_keys)
+    return DofLayout(
+        n_dofs=pinned.size,
+        vertex_dof=dict(zip(numbered.tolist(), vdof[numbered].tolist())),
+        trace_edges=dict(zip(trace_edges.tolist(), zip(
+            trace_q[trace_edges].tolist(), trace_base[trace_edges].tolist()))),
+        flux_edges=dict(zip(flux_edges.tolist(), zip(
+            flux_p[flux_edges].tolist(), flux_base[flux_edges].tolist()))),
+        hanging=hanging,
+        pinned=pinned, delta_p=degrees.delta_p, elements=np.array(active),
+        position=dict(zip(active, range(n_el))), element_p=p,
+        interior_base=interior_base, coords=coords,
+        element_class=element_class, element_row=slot - first[element_class],
+        degree_groups={int(q): np.flatnonzero(p == q) for q in np.unique(p)},
+        classes=classes, class_keys=class_keys, class_maps=class_maps,
+        cache=cache)
 
 
 def element_full_bmat(layout: DofLayout, material: Material, f, eid: int):
@@ -429,17 +475,18 @@ def element_full_bmat(layout: DofLayout, material: Material, f, eid: int):
     a degree computes the loads of every element of that degree and keeps
     them in `layout.loads`.
     """
-    kernel = _kernel(layout, material, eid)
+    pos = layout.position[eid]
+    kernel = _kernel(layout, material, pos)
     if (f, eid) not in layout.loads:
-        p = layout.element_p[eid]
+        p = int(layout.element_p[pos])
         rows = layout.degree_groups[p]
         lvecs = local_loads(layout.coords[rows], p + layout.delta_p, f)
         lvecs.setflags(write=False)
         layout.loads.update(((f, k), lvec) for k, lvec
                             in zip(layout.elements[rows].tolist(), lvecs))
-    cls, row = layout.element_class[eid]
+    cmap = layout.class_maps[layout.element_class[pos]]
     return (kernel.L, kernel.B, layout.loads[f, eid],
-            layout.class_maps[cls].member(row))
+            cmap.member(layout.element_row[pos]))
 
 
 def _class_members(layout: DofLayout, material: Material, f, cls: int):
@@ -450,41 +497,41 @@ def _class_members(layout: DofLayout, material: Material, f, cls: int):
     """
     members = layout.classes[cls]
     lvecs = np.column_stack([element_full_bmat(layout, material, f, k)[2]
-                             for k in members])
+                             for k in layout.elements[members].tolist()])
     return (_kernel(layout, material, members[0]), lvecs,
             layout.class_maps[cls])
 
 
-def _kernel(layout: DofLayout, material: Material, eid: int) -> ClassKernel:
-    """Element eid's class kernel, from the cache or built and cached."""
-    key = (layout.class_keys[layout.element_class[eid][0]], material)
+def _kernel(layout: DofLayout, material: Material, pos: int) -> ClassKernel:
+    """The class kernel of the element at layout position pos, from the
+    cache or built and cached."""
+    key = (layout.class_keys[layout.element_class[pos]], material)
     kernel = layout.cache.kernels.get(key)
     if kernel is None:
-        kernel = _class_kernel(layout, eid, material)
+        kernel = _class_kernel(layout, pos, material)
         layout.cache.kernels[key] = kernel
     return kernel
 
 
-def _class_kernel(layout: DofLayout, eid: int,
+def _class_kernel(layout: DofLayout, pos: int,
                   material: Material) -> ClassKernel:
-    """Kernel of element eid's class, on the class's local skeleton basis.
+    """Kernel of the class of the element at layout position pos, on the
+    class's local skeleton basis.
 
     Everything is computed on the element translated to vertex 0, from
     data the class key fixes, so it does not depend on which element or
     step built it.  The Gram factor depends only on p_tilde and
     the vertex offsets and is shared by every class of that shape.
     """
-    coords = layout.coords[layout.position[eid]]
+    coords = layout.coords[pos]
     rel = coords - coords[0]
-    p = layout.element_p[eid]
-    p_tilde = p + layout.delta_p
-    gkey = (p_tilde, rel.tobytes())
-    L = layout.cache.gram_factors.get(gkey)
+    p, p_tilde, shape, sides = layout.class_keys[layout.element_class[pos]]
+    L = layout.cache.gram_factors.get((p_tilde, shape))
     if L is None:
         L = gram_factor(local_gram(rel, p_tilde))
         L.setflags(write=False)
-        layout.cache.gram_factors[gkey] = L
-    B = local_bmat(rel, p, p_tilde, material, layout.segments[eid])
+        layout.cache.gram_factors[p_tilde, shape] = L
+    B = local_bmat(rel, p, p_tilde, material, _segments(sides))
     ni = 5 * (p + 1) ** 2
     K = local_stiffness(L, B)
     Kis, Kss = K[:ni, ni:], K[ni:, ni:]
@@ -557,13 +604,13 @@ def error_indicators(material: Material, f, layout: DofLayout,
     and x_K the element's interior dofs and C_K x; each class does one
     triangular solve for all its members.
     """
-    out = dict.fromkeys(layout.element_p, 0.0)
+    out = np.zeros(len(layout.elements))
     for cls, members in enumerate(layout.classes):
         kernel, lvecs, cmap = _class_members(layout, material, f, cls)
         xk = np.concatenate([x[cmap.interior], cmap.gather(x)], axis=1)
         z = lower_solve(kernel.L, lvecs - kernel.B @ xk.T)
-        out.update(zip(members, np.linalg.norm(z, axis=0).tolist()))
-    return out
+        out[members] = np.linalg.norm(z, axis=0)
+    return dict(zip(layout.elements.tolist(), out.tolist()))
 
 
 @dataclass

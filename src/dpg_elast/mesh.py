@@ -81,10 +81,6 @@ class Mesh:
         verts = [self.elements[k].verts for k in eids]
         return np.asarray(self.vertices, dtype=float)[verts].reshape(-1, 4, 2)
 
-    def edge_coords(self, eid: int) -> np.ndarray:
-        e = self.edges[eid]
-        return np.array([self.vertices[e.v0], self.vertices[e.v1]])
-
     def edge_midpoint_vertex(self, eid: int) -> int:
         """Vertex at the midpoint of a split edge (the shared child endpoint)."""
         e = self.edges[eid]
@@ -96,49 +92,6 @@ class Mesh:
             if self.elements[kid].active:
                 return kid
         return None
-
-    def side_is_split(self, elem: int, side: int) -> bool:
-        """True when the neighbor across this side is one level finer."""
-        eid = self.elements[elem].edges[side]
-        e = self.edges[eid]
-        if not e.children:
-            return False
-        return any(self.active_side_neighbor(c) is not None for c in e.children)
-
-    def side_subedges(self, elem: int, side: int) -> list[int]:
-        """Leaf edges covering the side, ordered along the side traversal."""
-        el = self.elements[elem]
-        eid = el.edges[side]
-        if not self.side_is_split(elem, side):
-            return [eid]
-        e = self.edges[eid]
-        children = list(e.children)
-        # children are stored from e.v0 to e.v1; flip to side traversal order
-        if e.v0 != el.verts[side]:
-            children = children[::-1]
-        return children
-
-    def validate(self) -> None:
-        """Check 1-irregularity and interface counts; raises on violation."""
-        side_count: dict[int, int] = {}
-        for k in self.active_elements:
-            for s in range(4):
-                el = self.elements[k]
-                eid = el.edges[s]
-                if self.side_is_split(k, s):
-                    for c in self.edges[eid].children:
-                        if self.edges[c].children and any(
-                            self.active_side_neighbor(cc) is not None
-                            for cc in self.edges[c].children
-                        ):
-                            raise ValueError(f"edge {eid} split twice across element {k}")
-                        side_count[c] = side_count.get(c, 0) + 1
-                else:
-                    side_count[eid] = side_count.get(eid, 0) + 1
-        for eid, cnt in side_count.items():
-            expected = 1 if self.edges[eid].boundary else 2
-            if cnt != expected:
-                raise ValueError(f"edge {eid} used by {cnt} sides, expected {expected}")
 
     def dump(self, degrees=None) -> str:
         """Plain-text dump: `v x y` and `e v0 v1 v2 v3 pK` lines."""

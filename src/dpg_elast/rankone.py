@@ -34,7 +34,7 @@ def ell_vector(material: Material, layout: DofLayout) -> np.ndarray:
         vals, _ = q_basis_table(p, p + 2)
         integrals = scale * (w @ vals.T)                       # (m, nt)
         nt = (p + 1) ** 2
-        idx = layout.interior_bases(rows)[:, None] + np.arange(nt)
+        idx = layout.interior_base[rows][:, None] + np.arange(nt)
         ell[idx] = integrals                                   # sigma_11 block
         ell[idx + 2 * nt] = integrals                          # sigma_22 block
     return ell
@@ -55,12 +55,12 @@ def border_terms(material: Material, f,
     c = np.zeros(layout.n_dofs)
     d = 0.0
     for cls, members in enumerate(layout.classes):
-        p_tilde = layout.element_p[members[0]] + layout.delta_p
+        p_tilde = int(layout.element_p[members[0]]) + layout.delta_p
         ns = (p_tilde + 1) ** 2
         e_identity = np.zeros(5 * ns)
         e_identity[:ns] = e_identity[2 * ns: 3 * ns] = ones_coefficients_2d(p_tilde)
         # |K| is half the cross product of the diagonals
-        x, y = layout.coords[layout.position[members[0]]].T
+        x, y = layout.coords[members[0]].T
         area = 0.5 * ((x[2] - x[0]) * (y[3] - y[1]) - (x[3] - x[1]) * (y[2] - y[0]))
         dk = scale * scale * 2.0 * area
         kernel, _, cmap = _class_members(layout, material, f, cls)

@@ -158,7 +158,7 @@ def _exact_by_degree(layout, exact, nq_of):
         nq = nq_of(p)
         phys, w, _ = _volume_points(layout.coords[rows], nq)
         u, sig = exact(phys.reshape(-1, 2))
-        yield (p, nq, layout.interior_bases(rows), w, u.reshape(phys.shape),
+        yield (p, nq, layout.interior_base[rows], w, u.reshape(phys.shape),
                _sigma_flat(sig).reshape(*w.shape, 3))
 
 
@@ -272,7 +272,7 @@ def run_convergence_study(config: StudyConfig) -> list[ReportRow]:
                                       layout, x)
         eta = float(np.sqrt(sum(v * v for v in indicators.values())))
         h_min = float(_diameters(layout.coords).min())
-        p_max = max(layout.element_p.values())
+        p_max = int(layout.element_p.max())
         rows.append(ReportRow(
             step=step, n_dofs=layout.n_dofs, h_min=h_min, p_max=p_max,
             e_sigma=float(es), e_u=float(eu),

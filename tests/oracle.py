@@ -29,20 +29,28 @@ parents and children).  The `*_by_overlap` helpers find the same facts
 from coordinates alone, by which active element sides overlap a segment
 or contain a vertex: the edge degrees by the maximum rule, the hanging
 vertices with their master sides, and the boundary vertices.
+
+`build_dof_layout` works in array passes.  `layout_by_walk` builds the
+same layout by a walk over every element side (`side_subedges`) and
+every local skeleton function, with each row of C_K a list of (weight,
+dof) pairs; `test_layout.py` requires equal output.  `validate` checks a mesh's 1-irregularity and interface
+counts, and `edge_coords` gives an edge's end coordinates.
 """
 from collections import defaultdict
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.sparse.linalg import splu
 
-from dpg_elast.assembly import element_full_bmat
+from dpg_elast.assembly import ClassMap, _segments, element_full_bmat
 from dpg_elast.basis import (edge_basis_eval, gauss_rule, gauss_rule_2d,
                              q_basis_table)
-from dpg_elast.local import (_FLUX_BLOCKS, _TRACE_BLOCKS, _side_table,
-                             _volume_nq, _volume_points, gram_factor,
-                             local_bmat, local_gram, local_stiffness)
+from dpg_elast.local import (_FLUX_BLOCKS, _TRACE_BLOCKS, SideSegment,
+                             _side_table, _volume_nq, _volume_points,
+                             gram_factor, local_bmat, local_gram,
+                             local_stiffness)
 from dpg_elast.mesh import bilinear_shape
 
 
@@ -64,10 +72,22 @@ def apply_compliance(material, tau):
     return material.P * dev + material.Q * m * np.eye(2)
 
 
+def degree_and_base(layout, k):
+    """Element k's degree p and first interior dof."""
+    i = layout.position[k]
+    return int(layout.element_p[i]), int(layout.interior_base[i])
+
+
+def segments_of(layout, k):
+    """Element k's side segments, as its class kernel derives them from
+    its class key."""
+    return _segments(layout.class_keys[layout.element_class[layout.position[k]]][3])
+
+
 def interior_slices(layout, eid):
     """(sigma slice, u slice) of an element's interior dofs."""
-    nt = (layout.element_p[eid] + 1) ** 2
-    base = layout.interior_base[eid]
+    p, base = degree_and_base(layout, eid)
+    nt = (p + 1) ** 2
     return slice(base, base + 3 * nt), slice(base + 3 * nt, base + 5 * nt)
 
 
@@ -120,7 +140,7 @@ def trace_at(mesh, layout, e, point):
     """The trace's x component at a point of owner edge e, as
     {global x dof: coefficient}."""
     q, _ = layout.trace_edges[e]
-    vals = edge_basis_eval(q, edge_param(point[None], mesh.edge_coords(e)))
+    vals = edge_basis_eval(q, edge_param(point[None], edge_coords(mesh, e)))
     out = defaultdict(float)
     for val, fn in zip(vals[:, 0], trace_functions(mesh, layout, e)):
         for g, w in fn.items():
@@ -139,11 +159,11 @@ def vertex_trace(mesh, layout, v):
 def global_bmat(mesh, layout, material, k):
     """Element k's coupling matrix on the global trial functions, with its
     dof ids: (B (5 ns, ni + n), interior ids then the n skeleton ids)."""
-    p = layout.element_p[k]
+    p, first = degree_and_base(layout, k)
     p_tilde = p + layout.delta_p
     ns = (p_tilde + 1) ** 2
     coords = mesh.element_coords(k)
-    edges = {name: (list(table), np.array([mesh.edge_coords(e) for e in table]))
+    edges = {name: (list(table), np.array([edge_coords(mesh, e) for e in table]))
              for name, table in (("trace", layout.trace_edges),
                                  ("flux", layout.flux_edges))}
     parts, cols, blocks = [], [], []
@@ -161,7 +181,7 @@ def global_bmat(mesh, layout, material, k):
             rows_map, wref, svals = _side_table(s, t0, t1, ne, p_tilde)
             phys, tang = rows_map @ coords
             wn = (wref * tang[:, 1], -wref * tang[:, 0])
-            prof = edge_basis_eval(q, edge_param(phys, mesh.edge_coords(owner)))
+            prof = edge_basis_eval(q, edge_param(phys, edge_coords(mesh, owner)))
             for val, fn in zip(prof, trace_functions(mesh, layout, owner)):
                 for g, w in fn.items():
                     R = np.array([w * val * wn[0], w * val * wn[1]]) @ svals.T
@@ -169,10 +189,10 @@ def global_bmat(mesh, layout, material, k):
                     cols += [g, g, g + 1, g + 1]
                     blocks += _TRACE_BLOCKS.tolist()
             # the flux sign: the outward normal against the leaf's normal
-            d = np.diff(mesh.edge_coords(leaf), axis=0)[0]
+            d = np.diff(edge_coords(mesh, leaf), axis=0)[0]
             sign = np.sign((b - a) @ d)
             fp, base = layout.flux_edges[leaf]
-            fvals = edge_basis_eval(fp, edge_param(phys, mesh.edge_coords(leaf)))
+            fvals = edge_basis_eval(fp, edge_param(phys, edge_coords(mesh, leaf)))
             F = (fvals * wref * np.hypot(tang[:, 0], tang[:, 1]) * sign) @ svals.T
             for i in range(fp + 1):
                 parts += [F[i], F[i]]
@@ -183,8 +203,7 @@ def global_bmat(mesh, layout, material, k):
     np.add.at(acc, (np.array(blocks), inv), np.array(parts))
     B = np.hstack([local_bmat(coords, p, p_tilde, material, []),
                    -acc.transpose(0, 2, 1).reshape(5 * ns, ids.size)])
-    base = layout.interior_base[k]
-    return B, np.concatenate([np.arange(base, base + 5 * (p + 1) ** 2), ids])
+    return B, np.concatenate([np.arange(first, first + 5 * (p + 1) ** 2), ids])
 
 
 def full_map(cmap, n_dofs):
@@ -204,7 +223,7 @@ def assemble_full(mesh, degrees, material, f, layout):
     rows, cols, vals = [], [], []
     g = np.zeros(layout.n_dofs)
     for k in mesh.active_elements:
-        p = layout.element_p[k]
+        p, _ = degree_and_base(layout, k)
         p_tilde = p + degrees.delta_p
         coords = mesh.element_coords(k)
         L = gram_factor(local_gram(coords, p_tilde))
@@ -247,7 +266,8 @@ def _element_matrices(mesh, layout, material, f, k, delta_p):
     """Element k's class L and B and its dense map from the global to its
     local dofs (`full_map`), with its own load."""
     L, B, _, cmap = element_full_bmat(layout, material, f, k)
-    lvec = local_load(mesh.element_coords(k), layout.element_p[k] + delta_p, f)
+    lvec = local_load(mesh.element_coords(k),
+                      degree_and_base(layout, k)[0] + delta_p, f)
     return L, B, lvec, full_map(cmap, layout.n_dofs)
 
 
@@ -267,7 +287,7 @@ def condense_per_element(mesh, degrees, material, f, layout, x_pinned,
     for k in mesh.active_elements:
         L, B, lvec, C = _element_matrices(mesh, layout, material, f, k,
                                           degrees.delta_p)
-        ni = 5 * (layout.element_p[k] + 1) ** 2
+        ni = 5 * (degree_and_base(layout, k)[0] + 1) ** 2
         K = local_stiffness(L, B)
         Kii = cho_factor(K[:ni, :ni], lower=True)
         Kis = K[:ni, ni:]
@@ -313,13 +333,12 @@ def l2_errors_per_element(mesh, degrees, layout, x, exact):
     """(e_sigma, e_u, n_sigma, n_u) with one `exact` call per element."""
     es = eu = ns = nu = 0.0
     for k in mesh.active_elements:
-        p = layout.element_p[k]
+        p, base = degree_and_base(layout, k)
         nq = p + degrees.delta_p + 2
         rule = gauss_rule_2d(nq)
         phys, jac = bilinear_maps(mesh.element_coords(k), rule.points)
         w = rule.weights * np.linalg.det(jac)
         vals, _ = q_basis_table(p, nq)
-        base = layout.interior_base[k]
         fields = x[base: base + 5 * vals.shape[0]].reshape(5, -1) @ vals
         u_ex, sig = exact(phys)
         s_ex = np.column_stack([sig[:, 0, 0], sig[:, 0, 1], sig[:, 1, 1]])
@@ -340,7 +359,7 @@ def dirichlet_values_per_element(layout, g_data, mesh):
     for e, (q, base) in layout.trace_edges.items():
         if not mesh.edges[e].boundary or q < 2:
             continue
-        coords = mesh.edge_coords(e)
+        coords = edge_coords(mesh, e)
         rule = gauss_rule(q + 3)
         pts = 0.5 * (1 - rule.points)[:, None] * coords[0] \
             + 0.5 * (1 + rule.points)[:, None] * coords[1]
@@ -414,3 +433,233 @@ def boundary_vertices_by_overlap(mesh, sides):
         if np.any(on & (t >= -1e-12) & (t <= 1.0 + 1e-12)):
             out.add(v)
     return out
+
+
+def edge_coords(mesh, e):
+    """End coordinates of edge e, shape (2, 2)."""
+    edge = mesh.edges[e]
+    return np.array([mesh.vertices[edge.v0], mesh.vertices[edge.v1]])
+
+
+def side_is_split(mesh, k, s):
+    """True when the neighbor across side s of element k is one level finer."""
+    e = mesh.edges[mesh.elements[k].edges[s]]
+    return any(mesh.active_side_neighbor(c) is not None for c in e.children)
+
+
+def side_subedges(mesh, k, s):
+    """Leaf edges covering side s of element k, ordered along the side."""
+    el = mesh.elements[k]
+    eid = el.edges[s]
+    if not side_is_split(mesh, k, s):
+        return [eid]
+    e = mesh.edges[eid]
+    # children are stored from e.v0 to e.v1; flip to side traversal order
+    return list(e.children) if e.v0 == el.verts[s] else e.children[::-1]
+
+
+def validate(mesh):
+    """Check 1-irregularity and interface counts; raises on violation."""
+    side_count = {}
+    for k in mesh.active_elements:
+        for s in range(4):
+            eid = mesh.elements[k].edges[s]
+            if side_is_split(mesh, k, s):
+                for c in mesh.edges[eid].children:
+                    if any(mesh.active_side_neighbor(cc) is not None
+                           for cc in mesh.edges[c].children):
+                        raise ValueError(f"edge {eid} split twice across element {k}")
+                    side_count[c] = side_count.get(c, 0) + 1
+            else:
+                side_count[eid] = side_count.get(eid, 0) + 1
+    for eid, cnt in side_count.items():
+        expected = 1 if mesh.edges[eid].boundary else 2
+        if cnt != expected:
+            raise ValueError(f"edge {eid} used by {cnt} sides, expected {expected}")
+
+
+def restriction_rows(q, half, reverse):
+    """Side coefficients from edge coefficients of the degree q edge basis,
+    as rows of (weight, edge function) pairs, one row per side function.
+
+    The side covers child `half` of the edge (the whole edge for None) and
+    runs against the edge when `reverse`: then the ends swap and the
+    bubbles of odd degree change sign.  On a half, a bubble restricts to
+    bubbles of at most its degree plus a linear part, which the corner
+    values carry; the rows of the side's ends are left out there.
+    """
+    if half is None:
+        T = np.eye(q + 1)
+        if reverse:
+            T = T[[1, 0, *range(2, q + 1)]]
+            T[2:] *= ((-1.0) ** np.arange(2, q + 1))[:, None]
+    else:
+        t = gauss_rule(q + 1).points
+        t_edge = 0.5 * ((-t if reverse else t) + 2 * half - 1)
+        # the edge functions at the points are T' times the side functions
+        T = np.linalg.solve(edge_basis_eval(q, t).T,
+                            edge_basis_eval(q, t_edge).T)
+        T = np.vstack([np.zeros((2, q + 1)), np.triu(T[2:], 2)])
+    return tuple(tuple((w, i) for i, w in enumerate(row) if w)
+                 for row in T.tolist())
+
+
+def class_map_of_rows(interior, member_rows):
+    """A class's `ClassMap` from its members' C_K, given per member as
+    rows of (weight, global x dof) pairs, one row per local skeleton
+    function; local dof 2 r + c takes global dof g + c."""
+    m, n = len(member_rows), len(member_rows[0])
+    nnz = [sum(map(len, rows)) for rows in member_rows]
+    member, row, w, g = np.array(
+        [(i, r, w, g) for i, rows in enumerate(member_rows)
+         for r, entries in enumerate(rows) for w, g in entries]).T
+    member, row, g = member.astype(int), row.astype(int), g.astype(int)
+    start = np.cumsum([0] + nnz[:-1])
+    slot = np.arange(member.size) - np.repeat(start, nnz)
+    # a member's unused slots: its first dof, with weight zero
+    ids = np.repeat(g[start][:, None], max(nnz), axis=1)
+    rows = np.zeros(ids.shape, dtype=int)
+    weights = np.zeros(ids.shape)
+    ids[member, slot], rows[member, slot], weights[member, slot] = g, row, w
+    comp = np.arange(2)
+    ids = (ids[:, :, None] + comp).reshape(m, -1)
+    rows = (2 * rows[:, :, None] + comp).reshape(m, -1)
+    copies = max(nnz) == n
+    return ClassMap(interior, ids, None if copies else rows,
+                    np.repeat(weights, 2, axis=1), 2 * n)
+
+
+def layout_by_walk(mesh, degrees):
+    """The dof layout, class keys, constraint maps and side segments of
+    `build_dof_layout`, found by a walk over every element side and every
+    local skeleton function, with C_K's rows as lists of (weight, dof)
+    pairs.
+
+    Returns a namespace with `n_dofs`, `vertex_dof`, `trace_edges`,
+    `flux_edges`, `hanging`, `pinned`, `class_keys`, `classes` (element
+    ids), `class_maps` and `segments` (element -> its `SideSegment`s).
+    """
+    active = mesh.active_elements
+    element_p = {k: degrees.degree_of(mesh, k) for k in active}
+
+    # one pass over the element sides: each side's trace owner edge and
+    # flux leaf edges, the edge degrees by the maximum rule, the hanging
+    # vertices and the boundary vertices
+    sides, trace_q, flux_p, hanging, boundary_verts = {}, {}, {}, {}, set()
+    for k in active:
+        p = element_p[k]
+        sides[k] = []
+        for s, eid in enumerate(mesh.elements[k].edges):
+            leaves = side_subedges(mesh, k, s)
+            parent = mesh.edges[eid].parent
+            if len(leaves) > 1:
+                hanging[mesh.edge_midpoint_vertex(eid)] = eid
+                owner = eid
+            elif (parent is not None
+                    and mesh.active_side_neighbor(parent) is not None):
+                owner = parent      # constrained side, master across the interface
+            else:
+                owner = eid
+            sides[k].append((owner, leaves))
+            trace_q[owner] = max(trace_q.get(owner, 0), p + 1)
+            for leaf in leaves:
+                flux_p[leaf] = max(flux_p.get(leaf, 0), p)
+                edge = mesh.edges[leaf]
+                if edge.boundary:
+                    boundary_verts.update((edge.v0, edge.v1))
+    trace_edges, flux_edges = sorted(trace_q), sorted(flux_p)
+
+    n = 0
+    interior_base = {}
+    for k in active:
+        interior_base[k] = n
+        n += 5 * (element_p[k] + 1) ** 2
+    vertex_dof = {}
+    for e in trace_edges:
+        for v in (mesh.edges[e].v0, mesh.edges[e].v1):
+            if v not in hanging and v not in vertex_dof:
+                vertex_dof[v] = n
+                n += 2
+    trace_base = {}
+    for e in trace_edges:
+        trace_base[e] = n
+        n += 2 * (trace_q[e] - 1)
+    flux_base = {}
+    for e in flux_edges:
+        flux_base[e] = n
+        n += 2 * (flux_p[e] + 1)
+
+    pinned = np.zeros(n, dtype=bool)
+    for v, d in vertex_dof.items():
+        if v in boundary_verts:
+            pinned[d:d + 2] = True
+    for e in trace_edges:
+        if mesh.edges[e].boundary:
+            b = trace_base[e]
+            pinned[b:b + 2 * (trace_q[e] - 1)] = True
+
+    def vertex_entries(v):
+        """The trace value at vertex v as (weight, x dof) pairs."""
+        if v in vertex_dof:
+            return [(1.0, vertex_dof[v])]
+        # a hanging vertex takes its master edge's trace at the midpoint
+        master = hanging[v]
+        e = mesh.edges[master]
+        q = trace_q[master]
+        vals = edge_basis_eval(q, 0.0)[:, 0]
+        base = trace_base[master]
+        return ([(w * vals[0], g) for w, g in vertex_entries(e.v0)]
+                + [(w * vals[1], g) for w, g in vertex_entries(e.v1)]
+                + [(vals[i], base + 2 * (i - 2)) for i in range(2, q + 1)])
+
+    # per element: side segments, class key and C_K, whose rows are the
+    # local skeleton functions (four corners, each side's trace bubbles,
+    # each segment's flux functions) as lists of (weight, global x dof)
+    segments, class_ids, classes, class_rows = {}, {}, [], []
+    for k, coords in zip(active, mesh.coords_of(active)):
+        el = mesh.elements[k]
+        segs, key_sides = [], []
+        rows = [vertex_entries(v) for v in el.verts]
+        flux_rows = []
+        for s, (owner, leaves) in enumerate(sides[k]):
+            q, base = trace_q[owner], trace_base[owner]
+            own = el.edges[s]
+            reverse = mesh.edges[own].v0 != el.verts[s]
+            half = None if owner == own else mesh.edges[owner].children.index(own)
+            rows += [[(w, base + 2 * (j - 2)) for w, j in r]
+                     for r in restriction_rows(q, half, reverse)[2:]]
+            # the flux also changes sign with the normal
+            sign = -1.0 if reverse else 1.0
+            nseg = len(leaves)
+            for i, leaf in enumerate(leaves):
+                segs.append(SideSegment(side=s, t0=-1.0 + 2.0 * i / nseg,
+                                        t1=-1.0 + 2.0 * (i + 1) / nseg,
+                                        trace_q=q, flux_p=flux_p[leaf]))
+                fb = flux_base[leaf]
+                flux_rows += [[(sign * w, fb + 2 * j) for w, j in r]
+                              for r in restriction_rows(flux_p[leaf], None,
+                                                        reverse)]
+            key_sides.append((q, tuple(flux_p[leaf] for leaf in leaves)))
+        segments[k] = segs
+        rows += flux_rows
+        key = (element_p[k], element_p[k] + degrees.delta_p,
+               (coords - coords[0]).tobytes(), tuple(key_sides))
+        cls = class_ids.setdefault(key, len(classes))
+        if cls == len(classes):
+            classes.append([])
+            class_rows.append([])
+        classes[cls].append(k)
+        class_rows[cls].append(rows)
+
+    class_maps = []
+    for members, member_rows in zip(classes, class_rows):
+        ni = 5 * (element_p[members[0]] + 1) ** 2
+        interior = (np.array([interior_base[k] for k in members])[:, None]
+                    + np.arange(ni))
+        class_maps.append(class_map_of_rows(interior, member_rows))
+    return SimpleNamespace(
+        n_dofs=n, vertex_dof=vertex_dof,
+        trace_edges={e: (trace_q[e], trace_base[e]) for e in trace_edges},
+        flux_edges={e: (flux_p[e], flux_base[e]) for e in flux_edges},
+        hanging=hanging, pinned=pinned, class_keys=list(class_ids),
+        classes=classes, class_maps=class_maps, segments=segments)

@@ -23,7 +23,7 @@ from dpg_elast.rankone import border_terms, ell_vector, solve_second
 from dpg_elast.study import (StudyConfig, best_approximation_errors,
                              greedy_mark, l2_errors, make_benchmark,
                              observed_rate, run_convergence_study)
-from oracle import (apply_compliance, assemble_full, bilinear_maps,
+from oracle import (degree_and_base, edge_coords, apply_compliance, assemble_full, bilinear_maps,
                     interior_slices, solve_full)
 
 STEEL_LAM, STEEL_MU = 123.0, 79.3
@@ -127,13 +127,12 @@ def test_criterion_06_rank_one_structure():
              np.array([[0.0, 1.0], [1.0, 0.0]]),
              np.array([[0.0, 0.0], [0.0, 1.0]])]
     for k in mesh.active_elements:
-        p = layout.element_p[k]
+        p, base = degree_and_base(layout, k)
         rule = gauss_rule_2d(p + 3)
         _, jac = bilinear_maps(mesh.element_coords(k), rule.points)
         w = rule.weights * np.linalg.det(jac)
         vals, _ = q_basis_eval(p, rule.points)
         nt = (p + 1) ** 2
-        base = layout.interior_base[k]
         for b, unit in enumerate(units):
             tr = np.trace(apply_compliance(mat, unit)) / mat.Q0
             row[base + b * nt: base + (b + 1) * nt] += tr * (vals @ w)
@@ -224,7 +223,7 @@ def test_criterion_08_test_function_identities():
     degrees = DegreeMap(mesh, p=1, delta_p=2)
     layout = build_dof_layout(mesh, degrees)
     _, Bfull, _, cmap = element_full_bmat(layout, material, None, 0)
-    p = layout.element_p[0]
+    p, _ = degree_and_base(layout, 0)
     p_tilde = p + degrees.delta_p
     G = local_gram(mesh.element_coords(0), p_tilde)
     nt = (p + 1) ** 2
@@ -239,7 +238,7 @@ def test_criterion_08_test_function_identities():
     for e, (flux_p, base) in layout.flux_edges.items():
         # the flux I n on the leaf, n its unit normal (the leaf's
         # v0 -> v1 direction turned clockwise)
-        d = np.diff(mesh.edge_coords(e), axis=0)[0]
+        d = np.diff(edge_coords(mesh, e), axis=0)[0]
         n_leaf = np.array([d[1], -d[0]]) / np.linalg.norm(d)
         x[base: base + 2 * (flux_p + 1)] = np.outer(
             ones_coefficients_1d(flux_p), n_leaf).ravel()

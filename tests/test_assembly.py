@@ -11,7 +11,8 @@ from dpg_elast.basis import edge_basis_eval, q_basis_eval
 from dpg_elast.material import apply_stiffness, make_isotropic
 from dpg_elast.mesh import DegreeMap, build_initial_mesh, refine_marked
 from dpg_elast.rankone import border_terms, ell_vector
-from oracle import assemble_full, bilinear_maps, interior_slices, solve_full
+from oracle import (assemble_full, bilinear_maps, degree_and_base, edge_coords,
+                    interior_slices, solve_full, validate)
 
 MAT = make_isotropic(1.0, 0.5)
 
@@ -21,9 +22,8 @@ def eval_element_fields(layout, eid, x, ref_points):
 
     Returns (sigma (nq, 3) as [s11, s12, s22], u (nq, 2)).
     """
-    p = layout.element_p[eid]
+    p, base = degree_and_base(layout, eid)
     nt = (p + 1) ** 2
-    base = layout.interior_base[eid]
     vals, _ = q_basis_eval(p, ref_points)  # (nt, nq)
     fields = x[base: base + 5 * nt].reshape(5, nt) @ vals  # (5, nq)
     return fields[:3].T, fields[3:].T
@@ -108,7 +108,7 @@ def test_dirichlet_trace_reproduces_polynomials():
     for e, (q, base) in layout.trace_edges.items():
         if not mesh.edges[e].boundary:
             continue
-        coords = mesh.edge_coords(e)
+        coords = edge_coords(mesh, e)
         ts = np.linspace(-1.0, 1.0, 7)
         pts = 0.5 * (1 - ts)[:, None] * coords[0] + 0.5 * (1 + ts)[:, None] * coords[1]
         vals = edge_basis_eval(q, ts)
@@ -133,7 +133,7 @@ def test_patch_test_exact_reproduction():
     # must be reproduced to roundoff, including across hanging interfaces
     mesh = build_initial_mesh("unit_square", 2)
     mesh = refine_marked(mesh, [0])
-    mesh.validate()
+    validate(mesh)
     degrees = DegreeMap(mesh, p=1)
     layout = build_dof_layout(mesh, degrees)
     x, g, sigma = solve_linear_patch(mesh, degrees, layout, MAT)

@@ -31,10 +31,11 @@ from dpg_elast.material import make_isotropic
 from dpg_elast.mesh import DegreeMap, build_initial_mesh, refine_marked
 from dpg_elast.study import (StudyConfig, greedy_mark, l2_errors,
                              make_benchmark, run_convergence_study)
-from oracle import (condense_per_element, dirichlet_values_per_element,
-                    edge_param, error_indicators_per_element, full_map,
-                    global_bmat, l2_errors_per_element, overlapping,
-                    trace_at)
+from oracle import (condense_per_element, degree_and_base,
+                    dirichlet_values_per_element, edge_coords, edge_param,
+                    error_indicators_per_element, full_map, global_bmat,
+                    l2_errors_per_element, layout_by_walk, overlapping,
+                    segments_of, trace_at, validate)
 
 MATERIAL = make_isotropic(1.0, 0.5)
 
@@ -58,21 +59,24 @@ def check_class_matrices(mesh, layout):
         assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(fresh))
 
 
-def segment_data(layout, k):
-    """Everything of element k's side segments that enters B."""
+def segment_data(segments):
+    """Everything of an element's side segments that enters B."""
     return tuple((seg.side, seg.t0, seg.t1, seg.trace_q, seg.flux_p)
-                 for seg in layout.segments[k])
+                 for seg in segments)
 
 
-def check_class_keys(layout, seen):
+def check_class_keys(mesh, degrees, layout, seen):
     """The class partition against the full key, which adds every
-    segment's data to the class key; then each class key against the
-    segment data it had in earlier rounds (`seen`, updated)."""
+    segment's data, as the walk of `oracle.layout_by_walk` finds it, to
+    the class key; then each class key against the segment data it had in
+    earlier rounds (`seen`, updated)."""
+    walk = layout_by_walk(mesh, degrees)
     full = {}
-    for key, members in zip(layout.class_keys, layout.classes):
+    classes = [layout.elements[members].tolist() for members in layout.classes]
+    for key, members in zip(layout.class_keys, classes):
         for k in members:
-            full.setdefault((key, segment_data(layout, k)), []).append(k)
-    assert sorted(full.values()) == sorted(layout.classes)
+            full.setdefault((key, segment_data(walk.segments[k])), []).append(k)
+    assert sorted(full.values()) == sorted(classes)
     for key, data in full:
         assert seen.setdefault(key, data) == data
 
@@ -81,7 +85,7 @@ def local_functions(layout, k):
     """Element k's local skeleton functions, in the order of B's columns:
     per segment (trace functions of its side, flux functions), as
     indices of the local scalar functions (local dof 2 i + c)."""
-    segs = layout.segments[k]
+    segs = segments_of(layout, k)
     bubble, n = {}, 4
     for seg in segs:
         if seg.side not in bubble:
@@ -106,20 +110,20 @@ def check_constraint_maps(mesh, layout):
     act on the x and y components alike."""
     ts = np.array([-1.0, -0.6, 0.0, 0.3, 1.0])
     trace_ids = list(layout.trace_edges)
-    trace_ends = np.array([mesh.edge_coords(e) for e in trace_ids])
+    trace_ends = np.array([edge_coords(mesh, e) for e in trace_ids])
     flux_ids = list(layout.flux_edges)
-    flux_ends = np.array([mesh.edge_coords(e) for e in flux_ids])
+    flux_ends = np.array([edge_coords(mesh, e) for e in flux_ids])
     for cmap in layout.class_maps:
         arrays = [cmap.interior, cmap.ids, cmap.weights]
         arrays += [] if cmap.rows is None else [cmap.rows]
         assert not any(a.flags.writeable for a in arrays)
     for k in mesh.active_elements:
         coords = mesh.element_coords(k)
-        ni = 5 * (layout.element_p[k] + 1) ** 2
+        ni = 5 * (degree_and_base(layout, k)[0] + 1) ** 2
         C = element_map(layout, k)[ni:]
         Cx = C[0::2]
         np.testing.assert_array_equal(C[1::2, 1:], Cx[:, :-1])
-        for seg, (trace, flux) in zip(layout.segments[k],
+        for seg, (trace, flux) in zip(segments_of(layout, k),
                                       local_functions(layout, k)):
             a, b = coords[seg.side], coords[(seg.side + 1) % 4]
             t = 0.5 * (seg.t0 + seg.t1) + 0.5 * (seg.t1 - seg.t0) * ts
@@ -176,14 +180,14 @@ def test_random_refinement_keeps_classes_exact(domain, data):
     for _ in range(data.draw(st.integers(1, 3))):
         for layout in layouts_of_both_enrichments(mesh, degrees, cache):
             check_constraint_maps(mesh, layout)
-            check_class_keys(layout, seen)
+            check_class_keys(mesh, degrees, layout, seen)
         active = mesh.active_elements
         for k in data.draw(st.sets(st.sampled_from(active), max_size=2)):
             degrees.increment(k, mesh)
         marked = data.draw(st.sets(st.sampled_from(active), min_size=1,
                                    max_size=3))
         mesh = refine_marked(mesh, marked)
-    mesh.validate()
+    validate(mesh)
 
     for el in mesh.elements:
         for i, c in enumerate(el.children):
@@ -194,7 +198,7 @@ def test_random_refinement_keeps_classes_exact(domain, data):
 
     for layout in layouts_of_both_enrichments(mesh, degrees, cache):
         check_constraint_maps(mesh, layout)
-        check_class_keys(layout, seen)
+        check_class_keys(mesh, degrees, layout, seen)
 
 
 def cached_arrays(cache, layout):

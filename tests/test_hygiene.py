@@ -3,18 +3,22 @@
 An AST scan of every module of `dpg_elast` fails on an imported name the
 module never uses (names listed in `__all__` count as used), on a
 module-level `_private` function that no module of the package refers to,
-and on a third-party import outside `ALLOWED_THIRD_PARTY`.  A subprocess
+on a public function or method that no module of the package and no demo
+refers to and that neither `__all__` nor `README.md` names, and on a
+third-party import outside `ALLOWED_THIRD_PARTY`.  A subprocess
 check keeps the heavy scipy subpackages out of `sys.modules`, at import
 and after a study: each one adds its import time and memory to every run.
 """
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dpg_elast"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "dpg_elast"
 
 # every third-party module the package may import
 ALLOWED_THIRD_PARTY = {"numpy", "numpy.polynomial", "scipy.linalg",
@@ -79,6 +83,38 @@ def test_no_unreferenced_private_functions():
                     and node.name.startswith("_")
                     and not node.name.startswith("__")
                     and node.name not in referenced]
+    assert unreferenced == []
+
+
+def public_functions(tree):
+    """(line, qualified name, name) of every public module-level function
+    and every public method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")):
+                    yield item.lineno, f"{node.name}.{item.name}", item.name
+        elif isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.lineno, node.name, node.name
+
+
+def test_no_unreferenced_public_functions():
+    # a public function is used by the package or a demo, exported by
+    # `__all__`, or documented in the README; anything else is test-only
+    # API and belongs in tests/oracle.py
+    trees = parse_package()
+    demos = [ast.parse(path.read_text(), filename=str(path))
+             for path in sorted((ROOT / "demos").glob("*.py"))]
+    referenced = {ref for tree in [*trees.values(), *demos]
+                  for ref in referenced_names(tree)}
+    exported = used_names(trees["__init__.py"])
+    readme = (ROOT / "README.md").read_text()
+    unreferenced = [f"{name}:{line} {qualified}"
+                    for name, tree in trees.items()
+                    for line, qualified, bare in public_functions(tree)
+                    if bare not in referenced | exported
+                    and not re.search(rf"\b{bare}\b", readme)]
     assert unreferenced == []
 
 

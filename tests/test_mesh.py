@@ -7,8 +7,9 @@ from dpg_elast.assembly import build_dof_layout
 from dpg_elast.mesh import (DegreeMap, build_initial_mesh, refine_marked,
                             refine_uniform)
 from oracle import (active_sides, bilinear_maps, boundary_vertices_by_overlap,
-                    corner_vertices, degree_by_overlap, hanging_by_overlap,
-                    overlapping)
+                    corner_vertices, degree_by_overlap, edge_coords,
+                    hanging_by_overlap, overlapping, segments_of,
+                    side_subedges, validate)
 
 
 def pinned_vertices(layout):
@@ -21,7 +22,7 @@ def test_unit_square_counts():
     assert len(mesh.elements) == 4
     assert len(mesh.edges) == 12
     assert sum(e.boundary for e in mesh.edges) == 8
-    mesh.validate()
+    validate(mesh)
 
 
 def test_l_shape_counts():
@@ -29,7 +30,7 @@ def test_l_shape_counts():
     assert len(mesh.elements) == 3
     assert len(mesh.vertices) == 8
     assert sum(e.boundary for e in mesh.edges) == 8
-    mesh.validate()
+    validate(mesh)
     # the reentrant corner vertex is on the boundary
     assert any(np.allclose(v, (0.0, 0.0)) for v in mesh.vertices)
 
@@ -79,7 +80,7 @@ def test_uniform_refinement():
     assert len(fine.active_elements) == 4
     assert not fine.elements[0].active
     assert len(mesh.active_elements) == 1  # original untouched
-    fine.validate()
+    validate(fine)
     assert not build_dof_layout(fine, DegreeMap(fine)).hanging
     area = sum(abs(np.linalg.det(bilinear_maps(fine.element_coords(k),
                                                np.zeros((1, 2)))[1][0])) * 4.0
@@ -93,7 +94,7 @@ def test_marked_refinement_hanging():
     fine = refine_marked(mesh, [0])
     assert mesh.dump() == before
     assert_independent(mesh, fine)
-    fine.validate()
+    validate(fine)
     assert len(fine.active_elements) == 7
     hang = build_dof_layout(fine, DegreeMap(fine)).hanging
     # element 0 has two interior sides, each contributing a hanging vertex
@@ -122,11 +123,11 @@ def test_closure_keeps_one_irregular():
     fine = refine_marked(mesh, [0])
     child = fine.elements[0].children[2]  # touches both interior interfaces
     finer = refine_marked(fine, [child])
-    finer.validate()
+    validate(finer)
     levels = {}
     for k in finer.active_elements:
         for s in range(4):
-            for eid in finer.side_subedges(k, s):
+            for eid in side_subedges(finer, k, s):
                 levels.setdefault(eid, []).append(finer.elements[k].level)
     for eid, lv in levels.items():
         if len(lv) == 2:
@@ -186,11 +187,11 @@ def test_degree_map_edge_rules():
     el = mesh.elements[0]
     for e in el.edges:
         assert layout.trace_edges[e][0] - 1 == 4
-    assert [seg.flux_p for seg in layout.segments[0]] == [4] * 4
+    assert [seg.flux_p for seg in segments_of(layout, 0)] == [4] * 4
     # element 3, diagonal from 0, shares no edge with it
     only_far = [s for s, e in enumerate(mesh.elements[3].edges)
                 if e not in el.edges]
-    assert any(layout.segments[3][s].flux_p == 1 for s in only_far)
+    assert any(segments_of(layout, 3)[s].flux_p == 1 for s in only_far)
     assert any(layout.trace_edges[mesh.elements[3].edges[s]][0] - 1 == 1
                for s in only_far)
 
@@ -212,12 +213,12 @@ def test_layout_skeleton_matches_geometry(domain, data):
     layout = build_dof_layout(mesh, degrees)
     sides = active_sides(mesh, degrees)
 
-    trace_ends = np.array([mesh.edge_coords(e) for e in layout.trace_edges])
-    flux_ends = {frozenset(map(tuple, mesh.edge_coords(e).tolist()))
+    trace_ends = np.array([edge_coords(mesh, e) for e in layout.trace_edges])
+    flux_ends = {frozenset(map(tuple, edge_coords(mesh, e).tolist()))
                  for e in layout.flux_edges}
     for k in mesh.active_elements:
         coords = mesh.element_coords(k)
-        for seg in layout.segments[k]:
+        for seg in segments_of(layout, k):
             # the segment's piece of the side is a flux leaf, and the trace
             # lives on the one owner edge that overlaps it
             a, b = coords[seg.side], coords[(seg.side + 1) % 4]
@@ -230,12 +231,12 @@ def test_layout_skeleton_matches_geometry(domain, data):
     for table in (layout.trace_edges, layout.flux_edges):
         for e, (degree, _) in table.items():
             assert degree - (table is layout.trace_edges) == degree_by_overlap(
-                sides, mesh.edge_coords(e))
+                sides, edge_coords(mesh, e))
     hanging = hanging_by_overlap(mesh, sides)
     assert set(layout.hanging) == set(hanging)
     for v, master in layout.hanging.items():
         # the master edge is the side, in either direction
-        assert (sorted(mesh.edge_coords(master).tolist())
+        assert (sorted(edge_coords(mesh, master).tolist())
                 == sorted(hanging[v].tolist()))
     assert pinned_vertices(layout) == boundary_vertices_by_overlap(mesh, sides)
     assert set(layout.vertex_dof) == corner_vertices(mesh) - set(hanging)
