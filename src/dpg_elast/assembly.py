@@ -36,6 +36,12 @@ carries it from one refinement step to the next.  Condensation, the error
 estimator and the rank-one border terms do their dense algebra once per
 class, with one scatter through the members' C_K (`ClassMap`), and the
 loads of a step take one call of f per degree group.
+
+The interiors are numbered first, so the free skeleton dofs are the
+unpinned dofs after them.  `condense` writes each class's C_K' S C_K
+entries in that free numbering, without the pinned rows and columns, into
+arrays allocated once per step, and SuperLU gets the CSC matrix built from
+them; no global matrix over all dofs is formed.
 """
 from __future__ import annotations
 
@@ -137,14 +143,17 @@ class ClassMap:
         w = self.weights if vals.ndim == 2 else self.weights[..., None]
         np.add.at(out, self.ids, w * vals)
 
-    def coo(self, S: np.ndarray):
-        """(rows, cols, values) of the sum of C_K' S C_K over the members."""
+    def outer(self, S: np.ndarray, members: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+        """C_K' S C_K of the selected members as an (m, nnz, nnz) block:
+        entry [i, a, b] adds to the global entry (ids[i, a], ids[i, b])."""
+        w = self.weights[members]
         if self.rows is not None:
-            S = S[self.rows[:, :, None], self.rows[:, None, :]]
-        vals = self.weights[:, :, None] * S * self.weights[:, None, :]
-        return (np.broadcast_to(self.ids[:, :, None], vals.shape).ravel(),
-                np.broadcast_to(self.ids[:, None, :], vals.shape).ravel(),
-                vals.ravel())
+            r = self.rows[members]
+            S = S[r[:, :, None], r[:, None, :]]
+        out = np.multiply(w[:, :, None], S, out=out)
+        out *= w[:, None, :]
+        return out
 
     def member(self, i: int) -> "ClassMap":
         """The one-member map of member i."""
@@ -182,6 +191,9 @@ class DofLayout:
 
     @property
     def n_free(self) -> int:
+        """Unpinned dofs, the element interiors included; the condensed
+        system's free skeleton dofs (`CondensedSystem.free`) are the
+        unpinned dofs after the interiors."""
         return int(self.n_dofs - self.pinned.sum())
 
 
@@ -650,18 +662,35 @@ def condense(material: Material, f, layout: DofLayout,
 
     `x_pinned` holds the Dirichlet values on the pinned dofs (zero
     elsewhere).  `loads` is an optional (n_dofs, m) block of extra
-    right-hand sides, which must vanish on the pinned dofs.  Each element
-    class's kernel holds the factor of Kii, Kii^-1 Kis and the element
-    Schur complement; the members of a class then solve Kii for their own
-    loads and the extra loads in one call.  The full sparse matrix is never
-    formed; each class's element Schur complement enters as C_K' S C_K.
+    right-hand sides; a load that does not vanish on the pinned dofs raises
+    ValueError.  Each element class's kernel holds the factor of Kii,
+    Kii^-1 Kis and the element Schur complement; the members of a class
+    then solve Kii for their own loads and the extra loads in one call.
+
+    Neither the full sparse matrix nor a global skeleton matrix is formed:
+    each class writes its members' C_K' S C_K entries, numbered by free
+    skeleton dof and with the pinned rows and columns left out, into row,
+    column and value arrays allocated once for all classes, and the CSC
+    matrix is built from them in one conversion that sums the duplicates.
     """
     n = layout.n_dofs
     xp = np.zeros(n) if x_pinned is None else x_pinned
     loads = np.zeros((n, 0)) if loads is None else loads
+    if np.any(loads[layout.pinned]):
+        raise ValueError("extra loads must vanish on the pinned dofs")
     g = np.column_stack([np.zeros(n), loads])
-    interior = np.zeros(n, dtype=bool)
-    rows, cols, vals = [], [], []
+    # the element interiors are numbered first and never pinned, so the free
+    # skeleton dofs are the unpinned ids after them; `index` takes a dof to
+    # its row of the condensed matrix, -1 for an interior or pinned dof
+    maps = layout.class_maps
+    n_interior = sum(cmap.interior.size for cmap in maps)
+    free = n_interior + np.flatnonzero(~layout.pinned[n_interior:])
+    index = np.full(n, -1, dtype=np.int32)
+    index[free] = np.arange(free.size, dtype=np.int32)
+    size = sum(cmap.ids.size * cmap.ids.shape[1] for cmap in maps)
+    rows, cols = np.empty((2, size), dtype=np.int32)
+    vals = np.empty(size)
+    k = 0
     recover = []
     for cls, members in enumerate(layout.classes):
         kernel, lvecs, cmap = _class_members(layout, material, f, cls)
@@ -676,19 +705,37 @@ def condense(material: Material, f, layout: DofLayout,
         gs = -(Kis.T @ b.reshape(ni, -1)).reshape(-1, m, g.shape[1])
         gs[:, :, 0] += fl[ni:] - S @ cmap.gather(xp).T
         cmap.scatter(g, gs.transpose(1, 0, 2))
-        r, c, v = cmap.coo(S)
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-        interior[ii] = True
+        k = _write_free(cmap, S, index[cmap.ids], rows, cols, vals, k)
         recover.append((cmap, A, b))
 
-    Ec = sp.coo_matrix((np.concatenate(vals),
-                        (np.concatenate(rows), np.concatenate(cols))),
-                       shape=(n, n)).tocsr()
-    free = np.flatnonzero(~layout.pinned & ~interior)
-    return CondensedSystem(S=Ec[np.ix_(free, free)].tocsc(), rhs=g[free],
-                           free=free, x_pinned=xp, recover=recover)
+    S = sp.csc_matrix((vals[:k], (rows[:k], cols[:k])), shape=(free.size,) * 2)
+    return CondensedSystem(S=S, rhs=g[free], free=free, x_pinned=xp,
+                           recover=recover)
+
+
+def _write_free(cmap: ClassMap, S: np.ndarray, dof: np.ndarray, rows: np.ndarray,
+                cols: np.ndarray, vals: np.ndarray, k: int) -> int:
+    """Write a class's C_K' S C_K entries at position k of the row, column
+    and value arrays, numbered by free skeleton dof (`dof`, the members'
+    ids in that numbering, -1 where pinned); returns the next position.
+
+    The members clear of the pinned dofs write every entry in place; the
+    others write only the entries of their free rows and columns.
+    """
+    whole = (dof >= 0).all(axis=1)
+    d, nnz = dof[whole], dof.shape[1]
+    span = slice(k, k + d.size * nnz)
+    block = (len(d), nnz, nnz)
+    cmap.outer(S, whole, vals[span].reshape(block))
+    rows[span].reshape(block)[...] = d[:, :, None]
+    cols[span].reshape(block)[...] = d[:, None, :]
+    d = dof[~whole]
+    keep = (d[:, :, None] >= 0) & (d[:, None, :] >= 0)
+    span = slice(span.stop, span.stop + np.count_nonzero(keep))
+    rows[span] = np.broadcast_to(d[:, :, None], keep.shape)[keep]
+    cols[span] = np.broadcast_to(d[:, None, :], keep.shape)[keep]
+    vals[span] = cmap.outer(S, ~whole)[keep]
+    return span.stop
 
 
 def solve_condensed(material: Material, f, layout: DofLayout,

@@ -12,6 +12,12 @@ expands a hanging vertex through its master edge's trace at the vertex's
 coordinates.  So it shares neither the per-class tables nor the
 constraint maps C_K the library keeps on the layout.
 
+`assembly.condense` writes the condensed skeleton matrix straight into
+free-skeleton numbering; `condensed_matrix_by_global_coo` builds it by
+the global route (COO over all dofs, CSR, an `np.ix_` slice to the free
+skeleton dofs, CSC) from the same class blocks, for `test_assembly.py` to
+compare entries, pattern and memory against.
+
 The library stacks the elements of a class or of a degree for the loads,
 condensation, the error estimator, the L2 errors and the Dirichlet data.
 The `*_per_element` helpers do the same work one element (or boundary
@@ -44,7 +50,8 @@ import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.sparse.linalg import splu
 
-from dpg_elast.assembly import ClassMap, _segments, element_full_bmat
+from dpg_elast.assembly import (ClassMap, _class_members, _segments,
+                                element_full_bmat)
 from dpg_elast.basis import (edge_basis_eval, gauss_rule, gauss_rule_2d,
                              q_basis_table)
 from dpg_elast.local import (_FLUX_BLOCKS, _TRACE_BLOCKS, SideSegment,
@@ -317,6 +324,43 @@ def condense_per_element(mesh, degrees, material, f, layout, x_pinned,
         return x
 
     return S, g, expand
+
+
+def class_coo(cmap, S):
+    """(rows, cols, values) of the sum of C_K' S C_K over a class's
+    members, in global dof numbering."""
+    if cmap.rows is not None:
+        S = S[cmap.rows[:, :, None], cmap.rows[:, None, :]]
+    vals = cmap.weights[:, :, None] * S * cmap.weights[:, None, :]
+    return (np.broadcast_to(cmap.ids[:, :, None], vals.shape).ravel(),
+            np.broadcast_to(cmap.ids[:, None, :], vals.shape).ravel(),
+            vals.ravel())
+
+
+def condensed_matrix_by_global_coo(material, f, layout):
+    """The condensed skeleton matrix by the global route: (S, free).
+
+    Every class's C_K' S C_K goes into one COO matrix over all dofs, which
+    becomes CSR; the free skeleton dofs are the dofs that are neither
+    pinned nor an element interior, found from the class maps, and `np.ix_`
+    slices them out before the conversion to CSC.  `assembly.condense`
+    writes the free-dof CSC directly; this is its reference.
+    """
+    n = layout.n_dofs
+    interior = np.zeros(n, dtype=bool)
+    rows, cols, vals = [], [], []
+    for cls in range(len(layout.classes)):
+        kernel, _, cmap = _class_members(layout, material, f, cls)
+        r, c, v = class_coo(cmap, kernel.S)
+        rows.append(r)
+        cols.append(c)
+        vals.append(v)
+        interior[cmap.interior] = True
+    E = sp.coo_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n, n)).tocsr()
+    free = np.flatnonzero(~layout.pinned & ~interior)
+    return E[np.ix_(free, free)].tocsc(), free
 
 
 def error_indicators_per_element(mesh, degrees, material, f, layout, x):
