@@ -10,7 +10,7 @@ element's class and constraint map C_K.  The solver functions take the
 layout in place of the mesh and the degree map; only `dirichlet_values`
 also reads the mesh, for the boundary coordinates.
 
-Each element computes on its own skeleton basis (`SideSegment`): the
+Each element computes on its own skeleton basis (`local_bmat`): the
 trace of degree q along each counterclockwise side, with the element's
 corner functions at the side's ends, and one flux basis per leaf.  C_K
 takes the global skeleton dofs to this basis and holds everything
@@ -30,9 +30,9 @@ The class key is (p, p_tilde, vertex offsets from vertex 0, per side: the
 trace degree q and the leaves' flux degrees), every input of B and of the
 Gram factor; orientation, flux signs and hanging nodes do not split
 classes.  A class's kernel (Gram factor, B and the interior condensation
-blocks) is built whole on translated coordinates, so it depends on the
-class key alone; a `KernelCache` keyed by the class key and the material
-carries it from one refinement step to the next.  Condensation, the error
+blocks) is built whole from the class key and the material alone
+(`_class_kernel`); a `KernelCache` keyed by both carries it from one
+refinement step to the next.  Condensation, the error
 estimator and the rank-one border terms do their dense algebra once per
 class, with one scatter through the members' C_K (`ClassMap`), and the
 loads of a step take one call of f per degree group.
@@ -54,8 +54,8 @@ from scipy.linalg import lapack
 from scipy.sparse.linalg import splu
 
 from .basis import _read_only, edge_basis_eval, gauss_rule
-from .local import (SideSegment, cholesky_solve, gram_factor, local_bmat,
-                    local_gram, local_loads, local_stiffness, lower_solve)
+from .local import (cholesky_solve, gram_factor, local_bmat, local_gram,
+                    local_loads, local_stiffness, lower_solve)
 from .material import Material
 from .mesh import DegreeMap, Mesh
 
@@ -257,15 +257,7 @@ def _class_key(row: bytes, delta_p: int) -> tuple:
                   for s, q in enumerate((q0, q1, q2, q3))))
 
 
-def _segments(sides: tuple) -> list[SideSegment]:
-    """An element's side segments from its class key's sides, each side
-    split evenly among its leaves."""
-    return [SideSegment(side=s, t0=-1.0 + 2.0 * i / len(fps),
-                        t1=-1.0 + 2.0 * (i + 1) / len(fps), trace_q=q, flux_p=fp)
-            for s, (q, fps) in enumerate(sides) for i, fp in enumerate(fps)]
-
-
-def build_dof_layout(mesh: Mesh, degrees: DegreeMap, bc_spec: str = "dirichlet",
+def build_dof_layout(mesh: Mesh, degrees: DegreeMap,
                      cache: KernelCache | None = None) -> DofLayout:
     """Global numbering, constraint maps and boundary pinning.
 
@@ -273,8 +265,6 @@ def build_dof_layout(mesh: Mesh, degrees: DegreeMap, bc_spec: str = "dirichlet",
     layout's classes do not use are dropped.  Without it the layout starts
     an empty cache.
     """
-    if bc_spec != "dirichlet":
-        raise ValueError(f"unsupported boundary condition spec {bc_spec!r}")
     active = mesh.active_elements
     n_el, n_verts = len(active), len(mesh.vertices)
     # one snapshot of the topology: the elements' corners and side edges
@@ -488,7 +478,8 @@ def element_full_bmat(layout: DofLayout, material: Material, f, eid: int):
     them in `layout.loads`.
     """
     pos = layout.position[eid]
-    kernel = _kernel(layout, material, pos)
+    cls = layout.element_class[pos]
+    kernel = _kernel(layout, material, cls)
     if (f, eid) not in layout.loads:
         p = int(layout.element_p[pos])
         rows = layout.degree_groups[p]
@@ -496,9 +487,8 @@ def element_full_bmat(layout: DofLayout, material: Material, f, eid: int):
         lvecs.setflags(write=False)
         layout.loads.update(((f, k), lvec) for k, lvec
                             in zip(layout.elements[rows].tolist(), lvecs))
-    cmap = layout.class_maps[layout.element_class[pos]]
     return (kernel.L, kernel.B, layout.loads[f, eid],
-            cmap.member(layout.element_row[pos]))
+            layout.class_maps[cls].member(layout.element_row[pos]))
 
 
 def _class_members(layout: DofLayout, material: Material, f, cls: int):
@@ -510,40 +500,36 @@ def _class_members(layout: DofLayout, material: Material, f, cls: int):
     members = layout.classes[cls]
     lvecs = np.column_stack([element_full_bmat(layout, material, f, k)[2]
                              for k in layout.elements[members].tolist()])
-    return (_kernel(layout, material, members[0]), lvecs,
-            layout.class_maps[cls])
+    return _kernel(layout, material, cls), lvecs, layout.class_maps[cls]
 
 
-def _kernel(layout: DofLayout, material: Material, pos: int) -> ClassKernel:
-    """The class kernel of the element at layout position pos, from the
-    cache or built and cached."""
-    key = (layout.class_keys[layout.element_class[pos]], material)
-    kernel = layout.cache.kernels.get(key)
+def _kernel(layout: DofLayout, material: Material, cls: int) -> ClassKernel:
+    """The kernel of class cls, from the cache or built and cached."""
+    key = layout.class_keys[cls]
+    kernel = layout.cache.kernels.get((key, material))
     if kernel is None:
-        kernel = _class_kernel(layout, pos, material)
-        layout.cache.kernels[key] = kernel
+        kernel = _class_kernel(key, material, layout.cache.gram_factors)
+        layout.cache.kernels[key, material] = kernel
     return kernel
 
 
-def _class_kernel(layout: DofLayout, pos: int,
-                  material: Material) -> ClassKernel:
-    """Kernel of the class of the element at layout position pos, on the
-    class's local skeleton basis.
+def _class_kernel(key: tuple, material: Material,
+                  gram_factors: dict) -> ClassKernel:
+    """Kernel of the class with class key `key`, on its local skeleton basis.
 
-    Everything is computed on the element translated to vertex 0, from
-    data the class key fixes, so it does not depend on which element or
-    step built it.  The Gram factor depends only on p_tilde and
-    the vertex offsets and is shared by every class of that shape.
+    The key is the only input: its vertex offsets are the float64 bits of
+    coords - coords[0], so every member and step gets the same kernel.
+    The Gram factor depends only on p_tilde and the offsets, and every
+    class of that shape shares it through `gram_factors`.
     """
-    coords = layout.coords[pos]
-    rel = coords - coords[0]
-    p, p_tilde, shape, sides = layout.class_keys[layout.element_class[pos]]
-    L = layout.cache.gram_factors.get((p_tilde, shape))
+    p, p_tilde, shape, sides = key
+    rel = np.frombuffer(shape, float).reshape(4, 2)
+    L = gram_factors.get((p_tilde, shape))
     if L is None:
         L = gram_factor(local_gram(rel, p_tilde))
         L.setflags(write=False)
-        layout.cache.gram_factors[p_tilde, shape] = L
-    B = local_bmat(rel, p, p_tilde, material, _segments(sides))
+        gram_factors[p_tilde, shape] = L
+    B = local_bmat(rel, p, p_tilde, material, sides)
     ni = 5 * (p + 1) ** 2
     K = local_stiffness(L, B)
     Kis, Kss = K[:ni, ni:], K[ni:, ni:]

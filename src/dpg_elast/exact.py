@@ -58,18 +58,22 @@ def _corner_equation(a: float, nu: float) -> float:
     )
 
 
-def _c1_coefficient(a: float, nu: float) -> float:
+def _c1_fraction(a: float, nu: float) -> tuple[float, float]:
+    """Numerator and denominator of the coefficient C1."""
     k = 1.0 - nu / (1.0 + nu)
     num = (4.0 * k - (a + 1.0)) * np.sin(CLAMP_ANGLE * (a - 1.0))
     den = (a + 1.0) * np.sin(CLAMP_ANGLE * (a + 1.0))
-    return num / den
+    return num, den
+
+
+def _c1_coefficient(a: float, nu: float) -> float:
+    return np.divide(*_c1_fraction(a, nu))
 
 
 def _corner_equation_cleared(a: float, nu: float) -> float:
     """Root condition multiplied by the denominator of C1 (removes its poles)."""
     k = 1.0 - nu / (1.0 + nu)
-    num = (4.0 * k - (a + 1.0)) * np.sin(CLAMP_ANGLE * (a - 1.0))
-    den = (a + 1.0) * np.sin(CLAMP_ANGLE * (a + 1.0))
+    num, den = _c1_fraction(a, nu)
     return (
         num * np.cos(CLAMP_ANGLE * (a + 1.0)) * (a + 1.0)
         + (np.cos(CLAMP_ANGLE * (a - 1.0)) * (a - 1.0)
@@ -113,9 +117,7 @@ class LShapeParams:
 
     a: float
     C1: float
-    C2: float = 0.0
     C3: float = 1.0
-    C4: float = 0.0
 
     @classmethod
     def from_material(cls, material: Material) -> "LShapeParams":

@@ -8,7 +8,6 @@ bilinear form restricted to the element.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -31,27 +30,6 @@ _SIDE_TANGENT = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
 # (x, x, y, y) dofs and by the flux functions' (x, y) dofs
 _TRACE_BLOCKS = np.array([0, 1, 1, 2])
 _FLUX_BLOCKS = np.array([3, 4])
-
-
-@dataclass(frozen=True)
-class SideSegment:
-    """Portion [t0, t1] of an element side carried by one leaf (flux) edge.
-
-    The element's skeleton basis is its own, in the counterclockwise
-    parameter t in [-1, 1] of each side: the trace on side `side` is the
-    degree `trace_q` edge basis along the side, whose end functions are
-    the element's corner functions, and the flux on the segment is the
-    degree `flux_p` edge basis along the segment, times the outward
-    normal.  A segment holds no global dof: the layout's constraint map
-    C_K takes the global skeleton dofs to this basis, with the edge
-    orientations, the flux signs and the hanging nodes.
-    """
-
-    side: int
-    t0: float
-    t1: float
-    trace_q: int
-    flux_p: int
 
 
 @lru_cache(maxsize=None)
@@ -143,54 +121,54 @@ def gram_factor(G: np.ndarray) -> np.ndarray:
 
 
 def _skeleton_columns(coords: np.ndarray, p_tilde: int,
-                      segments: list[SideSegment]) -> np.ndarray:
+                      sides: tuple) -> np.ndarray:
     """Skeleton trace and flux couplings on the element's own basis, a
     (5 ns, n) block.
 
-    The n columns are the x and y components (interleaved) of the local
-    skeleton functions: the four corner functions, then each side's trace
-    bubbles, side by side, then each segment's flux functions, segment by
-    segment.
+    `sides` holds, per counterclockwise side, its trace degree q and its
+    leaves' flux degrees; the leaves split the side evenly.  The trace on
+    a side is the degree q edge basis along it, whose ends are the
+    element's corner functions; the flux on a leaf is its degree's edge
+    basis along the leaf, times the outward normal.  The n columns are the
+    x and y components (interleaved) of the four corner functions, then
+    each side's trace bubbles, then each leaf's flux functions.
     """
     ns = (p_tilde + 1) ** 2
-    if not segments:
+    if not sides:
         return np.zeros((5 * ns, 0))
     # first local bubble of each side, after the four corners
-    bubble, n = {}, 4
-    for seg in segments:
-        if seg.side not in bubble:
-            bubble[seg.side] = n
-            n += seg.trace_q - 1
+    nb = np.array([q - 1 for q, _ in sides])
+    bubble = 4 + np.cumsum(nb) - nb
+    n = 4 + int(nb.sum())
     parts, cols, blocks = [], [], []
-    for seg in segments:
-        q, s = seg.trace_q, seg.side
-        trace = np.concatenate([[s, (s + 1) % 4],
-                                bubble[s] + np.arange(q - 1)])
-        flux = n + np.arange(seg.flux_p + 1)
-        n += seg.flux_p + 1
+    for s, (q, fps) in enumerate(sides):
+        trace = np.concatenate([[s, (s + 1) % 4], bubble[s] + np.arange(q - 1)])
         ne = max(p_tilde, q) + 3
-        rows_map, wref, svals = _side_table(s, seg.t0, seg.t1, ne, p_tilde)
-        tang = rows_map[1] @ coords  # (ne, 2)
-        # arc-length weight times unit outward normal
-        wn = (wref * tang[:, 1], -wref * tang[:, 0])
-
-        # -<u_hat, tau n>: trace function i adds R1[i], R2[i] to
-        # (tau11, tau12) of its x dof and to (tau12, tau22) of its y dof;
-        # the side parameter of the segment's points
         tau = gauss_rule(ne).points
-        prof = edge_basis_eval(q, 0.5 * (seg.t0 + seg.t1)
-                               + 0.5 * (seg.t1 - seg.t0) * tau)
-        R = np.concatenate([prof * wn[0], prof * wn[1]]) @ svals.T
-        parts += [R, R]
-        cols += [2 * trace, 2 * trace, 2 * trace + 1, 2 * trace + 1]
-        blocks.append(np.repeat(_TRACE_BLOCKS, q + 1))
+        for i, fp in enumerate(fps):
+            t0, t1 = -1.0 + 2.0 * i / len(fps), -1.0 + 2.0 * (i + 1) / len(fps)
+            flux = n + np.arange(fp + 1)
+            n += fp + 1
+            rows_map, wref, svals = _side_table(s, t0, t1, ne, p_tilde)
+            tang = rows_map[1] @ coords  # (ne, 2)
+            # arc-length weight times unit outward normal
+            wn = (wref * tang[:, 1], -wref * tang[:, 0])
 
-        # -<v, sigma_hat_n>
-        wf = wref * np.hypot(tang[:, 0], tang[:, 1])
-        F = (edge_basis_eval(seg.flux_p, tau) * wf) @ svals.T
-        parts += [F, F]
-        cols += [2 * flux, 2 * flux + 1]
-        blocks.append(np.repeat(_FLUX_BLOCKS, seg.flux_p + 1))
+            # -<u_hat, tau n>: trace function i adds R1[i], R2[i] to
+            # (tau11, tau12) of its x dof and to (tau12, tau22) of its y
+            # dof; the side parameter of the leaf's points
+            prof = edge_basis_eval(q, 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * tau)
+            R = np.concatenate([prof * wn[0], prof * wn[1]]) @ svals.T
+            parts += [R, R]
+            cols += [2 * trace, 2 * trace, 2 * trace + 1, 2 * trace + 1]
+            blocks.append(np.repeat(_TRACE_BLOCKS, q + 1))
+
+            # -<v, sigma_hat_n>
+            wf = wref * np.hypot(tang[:, 0], tang[:, 1])
+            F = (edge_basis_eval(fp, tau) * wf) @ svals.T
+            parts += [F, F]
+            cols += [2 * flux, 2 * flux + 1]
+            blocks.append(np.repeat(_FLUX_BLOCKS, fp + 1))
 
     acc = np.zeros((5, 2 * n, ns))
     np.add.at(acc, (np.concatenate(blocks), np.concatenate(cols)),
@@ -198,19 +176,14 @@ def _skeleton_columns(coords: np.ndarray, p_tilde: int,
     return -acc.transpose(0, 2, 1).reshape(5 * ns, 2 * n)
 
 
-def local_bmat(
-    coords: np.ndarray,
-    p: int,
-    p_tilde: int,
-    material: Material,
-    segments: list[SideSegment],
-):
+def local_bmat(coords: np.ndarray, p: int, p_tilde: int, material: Material,
+               sides: tuple) -> np.ndarray:
     """Trial-test coupling matrix on one element.
 
     The columns of B are the element's interior trial dofs (sigma then u,
     component-major) followed by its local skeleton dofs (see
-    `_skeleton_columns`).  B depends on the vertex offsets, the degrees
-    and the segments' degrees alone, not on the element's position.
+    `_skeleton_columns`, which reads `sides`).  B depends on the vertex
+    offsets and the degrees alone, not on the element's position.
     """
     w, tvals, g = _volume_tables(coords, p_tilde)
     uvals, _ = q_basis_table(p, _volume_nq(p_tilde))
@@ -218,7 +191,7 @@ def local_bmat(
     nt = uvals.shape[0]
     b = [slice(i * ns, (i + 1) * ns) for i in range(5)]
 
-    Bskel = _skeleton_columns(coords, p_tilde, segments)
+    Bskel = _skeleton_columns(coords, p_tilde, sides)
     # column-major, which LAPACK's triangular solve takes without a copy
     B = np.zeros((5 * ns, 5 * nt + Bskel.shape[1]), order="F")
     B[:, 5 * nt:] = Bskel

@@ -44,20 +44,19 @@ counts, and `edge_coords` gives an edge's end coordinates.
 """
 from collections import defaultdict
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.sparse.linalg import splu
 
-from dpg_elast.assembly import (ClassMap, _class_members, _segments,
-                                element_full_bmat)
+from dpg_elast.assembly import ClassMap, _class_members, element_full_bmat
 from dpg_elast.basis import (edge_basis_eval, gauss_rule, gauss_rule_2d,
                              q_basis_table)
-from dpg_elast.local import (_FLUX_BLOCKS, _TRACE_BLOCKS, SideSegment,
-                             _side_table, _volume_nq, _volume_points,
-                             gram_factor, local_bmat, local_gram,
-                             local_stiffness)
+from dpg_elast.local import (_FLUX_BLOCKS, _TRACE_BLOCKS, _side_table,
+                             _volume_nq, _volume_points, gram_factor,
+                             local_bmat, local_gram, local_stiffness)
 from dpg_elast.mesh import bilinear_shape
 
 
@@ -85,10 +84,25 @@ def degree_and_base(layout, k):
     return int(layout.element_p[i]), int(layout.interior_base[i])
 
 
+class SideSegment(NamedTuple):
+    """Portion [t0, t1] of element side `side` carried by one leaf (flux)
+    edge, in the side's counterclockwise parameter, with the side's trace
+    degree and the leaf's flux degree."""
+
+    side: int
+    t0: float
+    t1: float
+    trace_q: int
+    flux_p: int
+
+
 def segments_of(layout, k):
-    """Element k's side segments, as its class kernel derives them from
-    its class key."""
-    return _segments(layout.class_keys[layout.element_class[layout.position[k]]][3])
+    """Element k's side segments, as its class kernel reads them from its
+    class key: each side split evenly among its leaves."""
+    sides = layout.class_keys[layout.element_class[layout.position[k]]][3]
+    return [SideSegment(s, -1.0 + 2.0 * i / len(fps),
+                        -1.0 + 2.0 * (i + 1) / len(fps), q, fp)
+            for s, (q, fps) in enumerate(sides) for i, fp in enumerate(fps)]
 
 
 def interior_slices(layout, eid):

@@ -351,10 +351,3 @@ def test_eval_element_fields_constant():
     sig, u = eval_element_fields(layout, 0, x, pts)
     np.testing.assert_allclose(sig, [[2.0, -1.0, 0.5]] * 2, atol=1e-14)
     np.testing.assert_allclose(u, [[3.0, 4.0]] * 2, atol=1e-14)
-
-
-def test_bc_spec_validation():
-    mesh = build_initial_mesh("unit_square", 1)
-    degrees = DegreeMap(mesh, p=1)
-    with pytest.raises(ValueError):
-        build_dof_layout(mesh, degrees, bc_spec="neumann")

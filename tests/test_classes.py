@@ -10,7 +10,9 @@ element's local trace and flux against the global ones pointwise along
 its sides (which covers the edge orientations, the flux signs and the
 trace at every hanging vertex), and the class partition against a key
 that spells out every segment's data.
-One kernel cache is carried through the rounds, as in a study.  The
+One kernel cache is carried through the rounds, as in a study.  A class
+kernel built from its class key alone, on a translated mesh, is checked
+byte for byte against the one the layout caches.  The
 cache's builds and evictions are counted on an adaptive L-shape run, and
 the kernel builds of whole studies are counted exactly.
 On such meshes, condensation, the error estimator, the L2 errors and the
@@ -276,6 +278,32 @@ def test_study_kernel_builds_are_exact(monkeypatch):
     builds, new = count_kernel_builds(monkeypatch, StudyConfig(
         mode="uniform_h", p=3, steps=3))
     assert builds == new == 3
+
+
+def test_class_kernel_depends_on_its_key_alone():
+    # a refined hp L-shape and its translate by a dyadic offset, which
+    # keeps every vertex offset's bits: the same class keys, and a kernel
+    # built from the key alone, with an empty Gram-factor cache, is the
+    # one the translated layout caches, to the byte
+    mesh = build_initial_mesh("l_shape", 1)
+    degrees = DegreeMap(mesh, p=1, delta_p=2)
+    for _ in range(3):
+        active = mesh.active_elements
+        degrees.increment(active[0], mesh)
+        mesh = refine_marked(mesh, active[-2:])
+    moved = mesh.copy()
+    moved.vertices = [(x + 2.0, y - 4.0) for x, y in mesh.vertices]
+    layout = build_dof_layout(moved, degrees)
+    assert layout.class_keys == build_dof_layout(mesh, degrees).class_keys
+    assert len({key[0] for key in layout.class_keys}) > 1
+    condense(MATERIAL, None, layout)
+    for key in layout.class_keys:
+        fresh = assembly._class_kernel(key, MATERIAL, {})
+        cached = layout.cache.kernels[key, MATERIAL]
+        for name, array in vars(fresh).items():
+            expect = getattr(cached, name)
+            assert array.shape == expect.shape
+            assert array.tobytes() == expect.tobytes()
 
 
 def assert_close(got, expect, rtol=1e-12):

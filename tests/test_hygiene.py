@@ -4,10 +4,12 @@ An AST scan of every module of `dpg_elast` fails on an imported name the
 module never uses (names listed in `__all__` count as used), on a
 module-level `_private` function that no module of the package refers to,
 on a public function or method that no module of the package and no demo
-refers to and that neither `__all__` nor `README.md` names, and on a
-third-party import outside `ALLOWED_THIRD_PARTY`.  A subprocess
-check keeps the heavy scipy subpackages out of `sys.modules`, at import
-and after a study: each one adds its import time and memory to every run.
+refers to and that neither `__all__` nor `README.md` names, on an
+annotated class field that nothing in `src/`, `demos/` or `tests/` reads
+by name, and on a third-party import outside `ALLOWED_THIRD_PARTY`.  A
+subprocess check keeps the heavy scipy subpackages out of `sys.modules`,
+at import and after a study: each one adds its import time and memory to
+every run.
 """
 import ast
 import json
@@ -116,6 +118,44 @@ def test_no_unreferenced_public_functions():
                     if bare not in referenced | exported
                     and not re.search(rf"\b{bare}\b", readme)]
     assert unreferenced == []
+
+
+def class_fields(tree):
+    """(line, qualified name, name) of every annotated field of a
+    module-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)):
+                    yield item.lineno, f"{node.name}.{item.target.id}", item.target.id
+
+
+def field_reads(tree):
+    """Names a module may read a field by: attributes it loads, keyword
+    arguments it passes and string constants."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            yield node.arg
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_no_unread_class_fields():
+    # a field nothing reads is dead state, however often it is written
+    trees = parse_package()
+    paths = [*PACKAGE.parent.rglob("*.py"), *(ROOT / "demos").glob("*.py"),
+             *(ROOT / "tests").glob("*.py")]
+    read = {name for path in paths
+            for name in field_reads(ast.parse(path.read_text(),
+                                              filename=str(path)))}
+    unread = [f"{name}:{line} {qualified}"
+              for name, tree in trees.items()
+              for line, qualified, field in class_fields(tree)
+              if field not in read]
+    assert unread == []
 
 
 def imported_modules(tree):
