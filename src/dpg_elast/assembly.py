@@ -1,14 +1,14 @@
 """Global dof layout, Dirichlet data, static condensation, and sparse solve.
 
 `build_dof_layout` is the one reader of the mesh topology and of the
-`DegreeMap` in a step.  From one array snapshot of the topology it finds,
-in a fixed number of array passes and no loop over sides or dofs, each
+`DegreeMap` in a step.  Straight from the mesh's arrays it finds, in a
+fixed number of array passes and no loop over sides or dofs, each
 side's trace owner edge and flux leaves, the edge degrees by the maximum
 rule, the hanging and pinned vertices, the numbering (element interiors,
 then vertex trace dofs, edge trace bubbles and edge flux dofs), and every
 element's class and constraint map C_K.  The solver functions take the
 layout in place of the mesh and the degree map; only `dirichlet_values`
-also reads the mesh, for the boundary coordinates.
+also reads the mesh, for the boundary edges' ends and coordinates.
 
 Each element computes on its own skeleton basis (`local_bmat`): the
 trace of degree q along each counterclockwise side, with the element's
@@ -57,7 +57,7 @@ from .basis import _read_only, edge_basis_eval, gauss_rule
 from .local import (cholesky_solve, gram_factor, local_bmat, local_gram,
                     local_loads, local_stiffness, lower_solve)
 from .material import Material
-from .mesh import DegreeMap, Mesh
+from .mesh import DegreeMap, Mesh, _first_use
 
 # SuperLU options for the SPD condensed skeleton matrix: a symmetric
 # minimum-degree ordering of A'+A, with the pivots kept on the diagonal
@@ -266,27 +266,21 @@ def build_dof_layout(mesh: Mesh, degrees: DegreeMap,
     an empty cache.
     """
     active = mesh.active_elements
-    n_el, n_verts = len(active), len(mesh.vertices)
-    # one snapshot of the topology: the elements' corners and side edges
-    # (corner and side s of element i at 4 i + s), and every edge's ends,
-    # parent and boundary flag
-    els = [mesh.elements[k] for k in active]
-    p = np.array([degrees.degree_of(mesh, k) for k in active])
-    verts = np.array([v for el in els for v in el.verts])
-    side_edge = np.array([e for el in els for e in el.edges])
-    edges = mesh.edges
-    v0 = np.array([e.v0 for e in edges])
-    v1 = np.array([e.v1 for e in edges])
-    parent = np.array([-1 if e.parent is None else e.parent for e in edges])
-    boundary = np.array([e.boundary for e in edges])
-    coords = np.asarray(mesh.vertices, dtype=float)[verts].reshape(n_el, 4, 2)
+    n_el, n_verts, n_edges = active.size, len(mesh.vertices), len(mesh.ends)
+    # corner and side s of element i at 4 i + s
+    p = degrees.of(mesh, active)
+    verts = mesh.verts[active].ravel()
+    side_edge = mesh.sides[active].ravel()
+    v0, v1 = mesh.ends.T
+    parent, boundary = mesh.edge_parent, mesh.boundary
+    coords = mesh.vertices[verts].reshape(n_el, 4, 2)
     coords.setflags(write=False)
 
     # a side whose edge has active sides as children is split into those
     # leaves, and its edge owns the trace; a side whose edge is a child of
     # an active side is constrained, and that master edge owns the trace
     up = parent[side_edge]
-    is_side, has_side_child = np.zeros((2, len(edges) + 1), dtype=bool)  # [-1]: none
+    is_side, has_side_child = np.zeros((2, n_edges + 1), dtype=bool)  # [-1]: none
     is_side[side_edge] = True
     has_side_child[up] = True
     split = has_side_child[side_edge]
@@ -298,7 +292,7 @@ def build_dof_layout(mesh: Mesh, degrees: DegreeMap,
     half = np.where(constrained, v0[side_edge] != v0[up], -1)
     reverse = v0[side_edge] != verts
     masters = side_edge[split]
-    kids = np.array([edges[e].children for e in masters.tolist()], int).reshape(-1, 2)
+    kids = mesh.edge_child[masters][:, None] + np.arange(2)
     hanging = dict(zip(v1[kids[:, 0]].tolist(), masters.tolist()))
     leaves = np.full((4 * n_el, 2), -1)
     leaves[:, 0] = side_edge
@@ -310,7 +304,7 @@ def build_dof_layout(mesh: Mesh, degrees: DegreeMap,
     # the maximum rule: an edge's degree is the largest of the elements
     # whose sides carry it
     side_p = np.repeat(p, 4)
-    trace_q, flux_p = np.zeros((2, len(edges)), dtype=int)
+    trace_q, flux_p = np.zeros((2, n_edges), dtype=int)
     np.maximum.at(trace_q, owner, side_p + 1)
     np.maximum.at(flux_p, leaf, side_p[leaf_side])
 
@@ -403,11 +397,8 @@ def build_dof_layout(mesh: Mesh, degrees: DegreeMap,
     # where a side has one leaf)
     offsets = (coords - coords[:, :1]).reshape(n_el, 8).view(np.int64)
     key = np.concatenate([p[:, None], offsets, nb + 1, fps], axis=1)
-    raw, size = key.tobytes(), key.itemsize * key.shape[1]
-    class_of: dict[bytes, int] = {}
-    element_class = np.array([class_of.setdefault(raw[i:i + size], len(class_of))
-                              for i in range(0, len(raw), size)])
-    class_keys = [_class_key(k, degrees.delta_p) for k in class_of]
+    element_class, lead = _first_use(key)
+    class_keys = [_class_key(row.tobytes(), degrees.delta_p) for row in key[lead]]
 
     # every class's ClassMap at once: the members class by class in layout
     # order, each member's entries at its rows' places, as many as the
@@ -458,8 +449,8 @@ def build_dof_layout(mesh: Mesh, degrees: DegreeMap,
         flux_edges=dict(zip(flux_edges.tolist(), zip(
             flux_p[flux_edges].tolist(), flux_base[flux_edges].tolist()))),
         hanging=hanging,
-        pinned=pinned, delta_p=degrees.delta_p, elements=np.array(active),
-        position=dict(zip(active, range(n_el))), element_p=p,
+        pinned=pinned, delta_p=degrees.delta_p, elements=active,
+        position=dict(zip(active.tolist(), range(n_el))), element_p=p,
         interior_base=interior_base, coords=coords,
         element_class=element_class, element_row=slot - first[element_class],
         degree_groups={int(q): np.flatnonzero(p == q) for q in np.unique(p)},
@@ -557,19 +548,20 @@ def dirichlet_values(layout: DofLayout, g_data, mesh: Mesh) -> np.ndarray:
     xp = np.zeros(layout.n_dofs)
     if g_data is None:
         return xp
-    verts = np.asarray(mesh.vertices, dtype=float)
+    verts = mesh.vertices
     pinned_verts = [(v, d) for v, d in layout.vertex_dof.items()
                     if layout.pinned[d]]
-    # boundary edges with bubbles, by trace degree q: (bubble base, ends)
-    by_q: dict[int, list[tuple[int, int, int]]] = {}
-    for e, (q, base) in layout.trace_edges.items():
-        edge = mesh.edges[e]
-        if edge.boundary and q >= 2:
-            by_q.setdefault(q, []).append((base, edge.v0, edge.v1))
+    # boundary edges with bubbles, by trace degree q: (bubble bases, ends)
+    owner = np.fromiter(layout.trace_edges, int, len(layout.trace_edges))
+    degree, base = np.array(list(layout.trace_edges.values())).reshape(-1, 2).T
+    bubbly = mesh.boundary[owner] & (degree >= 2)
+    by_q = {}
+    for q in dict.fromkeys(degree[bubbly].tolist()):
+        sel = bubbly & (degree == q)
+        by_q[q] = base[sel], verts[mesh.ends[owner[sel]]]
     # the pinned vertices, then per edge its quadrature points and its ends
     points = [verts[[v for v, _ in pinned_verts]].reshape(-1, 2)]
-    for q, edges in by_q.items():
-        ends = verts[[(v0, v1) for _, v0, v1 in edges]]
+    for q, (_, ends) in by_q.items():
         t = gauss_rule(q + 3).points[:, None]
         pts = 0.5 * (1 - t) * ends[:, None, 0] + 0.5 * (1 + t) * ends[:, None, 1]
         points.append(np.concatenate([pts, ends], axis=1).reshape(-1, 2))
@@ -578,9 +570,9 @@ def dirichlet_values(layout: DofLayout, g_data, mesh: Mesh) -> np.ndarray:
     vdofs = np.array([d for _, d in pinned_verts], dtype=int)
     xp[vdofs] = values[0][:, 0]
     xp[vdofs + 1] = values[0][:, 1]
-    for (q, edges), gv in zip(by_q.items(), values[1:]):
+    for (q, (bases, _)), gv in zip(by_q.items(), values[1:]):
         rule = gauss_rule(q + 3)
-        gv = gv.reshape(len(edges), -1, 2)
+        gv = gv.reshape(len(bases), -1, 2)
         vals = edge_basis_eval(q, rule.points)
         resid = (gv[:, :-2] - vals[0][:, None] * gv[:, None, -2]
                  - vals[1][:, None] * gv[:, None, -1])
@@ -588,9 +580,8 @@ def dirichlet_values(layout: DofLayout, g_data, mesh: Mesh) -> np.ndarray:
         M = (bub * rule.weights) @ bub.T
         rhs = (bub * rule.weights) @ resid  # (edges, q-1, 2)
         c = np.linalg.solve(M, rhs.transpose(1, 0, 2).reshape(q - 1, -1))
-        bases = np.array([base for base, _, _ in edges])
         xp[bases[:, None] + np.arange(2 * (q - 1))] = \
-            c.reshape(q - 1, len(edges), 2).transpose(1, 0, 2).reshape(len(edges), -1)
+            c.reshape(q - 1, len(bases), 2).transpose(1, 0, 2).reshape(len(bases), -1)
     return xp
 
 

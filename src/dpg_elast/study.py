@@ -128,6 +128,8 @@ class StudyConfig:
         if self.out is not None and not os.path.isdir(
                 os.path.dirname(os.path.abspath(self.out))):
             raise ValueError(f"no directory for the output file {self.out!r}")
+        if self.out is not None and os.path.isdir(self.out):
+            raise ValueError(f"the output file {self.out!r} is a directory")
 
 
 @dataclass
@@ -287,16 +289,14 @@ def run_convergence_study(config: StudyConfig) -> list[ReportRow]:
         if config.mode == "uniform_h":
             mesh = refine_uniform(mesh)
         elif config.mode == "uniform_p":
-            for k in mesh.active_elements:
-                degrees.increment(k, mesh)
+            degrees.increment(mesh.active_elements, mesh)
         elif config.mode == "adaptive_h":
             marked = greedy_mark(indicators, config.marking_fraction)
             mesh = refine_marked(mesh, marked)
         else:  # adaptive_hp
             marked = greedy_mark(indicators, config.marking_fraction)
             h_set, p_set = hp_decide(marked, mesh, bench.singular_point)
-            for k in p_set:
-                degrees.increment(k, mesh)
+            degrees.increment(list(p_set), mesh)
             mesh = refine_marked(mesh, h_set)
 
     if config.out:

@@ -41,8 +41,14 @@ same layout by a walk over every element side (`side_subedges`) and
 every local skeleton function, with each row of C_K a list of (weight,
 dof) pairs; `test_layout.py` requires equal output.  `validate` checks a mesh's 1-irregularity and interface
 counts, and `edge_coords` gives an edge's end coordinates.
+
+`RecordMesh` is the mesh as one record per element and edge, refined one
+element at a time by recursion; `test_mesh.py` requires every array of
+`dpg_elast.mesh.Mesh` to be byte-equal to its `arrays()` after random
+refinements.
 """
 from collections import defaultdict
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -152,8 +158,7 @@ def edge_param(points, edge_coords):
 def trace_functions(mesh, layout, e):
     """Owner edge e's trace basis functions as {global x dof: weight}."""
     q, base = layout.trace_edges[e]
-    edge = mesh.edges[e]
-    return ([vertex_trace(mesh, layout, v) for v in (edge.v0, edge.v1)]
+    return ([vertex_trace(mesh, layout, v) for v in mesh.ends[e].tolist()]
             + [{base + 2 * (i - 2): 1.0} for i in range(2, q + 1)])
 
 
@@ -174,7 +179,7 @@ def vertex_trace(mesh, layout, v):
     the vertex's coordinates."""
     if v in layout.vertex_dof:
         return {layout.vertex_dof[v]: 1.0}
-    return trace_at(mesh, layout, layout.hanging[v], np.array(mesh.vertices[v]))
+    return trace_at(mesh, layout, layout.hanging[v], mesh.vertices[v])
 
 
 def global_bmat(mesh, layout, material, k):
@@ -183,7 +188,7 @@ def global_bmat(mesh, layout, material, k):
     p, first = degree_and_base(layout, k)
     p_tilde = p + layout.delta_p
     ns = (p_tilde + 1) ** 2
-    coords = mesh.element_coords(k)
+    coords = element_coords(mesh, k)
     edges = {name: (list(table), np.array([edge_coords(mesh, e) for e in table]))
              for name, table in (("trace", layout.trace_edges),
                                  ("flux", layout.flux_edges))}
@@ -246,7 +251,7 @@ def assemble_full(mesh, degrees, material, f, layout):
     for k in mesh.active_elements:
         p, _ = degree_and_base(layout, k)
         p_tilde = p + degrees.delta_p
-        coords = mesh.element_coords(k)
+        coords = element_coords(mesh, k)
         L = gram_factor(local_gram(coords, p_tilde))
         Bfull, gdofs = global_bmat(mesh, layout, material, k)
         lvec = local_load(coords, p_tilde, f)
@@ -287,7 +292,7 @@ def _element_matrices(mesh, layout, material, f, k, delta_p):
     """Element k's class L and B and its dense map from the global to its
     local dofs (`full_map`), with its own load."""
     L, B, _, cmap = element_full_bmat(layout, material, f, k)
-    lvec = local_load(mesh.element_coords(k),
+    lvec = local_load(element_coords(mesh, k),
                       degree_and_base(layout, k)[0] + delta_p, f)
     return L, B, lvec, full_map(cmap, layout.n_dofs)
 
@@ -394,7 +399,7 @@ def l2_errors_per_element(mesh, degrees, layout, x, exact):
         p, base = degree_and_base(layout, k)
         nq = p + degrees.delta_p + 2
         rule = gauss_rule_2d(nq)
-        phys, jac = bilinear_maps(mesh.element_coords(k), rule.points)
+        phys, jac = bilinear_maps(element_coords(mesh, k), rule.points)
         w = rule.weights * np.linalg.det(jac)
         vals, _ = q_basis_table(p, nq)
         fields = x[base: base + 5 * vals.shape[0]].reshape(5, -1) @ vals
@@ -413,9 +418,9 @@ def dirichlet_values_per_element(layout, g_data, mesh):
     xp = np.zeros(layout.n_dofs)
     for v, d in layout.vertex_dof.items():
         if layout.pinned[d]:
-            xp[d: d + 2] = g_data(np.array([mesh.vertices[v]]))[0]
+            xp[d: d + 2] = g_data(mesh.vertices[[v]])[0]
     for e, (q, base) in layout.trace_edges.items():
-        if not mesh.edges[e].boundary or q < 2:
+        if not mesh.boundary[e] or q < 2:
             continue
         coords = edge_coords(mesh, e)
         rule = gauss_rule(q + 3)
@@ -437,7 +442,7 @@ def active_sides(mesh, degrees):
     active = mesh.active_elements
     c = mesh.coords_of(active)
     ends = np.stack([c, np.roll(c, -1, axis=1)], axis=2).reshape(-1, 2, 2)
-    return ends, np.repeat([degrees.degree_of(mesh, k) for k in active], 4)
+    return ends, np.repeat(degrees.of(mesh, active), 4)
 
 
 def _along(a, b, x):
@@ -466,7 +471,7 @@ def degree_by_overlap(sides, seg_ends):
 
 def corner_vertices(mesh):
     """The vertices of the active elements."""
-    return {v for k in mesh.active_elements for v in mesh.elements[k].verts}
+    return set(mesh.verts[mesh.active_elements].ravel().tolist())
 
 
 def hanging_by_overlap(mesh, sides):
@@ -495,43 +500,59 @@ def boundary_vertices_by_overlap(mesh, sides):
 
 def edge_coords(mesh, e):
     """End coordinates of edge e, shape (2, 2)."""
-    edge = mesh.edges[e]
-    return np.array([mesh.vertices[edge.v0], mesh.vertices[edge.v1]])
+    return mesh.vertices[mesh.ends[e]]
+
+
+def element_coords(mesh, k):
+    """Vertex coordinates of element k, shape (4, 2)."""
+    return mesh.vertices[mesh.verts[k]]
+
+
+def halves(mesh, e):
+    """The halves of edge e, from its first end to its second; none while
+    the edge is whole."""
+    c = int(mesh.edge_child[e])
+    return [] if c < 0 else [c, c + 1]
+
+
+def active_side_neighbor(mesh, e):
+    """The first active element having edge e as one of its sides, if any."""
+    k = np.flatnonzero((mesh.sides == e).any(axis=1) & (mesh.child < 0))
+    return int(k[0]) if k.size else None
 
 
 def side_is_split(mesh, k, s):
     """True when the neighbor across side s of element k is one level finer."""
-    e = mesh.edges[mesh.elements[k].edges[s]]
-    return any(mesh.active_side_neighbor(c) is not None for c in e.children)
+    return any(active_side_neighbor(mesh, c) is not None
+               for c in halves(mesh, mesh.sides[k, s]))
 
 
 def side_subedges(mesh, k, s):
     """Leaf edges covering side s of element k, ordered along the side."""
-    el = mesh.elements[k]
-    eid = el.edges[s]
+    eid = int(mesh.sides[k, s])
     if not side_is_split(mesh, k, s):
         return [eid]
-    e = mesh.edges[eid]
-    # children are stored from e.v0 to e.v1; flip to side traversal order
-    return list(e.children) if e.v0 == el.verts[s] else e.children[::-1]
+    # halves are stored from the edge's first end; flip to side traversal order
+    kids = halves(mesh, eid)
+    return kids if mesh.ends[eid, 0] == mesh.verts[k, s] else kids[::-1]
 
 
 def validate(mesh):
     """Check 1-irregularity and interface counts; raises on violation."""
     side_count = {}
-    for k in mesh.active_elements:
+    for k in mesh.active_elements.tolist():
         for s in range(4):
-            eid = mesh.elements[k].edges[s]
+            eid = int(mesh.sides[k, s])
             if side_is_split(mesh, k, s):
-                for c in mesh.edges[eid].children:
-                    if any(mesh.active_side_neighbor(cc) is not None
-                           for cc in mesh.edges[c].children):
+                for c in halves(mesh, eid):
+                    if any(active_side_neighbor(mesh, cc) is not None
+                           for cc in halves(mesh, c)):
                         raise ValueError(f"edge {eid} split twice across element {k}")
                     side_count[c] = side_count.get(c, 0) + 1
             else:
                 side_count[eid] = side_count.get(eid, 0) + 1
     for eid, cnt in side_count.items():
-        expected = 1 if mesh.edges[eid].boundary else 2
+        expected = 1 if mesh.boundary[eid] else 2
         if cnt != expected:
             raise ValueError(f"edge {eid} used by {cnt} sides, expected {expected}")
 
@@ -597,8 +618,8 @@ def layout_by_walk(mesh, degrees):
     `flux_edges`, `hanging`, `pinned`, `class_keys`, `classes` (element
     ids), `class_maps` and `segments` (element -> its `SideSegment`s).
     """
-    active = mesh.active_elements
-    element_p = {k: degrees.degree_of(mesh, k) for k in active}
+    active = mesh.active_elements.tolist()
+    element_p = dict(zip(active, degrees.of(mesh, active).tolist()))
 
     # one pass over the element sides: each side's trace owner edge and
     # flux leaf edges, the edge degrees by the maximum rule, the hanging
@@ -607,14 +628,14 @@ def layout_by_walk(mesh, degrees):
     for k in active:
         p = element_p[k]
         sides[k] = []
-        for s, eid in enumerate(mesh.elements[k].edges):
+        for s, eid in enumerate(mesh.sides[k].tolist()):
             leaves = side_subedges(mesh, k, s)
-            parent = mesh.edges[eid].parent
+            parent = int(mesh.edge_parent[eid])
             if len(leaves) > 1:
-                hanging[mesh.edge_midpoint_vertex(eid)] = eid
+                hanging[int(mesh.ends[mesh.edge_child[eid], 1])] = eid  # midpoint
                 owner = eid
-            elif (parent is not None
-                    and mesh.active_side_neighbor(parent) is not None):
+            elif (parent >= 0
+                    and active_side_neighbor(mesh, parent) is not None):
                 owner = parent      # constrained side, master across the interface
             else:
                 owner = eid
@@ -622,9 +643,8 @@ def layout_by_walk(mesh, degrees):
             trace_q[owner] = max(trace_q.get(owner, 0), p + 1)
             for leaf in leaves:
                 flux_p[leaf] = max(flux_p.get(leaf, 0), p)
-                edge = mesh.edges[leaf]
-                if edge.boundary:
-                    boundary_verts.update((edge.v0, edge.v1))
+                if mesh.boundary[leaf]:
+                    boundary_verts.update(mesh.ends[leaf].tolist())
     trace_edges, flux_edges = sorted(trace_q), sorted(flux_p)
 
     n = 0
@@ -634,7 +654,7 @@ def layout_by_walk(mesh, degrees):
         n += 5 * (element_p[k] + 1) ** 2
     vertex_dof = {}
     for e in trace_edges:
-        for v in (mesh.edges[e].v0, mesh.edges[e].v1):
+        for v in mesh.ends[e].tolist():
             if v not in hanging and v not in vertex_dof:
                 vertex_dof[v] = n
                 n += 2
@@ -652,7 +672,7 @@ def layout_by_walk(mesh, degrees):
         if v in boundary_verts:
             pinned[d:d + 2] = True
     for e in trace_edges:
-        if mesh.edges[e].boundary:
+        if mesh.boundary[e]:
             b = trace_base[e]
             pinned[b:b + 2 * (trace_q[e] - 1)] = True
 
@@ -662,12 +682,12 @@ def layout_by_walk(mesh, degrees):
             return [(1.0, vertex_dof[v])]
         # a hanging vertex takes its master edge's trace at the midpoint
         master = hanging[v]
-        e = mesh.edges[master]
+        end0, end1 = mesh.ends[master].tolist()
         q = trace_q[master]
         vals = edge_basis_eval(q, 0.0)[:, 0]
         base = trace_base[master]
-        return ([(w * vals[0], g) for w, g in vertex_entries(e.v0)]
-                + [(w * vals[1], g) for w, g in vertex_entries(e.v1)]
+        return ([(w * vals[0], g) for w, g in vertex_entries(end0)]
+                + [(w * vals[1], g) for w, g in vertex_entries(end1)]
                 + [(vals[i], base + 2 * (i - 2)) for i in range(2, q + 1)])
 
     # per element: side segments, class key and C_K, whose rows are the
@@ -675,15 +695,15 @@ def layout_by_walk(mesh, degrees):
     # each segment's flux functions) as lists of (weight, global x dof)
     segments, class_ids, classes, class_rows = {}, {}, [], []
     for k, coords in zip(active, mesh.coords_of(active)):
-        el = mesh.elements[k]
+        verts, own_edges = mesh.verts[k].tolist(), mesh.sides[k].tolist()
         segs, key_sides = [], []
-        rows = [vertex_entries(v) for v in el.verts]
+        rows = [vertex_entries(v) for v in verts]
         flux_rows = []
         for s, (owner, leaves) in enumerate(sides[k]):
             q, base = trace_q[owner], trace_base[owner]
-            own = el.edges[s]
-            reverse = mesh.edges[own].v0 != el.verts[s]
-            half = None if owner == own else mesh.edges[owner].children.index(own)
+            own = own_edges[s]
+            reverse = mesh.ends[own, 0] != verts[s]
+            half = None if owner == own else halves(mesh, owner).index(own)
             rows += [[(w, base + 2 * (j - 2)) for w, j in r]
                      for r in restriction_rows(q, half, reverse)[2:]]
             # the flux also changes sign with the normal
@@ -721,3 +741,207 @@ def layout_by_walk(mesh, degrees):
         flux_edges={e: (flux_p[e], flux_base[e]) for e in flux_edges},
         hanging=hanging, pinned=pinned, class_keys=list(class_ids),
         classes=classes, class_maps=class_maps, segments=segments)
+
+
+# -- the record mesh: the reference for `dpg_elast.mesh` ----------------------
+
+
+@dataclass
+class Element:
+    verts: list[int]          # 4 vertex ids, counterclockwise
+    edges: list[int]          # side edge ids; side s runs verts[s] -> verts[(s+1)%4]
+    level: int = 0
+    parent: int | None = None
+    children: list[int] = field(default_factory=list)
+    active: bool = True
+
+
+@dataclass
+class Edge:
+    v0: int
+    v1: int
+    boundary: bool = False
+    parent: int | None = None
+    children: list[int] = field(default_factory=list)   # ordered v0 -> v1
+    elems: list[tuple[int, int]] = field(default_factory=list)  # (element id, side)
+
+
+class RecordMesh:
+    def __init__(self):
+        self.vertices: list[tuple[float, float]] = []
+        self.elements: list[Element] = []
+        self.edges: list[Edge] = []
+        self._edge_lookup: dict[tuple[int, int], int] = {}
+
+    # -- construction helpers -------------------------------------------------
+
+    def _add_vertex(self, x: float, y: float) -> int:
+        self.vertices.append((float(x), float(y)))
+        return len(self.vertices) - 1
+
+    def _get_edge(self, v0: int, v1: int) -> int:
+        key = (min(v0, v1), max(v0, v1))
+        eid = self._edge_lookup.get(key)
+        if eid is None:
+            self.edges.append(Edge(v0=v0, v1=v1))
+            eid = len(self.edges) - 1
+            self._edge_lookup[key] = eid
+        return eid
+
+    def _add_element(self, verts, level=0, parent=None) -> int:
+        edges = [self._get_edge(verts[s], verts[(s + 1) % 4]) for s in range(4)]
+        el = Element(verts=list(verts), edges=edges, level=level, parent=parent)
+        self.elements.append(el)
+        kid = len(self.elements) - 1
+        for s, eid in enumerate(edges):
+            self.edges[eid].elems.append((kid, s))
+        return kid
+
+    # -- queries ---------------------------------------------------------------
+
+    @property
+    def active_elements(self) -> list[int]:
+        return [i for i, el in enumerate(self.elements) if el.active]
+
+    def element_coords(self, eid: int) -> np.ndarray:
+        """Vertex coordinates of an element, shape (4, 2)."""
+        return np.array([self.vertices[v] for v in self.elements[eid].verts])
+
+    def edge_midpoint_vertex(self, eid: int) -> int:
+        """Vertex at the midpoint of a split edge (the shared child endpoint)."""
+        e = self.edges[eid]
+        return self.edges[e.children[0]].v1
+
+    def active_side_neighbor(self, eid: int) -> int | None:
+        """Active element having edge eid as one of its sides, if any."""
+        for kid, _ in self.edges[eid].elems:
+            if self.elements[kid].active:
+                return kid
+        return None
+
+    def copy(self) -> "RecordMesh":
+        """Independent copy: no record or list is shared with this mesh."""
+        out = RecordMesh()
+        out.vertices = list(self.vertices)
+        out.elements = [Element(list(el.verts), list(el.edges), el.level,
+                                el.parent, list(el.children), el.active)
+                        for el in self.elements]
+        out.edges = [Edge(e.v0, e.v1, e.boundary, e.parent, list(e.children),
+                          list(e.elems))
+                     for e in self.edges]
+        out._edge_lookup = dict(self._edge_lookup)
+        return out
+
+    def arrays(self) -> dict:
+        """The mesh as the arrays of `dpg_elast.mesh.Mesh`, by field name;
+        children and halves must have consecutive ids."""
+        els, edges = self.elements, self.edges
+        for item in [*els, *edges]:
+            assert np.all(np.diff(item.children) == 1)
+        return dict(
+            vertices=np.array(self.vertices, dtype=float).reshape(-1, 2),
+            verts=np.array([el.verts for el in els]),
+            sides=np.array([el.edges for el in els]),
+            parent=np.array([-1 if el.parent is None else el.parent for el in els]),
+            child=np.array([el.children[0] if el.children else -1 for el in els]),
+            level=np.array([el.level for el in els]),
+            ends=np.array([(e.v0, e.v1) for e in edges]),
+            edge_parent=np.array([-1 if e.parent is None else e.parent for e in edges]),
+            edge_child=np.array([e.children[0] if e.children else -1 for e in edges]),
+            boundary=np.array([e.boundary for e in edges]))
+
+    # -- refinement ------------------------------------------------------------
+
+    def _split_edge(self, eid: int) -> None:
+        e = self.edges[eid]
+        if e.children:
+            return
+        (x0, y0), (x1, y1) = self.vertices[e.v0], self.vertices[e.v1]
+        mid = self._add_vertex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
+        for a, b in ((e.v0, mid), (mid, e.v1)):
+            self.edges.append(Edge(v0=a, v1=b, boundary=e.boundary, parent=eid))
+            cid = len(self.edges) - 1
+            self._edge_lookup[(min(a, b), max(a, b))] = cid
+            e.children.append(cid)
+
+    def _refine_element(self, k: int) -> None:
+        el = self.elements[k]
+        if not el.active:
+            return
+        # restore 1-irregularity first: a coarser active neighbor across a
+        # parent side edge must be refined before splitting this element
+        for s in range(4):
+            eid = el.edges[s]
+            parent = self.edges[eid].parent
+            if parent is not None:
+                coarse = self.active_side_neighbor(parent)
+                if coarse is not None:
+                    self._refine_element(coarse)
+        for eid in el.edges:
+            self._split_edge(eid)
+        mids = [self.edge_midpoint_vertex(eid) for eid in el.edges]
+        coords = self.element_coords(k)
+        center = self._add_vertex(*coords.mean(axis=0))
+        v = el.verts
+        # child i keeps the parent's orientation and holds parent vertex i
+        child_verts = [
+            (v[0], mids[0], center, mids[3]),
+            (mids[0], v[1], mids[1], center),
+            (center, mids[1], v[2], mids[2]),
+            (mids[3], center, mids[2], v[3]),
+        ]
+        el.active = False
+        for cv in child_verts:
+            cid = self._add_element(cv, level=el.level + 1, parent=k)
+            el.children.append(cid)
+
+
+def record_initial_mesh(domain: str, n_per_side: int) -> RecordMesh:
+    """Uniform starting mesh on the unit square or the L-shaped domain."""
+    if n_per_side < 1:
+        raise ValueError(f"n_per_side must be >= 1, got {n_per_side}")
+    if domain == "unit_square":
+        blocks = [(0.0, 0.0)]
+        lo, size = 0.0, 1.0
+    elif domain == "l_shape":
+        blocks = [(-1.0, -1.0), (-1.0, 0.0), (0.0, 0.0)]
+        lo, size = -1.0, 1.0
+    else:
+        raise ValueError(f"unknown domain {domain!r}")
+
+    mesh = RecordMesh()
+    h = size / n_per_side
+    vmap: dict[tuple[int, int], int] = {}
+
+    def vertex(ix: int, iy: int) -> int:
+        key = (ix, iy)
+        if key not in vmap:
+            vmap[key] = mesh._add_vertex(lo + ix * h, lo + iy * h)
+        return vmap[key]
+
+    for bx, by in blocks:
+        ox = round((bx - lo) / h)
+        oy = round((by - lo) / h)
+        for i in range(n_per_side):
+            for j in range(n_per_side):
+                v00 = vertex(ox + i, oy + j)
+                v10 = vertex(ox + i + 1, oy + j)
+                v11 = vertex(ox + i + 1, oy + j + 1)
+                v01 = vertex(ox + i, oy + j + 1)
+                mesh._add_element((v00, v10, v11, v01))
+
+    for e in mesh.edges:
+        e.boundary = len(e.elems) == 1
+    return mesh
+
+
+def record_refine_marked(mesh: RecordMesh, marked) -> RecordMesh:
+    """Split the marked active elements (plus 1-irregularity closure)."""
+    active = set(mesh.active_elements)
+    bad = set(marked) - active
+    if bad:
+        raise ValueError(f"marked ids are not active elements: {sorted(bad)}")
+    new = mesh.copy()
+    for k in sorted(marked):
+        new._refine_element(k)
+    return new

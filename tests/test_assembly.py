@@ -16,7 +16,8 @@ from dpg_elast.rankone import border_terms, ell_vector
 from dpg_elast.study import make_benchmark
 from oracle import (assemble_full, bilinear_maps,
                     condensed_matrix_by_global_coo, degree_and_base,
-                    edge_coords, interior_slices, solve_full, validate)
+                    edge_coords, element_coords, interior_slices,
+                    solve_full, validate)
 
 MAT = make_isotropic(1.0, 0.5)
 
@@ -110,14 +111,13 @@ def test_dirichlet_trace_reproduces_polynomials():
 
     xp = dirichlet_values(layout, g, mesh)
     for e, (q, base) in layout.trace_edges.items():
-        if not mesh.edges[e].boundary:
+        if not mesh.boundary[e]:
             continue
         coords = edge_coords(mesh, e)
         ts = np.linspace(-1.0, 1.0, 7)
         pts = 0.5 * (1 - ts)[:, None] * coords[0] + 0.5 * (1 + ts)[:, None] * coords[1]
         vals = edge_basis_eval(q, ts)
-        v0 = layout.vertex_dof[mesh.edges[e].v0]
-        v1 = layout.vertex_dof[mesh.edges[e].v1]
+        v0, v1 = (layout.vertex_dof[v] for v in mesh.ends[e].tolist())
         for comp in range(2):
             trace = xp[v0 + comp] * vals[0] + xp[v1 + comp] * vals[1]
             for k in range(2, q + 1):
@@ -144,7 +144,7 @@ def test_patch_test_exact_reproduction():
     ref = np.array([[-0.5, 0.2], [0.7, -0.6], [0.0, 0.0]])
     for k in mesh.active_elements:
         sig_h, u_h = eval_element_fields(layout, k, x, ref)
-        phys, _ = bilinear_maps(mesh.element_coords(k), ref)
+        phys, _ = bilinear_maps(element_coords(mesh, k), ref)
         for q in range(ref.shape[0]):
             np.testing.assert_allclose(u_h[q], g(phys[q]), atol=1e-9)
             np.testing.assert_allclose(
@@ -157,7 +157,7 @@ def check_patch_reproduction(mesh, layout, x, g, sigma):
     ref = np.array([[-0.5, 0.2], [0.7, -0.6], [0.0, 0.0], [1.0, -1.0]])
     for k in mesh.active_elements:
         sig_h, u_h = eval_element_fields(layout, k, x, ref)
-        phys, _ = bilinear_maps(mesh.element_coords(k), ref)
+        phys, _ = bilinear_maps(element_coords(mesh, k), ref)
         np.testing.assert_allclose(u_h, g(phys), atol=1e-9)
         np.testing.assert_allclose(
             sig_h, np.broadcast_to([sigma[0, 0], sigma[0, 1], sigma[1, 1]],

@@ -10,8 +10,8 @@ from dpg_elast.local import (_side_table, _volume_map_table, gram_factor,
 from dpg_elast.material import make_isotropic
 from dpg_elast.mesh import (DegreeMap, build_initial_mesh, refine_marked,
                             refine_uniform)
-from oracle import (degree_and_base, error_representation, load_product,
-                    local_load)
+from oracle import (degree_and_base, element_coords, error_representation,
+                    load_product, local_load)
 
 UNIT = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 SHEARED = np.array([[0.0, 0.0], [1.0, 0.0], [1.5, 1.0], [0.5, 1.0]])
@@ -193,11 +193,11 @@ def test_gram_factor_cached_per_geometry_class():
     for k in mesh.active_elements:
         L, _, _, _ = element_full_bmat(layout, m, None, k)
         p_tilde = degree_and_base(layout, k)[0] + degrees.delta_p
-        L_abs = gram_factor(local_gram(mesh.element_coords(k), p_tilde))
+        L_abs = gram_factor(local_gram(element_coords(mesh, k), p_tilde))
         np.testing.assert_allclose(L, L_abs, rtol=0.0, atol=1e-13)
         assert not L.flags.writeable
     classes = {(degree_and_base(layout, k)[0] + degrees.delta_p,
-                tuple((mesh.element_coords(k) - mesh.element_coords(k)[0]).ravel()))
+                tuple((element_coords(mesh, k) - element_coords(mesh, k)[0]).ravel()))
                for k in mesh.active_elements}
     assert len(layout.cache.gram_factors) == len(classes) < len(mesh.active_elements)
 

@@ -1,3 +1,5 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,8 @@ from dpg_elast.mesh import (DegreeMap, build_initial_mesh, refine_marked,
                             refine_uniform)
 from oracle import (active_sides, bilinear_maps, boundary_vertices_by_overlap,
                     corner_vertices, degree_by_overlap, edge_coords,
-                    hanging_by_overlap, overlapping, segments_of,
+                    element_coords, hanging_by_overlap, overlapping,
+                    record_initial_mesh, record_refine_marked, segments_of,
                     side_subedges, validate)
 
 
@@ -19,17 +22,17 @@ def pinned_vertices(layout):
 def test_unit_square_counts():
     mesh = build_initial_mesh("unit_square", 2)
     assert len(mesh.vertices) == 9
-    assert len(mesh.elements) == 4
-    assert len(mesh.edges) == 12
-    assert sum(e.boundary for e in mesh.edges) == 8
+    assert len(mesh.verts) == 4
+    assert len(mesh.ends) == 12
+    assert mesh.boundary.sum() == 8
     validate(mesh)
 
 
 def test_l_shape_counts():
     mesh = build_initial_mesh("l_shape", 1)
-    assert len(mesh.elements) == 3
+    assert len(mesh.verts) == 3
     assert len(mesh.vertices) == 8
-    assert sum(e.boundary for e in mesh.edges) == 8
+    assert mesh.boundary.sum() == 8
     validate(mesh)
     # the reentrant corner vertex is on the boundary
     assert any(np.allclose(v, (0.0, 0.0)) for v in mesh.vertices)
@@ -44,7 +47,7 @@ def test_invalid_domain():
 
 def test_reference_map_jacobian():
     mesh = build_initial_mesh("unit_square", 4)
-    coords = mesh.element_coords(0)
+    coords = element_coords(mesh, 0)
     pt, jac = bilinear_maps(coords, np.array([[0.0, 0.0], [-1.0, -1.0]]))
     assert np.linalg.det(jac[0]) == pytest.approx(1.0 / 64.0, abs=1e-15)
     np.testing.assert_allclose(pt[1], coords[0], atol=1e-15)
@@ -52,23 +55,21 @@ def test_reference_map_jacobian():
 
 def test_reference_map_sheared():
     mesh = build_initial_mesh("unit_square", 1)
-    mesh.vertices = [(0.0, 0.0), (1.0, 0.0), (1.5, 1.0), (0.5, 1.0)]
-    pt, jac = bilinear_maps(mesh.element_coords(0), np.zeros((1, 2)))
+    mesh = replace(mesh, vertices=np.array([(0.0, 0.0), (1.0, 0.0), (1.5, 1.0),
+                                            (0.5, 1.0)]))
+    pt, jac = bilinear_maps(element_coords(mesh, 0), np.zeros((1, 2)))
     np.testing.assert_allclose(pt[0], [0.75, 0.5], atol=1e-15)
     assert np.linalg.det(jac[0]) > 0.0
 
 
-def assert_independent(mesh, fine):
-    """No record, list or dict of `mesh` is reachable from `fine`."""
-    def containers(m):
-        out = [m.vertices, m.elements, m.edges, m._edge_lookup]
-        for el in m.elements:
-            out += [el, el.verts, el.edges, el.children]
-        for e in m.edges:
-            out += [e, e.children, e.elems]
-        return {id(obj) for obj in out}
+def arrays_of(mesh):
+    return {f.name: getattr(mesh, f.name) for f in fields(mesh)}
 
-    assert not containers(mesh) & containers(fine)
+
+def assert_independent(mesh, fine):
+    """No array of `fine` shares memory with an array of `mesh`."""
+    assert not any(np.shares_memory(a, b) for a in arrays_of(mesh).values()
+                   for b in arrays_of(fine).values())
 
 
 def test_uniform_refinement():
@@ -78,11 +79,11 @@ def test_uniform_refinement():
     assert mesh.dump() == before
     assert_independent(mesh, fine)
     assert len(fine.active_elements) == 4
-    assert not fine.elements[0].active
+    assert fine.child[0] >= 0
     assert len(mesh.active_elements) == 1  # original untouched
     validate(fine)
     assert not build_dof_layout(fine, DegreeMap(fine)).hanging
-    area = sum(abs(np.linalg.det(bilinear_maps(fine.element_coords(k),
+    area = sum(abs(np.linalg.det(bilinear_maps(element_coords(fine, k),
                                                np.zeros((1, 2)))[1][0])) * 4.0
                for k in fine.active_elements)
     assert area == pytest.approx(1.0, abs=1e-14)
@@ -100,8 +101,7 @@ def test_marked_refinement_hanging():
     # element 0 has two interior sides, each contributing a hanging vertex
     assert len(hang) == 2
     for v, eid in hang.items():
-        mid = 0.5 * (np.array(fine.vertices[fine.edges[eid].v0])
-                     + np.array(fine.vertices[fine.edges[eid].v1]))
+        mid = edge_coords(fine, eid).mean(axis=0)
         np.testing.assert_allclose(fine.vertices[v], mid, atol=1e-14)
 
 
@@ -109,26 +109,26 @@ def test_children_keep_parent_orientation():
     mesh = build_initial_mesh("l_shape", 1)
     fine = refine_uniform(mesh)
     for k in mesh.active_elements:
-        parent = fine.elements[k]
-        base = fine.element_coords(k)
-        for i, c in enumerate(parent.children):
-            assert fine.elements[c].verts[i] == parent.verts[i]
+        base = element_coords(fine, k)
+        for i in range(4):
+            c = fine.child[k] + i
+            assert fine.verts[c, i] == fine.verts[k, i]
             # same vertex order up to scaling about the parent's vertex i
-            rel = fine.element_coords(c) - fine.element_coords(c)[0]
+            rel = element_coords(fine, c) - element_coords(fine, c)[0]
             np.testing.assert_allclose(rel, 0.5 * (base - base[0]), atol=1e-15)
 
 
 def test_closure_keeps_one_irregular():
     mesh = build_initial_mesh("unit_square", 2)
     fine = refine_marked(mesh, [0])
-    child = fine.elements[0].children[2]  # touches both interior interfaces
+    child = fine.child[0] + 2  # touches both interior interfaces
     finer = refine_marked(fine, [child])
     validate(finer)
     levels = {}
     for k in finer.active_elements:
         for s in range(4):
             for eid in side_subedges(finer, k, s):
-                levels.setdefault(eid, []).append(finer.elements[k].level)
+                levels.setdefault(eid, []).append(finer.level[k])
     for eid, lv in levels.items():
         if len(lv) == 2:
             assert abs(lv[0] - lv[1]) <= 1
@@ -137,14 +137,56 @@ def test_closure_keeps_one_irregular():
 def test_refine_inactive_raises():
     mesh = build_initial_mesh("unit_square", 1)
     fine = refine_uniform(mesh)
-    with pytest.raises(ValueError):
-        refine_marked(fine, [0])
+    # an inactive id, and two that numpy would index without complaint
+    for bad in (0, -1, len(fine.verts)):
+        with pytest.raises(ValueError):
+            refine_marked(fine, [bad])
+    finer = refine_marked(fine, [np.int64(fine.active_elements[0])])
+    assert len(finer.active_elements) == 7
+
+
+def assert_same_arrays(mesh, record):
+    """Every array of `mesh` byte-equal to the record mesh's."""
+    expect = record.arrays()
+    for name, got in arrays_of(mesh).items():
+        assert (got.dtype, got.shape) == (expect[name].dtype, expect[name].shape), name
+        assert got.tobytes() == expect[name].tobytes(), name
+
+
+def draw_marks(data, active):
+    """All of the active elements, or a few of them."""
+    if data.draw(st.booleans()):
+        return active
+    return data.draw(st.sets(st.sampled_from(active), min_size=1, max_size=4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(domain=st.sampled_from(["unit_square", "l_shape"]),
+       n_initial=st.integers(1, 3), data=st.data())
+def test_arrays_match_record_mesh(domain, n_initial, data):
+    # refinement in array passes against the record mesh refined element
+    # by element: every array byte-equal after each step, and a second,
+    # different refinement of the same parent leaves the parent as it was
+    mesh = build_initial_mesh(domain, n_initial)
+    record = record_initial_mesh(domain, n_initial)
+    assert_same_arrays(mesh, record)
+    for _ in range(data.draw(st.integers(1, 3))):
+        active = mesh.active_elements.tolist()
+        marked, other = draw_marks(data, active), draw_marks(data, active)
+        before = {name: a.tobytes() for name, a in arrays_of(mesh).items()}
+        fine = refine_marked(mesh, marked)
+        assert_same_arrays(refine_marked(mesh, other),
+                           record_refine_marked(record, other))
+        assert {name: a.tobytes() for name, a in arrays_of(mesh).items()} == before
+        assert_independent(mesh, fine)
+        mesh, record = fine, record_refine_marked(record, marked)
+        assert_same_arrays(mesh, record)
 
 
 def test_boundary_vertices():
     mesh = build_initial_mesh("unit_square", 2)
     bnd = pinned_vertices(build_dof_layout(mesh, DegreeMap(mesh)))
-    interior = [v for v, xy in enumerate(mesh.vertices)
+    interior = [v for v, xy in enumerate(mesh.vertices.tolist())
                 if 0.0 < xy[0] < 1.0 and 0.0 < xy[1] < 1.0]
     assert len(bnd) == 8
     assert all(v not in bnd for v in interior)
@@ -173,10 +215,9 @@ def test_degree_map_inheritance():
     mesh = build_initial_mesh("unit_square", 1)
     degrees = DegreeMap(mesh, p=2, delta_p=2)
     fine = refine_uniform(mesh)
-    for k in fine.active_elements:
-        assert degrees.degree_of(fine, k) == 2
+    assert degrees.of(fine, fine.active_elements).tolist() == [2] * 4
     degrees.increment(fine.active_elements[0], fine)
-    assert degrees.degree_of(fine, fine.active_elements[0]) == 3
+    assert degrees.of(fine, fine.active_elements).tolist() == [3, 2, 2, 2]
 
 
 def test_degree_map_edge_rules():
@@ -184,15 +225,15 @@ def test_degree_map_edge_rules():
     degrees = DegreeMap(mesh, p=1)
     degrees.set_degree(0, 4)
     layout = build_dof_layout(mesh, degrees)
-    el = mesh.elements[0]
-    for e in el.edges:
+    near = mesh.sides[0].tolist()
+    for e in near:
         assert layout.trace_edges[e][0] - 1 == 4
     assert [seg.flux_p for seg in segments_of(layout, 0)] == [4] * 4
     # element 3, diagonal from 0, shares no edge with it
-    only_far = [s for s, e in enumerate(mesh.elements[3].edges)
-                if e not in el.edges]
+    far = mesh.sides[3].tolist()
+    only_far = [s for s, e in enumerate(far) if e not in near]
     assert any(segments_of(layout, 3)[s].flux_p == 1 for s in only_far)
-    assert any(layout.trace_edges[mesh.elements[3].edges[s]][0] - 1 == 1
+    assert any(layout.trace_edges[far[s]][0] - 1 == 1
                for s in only_far)
 
 
@@ -217,7 +258,7 @@ def test_layout_skeleton_matches_geometry(domain, data):
     flux_ends = {frozenset(map(tuple, edge_coords(mesh, e).tolist()))
                  for e in layout.flux_edges}
     for k in mesh.active_elements:
-        coords = mesh.element_coords(k)
+        coords = element_coords(mesh, k)
         for seg in segments_of(layout, k):
             # the segment's piece of the side is a flux leaf, and the trace
             # lives on the one owner edge that overlaps it

@@ -230,6 +230,7 @@ def test_cli_config_errors(tmp_path):
     nowhere = write_config(tmp_path, f"steps = 1\nout = {missing_dir}\n")
     assert cli.main(["run", "--config", nowhere]) == 3
     assert cli.main(["run", "--steps", "1", "--out", missing_dir]) == 3
+    assert cli.main(["run", "--steps", "1", "--out", str(tmp_path)]) == 3
     assert cli.main(["run", "--volume", "3"]) == 3
 
 
