@@ -88,24 +88,31 @@ class ClassKernel:
 class KernelCache:
     """Element-class kernels of a study, carried from step to step.
 
-    `kernels` maps (class key, material) to a `ClassKernel`, and
-    `gram_factors` maps (p_tilde, vertex offsets from vertex 0) to a Gram
-    Cholesky factor.  `build_dof_layout` drops every entry its classes do
-    not use, so the cache holds at most one step's classes.
+    `kernels` maps (class key, material) to a `ClassKernel`, `gram_factors`
+    maps (p_tilde, vertex offsets from vertex 0) to a Gram Cholesky factor,
+    and `families` maps (family key, material) to the coupling matrix of
+    the shape family (`_family`), from which each class's B is scaled.
+    `build_dof_layout` drops every entry its classes do not use, so the
+    cache holds at most one step's classes, shapes and families.
     """
 
     kernels: dict[tuple, ClassKernel] = field(default_factory=dict)
     gram_factors: dict[tuple, np.ndarray] = field(default_factory=dict)
+    families: dict[tuple, np.ndarray] = field(default_factory=dict)
 
     def retain(self, class_keys) -> None:
         """Keep only the entries of the given class keys."""
         keys = set(class_keys)
         # a class key is (p, p_tilde, vertex offsets, per side: the trace
-        # degree q and the leaves' flux degrees)
+        # degree q and the leaves' flux degrees); its shape is (p_tilde,
+        # offsets), its family the key with the offsets scaled to [0.5, 1)
         shapes = {(key[1], key[2]) for key in keys}
+        families = {_family(key)[0] for key in keys}
         self.kernels = {k: v for k, v in self.kernels.items() if k[0] in keys}
         self.gram_factors = {k: v for k, v in self.gram_factors.items()
                              if k in shapes}
+        self.families = {k: v for k, v in self.families.items()
+                         if k[0] in families}
 
 
 @dataclass(frozen=True)
@@ -499,28 +506,62 @@ def _kernel(layout: DofLayout, material: Material, cls: int) -> ClassKernel:
     key = layout.class_keys[cls]
     kernel = layout.cache.kernels.get((key, material))
     if kernel is None:
-        kernel = _class_kernel(key, material, layout.cache.gram_factors)
+        kernel = _class_kernel(key, material, layout.cache)
         layout.cache.kernels[key, material] = kernel
     return kernel
 
 
+@lru_cache(maxsize=1024)    # bounded, as `_class_key`
+def _family(key: tuple) -> tuple[tuple, int]:
+    """The shape family of a class key, and the key's exponent e in it.
+
+    The family key is the class key with its vertex offsets divided by
+    2^e, e the binary exponent of the largest offset magnitude, so its
+    largest offset lies in [0.5, 1); the division is exact.  A key whose
+    nonzero offsets span more than 2^64, or whose e lies outside +-256, is
+    a family of its own (e = 0): its B could reach subnormal numbers,
+    which do not scale exactly.
+    """
+    p, p_tilde, shape, sides = key
+    rel = np.frombuffer(shape, float)
+    size = np.abs(rel).max()
+    e = int(np.frexp(size)[1])
+    if abs(e) > 256 or np.abs(rel[rel != 0]).min() < np.ldexp(size, -64):
+        return key, 0
+    return (p, p_tilde, np.ldexp(rel, -e).tobytes(), sides), e
+
+
 def _class_kernel(key: tuple, material: Material,
-                  gram_factors: dict) -> ClassKernel:
+                  cache: KernelCache) -> ClassKernel:
     """Kernel of the class with class key `key`, on its local skeleton basis.
 
     The key is the only input: its vertex offsets are the float64 bits of
     coords - coords[0], so every member and step gets the same kernel.
     The Gram factor depends only on p_tilde and the offsets, and every
-    class of that shape shares it through `gram_factors`.
+    class of that shape shares it through `cache.gram_factors`.  B is the
+    coupling matrix of the key's shape family (`_family`, built on the
+    family's first class and kept in `cache.families`) scaled by powers
+    of two: a shape scaled by 2^e scales the (A sigma, tau) block by 4^e,
+    as the area, and every other entry by 2^e, as the length, which is
+    exact, so B is the one `local_bmat` gives at the key's own offsets.
     """
     p, p_tilde, shape, sides = key
-    rel = np.frombuffer(shape, float).reshape(4, 2)
-    L = gram_factors.get((p_tilde, shape))
+    L = cache.gram_factors.get((p_tilde, shape))
     if L is None:
-        L = gram_factor(local_gram(rel, p_tilde))
+        L = gram_factor(local_gram(np.frombuffer(shape, float).reshape(4, 2),
+                                   p_tilde))
         L.setflags(write=False)
-        gram_factors[p_tilde, shape] = L
-    B = local_bmat(rel, p, p_tilde, material, sides)
+        cache.gram_factors[p_tilde, shape] = L
+    family, e = _family(key)
+    B_hat = cache.families.get((family, material))
+    if B_hat is None:
+        B_hat = local_bmat(np.frombuffer(family[2], float).reshape(4, 2),
+                           p, p_tilde, material, sides)
+        B_hat.setflags(write=False)
+        cache.families[family, material] = B_hat
+    scale = 2.0 ** e
+    B = B_hat * scale                   # keeps B_hat's column-major order
+    B[:3 * (p_tilde + 1) ** 2, :3 * (p + 1) ** 2] *= scale
     ni = 5 * (p + 1) ** 2
     K = local_stiffness(L, B)
     Kis, Kss = K[:ni, ni:], K[ni:, ni:]

@@ -2,12 +2,16 @@
 from __future__ import annotations
 
 import csv
+import ctypes
 import io
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .assembly import (KernelCache, build_dof_layout, dirichlet_values,
                        error_indicators, solve_condensed)
@@ -246,8 +250,56 @@ def _solve_step(mesh, degrees, bench, config, cache):
     return layout, x
 
 
+@lru_cache(maxsize=None)
+def _openblas_thread_controls() -> tuple:
+    """(get, set) of the thread count of each OpenBLAS that numpy and scipy
+    load: their wheels bundle one copy each, numpy's with 64-bit integers.
+    A copy whose library or symbols are missing (another BLAS) is left out.
+    """
+    controls = []
+    for owner, module, suffix in ((np.linalg, "_umath_linalg", "64_"),
+                                  (lapack, "_flapack", "")):
+        try:
+            # the extension module's handle finds the symbols of the
+            # OpenBLAS it links
+            lib = ctypes.CDLL(getattr(owner, module).__file__)
+            get = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
+            put = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
+        except (AttributeError, OSError):
+            continue
+        get.restype, get.argtypes = ctypes.c_int, []
+        put.restype, put.argtypes = None, [ctypes.c_int]
+        controls.append((get, put))
+    return tuple(controls)
+
+
+@contextmanager
+def single_blas_thread():
+    """Run the block with numpy's and scipy's OpenBLAS on one thread each,
+    and restore their previous thread counts on exit.
+
+    A study's dense algebra is many small LAPACK calls, which more threads
+    only slow down.  An explicit OPENBLAS_NUM_THREADS or OMP_NUM_THREADS
+    wins: then, as with a BLAS that is not OpenBLAS, nothing changes.
+    """
+    user_set = {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys()
+    controls = () if user_set else _openblas_thread_controls()
+    previous = [get() for get, _ in controls]
+    for _, put in controls:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(controls, previous):
+            put(count)
+
+
+@single_blas_thread()
 def run_convergence_study(config: StudyConfig) -> list[ReportRow]:
-    """Solve/estimate/refine loop; returns one row per step."""
+    """Solve/estimate/refine loop; returns one row per step.
+
+    The study runs with one BLAS thread (`single_blas_thread`).
+    """
     config.validate()
     material = make_isotropic(config.lam, config.mu)
     bench = make_benchmark(config.benchmark, material)

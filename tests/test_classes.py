@@ -12,17 +12,21 @@ trace at every hanging vertex), and the class partition against a key
 that spells out every segment's data.
 One kernel cache is carried through the rounds, as in a study.  A class
 kernel built from its class key alone, on a translated mesh, is checked
-byte for byte against the one the layout caches.  The
+byte for byte against the one the layout caches, and a kernel built
+through the coupling matrix of its shape family against one built at its
+own vertex offsets, on random trapezoids scaled by powers of two.  The
 cache's builds and evictions are counted on an adaptive L-shape run, and
-the kernel builds of whole studies are counted exactly.
+the coupling-matrix builds of whole studies are counted exactly: one per
+shape family.
 On such meshes, condensation, the error estimator, the L2 errors and the
 Dirichlet data, which the library does a class or a degree group at a
 time, are checked against element-by-element loops in `oracle.py`.
 """
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from dpg_elast import assembly, study
@@ -207,19 +211,28 @@ def test_random_refinement_keeps_classes_exact(domain, data):
 
 def cached_arrays(cache, layout):
     yield from cache.gram_factors.values()
+    yield from cache.families.values()
     for kernel in cache.kernels.values():
         yield from vars(kernel).values()
     yield from layout.loads.values()
 
 
-def test_adaptive_run_builds_only_new_classes(monkeypatch):
-    builds = []
+def families(keys):
+    """The shape families of a set of class keys."""
+    return {assembly._family(key)[0] for key in keys}
 
+
+def counted(builds):
+    """`local_bmat`, appending to `builds` on every call."""
     def counted_bmat(*args, **kwargs):
         builds.append(1)
         return local_bmat(*args, **kwargs)
+    return counted_bmat
 
-    monkeypatch.setattr(assembly, "local_bmat", counted_bmat)
+
+def test_adaptive_run_builds_only_new_classes(monkeypatch):
+    builds = []
+    monkeypatch.setattr(assembly, "local_bmat", counted(builds))
     material = make_isotropic(123.0, 79.3)
     bench = make_benchmark("lshape", material)
     mat = bench.solver_material
@@ -233,14 +246,18 @@ def test_adaptive_run_builds_only_new_classes(monkeypatch):
         keys = set(layout.class_keys)
         # eviction comes before any kernel of the step is built
         assert {key[0] for key in cache.kernels} <= keys & previous
+        assert ({key[0] for key in cache.families}
+                <= families(keys) & families(previous))
         before = len(builds)
         x = solve_condensed(mat, bench.f, layout,
                             dirichlet_values(layout, bench.g, mesh))
         indicators = error_indicators(mat, bench.f, layout, x)
-        assert len(builds) - before == len(keys - previous)
-        # the cache holds exactly this step's classes and shapes
+        # one coupling matrix per shape family the step before did not use
+        assert len(builds) - before == len(families(keys) - families(previous))
+        # the cache holds exactly this step's classes, shapes and families
         assert set(cache.kernels) == {(key, mat) for key in keys}
         assert set(cache.gram_factors) == {(key[1], key[2]) for key in keys}
+        assert set(cache.families) == {(fam, mat) for fam in families(keys)}
         assert not any(a.flags.writeable for a in cached_arrays(cache, layout))
         reused += len(keys & previous)
         previous = keys
@@ -249,44 +266,42 @@ def test_adaptive_run_builds_only_new_classes(monkeypatch):
 
 
 def count_kernel_builds(monkeypatch, config):
-    """A study's kernel builds, and the builds its class keys call for:
-    each step builds the keys the step before it did not use."""
-    builds, keys = [], []
-
-    def counted_bmat(*args, **kwargs):
-        builds.append(1)
-        return local_bmat(*args, **kwargs)
+    """A study's coupling-matrix builds, and the builds its class keys call
+    for: each step builds the shape families the step before it did not
+    use."""
+    builds, fams = [], []
 
     def recorded_layout(*args, **kwargs):
         layout = build_dof_layout(*args, **kwargs)
-        keys.append(set(layout.class_keys))
+        fams.append(families(layout.class_keys))
         return layout
 
-    monkeypatch.setattr(assembly, "local_bmat", counted_bmat)
+    monkeypatch.setattr(assembly, "local_bmat", counted(builds))
     monkeypatch.setattr(study, "build_dof_layout", recorded_layout)
     run_convergence_study(config)
     return len(builds), sum(len(now - before)
-                            for before, now in zip([set()] + keys, keys))
+                            for before, now in zip([set()] + fams, fams))
 
 
 def test_study_kernel_builds_are_exact(monkeypatch):
-    # the bench's lshape-adapt workload: orientation and hanging nodes do
-    # not split classes
+    # the bench's lshape-adapt workload: its 35 classes are 8 shapes up to
+    # a power-of-two size
     builds, new = count_kernel_builds(monkeypatch, StudyConfig(
         benchmark="lshape", mode="adaptive_h", p=1, delta_p=2, steps=8,
         lam=123.0, mu=79.3))
-    assert builds == new <= 35
-    # the equal squares of a uniform mesh form one class per step
+    assert builds == new == 8
+    # the equal squares of a uniform mesh form one class per step, and the
+    # squares of every step one family
     builds, new = count_kernel_builds(monkeypatch, StudyConfig(
         mode="uniform_h", p=3, steps=3))
-    assert builds == new == 3
+    assert builds == new == 1
 
 
 def test_class_kernel_depends_on_its_key_alone():
     # a refined hp L-shape and its translate by a dyadic offset, which
     # keeps every vertex offset's bits: the same class keys, and a kernel
-    # built from the key alone, with an empty Gram-factor cache, is the
-    # one the translated layout caches, to the byte
+    # built from the key alone, with an empty cache, is the one the
+    # translated layout caches, to the byte
     mesh = build_initial_mesh("l_shape", 1)
     degrees = DegreeMap(mesh, p=1, delta_p=2)
     for _ in range(3):
@@ -299,12 +314,68 @@ def test_class_kernel_depends_on_its_key_alone():
     assert len({key[0] for key in layout.class_keys}) > 1
     condense(MATERIAL, None, layout)
     for key in layout.class_keys:
-        fresh = assembly._class_kernel(key, MATERIAL, {})
+        fresh = assembly._class_kernel(key, MATERIAL, KernelCache())
         cached = layout.cache.kernels[key, MATERIAL]
         for name, array in vars(fresh).items():
             expect = getattr(cached, name)
             assert array.shape == expect.shape
             assert array.tobytes() == expect.tobytes()
+
+
+def with_offsets(key, rel):
+    p, p_tilde, _, sides = key
+    return (p, p_tilde, rel.tobytes(), sides)
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=st.integers(1, 3), delta_p=st.integers(1, 2),
+       k=st.integers(-20, 4), data=st.data())
+def test_family_kernel_scales_exactly(p, delta_p, k, data):
+    # a convex trapezoid, turned by a random angle, vertex 0 at the origin
+    size = st.floats(0.25, 2.0)
+    width, top, height = data.draw(size), data.draw(size), data.draw(size)
+    shift = data.draw(st.floats(-1.0, 1.0))
+    angle = data.draw(st.floats(0.0, 2.0 * np.pi))
+    turn = np.array([[np.cos(angle), -np.sin(angle)],
+                     [np.sin(angle), np.cos(angle)]])
+    rel = np.array([[0.0, 0.0], [width, 0.0], [shift + top, height],
+                    [shift, height]]) @ turn.T
+    # per side a trace degree and one or two leaves (a split side)
+    sides = tuple((data.draw(st.integers(p + 1, p + 2)),
+                   tuple(data.draw(st.lists(st.integers(p, p + 1),
+                                            min_size=1, max_size=2))))
+                  for _ in range(4))
+    key = (p, p + delta_p, rel.tobytes(), sides)
+    scaled = with_offsets(key, np.ldexp(rel, k))
+
+    # every key its own family: B straight from `local_bmat` at the
+    # scaled offsets
+    with mock.patch.object(assembly, "_family", lambda key: (key, 0)):
+        try:
+            direct = assembly._class_kernel(scaled, MATERIAL, KernelCache())
+        except RuntimeError:
+            # the Gram matrix of a tiny element of high degree, whose mass
+            # terms scale with the area and gradient terms do not, is
+            # singular in float64 (at 2^-20, from p_tilde = 4 on)
+            reject()
+
+    builds = []
+    cache = KernelCache()
+    with mock.patch.object(assembly, "local_bmat", counted(builds)):
+        assembly._class_kernel(key, MATERIAL, cache)
+        got = assembly._class_kernel(scaled, MATERIAL, cache)
+        for name, array in vars(direct).items():
+            assert array.tobytes() == getattr(got, name).tobytes(), name
+        # one B for both, unless a turn by nearly a multiple of pi/2
+        # leaves offsets below 2^-64 of the largest (then each shape is a
+        # family of its own)
+        offsets = np.abs(rel[rel != 0])
+        alone = offsets.min() < 2.0 ** -64 * offsets.max()
+        assert len(builds) == 1 + alone
+        # a shape scaled by 3 has no power-of-two relative in the cache
+        assembly._class_kernel(with_offsets(key, 3.0 * rel), MATERIAL, cache)
+    assert len(builds) == 2 + alone
+    assert len(cache.families) == 2 + alone
 
 
 def assert_close(got, expect, rtol=1e-12):

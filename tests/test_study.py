@@ -11,7 +11,7 @@ from dpg_elast.mesh import DegreeMap, build_initial_mesh
 from dpg_elast.study import (ReportRow, StudyConfig, best_approximation_errors,
                              greedy_mark, hp_decide, l2_errors, make_benchmark,
                              observed_rate, rows_to_csv,
-                             run_convergence_study)
+                             run_convergence_study, single_blas_thread)
 
 MAT = make_isotropic(1.0, 0.5)
 
@@ -258,3 +258,56 @@ def test_cli_no_config_defaults(tmp_path):
 def test_cli_rejects_bad_flag_value(flag, value, capsys):
     assert cli.main(["run", "--steps", "1", flag, value]) == 3
     assert "config error" in capsys.readouterr().err
+
+
+def blas_counts():
+    """The thread count of each loaded OpenBLAS."""
+    return [get() for get, _ in study._openblas_thread_controls()]
+
+
+@pytest.fixture
+def two_blas_threads(monkeypatch):
+    """Every OpenBLAS on two threads and no thread variable set; the
+    counts the test found come back afterwards."""
+    if not study._openblas_thread_controls():
+        pytest.skip("no OpenBLAS with thread controls is loaded")
+    for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(variable, raising=False)
+    before = blas_counts()
+    for _, put in study._openblas_thread_controls():
+        put(2)
+    yield
+    for (_, put), count in zip(study._openblas_thread_controls(), before):
+        put(count)
+
+
+def test_single_blas_thread_restores_counts(two_blas_threads, monkeypatch):
+    with single_blas_thread():
+        assert set(blas_counts()) == {1}
+    assert set(blas_counts()) == {2}
+    with pytest.raises(KeyError):
+        with single_blas_thread():
+            assert set(blas_counts()) == {1}
+            raise KeyError("inside")
+    assert set(blas_counts()) == {2}
+    # a study runs on one thread
+    seen = []
+
+    def recorded_layout(*args, **kwargs):
+        seen.append(blas_counts())
+        return build_dof_layout(*args, **kwargs)
+
+    monkeypatch.setattr(study, "build_dof_layout", recorded_layout)
+    run_convergence_study(StudyConfig(steps=2))
+    assert {n for counts in seen for n in counts} == {1}
+    assert set(blas_counts()) == {2}
+
+
+@pytest.mark.parametrize("variable", ["OPENBLAS_NUM_THREADS",
+                                      "OMP_NUM_THREADS"])
+def test_single_blas_thread_yields_to_the_environment(two_blas_threads,
+                                                      monkeypatch, variable):
+    monkeypatch.setenv(variable, "2")
+    with single_blas_thread():
+        assert set(blas_counts()) == {2}
+    assert set(blas_counts()) == {2}
