@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from scipy.linalg import eigvalsh
 from scipy.sparse.linalg import splu
 
-from dpg_elast.assembly import (build_dof_layout, condense, dirichlet_values,
-                                error_indicators, solve_condensed)
+from dpg_elast.assembly import (SPD_SPLU_OPTIONS, build_dof_layout, condense,
+                                dirichlet_values, error_indicators,
+                                solve_condensed)
 from dpg_elast.basis import edge_basis_eval, q_basis_eval
 from dpg_elast.material import apply_stiffness, make_isotropic
 from dpg_elast.mesh import DegreeMap, build_initial_mesh, refine_marked
@@ -261,6 +262,54 @@ def test_condense_rejects_loads_on_pinned_dofs():
     loads[np.flatnonzero(layout.pinned)[-1], 1] = 1.0
     with pytest.raises(ValueError, match="pinned"):
         condense(MAT, None, layout, loads=loads)
+
+
+def smooth_skeleton_system(p, method):
+    """Condensed system of the smooth problem at degree p on 8 x 8 squares:
+    method 1 with its Dirichlet lift, method 2 with the loads ell and c."""
+    bench = make_benchmark("smooth", MAT)
+    mesh = build_initial_mesh("unit_square", 8)
+    layout = build_dof_layout(mesh, DegreeMap(mesh, p=p, delta_p=2))
+    material = bench.solver_material
+    if method == 1:
+        return condense(material, bench.f, layout,
+                        dirichlet_values(layout, bench.g, mesh))
+    c, _ = border_terms(material, bench.f, layout)
+    c[layout.pinned] = 0.0
+    loads = np.column_stack([ell_vector(material, layout), c])
+    return condense(material, bench.f, layout, loads=loads)
+
+
+def hanging_skeleton_system():
+    mesh, degrees, layout, f, xp = hanging_problem()
+    return condense(MAT, f, layout, xp)
+
+
+@pytest.mark.parametrize("system_of", [
+    lambda: smooth_skeleton_system(3, 1),
+    lambda: smooth_skeleton_system(2, 2),
+    hanging_skeleton_system,
+], ids=["smooth-p3-method1", "smooth-p2-method2", "hanging"])
+def test_relaxed_supernodes_solve_like_superlu_defaults(system_of):
+    # the supernode sizes change how SuperLU blocks the factorization, not
+    # the ordering or the pivots, so the solutions agree to roundoff
+    system = system_of()
+    default = {k: v for k, v in SPD_SPLU_OPTIONS.items()
+               if k not in ("relax", "panel_size")}
+    x = splu(system.S, **SPD_SPLU_OPTIONS).solve(system.rhs)
+    x_default = splu(system.S, **default).solve(system.rhs)
+    scale = np.abs(x_default).max()
+    np.testing.assert_allclose(x, x_default, rtol=0.0, atol=1e-10 * scale)
+    residual = np.linalg.norm(system.S @ x - system.rhs, axis=0)
+    assert np.all(residual <= 1e-12 * np.linalg.norm(system.rhs, axis=0))
+
+
+def test_spd_splu_options_stay_within_superlu_defaults():
+    # scipy 1.17's SuperLU corrupts the heap with relaxed supernodes or
+    # panels above its defaults of 10 and 20: relax 20 with panel 40
+    # aborted under MALLOC_CHECK_=3 on the 122-dof smooth p = 3 matrix
+    assert SPD_SPLU_OPTIONS["relax"] <= 10
+    assert SPD_SPLU_OPTIONS["panel_size"] <= 20
 
 
 @settings(max_examples=20, deadline=None)
