@@ -37,11 +37,23 @@ estimator and the rank-one border terms do their dense algebra once per
 class, with one scatter through the members' C_K (`ClassMap`), and the
 loads of a step take one call of f per degree group.
 
-The interiors are numbered first, so the free skeleton dofs are the
-unpinned dofs after them.  `condense` writes each class's C_K' S C_K
-entries in that free numbering, without the pinned rows and columns, into
-arrays allocated once per step, and SuperLU gets the CSC matrix built from
-them; no global matrix over all dofs is formed.
+A patch is a parent whose four children are all active.  Its inner
+skeleton, the centre vertex and the four inner edges, is carried by the
+children alone, so it condenses like an element interior, one level up:
+the patch basis is the inner dofs, then the children's other skeleton
+rows, and a patch class, keyed by its children's class keys, holds the
+children's Schur complements summed on that basis, condensed onto the
+boundary rows (`_patch_kernel`, cached beside the element kernels).  The
+layout finds the patches and their maps C_P in array passes, one loop
+step per patch class.
+
+The interiors are numbered first, so the free coarse dofs are the
+unpinned dofs after them outside every inner skeleton.  `condense` writes
+the C_K' S C_K entries of each class's members outside the patches and
+each patch class's C_P' S_P C_P in that free numbering, without the
+pinned rows and columns, into arrays allocated once per step, and
+SuperLU gets the CSC matrix built from them; no global matrix over all
+dofs is formed.
 """
 from __future__ import annotations
 
@@ -75,41 +87,49 @@ SPD_SPLU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
 
 @dataclass(frozen=True)
 class ClassKernel:
-    """Read-only matrices of one element class.
+    """Read-only matrices of one element or patch class.
 
-    `L` is the Gram Cholesky factor and `B` the coupling matrix with its
-    columns in class order.  With K = B'G^-1 B split into interior and
-    skeleton blocks, `Kii` is the Cholesky factor of the interior block,
-    `Kis` the interior-skeleton block, `A` = Kii^-1 Kis and `S` the
-    element Schur complement Kss - Kis'A.
+    With K split into interior and skeleton blocks, `Kii` is the Cholesky
+    factor of the interior block, `Kis` the interior-skeleton block, `A` =
+    Kii^-1 Kis and `S` the Schur complement Kss - Kis'A.  For an element,
+    K = B'G^-1 B, `L` is the Gram Cholesky factor and `B` the coupling
+    matrix with its columns in class order.  For a patch, K is its
+    children's Schur complements summed on the patch basis (inner dofs,
+    then boundary rows), and `L` and `B` are None.
     """
 
-    L: np.ndarray
-    B: np.ndarray
     Kii: np.ndarray
     Kis: np.ndarray
     A: np.ndarray
     S: np.ndarray
+    L: np.ndarray | None = None
+    B: np.ndarray | None = None
 
 
 @dataclass
 class KernelCache:
-    """Element-class kernels of a study, carried from step to step.
+    """Element- and patch-class kernels of a study, carried from step to step.
 
     `kernels` maps (class key, material) to a `ClassKernel`, `gram_factors`
     maps (p_tilde, vertex offsets from vertex 0) to a Gram Cholesky factor,
-    and `families` maps (family key, material) to the coupling matrix of
-    the shape family (`_family`), from which each class's B is scaled.
-    `build_dof_layout` drops every entry its classes do not use, so the
-    cache holds at most one step's classes, shapes and families.
+    `families` maps (family key, material) to the coupling matrix of the
+    shape family (`_family`), from which each class's B is scaled, and
+    `patches` maps (patch key, material) to a patch's `ClassKernel`.
+    `build_dof_layout` drops every entry its classes and patch classes do
+    not use, so the cache holds at most one step's classes, shapes,
+    families and patch classes.
     """
 
     kernels: dict[tuple, ClassKernel] = field(default_factory=dict)
     gram_factors: dict[tuple, np.ndarray] = field(default_factory=dict)
     families: dict[tuple, np.ndarray] = field(default_factory=dict)
+    patches: dict[tuple, ClassKernel] = field(default_factory=dict)
 
-    def retain(self, class_keys) -> None:
-        """Keep only the entries of the given class keys."""
+    def retain(self, class_keys, patch_keys=()) -> None:
+        """Keep only the entries of the given class and patch keys."""
+        patches = set(patch_keys)
+        self.patches = {k: v for k, v in self.patches.items()
+                        if k[0] in patches}
         keys = set(class_keys)
         # a class key is (p, p_tilde, vertex offsets, per side: the trace
         # degree q and the leaves' flux degrees); its shape is (p_tilde,
@@ -125,13 +145,15 @@ class KernelCache:
 
 @dataclass(frozen=True)
 class ClassMap:
-    """The constraint maps C_K of a class's members, with their interior dofs.
+    """The constraint maps C_K of a class's members, with their interior
+    dofs; for a patch class, the maps C_P onto the patches' boundary rows,
+    with their inner dofs.
 
     Local skeleton dof `rows[i, t]` of member i takes `weights[i, t]` times
     global dof `ids[i, t]`, and x_K = C_K x sums these over t.  `rows` is
     None when every member's C_K is a scaled copy, one entry per local dof
-    in local order; otherwise a member's unused trailing entries have
-    weight zero.  `interior` holds the members' interior dof ids.
+    in local order; otherwise a member's unused entries have weight zero.
+    `interior` holds the members' interior (or inner) dof ids.
     """
 
     interior: np.ndarray        # (m, ni)
@@ -197,8 +219,16 @@ class DofLayout:
     classes: list[np.ndarray]                # class id -> member positions
     class_keys: list[tuple]                  # class id -> class key
     class_maps: list[ClassMap]               # class id -> members' C_K
-    # class kernels and Gram factors of the study, built by `_kernel` on
-    # a class's first request and kept for the steps after this one
+    # patches (parents with four active children) by patch class: the
+    # children's positions (m, 4), the key (the children's class keys),
+    # the members' inner dofs and boundary map C_P, and the place and
+    # sign of every child skeleton row on the patch basis
+    patches: list[np.ndarray]
+    patch_keys: list[tuple]
+    patch_maps: list[ClassMap]
+    patch_rows: list[tuple[int, np.ndarray, np.ndarray]]
+    # class and patch kernels and Gram factors of the study, built on a
+    # class's first request and kept for the steps after this one
     cache: KernelCache
     # read-only element loads of this step, (f, element) -> load; the first
     # request for an element's load computes its whole degree group
@@ -206,9 +236,10 @@ class DofLayout:
 
     @property
     def n_free(self) -> int:
-        """Unpinned dofs, the element interiors included; the condensed
-        system's free skeleton dofs (`CondensedSystem.free`) are the
-        unpinned dofs after the interiors."""
+        """Unpinned dofs, the element interiors and the patches' inner
+        skeletons included; the condensed system's free dofs
+        (`CondensedSystem.free`) are the unpinned skeleton dofs outside
+        every patch's inner skeleton."""
         return int(self.n_dofs - self.pinned.sum())
 
 
@@ -454,8 +485,13 @@ def build_dof_layout(mesh: Mesh, degrees: DegreeMap,
             weights[span].reshape(m, -1), 2 * nr))
         classes.append(order[a:a + m])
 
+    element_row = slot - first[element_class]
+    inner = _inner_skeletons(mesh, active, vdof, trace_base, flux_base,
+                             bubbles, fluxes, pinned.size)
+    patches, patch_keys, patch_maps, patch_rows = _patch_classes(
+        *inner, element_class, element_row, class_keys, class_maps)
     cache = KernelCache() if cache is None else cache
-    cache.retain(class_keys)
+    cache.retain(class_keys, patch_keys)
     return DofLayout(
         n_dofs=pinned.size,
         vertex_dof=dict(zip(numbered.tolist(), vdof[numbered].tolist())),
@@ -467,10 +503,112 @@ def build_dof_layout(mesh: Mesh, degrees: DegreeMap,
         pinned=pinned, delta_p=degrees.delta_p, elements=active,
         position=dict(zip(active.tolist(), range(n_el))), element_p=p,
         interior_base=interior_base, coords=coords,
-        element_class=element_class, element_row=slot - first[element_class],
+        element_class=element_class, element_row=element_row,
         degree_groups={int(q): np.flatnonzero(p == q) for q in np.unique(p)},
         classes=classes, class_keys=class_keys, class_maps=class_maps,
-        cache=cache)
+        patches=patches, patch_keys=patch_keys, patch_maps=patch_maps,
+        patch_rows=patch_rows, cache=cache)
+
+
+def _inner_skeletons(mesh: Mesh, active: np.ndarray, vdof: np.ndarray,
+                     trace_base: np.ndarray, flux_base: np.ndarray,
+                     bubbles: np.ndarray, fluxes: np.ndarray, n_dofs: int):
+    """The patches, parents whose four children are all active: their
+    children's layout positions (n, 4), their inner dof ids laid end to
+    end with the count per patch, and each dof's index among its patch's
+    inner dofs (-1 outside every inner skeleton).
+
+    A patch's inner skeleton is its centre vertex and its four inner
+    edges, which `refine_marked` numbers consecutively after the halves;
+    only the children carry it, so it is never pinned or hanging.  Its
+    dofs run: the centre's, the inner edges' trace bubbles, their fluxes.
+    """
+    split = np.flatnonzero(mesh.child >= 0)
+    kids = mesh.child[split][:, None] + np.arange(4)
+    kids = kids[(mesh.child[kids] < 0).all(axis=1)]
+    edges = mesh.sides[kids[:, 0], 1][:, None] + np.arange(4)
+    start = np.column_stack([vdof[mesh.verts[kids[:, 0], 2]],
+                             trace_base[edges], flux_base[edges]])
+    count = np.column_stack([np.full(len(kids), 2), bubbles[edges],
+                             fluxes[edges]])
+    seg, off = _ranges(count.ravel())
+    ids = start.ravel()[seg] + off
+    n_inner = count.sum(axis=1)
+    at = np.full(n_dofs, -1)
+    at[ids] = np.arange(ids.size) - np.repeat(np.cumsum(n_inner) - n_inner,
+                                              n_inner)
+    return np.searchsorted(active, kids), ids, n_inner, at
+
+
+def _patch_classes(kid_pos: np.ndarray, inner_ids: np.ndarray,
+                   n_inner: np.ndarray, inner_at: np.ndarray,
+                   element_class: np.ndarray, element_row: np.ndarray,
+                   class_keys: list, class_maps: list):
+    """Patch classes, keyed by their children's class keys in child order:
+    per class the members' children positions, the key, the `ClassMap` and
+    the patch basis (`_patch_kernel`).
+
+    A patch's boundary basis is its children's skeleton rows outside the
+    inner skeleton, child after child, and its `ClassMap` takes the
+    children's C_K entries on those rows; its interior is the inner dofs.
+    Each child row lands wholly on inner dofs or wholly outside them, and
+    an inner row on one inner dof with weight +-1.  The first member gives
+    the rows' places and signs on the patch basis, which hold for the
+    whole class, as the inner dofs' order and the children's orientations
+    follow from the refinement.  A zero-weight entry (padding, or a
+    hanging corner's odd bubble) that is left on an inner row or dof is
+    moved to the patch's first entry, so that it writes nowhere.
+    """
+    if not len(kid_pos):
+        return [], [], [], []
+    key = element_class[kid_pos]
+    patch_class, lead = _first_use(key)
+    order = np.argsort(patch_class, kind="stable")
+    members = np.split(order, np.cumsum(np.bincount(patch_class))[:-1])
+    inner_start = np.cumsum(n_inner) - n_inner
+    patches, patch_keys, patch_maps, patch_rows = [], [], [], []
+    for row, mem in zip(key[lead].tolist(), members):
+        kp, m, ni = kid_pos[mem], len(mem), int(n_inner[mem[0]])
+        # the children's maps side by side, their rows on the children's
+        # skeleton bases laid end to end
+        maps = [class_maps[cls] for cls in row]
+        r = element_row[kp]
+        ids, w = (np.concatenate([getattr(cmap, a)[r[:, k]]
+                                  for k, cmap in enumerate(maps)], axis=1)
+                  for a in ("ids", "weights"))
+        n_skel = np.array([cmap.n_skel for cmap in maps])
+        rows = np.concatenate([
+            (np.broadcast_to(np.arange(cmap.n_skel), (m, cmap.n_skel))
+             if cmap.rows is None else cmap.rows[r[:, k]]) + off
+            for k, (cmap, off) in enumerate(zip(
+                maps, np.cumsum(n_skel) - n_skel))], axis=1)
+        at = inner_at[ids]
+        on_inner = (at >= 0) & (w != 0)
+        # the first member's rows on inner dofs, and the others
+        inner_rows = rows[0][on_inner[0]]
+        boundary = np.ones(n_skel.sum(), dtype=bool)
+        boundary[inner_rows] = False
+        nb = np.count_nonzero(boundary)
+        place = np.empty(boundary.size, dtype=int)
+        place[inner_rows] = at[0][on_inner[0]]
+        place[boundary] = ni + np.arange(nb)
+        sign = np.ones(boundary.size)
+        sign[inner_rows] = w[0][on_inner[0]]
+        keep = ~on_inner
+        ids, rows, w, spare = (a[keep].reshape(m, -1) for a in (
+            ids, place[rows] - ni, w, ~boundary[rows] | (at >= 0)))
+        ids = np.where(spare, ids[:, :1], ids)
+        rows = np.where(spare, rows[:, :1], rows)
+        interior = inner_ids[inner_start[mem][:, None] + np.arange(ni)]
+        _read_only(kp, interior, ids, rows, w, place, sign)
+        # children that are scaled copies leave one entry per boundary row
+        in_order = all(cmap.rows is None for cmap in maps)
+        patches.append(kp)
+        patch_keys.append(tuple(class_keys[cls] for cls in row))
+        patch_maps.append(ClassMap(interior, ids, None if in_order else rows,
+                                   w, nb))
+        patch_rows.append((ni, place, sign))
+    return patches, patch_keys, patch_maps, patch_rows
 
 
 def element_full_bmat(layout: DofLayout, material: Material, f, eid: int):
@@ -485,7 +623,7 @@ def element_full_bmat(layout: DofLayout, material: Material, f, eid: int):
     """
     pos = layout.position[eid]
     cls = layout.element_class[pos]
-    kernel = _kernel(layout, material, cls)
+    kernel = _kernel(layout.cache, layout.class_keys[cls], material)
     if (f, eid) not in layout.loads:
         p = int(layout.element_p[pos])
         rows = layout.degree_groups[p]
@@ -506,16 +644,17 @@ def _class_members(layout: DofLayout, material: Material, f, cls: int):
     members = layout.classes[cls]
     lvecs = np.column_stack([element_full_bmat(layout, material, f, k)[2]
                              for k in layout.elements[members].tolist()])
-    return _kernel(layout, material, cls), lvecs, layout.class_maps[cls]
+    return (_kernel(layout.cache, layout.class_keys[cls], material), lvecs,
+            layout.class_maps[cls])
 
 
-def _kernel(layout: DofLayout, material: Material, cls: int) -> ClassKernel:
-    """The kernel of class cls, from the cache or built and cached."""
-    key = layout.class_keys[cls]
-    kernel = layout.cache.kernels.get((key, material))
+def _kernel(cache: KernelCache, key: tuple, material: Material) -> ClassKernel:
+    """The kernel of the class with class key `key`, from the cache or
+    built and cached."""
+    kernel = cache.kernels.get((key, material))
     if kernel is None:
-        kernel = _class_kernel(key, material, layout.cache)
-        layout.cache.kernels[key, material] = kernel
+        kernel = _class_kernel(key, material, cache)
+        cache.kernels[key, material] = kernel
     return kernel
 
 
@@ -556,8 +695,14 @@ def _class_kernel(key: tuple, material: Material,
     p, p_tilde, shape, sides = key
     L = cache.gram_factors.get((p_tilde, shape))
     if L is None:
-        L = gram_factor(local_gram(np.frombuffer(shape, float).reshape(4, 2),
-                                   p_tilde))
+        rel = np.frombuffer(shape, float).reshape(4, 2)
+        try:
+            L = gram_factor(local_gram(rel, p_tilde))
+        except RuntimeError as err:
+            diameter = np.linalg.norm(rel[:, None] - rel, axis=2).max()
+            raise RuntimeError(
+                f"Gram matrix is not positive definite: p_tilde = {p_tilde}, "
+                f"element diameter {diameter:.3e}") from err
         L.setflags(write=False)
         cache.gram_factors[p_tilde, shape] = L
     family, e = _family(key)
@@ -570,20 +715,49 @@ def _class_kernel(key: tuple, material: Material,
     scale = 2.0 ** e
     B = B_hat * scale                   # keeps B_hat's column-major order
     B[:3 * (p_tilde + 1) ** 2, :3 * (p + 1) ** 2] *= scale
-    ni = 5 * (p + 1) ** 2
-    K = local_stiffness(L, B)
+    return _condensed(local_stiffness(L, B), 5 * (p + 1) ** 2,
+                      "interior block of an element matrix is not positive "
+                      "definite", L=L, B=_read_only(B)[0])
+
+
+def _condensed(K: np.ndarray, ni: int, failure: str, **extra) -> ClassKernel:
+    """The read-only condensation blocks of K with its first ni rows and
+    columns interior; RuntimeError(failure) when the interior block is not
+    positive definite."""
     Kis, Kss = K[:ni, ni:], K[ni:, ni:]
     Kii, info = lapack.dpotrf(K[:ni, :ni], lower=1)
     if info > 0:
-        raise RuntimeError("interior block of an element matrix "
-                           "is not positive definite")
+        raise RuntimeError(failure)
     if info < 0:
         raise ValueError(f"LAPACK reported an illegal value in {-info}-th "
                          "argument on entry to POTRF")
     A = cholesky_solve(Kii, Kis)
     S = Kss - Kis.T @ A
     # a copy of Kis, so that K itself is not kept alive
-    return ClassKernel(*_read_only(L, B, Kii, np.ascontiguousarray(Kis), A, S))
+    return ClassKernel(*_read_only(Kii, np.ascontiguousarray(Kis), A, S),
+                       **extra)
+
+
+def _patch_kernel(key: tuple, rows: tuple, material: Material,
+                  cache: KernelCache) -> ClassKernel:
+    """Kernel of the patch class with patch key `key` (its children's class
+    keys) on the patch basis `rows`: (ni, place, sign), where child row i,
+    counted over the children in order, is `sign[i]` times patch function
+    `place[i]`, an inner dof below ni and a boundary row from ni on.
+
+    K = sum_k T_k' S_k T_k is the children's Schur complements on the
+    patch basis; its inner block is the patch's inner skeleton.  A failed
+    Cholesky factor of that block means the skeleton system is not SPD.
+    """
+    ni, place, sign = rows
+    K = np.zeros((place.max() + 1,) * 2)
+    at = 0
+    for child in key:
+        S = _kernel(cache, child, material).S
+        idx, s = place[at:at + len(S)], sign[at:at + len(S)]
+        K[np.ix_(idx, idx)] += s[:, None] * S * s
+        at += len(S)
+    return _condensed(K, ni, "sparse factorization failed; system not SPD")
 
 
 def dirichlet_values(layout: DofLayout, g_data, mesh: Mesh) -> np.ndarray:
@@ -653,23 +827,26 @@ def error_indicators(material: Material, f, layout: DofLayout,
 
 @dataclass
 class CondensedSystem:
-    """Skeleton system left after condensing the element interiors.
+    """Coarse skeleton system left after condensing the element interiors
+    and the patches' inner skeletons.
 
-    Column j of `rhs` is load j condensed onto the free skeleton dofs;
-    column 0 is the DPG load with the Dirichlet lift folded in, the others
-    are the extra loads.  `recover` holds, per element class, the members'
-    `ClassMap`, Kii^-1 Kis, and Kii^-1 of the members' interior loads as an
-    (ni, m, 1 + extra) block.
+    Column j of `rhs` is load j condensed onto the free coarse dofs, the
+    free skeleton dofs outside every patch's inner skeleton; column 0 is
+    the DPG load with the Dirichlet lift folded in, the others are the
+    extra loads.  `recover` holds, per patch class and then per element
+    class, the members' `ClassMap`, Kii^-1 Kis, and Kii^-1 of the members'
+    interior loads as an (ni, m, 1 + extra) block.
     """
 
-    S: sp.csc_matrix        # Schur complement on the free skeleton dofs
-    rhs: np.ndarray         # (n free skeleton dofs, 1 + m)
-    free: np.ndarray        # ids of the free skeleton dofs
+    S: sp.csc_matrix        # Schur complement on the free coarse dofs
+    rhs: np.ndarray         # (n free coarse dofs, 1 + m)
+    free: np.ndarray        # ids of the free coarse dofs
     x_pinned: np.ndarray
     recover: list[tuple[ClassMap, np.ndarray, np.ndarray]]
 
     def expand(self, j: int, xs: np.ndarray) -> np.ndarray:
-        """Full dof vector of load j from its free skeleton values `xs`.
+        """Full dof vector of load j from its free coarse values `xs`: the
+        patches' inner skeletons first, then the element interiors.
 
         Only load 0 takes the Dirichlet values; the others vanish on the
         pinned dofs.
@@ -684,7 +861,8 @@ class CondensedSystem:
 def condense(material: Material, f, layout: DofLayout,
              x_pinned: np.ndarray | None = None,
              loads: np.ndarray | None = None) -> CondensedSystem:
-    """Statically condense the interior (sigma, u) blocks, class by class.
+    """Statically condense the interior (sigma, u) blocks, class by class,
+    and then the patches' inner skeletons, patch class by patch class.
 
     `x_pinned` holds the Dirichlet values on the pinned dofs (zero
     elsewhere).  `loads` is an optional (n_dofs, m) block of extra
@@ -692,12 +870,16 @@ def condense(material: Material, f, layout: DofLayout,
     ValueError.  Each element class's kernel holds the factor of Kii,
     Kii^-1 Kis and the element Schur complement; the members of a class
     then solve Kii for their own loads and the extra loads in one call.
+    The element pass assembles every skeleton load, so a patch's inner
+    loads are then in place, and its kernel condenses them the same way.
 
     Neither the full sparse matrix nor a global skeleton matrix is formed:
-    each class writes its members' C_K' S C_K entries, numbered by free
-    skeleton dof and with the pinned rows and columns left out, into row,
-    column and value arrays allocated once for all classes, and the CSC
-    matrix is built from them in one conversion that sums the duplicates.
+    each element class outside the patches writes its members' C_K' S C_K
+    entries, and each patch class its members' C_P' S_P C_P, numbered by
+    free coarse dof and with the pinned rows and columns left out, into
+    row, column and value arrays allocated once for all classes, and the
+    CSC matrix is built from them in one conversion that sums the
+    duplicates.
     """
     n = layout.n_dofs
     xp = np.zeros(n) if x_pinned is None else x_pinned
@@ -706,61 +888,95 @@ def condense(material: Material, f, layout: DofLayout,
         raise ValueError("extra loads must vanish on the pinned dofs")
     g = np.column_stack([np.zeros(n), loads])
     # the element interiors are numbered first and never pinned, so the free
-    # skeleton dofs are the unpinned ids after them; `index` takes a dof to
-    # its row of the condensed matrix, -1 for an interior or pinned dof
-    maps = layout.class_maps
+    # coarse dofs are the unpinned ids after them outside the inner
+    # skeletons; `index` takes a dof to its row of the condensed matrix, -1
+    # for an interior, inner or pinned dof
+    maps, patch_maps = layout.class_maps, layout.patch_maps
     n_interior = sum(cmap.interior.size for cmap in maps)
-    free = n_interior + np.flatnonzero(~layout.pinned[n_interior:])
+    coarse = ~layout.pinned
+    in_patch = np.zeros(len(layout.elements), dtype=bool)
+    for pmap, kids in zip(patch_maps, layout.patches):
+        coarse[pmap.interior] = False
+        in_patch[kids] = True
+    free = n_interior + np.flatnonzero(coarse[n_interior:])
     index = np.full(n, -1, dtype=np.int32)
     index[free] = np.arange(free.size, dtype=np.int32)
-    size = sum(cmap.ids.size * cmap.ids.shape[1] for cmap in maps)
+    writes = [~in_patch[members] for members in layout.classes]
+    size = sum(np.count_nonzero(w) * cmap.ids.shape[1] ** 2
+               for w, cmap in zip(writes, maps))
+    size += sum(pmap.ids.size * pmap.ids.shape[1] for pmap in patch_maps)
     rows, cols = np.empty((2, size), dtype=np.int32)
     vals = np.empty(size)
-    k = 0
+    coo, k = (rows, cols, vals), 0
     recover = []
     for cls, members in enumerate(layout.classes):
         kernel, lvecs, cmap = _class_members(layout, material, f, cls)
-        Kii, Kis, A, S = kernel.Kii, kernel.Kis, kernel.A, kernel.S
-        ii = cmap.interior
-        ni, m = ii.shape[1], len(members)
+        ni = cmap.interior.shape[1]
         fl = kernel.B.T @ cholesky_solve(kernel.L, lvecs)
-        rhs = np.empty((ni, m, g.shape[1]))
+        rhs = np.empty((ni, len(members), g.shape[1]))
         rhs[:, :, 0] = fl[:ni]
-        rhs[:, :, 1:] = loads[ii].transpose(1, 0, 2)
-        b = cholesky_solve(Kii, rhs.reshape(ni, -1)).reshape(rhs.shape)
-        gs = -(Kis.T @ b.reshape(ni, -1)).reshape(-1, m, g.shape[1])
-        gs[:, :, 0] += fl[ni:] - S @ cmap.gather(xp).T
+        rhs[:, :, 1:] = loads[cmap.interior].transpose(1, 0, 2)
+        b, gs = _eliminate(kernel, rhs)
+        gs[:, :, 0] += fl[ni:] - kernel.S @ cmap.gather(xp).T
         cmap.scatter(g, gs.transpose(1, 0, 2))
-        k = _write_free(cmap, S, index[cmap.ids], rows, cols, vals, k)
-        recover.append((cmap, A, b))
+        k = _write_free(cmap, kernel.S, index[cmap.ids], writes[cls], coo, k)
+        recover.append((cmap, kernel.A, b))
+
+    # the inner loads hold the pinned values' coupling already, so the
+    # recovery, which reads them in C_P x, adds it back
+    for pc, (key, pmap) in enumerate(zip(layout.patch_keys, patch_maps)):
+        kernel = layout.cache.patches.get((key, material))
+        if kernel is None:
+            kernel = _patch_kernel(key, layout.patch_rows[pc], material,
+                                   layout.cache)
+            layout.cache.patches[key, material] = kernel
+        b, gs = _eliminate(kernel, g[pmap.interior].transpose(1, 0, 2))
+        pmap.scatter(g, gs.transpose(1, 0, 2))
+        k = _write_free(pmap, kernel.S, index[pmap.ids], True, coo, k)
+        b[:, :, 0] += kernel.A @ pmap.gather(xp).T
+        recover.insert(pc, (pmap, kernel.A, b))
 
     S = sp.csc_matrix((vals[:k], (rows[:k], cols[:k])), shape=(free.size,) * 2)
     return CondensedSystem(S=S, rhs=g[free], free=free, x_pinned=xp,
                            recover=recover)
 
 
-def _write_free(cmap: ClassMap, S: np.ndarray, dof: np.ndarray, rows: np.ndarray,
-                cols: np.ndarray, vals: np.ndarray, k: int) -> int:
-    """Write a class's C_K' S C_K entries at position k of the row, column
-    and value arrays, numbered by free skeleton dof (`dof`, the members'
-    ids in that numbering, -1 where pinned); returns the next position.
+def _eliminate(kernel: ClassKernel, rhs: np.ndarray):
+    """Kii^-1 rhs, (ni, m, k), and the condensed load -Kis' Kii^-1 rhs,
+    (n_skel, m, k), of an (ni, m, k) block of the members' interior
+    loads."""
+    ni = rhs.shape[0]
+    b = cholesky_solve(kernel.Kii, rhs.reshape(ni, -1)).reshape(rhs.shape)
+    gs = -(kernel.Kis.T @ b.reshape(ni, -1)).reshape(-1, *rhs.shape[1:])
+    return b, gs
+
+
+def _write_free(cmap: ClassMap, S: np.ndarray, dof: np.ndarray, members,
+                coo: tuple, k: int) -> int:
+    """Write the C_K' S C_K entries of the members selected by the mask
+    `members` (True: all) at position k of the row, column and value
+    arrays `coo`, numbered by free coarse dof (`dof`, the members' ids in
+    that numbering, -1 where interior, inner or pinned); returns the next
+    position.
 
     The members clear of the pinned dofs write every entry in place; the
     others write only the entries of their free rows and columns.
     """
-    whole = (dof >= 0).all(axis=1)
+    rows, cols, vals = coo
+    whole = members & (dof >= 0).all(axis=1)
     d, nnz = dof[whole], dof.shape[1]
     span = slice(k, k + d.size * nnz)
     block = (len(d), nnz, nnz)
     cmap.outer(S, whole, vals[span].reshape(block))
     rows[span].reshape(block)[...] = d[:, :, None]
     cols[span].reshape(block)[...] = d[:, None, :]
-    d = dof[~whole]
+    part = members & ~whole
+    d = dof[part]
     keep = (d[:, :, None] >= 0) & (d[:, None, :] >= 0)
     span = slice(span.stop, span.stop + np.count_nonzero(keep))
     rows[span] = np.broadcast_to(d[:, :, None], keep.shape)[keep]
     cols[span] = np.broadcast_to(d[:, None, :], keep.shape)[keep]
-    vals[span] = cmap.outer(S, ~whole)[keep]
+    vals[span] = cmap.outer(S, part)[keep]
     return span.stop
 
 

@@ -12,11 +12,14 @@ expands a hanging vertex through its master edge's trace at the vertex's
 coordinates.  So it shares neither the per-class tables nor the
 constraint maps C_K the library keeps on the layout.
 
-`assembly.condense` writes the condensed skeleton matrix straight into
-free-skeleton numbering; `condensed_matrix_by_global_coo` builds it by
-the global route (COO over all dofs, CSR, an `np.ix_` slice to the free
-skeleton dofs, CSC) from the same class blocks, for `test_assembly.py` to
-compare entries, pattern and memory against.
+`assembly.condense` condenses the element interiors and then the
+patches' inner skeletons, and writes the coarse matrix straight into its
+free-dof numbering.  `condensed_matrix_by_global_coo` builds the
+one-level skeleton matrix by the global route (COO over all dofs, CSR, an
+`np.ix_` slice to the free skeleton dofs, CSC) from the same class
+blocks, for `test_assembly.py` to compare memory against and, through
+the dense elimination `eliminate_dense`, entries.  `patch_basis` reads a
+patch's basis and boundary map off its children's dense maps.
 
 The library stacks the elements of a class or of a degree for the loads,
 condensation, the error estimator, the L2 errors and the Dirichlet data.
@@ -274,17 +277,27 @@ def load_product(L, Bfull, lvec):
     return Z.T @ solve_triangular(L, lvec, lower=True)
 
 
-def solve_full(E, g, layout, x_pinned=None):
+def solve_full(E, g, layout, x_pinned=None, refine=0):
     """Direct sparse solve on the free dofs; returns the full dof vector.
 
     `x_pinned` holds the Dirichlet values on the pinned dofs (zero when
-    omitted).
+    omitted).  `refine` steps of iterative refinement, with the residual
+    in extended precision (`np.longdouble`), take the solution to about
+    double-precision accuracy, below the error of the solve itself, which
+    grows with cond(E) (1.6e-10 relative at cond 1.1e6).
     """
     free = ~layout.pinned
     xp = np.zeros(layout.n_dofs) if x_pinned is None else x_pinned
     rhs = g[free] - E[np.ix_(free, layout.pinned)] @ xp[layout.pinned]
+    Eff = E[np.ix_(free, free)].tocsc()
+    lu = splu(Eff)
+    xf = lu.solve(rhs)
+    wide = Eff.astype(np.longdouble)
+    for _ in range(refine):
+        r = rhs.astype(np.longdouble) - wide @ xf.astype(np.longdouble)
+        xf = xf + lu.solve(r.astype(float))
     x = xp.copy()
-    x[free] = splu(E[np.ix_(free, free)].tocsc()).solve(rhs)
+    x[free] = xf
     return x
 
 
@@ -380,6 +393,57 @@ def condensed_matrix_by_global_coo(material, f, layout):
                       shape=(n, n)).tocsr()
     free = np.flatnonzero(~layout.pinned & ~interior)
     return E[np.ix_(free, free)].tocsc(), free
+
+
+def eliminate_dense(S, g, keep):
+    """Dense Schur complement of the symmetric S onto the rows and columns
+    `keep` (a bool mask), the loads g (n, k) condensed the same way, and
+    the size of the two terms each condensed load sums, |g_c| +
+    |S_ci| |S_ii^-1 g_i|, which bounds its roundoff: the eliminated values
+    S_ii^-1 g_i can be far larger than the load they leave."""
+    S = S.toarray() if sp.issparse(S) else S
+    drop = ~keep
+    Sii, Sic = S[np.ix_(drop, drop)], S[np.ix_(drop, keep)]
+    Sc = S[np.ix_(keep, keep)] - Sic.T @ np.linalg.solve(Sii, Sic)
+    xi = np.linalg.solve(Sii, g[drop])
+    return (Sc, g[keep] - Sic.T @ xi,
+            np.abs(g[keep]) + np.abs(Sic.T) @ np.abs(xi))
+
+
+def patch_basis(layout, pc, i):
+    """Member i of patch class pc, from its children's dense maps C_K
+    (`full_map`): the place and sign of every child skeleton row on the
+    patch basis (the inner dofs in the patch map's order, then the other
+    rows, child after child), and the boundary map C_P those other rows
+    make, a dense (n_boundary, n_dofs) matrix.
+
+    Asserts that each child row lands, counting its nonzero weights only,
+    wholly on the inner dofs or wholly off them, and an inner row on one
+    inner dof with weight +-1.
+    """
+    interior = layout.patch_maps[pc].interior[i]
+    places, signs, boundary = [], [], []
+    at = interior.size
+    for pos in layout.patches[pc][i]:
+        cmap = layout.class_maps[layout.element_class[pos]]
+        cmap = cmap.member(layout.element_row[pos])
+        C = full_map(cmap, layout.n_dofs)[cmap.interior.shape[1]:]
+        on = C[:, interior]
+        off = C.copy()
+        off[:, interior] = 0.0
+        inner = (on != 0).any(axis=1)
+        assert not (inner & (off != 0).any(axis=1)).any()
+        r, c = np.nonzero(on)
+        np.testing.assert_array_equal(r, np.flatnonzero(inner))
+        np.testing.assert_array_equal(np.abs(on[r, c]), 1.0)
+        place, sign = np.empty(len(C), dtype=int), np.ones(len(C))
+        place[r], sign[r] = c, on[r, c]
+        place[~inner] = at + np.arange(np.count_nonzero(~inner))
+        at += np.count_nonzero(~inner)
+        places.append(place)
+        signs.append(sign)
+        boundary.append(off[~inner])
+    return np.concatenate(places), np.concatenate(signs), np.vstack(boundary)
 
 
 def error_indicators_per_element(mesh, degrees, material, f, layout, x):

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import eigvalsh
 from scipy.sparse.linalg import splu
 
+from dpg_elast import assembly
 from dpg_elast.assembly import (SPD_SPLU_OPTIONS, build_dof_layout, condense,
                                 dirichlet_values, error_indicators,
                                 solve_condensed)
@@ -17,8 +19,8 @@ from dpg_elast.rankone import border_terms, ell_vector
 from dpg_elast.study import make_benchmark
 from oracle import (assemble_full, bilinear_maps,
                     condensed_matrix_by_global_coo, degree_and_base,
-                    edge_coords, element_coords, interior_slices,
-                    solve_full, validate)
+                    edge_coords, element_coords, eliminate_dense,
+                    interior_slices, solve_full, validate)
 
 MAT = make_isotropic(1.0, 0.5)
 
@@ -33,6 +35,11 @@ def eval_element_fields(layout, eid, x, ref_points):
     vals, _ = q_basis_eval(p, ref_points)  # (nt, nq)
     fields = x[base: base + 5 * nt].reshape(5, nt) @ vals  # (5, nq)
     return fields[:3].T, fields[3:].T
+
+
+def boundary_data(pts):
+    x, y = pts[:, 0], pts[:, 1]
+    return np.column_stack([np.sin(2.0 * x) + y, np.cos(x - y) * x])
 
 
 def make_problem(n=2, p=1, delta_p=2, domain="unit_square"):
@@ -315,30 +322,101 @@ def test_spd_splu_options_stay_within_superlu_defaults():
 @settings(max_examples=20, deadline=None)
 @given(domain=DOMAINS, delta_p=st.sampled_from([2, 3]), data=st.data())
 def test_condensed_matrix_matches_global_route(domain, delta_p, data):
-    # the free-dof CSC that condense writes class by class against the
-    # global COO -> CSR -> free slice -> CSC route over the same class blocks
+    # the coarse CSC that condense writes class by class and patch class by
+    # patch class against the dense Schur complement of the global route's
+    # skeleton matrix (COO -> CSR -> free slice -> CSC) onto the free
+    # coarse dofs, and its solve against the full assembly's
     mesh, degrees = random_hp_mesh(domain, delta_p, data, max_raise=2)
     layout = build_dof_layout(mesh, degrees)
     f = make_benchmark("smooth", MAT).f
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
     loads = rng.standard_normal((layout.n_dofs, 2))
     loads[layout.pinned] = 0.0
-    system = condense(MAT, f, layout, loads=loads)
+    xp = dirichlet_values(layout, boundary_data, mesh)
+    system = condense(MAT, f, layout, xp, loads)
     S_ref, free_ref = condensed_matrix_by_global_coo(MAT, f, layout)
 
-    np.testing.assert_array_equal(system.free, free_ref)
+    # the free coarse dofs are the free skeleton dofs outside the patches'
+    # inner skeletons
+    inner = [pmap.interior.ravel() for pmap in layout.patch_maps]
+    np.testing.assert_array_equal(
+        np.setdiff1d(free_ref, system.free),
+        np.sort(np.concatenate([np.zeros(0, dtype=int)] + inner)))
+    keep = np.isin(free_ref, system.free)
+    expect, _, _ = eliminate_dense(S_ref, np.zeros((free_ref.size, 0)), keep)
     S = system.S
-    assert S.format == "csc" and S.shape == S_ref.shape
+    assert S.format == "csc" and S.shape == expect.shape
     assert S.has_canonical_format
     assert S.indices.dtype == S.indptr.dtype == np.int32
-    # the duplicates are summed in another order, so an entry that cancels
-    # can be exactly zero on one route and roundoff on the other (seen:
-    # -1.5e-18 against 0.0, with max |S| = 1.18); neither route drops
-    # zeros, so the stored patterns, the union of the members' blocks on
-    # the free skeleton dofs, are compared as they are
-    assert abs(S - S_ref).max() <= 1e-15 * abs(S_ref).max()
-    np.testing.assert_array_equal(S.indptr, S_ref.indptr)
-    np.testing.assert_array_equal(S.indices, S_ref.indices)
+    dense = S.toarray()
+    assert np.max(np.abs(dense - expect)) <= 1e-13 * np.abs(dense).max()
+    assert np.max(np.abs(dense - dense.T)) <= 1e-13 * np.abs(dense).max()
+    w = eigvalsh(0.5 * (dense + dense.T))
+    assert w.min() > 0.0
+
+    # every dof of load 0, with the Dirichlet lift, and of the extra loads
+    # against the full system's solve, refined to double precision (the
+    # plain sparse solve of the full system was seen 1.6e-10 off a dense
+    # one).  Each solve's own error grows with cond(S), so past cond(S) =
+    # 4.5e5 the match is to the ROADMAP's 1e3 eps cond(S) (seen: up to
+    # 1.6e-10 relative, and 3.8e-11 on the one-level route, where cond(S)
+    # is near 1e7); the full system's residual stays at roundoff whatever
+    # cond(S) is
+    E, g = assemble_full(mesh, degrees, MAT, f, layout)
+    free = ~layout.pinned
+    Eff = E[np.ix_(free, free)]
+    xs = splu(S, **SPD_SPLU_OPTIONS).solve(system.rhs)
+    rtol = max(1e-10, 1e3 * np.finfo(float).eps * w.max() / w.min())
+    loads_g = [g - E[:, ~free] @ xp[~free]] + list(loads.T)
+    refs = [solve_full(E, g, layout, xp, refine=2)]
+    refs += [solve_full(E, v, layout, refine=2) for v in loads.T]
+    for j, (ref, load) in enumerate(zip(refs, loads_g)):
+        x = system.expand(j, xs[:, j])
+        assert np.max(np.abs(x - ref)) <= rtol * np.abs(ref).max()
+        np.testing.assert_array_equal(x[~free], ref[~free])
+        residual = Eff @ x[free] - load[free]
+        scale = abs(Eff) @ np.abs(x[free]) + np.abs(load[free])
+        assert np.abs(residual).max() <= 1e-12 * scale.max()
+
+
+def test_indefinite_patch_fails_before_superlu(monkeypatch):
+    # one element class's Schur complement made indefinite: its patch's
+    # inner block has a negative diagonal entry, so the patch kernel's
+    # Cholesky factor fails, and SuperLU is never reached
+    mesh = refine_marked(build_initial_mesh("unit_square", 2), [0])
+    layout = build_dof_layout(mesh, DegreeMap(mesh, p=1))
+    (kids,) = layout.patches
+    bad = layout.class_keys[layout.element_class[kids[0, 0]]]
+    class_kernel = assembly._class_kernel
+
+    def indefinite(key, material, cache):
+        kernel = class_kernel(key, material, cache)
+        if key != bad:
+            return kernel
+        S = kernel.S - 1e3 * np.abs(kernel.S).max() * np.eye(len(kernel.S))
+        return replace(kernel, S=S)
+
+    def no_splu(*args, **kwargs):
+        raise AssertionError("SuperLU reached")
+
+    monkeypatch.setattr(assembly, "_class_kernel", indefinite)
+    monkeypatch.setattr(assembly, "splu", no_splu)
+    with pytest.raises(RuntimeError,
+                       match="^sparse factorization failed; system not SPD$"):
+        solve_condensed(MAT, None, layout)
+
+
+def test_gram_failure_names_degree_and_diameter():
+    # a square of side 2^-23 at p_tilde = 3: the Gram matrix's L2 terms,
+    # which scale with the area, vanish against its gradient terms
+    mesh = build_initial_mesh("unit_square", 1)
+    mesh = replace(mesh, vertices=np.ldexp(mesh.vertices, -23))
+    layout = build_dof_layout(mesh, DegreeMap(mesh, p=1, delta_p=2))
+    diameter = np.sqrt(2.0) * 2.0 ** -23
+    with pytest.raises(RuntimeError, match=(
+            "^Gram matrix is not positive definite: p_tilde = 3, "
+            f"element diameter {diameter:.3e}$")):
+        solve_condensed(MAT, None, layout)
 
 
 def traced_peak(fn):

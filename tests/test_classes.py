@@ -17,10 +17,14 @@ through the coupling matrix of its shape family against one built at its
 own vertex offsets, on random trapezoids scaled by powers of two.  The
 cache's builds and evictions are counted on an adaptive L-shape run, and
 the coupling-matrix builds of whole studies are counted exactly: one per
-shape family.
+shape family.  A patch's basis and boundary map are read off its
+children's dense maps for every member, a patch kernel built from any
+member's basis is checked byte for byte against the cached one, and a
+uniform study builds one patch kernel per refined step.
 On such meshes, condensation, the error estimator, the L2 errors and the
 Dirichlet data, which the library does a class or a degree group at a
-time, are checked against element-by-element loops in `oracle.py`.
+time, are checked against element-by-element loops in `oracle.py`, with
+the patches' inner skeletons eliminated densely.
 """
 from dataclasses import replace
 from unittest import mock
@@ -41,10 +45,10 @@ from dpg_elast.study import (StudyConfig, greedy_mark, l2_errors,
                              make_benchmark, run_convergence_study)
 from oracle import (condense_per_element, degree_and_base,
                     dirichlet_values_per_element, edge_coords,
-                    element_coords, edge_param,
+                    element_coords, edge_param, eliminate_dense,
                     error_indicators_per_element, full_map, global_bmat,
                     l2_errors_per_element, layout_by_walk, overlapping,
-                    segments_of, trace_at, validate)
+                    patch_basis, segments_of, trace_at, validate)
 
 MATERIAL = make_isotropic(1.0, 0.5)
 
@@ -212,9 +216,13 @@ def test_random_refinement_keeps_classes_exact(domain, data):
 def cached_arrays(cache, layout):
     yield from cache.gram_factors.values()
     yield from cache.families.values()
-    for kernel in cache.kernels.values():
-        yield from vars(kernel).values()
+    for kernel in [*cache.kernels.values(), *cache.patches.values()]:
+        yield from (a for a in vars(kernel).values() if a is not None)
     yield from layout.loads.values()
+    for pmap, kids, (_, place, sign) in zip(layout.patch_maps, layout.patches,
+                                            layout.patch_rows):
+        yield from (pmap.interior, pmap.ids, pmap.weights, kids, place, sign)
+        yield from [] if pmap.rows is None else [pmap.rows]
 
 
 def families(keys):
@@ -222,17 +230,19 @@ def families(keys):
     return {assembly._family(key)[0] for key in keys}
 
 
-def counted(builds):
-    """`local_bmat`, appending to `builds` on every call."""
-    def counted_bmat(*args, **kwargs):
+def counted(builds, fn=local_bmat):
+    """`fn`, appending to `builds` on every call."""
+    def counted_fn(*args, **kwargs):
         builds.append(1)
-        return local_bmat(*args, **kwargs)
-    return counted_bmat
+        return fn(*args, **kwargs)
+    return counted_fn
 
 
 def test_adaptive_run_builds_only_new_classes(monkeypatch):
-    builds = []
+    builds, patch_builds = [], []
     monkeypatch.setattr(assembly, "local_bmat", counted(builds))
+    monkeypatch.setattr(assembly, "_patch_kernel",
+                        counted(patch_builds, assembly._patch_kernel))
     material = make_isotropic(123.0, 79.3)
     bench = make_benchmark("lshape", material)
     mat = bench.solver_material
@@ -240,27 +250,35 @@ def test_adaptive_run_builds_only_new_classes(monkeypatch):
     degrees = DegreeMap(mesh, p=1)
     cache = KernelCache()
     previous: set = set()
+    previous_patches: set = set()
     reused = 0
     for _ in range(6):
         layout = build_dof_layout(mesh, degrees, cache=cache)
-        keys = set(layout.class_keys)
+        keys, patch_keys = set(layout.class_keys), set(layout.patch_keys)
         # eviction comes before any kernel of the step is built
         assert {key[0] for key in cache.kernels} <= keys & previous
         assert ({key[0] for key in cache.families}
                 <= families(keys) & families(previous))
-        before = len(builds)
+        assert ({key[0] for key in cache.patches}
+                <= patch_keys & previous_patches)
+        before, patches_before = len(builds), len(patch_builds)
         x = solve_condensed(mat, bench.f, layout,
                             dirichlet_values(layout, bench.g, mesh))
         indicators = error_indicators(mat, bench.f, layout, x)
-        # one coupling matrix per shape family the step before did not use
+        # one coupling matrix per shape family the step before did not use,
+        # one patch kernel per patch key it did not use
         assert len(builds) - before == len(families(keys) - families(previous))
-        # the cache holds exactly this step's classes, shapes and families
+        assert (len(patch_builds) - patches_before
+                == len(patch_keys - previous_patches))
+        # the cache holds exactly this step's classes, shapes, families and
+        # patch classes
         assert set(cache.kernels) == {(key, mat) for key in keys}
         assert set(cache.gram_factors) == {(key[1], key[2]) for key in keys}
         assert set(cache.families) == {(fam, mat) for fam in families(keys)}
+        assert set(cache.patches) == {(key, mat) for key in patch_keys}
         assert not any(a.flags.writeable for a in cached_arrays(cache, layout))
         reused += len(keys & previous)
-        previous = keys
+        previous, previous_patches = keys, patch_keys
         mesh = refine_marked(mesh, greedy_mark(indicators))
     assert reused > 0
 
@@ -295,6 +313,66 @@ def test_study_kernel_builds_are_exact(monkeypatch):
     builds, new = count_kernel_builds(monkeypatch, StudyConfig(
         mode="uniform_h", p=3, steps=3))
     assert builds == new == 1
+
+
+def test_uniform_study_builds_one_patch_kernel_per_step(monkeypatch):
+    # the initial squares have no parent; after that every element lies in
+    # a patch of four equal squares, one patch class per step
+    builds, marks = [], []
+
+    def recorded_layout(*args, **kwargs):
+        marks.append(len(builds))
+        layout = build_dof_layout(*args, **kwargs)
+        assert sum(len(kids) for kids in layout.patches) * 4 == (
+            0 if len(marks) == 1 else len(layout.elements))
+        return layout
+
+    monkeypatch.setattr(assembly, "_patch_kernel",
+                        counted(builds, assembly._patch_kernel))
+    monkeypatch.setattr(study, "build_dof_layout", recorded_layout)
+    run_convergence_study(StudyConfig(mode="uniform_h", p=3, steps=3))
+    assert np.diff(marks + [len(builds)]).tolist() == [0, 1, 1]
+
+
+@settings(max_examples=10, deadline=None)
+@given(domain=st.sampled_from([("unit_square", 2), ("l_shape", 1)]),
+       data=st.data())
+def test_patch_basis_follows_from_the_key(domain, data):
+    # random hp meshes with hanging nodes; the last refinement leaves
+    # patches.  Every member's basis, read off its children's dense maps,
+    # is its class's; every member's boundary map is its children's other
+    # rows; and a patch kernel built from the key and any member's basis
+    # on an empty cache is the cached one, to the byte
+    mesh = build_initial_mesh(*domain)
+    degrees = DegreeMap(mesh, p=1, delta_p=2)
+    for _ in range(data.draw(st.integers(1, 3))):
+        active = mesh.active_elements
+        for k in data.draw(st.sets(st.sampled_from(active), max_size=3)):
+            degrees.increment(k, mesh)
+        mesh = refine_marked(mesh, data.draw(
+            st.sets(st.sampled_from(active), min_size=1, max_size=3)))
+    layout = build_dof_layout(mesh, degrees)
+    assert layout.patches
+    condense(MATERIAL, None, layout)
+    for pc, (key, pmap, basis) in enumerate(zip(
+            layout.patch_keys, layout.patch_maps, layout.patch_rows)):
+        ni = pmap.interior.shape[1]
+        cached = layout.cache.patches[key, MATERIAL]
+        for i in range(len(pmap.ids)):
+            place, sign, boundary = patch_basis(layout, pc, i)
+            np.testing.assert_array_equal(place, basis[1])
+            np.testing.assert_array_equal(sign, basis[2])
+            np.testing.assert_array_equal(
+                full_map(pmap.member(i), layout.n_dofs)[ni:], boundary)
+            fresh = assembly._patch_kernel(key, (ni, place, sign), MATERIAL,
+                                           KernelCache())
+            for name, array in vars(fresh).items():
+                expect = getattr(cached, name)
+                if array is None:
+                    assert expect is None
+                    continue
+                assert array.shape == expect.shape
+                assert array.tobytes() == expect.tobytes(), name
 
 
 def test_class_kernel_depends_on_its_key_alone():
@@ -368,9 +446,9 @@ def test_family_kernel_scales_exactly(p, delta_p, k, data):
             assert array.tobytes() == getattr(got, name).tobytes(), name
         # one B for both, unless a turn by nearly a multiple of pi/2
         # leaves offsets below 2^-64 of the largest (then each shape is a
-        # family of its own)
+        # family of its own, and two shapes when k != 0)
         offsets = np.abs(rel[rel != 0])
-        alone = offsets.min() < 2.0 ** -64 * offsets.max()
+        alone = offsets.min() < 2.0 ** -64 * offsets.max() and k != 0
         assert len(builds) == 1 + alone
         # a shape scaled by 3 has no power-of-two relative in the cache
         assembly._class_kernel(with_offsets(key, 3.0 * rel), MATERIAL, cache)
@@ -417,10 +495,21 @@ def test_batched_step_matches_per_element_oracle(domain, data):
     system = condense(MATERIAL, f, layout, xp, loads)
     S_ref, g_ref, expand_ref = condense_per_element(mesh, degrees, MATERIAL, f,
                                                     layout, xp, loads)
+    # the per-element skeleton system, with the patches' inner skeletons
+    # eliminated densely, onto the free coarse dofs
     free = system.free
+    skeleton = np.union1d(free, np.concatenate(
+        [np.zeros(0, dtype=int)]
+        + [pmap.interior.ravel() for pmap in layout.patch_maps]))
+    keep = np.isin(skeleton, free)
+    S_sk = S_ref[np.ix_(skeleton, skeleton)]
+    S_c, g_c, g_terms = eliminate_dense(S_sk, g_ref[skeleton], keep)
     S = system.S.toarray()
-    assert_close(S, S_ref[np.ix_(free, free)].toarray())
-    assert_close(system.rhs, g_ref[free])
+    assert_close(S, S_c)
+    # each load to roundoff in the terms it sums (the random extra loads
+    # on the inner dofs were seen to leave 1.07e-10 against 100 on an
+    # inner block of condition 3e5)
+    assert np.all(np.abs(system.rhs - g_c) <= 1e-12 * g_terms.max(axis=0))
     # the condensed matrix is symmetric and positive definite
     assert np.max(np.abs(S - S.T)) <= 1e-12 * np.max(np.abs(S))
     assert np.linalg.eigvalsh(0.5 * (S + S.T)).min() > 0.0
@@ -429,7 +518,17 @@ def test_batched_step_matches_per_element_oracle(domain, data):
     for j in range(3):
         x = system.x_pinned.copy() if j == 0 else np.zeros(layout.n_dofs)
         x[free] = xs[:, j]
-        got, expect = system.expand(j, xs[:, j]), expand_ref(j, x)
+        got = system.expand(j, xs[:, j])
+        # the inner skeletons' values solve their rows of the skeleton
+        # system to roundoff; the element interiors then follow from them
+        inner = skeleton[~keep]
+        x[inner] = got[inner]
+        x_sk = x[skeleton]
+        residual = (S_sk @ x_sk - g_ref[skeleton, j])[~keep]
+        scale = (abs(S_sk) @ np.abs(x_sk) + np.abs(g_ref[skeleton, j]))[~keep]
+        assert (np.abs(residual).max(initial=0.0)
+                <= 1e-12 * scale.max(initial=0.0))
+        expect = expand_ref(j, x)
         # the interiors are b - A x_sk, so the roundoff scales with the
         # terms, which can be much larger than the result
         terms = max(np.abs(A).sum(axis=1).max()
