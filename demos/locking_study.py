@@ -24,7 +24,7 @@ def main():
         mesh = build_initial_mesh("unit_square", 4)
         degrees = DegreeMap(mesh, p=1)
         layout = build_dof_layout(mesh, degrees)
-        xp = dirichlet_values(layout, bench.g, mesh)
+        xp = dirichlet_values(layout, bench.g)
         x = solve_condensed(bench.solver_material, bench.f, layout, xp)
         es, eu, _, _ = l2_errors(layout, x, bench.exact)
         bs, bu = best_approximation_errors(layout, bench.exact)

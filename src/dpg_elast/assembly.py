@@ -6,9 +6,9 @@ fixed number of array passes and no loop over sides or dofs, each
 side's trace owner edge and flux leaves, the edge degrees by the maximum
 rule, the hanging and pinned vertices, the numbering (element interiors,
 then vertex trace dofs, edge trace bubbles and edge flux dofs), and every
-element's class and constraint map C_K.  The solver functions take the
-layout in place of the mesh and the degree map; only `dirichlet_values`
-also reads the mesh, for the boundary edges' ends and coordinates.
+element's class and constraint map C_K.  The layout keeps these as
+arrays, by vertex, by edge and by element in layout order, with the mesh
+it was built from, so the solver functions take the layout alone.
 
 Each element computes on its own skeleton basis (`local_bmat`): the
 trace of degree q along each counterclockwise side, with the element's
@@ -125,7 +125,7 @@ class KernelCache:
     families: dict[tuple, np.ndarray] = field(default_factory=dict)
     patches: dict[tuple, ClassKernel] = field(default_factory=dict)
 
-    def retain(self, class_keys, patch_keys=()) -> None:
+    def retain(self, class_keys, patch_keys) -> None:
         """Keep only the entries of the given class and patch keys."""
         patches = set(patch_keys)
         self.patches = {k: v for k, v in self.patches.items()
@@ -201,15 +201,17 @@ class ClassMap:
 
 @dataclass
 class DofLayout:
+    mesh: Mesh                               # the mesh it was built from
     n_dofs: int
-    vertex_dof: dict[int, int]               # vertex -> dof of x component
-    trace_edges: dict[int, tuple[int, int]]  # owner edge -> (q, bubble base)
-    flux_edges: dict[int, tuple[int, int]]   # leaf edge -> (degree, base)
-    hanging: dict[int, int]                  # hanging vertex -> master edge
+    vertex_dofs: np.ndarray                  # vertex -> x dof, -1: none
+    trace_q: np.ndarray                      # edge -> trace q, 0: no owner
+    trace_base: np.ndarray                   # edge -> an owner's first bubble
+    flux_p: np.ndarray                       # edge -> flux degree, 0: no leaf
+    flux_base: np.ndarray                    # edge -> a leaf's first flux dof
+    hanging: np.ndarray                      # (n, 2) hanging vertex, master
     pinned: np.ndarray                       # bool mask over all dofs
     delta_p: int                             # test enrichment, p_tilde - p
     elements: np.ndarray                     # active elements, layout order
-    position: dict[int, int]                 # element -> layout position
     element_p: np.ndarray                    # position -> degree p
     interior_base: np.ndarray                # position -> first interior dof
     coords: np.ndarray                       # (n, 4, 2) vertices, by position
@@ -230,8 +232,8 @@ class DofLayout:
     # class and patch kernels and Gram factors of the study, built on a
     # class's first request and kept for the steps after this one
     cache: KernelCache
-    # read-only element loads of this step, (f, element) -> load; the first
-    # request for an element's load computes its whole degree group
+    # read-only element loads of this step, (f, position) -> load; the
+    # first request for an element's load computes its whole degree group
     loads: dict[tuple, np.ndarray] = field(default_factory=dict, repr=False)
 
     @property
@@ -339,7 +341,7 @@ def build_dof_layout(mesh: Mesh, degrees: DegreeMap,
     reverse = v0[side_edge] != verts
     masters = side_edge[split]
     kids = mesh.edge_child[masters][:, None] + np.arange(2)
-    hanging = dict(zip(v1[kids[:, 0]].tolist(), masters.tolist()))
+    hanging = v1[kids[:, 0]]
     leaves = np.full((4 * n_el, 2), -1)
     leaves[:, 0] = side_edge
     leaves[split] = np.where(reverse[split, None], kids[:, ::-1], kids)
@@ -361,10 +363,10 @@ def build_dof_layout(mesh: Mesh, degrees: DegreeMap,
     ni = 5 * (p + 1) ** 2
     interior_base = np.cumsum(ni) - ni
     n = int(ni.sum())
-    trace_edges, flux_edges = np.flatnonzero(trace_q), np.flatnonzero(flux_p)
-    ends = np.column_stack([v0[trace_edges], v1[trace_edges]]).ravel()
-    numbered = np.array([v for v in dict.fromkeys(ends.tolist())
-                         if v not in hanging], dtype=int)
+    owners = np.flatnonzero(trace_q)
+    ends = np.column_stack([v0[owners], v1[owners]]).ravel()
+    ends = ends[np.sort(np.unique(ends, return_index=True)[1])]
+    numbered = ends[~np.isin(ends, hanging)]
     vdof = np.full(n_verts, -1)
     vdof[numbered] = n + 2 * np.arange(numbered.size)
     bubbles = 2 * np.maximum(trace_q - 1, 0)
@@ -391,7 +393,7 @@ def build_dof_layout(mesh: Mesh, degrees: DegreeMap,
 
     # a corner is its vertex's dof, or at a hanging vertex the master's
     # trace at the midpoint, spread onto the master's dofs
-    master = dict(zip(hanging, zip(trace_q[masters].tolist(),
+    master = dict(zip(hanging.tolist(), zip(trace_q[masters].tolist(),
                                    trace_base[masters].tolist(),
                                    v0[masters].tolist(), v1[masters].tolist())))
     table_w, table_g = [1.0] * n_verts, vdof.tolist()
@@ -408,7 +410,7 @@ def build_dof_layout(mesh: Mesh, degrees: DegreeMap,
                 g0 + g1 + list(range(base, base + 2 * q - 2, 2)))
 
     start, count = np.arange(n_verts), np.ones(n_verts, dtype=int)
-    for v in hanging:
+    for v in hanging.tolist():
         w, g = vertex_entries(v)
         start[v], count[v] = len(table_w), len(w)
         table_w += w
@@ -493,15 +495,10 @@ def build_dof_layout(mesh: Mesh, degrees: DegreeMap,
     cache = KernelCache() if cache is None else cache
     cache.retain(class_keys, patch_keys)
     return DofLayout(
-        n_dofs=pinned.size,
-        vertex_dof=dict(zip(numbered.tolist(), vdof[numbered].tolist())),
-        trace_edges=dict(zip(trace_edges.tolist(), zip(
-            trace_q[trace_edges].tolist(), trace_base[trace_edges].tolist()))),
-        flux_edges=dict(zip(flux_edges.tolist(), zip(
-            flux_p[flux_edges].tolist(), flux_base[flux_edges].tolist()))),
-        hanging=hanging,
-        pinned=pinned, delta_p=degrees.delta_p, elements=active,
-        position=dict(zip(active.tolist(), range(n_el))), element_p=p,
+        mesh=mesh, n_dofs=pinned.size, vertex_dofs=vdof, trace_q=trace_q,
+        trace_base=trace_base, flux_p=flux_p, flux_base=flux_base,
+        hanging=np.column_stack([hanging, masters]),
+        pinned=pinned, delta_p=degrees.delta_p, elements=active, element_p=p,
         interior_base=interior_base, coords=coords,
         element_class=element_class, element_row=element_row,
         degree_groups={int(q): np.flatnonzero(p == q) for q in np.unique(p)},
@@ -611,9 +608,9 @@ def _patch_classes(kid_pos: np.ndarray, inner_ids: np.ndarray,
     return patches, patch_keys, patch_maps, patch_rows
 
 
-def element_full_bmat(layout: DofLayout, material: Material, f, eid: int):
+def element_full_bmat(layout: DofLayout, material: Material, f, pos: int):
     """Gram Cholesky factor, full local coupling matrix, load, and the
-    element's one-member `ClassMap` (its interior dofs and C_K).
+    one-member `ClassMap` (interior dofs, C_K) of the element at `pos`.
 
     L and B are the element class's read-only matrices from `layout.cache`,
     built on the first request of the study; B's skeleton columns are the
@@ -621,17 +618,16 @@ def element_full_bmat(layout: DofLayout, material: Material, f, eid: int):
     a degree computes the loads of every element of that degree and keeps
     them in `layout.loads`.
     """
-    pos = layout.position[eid]
     cls = layout.element_class[pos]
     kernel = _kernel(layout.cache, layout.class_keys[cls], material)
-    if (f, eid) not in layout.loads:
+    if (f, pos) not in layout.loads:
         p = int(layout.element_p[pos])
         rows = layout.degree_groups[p]
         lvecs = local_loads(layout.coords[rows], p + layout.delta_p, f)
         lvecs.setflags(write=False)
-        layout.loads.update(((f, k), lvec) for k, lvec
-                            in zip(layout.elements[rows].tolist(), lvecs))
-    return (kernel.L, kernel.B, layout.loads[f, eid],
+        layout.loads.update(((f, k), lvec)
+                            for k, lvec in zip(rows.tolist(), lvecs))
+    return (kernel.L, kernel.B, layout.loads[f, pos],
             layout.class_maps[cls].member(layout.element_row[pos]))
 
 
@@ -643,7 +639,7 @@ def _class_members(layout: DofLayout, material: Material, f, cls: int):
     """
     members = layout.classes[cls]
     lvecs = np.column_stack([element_full_bmat(layout, material, f, k)[2]
-                             for k in layout.elements[members].tolist()])
+                             for k in members.tolist()])
     return (_kernel(layout.cache, layout.class_keys[cls], material), lvecs,
             layout.class_maps[cls])
 
@@ -760,37 +756,38 @@ def _patch_kernel(key: tuple, rows: tuple, material: Material,
     return _condensed(K, ni, "sparse factorization failed; system not SPD")
 
 
-def dirichlet_values(layout: DofLayout, g_data, mesh: Mesh) -> np.ndarray:
+def dirichlet_values(layout: DofLayout, g_data) -> np.ndarray:
     """Pinned-dof vector interpolating/projecting the boundary displacement.
 
     g_data maps an (n, 2) array of boundary points to (n, 2) displacements.
     It is called once, at the pinned vertices and at the quadrature points
-    and ends of every boundary edge; the bubble coefficients of the edges of
-    one trace degree come from one solve.
+    and ends of every boundary owner edge with bubbles; the bubble
+    coefficients of the edges of one trace degree come from one solve.
     """
     xp = np.zeros(layout.n_dofs)
     if g_data is None:
         return xp
-    verts = mesh.vertices
-    pinned_verts = [(v, d) for v, d in layout.vertex_dof.items()
-                    if layout.pinned[d]]
-    # boundary edges with bubbles, by trace degree q: (bubble bases, ends)
-    owner = np.fromiter(layout.trace_edges, int, len(layout.trace_edges))
-    degree, base = np.array(list(layout.trace_edges.values())).reshape(-1, 2).T
-    bubbly = mesh.boundary[owner] & (degree >= 2)
+    mesh, vdof = layout.mesh, layout.vertex_dofs
+    # the pinned vertices in dof order
+    numbered = np.flatnonzero(vdof >= 0)
+    numbered = numbered[np.argsort(vdof[numbered])]
+    pinned_verts = numbered[layout.pinned[vdof[numbered]]]
+    # boundary owners with bubbles, by trace degree q: (bubble bases, ends)
+    owner = np.flatnonzero(mesh.boundary & (layout.trace_q >= 2))
+    degree = layout.trace_q[owner]
     by_q = {}
-    for q in dict.fromkeys(degree[bubbly].tolist()):
-        sel = bubbly & (degree == q)
-        by_q[q] = base[sel], verts[mesh.ends[owner[sel]]]
+    for q in dict.fromkeys(degree.tolist()):
+        sel = owner[degree == q]
+        by_q[q] = layout.trace_base[sel], mesh.vertices[mesh.ends[sel]]
     # the pinned vertices, then per edge its quadrature points and its ends
-    points = [verts[[v for v, _ in pinned_verts]].reshape(-1, 2)]
+    points = [mesh.vertices[pinned_verts]]
     for q, (_, ends) in by_q.items():
         t = gauss_rule(q + 3).points[:, None]
         pts = 0.5 * (1 - t) * ends[:, None, 0] + 0.5 * (1 + t) * ends[:, None, 1]
         points.append(np.concatenate([pts, ends], axis=1).reshape(-1, 2))
     values = np.split(g_data(np.concatenate(points)),
                       np.cumsum([len(pts) for pts in points[:-1]]))
-    vdofs = np.array([d for _, d in pinned_verts], dtype=int)
+    vdofs = vdof[pinned_verts]
     xp[vdofs] = values[0][:, 0]
     xp[vdofs + 1] = values[0][:, 1]
     for (q, (bases, _)), gv in zip(by_q.items(), values[1:]):
@@ -809,8 +806,8 @@ def dirichlet_values(layout: DofLayout, g_data, mesh: Mesh) -> np.ndarray:
 
 
 def error_indicators(material: Material, f, layout: DofLayout,
-                     x: np.ndarray) -> dict[int, float]:
-    """Elementwise V-norms of the error representation function.
+                     x: np.ndarray) -> np.ndarray:
+    """Elementwise V-norms of the error representation, by position.
 
     The V-norm of e = G^-1 r is |L^-1 r|, with r = l - B x_K the residual
     and x_K the element's interior dofs and C_K x; each class does one
@@ -822,7 +819,7 @@ def error_indicators(material: Material, f, layout: DofLayout,
         xk = np.concatenate([x[cmap.interior], cmap.gather(x)], axis=1)
         z = lower_solve(kernel.L, lvecs - kernel.B @ xk.T)
         out[members] = np.linalg.norm(z, axis=0)
-    return dict(zip(layout.elements.tolist(), out.tolist()))
+    return out
 
 
 @dataclass

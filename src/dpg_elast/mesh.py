@@ -51,10 +51,6 @@ class Mesh:
     def active_elements(self) -> np.ndarray:
         return np.flatnonzero(self.child < 0)
 
-    def coords_of(self, eids) -> np.ndarray:
-        """Vertex coordinates of several elements, shape (len(eids), 4, 2)."""
-        return self.vertices[self.verts[np.asarray(eids, dtype=int)]]
-
     def dump(self, degrees=None) -> str:
         """Plain-text dump: `v x y` and `e v0 v1 v2 v3 pK` lines."""
         active = self.active_elements

@@ -7,7 +7,7 @@ import io
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -20,8 +20,7 @@ from .exact import (LShapeParams, lshape_effective_material, lshape_solution,
                     smooth_solution)
 from .material import Material, make_isotropic
 from .local import _volume_points
-from .mesh import (DegreeMap, Mesh, build_initial_mesh, refine_marked,
-                   refine_uniform)
+from .mesh import DegreeMap, build_initial_mesh, refine_marked, refine_uniform
 from .rankone import solve_second
 
 
@@ -129,11 +128,14 @@ class StudyConfig:
         if self.mode == "adaptive_hp" and self.benchmark != "lshape":
             raise ValueError(
                 "adaptive_hp needs a singular point (lshape benchmark)")
-        if self.out is not None and not os.path.isdir(
-                os.path.dirname(os.path.abspath(self.out))):
-            raise ValueError(f"no directory for the output file {self.out!r}")
-        if self.out is not None and os.path.isdir(self.out):
-            raise ValueError(f"the output file {self.out!r} is a directory")
+        if self.out is not None:    # an unwritable path fails before any step
+            made = not os.path.lexists(self.out)
+            try:
+                open(self.out, "a").close()
+            except OSError as err:
+                raise ValueError(f"cannot write {self.out!r}: {err.strerror}") from None
+            if made:
+                os.remove(self.out)
 
 
 @dataclass
@@ -147,9 +149,6 @@ class ReportRow:
     rel_combined: float
     eta: float
     wall_time: float
-
-    FIELDS = ("step", "n_dofs", "h_min", "p_max", "e_sigma", "e_u",
-              "rel_combined", "eta", "wall_time")
 
 
 def _exact_by_degree(layout, exact, nq_of):
@@ -213,25 +212,22 @@ def _frobenius_sq(s: np.ndarray) -> np.ndarray:
     return s[..., 0] ** 2 + 2.0 * s[..., 1] ** 2 + s[..., 2] ** 2
 
 
-def greedy_mark(indicators: dict[int, float], fraction: float = 0.5) -> set[int]:
-    """Elements whose indicator reaches the given fraction of the maximum."""
-    if not indicators:
-        return set()
-    top = max(indicators.values())
-    if top <= 0.0:
-        return set()
-    return {k for k, v in indicators.items() if v >= fraction * top}
+def greedy_mark(eta: np.ndarray, fraction: float = 0.5) -> np.ndarray:
+    """Positions, ascending, whose indicator reaches the given fraction of
+    the maximum; none when no indicator is positive."""
+    top = eta.max(initial=0.0)
+    return np.flatnonzero((eta >= fraction * top) & (top > 0.0))
 
 
-def hp_decide(marked: set[int], mesh: Mesh, singular_point) -> tuple[set[int], set[int]]:
-    """Split marked elements: touching the singular point -> h, else -> p."""
+def hp_decide(marked: np.ndarray, coords: np.ndarray,
+              singular_point) -> tuple[np.ndarray, np.ndarray]:
+    """Split marked positions: an element with a vertex at the singular
+    point -> h, else -> p.  `coords` holds the (n, 4, 2) vertices by
+    position (`DofLayout.coords`)."""
     sp = np.asarray(singular_point, dtype=float)
-    order = sorted(marked)
-    coords = mesh.coords_of(order)
-    dist = np.hypot(coords[..., 0] - sp[0], coords[..., 1] - sp[1])
-    touching = (dist.min(axis=1) < 1e-12).tolist()
-    h_set = {k for k, t in zip(order, touching) if t}
-    return h_set, set(order) - h_set
+    c = coords[marked]
+    touching = np.hypot(c[..., 0] - sp[0], c[..., 1] - sp[1]).min(axis=1) < 1e-12
+    return marked[touching], marked[~touching]
 
 
 def _diameters(coords: np.ndarray) -> np.ndarray:
@@ -243,7 +239,7 @@ def _diameters(coords: np.ndarray) -> np.ndarray:
 def _solve_step(mesh, degrees, bench, config, cache):
     layout = build_dof_layout(mesh, degrees, cache=cache)
     if config.method == 1:
-        xp = dirichlet_values(layout, bench.g, mesh)
+        xp = dirichlet_values(layout, bench.g)
         x = solve_condensed(bench.solver_material, bench.f, layout, xp)
     else:
         x, _ = solve_second(bench.solver_material, bench.f, layout)
@@ -324,7 +320,7 @@ def run_convergence_study(config: StudyConfig) -> list[ReportRow]:
         es, eu, ns, nu = l2_errors(layout, x, bench.exact)
         indicators = error_indicators(bench.solver_material, bench.f,
                                       layout, x)
-        eta = float(np.sqrt(sum(v * v for v in indicators.values())))
+        eta = float(np.sqrt(sum((indicators * indicators).tolist())))
         h_min = float(_diameters(layout.coords).min())
         p_max = int(layout.element_p.max())
         rows.append(ReportRow(
@@ -335,6 +331,13 @@ def run_convergence_study(config: StudyConfig) -> list[ReportRow]:
 
         if step == config.steps - 1:
             break
+        if config.mode.startswith("adaptive"):
+            # the elements to split and to raise in degree, by id
+            marked = greedy_mark(indicators, config.marking_fraction)
+            split, raised = (
+                hp_decide(marked, layout.coords, bench.singular_point)
+                if config.mode == "adaptive_hp" else (marked, marked[:0]))
+            split, raised = layout.elements[split], layout.elements[raised]
         # free this step's layout and solution before the next step builds
         # its own; the kernel cache stays for the classes that recur
         del layout, x
@@ -342,14 +345,9 @@ def run_convergence_study(config: StudyConfig) -> list[ReportRow]:
             mesh = refine_uniform(mesh)
         elif config.mode == "uniform_p":
             degrees.increment(mesh.active_elements, mesh)
-        elif config.mode == "adaptive_h":
-            marked = greedy_mark(indicators, config.marking_fraction)
-            mesh = refine_marked(mesh, marked)
-        else:  # adaptive_hp
-            marked = greedy_mark(indicators, config.marking_fraction)
-            h_set, p_set = hp_decide(marked, mesh, bench.singular_point)
-            degrees.increment(list(p_set), mesh)
-            mesh = refine_marked(mesh, h_set)
+        else:
+            degrees.increment(raised, mesh)
+            mesh = refine_marked(mesh, split)
 
     if config.out:
         write_csv(config.out, rows)
@@ -365,9 +363,10 @@ def _fmt(value) -> str:
 def rows_to_csv(rows: list[ReportRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(ReportRow.FIELDS)
+    names = [f.name for f in fields(ReportRow)]
+    writer.writerow(names)
     for r in rows:
-        writer.writerow([_fmt(getattr(r, name)) for name in ReportRow.FIELDS])
+        writer.writerow([_fmt(getattr(r, name)) for name in names])
     return buf.getvalue()
 
 

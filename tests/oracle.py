@@ -45,6 +45,14 @@ every local skeleton function, with each row of C_K a list of (weight,
 dof) pairs; `test_layout.py` requires equal output.  `validate` checks a mesh's 1-irregularity and interface
 counts, and `edge_coords` gives an edge's end coordinates.
 
+The layout keeps its vertex and edge data as arrays.  `layout_dicts`
+turns them back into the walk's dicts (`vertex_dof`, `trace_edges`,
+`flux_edges`, `hanging`), with the same content and order, for the
+helpers and tests that read those; `position_of` gives an element's
+layout position.  The study marks and splits layout positions;
+`greedy_mark_by_set` and `hp_decide_by_set` are the set-based
+references, by element id.
+
 `RecordMesh` is the mesh as one record per element and edge, refined one
 element at a time by recursion; `test_mesh.py` requires every array of
 `dpg_elast.mesh.Mesh` to be byte-equal to its `arrays()` after random
@@ -87,9 +95,40 @@ def apply_compliance(material, tau):
     return material.P * dev + material.Q * m * np.eye(2)
 
 
+def position_of(layout, k):
+    """Active element k's layout position."""
+    i = int(np.searchsorted(layout.elements, k))
+    assert layout.elements[i] == k
+    return i
+
+
+def layout_dicts(layout):
+    """The layout's vertex and edge arrays as dicts, in the walk's order
+    (`layout_by_walk`): `vertex_dof` (vertex -> x dof, by dof),
+    `trace_edges` (owner edge -> (q, bubble base)) and `flux_edges` (leaf
+    edge -> (degree, base)), by edge, and `hanging` (hanging vertex ->
+    master edge), by element side."""
+    vdof = layout.vertex_dofs
+    v = np.flatnonzero(vdof >= 0)
+    v = v[np.argsort(vdof[v])]
+    owners, leaves = np.flatnonzero(layout.trace_q), np.flatnonzero(layout.flux_p)
+    return SimpleNamespace(
+        vertex_dof=dict(zip(v.tolist(), vdof[v].tolist())),
+        trace_edges=dict(zip(owners.tolist(), zip(
+            layout.trace_q[owners].tolist(), layout.trace_base[owners].tolist()))),
+        flux_edges=dict(zip(leaves.tolist(), zip(
+            layout.flux_p[leaves].tolist(), layout.flux_base[leaves].tolist()))),
+        hanging=dict(layout.hanging.tolist()))
+
+
+def coords_of(mesh, eids):
+    """Vertex coordinates of several elements, shape (len(eids), 4, 2)."""
+    return mesh.vertices[mesh.verts[np.asarray(eids, dtype=int)]]
+
+
 def degree_and_base(layout, k):
     """Element k's degree p and first interior dof."""
-    i = layout.position[k]
+    i = position_of(layout, k)
     return int(layout.element_p[i]), int(layout.interior_base[i])
 
 
@@ -108,7 +147,7 @@ class SideSegment(NamedTuple):
 def segments_of(layout, k):
     """Element k's side segments, as its class kernel reads them from its
     class key: each side split evenly among its leaves."""
-    sides = layout.class_keys[layout.element_class[layout.position[k]]][3]
+    sides = layout.class_keys[layout.element_class[position_of(layout, k)]][3]
     return [SideSegment(s, -1.0 + 2.0 * i / len(fps),
                         -1.0 + 2.0 * (i + 1) / len(fps), q, fp)
             for s, (q, fps) in enumerate(sides) for i, fp in enumerate(fps)]
@@ -158,31 +197,32 @@ def edge_param(points, edge_coords):
     return 2.0 * ((points - a) @ d) / (d @ d) - 1.0
 
 
-def trace_functions(mesh, layout, e):
-    """Owner edge e's trace basis functions as {global x dof: weight}."""
-    q, base = layout.trace_edges[e]
-    return ([vertex_trace(mesh, layout, v) for v in mesh.ends[e].tolist()]
+def trace_functions(mesh, tables, e):
+    """Owner edge e's trace basis functions as {global x dof: weight};
+    `tables` holds the layout's dicts (`layout_dicts`)."""
+    q, base = tables.trace_edges[e]
+    return ([vertex_trace(mesh, tables, v) for v in mesh.ends[e].tolist()]
             + [{base + 2 * (i - 2): 1.0} for i in range(2, q + 1)])
 
 
-def trace_at(mesh, layout, e, point):
+def trace_at(mesh, tables, e, point):
     """The trace's x component at a point of owner edge e, as
     {global x dof: coefficient}."""
-    q, _ = layout.trace_edges[e]
+    q, _ = tables.trace_edges[e]
     vals = edge_basis_eval(q, edge_param(point[None], edge_coords(mesh, e)))
     out = defaultdict(float)
-    for val, fn in zip(vals[:, 0], trace_functions(mesh, layout, e)):
+    for val, fn in zip(vals[:, 0], trace_functions(mesh, tables, e)):
         for g, w in fn.items():
             out[g] += val * w
     return out
 
 
-def vertex_trace(mesh, layout, v):
+def vertex_trace(mesh, tables, v):
     """The trace at vertex v: its own dof, or its master edge's trace at
     the vertex's coordinates."""
-    if v in layout.vertex_dof:
-        return {layout.vertex_dof[v]: 1.0}
-    return trace_at(mesh, layout, layout.hanging[v], mesh.vertices[v])
+    if v in tables.vertex_dof:
+        return {tables.vertex_dof[v]: 1.0}
+    return trace_at(mesh, tables, tables.hanging[v], mesh.vertices[v])
 
 
 def global_bmat(mesh, layout, material, k):
@@ -192,16 +232,17 @@ def global_bmat(mesh, layout, material, k):
     p_tilde = p + layout.delta_p
     ns = (p_tilde + 1) ** 2
     coords = element_coords(mesh, k)
+    tables = layout_dicts(layout)
     edges = {name: (list(table), np.array([edge_coords(mesh, e) for e in table]))
-             for name, table in (("trace", layout.trace_edges),
-                                 ("flux", layout.flux_edges))}
+             for name, table in (("trace", tables.trace_edges),
+                                 ("flux", tables.flux_edges))}
     parts, cols, blocks = [], [], []
     for s in range(4):
         a, b = coords[s], coords[(s + 1) % 4]
         trace_ids, trace_ends = edges["trace"]
         (owner,) = np.flatnonzero(overlapping(trace_ends, a, b))
         owner = trace_ids[owner]
-        q, _ = layout.trace_edges[owner]
+        q, _ = tables.trace_edges[owner]
         flux_ids, flux_ends = edges["flux"]
         for leaf in np.flatnonzero(overlapping(flux_ends, a, b)):
             t0, t1 = sorted(edge_param(flux_ends[leaf], np.array([a, b])))
@@ -211,7 +252,7 @@ def global_bmat(mesh, layout, material, k):
             phys, tang = rows_map @ coords
             wn = (wref * tang[:, 1], -wref * tang[:, 0])
             prof = edge_basis_eval(q, edge_param(phys, edge_coords(mesh, owner)))
-            for val, fn in zip(prof, trace_functions(mesh, layout, owner)):
+            for val, fn in zip(prof, trace_functions(mesh, tables, owner)):
                 for g, w in fn.items():
                     R = np.array([w * val * wn[0], w * val * wn[1]]) @ svals.T
                     parts += [R[0], R[1], R[0], R[1]]
@@ -220,7 +261,7 @@ def global_bmat(mesh, layout, material, k):
             # the flux sign: the outward normal against the leaf's normal
             d = np.diff(edge_coords(mesh, leaf), axis=0)[0]
             sign = np.sign((b - a) @ d)
-            fp, base = layout.flux_edges[leaf]
+            fp, base = tables.flux_edges[leaf]
             fvals = edge_basis_eval(fp, edge_param(phys, edge_coords(mesh, leaf)))
             F = (fvals * wref * np.hypot(tang[:, 0], tang[:, 1]) * sign) @ svals.T
             for i in range(fp + 1):
@@ -304,7 +345,8 @@ def solve_full(E, g, layout, x_pinned=None, refine=0):
 def _element_matrices(mesh, layout, material, f, k, delta_p):
     """Element k's class L and B and its dense map from the global to its
     local dofs (`full_map`), with its own load."""
-    L, B, _, cmap = element_full_bmat(layout, material, f, k)
+    L, B, _, cmap = element_full_bmat(layout, material, f,
+                                      position_of(layout, k))
     lvec = local_load(element_coords(mesh, k),
                       degree_and_base(layout, k)[0] + delta_p, f)
     return L, B, lvec, full_map(cmap, layout.n_dofs)
@@ -480,10 +522,11 @@ def l2_errors_per_element(mesh, degrees, layout, x, exact):
 def dirichlet_values_per_element(layout, g_data, mesh):
     """Pinned-dof vector with one `g_data` call per boundary edge."""
     xp = np.zeros(layout.n_dofs)
-    for v, d in layout.vertex_dof.items():
+    tables = layout_dicts(layout)
+    for v, d in tables.vertex_dof.items():
         if layout.pinned[d]:
             xp[d: d + 2] = g_data(mesh.vertices[[v]])[0]
-    for e, (q, base) in layout.trace_edges.items():
+    for e, (q, base) in tables.trace_edges.items():
         if not mesh.boundary[e] or q < 2:
             continue
         coords = edge_coords(mesh, e)
@@ -500,11 +543,34 @@ def dirichlet_values_per_element(layout, g_data, mesh):
     return xp
 
 
+def greedy_mark_by_set(indicators, fraction=0.5):
+    """Elements whose indicator, in a dict by element, reaches the given
+    fraction of the maximum: the set-based reference of
+    `study.greedy_mark`."""
+    if not indicators:
+        return set()
+    top = max(indicators.values())
+    if top <= 0.0:
+        return set()
+    return {k for k, v in indicators.items() if v >= fraction * top}
+
+
+def hp_decide_by_set(marked, mesh, singular_point):
+    """Split a set of marked elements: touching the singular point -> h,
+    else -> p; the set-based reference of `study.hp_decide`."""
+    sp = np.asarray(singular_point, dtype=float)
+    order = sorted(marked)
+    coords = coords_of(mesh, order)
+    dist = np.hypot(coords[..., 0] - sp[0], coords[..., 1] - sp[1])
+    touching = (dist.min(axis=1) < 1e-12).tolist()
+    h_set = {k for k, t in zip(order, touching) if t}
+    return h_set, set(order) - h_set
+
 
 def active_sides(mesh, degrees):
     """Ends (n, 2, 2) and degrees (n,) of the sides of the active elements."""
     active = mesh.active_elements
-    c = mesh.coords_of(active)
+    c = coords_of(mesh, active)
     ends = np.stack([c, np.roll(c, -1, axis=1)], axis=2).reshape(-1, 2, 2)
     return ends, np.repeat(degrees.of(mesh, active), 4)
 
@@ -758,7 +824,7 @@ def layout_by_walk(mesh, degrees):
     # local skeleton functions (four corners, each side's trace bubbles,
     # each segment's flux functions) as lists of (weight, global x dof)
     segments, class_ids, classes, class_rows = {}, {}, [], []
-    for k, coords in zip(active, mesh.coords_of(active)):
+    for k, coords in zip(active, coords_of(mesh, active)):
         verts, own_edges = mesh.verts[k].tolist(), mesh.sides[k].tolist()
         segs, key_sides = [], []
         rows = [vertex_entries(v) for v in verts]

@@ -24,7 +24,7 @@ from dpg_elast.study import (StudyConfig, best_approximation_errors,
                              greedy_mark, l2_errors, make_benchmark,
                              observed_rate, run_convergence_study)
 from oracle import (degree_and_base, edge_coords, apply_compliance, assemble_full, bilinear_maps,
-                    element_coords, interior_slices, solve_full)
+                    element_coords, interior_slices, layout_dicts, solve_full)
 
 STEEL_LAM, STEEL_MU = 123.0, 79.3
 
@@ -82,7 +82,7 @@ def test_criterion_04_locking_free():
         mesh = build_initial_mesh("unit_square", 4)
         degrees = DegreeMap(mesh, p=1)
         layout = build_dof_layout(mesh, degrees)
-        xp = dirichlet_values(layout, bench.g, mesh)
+        xp = dirichlet_values(layout, bench.g)
         x = solve_condensed(bench.solver_material, bench.f, layout, xp)
         es, eu, _, _ = l2_errors(layout, x, bench.exact)
         bs, bu = best_approximation_errors(layout, bench.exact)
@@ -178,9 +178,9 @@ def test_criterion_07_spd_suite():
     degrees = DegreeMap(mesh, p=1)
     layout = build_dof_layout(mesh, degrees)
     x = solve_condensed(lbench.solver_material, lbench.f,
-                        layout, dirichlet_values(layout, lbench.g, mesh))
+                        layout, dirichlet_values(layout, lbench.g))
     etas = error_indicators(lbench.solver_material, lbench.f, layout, x)
-    refined = refine_marked(mesh, greedy_mark(etas, 0.5))
+    refined = refine_marked(mesh, layout.elements[greedy_mark(etas, 0.5)])
 
     checked = 0
     max_asym = 0.0
@@ -235,7 +235,7 @@ def test_criterion_08_test_function_identities():
     sl_s, _ = interior_slices(layout, 0)
     x[sl_s] = np.concatenate([ones_t, 0.0 * ones_t, ones_t])
     coords = element_coords(mesh, 0)
-    for e, (flux_p, base) in layout.flux_edges.items():
+    for e, (flux_p, base) in layout_dicts(layout).flux_edges.items():
         # the flux I n on the leaf, n its unit normal (the leaf's
         # v0 -> v1 direction turned clockwise)
         d = np.diff(edge_coords(mesh, e), axis=0)[0]

@@ -47,8 +47,9 @@ from oracle import (condense_per_element, degree_and_base,
                     dirichlet_values_per_element, edge_coords,
                     element_coords, edge_param, eliminate_dense,
                     error_indicators_per_element, full_map, global_bmat,
-                    l2_errors_per_element, layout_by_walk, overlapping,
-                    patch_basis, segments_of, trace_at, validate)
+                    l2_errors_per_element, layout_by_walk, layout_dicts,
+                    overlapping, patch_basis, position_of, segments_of,
+                    trace_at, validate)
 
 MATERIAL = make_isotropic(1.0, 0.5)
 
@@ -56,7 +57,8 @@ MATERIAL = make_isotropic(1.0, 0.5)
 def element_map(layout, k):
     """Element k's dense map from the global to its local dofs: the
     identity on its interior dofs, then C_K."""
-    _, _, _, cmap = element_full_bmat(layout, MATERIAL, None, k)
+    _, _, _, cmap = element_full_bmat(layout, MATERIAL, None,
+                                      position_of(layout, k))
     return full_map(cmap, layout.n_dofs)
 
 
@@ -64,7 +66,8 @@ def check_class_matrices(mesh, layout):
     """Every element's class B times its C_K against a fresh coupling
     matrix on the global functions, by dof id."""
     for k in mesh.active_elements:
-        _, B, _, _ = element_full_bmat(layout, MATERIAL, None, k)
+        _, B, _, _ = element_full_bmat(layout, MATERIAL, None,
+                                       position_of(layout, k))
         fresh, gdofs = global_bmat(mesh, layout, MATERIAL, k)
         expect = np.zeros((B.shape[0], layout.n_dofs))
         expect[:, gdofs] = fresh
@@ -122,9 +125,10 @@ def check_constraint_maps(mesh, layout):
     against the leaf's normal.  Also the class maps are read-only and
     act on the x and y components alike."""
     ts = np.array([-1.0, -0.6, 0.0, 0.3, 1.0])
-    trace_ids = list(layout.trace_edges)
+    tables = layout_dicts(layout)
+    trace_ids = list(tables.trace_edges)
     trace_ends = np.array([edge_coords(mesh, e) for e in trace_ids])
-    flux_ids = list(layout.flux_edges)
+    flux_ids = list(tables.flux_edges)
     flux_ends = np.array([edge_coords(mesh, e) for e in flux_ids])
     for cmap in layout.class_maps:
         arrays = [cmap.interior, cmap.ids, cmap.weights]
@@ -145,14 +149,14 @@ def check_constraint_maps(mesh, layout):
             local = edge_basis_eval(seg.trace_q, t).T @ Cx[trace]
             for point, got in zip(points, local):
                 expect = np.zeros(layout.n_dofs)
-                for g, w in trace_at(mesh, layout, trace_ids[owner],
+                for g, w in trace_at(mesh, tables, trace_ids[owner],
                                      point).items():
                     expect[g] += w
                 assert np.max(np.abs(got - expect)) <= 1e-13
             (leaf,) = np.flatnonzero(overlapping(flux_ends, *points[[0, -1]]))
             d = flux_ends[leaf][1] - flux_ends[leaf][0]
             sign = np.sign((b - a) @ d)
-            flux_p, base = layout.flux_edges[flux_ids[leaf]]
+            flux_p, base = tables.flux_edges[flux_ids[leaf]]
             assert flux_p == seg.flux_p
             expect = np.zeros((ts.size, layout.n_dofs))
             expect[:, base: base + 2 * (flux_p + 1): 2] = sign * edge_basis_eval(
@@ -263,7 +267,7 @@ def test_adaptive_run_builds_only_new_classes(monkeypatch):
                 <= patch_keys & previous_patches)
         before, patches_before = len(builds), len(patch_builds)
         x = solve_condensed(mat, bench.f, layout,
-                            dirichlet_values(layout, bench.g, mesh))
+                            dirichlet_values(layout, bench.g))
         indicators = error_indicators(mat, bench.f, layout, x)
         # one coupling matrix per shape family the step before did not use,
         # one patch kernel per patch key it did not use
@@ -279,7 +283,7 @@ def test_adaptive_run_builds_only_new_classes(monkeypatch):
         assert not any(a.flags.writeable for a in cached_arrays(cache, layout))
         reused += len(keys & previous)
         previous, previous_patches = keys, patch_keys
-        mesh = refine_marked(mesh, greedy_mark(indicators))
+        mesh = refine_marked(mesh, layout.elements[greedy_mark(indicators)])
     assert reused > 0
 
 
@@ -485,7 +489,7 @@ def test_batched_step_matches_per_element_oracle(domain, data):
     f = bench.f
     layout = build_dof_layout(mesh, degrees)
 
-    xp = dirichlet_values(layout, boundary_data, mesh)
+    xp = dirichlet_values(layout, boundary_data)
     assert_close(xp, dirichlet_values_per_element(layout, boundary_data, mesh))
 
     # two extra loads, vanishing on the pinned dofs, as method 2 passes
@@ -541,7 +545,9 @@ def test_batched_step_matches_per_element_oracle(domain, data):
     eta = error_indicators(MATERIAL, f, layout, x)
     eta_ref = error_indicators_per_element(mesh, degrees, MATERIAL, f,
                                            layout, x)
-    assert list(eta) == list(eta_ref) == mesh.active_elements.tolist()
-    assert_close(list(eta.values()), list(eta_ref.values()))
+    # by layout position, which is the active elements' order
+    assert list(eta_ref) == mesh.active_elements.tolist()
+    assert eta.shape == (len(eta_ref),)
+    assert_close(eta, list(eta_ref.values()))
     assert_close(l2_errors(layout, x, bench.exact),
                  l2_errors_per_element(mesh, degrees, layout, x, bench.exact))

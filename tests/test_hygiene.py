@@ -6,8 +6,10 @@ module-level `_private` function that no module of the package refers to,
 on a public function or method that no module of the package and no demo
 refers to and that neither `__all__` nor `README.md` names, on an
 annotated class field that nothing in `src/`, `demos/` or `tests/` reads
-by name, and on a third-party import outside `ALLOWED_THIRD_PARTY`.  A
-subprocess check keeps the heavy scipy subpackages out of `sys.modules`,
+by name, and on a third-party import outside `ALLOWED_THIRD_PARTY`.  It
+also fails on a public function of `assembly` or `rankone`, other than
+`build_dof_layout`, that takes a `Mesh`: after the layout is built, a
+step's solver functions take the layout alone.  A subprocess check keeps the heavy scipy subpackages out of `sys.modules`,
 at import and after a study: each one adds its import time and memory to
 every run.
 """
@@ -118,6 +120,24 @@ def test_no_unreferenced_public_functions():
                     if bare not in referenced | exported
                     and not re.search(rf"\b{bare}\b", readme)]
     assert unreferenced == []
+
+
+def test_solver_functions_take_no_mesh():
+    trees = parse_package()
+    takes_mesh = []
+    for name in ("assembly.py", "rankone.py"):
+        for node in ast.walk(trees[name]):
+            if (not isinstance(node, ast.FunctionDef)
+                    or node.name.startswith("_")
+                    or node.name == "build_dof_layout"):
+                continue
+            args = node.args
+            for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
+                annotation = ast.unparse(arg.annotation) if arg.annotation else ""
+                if arg.arg == "mesh" or re.search(r"\bMesh\b", annotation):
+                    takes_mesh.append(f"{name}:{node.lineno} {node.name}"
+                                      f"({arg.arg})")
+    assert takes_mesh == []
 
 
 def class_fields(tree):

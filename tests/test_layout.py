@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from dpg_elast.assembly import build_dof_layout
 from dpg_elast.mesh import DegreeMap, build_initial_mesh, refine_marked
-from oracle import layout_by_walk, segments_of
+from oracle import layout_by_walk, layout_dicts, segments_of
 
 
 def assert_same_array(got, expect):
@@ -38,8 +38,9 @@ def test_layout_matches_walk(domain, delta_p, data):
 
     assert layout.n_dofs == walk.n_dofs
     # equal in content and in order
+    tables = layout_dicts(layout)
     for name in ("vertex_dof", "trace_edges", "flux_edges", "hanging"):
-        assert list(getattr(layout, name).items()) == list(
+        assert list(getattr(tables, name).items()) == list(
             getattr(walk, name).items()), name
     assert_same_array(layout.pinned, walk.pinned)
 
@@ -53,7 +54,7 @@ def test_layout_matches_walk(domain, delta_p, data):
             if getattr(expect, name) is not None:
                 assert_same_array(getattr(cmap, name), getattr(expect, name))
     for i, k in enumerate(mesh.active_elements):
-        assert layout.position[k] == i
+        assert layout.elements[i] == k
         members = layout.classes[layout.element_class[i]]
         assert members[layout.element_row[i]] == i
         assert segments_of(layout, k) == walk.segments[k]

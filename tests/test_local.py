@@ -11,7 +11,7 @@ from dpg_elast.material import make_isotropic
 from dpg_elast.mesh import (DegreeMap, build_initial_mesh, refine_marked,
                             refine_uniform)
 from oracle import (degree_and_base, element_coords, error_representation,
-                    load_product, local_load)
+                    load_product, local_load, position_of)
 
 UNIT = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 SHEARED = np.array([[0.0, 0.0], [1.0, 0.0], [1.5, 1.0], [0.5, 1.0]])
@@ -191,7 +191,7 @@ def test_gram_factor_cached_per_geometry_class():
     degrees = DegreeMap(mesh, p=1)
     layout = build_dof_layout(mesh, degrees)
     for k in mesh.active_elements:
-        L, _, _, _ = element_full_bmat(layout, m, None, k)
+        L, _, _, _ = element_full_bmat(layout, m, None, position_of(layout, k))
         p_tilde = degree_and_base(layout, k)[0] + degrees.delta_p
         L_abs = gram_factor(local_gram(element_coords(mesh, k), p_tilde))
         np.testing.assert_allclose(L, L_abs, rtol=0.0, atol=1e-13)
@@ -212,8 +212,8 @@ def test_uniform_mesh_shares_kernels():
         mesh = refine_uniform(mesh)
     degrees = DegreeMap(mesh, p=2)
     layout = build_dof_layout(mesh, degrees)
-    for k in mesh.active_elements:
-        element_full_bmat(layout, m, None, k)
+    for pos in range(len(layout.elements)):
+        element_full_bmat(layout, m, None, pos)
     assert len(mesh.active_elements) == 64
     assert len(layout.classes) == 1
     assert len(layout.cache.kernels) == len(layout.classes)

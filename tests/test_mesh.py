@@ -10,13 +10,15 @@ from dpg_elast.mesh import (DegreeMap, build_initial_mesh, refine_marked,
                             refine_uniform)
 from oracle import (active_sides, bilinear_maps, boundary_vertices_by_overlap,
                     corner_vertices, degree_by_overlap, edge_coords,
-                    element_coords, hanging_by_overlap, overlapping,
+                    element_coords, hanging_by_overlap, layout_dicts,
+                    overlapping,
                     record_initial_mesh, record_refine_marked, segments_of,
                     side_subedges, validate)
 
 
 def pinned_vertices(layout):
-    return {v for v, d in layout.vertex_dof.items() if layout.pinned[d]}
+    return {v for v, d in layout_dicts(layout).vertex_dof.items()
+            if layout.pinned[d]}
 
 
 def test_unit_square_counts():
@@ -82,7 +84,7 @@ def test_uniform_refinement():
     assert fine.child[0] >= 0
     assert len(mesh.active_elements) == 1  # original untouched
     validate(fine)
-    assert not build_dof_layout(fine, DegreeMap(fine)).hanging
+    assert not layout_dicts(build_dof_layout(fine, DegreeMap(fine))).hanging
     area = sum(abs(np.linalg.det(bilinear_maps(element_coords(fine, k),
                                                np.zeros((1, 2)))[1][0])) * 4.0
                for k in fine.active_elements)
@@ -97,7 +99,7 @@ def test_marked_refinement_hanging():
     assert_independent(mesh, fine)
     validate(fine)
     assert len(fine.active_elements) == 7
-    hang = build_dof_layout(fine, DegreeMap(fine)).hanging
+    hang = layout_dicts(build_dof_layout(fine, DegreeMap(fine))).hanging
     # element 0 has two interior sides, each contributing a hanging vertex
     assert len(hang) == 2
     for v, eid in hang.items():
@@ -225,15 +227,16 @@ def test_degree_map_edge_rules():
     degrees = DegreeMap(mesh, p=1)
     degrees.set_degree(0, 4)
     layout = build_dof_layout(mesh, degrees)
+    tables = layout_dicts(layout)
     near = mesh.sides[0].tolist()
     for e in near:
-        assert layout.trace_edges[e][0] - 1 == 4
+        assert tables.trace_edges[e][0] - 1 == 4
     assert [seg.flux_p for seg in segments_of(layout, 0)] == [4] * 4
     # element 3, diagonal from 0, shares no edge with it
     far = mesh.sides[3].tolist()
     only_far = [s for s, e in enumerate(far) if e not in near]
     assert any(segments_of(layout, 3)[s].flux_p == 1 for s in only_far)
-    assert any(layout.trace_edges[far[s]][0] - 1 == 1
+    assert any(tables.trace_edges[far[s]][0] - 1 == 1
                for s in only_far)
 
 
@@ -253,10 +256,11 @@ def test_layout_skeleton_matches_geometry(domain, data):
             st.sets(st.sampled_from(active), min_size=1, max_size=3)))
     layout = build_dof_layout(mesh, degrees)
     sides = active_sides(mesh, degrees)
+    tables = layout_dicts(layout)
 
-    trace_ends = np.array([edge_coords(mesh, e) for e in layout.trace_edges])
+    trace_ends = np.array([edge_coords(mesh, e) for e in tables.trace_edges])
     flux_ends = {frozenset(map(tuple, edge_coords(mesh, e).tolist()))
-                 for e in layout.flux_edges}
+                 for e in tables.flux_edges}
     for k in mesh.active_elements:
         coords = element_coords(mesh, k)
         for seg in segments_of(layout, k):
@@ -269,18 +273,18 @@ def test_layout_skeleton_matches_geometry(domain, data):
             (owner,) = np.flatnonzero(overlapping(trace_ends, *piece))
             assert seg.trace_q - 1 == degree_by_overlap(sides, trace_ends[owner])
             assert seg.flux_p == degree_by_overlap(sides, piece)
-    for table in (layout.trace_edges, layout.flux_edges):
+    for table in (tables.trace_edges, tables.flux_edges):
         for e, (degree, _) in table.items():
-            assert degree - (table is layout.trace_edges) == degree_by_overlap(
+            assert degree - (table is tables.trace_edges) == degree_by_overlap(
                 sides, edge_coords(mesh, e))
     hanging = hanging_by_overlap(mesh, sides)
-    assert set(layout.hanging) == set(hanging)
-    for v, master in layout.hanging.items():
+    assert set(tables.hanging) == set(hanging)
+    for v, master in tables.hanging.items():
         # the master edge is the side, in either direction
         assert (sorted(edge_coords(mesh, master).tolist())
                 == sorted(hanging[v].tolist()))
     assert pinned_vertices(layout) == boundary_vertices_by_overlap(mesh, sides)
-    assert set(layout.vertex_dof) == corner_vertices(mesh) - set(hanging)
+    assert set(tables.vertex_dof) == corner_vertices(mesh) - set(hanging)
 
 
 def test_degree_map_validation():

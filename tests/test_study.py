@@ -3,15 +3,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpg_elast import cli, study
 from dpg_elast.assembly import build_dof_layout
 from dpg_elast.material import make_isotropic
-from dpg_elast.mesh import DegreeMap, build_initial_mesh
-from dpg_elast.study import (ReportRow, StudyConfig, best_approximation_errors,
+from dpg_elast.mesh import DegreeMap, build_initial_mesh, refine_marked
+from dpg_elast.study import (StudyConfig, best_approximation_errors,
                              greedy_mark, hp_decide, l2_errors, make_benchmark,
                              observed_rate, rows_to_csv,
                              run_convergence_study, single_blas_thread)
+from oracle import greedy_mark_by_set, hp_decide_by_set
 
 MAT = make_isotropic(1.0, 0.5)
 
@@ -43,23 +46,72 @@ def test_best_approximation_below_exact_norm():
 
 
 def test_greedy_mark():
-    assert greedy_mark({0: 1.0, 1: 0.6, 2: 0.4}, 0.5) == {0, 1}
-    assert greedy_mark({0: 1.0, 1: 0.6, 2: 0.4}, 1.0) == {0}
-    assert greedy_mark({}, 0.5) == set()
-    assert greedy_mark({0: 0.0, 1: 0.0}, 0.5) == set()
+    assert greedy_mark(np.array([1.0, 0.6, 0.4]), 0.5).tolist() == [0, 1]
+    assert greedy_mark(np.array([1.0, 0.6, 0.4]), 1.0).tolist() == [0]
+    assert greedy_mark(np.zeros(0), 0.5).tolist() == []
+    assert greedy_mark(np.zeros(2), 0.5).tolist() == []
+
+
+def layout_coords(mesh):
+    return build_dof_layout(mesh, DegreeMap(mesh)).coords
 
 
 def test_hp_decide():
-    mesh = build_initial_mesh("l_shape", 1)
-    marked = set(mesh.active_elements)
-    h_set, p_set = hp_decide(marked, mesh, (0.0, 0.0))
+    coords = layout_coords(build_initial_mesh("l_shape", 1))
+    marked = np.arange(len(coords))
+    h_marked, p_marked = hp_decide(marked, coords, (0.0, 0.0))
     # every initial element touches the reentrant corner
-    assert h_set == marked and not p_set
-    mesh2 = build_initial_mesh("l_shape", 2)
-    h_set, p_set = hp_decide(set(mesh2.active_elements), mesh2, (0.0, 0.0))
-    assert len(h_set) == 3
-    assert len(p_set) == 9
-    assert hp_decide(set(), mesh2, (0.0, 0.0)) == (set(), set())
+    assert h_marked.tolist() == marked.tolist() and not p_marked.size
+    coords2 = layout_coords(build_initial_mesh("l_shape", 2))
+    h_marked, p_marked = hp_decide(np.arange(12), coords2, (0.0, 0.0))
+    assert len(h_marked) == 3
+    assert len(p_marked) == 9
+    assert [a.tolist() for a in hp_decide(np.zeros(0, dtype=int), coords2,
+                                          (0.0, 0.0))] == [[], []]
+
+
+@settings(max_examples=60, deadline=None)
+@given(fraction=st.sampled_from([0.5, 1.0]) | st.floats(0.01, 1.0),
+       data=st.data())
+def test_greedy_mark_matches_set_reference(fraction, data):
+    # random indicators, empty and all-zero ones among them, with some
+    # set to exactly fraction * max
+    n = data.draw(st.integers(0, 30))
+    values = data.draw(st.lists(st.floats(0.0, 1e3) | st.just(0.0),
+                                min_size=n, max_size=n))
+    top = max(values, default=0.0)
+    if top > 0.0:
+        ties = data.draw(st.sets(st.integers(0, n - 1)))
+        for i in ties - {values.index(top)}:
+            values[i] = fraction * top
+    marked = greedy_mark(np.array(values), fraction)
+    assert marked.tolist() == sorted(
+        greedy_mark_by_set(dict(enumerate(values)), fraction))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_hp_decide_matches_set_reference(data):
+    # random marked sets on a refined L-shape mesh, with and without an
+    # element at the reentrant corner
+    mesh = build_initial_mesh("l_shape", data.draw(st.integers(1, 2)))
+    for _ in range(data.draw(st.integers(0, 3))):
+        active = mesh.active_elements
+        mesh = refine_marked(mesh, data.draw(
+            st.sets(st.sampled_from(active), min_size=1, max_size=4)))
+    layout = build_dof_layout(mesh, DegreeMap(mesh))
+    corner, _ = hp_decide_by_set(set(layout.elements.tolist()), mesh,
+                                 (0.0, 0.0))
+    positions = data.draw(st.sets(st.integers(0, len(layout.elements) - 1)))
+    if data.draw(st.booleans()):
+        positions.add(int(np.searchsorted(layout.elements, data.draw(
+            st.sampled_from(sorted(corner))))))
+    marked = np.array(sorted(positions), dtype=int)
+    h_marked, p_marked = hp_decide(marked, layout.coords, (0.0, 0.0))
+    h_ref, p_ref = hp_decide_by_set(set(layout.elements[marked].tolist()),
+                                    mesh, (0.0, 0.0))
+    assert layout.elements[h_marked].tolist() == sorted(h_ref)
+    assert layout.elements[p_marked].tolist() == sorted(p_ref)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -172,7 +224,8 @@ def test_csv_roundtrip_and_determinism(tmp_path):
     rows = run_convergence_study(config)
     text = rows_to_csv(rows)
     lines = text.strip().split("\n")
-    assert lines[0] == ",".join(ReportRow.FIELDS)
+    assert lines[0] == ("step,n_dofs,h_min,p_max,e_sigma,e_u,rel_combined,"
+                        "eta,wall_time")
     assert len(lines) == 3
     with open(tmp_path / "a.csv") as fh:
         assert fh.read() == text
@@ -216,7 +269,7 @@ def test_cli_overrides(tmp_path):
         assert len(fh.read().strip().split("\n")) == 2  # header + one step
 
 
-def test_cli_config_errors(tmp_path):
+def test_cli_config_errors(tmp_path, capsys):
     assert cli.main(["run", "--config", str(tmp_path / "missing.cfg")]) == 3
     bad = write_config(tmp_path, "volume = 3\n")
     assert cli.main(["run", "--config", bad]) == 3
@@ -231,6 +284,11 @@ def test_cli_config_errors(tmp_path):
     assert cli.main(["run", "--config", nowhere]) == 3
     assert cli.main(["run", "--steps", "1", "--out", missing_dir]) == 3
     assert cli.main(["run", "--steps", "1", "--out", str(tmp_path)]) == 3
+    # a file name the file system cannot hold fails before any step
+    too_long = str(tmp_path / ("a" * 300 + ".csv"))
+    capsys.readouterr()
+    assert cli.main(["run", "--steps", "2", "--out", too_long]) == 3
+    assert capsys.readouterr().err.startswith("config error:")
     assert cli.main(["run", "--volume", "3"]) == 3
 
 
