@@ -43,17 +43,17 @@ children alone, so it condenses like an element interior, one level up:
 the patch basis is the inner dofs, then the children's other skeleton
 rows, and a patch class, keyed by its children's class keys, holds the
 children's Schur complements summed on that basis, condensed onto the
-boundary rows (`_patch_kernel`, cached beside the element kernels).  The
+boundary rows (`_patch_kernel`, cached with the element kernels).  The
 layout finds the patches and their maps C_P in array passes, one loop
 step per patch class.
 
-The interiors are numbered first, so the free coarse dofs are the
-unpinned dofs after them outside every inner skeleton.  `condense` writes
-the C_K' S C_K entries of each class's members outside the patches and
-each patch class's C_P' S_P C_P in that free numbering, without the
-pinned rows and columns, into arrays allocated once per step, and
-SuperLU gets the CSC matrix built from them; no global matrix over all
-dofs is formed.
+`condense` takes one step per unit, children before parents: each
+element class, then each patch class.  The Dirichlet lift enters at the
+members that write the coarse matrix, the elements outside every patch
+and the patches.  The free coarse dofs are the unpinned skeleton dofs
+outside every inner skeleton; the entries go in that numbering into
+arrays allocated once per step, and SuperLU gets the CSC matrix built
+from them; no global matrix over all dofs is formed.
 """
 from __future__ import annotations
 
@@ -90,8 +90,8 @@ class ClassKernel:
     """Read-only matrices of one element or patch class.
 
     With K split into interior and skeleton blocks, `Kii` is the Cholesky
-    factor of the interior block, `Kis` the interior-skeleton block, `A` =
-    Kii^-1 Kis and `S` the Schur complement Kss - Kis'A.  For an element,
+    factor of the interior block, `A` = Kii^-1 Kis for the interior-skeleton
+    block Kis, and `S` the Schur complement Kss - Kis'A.  For an element,
     K = B'G^-1 B, `L` is the Gram Cholesky factor and `B` the coupling
     matrix with its columns in class order.  For a patch, K is its
     children's Schur complements summed on the patch basis (inner dofs,
@@ -99,7 +99,6 @@ class ClassKernel:
     """
 
     Kii: np.ndarray
-    Kis: np.ndarray
     A: np.ndarray
     S: np.ndarray
     L: np.ndarray | None = None
@@ -110,32 +109,29 @@ class ClassKernel:
 class KernelCache:
     """Element- and patch-class kernels of a study, carried from step to step.
 
-    `kernels` maps (class key, material) to a `ClassKernel`, `gram_factors`
-    maps (p_tilde, vertex offsets from vertex 0) to a Gram Cholesky factor,
-    `families` maps (family key, material) to the coupling matrix of the
-    shape family (`_family`), from which each class's B is scaled, and
-    `patches` maps (patch key, material) to a patch's `ClassKernel`.
-    `build_dof_layout` drops every entry its classes and patch classes do
-    not use, so the cache holds at most one step's classes, shapes,
-    families and patch classes.
+    `kernels` maps (class key, material) and (patch key, material) to a
+    `ClassKernel`; a patch key is a tuple of class keys, so it never equals
+    a class key.  `gram_factors` maps (p_tilde, vertex offsets from vertex
+    0) to a Gram Cholesky factor, and `families` maps (family key,
+    material) to the coupling matrix of the shape family (`_family`), from
+    which each class's B is scaled.  `build_dof_layout` drops every entry
+    its classes and patch classes do not use, so the cache holds at most
+    one step's classes, shapes, families and patch classes.
     """
 
     kernels: dict[tuple, ClassKernel] = field(default_factory=dict)
     gram_factors: dict[tuple, np.ndarray] = field(default_factory=dict)
     families: dict[tuple, np.ndarray] = field(default_factory=dict)
-    patches: dict[tuple, ClassKernel] = field(default_factory=dict)
 
     def retain(self, class_keys, patch_keys) -> None:
         """Keep only the entries of the given class and patch keys."""
-        patches = set(patch_keys)
-        self.patches = {k: v for k, v in self.patches.items()
-                        if k[0] in patches}
         keys = set(class_keys)
         # a class key is (p, p_tilde, vertex offsets, per side: the trace
         # degree q and the leaves' flux degrees); its shape is (p_tilde,
         # offsets), its family the key with the offsets scaled to [0.5, 1)
         shapes = {(key[1], key[2]) for key in keys}
         families = {_family(key)[0] for key in keys}
+        keys.update(patch_keys)
         self.kernels = {k: v for k, v in self.kernels.items() if k[0] in keys}
         self.gram_factors = {k: v for k, v in self.gram_factors.items()
                              if k in shapes}
@@ -728,10 +724,7 @@ def _condensed(K: np.ndarray, ni: int, failure: str, **extra) -> ClassKernel:
         raise ValueError(f"LAPACK reported an illegal value in {-info}-th "
                          "argument on entry to POTRF")
     A = cholesky_solve(Kii, Kis)
-    S = Kss - Kis.T @ A
-    # a copy of Kis, so that K itself is not kept alive
-    return ClassKernel(*_read_only(Kii, np.ascontiguousarray(Kis), A, S),
-                       **extra)
+    return ClassKernel(*_read_only(Kii, A, Kss - Kis.T @ A), **extra)
 
 
 def _patch_kernel(key: tuple, rows: tuple, material: Material,
@@ -830,9 +823,9 @@ class CondensedSystem:
     Column j of `rhs` is load j condensed onto the free coarse dofs, the
     free skeleton dofs outside every patch's inner skeleton; column 0 is
     the DPG load with the Dirichlet lift folded in, the others are the
-    extra loads.  `recover` holds, per patch class and then per element
-    class, the members' `ClassMap`, Kii^-1 Kis, and Kii^-1 of the members'
-    interior loads as an (ni, m, 1 + extra) block.
+    extra loads.  `recover` holds one record per unit, children before
+    parents: the members' `ClassMap`, Kii^-1 Kis, and Kii^-1 of the
+    members' interior loads as an (ni, m, 1 + extra) block.
     """
 
     S: sp.csc_matrix        # Schur complement on the free coarse dofs
@@ -843,14 +836,14 @@ class CondensedSystem:
 
     def expand(self, j: int, xs: np.ndarray) -> np.ndarray:
         """Full dof vector of load j from its free coarse values `xs`: the
-        patches' inner skeletons first, then the element interiors.
+        units in reverse, the patches' inner skeletons first.
 
         Only load 0 takes the Dirichlet values; the others vanish on the
         pinned dofs.
         """
         x = self.x_pinned.copy() if j == 0 else np.zeros(self.x_pinned.size)
         x[self.free] = xs
-        for cmap, A, b in self.recover:
+        for cmap, A, b in reversed(self.recover):
             x[cmap.interior] = (b[:, :, j] - A @ cmap.gather(x).T).T
         return x
 
@@ -858,80 +851,80 @@ class CondensedSystem:
 def condense(material: Material, f, layout: DofLayout,
              x_pinned: np.ndarray | None = None,
              loads: np.ndarray | None = None) -> CondensedSystem:
-    """Statically condense the interior (sigma, u) blocks, class by class,
-    and then the patches' inner skeletons, patch class by patch class.
+    """Statically condense the element interiors and then the patches'
+    inner skeletons: one step per unit, children before parents.
 
-    `x_pinned` holds the Dirichlet values on the pinned dofs (zero
-    elsewhere).  `loads` is an optional (n_dofs, m) block of extra
-    right-hand sides; a load that does not vanish on the pinned dofs raises
-    ValueError.  Each element class's kernel holds the factor of Kii,
-    Kii^-1 Kis and the element Schur complement; the members of a class
-    then solve Kii for their own loads and the extra loads in one call.
-    The element pass assembles every skeleton load, so a patch's inner
-    loads are then in place, and its kernel condenses them the same way.
+    `x_pinned` holds the Dirichlet values on the pinned dofs, and `loads`
+    is an optional (n_dofs, m) block of extra right-hand sides; a lift off
+    the pinned dofs or a load on them raises ValueError.  The element
+    loads enter first: their interior part in the load block, their
+    skeleton part as the element class's own condensed load.  A unit, an
+    element class or a patch class, then solves its kernel's Kii for the
+    loads r on its members' interiors in one call, scatters the condensed
+    load -A'r plus its own, writes its C' S C entries and keeps a
+    recovery record.  The Dirichlet lift S C x_pinned enters at the
+    members that write the coarse matrix, the elements outside every
+    patch and the patches; x_pinned vanishes on the inner skeletons.
 
     Neither the full sparse matrix nor a global skeleton matrix is formed:
-    each element class outside the patches writes its members' C_K' S C_K
-    entries, and each patch class its members' C_P' S_P C_P, numbered by
-    free coarse dof and with the pinned rows and columns left out, into
-    row, column and value arrays allocated once for all classes, and the
-    CSC matrix is built from them in one conversion that sums the
-    duplicates.
+    the C' S C entries, numbered by free coarse dof and with the pinned
+    rows and columns left out, go into row, column and value arrays
+    allocated once for all units, and the CSC matrix is built from them
+    in one conversion that sums the duplicates.
     """
     n = layout.n_dofs
     xp = np.zeros(n) if x_pinned is None else x_pinned
     loads = np.zeros((n, 0)) if loads is None else loads
     if np.any(loads[layout.pinned]):
         raise ValueError("extra loads must vanish on the pinned dofs")
+    if np.any(xp[~layout.pinned]):
+        raise ValueError("x_pinned must vanish off the pinned dofs")
     g = np.column_stack([np.zeros(n), loads])
     # the element interiors are numbered first and never pinned, so the free
     # coarse dofs are the unpinned ids after them outside the inner
     # skeletons; `index` takes a dof to its row of the condensed matrix, -1
     # for an interior, inner or pinned dof
-    maps, patch_maps = layout.class_maps, layout.patch_maps
-    n_interior = sum(cmap.interior.size for cmap in maps)
+    n_interior = sum(cmap.interior.size for cmap in layout.class_maps)
     coarse = ~layout.pinned
     in_patch = np.zeros(len(layout.elements), dtype=bool)
-    for pmap, kids in zip(patch_maps, layout.patches):
+    for pmap, kids in zip(layout.patch_maps, layout.patches):
         coarse[pmap.interior] = False
         in_patch[kids] = True
     free = n_interior + np.flatnonzero(coarse[n_interior:])
     index = np.full(n, -1, dtype=np.int32)
     index[free] = np.arange(free.size, dtype=np.int32)
-    writes = [~in_patch[members] for members in layout.classes]
-    size = sum(np.count_nonzero(w) * cmap.ids.shape[1] ** 2
-               for w, cmap in zip(writes, maps))
-    size += sum(pmap.ids.size * pmap.ids.shape[1] for pmap in patch_maps)
-    rows, cols = np.empty((2, size), dtype=np.int32)
-    vals = np.empty(size)
-    coo, k = (rows, cols, vals), 0
-    recover = []
+
+    # the units: kernel, map, own condensed load, members writing the
+    # coarse matrix
+    units = []
     for cls, members in enumerate(layout.classes):
         kernel, lvecs, cmap = _class_members(layout, material, f, cls)
         ni = cmap.interior.shape[1]
         fl = kernel.B.T @ cholesky_solve(kernel.L, lvecs)
-        rhs = np.empty((ni, len(members), g.shape[1]))
-        rhs[:, :, 0] = fl[:ni]
-        rhs[:, :, 1:] = loads[cmap.interior].transpose(1, 0, 2)
-        b, gs = _eliminate(kernel, rhs)
-        gs[:, :, 0] += fl[ni:] - kernel.S @ cmap.gather(xp).T
-        cmap.scatter(g, gs.transpose(1, 0, 2))
-        k = _write_free(cmap, kernel.S, index[cmap.ids], writes[cls], coo, k)
-        recover.append((cmap, kernel.A, b))
+        g[cmap.interior, 0] = fl[:ni].T
+        units.append((kernel, cmap, fl[ni:], ~in_patch[members]))
+    kernels = layout.cache.kernels
+    for key, rows, pmap in zip(layout.patch_keys, layout.patch_rows,
+                               layout.patch_maps):
+        if (key, material) not in kernels:
+            kernels[key, material] = _patch_kernel(key, rows, material,
+                                                   layout.cache)
+        units.append((kernels[key, material], pmap, 0.0,
+                      np.ones(len(pmap.ids), dtype=bool)))
 
-    # the inner loads hold the pinned values' coupling already, so the
-    # recovery, which reads them in C_P x, adds it back
-    for pc, (key, pmap) in enumerate(zip(layout.patch_keys, patch_maps)):
-        kernel = layout.cache.patches.get((key, material))
-        if kernel is None:
-            kernel = _patch_kernel(key, layout.patch_rows[pc], material,
-                                   layout.cache)
-            layout.cache.patches[key, material] = kernel
-        b, gs = _eliminate(kernel, g[pmap.interior].transpose(1, 0, 2))
-        pmap.scatter(g, gs.transpose(1, 0, 2))
-        k = _write_free(pmap, kernel.S, index[pmap.ids], True, coo, k)
-        b[:, :, 0] += kernel.A @ pmap.gather(xp).T
-        recover.insert(pc, (pmap, kernel.A, b))
+    size = sum(np.count_nonzero(w) * cmap.ids.shape[1] ** 2
+               for _, cmap, _, w in units)
+    rows, cols = np.empty((2, size), dtype=np.int32)
+    vals = np.empty(size)
+    coo, k = (rows, cols, vals), 0
+    recover = []
+    for kernel, cmap, own, writes in units:
+        b, gs = _eliminate(kernel, g[cmap.interior].transpose(1, 0, 2))
+        gs[:, :, 0] += own
+        gs[:, writes, 0] -= kernel.S @ cmap.gather(xp)[writes].T
+        cmap.scatter(g, gs.transpose(1, 0, 2))
+        k = _write_free(cmap, kernel.S, index[cmap.ids], writes, coo, k)
+        recover.append((cmap, kernel.A, b))
 
     S = sp.csc_matrix((vals[:k], (rows[:k], cols[:k])), shape=(free.size,) * 2)
     return CondensedSystem(S=S, rhs=g[free], free=free, x_pinned=xp,
@@ -939,19 +932,19 @@ def condense(material: Material, f, layout: DofLayout,
 
 
 def _eliminate(kernel: ClassKernel, rhs: np.ndarray):
-    """Kii^-1 rhs, (ni, m, k), and the condensed load -Kis' Kii^-1 rhs,
-    (n_skel, m, k), of an (ni, m, k) block of the members' interior
-    loads."""
-    ni = rhs.shape[0]
-    b = cholesky_solve(kernel.Kii, rhs.reshape(ni, -1)).reshape(rhs.shape)
-    gs = -(kernel.Kis.T @ b.reshape(ni, -1)).reshape(-1, *rhs.shape[1:])
+    """Kii^-1 rhs, (ni, m, k), and the condensed load -A' rhs =
+    -Kis' Kii^-1 rhs, (n_skel, m, k), of an (ni, m, k) block of the
+    members' interior loads."""
+    r = rhs.reshape(rhs.shape[0], -1)
+    b = cholesky_solve(kernel.Kii, r).reshape(rhs.shape)
+    gs = -(kernel.A.T @ r).reshape(-1, *rhs.shape[1:])
     return b, gs
 
 
 def _write_free(cmap: ClassMap, S: np.ndarray, dof: np.ndarray, members,
                 coo: tuple, k: int) -> int:
     """Write the C_K' S C_K entries of the members selected by the mask
-    `members` (True: all) at position k of the row, column and value
+    `members` at position k of the row, column and value
     arrays `coo`, numbered by free coarse dof (`dof`, the members' ids in
     that numbering, -1 where interior, inner or pinned); returns the next
     position.

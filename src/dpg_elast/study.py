@@ -118,7 +118,7 @@ class StudyConfig:
             raise ValueError(
                 f"delta_p must be >= 2, got {self.delta_p}: with a smaller "
                 "test enrichment the condensed skeleton matrix is singular")
-        make_isotropic(self.lam, self.mu)
+        make_benchmark(self.benchmark, make_isotropic(self.lam, self.mu))
         if not 0.0 < self.marking_fraction <= 1.0:
             raise ValueError(
                 f"marking fraction must be in (0, 1], got {self.marking_fraction}")

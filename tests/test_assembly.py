@@ -227,13 +227,41 @@ def hanging_problem():
     return mesh, degrees, layout, f, dirichlet_values(layout, g)
 
 
+def patch_boundary_problem():
+    """p = 2 with non-polynomial Dirichlet data on the 2x2 square refined
+    uniformly and then in one child: the equal squares form one class,
+    with members inside patches and one outside them, on the boundary."""
+    mesh = build_initial_mesh("unit_square", 2)
+    mesh = refine_marked(mesh, mesh.active_elements)
+    mesh = refine_marked(mesh, [mesh.active_elements[2]])
+    degrees = DegreeMap(mesh, p=2)
+    layout = build_dof_layout(mesh, degrees)
+    in_patch = np.zeros(len(layout.elements), dtype=bool)
+    for kids in layout.patches:
+        in_patch[kids] = True
+    outside_on_boundary = [
+        layout.pinned[cmap.ids[~in_patch[members]]].any()
+        for members, cmap in zip(layout.classes, layout.class_maps)
+        if in_patch[members].any()]
+    assert any(outside_on_boundary)
+
+    def f(pts):
+        return np.column_stack([np.sin(3.0 * pts[:, 0]), np.cos(2.0 * pts[:, 1])])
+
+    return mesh, degrees, layout, f, dirichlet_values(layout, boundary_data)
+
+
 def test_condensed_matches_full_solve():
-    mesh, degrees, layout, f, xp = hanging_problem()
-    E, gvec = assemble_full(mesh, degrees, MAT, f, layout)
-    x_full = solve_full(E, gvec, layout, xp)
-    x_cond = solve_condensed(MAT, f, layout, xp)
-    scale = np.max(np.abs(x_full))
-    np.testing.assert_allclose(x_cond, x_full, atol=1e-10 * scale)
+    # the Dirichlet lift enters through the members that write the coarse
+    # matrix: on the second mesh, a class's members inside patches leave
+    # it to their patch, and its member outside them takes it
+    for problem in (hanging_problem, patch_boundary_problem):
+        mesh, degrees, layout, f, xp = problem()
+        E, gvec = assemble_full(mesh, degrees, MAT, f, layout)
+        x_full = solve_full(E, gvec, layout, xp)
+        x_cond = solve_condensed(MAT, f, layout, xp)
+        scale = np.max(np.abs(x_full))
+        np.testing.assert_allclose(x_cond, x_full, atol=1e-10 * scale)
 
 
 def test_condensed_extra_loads_match_full_solve():
@@ -271,6 +299,20 @@ def test_condense_rejects_loads_on_pinned_dofs():
     loads[np.flatnonzero(layout.pinned)[-1], 1] = 1.0
     with pytest.raises(ValueError, match="pinned"):
         condense(MAT, None, layout, loads=loads)
+
+
+def test_condense_rejects_lift_off_pinned_dofs():
+    # the lift enters only through C x_pinned, so a value on an element
+    # interior, a patch's inner skeleton or a free coarse dof would be
+    # read as boundary data and move the solution
+    mesh = refine_marked(build_initial_mesh("unit_square", 2), [0])
+    layout = build_dof_layout(mesh, DegreeMap(mesh, p=1))
+    (pmap,) = layout.patch_maps
+    for dof in (0, pmap.interior[0, 0], np.flatnonzero(~layout.pinned)[-1]):
+        xp = np.zeros(layout.n_dofs)
+        xp[dof] = 1.0
+        with pytest.raises(ValueError, match="pinned"):
+            condense(MAT, None, layout, xp)
 
 
 def smooth_skeleton_system(p, method):

@@ -220,13 +220,21 @@ def test_random_refinement_keeps_classes_exact(domain, data):
 def cached_arrays(cache, layout):
     yield from cache.gram_factors.values()
     yield from cache.families.values()
-    for kernel in [*cache.kernels.values(), *cache.patches.values()]:
+    for kernel in cache.kernels.values():
         yield from (a for a in vars(kernel).values() if a is not None)
     yield from layout.loads.values()
     for pmap, kids, (_, place, sign) in zip(layout.patch_maps, layout.patches,
                                             layout.patch_rows):
         yield from (pmap.interior, pmap.ids, pmap.weights, kids, place, sign)
         yield from [] if pmap.rows is None else [pmap.rows]
+
+
+def cached_keys(cache):
+    """The class keys and the patch keys of the cached kernels; a patch
+    key is a tuple of class keys, a class key starts with the degree."""
+    keys = {key for key, _ in cache.kernels}
+    patch_keys = {key for key in keys if isinstance(key[0], tuple)}
+    return keys - patch_keys, patch_keys
 
 
 def families(keys):
@@ -260,11 +268,11 @@ def test_adaptive_run_builds_only_new_classes(monkeypatch):
         layout = build_dof_layout(mesh, degrees, cache=cache)
         keys, patch_keys = set(layout.class_keys), set(layout.patch_keys)
         # eviction comes before any kernel of the step is built
-        assert {key[0] for key in cache.kernels} <= keys & previous
+        cached_classes, cached_patches = cached_keys(cache)
+        assert cached_classes <= keys & previous
         assert ({key[0] for key in cache.families}
                 <= families(keys) & families(previous))
-        assert ({key[0] for key in cache.patches}
-                <= patch_keys & previous_patches)
+        assert cached_patches <= patch_keys & previous_patches
         before, patches_before = len(builds), len(patch_builds)
         x = solve_condensed(mat, bench.f, layout,
                             dirichlet_values(layout, bench.g))
@@ -276,10 +284,10 @@ def test_adaptive_run_builds_only_new_classes(monkeypatch):
                 == len(patch_keys - previous_patches))
         # the cache holds exactly this step's classes, shapes, families and
         # patch classes
-        assert set(cache.kernels) == {(key, mat) for key in keys}
+        assert set(cache.kernels) == {(key, mat) for key in keys | patch_keys}
+        assert cached_keys(cache) == (keys, patch_keys)
         assert set(cache.gram_factors) == {(key[1], key[2]) for key in keys}
         assert set(cache.families) == {(fam, mat) for fam in families(keys)}
-        assert set(cache.patches) == {(key, mat) for key in patch_keys}
         assert not any(a.flags.writeable for a in cached_arrays(cache, layout))
         reused += len(keys & previous)
         previous, previous_patches = keys, patch_keys
@@ -361,7 +369,7 @@ def test_patch_basis_follows_from_the_key(domain, data):
     for pc, (key, pmap, basis) in enumerate(zip(
             layout.patch_keys, layout.patch_maps, layout.patch_rows)):
         ni = pmap.interior.shape[1]
-        cached = layout.cache.patches[key, MATERIAL]
+        cached = layout.cache.kernels[key, MATERIAL]
         for i in range(len(pmap.ids)):
             place, sign, boundary = patch_basis(layout, pc, i)
             np.testing.assert_array_equal(place, basis[1])

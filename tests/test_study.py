@@ -290,6 +290,36 @@ def test_cli_config_errors(tmp_path, capsys):
     assert cli.main(["run", "--steps", "2", "--out", too_long]) == 3
     assert capsys.readouterr().err.startswith("config error:")
     assert cli.main(["run", "--volume", "3"]) == 3
+    # materials the benchmark cannot take fail before any step: Poisson
+    # ratio 0 has no L-shape corner exponent, and the solver material's
+    # lambda / (2 mu) overflows
+    for argv in (["--benchmark", "lshape", "--lambda", "0"],
+                 ["--lambda", "1e300", "--mu", "1e-10"]):
+        capsys.readouterr()
+        assert cli.main(["run", *argv]) == 3
+        assert capsys.readouterr().err.startswith("config error:")
+
+
+def magnitudes():
+    """Positive floats with decimal exponents from -300 to 300."""
+    return st.builds(lambda m, e: m * 10.0 ** e,
+                     st.floats(1.0, 10.0, exclude_max=True),
+                     st.integers(-300, 300))
+
+
+@settings(max_examples=200, deadline=None)
+@given(benchmark=st.sampled_from(["smooth", "lshape"]),
+       lam=st.one_of(st.just(0.0), magnitudes()), mu=magnitudes())
+def test_validate_admits_only_materials_the_benchmark_takes(benchmark, lam,
+                                                            mu):
+    # a material that passes validation builds its benchmark; any other
+    # is a ValueError, which the CLI reports as a configuration error
+    config = StudyConfig(benchmark=benchmark, lam=lam, mu=mu)
+    try:
+        config.validate()
+    except ValueError:
+        return
+    make_benchmark(benchmark, make_isotropic(lam, mu))
 
 
 def test_cli_rejects_hp_without_singular_point(tmp_path, capsys):
