@@ -37,32 +37,44 @@ estimator and the rank-one border terms do their dense algebra once per
 class, with one scatter through the members' C_K (`ClassMap`), and the
 loads of a step take one call of f per degree group.
 
-A patch is a parent whose four children are all active.  Its inner
-skeleton, the centre vertex and the four inner edges, is carried by the
-children alone, so it condenses like an element interior, one level up:
-the patch basis is the inner dofs, then the children's other skeleton
-rows, and a patch class, keyed by its children's class keys, holds the
-children's Schur complements summed on that basis, condensed onto the
-boundary rows (`_patch_kernel`, cached with the element kernels).  The
-layout finds the patches and their maps C_P in array passes, one loop
-step per patch class.
+The refinement forest condenses like an element, one level up at a
+time (nested dissection).  A split element's inner skeleton, its centre
+and its inner cross at any depth, is carried by its descendants alone.
+A node is a split element whose four children are leaves or nodes: its
+basis is its inner dofs, then one boundary function per distinct part
+of its children's skeleton rows off the inner dofs (a vertex's rows from
+two children are one function), and its kernel holds the children's
+Schur complements summed on that basis, condensed onto the boundary
+functions (`_node_kernel`).  A node class is keyed by its children's
+keys, so equal subtrees share one kernel, cached with the element
+kernels.  A class becomes a node class only when its kernel serves more
+than once: it has two members, or its key is one of the step before.  A
+subtree refined anew at every step, as the adaptive L-shape's chains to
+its corner are, is left to SuperLU, which factors a kernel used once
+faster than a dense node does.  The layout finds the nodes, children
+before parents, in array passes per subtree height.
 
 `condense` takes one step per unit, children before parents: each
-element class, then each patch class.  The Dirichlet lift enters at the
-members that write the coarse matrix, the elements outside every patch
-and the patches.  The free coarse dofs are the unpinned skeleton dofs
-outside every inner skeleton; the entries go in that numbering into
-arrays allocated once per step, and SuperLU gets the CSC matrix built
-from them; no global matrix over all dofs is formed.
+element class, then each node class.  The Dirichlet lift enters at the
+members that write the coarse matrix, those outside every node.  A root
+node also condenses its private dofs, the coarse dofs no other writing
+member touches (its fluxes on the domain boundary, which its key does
+not know), member by member.  The free coarse dofs are the unpinned
+skeleton dofs outside every inner skeleton and private set; the entries
+go in that numbering into arrays allocated once per step, and SuperLU
+gets the CSC matrix built from them; no global matrix over all dofs is
+formed.
 """
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 from scipy.sparse.linalg import splu
 
 from .basis import _read_only, edge_basis_eval, gauss_rule
@@ -87,15 +99,16 @@ SPD_SPLU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
 
 @dataclass(frozen=True)
 class ClassKernel:
-    """Read-only matrices of one element or patch class.
+    """Read-only matrices of one element or node class.
 
     With K split into interior and skeleton blocks, `Kii` is the Cholesky
-    factor of the interior block, `A` = Kii^-1 Kis for the interior-skeleton
-    block Kis, and `S` the Schur complement Kss - Kis'A.  For an element,
+    factor L of the interior block, `A` = (L L')^-1 Kis for the
+    interior-skeleton block Kis, and `S` the Schur complement Kss - W'W,
+    W = L^-1 Kis, which is symmetric to the bit.  For an element,
     K = B'G^-1 B, `L` is the Gram Cholesky factor and `B` the coupling
-    matrix with its columns in class order.  For a patch, K is its
-    children's Schur complements summed on the patch basis (inner dofs,
-    then boundary rows), and `L` and `B` are None.
+    matrix with its columns in class order.  For a node, K is its
+    children's Schur complements summed on the node basis (inner dofs,
+    then boundary functions), and `L` and `B` are None.
     """
 
     Kii: np.ndarray
@@ -107,31 +120,36 @@ class ClassKernel:
 
 @dataclass
 class KernelCache:
-    """Element- and patch-class kernels of a study, carried from step to step.
+    """Element- and node-class kernels of a study, carried from step to step.
 
-    `kernels` maps (class key, material) and (patch key, material) to a
-    `ClassKernel`; a patch key is a tuple of class keys, so it never equals
-    a class key.  `gram_factors` maps (p_tilde, vertex offsets from vertex
+    `kernels` maps (class key, material) and (node id, material) to a
+    `ClassKernel`.  A node key is the tuple of its children's keys, a
+    class key or a node id each, and `node_ids` interns it to a small int
+    that `ids` draws and no other key of the study takes, so a key stays
+    flat however deep its subtree.  `gram_factors` maps (p_tilde, vertex offsets from vertex
     0) to a Gram Cholesky factor, and `families` maps (family key,
     material) to the coupling matrix of the shape family (`_family`), from
     which each class's B is scaled.  `build_dof_layout` drops every entry
-    its classes and patch classes do not use, so the cache holds at most
-    one step's classes, shapes, families and patch classes.
+    its classes and node classes do not use, so the cache holds at most
+    one step's classes, shapes, families and node classes.
     """
 
     kernels: dict[tuple, ClassKernel] = field(default_factory=dict)
     gram_factors: dict[tuple, np.ndarray] = field(default_factory=dict)
     families: dict[tuple, np.ndarray] = field(default_factory=dict)
+    node_ids: dict[tuple, int] = field(default_factory=dict)
+    ids: Iterator[int] = field(default_factory=itertools.count)
 
-    def retain(self, class_keys, patch_keys) -> None:
-        """Keep only the entries of the given class and patch keys."""
+    def retain(self, class_keys, node_keys) -> None:
+        """Keep only the entries of the given class and node keys."""
         keys = set(class_keys)
         # a class key is (p, p_tilde, vertex offsets, per side: the trace
         # degree q and the leaves' flux degrees); its shape is (p_tilde,
         # offsets), its family the key with the offsets scaled to [0.5, 1)
         shapes = {(key[1], key[2]) for key in keys}
         families = {_family(key)[0] for key in keys}
-        keys.update(patch_keys)
+        self.node_ids = {key: self.node_ids[key] for key in node_keys}
+        keys.update(self.node_ids.values())
         self.kernels = {k: v for k, v in self.kernels.items() if k[0] in keys}
         self.gram_factors = {k: v for k, v in self.gram_factors.items()
                              if k in shapes}
@@ -142,7 +160,7 @@ class KernelCache:
 @dataclass(frozen=True)
 class ClassMap:
     """The constraint maps C_K of a class's members, with their interior
-    dofs; for a patch class, the maps C_P onto the patches' boundary rows,
+    dofs; for a node class, the maps onto the nodes' boundary functions,
     with their inner dofs.
 
     Local skeleton dof `rows[i, t]` of member i takes `weights[i, t]` times
@@ -217,15 +235,15 @@ class DofLayout:
     classes: list[np.ndarray]                # class id -> member positions
     class_keys: list[tuple]                  # class id -> class key
     class_maps: list[ClassMap]               # class id -> members' C_K
-    # patches (parents with four active children) by patch class: the
-    # children's positions (m, 4), the key (the children's class keys),
-    # the members' inner dofs and boundary map C_P, and the place and
-    # sign of every child skeleton row on the patch basis
-    patches: list[np.ndarray]
-    patch_keys: list[tuple]
-    patch_maps: list[ClassMap]
-    patch_rows: list[tuple[int, np.ndarray, np.ndarray]]
-    # class and patch kernels and Gram factors of the study, built on a
+    # nodes (split elements) by node class, children before parents: the
+    # members' element ids, the key (the children's keys), the members'
+    # inner dofs and boundary map, and the node basis (`_node_kernel`)
+    nodes: list[np.ndarray]
+    node_keys: list[tuple]
+    node_maps: list[ClassMap]
+    node_basis: list[tuple]
+    in_node: np.ndarray                      # element id -> inside a node
+    # class and node kernels and Gram factors of the study, built on a
     # class's first request and kept for the steps after this one
     cache: KernelCache
     # read-only element loads of this step, (f, position) -> load; the
@@ -234,10 +252,10 @@ class DofLayout:
 
     @property
     def n_free(self) -> int:
-        """Unpinned dofs, the element interiors and the patches' inner
+        """Unpinned dofs, the element interiors and the nodes' inner
         skeletons included; the condensed system's free dofs
         (`CondensedSystem.free`) are the unpinned skeleton dofs outside
-        every patch's inner skeleton."""
+        every node's inner skeleton and every root's private dofs."""
         return int(self.n_dofs - self.pinned.sum())
 
 
@@ -484,12 +502,15 @@ def build_dof_layout(mesh: Mesh, degrees: DegreeMap,
         classes.append(order[a:a + m])
 
     element_row = slot - first[element_class]
-    inner = _inner_skeletons(mesh, active, vdof, trace_base, flux_base,
-                             bubbles, fluxes, pinned.size)
-    patches, patch_keys, patch_maps, patch_rows = _patch_classes(
-        *inner, element_class, element_row, class_keys, class_maps)
     cache = KernelCache() if cache is None else cache
-    cache.retain(class_keys, patch_keys)
+    dof_node = _cross_nodes(mesh, vdof, trace_base, flux_base, bubbles,
+                            fluxes, pinned.size)
+    leaf_maps = (ids, weights, rows, 2 * slot_start[slot], 2 * slot_width[slot],
+                 2 * n_rows)
+    nodes, node_keys, node_maps, node_basis, parent_keys, closed = _node_classes(
+        mesh, active, dof_node, leaf_maps, element_class, element_row,
+        class_keys, cache)
+    cache.retain(class_keys, parent_keys)
     return DofLayout(
         mesh=mesh, n_dofs=pinned.size, vertex_dofs=vdof, trace_q=trace_q,
         trace_base=trace_base, flux_p=flux_p, flux_base=flux_base,
@@ -499,109 +520,257 @@ def build_dof_layout(mesh: Mesh, degrees: DegreeMap,
         element_class=element_class, element_row=element_row,
         degree_groups={int(q): np.flatnonzero(p == q) for q in np.unique(p)},
         classes=classes, class_keys=class_keys, class_maps=class_maps,
-        patches=patches, patch_keys=patch_keys, patch_maps=patch_maps,
-        patch_rows=patch_rows, cache=cache)
+        nodes=nodes, node_keys=node_keys, node_maps=node_maps,
+        node_basis=node_basis, in_node=np.append(closed, False)[mesh.parent],
+        cache=cache)
 
 
-def _inner_skeletons(mesh: Mesh, active: np.ndarray, vdof: np.ndarray,
-                     trace_base: np.ndarray, flux_base: np.ndarray,
-                     bubbles: np.ndarray, fluxes: np.ndarray, n_dofs: int):
-    """The patches, parents whose four children are all active: their
-    children's layout positions (n, 4), their inner dof ids laid end to
-    end with the count per patch, and each dof's index among its patch's
-    inner dofs (-1 outside every inner skeleton).
+def _cross_nodes(mesh: Mesh, vdof: np.ndarray, trace_base: np.ndarray,
+                 flux_base: np.ndarray, bubbles: np.ndarray,
+                 fluxes: np.ndarray, n_dofs: int) -> np.ndarray:
+    """The split element whose inner cross carries each dof, or -1 (an
+    element interior, or the initial skeleton).
 
-    A patch's inner skeleton is its centre vertex and its four inner
-    edges, which `refine_marked` numbers consecutively after the halves;
-    only the children carry it, so it is never pinned or hanging.  Its
-    dofs run: the centre's, the inner edges' trace bubbles, their fluxes.
+    A split element's inner cross is its centre and its four inner edges,
+    which `refine_marked` numbers consecutively after the halves, with the
+    halves and midpoints of those edges at any depth: an edge lies on the
+    cross of its top ancestor.  Only the split element's descendants touch
+    its cross, so the cross is never pinned.
     """
     split = np.flatnonzero(mesh.child >= 0)
-    kids = mesh.child[split][:, None] + np.arange(4)
-    kids = kids[(mesh.child[kids] < 0).all(axis=1)]
-    edges = mesh.sides[kids[:, 0], 1][:, None] + np.arange(4)
-    start = np.column_stack([vdof[mesh.verts[kids[:, 0], 2]],
-                             trace_base[edges], flux_base[edges]])
-    count = np.column_stack([np.full(len(kids), 2), bubbles[edges],
-                             fluxes[edges]])
-    seg, off = _ranges(count.ravel())
-    ids = start.ravel()[seg] + off
-    n_inner = count.sum(axis=1)
-    at = np.full(n_dofs, -1)
-    at[ids] = np.arange(ids.size) - np.repeat(np.cumsum(n_inner) - n_inner,
-                                              n_inner)
-    return np.searchsorted(active, kids), ids, n_inner, at
+    first = mesh.child[split]
+    n_edges = len(mesh.ends)
+    edge_node = np.full(n_edges, -1)
+    edge_node[mesh.sides[first, 1][:, None] + np.arange(4)] = split[:, None]
+    top = np.where(mesh.edge_parent >= 0, mesh.edge_parent, np.arange(n_edges))
+    while True:     # pointer jumping, to the top ancestor of every edge
+        up = top[top]
+        if np.array_equal(up, top):
+            break
+        top = up
+    edge_node = edge_node[top]
+    vert_node = np.full(len(mesh.vertices), -1)
+    halved = np.flatnonzero(mesh.edge_child >= 0)
+    vert_node[mesh.ends[mesh.edge_child[halved], 1]] = edge_node[halved]
+    vert_node[mesh.verts[first, 2]] = split
+    node = np.full(n_dofs, -1)
+    numbered = np.flatnonzero(vdof >= 0)
+    node[vdof[numbered]] = node[vdof[numbered] + 1] = vert_node[numbered]
+    for base, count in ((trace_base, bubbles), (flux_base, fluxes)):
+        e, off = _ranges(count)
+        node[base[e] + off] = edge_node[e]
+    return node
 
 
-def _patch_classes(kid_pos: np.ndarray, inner_ids: np.ndarray,
-                   n_inner: np.ndarray, inner_at: np.ndarray,
-                   element_class: np.ndarray, element_row: np.ndarray,
-                   class_keys: list, class_maps: list):
-    """Patch classes, keyed by their children's class keys in child order:
-    per class the members' children positions, the key, the `ClassMap` and
-    the patch basis (`_patch_kernel`).
+def _pick(a: np.ndarray, b: np.ndarray, at: np.ndarray, in_a: np.ndarray):
+    """a[at] where `in_a`, else b[at]."""
+    out = np.empty(at.size, dtype=a.dtype)
+    out[in_a] = a[at[in_a]]
+    out[~in_a] = b[at[~in_a]]
+    return out
 
-    A patch's boundary basis is its children's skeleton rows outside the
-    inner skeleton, child after child, and its `ClassMap` takes the
-    children's C_K entries on those rows; its interior is the inner dofs.
-    Each child row lands wholly on inner dofs or wholly outside them, and
-    an inner row on one inner dof with weight +-1.  The first member gives
-    the rows' places and signs on the patch basis, which hold for the
-    whole class, as the inner dofs' order and the children's orientations
-    follow from the refinement.  A zero-weight entry (padding, or a
-    hanging corner's odd bubble) that is left on an inner row or dof is
-    moved to the patch's first entry, so that it writes nowhere.
+
+def _node_classes(mesh: Mesh, active: np.ndarray, dof_node: np.ndarray,
+                  leaf_maps: tuple, element_class: np.ndarray,
+                  element_row: np.ndarray, class_keys: list,
+                  cache: KernelCache):
+    """Node classes, children before parents: per class the members' element
+    ids, the node key, the `ClassMap` and the node basis (`_node_kernel`);
+    then the keys of every split element whose children are leaves or
+    nodes, and whether each element is a leaf or a node.
+
+    Such a split element's class is keyed by its children's keys in child
+    order, a class key for a leaf and the interned node id
+    (`KernelCache.node_ids`) for a node, so equal subtrees share a kernel.
+    The class is a node class when its kernel serves more than once: it
+    has two members, or its key is one of the step before (the cache's
+    `node_ids` hold the step before's keys).  `leaf_maps` holds the
+    leaves' C_K entries as the class maps lay them out (ids, weights,
+    rows) and, by position, each leaf's first entry, entry count and
+    skeleton row count.
+
+    The nodes of one subtree height go in one set of array passes.  A node's
+    children's skeleton rows, laid end to end, are each a sum of its inner
+    dofs (those with `dof_node` the node) and at most one boundary
+    function, the row's part off the inner dofs.  The rows of one vertex
+    (tagged 2 v + component: a leaf's corner rows, and the functions they
+    give) with no inner part share one function, so the boundary basis
+    holds each function once; every other row with a part off the inner
+    dofs, a hanging corner on the cross included, has its own.  The
+    functions follow their first rows, and the inner dofs their first
+    use.  A node's C entries are its functions' first rows' entries off
+    the inner dofs; zero weights (padding, or a hanging corner's odd
+    bubble) are left out.  A class's basis is its first member's, which
+    holds for the whole class, as the cross and the children's
+    orientations follow from the refinement.
     """
-    if not len(kid_pos):
-        return [], [], [], []
-    key = element_class[kid_pos]
-    patch_class, lead = _first_use(key)
-    order = np.argsort(patch_class, kind="stable")
-    members = np.split(order, np.cumsum(np.bincount(patch_class))[:-1])
-    inner_start = np.cumsum(n_inner) - n_inner
-    patches, patch_keys, patch_maps, patch_rows = [], [], [], []
-    for row, mem in zip(key[lead].tolist(), members):
-        kp, m, ni = kid_pos[mem], len(mem), int(n_inner[mem[0]])
-        # the children's maps side by side, their rows on the children's
-        # skeleton bases laid end to end
-        maps = [class_maps[cls] for cls in row]
-        r = element_row[kp]
-        ids, w = (np.concatenate([getattr(cmap, a)[r[:, k]]
-                                  for k, cmap in enumerate(maps)], axis=1)
-                  for a in ("ids", "weights"))
-        n_skel = np.array([cmap.n_skel for cmap in maps])
-        rows = np.concatenate([
-            (np.broadcast_to(np.arange(cmap.n_skel), (m, cmap.n_skel))
-             if cmap.rows is None else cmap.rows[r[:, k]]) + off
-            for k, (cmap, off) in enumerate(zip(
-                maps, np.cumsum(n_skel) - n_skel))], axis=1)
-        at = inner_at[ids]
-        on_inner = (at >= 0) & (w != 0)
-        # the first member's rows on inner dofs, and the others
-        inner_rows = rows[0][on_inner[0]]
-        boundary = np.ones(n_skel.sum(), dtype=bool)
-        boundary[inner_rows] = False
-        nb = np.count_nonzero(boundary)
-        place = np.empty(boundary.size, dtype=int)
-        place[inner_rows] = at[0][on_inner[0]]
-        place[boundary] = ni + np.arange(nb)
-        sign = np.ones(boundary.size)
-        sign[inner_rows] = w[0][on_inner[0]]
-        keep = ~on_inner
-        ids, rows, w, spare = (a[keep].reshape(m, -1) for a in (
-            ids, place[rows] - ni, w, ~boundary[rows] | (at >= 0)))
-        ids = np.where(spare, ids[:, :1], ids)
-        rows = np.where(spare, rows[:, :1], rows)
-        interior = inner_ids[inner_start[mem][:, None] + np.arange(ni)]
-        _read_only(kp, interior, ids, rows, w, place, sign)
-        # children that are scaled copies leave one entry per boundary row
-        in_order = all(cmap.rows is None for cmap in maps)
-        patches.append(kp)
-        patch_keys.append(tuple(class_keys[cls] for cls in row))
-        patch_maps.append(ClassMap(interior, ids, None if in_order else rows,
-                                   w, nb))
-        patch_rows.append((ni, place, sign))
-    return patches, patch_keys, patch_maps, patch_rows
+    leaf_ids, leaf_w, leaf_rows, leaf_start, leaf_count, leaf_fns = leaf_maps
+    n_el = len(mesh.verts)
+    unit = np.full(n_el, -1)        # class id, or class count + parent class
+    row = np.zeros(n_el, dtype=int)
+    # the entries and functions of every leaf and node: first entry, entry
+    # count, function count, first function
+    start, count, fns, fstart = np.zeros((4, n_el), dtype=int)
+    unit[active], row[active] = element_class, element_row
+    start[active], count[active], fns[active] = leaf_start, leaf_count, leaf_fns
+    closed = np.zeros(n_el, dtype=bool)     # a leaf or a node
+    closed[active] = True
+    keys, parent_keys = list(class_keys), []
+    nodes, node_keys, node_maps, node_basis = [], [], [], []
+    # the split elements by height, the depth of their subtree, so that
+    # every child comes before its parent
+    split = np.flatnonzero(mesh.child >= 0)
+    height = np.zeros(n_el, dtype=int)
+    for level in range(int(mesh.level[split].max(initial=-1)), -1, -1):
+        at = split[mesh.level[split] == level]
+        height[at] = 1 + height[mesh.child[at][:, None] + np.arange(4)].max(axis=1)
+    heights = height[split]
+    # the entries (ids, weights, rows) and function tags of the nodes found
+    ids, w, rows, tags = (np.zeros(0, dtype=t) for t in (int, float, int, int))
+    for h in range(1, int(heights.max(initial=0)) + 1):
+        # the parents whose children are leaves or nodes, by class; a class
+        # is a node class when its kernel serves more than once: it has two
+        # members, or its key is one of the step before
+        parents = split[heights == h]
+        kids = mesh.child[parents][:, None] + np.arange(4)
+        whole = closed[kids].all(axis=1)
+        if not whole.any():
+            continue
+        parents, kids = parents[whole], kids[whole]
+        parent_class, lead = _first_use(unit[kids])
+        size = np.bincount(parent_class)
+        order = np.argsort(parent_class, kind="stable")
+        unit[parents] = len(keys) + parent_class
+        row[parents[order]] = np.arange(parents.size) - np.repeat(
+            np.cumsum(size) - size, size)
+        shut = size > 1
+        for c, units in enumerate(unit[kids[lead]].tolist()):
+            key = tuple(keys[u] for u in units)
+            if key in cache.node_ids:
+                shut[c] = True
+            else:
+                cache.node_ids[key] = next(cache.ids)
+            keys.append(cache.node_ids[key])
+            parent_keys.append(key)
+        closed[parents] = shut[parent_class]
+        nd = parents[closed[parents]]
+        if not nd.size:
+            continue
+        n = nd.size
+        kids = kids[closed[parents]]
+        kid = kids.ravel()
+        leaf = mesh.child[kid] < 0
+        # the children's entries and rows, node by node and child by child,
+        # the rows counted over the pass
+        owner, off = _ranges(count[kid])
+        at, in_leaf = start[kid][owner] + off, leaf[owner]
+        e_ids, e_w, e_rows = (_pick(a, b, at, in_leaf) for a, b in (
+            (leaf_ids, ids), (leaf_w, w), (leaf_rows, rows)))
+        row0 = np.cumsum(fns[kid]) - fns[kid]
+        e_rows += row0[owner]
+        e_node = owner // 4
+        inner = dof_node[e_ids] == nd[e_node]
+        nonzero = e_w != 0
+        on = inner & nonzero
+        r_kid, r_off = _ranges(fns[kid])
+        r_node = r_kid // 4
+        tag = np.where(r_off < 8, 2 * mesh.verts[kid[r_kid], np.minimum(r_off, 7) // 2]
+                       + r_off % 2, -1)
+        from_node = ~leaf[r_kid]
+        tag[from_node] = tags[fstart[kid[r_kid[from_node]]] + r_off[from_node]]
+        # the rows with a part off the inner dofs, and their functions: the
+        # vertex's, or the row's own
+        has_in, has_off = np.zeros((2, r_kid.size), dtype=bool)
+        has_in[e_rows[on]] = True
+        has_off[e_rows[nonzero & ~inner]] = True
+        out = np.flatnonzero(has_off)
+        pure = ~has_in[out]
+        shared = pure & (tag[out] >= 0)
+        _, first, inv = np.unique(np.where(
+            shared, r_node[out] * 2 * len(mesh.vertices) + tag[out], -1 - out),
+            return_index=True, return_inverse=True)
+        by_row = np.argsort(first)
+        func = np.empty_like(by_row)
+        func[by_row] = np.arange(by_row.size)
+        func = func[inv]                    # of each row in `out`
+        rep = out[first[by_row]]            # each function's first row
+        n_fn = np.bincount(r_node[rep], minlength=n)
+        f_base = np.cumsum(n_fn) - n_fn
+        func -= f_base[r_node[out]]
+        # the inner dofs in order of first use
+        on_ids, on_node = e_ids[on], e_node[on]
+        _, use, inv = np.unique(on_ids, return_index=True, return_inverse=True)
+        by_use = np.argsort(use)
+        rank = np.empty_like(by_use)
+        rank[by_use] = np.arange(by_use.size)
+        inner_ids = on_ids[use[by_use]]
+        n_in = np.bincount(on_node[use[by_use]], minlength=n)
+        i_base = np.cumsum(n_in) - n_in
+        # every node's basis: entries (child row, node function, weight),
+        # by row, the rows and functions counted in the node, and where
+        # each child's rows start among them
+        t_row = np.concatenate([e_rows[on], out])
+        t = np.argsort(t_row, kind="stable")
+        t_row = t_row[t]
+        t_bound = np.append(np.searchsorted(t_row, row0), t.size)
+        t_row -= np.repeat(row0[::4], np.diff(t_bound[::4]))
+        t_col = np.concatenate([rank[inv] - i_base[on_node],
+                                n_in[r_node[out]] + func])[t]
+        t_w = np.concatenate([e_w[on], np.ones(out.size)])[t]
+        # the nodes' entries and functions, added to those of the nodes
+        # below, for their parents
+        func_of = np.full(r_kid.size, -1)
+        func_of[out] = func
+        is_rep = np.zeros(r_kid.size, dtype=bool)
+        is_rep[rep] = True
+        want = nonzero & ~inner & is_rep[e_rows]
+        cnt = np.bincount(e_node[want], minlength=n)
+        start[nd], count[nd], fns[nd], fstart[nd] = (
+            ids.size + np.cumsum(cnt) - cnt, cnt, n_fn, tags.size + f_base)
+        ids, w, rows, tags = (np.concatenate(a) for a in (
+            (ids, e_ids[want]), (w, e_w[want]), (rows, func_of[e_rows[want]]),
+            (tags, np.where(pure[first[by_row]], tag[rep], -1))))
+
+        # the classes' maps: the members class by class, each with as many
+        # entries as its class's widest member (the spare ones at the
+        # member's first entry with weight zero), and their inner dofs
+        node_class = parent_class[closed[parents]]
+        order = np.argsort(node_class, kind="stable")
+        size = np.bincount(node_class, minlength=shut.size)[shut]
+        lead = order[np.cumsum(size) - size]
+        width = np.maximum.reduceat(cnt[order], np.cumsum(size) - size)
+        slot, off = _ranges(np.repeat(width, size))
+        spare = off >= cnt[order][slot]
+        at = start[nd[order]][slot] + np.where(spare, 0, off)
+        m_ids, m_rows = ids[at], rows[at]
+        m_w = np.where(spare, 0.0, w[at])
+        # the classes whose members' entries are their functions in order
+        in_order = np.logical_and.reduceat(
+            m_rows == off, np.cumsum(size * width) - size * width)
+        in_order &= width == n_fn[lead]
+        slot, off = _ranges(n_in[order])
+        interior = inner_ids[i_base[order][slot] + off]
+        members = nd[order]
+        _read_only(members, t_row, t_col, t_w, m_ids, m_rows, m_w, interior)
+        m_at = e_at = i_at = 0
+        for c, k, m, wd, ordered in zip(
+                np.flatnonzero(shut).tolist(), lead.tolist(), size.tolist(),
+                width.tolist(), in_order.tolist()):
+            nb, ni = int(n_fn[k]), int(n_in[k])
+            span = slice(e_at, e_at + m * wd)
+            cmap = ClassMap(interior[i_at:i_at + m * ni].reshape(m, ni),
+                            m_ids[span].reshape(m, wd),
+                            None if ordered else m_rows[span].reshape(m, wd),
+                            m_w[span].reshape(m, wd), nb)
+            a, *bounds = t_bound[4 * k:4 * k + 5].tolist()
+            basis = (ni, t_row[a:bounds[-1]], t_col[a:bounds[-1]],
+                     t_w[a:bounds[-1]], [b - a for b in bounds[:-1]])
+            nodes.append(members[m_at:m_at + m])
+            node_keys.append(parent_keys[len(parent_keys) - len(shut) + c])
+            node_maps.append(cmap)
+            node_basis.append(basis)
+            m_at, e_at, i_at = m_at + m, e_at + m * wd, i_at + m * ni
+    return nodes, node_keys, node_maps, node_basis, parent_keys, closed
 
 
 def element_full_bmat(layout: DofLayout, material: Material, f, pos: int):
@@ -640,13 +809,17 @@ def _class_members(layout: DofLayout, material: Material, f, cls: int):
             layout.class_maps[cls])
 
 
-def _kernel(cache: KernelCache, key: tuple, material: Material) -> ClassKernel:
-    """The kernel of the class with class key `key`, from the cache or
-    built and cached."""
-    kernel = cache.kernels.get((key, material))
+def _kernel(cache: KernelCache, key: tuple, material: Material,
+            basis: tuple | None = None) -> ClassKernel:
+    """The kernel of the class with class key `key`, or of the node class
+    with node key `key` and node basis `basis`, from the cache or built
+    and cached; a node kernel is cached under its node id."""
+    name = key if basis is None else cache.node_ids[key]
+    kernel = cache.kernels.get((name, material))
     if kernel is None:
-        kernel = _class_kernel(key, material, cache)
-        cache.kernels[key, material] = kernel
+        kernel = (_class_kernel(key, material, cache) if basis is None
+                  else _node_kernel(key, basis, material, cache))
+        cache.kernels[name, material] = kernel
     return kernel
 
 
@@ -723,30 +896,39 @@ def _condensed(K: np.ndarray, ni: int, failure: str, **extra) -> ClassKernel:
     if info < 0:
         raise ValueError(f"LAPACK reported an illegal value in {-info}-th "
                          "argument on entry to POTRF")
-    A = cholesky_solve(Kii, Kis)
-    return ClassKernel(*_read_only(Kii, A, Kss - Kis.T @ A), **extra)
+    Wt = blas.dtrsm(1.0, Kii, Kis.T, side=1, lower=1, trans_a=1)
+    At = blas.dtrsm(1.0, Kii, Wt, side=1, lower=1)
+    return ClassKernel(*_read_only(Kii, At.T, Kss - Wt @ Wt.T), **extra)
 
 
-def _patch_kernel(key: tuple, rows: tuple, material: Material,
-                  cache: KernelCache) -> ClassKernel:
-    """Kernel of the patch class with patch key `key` (its children's class
-    keys) on the patch basis `rows`: (ni, place, sign), where child row i,
-    counted over the children in order, is `sign[i]` times patch function
-    `place[i]`, an inner dof below ni and a boundary row from ni on.
+def _node_kernel(key: tuple, basis: tuple, material: Material,
+                 cache: KernelCache) -> ClassKernel:
+    """Kernel of the node class with node key `key` on its node basis
+    (ni, rows, cols, weights, bounds): child skeleton row `rows[t]`,
+    counted over the children in order, takes `weights[t]` times node
+    function `cols[t]`, an inner dof below ni and a boundary function from
+    ni on; `bounds` splits the entries, sorted by row, by child.
 
-    K = sum_k T_k' S_k T_k is the children's Schur complements on the
-    patch basis; its inner block is the patch's inner skeleton.  A failed
-    Cholesky factor of that block means the skeleton system is not SPD.
+    K = sum_k T_k' S_k T_k is the children's Schur complements on the node
+    basis, summed entry by entry in one `bincount`; its inner block is the
+    node's inner skeleton.  A failed Cholesky factor of that block means
+    the skeleton system is not SPD.
     """
-    ni, place, sign = rows
-    K = np.zeros((place.max() + 1,) * 2)
-    at = 0
-    for child in key:
-        S = _kernel(cache, child, material).S
-        idx, s = place[at:at + len(S)], sign[at:at + len(S)]
-        K[np.ix_(idx, idx)] += s[:, None] * S * s
+    ni, rows, cols, weights, bounds = basis
+    n = cols.max() + 1
+    at, flat, vals = 0, [], []
+    for child, a, b in zip(key, [0, *bounds], [*bounds, len(rows)]):
+        S = (cache.kernels[child, material] if isinstance(child, int)
+             else _kernel(cache, child, material)).S
+        r, c, w = rows[a:b] - at, cols[a:b], weights[a:b]
         at += len(S)
-    return _condensed(K, ni, "sparse factorization failed; system not SPD")
+        if r.size > len(S):     # some rows take more than one function
+            S = S[r][:, r]
+        flat.append((c[:, None] * n + c).ravel())
+        vals.append((w[:, None] * S * w).ravel())
+    K = np.bincount(np.concatenate(flat), np.concatenate(vals), n * n)
+    return _condensed(K.reshape(n, n), ni,
+                      "sparse factorization failed; system not SPD")
 
 
 def dirichlet_values(layout: DofLayout, g_data) -> np.ndarray:
@@ -817,15 +999,18 @@ def error_indicators(material: Material, f, layout: DofLayout,
 
 @dataclass
 class CondensedSystem:
-    """Coarse skeleton system left after condensing the element interiors
-    and the patches' inner skeletons.
+    """Coarse skeleton system left after condensing the element interiors,
+    the nodes' inner skeletons and the roots' private dofs.
 
     Column j of `rhs` is load j condensed onto the free coarse dofs, the
-    free skeleton dofs outside every patch's inner skeleton; column 0 is
+    free skeleton dofs outside every inner skeleton and private set: on
+    the last steps of the bench's smooth-h, smooth-m2 and lshape-adapt
+    studies 250, 186 and 912 dofs, of 7,298, 4,482 and 2,790.  Column 0 is
     the DPG load with the Dirichlet lift folded in, the others are the
     extra loads.  `recover` holds one record per unit, children before
-    parents: the members' `ClassMap`, Kii^-1 Kis, and Kii^-1 of the
-    members' interior loads as an (ni, m, 1 + extra) block.
+    parents, and one per root with private dofs after its unit's: the
+    members' `ClassMap`, Kii^-1 Kis, and Kii^-1 of the members' interior
+    loads as an (ni, m, 1 + extra) block.
     """
 
     S: sp.csc_matrix        # Schur complement on the free coarse dofs
@@ -836,7 +1021,8 @@ class CondensedSystem:
 
     def expand(self, j: int, xs: np.ndarray) -> np.ndarray:
         """Full dof vector of load j from its free coarse values `xs`: the
-        units in reverse, the patches' inner skeletons first.
+        records in reverse, the roots' private dofs and the nodes' inner
+        skeletons first.
 
         Only load 0 takes the Dirichlet values; the others vanish on the
         pinned dofs.
@@ -851,20 +1037,22 @@ class CondensedSystem:
 def condense(material: Material, f, layout: DofLayout,
              x_pinned: np.ndarray | None = None,
              loads: np.ndarray | None = None) -> CondensedSystem:
-    """Statically condense the element interiors and then the patches'
-    inner skeletons: one step per unit, children before parents.
+    """Statically condense the element interiors and then the nodes' inner
+    skeletons: one step per unit, children before parents.
 
     `x_pinned` holds the Dirichlet values on the pinned dofs, and `loads`
     is an optional (n_dofs, m) block of extra right-hand sides; a lift off
     the pinned dofs or a load on them raises ValueError.  The element
     loads enter first: their interior part in the load block, their
     skeleton part as the element class's own condensed load.  A unit, an
-    element class or a patch class, then solves its kernel's Kii for the
+    element class or a node class, then solves its kernel's Kii for the
     loads r on its members' interiors in one call, scatters the condensed
     load -A'r plus its own, writes its C' S C entries and keeps a
     recovery record.  The Dirichlet lift S C x_pinned enters at the
-    members that write the coarse matrix, the elements outside every
-    patch and the patches; x_pinned vanishes on the inner skeletons.
+    members that write the coarse matrix, those outside every node;
+    x_pinned vanishes on the inner skeletons.  A root with private dofs
+    condenses them out of its member's C' S C before writing it
+    (`_condense_private`).
 
     Neither the full sparse matrix nor a global skeleton matrix is formed:
     the C' S C entries, numbered by free coarse dof and with the pinned
@@ -882,35 +1070,43 @@ def condense(material: Material, f, layout: DofLayout,
     g = np.column_stack([np.zeros(n), loads])
     # the element interiors are numbered first and never pinned, so the free
     # coarse dofs are the unpinned ids after them outside the inner
-    # skeletons; `index` takes a dof to its row of the condensed matrix, -1
-    # for an interior, inner or pinned dof
+    # skeletons and the private dofs; `index` takes a dof to its row of the
+    # condensed matrix, -1 for an interior, inner, private or pinned dof
     n_interior = sum(cmap.interior.size for cmap in layout.class_maps)
     coarse = ~layout.pinned
-    in_patch = np.zeros(len(layout.elements), dtype=bool)
-    for pmap, kids in zip(layout.patch_maps, layout.patches):
-        coarse[pmap.interior] = False
-        in_patch[kids] = True
-    free = n_interior + np.flatnonzero(coarse[n_interior:])
-    index = np.full(n, -1, dtype=np.int32)
-    index[free] = np.arange(free.size, dtype=np.int32)
+    for nmap in layout.node_maps:
+        coarse[nmap.interior] = False
 
     # the units: kernel, map, own condensed load, members writing the
-    # coarse matrix
+    # coarse matrix (those outside every node)
     units = []
     for cls, members in enumerate(layout.classes):
         kernel, lvecs, cmap = _class_members(layout, material, f, cls)
         ni = cmap.interior.shape[1]
         fl = kernel.B.T @ cholesky_solve(kernel.L, lvecs)
         g[cmap.interior, 0] = fl[:ni].T
-        units.append((kernel, cmap, fl[ni:], ~in_patch[members]))
-    kernels = layout.cache.kernels
-    for key, rows, pmap in zip(layout.patch_keys, layout.patch_rows,
-                               layout.patch_maps):
-        if (key, material) not in kernels:
-            kernels[key, material] = _patch_kernel(key, rows, material,
-                                                   layout.cache)
-        units.append((kernels[key, material], pmap, 0.0,
-                      np.ones(len(pmap.ids), dtype=bool)))
+        units.append((kernel, cmap, fl[ni:],
+                      ~layout.in_node[layout.elements[members]]))
+    for key, basis, nmap, nodes in zip(layout.node_keys, layout.node_basis,
+                                       layout.node_maps, layout.nodes):
+        units.append((_kernel(layout.cache, key, material, basis), nmap, 0.0,
+                      ~layout.in_node[nodes]))
+    # a root node's private dofs, the coarse dofs no other writing member
+    # touches (its fluxes on the domain boundary, which its key does not
+    # know), by unit and member
+    touched = np.bincount(np.concatenate(
+        [cmap.ids[writes].ravel() for _, cmap, _, writes in units]), minlength=n)
+    private = [{} for _ in units]
+    for u, nodes in enumerate(layout.nodes, len(layout.classes)):
+        ids = units[u][1].ids
+        for i in np.flatnonzero(layout.mesh.parent[nodes] < 0).tolist():
+            own = np.unique(ids[i][coarse[ids[i]] & (touched[ids[i]] == 1)])
+            if own.size:
+                private[u][i] = own
+                coarse[own] = False
+    free = n_interior + np.flatnonzero(coarse[n_interior:])
+    index = np.full(n, -1, dtype=np.int32)
+    index[free] = np.arange(free.size, dtype=np.int32)
 
     size = sum(np.count_nonzero(w) * cmap.ids.shape[1] ** 2
                for _, cmap, _, w in units)
@@ -918,17 +1114,65 @@ def condense(material: Material, f, layout: DofLayout,
     vals = np.empty(size)
     coo, k = (rows, cols, vals), 0
     recover = []
-    for kernel, cmap, own, writes in units:
+    for (kernel, cmap, own, writes), mine in zip(units, private):
         b, gs = _eliminate(kernel, g[cmap.interior].transpose(1, 0, 2))
         gs[:, :, 0] += own
-        gs[:, writes, 0] -= kernel.S @ cmap.gather(xp)[writes].T
+        if writes.any():
+            gs[:, writes, 0] -= kernel.S @ cmap.gather(xp)[writes].T
+            writes = writes.copy()
+            writes[list(mine)] = False
+            k = _write_free(cmap, kernel.S, index[cmap.ids], writes, coo, k)
         cmap.scatter(g, gs.transpose(1, 0, 2))
-        k = _write_free(cmap, kernel.S, index[cmap.ids], writes, coo, k)
         recover.append((cmap, kernel.A, b))
+        for i, p in mine.items():
+            k = _condense_private(cmap, kernel.S, i, p, index, g, coo, k,
+                                  recover)
 
     S = sp.csc_matrix((vals[:k], (rows[:k], cols[:k])), shape=(free.size,) * 2)
     return CondensedSystem(S=S, rhs=g[free], free=free, x_pinned=xp,
                            recover=recover)
+
+
+def _condense_private(cmap: ClassMap, S: np.ndarray, i: int, p: np.ndarray,
+                      index: np.ndarray, g: np.ndarray, coo: tuple, k: int,
+                      recover: list) -> int:
+    """Condense the private dofs `p` of member i densely out of its C' S C
+    block on `p` and its free coarse dofs (`index` >= 0): eliminate them
+    from the loads `g`, write the rest of the block at position k of the
+    arrays `coo` and append the recovery record; returns the next
+    position.  Entries on one dof are summed when a dof has several."""
+    ids, w = cmap.ids[i], cmap.weights[i]
+    if cmap.rows is not None:
+        S = S[cmap.rows[i]][:, cmap.rows[i]]
+    mine = np.isin(ids, p)
+    # the entries on p, then those on the free coarse dofs
+    at = np.concatenate([np.flatnonzero(mine), np.flatnonzero(index[ids] >= 0)])
+    dofs, w = ids[at], w[at]
+    block = w[:, None] * S[at][:, at] * w
+    if np.unique(dofs).size < dofs.size:
+        dofs, first, inv = np.unique(dofs, return_index=True,
+                                     return_inverse=True)
+        by_use = np.argsort(first)
+        place = np.empty_like(by_use)
+        place[by_use] = np.arange(by_use.size)
+        dofs, n = dofs[by_use], dofs.size
+        inv = place[inv]
+        block = np.bincount((inv[:, None] * n + inv).ravel(), block.ravel(),
+                            n * n).reshape(n, n)
+    kernel = _condensed(block, p.size,
+                        "sparse factorization failed; system not SPD")
+    own, rest = dofs[:p.size], dofs[p.size:]
+    b, gs = _eliminate(kernel, g[own][:, None, :])
+    g[rest] += gs[:, 0, :]
+    d = index[rest]
+    span = slice(k, k + d.size ** 2)
+    rows, cols, vals = coo
+    rows[span] = np.repeat(d, d.size)
+    cols[span] = np.tile(d, d.size)
+    vals[span] = kernel.S.ravel()
+    recover.append((ClassMap(own[None], rest[None], None,
+                             np.ones((1, rest.size)), rest.size), kernel.A, b))
+    return span.stop
 
 
 def _eliminate(kernel: ClassKernel, rhs: np.ndarray):

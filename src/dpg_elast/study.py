@@ -103,7 +103,9 @@ class StudyConfig:
     marking_fraction: float = 0.5
     out: str | None = None
 
-    def validate(self) -> None:
+    def validate(self) -> Benchmark:
+        """Raise ValueError for a bad value; return the benchmark, which is
+        built here, as the material must suit it."""
         if self.benchmark not in ("smooth", "lshape"):
             raise ValueError(f"unknown benchmark {self.benchmark!r}")
         if self.method not in (1, 2):
@@ -118,7 +120,7 @@ class StudyConfig:
             raise ValueError(
                 f"delta_p must be >= 2, got {self.delta_p}: with a smaller "
                 "test enrichment the condensed skeleton matrix is singular")
-        make_benchmark(self.benchmark, make_isotropic(self.lam, self.mu))
+        bench = make_benchmark(self.benchmark, make_isotropic(self.lam, self.mu))
         if not 0.0 < self.marking_fraction <= 1.0:
             raise ValueError(
                 f"marking fraction must be in (0, 1], got {self.marking_fraction}")
@@ -136,6 +138,7 @@ class StudyConfig:
                 raise ValueError(f"cannot write {self.out!r}: {err.strerror}") from None
             if made:
                 os.remove(self.out)
+        return bench
 
 
 @dataclass
@@ -296,9 +299,7 @@ def run_convergence_study(config: StudyConfig) -> list[ReportRow]:
 
     The study runs with one BLAS thread (`single_blas_thread`).
     """
-    config.validate()
-    material = make_isotropic(config.lam, config.mu)
-    bench = make_benchmark(config.benchmark, material)
+    bench = config.validate()
     mesh = build_initial_mesh(bench.domain, bench.n_initial)
     degrees = DegreeMap(mesh, p=config.p, delta_p=config.delta_p)
     rows: list[ReportRow] = []

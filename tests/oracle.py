@@ -13,13 +13,16 @@ coordinates.  So it shares neither the per-class tables nor the
 constraint maps C_K the library keeps on the layout.
 
 `assembly.condense` condenses the element interiors and then the
-patches' inner skeletons, and writes the coarse matrix straight into its
+nodes' inner skeletons, and writes the coarse matrix straight into its
 free-dof numbering.  `condensed_matrix_by_global_coo` builds the
 one-level skeleton matrix by the global route (COO over all dofs, CSR, an
 `np.ix_` slice to the free skeleton dofs, CSC) from the same class
 blocks, for `test_assembly.py` to compare memory against and, through
-the dense elimination `eliminate_dense`, entries.  `patch_basis` reads a
-patch's basis and boundary map off its children's dense maps.
+the dense elimination `eliminate_dense`, entries.
+`node_schur_complement` builds a node's Schur complement densely from
+its leaves, `layout_of_nodes` the layout in which every split element is
+a node, and `indefinite_below` a layout whose roots' inner blocks are
+indefinite.
 
 The library stacks the elements of a class or of a degree for the loads,
 condensation, the error estimator, the L2 errors and the Dirichlet data.
@@ -59,7 +62,7 @@ element at a time by recursion; `test_mesh.py` requires every array of
 refinements.
 """
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -68,13 +71,16 @@ import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.sparse.linalg import splu
 
-from dpg_elast.assembly import ClassMap, _class_members, element_full_bmat
+from dpg_elast import assembly
+from dpg_elast.assembly import (ClassMap, KernelCache, _class_members,
+                                build_dof_layout, element_full_bmat)
 from dpg_elast.basis import (edge_basis_eval, gauss_rule, gauss_rule_2d,
                              q_basis_table)
 from dpg_elast.local import (_FLUX_BLOCKS, _TRACE_BLOCKS, _side_table,
                              _volume_nq, _volume_points, gram_factor,
                              local_bmat, local_gram, local_stiffness)
-from dpg_elast.mesh import bilinear_shape
+from dpg_elast.mesh import (DegreeMap, bilinear_shape, build_initial_mesh,
+                            refine_uniform)
 
 
 def bilinear_maps(coords, points):
@@ -452,40 +458,78 @@ def eliminate_dense(S, g, keep):
             np.abs(g[keep]) + np.abs(Sic.T) @ np.abs(xi))
 
 
-def patch_basis(layout, pc, i):
-    """Member i of patch class pc, from its children's dense maps C_K
-    (`full_map`): the place and sign of every child skeleton row on the
-    patch basis (the inner dofs in the patch map's order, then the other
-    rows, child after child), and the boundary map C_P those other rows
-    make, a dense (n_boundary, n_dofs) matrix.
+def layout_of_nodes(mesh, degrees):
+    """The layout in which every split element is a node: built again on
+    one cache until every node key is one of the build before."""
+    cache = KernelCache()
+    while True:
+        layout = build_dof_layout(mesh, degrees, cache)
+        if sum(map(len, layout.nodes)) == np.count_nonzero(mesh.child >= 0):
+            return layout
 
-    Asserts that each child row lands, counting its nonzero weights only,
-    wholly on the inner dofs or wholly off them, and an inner row on one
-    inner dof with weight +-1.
-    """
-    interior = layout.patch_maps[pc].interior[i]
-    places, signs, boundary = [], [], []
-    at = interior.size
-    for pos in layout.patches[pc][i]:
-        cmap = layout.class_maps[layout.element_class[pos]]
-        cmap = cmap.member(layout.element_row[pos])
-        C = full_map(cmap, layout.n_dofs)[cmap.interior.shape[1]:]
-        on = C[:, interior]
-        off = C.copy()
-        off[:, interior] = 0.0
-        inner = (on != 0).any(axis=1)
-        assert not (inner & (off != 0).any(axis=1)).any()
-        r, c = np.nonzero(on)
-        np.testing.assert_array_equal(r, np.flatnonzero(inner))
-        np.testing.assert_array_equal(np.abs(on[r, c]), 1.0)
-        place, sign = np.empty(len(C), dtype=int), np.ones(len(C))
-        place[r], sign[r] = c, on[r, c]
-        place[~inner] = at + np.arange(np.count_nonzero(~inner))
-        at += np.count_nonzero(~inner)
-        places.append(place)
-        signs.append(sign)
-        boundary.append(off[~inner])
-    return np.concatenate(places), np.concatenate(signs), np.vstack(boundary)
+
+def node_schur_complement(layout, material, nc, i):
+    """Member i of node class nc by the dense route: its leaves' C_K' S_K
+    C_K (`full_map` and the class kernels' S) summed on the dofs they
+    touch, with the inner dofs of the node and of every node below it
+    eliminated (`eliminate_dense`).  Returns that, the node's own C' S C
+    from its cached kernel on the same dofs, and its boundary map C as a
+    dense (n_boundary, n_dofs) matrix."""
+    mesh, n = layout.mesh, layout.n_dofs
+    inner = {e: nmap.interior[j] for nodes, nmap in
+             zip(layout.nodes, layout.node_maps)
+             for j, e in enumerate(nodes.tolist())}
+    leaves, eliminated, todo = [], [], [layout.nodes[nc][i]]
+    while todo:
+        e = todo.pop()
+        if mesh.child[e] < 0:
+            leaves.append(e)
+        else:
+            eliminated.append(inner[e])
+            todo.extend((mesh.child[e] + np.arange(4)).tolist())
+    maps, schur = [], []
+    for e in leaves:
+        pos = position_of(layout, e)
+        cls = layout.element_class[pos]
+        cmap = layout.class_maps[cls].member(layout.element_row[pos])
+        maps.append(full_map(cmap, n)[cmap.interior.shape[1]:])
+        schur.append(layout.cache.kernels[layout.class_keys[cls], material].S)
+    used = np.flatnonzero(np.any([(C != 0).any(axis=0) for C in maps], axis=0))
+    total = sum(C[:, used].T @ S @ C[:, used] for C, S in zip(maps, schur))
+    keep = ~np.isin(used, np.concatenate(eliminated))
+    expect, _, _ = eliminate_dense(total, np.zeros((used.size, 0)), keep)
+    nmap = layout.node_maps[nc].member(i)
+    C = full_map(nmap, n)[nmap.interior.shape[1]:]
+    S = layout.cache.kernels[layout.cache.node_ids[layout.node_keys[nc]],
+                             material].S
+    got = C[:, used[keep]].T @ S @ C[:, used[keep]]
+    return expect, got, C
+
+
+def indefinite_below(patcher, depth):
+    """The layout of the 2x2 square refined uniformly `depth` times, with
+    the Schur complements one level below the roots made indefinite
+    through `patcher` (pytest's monkeypatch): an element class's (depth 1)
+    or the depth-1 node class's (depth 2).  The roots' inner block then
+    has a negative diagonal entry, for the failure-path tests."""
+    mesh = build_initial_mesh("unit_square", 2)
+    for _ in range(depth):
+        mesh = refine_uniform(mesh)
+    layout = build_dof_layout(mesh, DegreeMap(mesh, p=1))
+    assert [len(nodes) for nodes in layout.nodes] == [4 ** k for k in
+                                                      range(depth, 0, -1)]
+    name = "_class_kernel" if depth == 1 else "_node_kernel"
+    build = getattr(assembly, name)
+
+    def indefinite(key, *args):
+        kernel = build(key, *args)
+        if depth == 2 and key != layout.node_keys[0]:
+            return kernel
+        S = kernel.S - 1e3 * np.abs(kernel.S).max() * np.eye(len(kernel.S))
+        return replace(kernel, S=S)
+
+    patcher.setattr(assembly, name, indefinite)
+    return layout
 
 
 def error_indicators_per_element(mesh, degrees, material, f, layout, x):

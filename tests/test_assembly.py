@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -14,13 +15,15 @@ from dpg_elast.assembly import (SPD_SPLU_OPTIONS, build_dof_layout, condense,
                                 solve_condensed)
 from dpg_elast.basis import edge_basis_eval, q_basis_eval
 from dpg_elast.material import apply_stiffness, make_isotropic
-from dpg_elast.mesh import DegreeMap, build_initial_mesh, refine_marked
+from dpg_elast.mesh import (DegreeMap, build_initial_mesh, refine_marked,
+                            refine_uniform)
 from dpg_elast.rankone import border_terms, ell_vector
 from dpg_elast.study import make_benchmark
 from oracle import (assemble_full, bilinear_maps,
                     condensed_matrix_by_global_coo, degree_and_base,
                     edge_coords, element_coords, eliminate_dense,
-                    interior_slices, layout_dicts, solve_full, validate)
+                    indefinite_below, interior_slices, layout_dicts,
+                    layout_of_nodes, solve_full, validate)
 
 MAT = make_isotropic(1.0, 0.5)
 
@@ -176,12 +179,13 @@ def check_patch_reproduction(mesh, layout, x, g, sigma):
 DOMAINS = st.sampled_from([("unit_square", 2), ("l_shape", 1)])
 
 
-def random_hp_mesh(domain, delta_p, data, max_raise=1):
-    """A random hp mesh with hanging nodes: up to three rounds of degree
-    raises (by 1 to `max_raise`) and refinements of a few elements."""
+def random_hp_mesh(domain, delta_p, data, max_raise=1, rounds=3):
+    """A random hp mesh with hanging nodes: up to `rounds` rounds of
+    degree raises (by 1 to `max_raise`) and refinements of a few
+    elements."""
     mesh = build_initial_mesh(*domain)
     degrees = DegreeMap(mesh, p=1, delta_p=delta_p)
-    for _ in range(data.draw(st.integers(1, 3))):
+    for _ in range(data.draw(st.integers(1, rounds))):
         active = mesh.active_elements
         for k in data.draw(st.sets(st.sampled_from(active), max_size=3)):
             degrees.increment(k, mesh, by=data.draw(st.integers(1, max_raise)))
@@ -227,22 +231,24 @@ def hanging_problem():
     return mesh, degrees, layout, f, dirichlet_values(layout, g)
 
 
-def patch_boundary_problem():
+def node_boundary_problem():
     """p = 2 with non-polynomial Dirichlet data on the 2x2 square refined
-    uniformly and then in one child: the equal squares form one class,
-    with members inside patches and one outside them, on the boundary."""
-    mesh = build_initial_mesh("unit_square", 2)
-    mesh = refine_marked(mesh, mesh.active_elements)
-    mesh = refine_marked(mesh, [mesh.active_elements[2]])
+    uniformly twice and then in the square at (0.25, 0.75): the equal
+    squares form one class, with members inside nodes and members outside
+    them, on the boundary.  The split square's parent is no node, as its
+    one-member class is new, so its child at the top boundary writes the
+    coarse matrix itself."""
+    mesh = refine_uniform(refine_uniform(build_initial_mesh("unit_square", 2)))
+    active = mesh.active_elements
+    corner = mesh.vertices[mesh.verts[active, 0]]
+    mesh = refine_marked(mesh, active[(corner == [0.25, 0.75]).all(axis=1)])
     degrees = DegreeMap(mesh, p=2)
     layout = build_dof_layout(mesh, degrees)
-    in_patch = np.zeros(len(layout.elements), dtype=bool)
-    for kids in layout.patches:
-        in_patch[kids] = True
+    in_node = layout.in_node[layout.elements]
     outside_on_boundary = [
-        layout.pinned[cmap.ids[~in_patch[members]]].any()
+        layout.pinned[cmap.ids[~in_node[members]]].any()
         for members, cmap in zip(layout.classes, layout.class_maps)
-        if in_patch[members].any()]
+        if in_node[members].any()]
     assert any(outside_on_boundary)
 
     def f(pts):
@@ -253,12 +259,14 @@ def patch_boundary_problem():
 
 def test_condensed_matches_full_solve():
     # the Dirichlet lift enters through the members that write the coarse
-    # matrix: on the second mesh, a class's members inside patches leave
-    # it to their patch, and its member outside them takes it
-    for problem in (hanging_problem, patch_boundary_problem):
+    # matrix: on the second mesh, a class's members inside nodes leave it
+    # to their node, and its members outside them take it.  The full solve
+    # is refined to double precision (unrefined, it was seen 6.1e-10 off on
+    # the second mesh, where the condensed solve is 5.9e-12 off)
+    for problem in (hanging_problem, node_boundary_problem):
         mesh, degrees, layout, f, xp = problem()
         E, gvec = assemble_full(mesh, degrees, MAT, f, layout)
-        x_full = solve_full(E, gvec, layout, xp)
+        x_full = solve_full(E, gvec, layout, xp, refine=2)
         x_cond = solve_condensed(MAT, f, layout, xp)
         scale = np.max(np.abs(x_full))
         np.testing.assert_allclose(x_cond, x_full, atol=1e-10 * scale)
@@ -303,12 +311,12 @@ def test_condense_rejects_loads_on_pinned_dofs():
 
 def test_condense_rejects_lift_off_pinned_dofs():
     # the lift enters only through C x_pinned, so a value on an element
-    # interior, a patch's inner skeleton or a free coarse dof would be
+    # interior, a node's inner skeleton or a free coarse dof would be
     # read as boundary data and move the solution
-    mesh = refine_marked(build_initial_mesh("unit_square", 2), [0])
+    mesh = refine_uniform(build_initial_mesh("unit_square", 2))
     layout = build_dof_layout(mesh, DegreeMap(mesh, p=1))
-    (pmap,) = layout.patch_maps
-    for dof in (0, pmap.interior[0, 0], np.flatnonzero(~layout.pinned)[-1]):
+    (nmap,) = layout.node_maps
+    for dof in (0, nmap.interior[0, 0], np.flatnonzero(~layout.pinned)[-1]):
         xp = np.zeros(layout.n_dofs)
         xp[dof] = 1.0
         with pytest.raises(ValueError, match="pinned"):
@@ -363,15 +371,11 @@ def test_spd_splu_options_stay_within_superlu_defaults():
     assert SPD_SPLU_OPTIONS["panel_size"] <= 20
 
 
-@settings(max_examples=20, deadline=None)
-@given(domain=DOMAINS, delta_p=st.sampled_from([2, 3]), data=st.data())
-def test_condensed_matrix_matches_global_route(domain, delta_p, data):
-    # the coarse CSC that condense writes class by class and patch class by
-    # patch class against the dense Schur complement of the global route's
-    # skeleton matrix (COO -> CSR -> free slice -> CSC) onto the free
-    # coarse dofs, and its solve against the full assembly's
-    mesh, degrees = random_hp_mesh(domain, delta_p, data, max_raise=2)
-    layout = build_dof_layout(mesh, degrees)
+def check_against_global_route(mesh, degrees, layout, data):
+    """The coarse CSC that condense writes unit by unit against the dense
+    Schur complement of the global route's skeleton matrix (COO -> CSR ->
+    free slice -> CSC) onto the free coarse dofs, and its solve against
+    the full assembly's."""
     f = make_benchmark("smooth", MAT).f
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
     loads = rng.standard_normal((layout.n_dofs, 2))
@@ -380,12 +384,26 @@ def test_condensed_matrix_matches_global_route(domain, delta_p, data):
     system = condense(MAT, f, layout, xp, loads)
     S_ref, free_ref = condensed_matrix_by_global_coo(MAT, f, layout)
 
-    # the free coarse dofs are the free skeleton dofs outside the patches'
-    # inner skeletons
-    inner = [pmap.interior.ravel() for pmap in layout.patch_maps]
+    # the free coarse dofs are the free skeleton dofs outside every node's
+    # inner skeleton, less the roots' private dofs: those that no other
+    # member writing the coarse matrix touches
+    inner = np.concatenate([np.zeros(0, dtype=int)]
+                           + [nmap.interior.ravel() for nmap in layout.node_maps])
+    writers = Counter()
+    roots = set()
+    for maps, members, is_node in (
+            [(c, layout.elements[m], False)
+             for c, m in zip(layout.class_maps, layout.classes)]
+            + [(c, m, True) for c, m in zip(layout.node_maps, layout.nodes)]):
+        for i in np.flatnonzero(~layout.in_node[members]):
+            dofs = np.unique(maps.ids[i][maps.weights[i] != 0]).tolist()
+            writers.update(dofs)
+            if is_node and layout.mesh.parent[members[i]] < 0:
+                roots.update(dofs)
+    private = [d for d in np.setdiff1d(free_ref, inner).tolist()
+               if writers[d] == 1 and d in roots]
     np.testing.assert_array_equal(
-        np.setdiff1d(free_ref, system.free),
-        np.sort(np.concatenate([np.zeros(0, dtype=int)] + inner)))
+        system.free, np.setdiff1d(free_ref, np.concatenate([inner, private])))
     keep = np.isin(free_ref, system.free)
     expect, _, _ = eliminate_dense(S_ref, np.zeros((free_ref.size, 0)), keep)
     S = system.S
@@ -423,31 +441,43 @@ def test_condensed_matrix_matches_global_route(domain, delta_p, data):
         assert np.abs(residual).max() <= 1e-12 * scale.max()
 
 
+@settings(max_examples=20, deadline=None)
+@given(domain=DOMAINS, delta_p=st.sampled_from([2, 3]), data=st.data())
+def test_condensed_matrix_matches_global_route(domain, delta_p, data):
+    # up to three rounds, the layout as a study builds it
+    mesh, degrees = random_hp_mesh(domain, delta_p, data, max_raise=2)
+    layout = build_dof_layout(mesh, degrees)
+    check_against_global_route(mesh, degrees, layout, data)
+
+
+@settings(max_examples=20, deadline=None)
+@given(domain=DOMAINS, delta_p=st.sampled_from([2, 3]), data=st.data())
+def test_nested_nodes_match_global_route(domain, delta_p, data):
+    # up to four rounds leave nodes of depth 2 and more with hanging nodes,
+    # and the layout has every split element a node.  Degrees rise by 1 a
+    # round: raised by 2, Hypothesis found an hp mesh whose skeleton system
+    # itself is singular, the one-level skeleton matrix of the global route
+    # included (two eigenvalues at 1e-18 against 4.1)
+    mesh, degrees = random_hp_mesh(domain, delta_p, data, rounds=4)
+    layout = layout_of_nodes(mesh, degrees)
+    check_against_global_route(mesh, degrees, layout, data)
+
+
 def test_indefinite_patch_fails_before_superlu(monkeypatch):
-    # one element class's Schur complement made indefinite: its patch's
-    # inner block has a negative diagonal entry, so the patch kernel's
-    # Cholesky factor fails, and SuperLU is never reached
-    mesh = refine_marked(build_initial_mesh("unit_square", 2), [0])
-    layout = build_dof_layout(mesh, DegreeMap(mesh, p=1))
-    (kids,) = layout.patches
-    bad = layout.class_keys[layout.element_class[kids[0, 0]]]
-    class_kernel = assembly._class_kernel
-
-    def indefinite(key, material, cache):
-        kernel = class_kernel(key, material, cache)
-        if key != bad:
-            return kernel
-        S = kernel.S - 1e3 * np.abs(kernel.S).max() * np.eye(len(kernel.S))
-        return replace(kernel, S=S)
-
+    # a root's inner block indefinite, at depth 1 (its children are leaves)
+    # and 2: the root kernel's Cholesky factor fails, and SuperLU is never
+    # reached
     def no_splu(*args, **kwargs):
         raise AssertionError("SuperLU reached")
 
-    monkeypatch.setattr(assembly, "_class_kernel", indefinite)
-    monkeypatch.setattr(assembly, "splu", no_splu)
-    with pytest.raises(RuntimeError,
-                       match="^sparse factorization failed; system not SPD$"):
-        solve_condensed(MAT, None, layout)
+    for depth in (1, 2):
+        with monkeypatch.context() as patched:
+            layout = indefinite_below(patched, depth)
+            patched.setattr(assembly, "splu", no_splu)
+            with pytest.raises(
+                    RuntimeError,
+                    match="^sparse factorization failed; system not SPD$"):
+                solve_condensed(MAT, None, layout)
 
 
 def test_gram_failure_names_degree_and_diameter():

@@ -17,14 +17,15 @@ through the coupling matrix of its shape family against one built at its
 own vertex offsets, on random trapezoids scaled by powers of two.  The
 cache's builds and evictions are counted on an adaptive L-shape run, and
 the coupling-matrix builds of whole studies are counted exactly: one per
-shape family.  A patch's basis and boundary map are read off its
-children's dense maps for every member, a patch kernel built from any
-member's basis is checked byte for byte against the cached one, and a
-uniform study builds one patch kernel per refined step.
+shape family.  Every member of every node class, on meshes where every
+split element is a node, has its kernel checked against the dense Schur
+complement of its leaves, and its boundary basis holds each vertex's
+trace function once; a uniform study builds one node kernel per tree
+level and refined step.
 On such meshes, condensation, the error estimator, the L2 errors and the
 Dirichlet data, which the library does a class or a degree group at a
 time, are checked against element-by-element loops in `oracle.py`, with
-the patches' inner skeletons eliminated densely.
+the nodes' inner skeletons eliminated densely.
 """
 from dataclasses import replace
 from unittest import mock
@@ -48,8 +49,8 @@ from oracle import (condense_per_element, degree_and_base,
                     element_coords, edge_param, eliminate_dense,
                     error_indicators_per_element, full_map, global_bmat,
                     l2_errors_per_element, layout_by_walk, layout_dicts,
-                    overlapping, patch_basis, position_of, segments_of,
-                    trace_at, validate)
+                    layout_of_nodes, node_schur_complement, overlapping,
+                    position_of, segments_of, trace_at, validate)
 
 MATERIAL = make_isotropic(1.0, 0.5)
 
@@ -223,18 +224,19 @@ def cached_arrays(cache, layout):
     for kernel in cache.kernels.values():
         yield from (a for a in vars(kernel).values() if a is not None)
     yield from layout.loads.values()
-    for pmap, kids, (_, place, sign) in zip(layout.patch_maps, layout.patches,
-                                            layout.patch_rows):
-        yield from (pmap.interior, pmap.ids, pmap.weights, kids, place, sign)
-        yield from [] if pmap.rows is None else [pmap.rows]
+    for nmap, nodes, (_, rows, cols, weights, _) in zip(
+            layout.node_maps, layout.nodes, layout.node_basis):
+        yield from (nmap.interior, nmap.ids, nmap.weights, nodes, rows, cols,
+                    weights)
+        yield from [] if nmap.rows is None else [nmap.rows]
 
 
 def cached_keys(cache):
-    """The class keys and the patch keys of the cached kernels; a patch
-    key is a tuple of class keys, a class key starts with the degree."""
+    """The class keys and the node ids of the cached kernels; a node
+    kernel is cached under its node id, a class kernel under its key."""
     keys = {key for key, _ in cache.kernels}
-    patch_keys = {key for key in keys if isinstance(key[0], tuple)}
-    return keys - patch_keys, patch_keys
+    node_ids = {key for key in keys if isinstance(key, int)}
+    return keys - node_ids, node_ids
 
 
 def families(keys):
@@ -251,10 +253,10 @@ def counted(builds, fn=local_bmat):
 
 
 def test_adaptive_run_builds_only_new_classes(monkeypatch):
-    builds, patch_builds = [], []
+    builds, node_builds = [], []
     monkeypatch.setattr(assembly, "local_bmat", counted(builds))
-    monkeypatch.setattr(assembly, "_patch_kernel",
-                        counted(patch_builds, assembly._patch_kernel))
+    monkeypatch.setattr(assembly, "_node_kernel",
+                        counted(node_builds, assembly._node_kernel))
     material = make_isotropic(123.0, 79.3)
     bench = make_benchmark("lshape", material)
     mat = bench.solver_material
@@ -262,37 +264,40 @@ def test_adaptive_run_builds_only_new_classes(monkeypatch):
     degrees = DegreeMap(mesh, p=1)
     cache = KernelCache()
     previous: set = set()
-    previous_patches: set = set()
-    reused = 0
+    previous_nodes: set = set()
+    reused = nodes = 0
     for _ in range(6):
         layout = build_dof_layout(mesh, degrees, cache=cache)
-        keys, patch_keys = set(layout.class_keys), set(layout.patch_keys)
-        # eviction comes before any kernel of the step is built
-        cached_classes, cached_patches = cached_keys(cache)
+        keys = set(layout.class_keys)
+        node_ids = {cache.node_ids[key] for key in layout.node_keys}
+        # eviction comes before any kernel of the step is built, and every
+        # node key the step uses is interned
+        cached_classes, cached_nodes = cached_keys(cache)
         assert cached_classes <= keys & previous
         assert ({key[0] for key in cache.families}
                 <= families(keys) & families(previous))
-        assert cached_patches <= patch_keys & previous_patches
-        before, patches_before = len(builds), len(patch_builds)
+        assert cached_nodes <= node_ids & previous_nodes
+        before, nodes_before = len(builds), len(node_builds)
         x = solve_condensed(mat, bench.f, layout,
                             dirichlet_values(layout, bench.g))
         indicators = error_indicators(mat, bench.f, layout, x)
         # one coupling matrix per shape family the step before did not use,
-        # one patch kernel per patch key it did not use
+        # one node kernel per node class it did not use
         assert len(builds) - before == len(families(keys) - families(previous))
-        assert (len(patch_builds) - patches_before
-                == len(patch_keys - previous_patches))
+        assert (len(node_builds) - nodes_before
+                == len(node_ids - previous_nodes))
         # the cache holds exactly this step's classes, shapes, families and
-        # patch classes
-        assert set(cache.kernels) == {(key, mat) for key in keys | patch_keys}
-        assert cached_keys(cache) == (keys, patch_keys)
+        # node classes
+        assert set(cache.kernels) == {(key, mat) for key in keys | node_ids}
+        assert cached_keys(cache) == (keys, node_ids)
         assert set(cache.gram_factors) == {(key[1], key[2]) for key in keys}
         assert set(cache.families) == {(fam, mat) for fam in families(keys)}
         assert not any(a.flags.writeable for a in cached_arrays(cache, layout))
         reused += len(keys & previous)
-        previous, previous_patches = keys, patch_keys
+        nodes += len(node_ids)
+        previous, previous_nodes = keys, node_ids
         mesh = refine_marked(mesh, layout.elements[greedy_mark(indicators)])
-    assert reused > 0
+    assert reused > 0 and nodes > 0
 
 
 def count_kernel_builds(monkeypatch, config):
@@ -327,64 +332,86 @@ def test_study_kernel_builds_are_exact(monkeypatch):
     assert builds == new == 1
 
 
-def test_uniform_study_builds_one_patch_kernel_per_step(monkeypatch):
+def test_uniform_study_builds_one_node_kernel_per_level_and_step(
+        monkeypatch):
     # the initial squares have no parent; after that every element lies in
-    # a patch of four equal squares, one patch class per step
+    # a node, and the equal subtrees of a level form one node class, so a
+    # step builds one node kernel per tree level
     builds, marks = [], []
 
     def recorded_layout(*args, **kwargs):
         marks.append(len(builds))
         layout = build_dof_layout(*args, **kwargs)
-        assert sum(len(kids) for kids in layout.patches) * 4 == (
-            0 if len(marks) == 1 else len(layout.elements))
+        assert layout.in_node[layout.elements].all() == (len(marks) > 1)
+        assert len(layout.nodes) == len(marks) - 1
         return layout
 
-    monkeypatch.setattr(assembly, "_patch_kernel",
-                        counted(builds, assembly._patch_kernel))
+    monkeypatch.setattr(assembly, "_node_kernel",
+                        counted(builds, assembly._node_kernel))
     monkeypatch.setattr(study, "build_dof_layout", recorded_layout)
     run_convergence_study(StudyConfig(mode="uniform_h", p=3, steps=3))
-    assert np.diff(marks + [len(builds)]).tolist() == [0, 1, 1]
+    assert np.diff(marks + [len(builds)]).tolist() == [0, 1, 2]
+
+
+def vertex_functions(layout):
+    """Every vertex's trace function, as the leaves' corner rows of C_K
+    give it: (dof ids, weights) of its nonzero entries."""
+    out = set()
+    for pos in range(len(layout.elements)):
+        cmap = layout.class_maps[layout.element_class[pos]]
+        cmap = cmap.member(layout.element_row[pos])
+        C = full_map(cmap, layout.n_dofs)[cmap.interior.shape[1]:][:8]
+        out.update(sparse_row(row) for row in C)
+    return out
+
+
+def sparse_row(row):
+    """A dense row as the bytes of its nonzero entries' ids and values."""
+    at = np.flatnonzero(row)
+    return at.tobytes() + row[at].tobytes()
 
 
 @settings(max_examples=10, deadline=None)
 @given(domain=st.sampled_from([("unit_square", 2), ("l_shape", 1)]),
        data=st.data())
-def test_patch_basis_follows_from_the_key(domain, data):
-    # random hp meshes with hanging nodes; the last refinement leaves
-    # patches.  Every member's basis, read off its children's dense maps,
-    # is its class's; every member's boundary map is its children's other
-    # rows; and a patch kernel built from the key and any member's basis
-    # on an empty cache is the cached one, to the byte
+def test_node_kernels_match_dense_schur_complements(domain, data):
+    # random hp meshes with hanging nodes after up to four rounds, laid out
+    # with every split element a node.  Every member of every node class:
+    # its kernel's C' S C is the dense Schur complement of its leaves' with
+    # every inner skeleton below it eliminated, and its boundary basis
+    # holds each vertex's trace function once
     mesh = build_initial_mesh(*domain)
     degrees = DegreeMap(mesh, p=1, delta_p=2)
-    for _ in range(data.draw(st.integers(1, 3))):
+    for _ in range(data.draw(st.integers(1, 4))):
         active = mesh.active_elements
         for k in data.draw(st.sets(st.sampled_from(active), max_size=3)):
             degrees.increment(k, mesh)
         mesh = refine_marked(mesh, data.draw(
             st.sets(st.sampled_from(active), min_size=1, max_size=3)))
-    layout = build_dof_layout(mesh, degrees)
-    assert layout.patches
+    layout = layout_of_nodes(mesh, degrees)
+    assert layout.nodes
     condense(MATERIAL, None, layout)
-    for pc, (key, pmap, basis) in enumerate(zip(
-            layout.patch_keys, layout.patch_maps, layout.patch_rows)):
-        ni = pmap.interior.shape[1]
-        cached = layout.cache.kernels[key, MATERIAL]
-        for i in range(len(pmap.ids)):
-            place, sign, boundary = patch_basis(layout, pc, i)
-            np.testing.assert_array_equal(place, basis[1])
-            np.testing.assert_array_equal(sign, basis[2])
-            np.testing.assert_array_equal(
-                full_map(pmap.member(i), layout.n_dofs)[ni:], boundary)
-            fresh = assembly._patch_kernel(key, (ni, place, sign), MATERIAL,
-                                           KernelCache())
-            for name, array in vars(fresh).items():
-                expect = getattr(cached, name)
-                if array is None:
-                    assert expect is None
-                    continue
-                assert array.shape == expect.shape
-                assert array.tobytes() == expect.tobytes(), name
+    vertices = vertex_functions(layout)
+    for nc, nodes in enumerate(layout.nodes):
+        for i in range(len(nodes)):
+            expect, got, C = node_schur_complement(layout, MATERIAL, nc, i)
+            assert np.max(np.abs(got - expect)) <= 1e-12 * np.abs(expect).max()
+            rows = [sparse_row(row) for row in C]
+            assert all(rows.count(row) == 1 for row in vertices & set(rows))
+
+
+def test_uniform_node_basis_holds_each_dof_once():
+    # the 2x2 square refined uniformly twice, p = 3: a root's children
+    # share the midpoints of its sides, and each shared vertex is one
+    # function of its basis, so each dof it touches has one row
+    mesh = build_initial_mesh("unit_square", 2)
+    for _ in range(2):
+        mesh = refine_marked(mesh, mesh.active_elements)
+    layout = build_dof_layout(mesh, DegreeMap(mesh, p=3, delta_p=2))
+    assert [len(nodes) for nodes in layout.nodes] == [16, 4]
+    for nmap in layout.node_maps:
+        assert nmap.rows is None
+        assert all(np.unique(ids).size == ids.size for ids in nmap.ids)
 
 
 def test_class_kernel_depends_on_its_key_alone():
@@ -507,12 +534,11 @@ def test_batched_step_matches_per_element_oracle(domain, data):
     system = condense(MATERIAL, f, layout, xp, loads)
     S_ref, g_ref, expand_ref = condense_per_element(mesh, degrees, MATERIAL, f,
                                                     layout, xp, loads)
-    # the per-element skeleton system, with the patches' inner skeletons
-    # eliminated densely, onto the free coarse dofs
+    # the per-element skeleton system, with the nodes' inner skeletons and
+    # the roots' private dofs eliminated densely, onto the free coarse dofs
     free = system.free
-    skeleton = np.union1d(free, np.concatenate(
-        [np.zeros(0, dtype=int)]
-        + [pmap.interior.ravel() for pmap in layout.patch_maps]))
+    n_interior = sum(cmap.interior.size for cmap in layout.class_maps)
+    skeleton = n_interior + np.flatnonzero(~layout.pinned[n_interior:])
     keep = np.isin(skeleton, free)
     S_sk = S_ref[np.ix_(skeleton, skeleton)]
     S_c, g_c, g_terms = eliminate_dense(S_sk, g_ref[skeleton], keep)

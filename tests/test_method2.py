@@ -13,8 +13,8 @@ from dpg_elast.rankone import (border_terms, ell_vector, solve_second,
                                solve_second_method)
 from dpg_elast.study import make_benchmark
 from oracle import (degree_and_base, apply_compliance, assemble_full, bilinear_maps,
-                    element_coords, global_bmat, interior_slices, layout_dicts,
-                    solve_full)
+                    element_coords, global_bmat, indefinite_below,
+                    interior_slices, layout_dicts, solve_full)
 
 MAT = make_isotropic(1.0, 0.5)
 
@@ -260,3 +260,21 @@ def test_singular_schur_complement_fails_factorization(monkeypatch):
     layout = build_dof_layout(mesh, degrees)
     with pytest.raises(RuntimeError, match="sparse factorization failed"):
         solve_second(bench.solver_material, bench.f, layout)
+
+
+def test_indefinite_node_fails_before_superlu(monkeypatch):
+    # method 2 condenses through the same nodes: a root's inner block made
+    # indefinite, at depth 1 and 2, fails the solve before SuperLU
+    bench = make_benchmark("smooth", MAT)
+
+    def no_splu(*args, **kwargs):
+        raise AssertionError("SuperLU reached")
+
+    for depth in (1, 2):
+        with monkeypatch.context() as patched:
+            layout = indefinite_below(patched, depth)
+            patched.setattr(rankone, "splu", no_splu)
+            with pytest.raises(
+                    RuntimeError,
+                    match="^sparse factorization failed; system not SPD$"):
+                solve_second(bench.solver_material, bench.f, layout)

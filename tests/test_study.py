@@ -187,6 +187,27 @@ def test_config_validation():
         StudyConfig(delta_p=1).validate()
 
 
+@pytest.mark.parametrize("name, mode", [("smooth", "uniform_h"),
+                                        ("lshape", "adaptive_h")])
+def test_study_builds_its_benchmark_once(name, mode, monkeypatch):
+    # validate builds the benchmark to check the material, and the study
+    # runs on that one: the L-shape's exponent bisection runs once
+    builds = []
+    make = study.make_benchmark
+
+    def counted(*args):
+        builds.append(args)
+        return make(*args)
+
+    monkeypatch.setattr(study, "make_benchmark", counted)
+    run_convergence_study(StudyConfig(benchmark=name, mode=mode, steps=1,
+                                      lam=123.0, mu=79.3))
+    assert len(builds) == 1
+    # a material the benchmark rejects still fails validation
+    with pytest.raises(ValueError):
+        run_convergence_study(StudyConfig(benchmark="lshape", lam=0.0))
+
+
 def test_study_produces_rows():
     config = StudyConfig(benchmark="smooth", method=1, mode="uniform_h",
                          p=1, steps=2, lam=1.0, mu=0.5)
