@@ -55,15 +55,15 @@ faster than a dense node does.  The layout finds the nodes, children
 before parents, in array passes per subtree height.
 
 `condense` takes one step per unit, children before parents: each
-element class, then each node class.  The Dirichlet lift enters at the
-members that write the coarse matrix, those outside every node.  A root
-node also condenses its private dofs, the coarse dofs no other writing
-member touches (its fluxes on the domain boundary, which its key does
-not know), member by member.  The free coarse dofs are the unpinned
-skeleton dofs outside every inner skeleton and private set; the entries
-go in that numbering into arrays allocated once per step, and SuperLU
-gets the CSC matrix built from them; no global matrix over all dofs is
-formed.
+element class, then each node class, then each root member's private
+dofs, the coarse dofs no other writing member touches (its fluxes on the
+domain boundary, which its key does not know), as a unit of one member.
+The Dirichlet lift enters at the members that write the coarse matrix,
+those outside every node and the private units.  The free coarse dofs
+are the unpinned skeleton dofs outside every inner skeleton and private
+set; the entries go in that numbering into arrays allocated once per
+step, and SuperLU gets the CSC matrix built from them; no global matrix
+over all dofs is formed.
 """
 from __future__ import annotations
 
@@ -99,7 +99,7 @@ SPD_SPLU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
 
 @dataclass(frozen=True)
 class ClassKernel:
-    """Read-only matrices of one element or node class.
+    """Read-only matrices of one element class, node class or private unit.
 
     With K split into interior and skeleton blocks, `Kii` is the Cholesky
     factor L of the interior block, `A` = (L L')^-1 Kis for the
@@ -108,7 +108,8 @@ class ClassKernel:
     K = B'G^-1 B, `L` is the Gram Cholesky factor and `B` the coupling
     matrix with its columns in class order.  For a node, K is its
     children's Schur complements summed on the node basis (inner dofs,
-    then boundary functions), and `L` and `B` are None.
+    then boundary functions), and `L` and `B` are None; so for a private
+    unit, whose K is its member's C' S C block (`_private_units`).
     """
 
     Kii: np.ndarray
@@ -686,25 +687,18 @@ def _node_classes(mesh: Mesh, active: np.ndarray, dof_node: np.ndarray,
         out = np.flatnonzero(has_off)
         pure = ~has_in[out]
         shared = pure & (tag[out] >= 0)
-        _, first, inv = np.unique(np.where(
-            shared, r_node[out] * 2 * len(mesh.vertices) + tag[out], -1 - out),
-            return_index=True, return_inverse=True)
-        by_row = np.argsort(first)
-        func = np.empty_like(by_row)
-        func[by_row] = np.arange(by_row.size)
-        func = func[inv]                    # of each row in `out`
-        rep = out[first[by_row]]            # each function's first row
+        # each row's function in `out`, and each function's first row there
+        func, first = _first_use(np.where(
+            shared, r_node[out] * 2 * len(mesh.vertices) + tag[out], -1 - out))
+        rep = out[first]
         n_fn = np.bincount(r_node[rep], minlength=n)
         f_base = np.cumsum(n_fn) - n_fn
         func -= f_base[r_node[out]]
         # the inner dofs in order of first use
         on_ids, on_node = e_ids[on], e_node[on]
-        _, use, inv = np.unique(on_ids, return_index=True, return_inverse=True)
-        by_use = np.argsort(use)
-        rank = np.empty_like(by_use)
-        rank[by_use] = np.arange(by_use.size)
-        inner_ids = on_ids[use[by_use]]
-        n_in = np.bincount(on_node[use[by_use]], minlength=n)
+        rank, use = _first_use(on_ids)
+        inner_ids = on_ids[use]
+        n_in = np.bincount(on_node[use], minlength=n)
         i_base = np.cumsum(n_in) - n_in
         # every node's basis: entries (child row, node function, weight),
         # by row, the rows and functions counted in the node, and where
@@ -714,7 +708,7 @@ def _node_classes(mesh: Mesh, active: np.ndarray, dof_node: np.ndarray,
         t_row = t_row[t]
         t_bound = np.append(np.searchsorted(t_row, row0), t.size)
         t_row -= np.repeat(row0[::4], np.diff(t_bound[::4]))
-        t_col = np.concatenate([rank[inv] - i_base[on_node],
+        t_col = np.concatenate([rank - i_base[on_node],
                                 n_in[r_node[out]] + func])[t]
         t_w = np.concatenate([e_w[on], np.ones(out.size)])[t]
         # the nodes' entries and functions, added to those of the nodes
@@ -729,7 +723,7 @@ def _node_classes(mesh: Mesh, active: np.ndarray, dof_node: np.ndarray,
             ids.size + np.cumsum(cnt) - cnt, cnt, n_fn, tags.size + f_base)
         ids, w, rows, tags = (np.concatenate(a) for a in (
             (ids, e_ids[want]), (w, e_w[want]), (rows, func_of[e_rows[want]]),
-            (tags, np.where(pure[first[by_row]], tag[rep], -1))))
+            (tags, np.where(pure[first], tag[rep], -1))))
 
         # the classes' maps: the members class by class, each with as many
         # entries as its class's widest member (the spare ones at the
@@ -910,25 +904,30 @@ def _node_kernel(key: tuple, basis: tuple, material: Material,
     ni on; `bounds` splits the entries, sorted by row, by child.
 
     K = sum_k T_k' S_k T_k is the children's Schur complements on the node
-    basis, summed entry by entry in one `bincount`; its inner block is the
-    node's inner skeleton.  A failed Cholesky factor of that block means
-    the skeleton system is not SPD.
+    basis (`_summed`); its inner block is the node's inner skeleton.  A
+    failed Cholesky factor of that block means the skeleton system is not
+    SPD.
     """
     ni, rows, cols, weights, bounds = basis
-    n = cols.max() + 1
-    at, flat, vals = 0, [], []
+    at, blocks = 0, []
     for child, a, b in zip(key, [0, *bounds], [*bounds, len(rows)]):
         S = (cache.kernels[child, material] if isinstance(child, int)
              else _kernel(cache, child, material)).S
-        r, c, w = rows[a:b] - at, cols[a:b], weights[a:b]
+        r = rows[a:b] - at
         at += len(S)
         if r.size > len(S):     # some rows take more than one function
             S = S[r][:, r]
-        flat.append((c[:, None] * n + c).ravel())
-        vals.append((w[:, None] * S * w).ravel())
-    K = np.bincount(np.concatenate(flat), np.concatenate(vals), n * n)
-    return _condensed(K.reshape(n, n), ni,
+        blocks.append((S, cols[a:b], weights[a:b]))
+    return _condensed(_summed(cols.max() + 1, blocks), ni,
                       "sparse factorization failed; system not SPD")
+
+
+def _summed(n: int, blocks) -> np.ndarray:
+    """The (n, n) sum of the blocks (S, c, w) entry by entry, in one
+    `bincount`: entry S[s, t] adds w[s] S[s, t] w[t] at (c[s], c[t])."""
+    flat = np.concatenate([(c[:, None] * n + c).ravel() for _, c, _ in blocks])
+    vals = np.concatenate([(w[:, None] * S * w).ravel() for S, _, w in blocks])
+    return np.bincount(flat, vals, n * n).reshape(n, n)
 
 
 def dirichlet_values(layout: DofLayout, g_data) -> np.ndarray:
@@ -1008,9 +1007,9 @@ class CondensedSystem:
     studies 250, 186 and 912 dofs, of 7,298, 4,482 and 2,790.  Column 0 is
     the DPG load with the Dirichlet lift folded in, the others are the
     extra loads.  `recover` holds one record per unit, children before
-    parents, and one per root with private dofs after its unit's: the
-    members' `ClassMap`, Kii^-1 Kis, and Kii^-1 of the members' interior
-    loads as an (ni, m, 1 + extra) block.
+    parents and the private units last: the members' `ClassMap`,
+    Kii^-1 Kis, and Kii^-1 of the members' interior loads as an
+    (ni, m, 1 + extra) block.
     """
 
     S: sp.csc_matrix        # Schur complement on the free coarse dofs
@@ -1037,22 +1036,22 @@ class CondensedSystem:
 def condense(material: Material, f, layout: DofLayout,
              x_pinned: np.ndarray | None = None,
              loads: np.ndarray | None = None) -> CondensedSystem:
-    """Statically condense the element interiors and then the nodes' inner
-    skeletons: one step per unit, children before parents.
+    """Statically condense the element interiors, the nodes' inner
+    skeletons and the roots' private dofs: one step per unit, children
+    before parents.
 
     `x_pinned` holds the Dirichlet values on the pinned dofs, and `loads`
     is an optional (n_dofs, m) block of extra right-hand sides; a lift off
     the pinned dofs or a load on them raises ValueError.  The element
     loads enter first: their interior part in the load block, their
     skeleton part as the element class's own condensed load.  A unit, an
-    element class or a node class, then solves its kernel's Kii for the
-    loads r on its members' interiors in one call, scatters the condensed
-    load -A'r plus its own, writes its C' S C entries and keeps a
-    recovery record.  The Dirichlet lift S C x_pinned enters at the
-    members that write the coarse matrix, those outside every node;
-    x_pinned vanishes on the inner skeletons.  A root with private dofs
-    condenses them out of its member's C' S C before writing it
-    (`_condense_private`).
+    element class, a node class or a root member's private dofs
+    (`_private_units`), then solves its kernel's Kii for the loads r on
+    its members' interiors in one call, scatters the condensed load -A'r
+    plus its own, writes its C' S C entries and keeps a recovery record.
+    The Dirichlet lift S C x_pinned enters at the members that write the
+    coarse matrix, those outside every node and the private units;
+    x_pinned vanishes on the inner skeletons and the private dofs.
 
     Neither the full sparse matrix nor a global skeleton matrix is formed:
     the C' S C entries, numbered by free coarse dof and with the pinned
@@ -1091,19 +1090,7 @@ def condense(material: Material, f, layout: DofLayout,
                                        layout.node_maps, layout.nodes):
         units.append((_kernel(layout.cache, key, material, basis), nmap, 0.0,
                       ~layout.in_node[nodes]))
-    # a root node's private dofs, the coarse dofs no other writing member
-    # touches (its fluxes on the domain boundary, which its key does not
-    # know), by unit and member
-    touched = np.bincount(np.concatenate(
-        [cmap.ids[writes].ravel() for _, cmap, _, writes in units]), minlength=n)
-    private = [{} for _ in units]
-    for u, nodes in enumerate(layout.nodes, len(layout.classes)):
-        ids = units[u][1].ids
-        for i in np.flatnonzero(layout.mesh.parent[nodes] < 0).tolist():
-            own = np.unique(ids[i][coarse[ids[i]] & (touched[ids[i]] == 1)])
-            if own.size:
-                private[u][i] = own
-                coarse[own] = False
+    units += _private_units(layout, units, coarse)
     free = n_interior + np.flatnonzero(coarse[n_interior:])
     index = np.full(n, -1, dtype=np.int32)
     index[free] = np.arange(free.size, dtype=np.int32)
@@ -1114,65 +1101,63 @@ def condense(material: Material, f, layout: DofLayout,
     vals = np.empty(size)
     coo, k = (rows, cols, vals), 0
     recover = []
-    for (kernel, cmap, own, writes), mine in zip(units, private):
+    for kernel, cmap, own, writes in units:
         b, gs = _eliminate(kernel, g[cmap.interior].transpose(1, 0, 2))
         gs[:, :, 0] += own
         if writes.any():
             gs[:, writes, 0] -= kernel.S @ cmap.gather(xp)[writes].T
-            writes = writes.copy()
-            writes[list(mine)] = False
             k = _write_free(cmap, kernel.S, index[cmap.ids], writes, coo, k)
         cmap.scatter(g, gs.transpose(1, 0, 2))
         recover.append((cmap, kernel.A, b))
-        for i, p in mine.items():
-            k = _condense_private(cmap, kernel.S, i, p, index, g, coo, k,
-                                  recover)
 
     S = sp.csc_matrix((vals[:k], (rows[:k], cols[:k])), shape=(free.size,) * 2)
     return CondensedSystem(S=S, rhs=g[free], free=free, x_pinned=xp,
                            recover=recover)
 
 
-def _condense_private(cmap: ClassMap, S: np.ndarray, i: int, p: np.ndarray,
-                      index: np.ndarray, g: np.ndarray, coo: tuple, k: int,
-                      recover: list) -> int:
-    """Condense the private dofs `p` of member i densely out of its C' S C
-    block on `p` and its free coarse dofs (`index` >= 0): eliminate them
-    from the loads `g`, write the rest of the block at position k of the
-    arrays `coo` and append the recovery record; returns the next
-    position.  Entries on one dof are summed when a dof has several."""
-    ids, w = cmap.ids[i], cmap.weights[i]
-    if cmap.rows is not None:
-        S = S[cmap.rows[i]][:, cmap.rows[i]]
-    mine = np.isin(ids, p)
-    # the entries on p, then those on the free coarse dofs
-    at = np.concatenate([np.flatnonzero(mine), np.flatnonzero(index[ids] >= 0)])
-    dofs, w = ids[at], w[at]
-    block = w[:, None] * S[at][:, at] * w
-    if np.unique(dofs).size < dofs.size:
-        dofs, first, inv = np.unique(dofs, return_index=True,
-                                     return_inverse=True)
-        by_use = np.argsort(first)
-        place = np.empty_like(by_use)
-        place[by_use] = np.arange(by_use.size)
-        dofs, n = dofs[by_use], dofs.size
-        inv = place[inv]
-        block = np.bincount((inv[:, None] * n + inv).ravel(), block.ravel(),
-                            n * n).reshape(n, n)
-    kernel = _condensed(block, p.size,
-                        "sparse factorization failed; system not SPD")
-    own, rest = dofs[:p.size], dofs[p.size:]
-    b, gs = _eliminate(kernel, g[own][:, None, :])
-    g[rest] += gs[:, 0, :]
-    d = index[rest]
-    span = slice(k, k + d.size ** 2)
-    rows, cols, vals = coo
-    rows[span] = np.repeat(d, d.size)
-    cols[span] = np.tile(d, d.size)
-    vals[span] = kernel.S.ravel()
-    recover.append((ClassMap(own[None], rest[None], None,
-                             np.ones((1, rest.size)), rest.size), kernel.A, b))
-    return span.stop
+def _private_units(layout: DofLayout, units: list, coarse: np.ndarray) -> list:
+    """One unit per root member with private dofs, the coarse dofs no
+    other member writing the coarse matrix touches (its fluxes on the
+    domain boundary, which its key does not know).
+
+    The unit's one member has the private dofs as its interior and its
+    other distinct dofs, pinned ones included, as its map, each of weight
+    1; its kernel condenses the member's C' S C block, private dofs
+    first, and its own load is 0.  The member leaves its node unit's
+    `writes`, and `coarse` drops the private dofs.
+    """
+    touched = np.bincount(np.concatenate(
+        [cmap.ids[writes].ravel() for _, cmap, _, writes in units]),
+        minlength=coarse.size)
+    private = []
+    for (kernel, cmap, _, writes), nodes in zip(units[len(layout.classes):],
+                                                layout.nodes):
+        for i in np.flatnonzero(layout.mesh.parent[nodes] < 0).tolist():
+            ids = cmap.ids[i]
+            mine = coarse[ids] & (touched[ids] == 1)
+            if not mine.any():
+                continue
+            # the entries on private dofs first, each dof numbered by its
+            # first entry (a private dof has one); a dof with several
+            # entries sums them (`_summed`)
+            at = np.argsort(~mine, kind="stable")
+            col, first = _first_use(ids[at])
+            r = at if cmap.rows is None else cmap.rows[i][at]
+            K, w = kernel.S[r][:, r], cmap.weights[i][at]
+            if first.size < col.size:
+                K = _summed(first.size, [(K, col, w)])
+            else:
+                K *= w[:, None]
+                K *= w
+            dofs, ni = ids[at][first], np.count_nonzero(mine)
+            private.append((
+                _condensed(K, ni, "sparse factorization failed; system not SPD"),
+                ClassMap(dofs[None, :ni], dofs[None, ni:], None,
+                         np.ones((1, dofs.size - ni)), dofs.size - ni),
+                0.0, np.ones(1, dtype=bool)))
+            writes[i] = False
+            coarse[dofs[:ni]] = False
+    return private
 
 
 def _eliminate(kernel: ClassKernel, rhs: np.ndarray):

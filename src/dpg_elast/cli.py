@@ -19,7 +19,7 @@ import argparse
 import sys
 from dataclasses import fields
 
-from .study import StudyConfig, run_convergence_study
+from .study import StudyConfig, _run_study
 
 # config-file key -> (StudyConfig field, converter of its string value)
 _KEYS = {("lambda" if f.name == "lam" else f.name):
@@ -60,9 +60,7 @@ def build_config(args) -> StudyConfig:
         val = getattr(args, name)
         if val is not None:
             values[key] = _convert(key, val)
-    config = StudyConfig(**{_KEYS[key][0]: val for key, val in values.items()})
-    config.validate()
-    return config
+    return StudyConfig(**{_KEYS[key][0]: val for key, val in values.items()})
 
 
 def main(argv=None) -> int:
@@ -80,11 +78,13 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 3
     try:
         config = build_config(args)
+        bench = config.validate()
     except (OSError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 3
     try:
-        rows = run_convergence_study(config)
+        # the validated benchmark runs the study, so it is built once
+        rows = _run_study(config, bench)
     except RuntimeError as err:
         print(f"solver failure: {err}", file=sys.stderr)
         return 2

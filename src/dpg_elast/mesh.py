@@ -62,11 +62,12 @@ class Mesh:
 
 
 def _first_use(keys: np.ndarray):
-    """Ids of the rows of `keys`, numbered in the order in which each
-    distinct row first occurs, and the first row of each id."""
+    """Ids of the rows of `keys` (its entries if 1-D), numbered in the order
+    in which each distinct row first occurs, and the first row of each id."""
     # rows as opaque bytes sort far faster than np.unique(axis=0)
-    rows = np.ascontiguousarray(keys).view((np.void, keys.itemsize * keys.shape[1]))
-    _, first, inverse = np.unique(rows.ravel(), return_index=True,
+    if keys.ndim > 1:
+        keys = np.ascontiguousarray(keys).view((np.void, keys.itemsize * keys.shape[1]))
+    _, first, inverse = np.unique(keys.ravel(), return_index=True,
                                   return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)

@@ -293,13 +293,17 @@ def single_blas_thread():
             put(count)
 
 
-@single_blas_thread()
 def run_convergence_study(config: StudyConfig) -> list[ReportRow]:
     """Solve/estimate/refine loop; returns one row per step.
 
     The study runs with one BLAS thread (`single_blas_thread`).
     """
-    bench = config.validate()
+    return _run_study(config, config.validate())
+
+
+@single_blas_thread()
+def _run_study(config: StudyConfig, bench: Benchmark) -> list[ReportRow]:
+    """The study of a validated config on its benchmark (`validate`)."""
     mesh = build_initial_mesh(bench.domain, bench.n_initial)
     degrees = DegreeMap(mesh, p=config.p, delta_p=config.delta_p)
     rows: list[ReportRow] = []

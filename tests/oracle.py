@@ -532,6 +532,27 @@ def indefinite_below(patcher, depth):
     return layout
 
 
+def indefinite_root_boundary(patcher):
+    """The layout of the 2x2 square refined uniformly once, with the root
+    node kernel's Schur complement, its boundary block, made indefinite
+    through `patcher` and its inner block left SPD.  The root kernel
+    itself then builds, and the roots' private units, whose blocks come
+    from that Schur complement, are the first to fail, for the
+    failure-path tests."""
+    mesh = refine_uniform(build_initial_mesh("unit_square", 2))
+    layout = build_dof_layout(mesh, DegreeMap(mesh, p=1))
+    assert [len(nodes) for nodes in layout.nodes] == [4]
+    build = assembly._node_kernel
+
+    def indefinite(key, *args):
+        kernel = build(key, *args)
+        S = kernel.S - 1e3 * np.abs(kernel.S).max() * np.eye(len(kernel.S))
+        return replace(kernel, S=S)
+
+    patcher.setattr(assembly, "_node_kernel", indefinite)
+    return layout
+
+
 def error_indicators_per_element(mesh, degrees, material, f, layout, x):
     """Elementwise V-norms of the error representation function."""
     out = {}

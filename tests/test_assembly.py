@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import eigvalsh
 from scipy.sparse.linalg import splu
 
-from dpg_elast import assembly
+from dpg_elast import assembly, rankone
 from dpg_elast.assembly import (SPD_SPLU_OPTIONS, build_dof_layout, condense,
                                 dirichlet_values, error_indicators,
                                 solve_condensed)
@@ -18,12 +18,13 @@ from dpg_elast.material import apply_stiffness, make_isotropic
 from dpg_elast.mesh import (DegreeMap, build_initial_mesh, refine_marked,
                             refine_uniform)
 from dpg_elast.rankone import border_terms, ell_vector
-from dpg_elast.study import make_benchmark
+from dpg_elast.study import StudyConfig, make_benchmark, run_convergence_study
 from oracle import (assemble_full, bilinear_maps,
                     condensed_matrix_by_global_coo, degree_and_base,
                     edge_coords, element_coords, eliminate_dense,
-                    indefinite_below, interior_slices, layout_dicts,
-                    layout_of_nodes, solve_full, validate)
+                    indefinite_below, indefinite_root_boundary,
+                    interior_slices, layout_dicts, layout_of_nodes,
+                    solve_full, validate)
 
 MAT = make_isotropic(1.0, 0.5)
 
@@ -478,6 +479,127 @@ def test_indefinite_patch_fails_before_superlu(monkeypatch):
                     RuntimeError,
                     match="^sparse factorization failed; system not SPD$"):
                 solve_condensed(MAT, None, layout)
+
+
+def test_indefinite_root_boundary_fails_before_superlu(monkeypatch):
+    # the root kernel builds, as its inner block is SPD, but its Schur
+    # complement is indefinite: the roots' private units fail, and
+    # SuperLU is never reached
+    def no_splu(*args, **kwargs):
+        raise AssertionError("SuperLU reached")
+
+    layout = indefinite_root_boundary(monkeypatch)
+    monkeypatch.setattr(assembly, "splu", no_splu)
+    with pytest.raises(RuntimeError,
+                       match="^sparse factorization failed; system not SPD$"):
+        solve_condensed(MAT, None, layout)
+
+
+def private_records(layout, system):
+    """The recovery records of the private units, which come last."""
+    return system.recover[len(layout.class_maps) + len(layout.node_maps):]
+
+
+@pytest.mark.parametrize("p, per_root", [(3, 64), (2, 48)])
+def test_uniform_roots_keep_their_boundary_fluxes_private(p, per_root):
+    # the last steps of the bench's smooth-h (p = 3) and smooth-m2 (p = 2)
+    # meshes, whose four roots are nodes: the private dofs are exactly the
+    # fluxes on the domain-boundary leaves, one unit per root
+    bench = make_benchmark("smooth", MAT)
+    mesh = build_initial_mesh(bench.domain, bench.n_initial)
+    for _ in range(2):
+        mesh = refine_uniform(mesh)
+    layout = build_dof_layout(mesh, DegreeMap(mesh, p=p))
+    system = condense(MAT, None, layout)
+    private = private_records(layout, system)
+    assert [cmap.interior.shape for cmap, _, _ in private] == [(1, per_root)] * 4
+    edges = np.flatnonzero(mesh.boundary & (layout.flux_p > 0))
+    fluxes = layout.flux_base[edges][:, None] + np.arange(2 * (p + 1))
+    np.testing.assert_array_equal(
+        np.sort(np.concatenate([cmap.interior.ravel()
+                                for cmap, _, _ in private])),
+        np.sort(fluxes.ravel()))
+
+
+def condensed_steps(monkeypatch, **kwargs):
+    """(layout, CondensedSystem) of every step of the study `kwargs`."""
+    steps = []
+    for module in (assembly, rankone):
+        def recorded(material, f, layout, *args, inner=module.condense,
+                     **kw):
+            system = inner(material, f, layout, *args, **kw)
+            steps.append((layout, system))
+            return system
+
+        monkeypatch.setattr(module, "condense", recorded)
+    run_convergence_study(StudyConfig(**kwargs))
+    return steps
+
+
+BENCH_STUDIES = {
+    "smooth-h": dict(benchmark="smooth", method=1, mode="uniform_h", p=3,
+                     steps=3),
+    "lshape-adapt": dict(benchmark="lshape", mode="adaptive_h", p=1,
+                         steps=8, lam=123.0, mu=79.3),
+    "smooth-m2": dict(benchmark="smooth", method=2, mode="uniform_h", p=2,
+                      steps=3),
+}
+
+
+@pytest.mark.parametrize("name, coarse", [("smooth-h", 250),
+                                          ("lshape-adapt", 912),
+                                          ("smooth-m2", 186)])
+def test_bench_last_coarse_systems_keep_their_size(name, coarse, monkeypatch):
+    layout, system = condensed_steps(monkeypatch, **BENCH_STUDIES[name])[-1]
+    assert system.free.size == system.S.shape[0] == coarse
+
+
+def test_lshape_adaptive_roots_private_dofs(monkeypatch):
+    # step 1 of the bench's lshape-adapt study: its three roots are
+    # nodes, and each keeps its fluxes on the domain boundary private
+    kwargs = dict(BENCH_STUDIES["lshape-adapt"], steps=2)
+    layout, system = condensed_steps(monkeypatch, **kwargs)[1]
+    assert [cmap.interior.size for cmap, _, _ in
+            private_records(layout, system)] == [24, 16, 24]
+
+
+def singular_hp_mesh():
+    """The 2x2 square with element 2 raised to p = 6 beside p = 1
+    neighbours across hanging sides, delta_p = 2: raise element 2 by 1 and
+    refine {0, 1}, raise it by 2 and refine {3}, raise it by 2 again and
+    refine {4}.  Hypothesis drew this mesh for
+    `test_condensed_matrix_matches_global_route`."""
+    mesh = build_initial_mesh("unit_square", 2)
+    degrees = DegreeMap(mesh, p=1, delta_p=2)
+    for by, split in ((1, [0, 1]), (2, [3]), (2, [4])):
+        degrees.increment(2, mesh, by=by)
+        mesh = refine_marked(mesh, split)
+    layout = build_dof_layout(mesh, degrees)
+    assert degrees.of(mesh, mesh.active_elements).tolist() == [6] + [1] * 15
+    return layout
+
+
+def test_condense_matches_global_route_on_singular_hp_mesh():
+    # condensation is exact on this mesh: the singular matrix is the
+    # method's own, as the global route's shows
+    layout = singular_hp_mesh()
+    f = make_benchmark("smooth", MAT).f
+    system = condense(MAT, f, layout)
+    S = system.S.toarray()
+    S_ref, free_ref = condensed_matrix_by_global_coo(MAT, f, layout)
+    expect, _, _ = eliminate_dense(S_ref, np.zeros((free_ref.size, 0)),
+                                   np.isin(free_ref, system.free))
+    assert np.max(np.abs(S - expect)) <= 1e-13 * np.abs(S).max()
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "at delta_p = 2 a jump of 5 in degree across a hanging side leaves "
+    "the skeleton system singular (README, Limits)"))
+def test_skeleton_system_spd_on_singular_hp_mesh():
+    layout = singular_hp_mesh()
+    S_ref, _ = condensed_matrix_by_global_coo(MAT, None, layout)
+    w = eigvalsh(S_ref.toarray())
+    assert w.min() > 1e3 * np.finfo(float).eps * w.max()
 
 
 def test_gram_failure_names_degree_and_diameter():

@@ -14,7 +14,8 @@ from dpg_elast.rankone import (border_terms, ell_vector, solve_second,
 from dpg_elast.study import make_benchmark
 from oracle import (degree_and_base, apply_compliance, assemble_full, bilinear_maps,
                     element_coords, global_bmat, indefinite_below,
-                    interior_slices, layout_dicts, solve_full)
+                    indefinite_root_boundary, interior_slices, layout_dicts,
+                    solve_full)
 
 MAT = make_isotropic(1.0, 0.5)
 
@@ -278,3 +279,18 @@ def test_indefinite_node_fails_before_superlu(monkeypatch):
                     RuntimeError,
                     match="^sparse factorization failed; system not SPD$"):
                 solve_second(bench.solver_material, bench.f, layout)
+
+
+def test_indefinite_root_boundary_fails_before_superlu(monkeypatch):
+    # method 2 condenses the roots' private dofs as the same units: the
+    # root kernel's Schur complement made indefinite fails the solve there
+    bench = make_benchmark("smooth", MAT)
+
+    def no_splu(*args, **kwargs):
+        raise AssertionError("SuperLU reached")
+
+    layout = indefinite_root_boundary(monkeypatch)
+    monkeypatch.setattr(rankone, "splu", no_splu)
+    with pytest.raises(RuntimeError,
+                       match="^sparse factorization failed; system not SPD$"):
+        solve_second(bench.solver_material, bench.f, layout)

@@ -208,6 +208,34 @@ def test_study_builds_its_benchmark_once(name, mode, monkeypatch):
         run_convergence_study(StudyConfig(benchmark="lshape", lam=0.0))
 
 
+def test_cli_builds_its_benchmark_once(monkeypatch, capsys):
+    # the CLI validates the config, which builds the benchmark, and runs
+    # the study on that one: the L-shape's exponent bisection runs once
+    builds = []
+    make = study.make_benchmark
+
+    def counted(*args):
+        builds.append(args)
+        return make(*args)
+
+    monkeypatch.setattr(study, "make_benchmark", counted)
+    assert cli.main(["run", "--benchmark", "lshape", "--mode", "adaptive_h",
+                     "--steps", "1", "--lambda", "123", "--mu", "79.3"]) == 0
+    assert len(builds) == 1
+
+
+def test_cli_step_value_error_is_not_a_config_error(monkeypatch, capsys):
+    # only validation reports a configuration error (exit code 3); a
+    # ValueError from inside a step propagates
+    def broken(*args):
+        raise ValueError("inside a step")
+
+    monkeypatch.setattr(study, "_solve_step", broken)
+    with pytest.raises(ValueError, match="^inside a step$"):
+        cli.main(["run", "--steps", "1"])
+    assert "config error" not in capsys.readouterr().err
+
+
 def test_study_produces_rows():
     config = StudyConfig(benchmark="smooth", method=1, mode="uniform_h",
                          p=1, steps=2, lam=1.0, mu=0.5)
