@@ -58,12 +58,12 @@ before parents, in array passes per subtree height.
 element class, then each node class, then each root member's private
 dofs, the coarse dofs no other writing member touches (its fluxes on the
 domain boundary, which its key does not know), as a unit of one member.
-The Dirichlet lift enters at the members that write the coarse matrix,
-those outside every node and the private units.  The free coarse dofs
-are the unpinned skeleton dofs outside every inner skeleton and private
-set; the entries go in that numbering into arrays allocated once per
-step, and SuperLU gets the CSC matrix built from them; no global matrix
-over all dofs is formed.
+The Dirichlet lift enters once, at the element classes, for every
+member, and the units above them condense for values that vanish on the
+pinned dofs.  The free coarse dofs are the unpinned skeleton dofs
+outside every inner skeleton and private set; the entries go in that
+numbering into arrays allocated once per step, and SuperLU gets the CSC
+matrix built from them; no global matrix over all dofs is formed.
 """
 from __future__ import annotations
 
@@ -109,7 +109,7 @@ class ClassKernel:
     matrix with its columns in class order.  For a node, K is its
     children's Schur complements summed on the node basis (inner dofs,
     then boundary functions), and `L` and `B` are None; so for a private
-    unit, whose K is its member's C' S C block (`_private_units`).
+    unit, whose K is its member's unpinned C' S C block (`_private_units`).
     """
 
     Kii: np.ndarray
@@ -1008,8 +1008,8 @@ class CondensedSystem:
     the DPG load with the Dirichlet lift folded in, the others are the
     extra loads.  `recover` holds one record per unit, children before
     parents and the private units last: the members' `ClassMap`,
-    Kii^-1 Kis, and Kii^-1 of the members' interior loads as an
-    (ni, m, 1 + extra) block.
+    Kii^-1 Kis, and Kii^-1 of the members' interior loads, lifted in
+    load 0, as an (ni, m, 1 + extra) block.
     """
 
     S: sp.csc_matrix        # Schur complement on the free coarse dofs
@@ -1021,15 +1021,14 @@ class CondensedSystem:
     def expand(self, j: int, xs: np.ndarray) -> np.ndarray:
         """Full dof vector of load j from its free coarse values `xs`: the
         records in reverse, the roots' private dofs and the nodes' inner
-        skeletons first.
-
-        Only load 0 takes the Dirichlet values; the others vanish on the
-        pinned dofs.
-        """
-        x = self.x_pinned.copy() if j == 0 else np.zeros(self.x_pinned.size)
+        skeletons first, on values that vanish on the pinned dofs (the
+        records hold the lift); load 0 then takes x_pinned."""
+        x = np.zeros(self.x_pinned.size)
         x[self.free] = xs
         for cmap, A, b in reversed(self.recover):
             x[cmap.interior] = (b[:, :, j] - A @ cmap.gather(x).T).T
+        if j == 0:
+            x += self.x_pinned
         return x
 
 
@@ -1044,14 +1043,14 @@ def condense(material: Material, f, layout: DofLayout,
     is an optional (n_dofs, m) block of extra right-hand sides; a lift off
     the pinned dofs or a load on them raises ValueError.  The element
     loads enter first: their interior part in the load block, their
-    skeleton part as the element class's own condensed load.  A unit, an
-    element class, a node class or a root member's private dofs
+    skeleton part as the element class's own condensed load.  Given
+    `x_pinned`, each member's load l is lifted there to l - B C x_pinned
+    (B's skeleton columns), which takes S C x_pinned off its condensed
+    load and A C x_pinned off its interior solution, once for all units.
+    A unit, an element class, a node class or a root member's private dofs
     (`_private_units`), then solves its kernel's Kii for the loads r on
     its members' interiors in one call, scatters the condensed load -A'r
     plus its own, writes its C' S C entries and keeps a recovery record.
-    The Dirichlet lift S C x_pinned enters at the members that write the
-    coarse matrix, those outside every node and the private units;
-    x_pinned vanishes on the inner skeletons and the private dofs.
 
     Neither the full sparse matrix nor a global skeleton matrix is formed:
     the C' S C entries, numbered by free coarse dof and with the pinned
@@ -1082,6 +1081,8 @@ def condense(material: Material, f, layout: DofLayout,
     for cls, members in enumerate(layout.classes):
         kernel, lvecs, cmap = _class_members(layout, material, f, cls)
         ni = cmap.interior.shape[1]
+        if x_pinned is not None:        # the lift, l - B C x_pinned
+            lvecs = lvecs - kernel.B[:, ni:] @ cmap.gather(x_pinned).T
         fl = kernel.B.T @ cholesky_solve(kernel.L, lvecs)
         g[cmap.interior, 0] = fl[:ni].T
         units.append((kernel, cmap, fl[ni:],
@@ -1105,7 +1106,6 @@ def condense(material: Material, f, layout: DofLayout,
         b, gs = _eliminate(kernel, g[cmap.interior].transpose(1, 0, 2))
         gs[:, :, 0] += own
         if writes.any():
-            gs[:, writes, 0] -= kernel.S @ cmap.gather(xp)[writes].T
             k = _write_free(cmap, kernel.S, index[cmap.ids], writes, coo, k)
         cmap.scatter(g, gs.transpose(1, 0, 2))
         recover.append((cmap, kernel.A, b))
@@ -1121,10 +1121,10 @@ def _private_units(layout: DofLayout, units: list, coarse: np.ndarray) -> list:
     domain boundary, which its key does not know).
 
     The unit's one member has the private dofs as its interior and its
-    other distinct dofs, pinned ones included, as its map, each of weight
-    1; its kernel condenses the member's C' S C block, private dofs
-    first, and its own load is 0.  The member leaves its node unit's
-    `writes`, and `coarse` drops the private dofs.
+    other distinct unpinned dofs (free coarse dofs) as its map, each of
+    weight 1; its kernel condenses the member's C' S C block on them,
+    private dofs first, and its own load is 0.  The member leaves its
+    node unit's `writes`, and `coarse` drops the private dofs.
     """
     touched = np.bincount(np.concatenate(
         [cmap.ids[writes].ravel() for _, cmap, _, writes in units]),
@@ -1137,10 +1137,10 @@ def _private_units(layout: DofLayout, units: list, coarse: np.ndarray) -> list:
             mine = coarse[ids] & (touched[ids] == 1)
             if not mine.any():
                 continue
-            # the entries on private dofs first, each dof numbered by its
-            # first entry (a private dof has one); a dof with several
-            # entries sums them (`_summed`)
-            at = np.argsort(~mine, kind="stable")
+            # the private dofs' entries, then the unpinned others'; each
+            # dof numbered by its first entry, several summed (`_summed`)
+            at = np.concatenate([np.flatnonzero(mine), np.flatnonzero(
+                ~mine & ~layout.pinned[ids])])
             col, first = _first_use(ids[at])
             r = at if cmap.rows is None else cmap.rows[i][at]
             K, w = kernel.S[r][:, r], cmap.weights[i][at]

@@ -259,9 +259,9 @@ def node_boundary_problem():
 
 
 def test_condensed_matches_full_solve():
-    # the Dirichlet lift enters through the members that write the coarse
-    # matrix: on the second mesh, a class's members inside nodes leave it
-    # to their node, and its members outside them take it.  The full solve
+    # the Dirichlet lift enters at the element classes, for every member:
+    # on the second mesh a class has members on the boundary both inside
+    # nodes and outside them, and no unit above lifts.  The full solve
     # is refined to double precision (unrefined, it was seen 6.1e-10 off on
     # the second mesh, where the condensed solve is 5.9e-12 off)
     for problem in (hanging_problem, node_boundary_problem):
@@ -504,7 +504,9 @@ def private_records(layout, system):
 def test_uniform_roots_keep_their_boundary_fluxes_private(p, per_root):
     # the last steps of the bench's smooth-h (p = 3) and smooth-m2 (p = 2)
     # meshes, whose four roots are nodes: the private dofs are exactly the
-    # fluxes on the domain-boundary leaves, one unit per root
+    # fluxes on the domain-boundary leaves, one unit per root.  The lift
+    # enters at the element classes, so a private block holds no pinned
+    # dof: 190 dofs at p = 3 and 142 at p = 2
     bench = make_benchmark("smooth", MAT)
     mesh = build_initial_mesh(bench.domain, bench.n_initial)
     for _ in range(2):
@@ -519,6 +521,9 @@ def test_uniform_roots_keep_their_boundary_fluxes_private(p, per_root):
         np.sort(np.concatenate([cmap.interior.ravel()
                                 for cmap, _, _ in private])),
         np.sort(fluxes.ravel()))
+    for cmap, _, _ in private:
+        assert not layout.pinned[cmap.ids].any()
+        assert cmap.interior.size + cmap.ids.size == {3: 190, 2: 142}[p]
 
 
 def condensed_steps(monkeypatch, **kwargs):

@@ -1,20 +1,22 @@
-"""Scale check: two large studies, each in a fresh interpreter.
+"""Scale check: two large studies, each three times in fresh interpreters.
 
 Runs the smooth `uniform_h` study at p = 3 for 5 steps (113,666 dofs on
 its last step) and the L-shape `adaptive_h` study at p = 1 for 20 steps,
 with the materials of the bench's smooth-h and lshape-adapt workloads,
-and prints one JSON line per study: the wall time, the peak RSS of its
-process, the last step's dofs and wall time, and the size of the coarse
-system that reaches SuperLU on the last step.
+and prints one JSON line per study: the median and range over the runs
+of the wall time, the last step's wall time and the peak RSS of the
+process, then the last step's dofs and the size of the coarse system
+that reaches SuperLU on the last step.
 
     python tools/scale_check.py
 
 The package is imported from this checkout's `src`, and each study runs
-with one BLAS thread.  A whole run takes a few seconds to a minute.
+with one BLAS thread.  A whole run took 12 s on a 2-core x86-64 VM.
 """
 import json
 import os
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -22,6 +24,8 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(HERE), "src")
 
+RUNS = 3
+SPREAD = ("wall_s", "last_step_s", "peak_rss_mb")
 STUDIES = {
     "smooth-uniform-h-5": dict(benchmark="smooth", mode="uniform_h", p=3,
                                delta_p=2, steps=5, lam=1.0, mu=0.5),
@@ -62,12 +66,23 @@ def main() -> int:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
     for name in STUDIES:
-        done = subprocess.run([sys.executable, os.path.abspath(__file__), name],
-                              env=env, capture_output=True, text=True)
-        if done.returncode:
-            sys.stderr.write(done.stderr)
-            return done.returncode
-        print(done.stdout.strip().splitlines()[-1], flush=True)
+        runs = []
+        for _ in range(RUNS):
+            done = subprocess.run(
+                [sys.executable, os.path.abspath(__file__), name],
+                env=env, capture_output=True, text=True)
+            if done.returncode:
+                sys.stderr.write(done.stderr)
+                return done.returncode
+            runs.append(json.loads(done.stdout.strip().splitlines()[-1]))
+        summary = {"study": name, "runs": RUNS}
+        for key in SPREAD:
+            vals = [run[key] for run in runs]
+            summary[key] = round(statistics.median(vals), 3)
+            summary[key + "_range"] = [min(vals), max(vals)]
+        summary.update((key, runs[0][key])
+                       for key in ("last_step_dofs", "coarse_dofs"))
+        print(json.dumps(summary), flush=True)
     return 0
 
 
