@@ -24,7 +24,9 @@ topological:
 - a hanging corner takes the master's trace at the edge midpoint, spread
   onto the master's dofs (`vertex_entries`).
 The element's skeleton unknowns are x_K = C_K x, and its matrix and loads
-enter the global system as C_K' S_K C_K and C_K' g_K.
+enter the global system as C_K' S_K C_K and C_K' g_K.  The layout builds
+each C_K once, as entries in the (x, y) pairs of `ClassMap`, and one
+packer (`_class_maps`) lays out the maps of every element and node class.
 
 The class key is (p, p_tilde, vertex offsets from vertex 0, per side: the
 trace degree q and the leaves' flux degrees), every input of B and of the
@@ -32,10 +34,10 @@ Gram factor; orientation, flux signs and hanging nodes do not split
 classes.  A class's kernel (Gram factor, B and the interior condensation
 blocks) is built whole from the class key and the material alone
 (`_class_kernel`); a `KernelCache` keyed by both carries it from one
-refinement step to the next.  Condensation, the error
-estimator and the rank-one border terms do their dense algebra once per
-class, with one scatter through the members' C_K (`ClassMap`), and the
-loads of a step take one call of f per degree group.
+refinement step to the next.  Condensation, the error estimator and the
+rank-one border terms do their dense algebra once per class, with one
+scatter through the members' C_K (`ClassMap`), and the loads of a step
+take one call of f per degree group.
 
 The refinement forest condenses like an element, one level up at a
 time (nested dissection).  A split element's inner skeleton, its centre
@@ -52,7 +54,8 @@ than once: it has two members, or its key is one of the step before.  A
 subtree refined anew at every step, as the adaptive L-shape's chains to
 its corner are, is left to SuperLU, which factors a kernel used once
 faster than a dense node does.  The layout finds the nodes, children
-before parents, in array passes per subtree height.
+before parents, in array passes per subtree height, and keeps their C
+entries after the leaves', so a parent reads every child alike.
 
 `condense` takes one step per unit, children before parents: each
 element class, then each node class, then each root member's private
@@ -127,12 +130,12 @@ class KernelCache:
     `ClassKernel`.  A node key is the tuple of its children's keys, a
     class key or a node id each, and `node_ids` interns it to a small int
     that `ids` draws and no other key of the study takes, so a key stays
-    flat however deep its subtree.  `gram_factors` maps (p_tilde, vertex offsets from vertex
-    0) to a Gram Cholesky factor, and `families` maps (family key,
-    material) to the coupling matrix of the shape family (`_family`), from
-    which each class's B is scaled.  `build_dof_layout` drops every entry
-    its classes and node classes do not use, so the cache holds at most
-    one step's classes, shapes, families and node classes.
+    flat however deep its subtree.  `gram_factors` maps (p_tilde, vertex
+    offsets from vertex 0) to a Gram Cholesky factor, and `families` maps
+    (family key, material) to the coupling matrix of the shape family
+    (`_family`), from which each class's B is scaled.  `build_dof_layout`
+    drops every entry its classes and node classes do not use, so the
+    cache holds one step's classes, shapes, families and node classes.
     """
 
     kernels: dict[tuple, ClassKernel] = field(default_factory=dict)
@@ -165,10 +168,13 @@ class ClassMap:
     with their inner dofs.
 
     Local skeleton dof `rows[i, t]` of member i takes `weights[i, t]` times
-    global dof `ids[i, t]`, and x_K = C_K x sums these over t.  `rows` is
-    None when every member's C_K is a scaled copy, one entry per local dof
-    in local order; otherwise a member's unused entries have weight zero.
-    `interior` holds the members' interior (or inner) dof ids.
+    global dof `ids[i, t]`, and x_K = C_K x sums these over t.  Entries
+    come in (x, y) pairs: entry 2 s + c takes local dof 2 r + c to global
+    dof g + c.  A member with fewer entries than the class's widest fills
+    the rest with spare entries of weight zero, each a copy of its first
+    entry of the same component (entry t % 2).  `rows` is None when every
+    member's entries are its local dofs in order, one each.  `interior`
+    holds the members' interior (or inner) dof ids.
     """
 
     interior: np.ndarray        # (m, ni)
@@ -463,54 +469,27 @@ def build_dof_layout(mesh: Mesh, degrees: DegreeMap,
     element_class, lead = _first_use(key)
     class_keys = [_class_key(row.tobytes(), degrees.delta_p) for row in key[lead]]
 
-    # every class's ClassMap at once: the members class by class in layout
-    # order, each member's entries at its rows' places, as many as the
-    # class's widest member has (the unused ones take the member's first
-    # dof with weight zero); then the x and y components interleaved
-    order = np.argsort(element_class, kind="stable")
-    members = np.bincount(element_class)
-    first = np.cumsum(members) - members
-    slot = np.empty(n_el, dtype=int)
-    slot[order] = np.arange(n_el)
+    # each leaf's entries by row and place, leaf by leaf in layout order,
+    # in the (x, y) pairs of `ClassMap`; then packed class by class
     r_max = int(n_rows.max())
-    counts = np.bincount(pos * r_max + row, minlength=n_el * r_max).reshape(n_el, -1)
-    width = np.maximum.reduceat(counts.sum(axis=1)[order], first)
-    slot_width = np.repeat(width, members)
-    slot_start = np.cumsum(slot_width) - slot_width
-    at = (slot_start[slot[pos]] + place
-          + (np.cumsum(counts, axis=1) - counts).ravel()[pos * r_max + row])
-    ids = np.repeat(dof[:c.size][c_place == 0][::4][order], slot_width)
-    ids[at] = dof
-    rows = np.zeros(ids.size, dtype=int)
-    rows[at] = row
-    weights = np.zeros(ids.size)
-    weights[at] = weight
-    ids = (ids[:, None] + np.arange(2)).ravel()
-    rows = (2 * rows[:, None] + np.arange(2)).ravel()
-    weights = np.repeat(weights, 2)
-    i, off = _ranges(ni[order])
-    interior = interior_base[order][i] + off
-    _read_only(ids, rows, weights, interior)
-    classes, class_maps = [], []
-    for a, m, wd, nr, nii, e, o in zip(*(x.tolist() for x in (
-            first, members, width, n_rows[order[first]], ni[order[first]],
-            2 * slot_start[first], (np.cumsum(ni[order]) - ni[order])[first]))):
-        span = slice(e, e + 2 * m * wd)
-        class_maps.append(ClassMap(
-            interior[o:o + m * nii].reshape(m, nii), ids[span].reshape(m, -1),
-            None if wd == nr else rows[span].reshape(m, -1),
-            weights[span].reshape(m, -1), 2 * nr))
-        classes.append(order[a:a + m])
-
-    element_row = slot - first[element_class]
+    n_at = np.bincount(pos * r_max + row, minlength=n_el * r_max)
+    at = (np.cumsum(n_at) - n_at)[pos * r_max + row] + place
+    ids, rows = np.empty((2, at.size), dtype=int)
+    w = np.empty(at.size)
+    ids[at], rows[at], w[at] = dof, row, weight
+    count = 2 * n_at.reshape(n_el, r_max).sum(axis=1)
+    entries = ((ids[:, None] + np.arange(2)).ravel(), np.repeat(w, 2),
+               (2 * rows[:, None] + np.arange(2)).ravel(),
+               np.cumsum(count) - count, count, 2 * n_rows)
+    class_maps, classes = _class_maps(
+        element_class, entries, (np.arange(n), interior_base, ni))
+    element_row = np.empty(n_el, dtype=int)
+    element_row[np.concatenate(classes)] = _ranges(np.bincount(element_class))[1]
     cache = KernelCache() if cache is None else cache
     dof_node = _cross_nodes(mesh, vdof, trace_base, flux_base, bubbles,
                             fluxes, pinned.size)
-    leaf_maps = (ids, weights, rows, 2 * slot_start[slot], 2 * slot_width[slot],
-                 2 * n_rows)
     nodes, node_keys, node_maps, node_basis, parent_keys, closed = _node_classes(
-        mesh, active, dof_node, leaf_maps, element_class, element_row,
-        class_keys, cache)
+        mesh, active, dof_node, entries, element_class, class_keys, cache)
     cache.retain(class_keys, parent_keys)
     return DofLayout(
         mesh=mesh, n_dofs=pinned.size, vertex_dofs=vdof, trace_q=trace_q,
@@ -563,17 +542,48 @@ def _cross_nodes(mesh: Mesh, vdof: np.ndarray, trace_base: np.ndarray,
     return node
 
 
-def _pick(a: np.ndarray, b: np.ndarray, at: np.ndarray, in_a: np.ndarray):
-    """a[at] where `in_a`, else b[at]."""
-    out = np.empty(at.size, dtype=a.dtype)
-    out[in_a] = a[at[in_a]]
-    out[~in_a] = b[at[~in_a]]
-    return out
+def _class_maps(member_class: np.ndarray, entries: tuple, interior: tuple):
+    """Per class id in `member_class`: its `ClassMap` and its members, in order.
+
+    `entries` holds the members' C entries laid end to end in the format
+    of `ClassMap` (ids, weights, rows), then by member its first entry,
+    entry count and local skeleton dof count; `interior` holds the
+    interior ids laid end to end, then by member its first and count.
+    """
+    ids, w, rows, start, count, n_skel = entries
+    inner, i_start, i_count = interior
+    order = np.argsort(member_class, kind="stable")
+    size = np.bincount(member_class)
+    first = np.cumsum(size) - size
+    lead = order[first]
+    width = np.maximum.reduceat(count[order], first)
+    slot, off = _ranges(np.repeat(width, size))
+    spare = off >= count[order][slot]
+    at = start[order][slot] + np.where(spare, off % 2, off)
+    m_ids, m_rows = ids[at], rows[at]
+    m_w = np.where(spare, 0.0, w[at])
+    # the classes whose members' entries are their local dofs in order
+    in_order = np.logical_and.reduceat(
+        m_rows == off, np.cumsum(size * width) - size * width)
+    in_order &= width == n_skel[lead]
+    slot, off = _ranges(i_count[order])
+    m_in = inner[i_start[order][slot] + off]
+    _read_only(m_ids, m_rows, m_w, m_in)
+    maps, e_at, i_at = [], 0, 0
+    for m, wd, nb, ni, ordered in zip(size.tolist(), width.tolist(),
+                                      n_skel[lead].tolist(),
+                                      i_count[lead].tolist(), in_order.tolist()):
+        span = slice(e_at, e_at + m * wd)
+        maps.append(ClassMap(m_in[i_at:i_at + m * ni].reshape(m, ni),
+                             m_ids[span].reshape(m, wd),
+                             None if ordered else m_rows[span].reshape(m, wd),
+                             m_w[span].reshape(m, wd), nb))
+        e_at, i_at = e_at + m * wd, i_at + m * ni
+    return maps, np.split(order, first[1:])
 
 
 def _node_classes(mesh: Mesh, active: np.ndarray, dof_node: np.ndarray,
-                  leaf_maps: tuple, element_class: np.ndarray,
-                  element_row: np.ndarray, class_keys: list,
+                  leaves: tuple, element_class: np.ndarray, class_keys: list,
                   cache: KernelCache):
     """Node classes, children before parents: per class the members' element
     ids, the node key, the `ClassMap` and the node basis (`_node_kernel`);
@@ -585,10 +595,10 @@ def _node_classes(mesh: Mesh, active: np.ndarray, dof_node: np.ndarray,
     (`KernelCache.node_ids`) for a node, so equal subtrees share a kernel.
     The class is a node class when its kernel serves more than once: it
     has two members, or its key is one of the step before (the cache's
-    `node_ids` hold the step before's keys).  `leaf_maps` holds the
-    leaves' C_K entries as the class maps lay them out (ids, weights,
-    rows) and, by position, each leaf's first entry, entry count and
-    skeleton row count.
+    `node_ids` hold the step before's keys).  `leaves` holds the leaves'
+    C_K entries by layout position, as `_class_maps` takes them; the
+    nodes' entries and function tags are added after them, so a child is
+    read the same way at any height.
 
     The nodes of one subtree height go in one set of array passes.  A node's
     children's skeleton rows, laid end to end, are each a sum of its inner
@@ -605,15 +615,19 @@ def _node_classes(mesh: Mesh, active: np.ndarray, dof_node: np.ndarray,
     holds for the whole class, as the cross and the children's
     orientations follow from the refinement.
     """
-    leaf_ids, leaf_w, leaf_rows, leaf_start, leaf_count, leaf_fns = leaf_maps
+    ids, w, rows, *leaf_counts = leaves
     n_el = len(mesh.verts)
     unit = np.full(n_el, -1)        # class id, or class count + parent class
-    row = np.zeros(n_el, dtype=int)
     # the entries and functions of every leaf and node: first entry, entry
-    # count, function count, first function
+    # count, function count, first function; a leaf's first eight
+    # functions are its corners' and tagged by vertex, the others -1
     start, count, fns, fstart = np.zeros((4, n_el), dtype=int)
-    unit[active], row[active] = element_class, element_row
-    start[active], count[active], fns[active] = leaf_start, leaf_count, leaf_fns
+    unit[active] = element_class
+    start[active], count[active], fns[active] = leaf_counts
+    fstart[active] = np.cumsum(fns[active]) - fns[active]
+    tags = np.full(int(fns.sum()), -1)
+    tags[fstart[active][:, None] + np.arange(8)] = (
+        2 * mesh.verts[active][:, :, None] + np.arange(2)).reshape(-1, 8)
     closed = np.zeros(n_el, dtype=bool)     # a leaf or a node
     closed[active] = True
     keys, parent_keys = list(class_keys), []
@@ -626,8 +640,6 @@ def _node_classes(mesh: Mesh, active: np.ndarray, dof_node: np.ndarray,
         at = split[mesh.level[split] == level]
         height[at] = 1 + height[mesh.child[at][:, None] + np.arange(4)].max(axis=1)
     heights = height[split]
-    # the entries (ids, weights, rows) and function tags of the nodes found
-    ids, w, rows, tags = (np.zeros(0, dtype=t) for t in (int, float, int, int))
     for h in range(1, int(heights.max(initial=0)) + 1):
         # the parents whose children are leaves or nodes, by class; a class
         # is a node class when its kernel serves more than once: it has two
@@ -639,12 +651,8 @@ def _node_classes(mesh: Mesh, active: np.ndarray, dof_node: np.ndarray,
             continue
         parents, kids = parents[whole], kids[whole]
         parent_class, lead = _first_use(unit[kids])
-        size = np.bincount(parent_class)
-        order = np.argsort(parent_class, kind="stable")
         unit[parents] = len(keys) + parent_class
-        row[parents[order]] = np.arange(parents.size) - np.repeat(
-            np.cumsum(size) - size, size)
-        shut = size > 1
+        shut = np.bincount(parent_class) > 1
         for c, units in enumerate(unit[kids[lead]].tolist()):
             key = tuple(keys[u] for u in units)
             if key in cache.node_ids:
@@ -657,28 +665,21 @@ def _node_classes(mesh: Mesh, active: np.ndarray, dof_node: np.ndarray,
         nd = parents[closed[parents]]
         if not nd.size:
             continue
-        n = nd.size
-        kids = kids[closed[parents]]
-        kid = kids.ravel()
-        leaf = mesh.child[kid] < 0
+        n, kid = nd.size, kids[closed[parents]].ravel()
         # the children's entries and rows, node by node and child by child,
         # the rows counted over the pass
         owner, off = _ranges(count[kid])
-        at, in_leaf = start[kid][owner] + off, leaf[owner]
-        e_ids, e_w, e_rows = (_pick(a, b, at, in_leaf) for a, b in (
-            (leaf_ids, ids), (leaf_w, w), (leaf_rows, rows)))
+        at = start[kid][owner] + off
+        e_ids, e_w = ids[at], w[at]
         row0 = np.cumsum(fns[kid]) - fns[kid]
-        e_rows += row0[owner]
+        e_rows = rows[at] + row0[owner]
         e_node = owner // 4
         inner = dof_node[e_ids] == nd[e_node]
         nonzero = e_w != 0
         on = inner & nonzero
         r_kid, r_off = _ranges(fns[kid])
         r_node = r_kid // 4
-        tag = np.where(r_off < 8, 2 * mesh.verts[kid[r_kid], np.minimum(r_off, 7) // 2]
-                       + r_off % 2, -1)
-        from_node = ~leaf[r_kid]
-        tag[from_node] = tags[fstart[kid[r_kid[from_node]]] + r_off[from_node]]
+        tag = tags[fstart[kid][r_kid] + r_off]
         # the rows with a part off the inner dofs, and their functions: the
         # vertex's, or the row's own
         has_in, has_off = np.zeros((2, r_kid.size), dtype=bool)
@@ -725,45 +726,20 @@ def _node_classes(mesh: Mesh, active: np.ndarray, dof_node: np.ndarray,
             (ids, e_ids[want]), (w, e_w[want]), (rows, func_of[e_rows[want]]),
             (tags, np.where(pure[first], tag[rep], -1))))
 
-        # the classes' maps: the members class by class, each with as many
-        # entries as its class's widest member (the spare ones at the
-        # member's first entry with weight zero), and their inner dofs
-        node_class = parent_class[closed[parents]]
-        order = np.argsort(node_class, kind="stable")
-        size = np.bincount(node_class, minlength=shut.size)[shut]
-        lead = order[np.cumsum(size) - size]
-        width = np.maximum.reduceat(cnt[order], np.cumsum(size) - size)
-        slot, off = _ranges(np.repeat(width, size))
-        spare = off >= cnt[order][slot]
-        at = start[nd[order]][slot] + np.where(spare, 0, off)
-        m_ids, m_rows = ids[at], rows[at]
-        m_w = np.where(spare, 0.0, w[at])
-        # the classes whose members' entries are their functions in order
-        in_order = np.logical_and.reduceat(
-            m_rows == off, np.cumsum(size * width) - size * width)
-        in_order &= width == n_fn[lead]
-        slot, off = _ranges(n_in[order])
-        interior = inner_ids[i_base[order][slot] + off]
-        members = nd[order]
-        _read_only(members, t_row, t_col, t_w, m_ids, m_rows, m_w, interior)
-        m_at = e_at = i_at = 0
-        for c, k, m, wd, ordered in zip(
-                np.flatnonzero(shut).tolist(), lead.tolist(), size.tolist(),
-                width.tolist(), in_order.tolist()):
-            nb, ni = int(n_fn[k]), int(n_in[k])
-            span = slice(e_at, e_at + m * wd)
-            cmap = ClassMap(interior[i_at:i_at + m * ni].reshape(m, ni),
-                            m_ids[span].reshape(m, wd),
-                            None if ordered else m_rows[span].reshape(m, wd),
-                            m_w[span].reshape(m, wd), nb)
+        # the node classes' maps, and their members and bases
+        maps, groups = _class_maps(
+            np.cumsum(shut)[parent_class[closed[parents]]] - 1,
+            (ids, w, rows, start[nd], cnt, n_fn), (inner_ids, i_base, n_in))
+        _read_only(t_row, t_col, t_w)
+        for c, group, cmap in zip(np.flatnonzero(shut).tolist(), groups, maps):
+            k = group[0]
             a, *bounds = t_bound[4 * k:4 * k + 5].tolist()
-            basis = (ni, t_row[a:bounds[-1]], t_col[a:bounds[-1]],
-                     t_w[a:bounds[-1]], [b - a for b in bounds[:-1]])
-            nodes.append(members[m_at:m_at + m])
+            nodes.append(_read_only(nd[group])[0])
             node_keys.append(parent_keys[len(parent_keys) - len(shut) + c])
             node_maps.append(cmap)
-            node_basis.append(basis)
-            m_at, e_at, i_at = m_at + m, e_at + m * wd, i_at + m * ni
+            node_basis.append((int(n_in[k]), t_row[a:bounds[-1]],
+                               t_col[a:bounds[-1]], t_w[a:bounds[-1]],
+                               [b - a for b in bounds[:-1]]))
     return nodes, node_keys, node_maps, node_basis, parent_keys, closed
 
 

@@ -15,7 +15,8 @@ from .material import Material, apply_stiffness
 CLAMP_ANGLE = 3.0 * np.pi / 4.0
 
 
-def smooth_solution(material: Material, point) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def smooth_solution(material: Material,
+                    point) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Manufactured solution on the unit square.
 
     u_x = u_y = sin(pi x) sin(pi y); sigma from the plane-strain stiffness;
@@ -169,7 +170,8 @@ def lshape_polar_angle(point) -> tuple[float, float]:
     return r, phi - CLAMP_ANGLE
 
 
-def lshape_solution(material: Material, params: LShapeParams, point) -> tuple[np.ndarray, np.ndarray]:
+def lshape_solution(material: Material, params: LShapeParams,
+                    point) -> tuple[np.ndarray, np.ndarray]:
     """Singular displacement/stress pair at a point of the L-shaped domain.
 
     The polar stress and displacement components are evaluated from the

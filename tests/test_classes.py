@@ -379,7 +379,9 @@ def test_node_kernels_match_dense_schur_complements(domain, data):
     # with every split element a node.  Every member of every node class:
     # its kernel's C' S C is the dense Schur complement of its leaves' with
     # every inner skeleton below it eliminated, and its boundary basis
-    # holds each vertex's trace function once
+    # holds each vertex's trace function once.  Every class and node map
+    # keeps `rows` only when a member's entries are not its local dofs in
+    # order, one each
     mesh = build_initial_mesh(*domain)
     degrees = DegreeMap(mesh, p=1, delta_p=2)
     for _ in range(data.draw(st.integers(1, 4))):
@@ -398,6 +400,12 @@ def test_node_kernels_match_dense_schur_complements(domain, data):
             assert np.max(np.abs(got - expect)) <= 1e-12 * np.abs(expect).max()
             rows = [sparse_row(row) for row in C]
             assert all(rows.count(row) == 1 for row in vertices & set(rows))
+    for cmap in [*layout.class_maps, *layout.node_maps]:
+        if cmap.rows is None:
+            assert cmap.ids.shape[1] == cmap.n_skel
+        else:
+            assert (cmap.ids.shape[1] != cmap.n_skel
+                    or np.any(cmap.rows != np.arange(cmap.n_skel)))
 
 
 def test_uniform_node_basis_holds_each_dof_once():

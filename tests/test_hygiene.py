@@ -9,9 +9,10 @@ annotated class field that nothing in `src/`, `demos/` or `tests/` reads
 by name, and on a third-party import outside `ALLOWED_THIRD_PARTY`.  It
 also fails on a public function of `assembly` or `rankone`, other than
 `build_dof_layout`, that takes a `Mesh`: after the layout is built, a
-step's solver functions take the layout alone.  A subprocess check keeps the heavy scipy subpackages out of `sys.modules`,
-at import and after a study: each one adds its import time and memory to
-every run.
+step's solver functions take the layout alone.  A line of the package
+longer than 88 characters fails too.  A subprocess check keeps the heavy
+scipy subpackages out of `sys.modules`, at import and after a study:
+each one adds its import time and memory to every run.
 """
 import ast
 import json
@@ -187,6 +188,17 @@ def imported_modules(tree):
         elif (isinstance(node, ast.ImportFrom) and node.level == 0
               and node.module != "__future__"):
             yield node.module, node.lineno
+
+
+MAX_LINE = 88
+
+
+def test_no_long_lines():
+    long = [f"{path.name}:{i} ({len(line)})"
+            for path in sorted(PACKAGE.glob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), start=1)
+            if len(line) > MAX_LINE]
+    assert long == []
 
 
 def test_third_party_imports_allowed():
