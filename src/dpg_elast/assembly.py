@@ -65,15 +65,27 @@ The Dirichlet lift enters once, at the element classes, for every
 member, and the units above them condense for values that vanish on the
 pinned dofs.  The free coarse dofs are the unpinned skeleton dofs
 outside every inner skeleton and private set; the entries go in that
-numbering into arrays allocated once per step, and SuperLU gets the CSC
-matrix built from them; no global matrix over all dofs is formed.
+numbering into arrays allocated once per step, and no global matrix over
+all dofs is formed.
+
+`solve_condensed` factors the coarse system by its density.  With k
+entries on n coarse dofs it is dense when 2 k >= n^2, as on every step
+of the bench's smooth-h (n = 122 to 250, k / n^2 near 1) and the first
+two of lshape-adapt: the entries are summed into an (n, n) array, no
+larger than the entries themselves, and factored by dense Cholesky, 5
+to 10 times faster than SuperLU there (measured in `solve_condensed`).
+A sparser system, as on lshape-adapt's later steps (k / n^2 from 0.39
+down to 0.11 at n = 912), goes to SuperLU through the CSC matrix.
+Method 2 (`rankone`) stays on SuperLU at any density until the
+benchmark has one factor hook for both routes, as it counts that
+method's factorizations by wrapping `splu`.
 """
 from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -860,12 +872,7 @@ def _condensed(K: np.ndarray, ni: int, failure: str, **extra) -> ClassKernel:
     columns interior; RuntimeError(failure) when the interior block is not
     positive definite."""
     Kis, Kss = K[:ni, ni:], K[ni:, ni:]
-    Kii, info = lapack.dpotrf(K[:ni, :ni], lower=1)
-    if info > 0:
-        raise RuntimeError(failure)
-    if info < 0:
-        raise ValueError(f"LAPACK reported an illegal value in {-info}-th "
-                         "argument on entry to POTRF")
+    Kii = _cholesky(K[:ni, :ni], failure)
     Wt = blas.dtrsm(1.0, Kii, Kis.T, side=1, lower=1, trans_a=1)
     At = blas.dtrsm(1.0, Kii, Wt, side=1, lower=1)
     # Kss - Kis' A, not Kss - W'W: on a four-round hp mesh whose eliminated
@@ -874,6 +881,19 @@ def _condensed(K: np.ndarray, ni: int, failure: str, **extra) -> ClassKernel:
     # one dense LU solve of the global skeleton matrix
     S = Kss - At @ Kis
     return ClassKernel(*_read_only(Kii, At.T, 0.5 * (S + S.T)), **extra)
+
+
+def _cholesky(K: np.ndarray, failure: str) -> np.ndarray:
+    """The lower Cholesky factor of the symmetric K, in K's own memory when
+    K is Fortran-ordered; RuntimeError(failure) when K is not positive
+    definite."""
+    L, info = lapack.dpotrf(K, lower=1, overwrite_a=1)
+    if info > 0:
+        raise RuntimeError(failure)
+    if info < 0:
+        raise ValueError(f"LAPACK reported an illegal value in {-info}-th "
+                         "argument on entry to POTRF")
+    return L
 
 
 def _node_kernel(key: tuple, basis: tuple, material: Material,
@@ -991,13 +1011,53 @@ class CondensedSystem:
     parents and the private units last: the members' `ClassMap`,
     Kii^-1 Kis, and Kii^-1 of the members' interior loads, lifted in
     load 0, as an (ni, m, 1 + extra) block.
+
+    The Schur complement on the free coarse dofs comes as the entries the
+    units wrote, `coo`, unsummed.  Its two consumers sum them: `dense()`
+    into an (n, n) array, for the dense Cholesky route of
+    `solve_condensed` (taken when 2 k >= n^2 for k entries), and `S` into
+    a CSC matrix for SuperLU (the sparse route, and method 2 at any
+    density) and the tests.  `S` is built on first use and kept in place
+    of `coo`, which it releases, so that the entries do not sit beside
+    SuperLU's factor; `S` can be assigned.
     """
 
-    S: sp.csc_matrix        # Schur complement on the free coarse dofs
+    coo: tuple | None       # the units' C' S C entries: rows, cols, values
     rhs: np.ndarray         # (n free coarse dofs, 1 + m)
     free: np.ndarray        # ids of the free coarse dofs
     x_pinned: np.ndarray
     recover: list[tuple[ClassMap, np.ndarray, np.ndarray]]
+
+    @cached_property
+    def S(self) -> sp.csc_matrix:
+        """The Schur complement on the free coarse dofs as a CSC matrix,
+        built from `coo` on first use, the duplicates summed; `coo` is
+        None from then on."""
+        rows, cols, vals = self.coo
+        self.coo = None
+        return sp.csc_matrix((vals, (rows, cols)), shape=(self.free.size,) * 2)
+
+    def dense(self) -> np.ndarray:
+        """The Schur complement on the free coarse dofs as a C-ordered
+        (n, n) array, the entries of `coo` summed in the order they were
+        written; for a system whose `S` has not been asked for.
+
+        The entries go in by `np.add.at`, 65,536 at a time, so that their
+        int64 flat indices never exist all at once: one `bincount` over
+        them would need 8 bytes an entry on top of the entries' 16.  The
+        sums are bitwise `bincount`'s, nearly as fast; the 6-step smooth
+        study (n = 2,042, 4.2 million entries) peaked at 383-389 MB, at
+        414-421 MB with one `bincount` and at 399-402 MB with SuperLU.
+        """
+        rows, cols, vals = self.coo
+        n, chunk = self.free.size, 1 << 16
+        K = np.zeros(n * n)
+        for at in range(0, vals.size, chunk):
+            flat = rows[at:at + chunk].astype(np.int64)
+            flat *= n
+            flat += cols[at:at + chunk]
+            np.add.at(K, flat, vals[at:at + chunk])
+        return K.reshape(n, n)
 
     def expand(self, j: int, xs: np.ndarray) -> np.ndarray:
         """Full dof vector of load j from its free coarse values `xs`: the
@@ -1036,8 +1096,8 @@ def condense(material: Material, f, layout: DofLayout,
     Neither the full sparse matrix nor a global skeleton matrix is formed:
     the C' S C entries, numbered by free coarse dof and with the pinned
     rows and columns left out, go into row, column and value arrays
-    allocated once for all units, and the CSC matrix is built from them
-    in one conversion that sums the duplicates.
+    allocated once for all units, and the system keeps them unsummed for
+    its consumers (`CondensedSystem.dense`, `CondensedSystem.S`).
     """
     n = layout.n_dofs
     xp = np.zeros(n) if x_pinned is None else x_pinned
@@ -1091,9 +1151,8 @@ def condense(material: Material, f, layout: DofLayout,
         cmap.scatter(g, gs.transpose(1, 0, 2))
         recover.append((cmap, kernel.A, b))
 
-    S = sp.csc_matrix((vals[:k], (rows[:k], cols[:k])), shape=(free.size,) * 2)
-    return CondensedSystem(S=S, rhs=g[free], free=free, x_pinned=xp,
-                           recover=recover)
+    return CondensedSystem(coo=(rows[:k], cols[:k], vals[:k]), rhs=g[free],
+                           free=free, x_pinned=xp, recover=recover)
 
 
 def _private_units(layout: DofLayout, units: list, coarse: np.ndarray) -> list:
@@ -1184,10 +1243,35 @@ def solve_condensed(material: Material, f, layout: DofLayout,
                     x_pinned: np.ndarray | None = None) -> np.ndarray:
     """Solve with static condensation of the interior (sigma, u) blocks.
 
-    Factorizes only the skeleton coupling and never forms the full sparse
-    matrix, which keeps memory bounded on fine high-order meshes.
+    Factorizes only the coarse skeleton system, by dense Cholesky when it
+    is dense and by SuperLU when it is sparse, and never forms the full
+    sparse matrix, which keeps memory bounded on fine high-order meshes.
     """
     system = condense(material, f, layout, x_pinned)
+    n, k = system.free.size, system.coo[2].size
+    # A coarse system of n dofs whose units wrote k entries is dense when
+    # 2 k >= n^2: its (n, n) sum then takes no more memory than the entries
+    # (8 bytes each against 16: two int32 indices and a value).  The sum
+    # is factored in place by `dpotrf` on its transpose, which is
+    # Fortran-ordered, and solved by `dpotrs`; a sparser system goes to
+    # SuperLU.  Both routes on the same entries, from the entries to the
+    # coarse solution, best of 30 per system on a 2-core x86-64 VM with one
+    # BLAS thread:
+    #
+    #   bench study, step   n        k / n^2           SuperLU    dense
+    #   smooth-h 0, 1, 2    122-250  0.57, 1.03, 1.02  0.41-2.9   0.08-0.46 ms
+    #   lshape-adapt 0, 1   44, 28   0.54, 1.50        0.13       0.01 ms
+    #   lshape-adapt 4      470      0.20 (sparse)     2.4        1.6 ms
+    #   lshape-adapt 7      912      0.11 (sparse)     5.4        8.4 ms
+    #
+    # The two solutions agree to 2e-12 relative, within eps cond(S).  Dense
+    # from k >= 0.2 n^2 on (up to n = 470), lshape-adapt's peak RSS rose by
+    # 0.7 MB in 3 of 3 bench pairs: the rule is tied to memory, not to the
+    # time crossover.
+    if 2 * k >= n * n:
+        L = _cholesky(system.dense().T,
+                      "sparse factorization failed; system not SPD")
+        return system.expand(0, cholesky_solve(L, system.rhs[:, 0]))
     try:
         lu = splu(system.S, **SPD_SPLU_OPTIONS)
     except RuntimeError as err:

@@ -123,6 +123,10 @@ def solve_second(material: Material, f,
     c, d = border_terms(material, f, layout)
     c[layout.pinned] = 0.0  # the border row pairs only the free dofs
     system = condense(material, f, layout, loads=np.column_stack([ell, c]))
+    # SuperLU whatever the density, unlike `solve_condensed`: the benchmark
+    # counts this method's factorizations and back-substitutions by
+    # wrapping `splu` here, so the dense route waits for the benchmark's
+    # single factor hook (ROADMAP item 1)
     try:
         lu = splu(system.S, **SPD_SPLU_OPTIONS)
     except RuntimeError as err:

@@ -10,9 +10,9 @@ from scipy.linalg import eigvalsh
 from scipy.sparse.linalg import splu
 
 from dpg_elast import assembly, rankone
-from dpg_elast.assembly import (SPD_SPLU_OPTIONS, build_dof_layout, condense,
-                                dirichlet_values, error_indicators,
-                                solve_condensed)
+from dpg_elast.assembly import (SPD_SPLU_OPTIONS, CondensedSystem,
+                                build_dof_layout, condense, dirichlet_values,
+                                error_indicators, solve_condensed)
 from dpg_elast.basis import edge_basis_eval, q_basis_eval
 from dpg_elast.material import apply_stiffness, make_isotropic
 from dpg_elast.mesh import (DegreeMap, build_initial_mesh, refine_marked,
@@ -407,12 +407,14 @@ def check_against_global_route(mesh, degrees, layout, data):
         system.free, np.setdiff1d(free_ref, np.concatenate([inner, private])))
     keep = np.isin(free_ref, system.free)
     expect, _, _ = eliminate_dense(S_ref, np.zeros((free_ref.size, 0)), keep)
+    summed = system.dense()     # the dense route's sum of the entries
     S = system.S
     assert S.format == "csc" and S.shape == expect.shape
     assert S.has_canonical_format
     assert S.indices.dtype == S.indptr.dtype == np.int32
     dense = S.toarray()
     assert np.max(np.abs(dense - expect)) <= 1e-13 * np.abs(dense).max()
+    assert np.max(np.abs(summed - expect)) <= 1e-13 * np.abs(dense).max()
     assert np.max(np.abs(dense - dense.T)) <= 1e-13 * np.abs(dense).max()
     w = eigvalsh(0.5 * (dense + dense.T))
     assert w.min() > 0.0
@@ -464,13 +466,14 @@ def test_nested_nodes_match_global_route(domain, delta_p, data):
     check_against_global_route(mesh, degrees, layout, data)
 
 
+def no_splu(*args, **kwargs):
+    raise AssertionError("SuperLU reached")
+
+
 def test_indefinite_patch_fails_before_superlu(monkeypatch):
     # a root's inner block indefinite, at depth 1 (its children are leaves)
     # and 2: the root kernel's Cholesky factor fails, and SuperLU is never
     # reached
-    def no_splu(*args, **kwargs):
-        raise AssertionError("SuperLU reached")
-
     for depth in (1, 2):
         with monkeypatch.context() as patched:
             layout = indefinite_below(patched, depth)
@@ -485,11 +488,69 @@ def test_indefinite_root_boundary_fails_before_superlu(monkeypatch):
     # the root kernel builds, as its inner block is SPD, but its Schur
     # complement is indefinite: the roots' private units fail, and
     # SuperLU is never reached
-    def no_splu(*args, **kwargs):
-        raise AssertionError("SuperLU reached")
-
     layout = indefinite_root_boundary(monkeypatch)
     monkeypatch.setattr(assembly, "splu", no_splu)
+    with pytest.raises(RuntimeError,
+                       match="^sparse factorization failed; system not SPD$"):
+        solve_condensed(MAT, None, layout)
+
+
+def test_dense_coarse_route_matches_superlu(monkeypatch):
+    # the bench's smooth-h mesh after two uniform steps: its coarse system
+    # (250 dofs, k / n^2 = 1.02) goes to dense Cholesky, never to SuperLU,
+    # and the solution is SuperLU's on the same system
+    bench = make_benchmark("smooth", MAT)
+    mesh = build_initial_mesh(bench.domain, bench.n_initial)
+    for _ in range(2):
+        mesh = refine_uniform(mesh)
+    layout = build_dof_layout(mesh, DegreeMap(mesh, p=3))
+    xp = dirichlet_values(layout, bench.g)
+    systems = []
+
+    def recorded(*args, inner=assembly.condense, **kwargs):
+        systems.append(inner(*args, **kwargs))
+        return systems[-1]
+
+    monkeypatch.setattr(assembly, "condense", recorded)
+    monkeypatch.setattr(assembly, "splu", no_splu)
+    x = solve_condensed(bench.solver_material, bench.f, layout, xp)
+    (system,) = systems
+    n = system.free.size
+    assert n == 250 and 2 * system.coo[2].size >= n * n
+    xs = splu(system.S, **SPD_SPLU_OPTIONS).solve(system.rhs[:, 0])
+    x_lu = system.expand(0, xs)
+    assert np.abs(x - x_lu).max() <= 1e-12 * np.abs(x_lu).max()
+
+
+def test_dense_sum_is_bincounts_across_chunks():
+    # more entries than one chunk of `CondensedSystem.dense`: the sum is
+    # one `bincount`'s, bit for bit
+    rng = np.random.default_rng(0)
+    n, k = 40, 150_000
+    rows, cols = rng.integers(0, n, (2, k), dtype=np.int32)
+    vals = rng.standard_normal(k)
+    system = CondensedSystem((rows, cols, vals), None, np.arange(n), None, [])
+    expect = np.bincount(rows.astype(np.int64) * n + cols, vals, n * n)
+    np.testing.assert_array_equal(system.dense(), expect.reshape(n, n))
+
+
+def test_not_spd_dense_coarse_system_fails_factorization(monkeypatch):
+    # a dense coarse system with an empty row and column: the dense
+    # Cholesky factor fails with SuperLU's failure message
+    condense = assembly.condense
+
+    def singular(*args, **kwargs):
+        system = condense(*args, **kwargs)
+        rows, cols, vals = system.coo
+        assert 2 * vals.size >= system.free.size ** 2
+        system.coo = (rows, cols,
+                      np.where((rows == 0) | (cols == 0), 0.0, vals))
+        return system
+
+    monkeypatch.setattr(assembly, "condense", singular)
+    monkeypatch.setattr(assembly, "splu", no_splu)
+    mesh = build_initial_mesh("unit_square", 2)
+    layout = build_dof_layout(mesh, DegreeMap(mesh, p=1))
     with pytest.raises(RuntimeError,
                        match="^sparse factorization failed; system not SPD$"):
         solve_condensed(MAT, None, layout)
@@ -557,6 +618,28 @@ BENCH_STUDIES = {
 def test_bench_last_coarse_systems_keep_their_size(name, coarse, monkeypatch):
     layout, system = condensed_steps(monkeypatch, **BENCH_STUDIES[name])[-1]
     assert system.free.size == system.S.shape[0] == coarse
+
+
+def test_sparse_coarse_systems_go_to_superlu(monkeypatch):
+    # the bench's lshape-adapt study: its first two coarse systems (44 and
+    # 28 dofs) are dense (2 k >= n^2 for k entries); the six after them,
+    # down to k / n^2 = 0.11 at the last step's 912 dofs, reach SuperLU
+    sizes, factored = [], []
+
+    def condensed(*args, inner=assembly.condense, **kwargs):
+        system = inner(*args, **kwargs)
+        sizes.append((system.free.size, system.coo[2].size))
+        return system
+
+    def factor(S, *args, inner=assembly.splu, **kwargs):
+        factored.append(S.shape[0])
+        return inner(S, *args, **kwargs)
+
+    monkeypatch.setattr(assembly, "condense", condensed)
+    monkeypatch.setattr(assembly, "splu", factor)
+    run_convergence_study(StudyConfig(**BENCH_STUDIES["lshape-adapt"]))
+    assert factored == [n for n, k in sizes if 2 * k < n * n]
+    assert len(factored) == len(sizes) - 2 and factored[-1] == 912
 
 
 def test_lshape_adaptive_roots_private_dofs(monkeypatch):

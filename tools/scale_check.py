@@ -1,17 +1,31 @@
-"""Scale check: two large studies, each three times in fresh interpreters.
+"""Scale check: three large studies, each in fresh interpreters.
 
-Runs the smooth `uniform_h` study at p = 3 for 5 steps (113,666 dofs on
-its last step) and the L-shape `adaptive_h` study at p = 1 for 20 steps,
-with the materials of the bench's smooth-h and lshape-adapt workloads,
-and prints one JSON line per study: the median and range over the runs
-of the wall time, the last step's wall time and the peak RSS of the
-process, then the last step's dofs and the size of the coarse system
-that reaches SuperLU on the last step.
+Runs the smooth `uniform_h` study at p = 3 for 5 and 6 steps (113,666
+and 452,610 dofs on their last steps) and the L-shape `adaptive_h`
+study at p = 1 for 20 steps, with the materials of the bench's smooth-h
+and lshape-adapt workloads.
 
     python tools/scale_check.py
+    python tools/scale_check.py OLD_ROOT NEW_ROOT
 
-The package is imported from this checkout's `src`, and each study runs
-with one BLAS thread.  A whole run took 12 s on a 2-core x86-64 VM.
+With no arguments it runs each study three times from this checkout and
+prints one JSON line per study: the median and range over the runs of
+the wall time, the last step's wall time and the peak RSS of the
+process, then the last step's dofs, the size of its coarse system (the
+free coarse dofs `condense` leaves) and the route that factored it,
+"dense" (Cholesky) or "superlu".
+
+With two checkouts it runs each study five times in each, the two
+alternating and each pair starting with the other side, and prints per
+study and measure the median of each side and the median of the paired
+differences, NEW minus OLD, then the last step's dofs, coarse size and
+route of each side.  Pairs resolve changes that three runs of each
+cannot: the wall time of one study spreads by about 0.1 s from run to
+run.
+
+Each study runs with one BLAS thread and imports the package from
+`<root>/src`.  A run with no arguments took 17 s on a 2-core x86-64 VM,
+one with two checkouts 80 s.
 """
 import json
 import os
@@ -21,14 +35,17 @@ import subprocess
 import sys
 import time
 
-HERE = os.path.dirname(os.path.abspath(__file__))
-SRC = os.path.join(os.path.dirname(HERE), "src")
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 RUNS = 3
+PAIRS = 5
 SPREAD = ("wall_s", "last_step_s", "peak_rss_mb")
+LAST_STEP = ("last_step_dofs", "coarse_dofs", "coarse_route")
+SMOOTH = dict(benchmark="smooth", mode="uniform_h", p=3, delta_p=2,
+              lam=1.0, mu=0.5)
 STUDIES = {
-    "smooth-uniform-h-5": dict(benchmark="smooth", mode="uniform_h", p=3,
-                               delta_p=2, steps=5, lam=1.0, mu=0.5),
+    "smooth-uniform-h-5": dict(SMOOTH, steps=5),
+    "smooth-uniform-h-6": dict(SMOOTH, steps=6),
     "lshape-adaptive-h-20": dict(benchmark="lshape", mode="adaptive_h", p=1,
                                  delta_p=2, steps=20, lam=123.0, mu=79.3),
 }
@@ -36,18 +53,22 @@ STUDIES = {
 
 def run_one(name: str) -> dict:
     """Run one study in this process and measure it."""
-    sys.path.insert(0, SRC)
     from dpg_elast import assembly
     from dpg_elast.study import StudyConfig, run_convergence_study
 
-    coarse = []
-    splu = assembly.splu
+    coarse = []     # per step: coarse dofs, route
+    condense, splu = assembly.condense, assembly.splu
 
-    def recorded_splu(A, *args, **kwargs):
-        coarse.append(int(A.shape[0]))
-        return splu(A, *args, **kwargs)
+    def recorded_condense(*args, **kwargs):
+        system = condense(*args, **kwargs)
+        coarse.append([int(system.free.size), "dense"])
+        return system
 
-    assembly.splu = recorded_splu
+    def recorded_splu(*args, **kwargs):
+        coarse[-1][1] = "superlu"
+        return splu(*args, **kwargs)
+
+    assembly.condense, assembly.splu = recorded_condense, recorded_splu
     t0 = time.perf_counter()
     rows = run_convergence_study(StudyConfig(**STUDIES[name]))
     wall = time.perf_counter() - t0
@@ -56,32 +77,63 @@ def run_one(name: str) -> dict:
                 resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
             "last_step_dofs": int(rows[-1].n_dofs),
             "last_step_s": round(rows[-1].wall_time, 3),
-            "coarse_dofs": coarse[-1]}
+            "coarse_dofs": coarse[-1][0], "coarse_route": coarse[-1][1]}
+
+
+def run_fresh(root: str, name: str) -> dict:
+    """Run one study in a fresh interpreter on the package of `root`."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, os.path.abspath(__file__), name],
+                          cwd=root, env=env, capture_output=True, text=True)
+    if done.returncode:
+        sys.stderr.write(done.stderr)
+        raise SystemExit(done.returncode)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def summarize(name: str) -> dict:
+    """Median and range of RUNS runs of one study in this checkout."""
+    runs = [run_fresh(REPO, name) for _ in range(RUNS)]
+    summary = {"study": name, "runs": RUNS}
+    for key in SPREAD:
+        vals = [run[key] for run in runs]
+        summary[key] = round(statistics.median(vals), 3)
+        summary[key + "_range"] = [min(vals), max(vals)]
+    summary.update((key, runs[0][key]) for key in LAST_STEP)
+    return summary
+
+
+def compare(name: str, old_root: str, new_root: str) -> dict:
+    """Medians and median paired difference of PAIRS pairs of runs of one
+    study, old and new alternating."""
+    old, new = [], []
+    for i in range(PAIRS):
+        sides = [(old_root, old), (new_root, new)]
+        for root, runs in sides[::-1] if i % 2 else sides:
+            runs.append(run_fresh(root, name))
+    summary = {"study": name, "pairs": PAIRS}
+    for key in SPREAD:
+        a, b = [run[key] for run in old], [run[key] for run in new]
+        summary[key] = {
+            "old": round(statistics.median(a), 3),
+            "new": round(statistics.median(b), 3),
+            "diff": round(statistics.median(y - x for x, y in zip(a, b)), 3)}
+    summary.update((key, [old[0][key], new[0][key]]) for key in LAST_STEP)
+    return summary
 
 
 def main() -> int:
-    if len(sys.argv) == 2:
+    if len(sys.argv) == 2 and sys.argv[1] in STUDIES:
         print(json.dumps(run_one(sys.argv[1])))
         return 0
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
+    if len(sys.argv) not in (1, 3):
+        sys.stderr.write(__doc__)
+        return 2
+    roots = list(map(os.path.abspath, sys.argv[1:]))
     for name in STUDIES:
-        runs = []
-        for _ in range(RUNS):
-            done = subprocess.run(
-                [sys.executable, os.path.abspath(__file__), name],
-                env=env, capture_output=True, text=True)
-            if done.returncode:
-                sys.stderr.write(done.stderr)
-                return done.returncode
-            runs.append(json.loads(done.stdout.strip().splitlines()[-1]))
-        summary = {"study": name, "runs": RUNS}
-        for key in SPREAD:
-            vals = [run[key] for run in runs]
-            summary[key] = round(statistics.median(vals), 3)
-            summary[key + "_range"] = [min(vals), max(vals)]
-        summary.update((key, runs[0][key])
-                       for key in ("last_step_dofs", "coarse_dofs"))
+        summary = compare(name, *roots) if roots else summarize(name)
         print(json.dumps(summary), flush=True)
     return 0
 
