@@ -65,20 +65,20 @@ The Dirichlet lift enters once, at the element classes, for every
 member, and the units above them condense for values that vanish on the
 pinned dofs.  The free coarse dofs are the unpinned skeleton dofs
 outside every inner skeleton and private set; the entries go in that
-numbering into arrays allocated once per step, and no global matrix over
-all dofs is formed.
+numbering straight into the coarse system, and no global matrix over all
+dofs is formed.
 
-`solve_condensed` factors the coarse system by its density.  With k
-entries on n coarse dofs it is dense when 2 k >= n^2, as on every step
-of the bench's smooth-h (n = 122 to 250, k / n^2 near 1) and the first
-two of lshape-adapt: the entries are summed into an (n, n) array, no
-larger than the entries themselves, and factored by dense Cholesky, 5
-to 10 times faster than SuperLU there (measured in `solve_condensed`).
-A sparser system, as on lshape-adapt's later steps (k / n^2 from 0.39
-down to 0.11 at n = 912), goes to SuperLU through the CSC matrix.
-Method 2 (`rankone`) stays on SuperLU at any density until the
-benchmark has one factor hook for both routes, as it counts that
-method's factorizations by wrapping `splu`.
+The coarse system is dense when its k entries on n coarse dofs give
+2 k >= n^2, as on every step of the bench's smooth-h (n = 122 to 250,
+k / n^2 near 1) and the first two of lshape-adapt.  `condense` counts k
+before any unit writes; each unit then adds its entries into the (n, n)
+sum as it writes them, and `solve_condensed` factors the sum in place by
+dense Cholesky, 5 to 10 times faster than SuperLU there.  A sparser
+system, as on lshape-adapt's later steps (k / n^2 from 0.39 down to 0.11
+at n = 912), keeps its entries for SuperLU.  Method 2 (`rankone`) stays
+on SuperLU at any density until the benchmark has one factor hook for
+both routes, as it counts that method's factorizations by wrapping
+`splu`.
 """
 from __future__ import annotations
 
@@ -874,13 +874,18 @@ def _condensed(K: np.ndarray, ni: int, failure: str, **extra) -> ClassKernel:
     Kis, Kss = K[:ni, ni:], K[ni:, ni:]
     Kii = _cholesky(K[:ni, :ni], failure)
     Wt = blas.dtrsm(1.0, Kii, Kis.T, side=1, lower=1, trans_a=1)
-    At = blas.dtrsm(1.0, Kii, Wt, side=1, lower=1)
+    At = blas.dtrsm(1.0, Kii, Wt, side=1, lower=1, overwrite_b=1)
     # Kss - Kis' A, not Kss - W'W: on a four-round hp mesh whose eliminated
     # skeleton block had cond 1.2e7, W'W left the coarse matrix 1.2e-13
     # (relative) off the exact Schur complement, Kis' A 3e-14, as close as
-    # one dense LU solve of the global skeleton matrix
-    S = Kss - At @ Kis
-    return ClassKernel(*_read_only(Kii, At.T, 0.5 * (S + S.T)), **extra)
+    # one dense LU solve of the global skeleton matrix.  S is formed and
+    # symmetrised in the product's buffer, and A overwrites W: each saves
+    # a transient array
+    S = At @ Kis
+    np.subtract(Kss, S, out=S)
+    S += S.T
+    S *= 0.5
+    return ClassKernel(*_read_only(Kii, At.T, S), **extra)
 
 
 def _cholesky(K: np.ndarray, failure: str) -> np.ndarray:
@@ -917,18 +922,20 @@ def _node_kernel(key: tuple, basis: tuple, material: Material,
         r = rows[a:b] - at
         at += len(S)
         if r.size > len(S):     # some rows take more than one function
-            S = S[r][:, r]
+            S = S[np.ix_(r, r)]
         blocks.append((S, cols[a:b], weights[a:b]))
     return _condensed(_summed(cols.max() + 1, blocks), ni,
                       "sparse factorization failed; system not SPD")
 
 
 def _summed(n: int, blocks) -> np.ndarray:
-    """The (n, n) sum of the blocks (S, c, w) entry by entry, in one
-    `bincount`: entry S[s, t] adds w[s] S[s, t] w[t] at (c[s], c[t])."""
-    flat = np.concatenate([(c[:, None] * n + c).ravel() for _, c, _ in blocks])
-    vals = np.concatenate([(w[:, None] * S * w).ravel() for S, _, w in blocks])
-    return np.bincount(flat, vals, n * n).reshape(n, n)
+    """The (n, n) sum of the blocks (S, c, w) entry by entry, each block
+    added as it comes: entry S[s, t] adds w[s] S[s, t] w[t] at (c[s], c[t]),
+    in the order of one `bincount` over all the blocks' entries."""
+    K = np.zeros(n * n)
+    for S, c, w in blocks:
+        np.add.at(K, (c[:, None] * n + c).ravel(), (w[:, None] * S * w).ravel())
+    return K.reshape(n, n)
 
 
 def dirichlet_values(layout: DofLayout, g_data) -> np.ndarray:
@@ -1012,17 +1019,18 @@ class CondensedSystem:
     Kii^-1 Kis, and Kii^-1 of the members' interior loads, lifted in
     load 0, as an (ni, m, 1 + extra) block.
 
-    The Schur complement on the free coarse dofs comes as the entries the
-    units wrote, `coo`, unsummed.  Its two consumers sum them: `dense()`
-    into an (n, n) array, for the dense Cholesky route of
-    `solve_condensed` (taken when 2 k >= n^2 for k entries), and `S` into
-    a CSC matrix for SuperLU (the sparse route, and method 2 at any
-    density) and the tests.  `S` is built on first use and kept in place
-    of `coo`, which it releases, so that the entries do not sit beside
-    SuperLU's factor; `S` can be assigned.
+    The Schur complement on the free coarse dofs is held by density
+    (`condense`): a dense system's as the C-ordered (n, n) sum `dense`,
+    which `solve_condensed` factors in place, a sparser one's as the
+    units' entries `coo`, unsummed; the other is None.  `S`, the CSC
+    matrix for SuperLU (the sparse route, and method 2 at any density)
+    and the tests, is built on first use from whichever the system holds
+    and kept in its place, releasing it, so that the source does not sit
+    beside SuperLU's factor; `S` can be assigned.
     """
 
     coo: tuple | None       # the units' C' S C entries: rows, cols, values
+    dense: np.ndarray | None    # their (n, n) sum
     rhs: np.ndarray         # (n free coarse dofs, 1 + m)
     free: np.ndarray        # ids of the free coarse dofs
     x_pinned: np.ndarray
@@ -1031,33 +1039,11 @@ class CondensedSystem:
     @cached_property
     def S(self) -> sp.csc_matrix:
         """The Schur complement on the free coarse dofs as a CSC matrix,
-        built from `coo` on first use, the duplicates summed; `coo` is
-        None from then on."""
-        rows, cols, vals = self.coo
-        self.coo = None
-        return sp.csc_matrix((vals, (rows, cols)), shape=(self.free.size,) * 2)
-
-    def dense(self) -> np.ndarray:
-        """The Schur complement on the free coarse dofs as a C-ordered
-        (n, n) array, the entries of `coo` summed in the order they were
-        written; for a system whose `S` has not been asked for.
-
-        The entries go in by `np.add.at`, 65,536 at a time, so that their
-        int64 flat indices never exist all at once: one `bincount` over
-        them would need 8 bytes an entry on top of the entries' 16.  The
-        sums are bitwise `bincount`'s, nearly as fast; the 6-step smooth
-        study (n = 2,042, 4.2 million entries) peaked at 383-389 MB, at
-        414-421 MB with one `bincount` and at 399-402 MB with SuperLU.
-        """
-        rows, cols, vals = self.coo
-        n, chunk = self.free.size, 1 << 16
-        K = np.zeros(n * n)
-        for at in range(0, vals.size, chunk):
-            flat = rows[at:at + chunk].astype(np.int64)
-            flat *= n
-            flat += cols[at:at + chunk]
-            np.add.at(K, flat, vals[at:at + chunk])
-        return K.reshape(n, n)
+        built on first use from `dense` or from `coo`, the duplicates
+        summed; both are None from then on."""
+        held = self.dense if self.coo is None else (self.coo[2], self.coo[:2])
+        self.dense = self.coo = None
+        return sp.csc_matrix(held, shape=(self.free.size,) * 2)
 
     def expand(self, j: int, xs: np.ndarray) -> np.ndarray:
         """Full dof vector of load j from its free coarse values `xs`: the
@@ -1093,11 +1079,11 @@ def condense(material: Material, f, layout: DofLayout,
     its members' interiors in one call, scatters the condensed load -A'r
     plus its own, writes its C' S C entries and keeps a recovery record.
 
-    Neither the full sparse matrix nor a global skeleton matrix is formed:
-    the C' S C entries, numbered by free coarse dof and with the pinned
-    rows and columns left out, go into row, column and value arrays
-    allocated once for all units, and the system keeps them unsummed for
-    its consumers (`CondensedSystem.dense`, `CondensedSystem.S`).
+    Neither the full sparse matrix nor a global skeleton matrix is formed.
+    The C' S C entries, numbered by free coarse dof without the pinned
+    ones, are counted first; a dense system's units then each add theirs
+    into the (n, n) sum through a scratch of their own, and a sparser
+    one's fill arrays of exactly that count (`CondensedSystem`).
     """
     n = layout.n_dofs
     xp = np.zeros(n) if x_pinned is None else x_pinned
@@ -1137,22 +1123,30 @@ def condense(material: Material, f, layout: DofLayout,
     index = np.full(n, -1, dtype=np.int32)
     index[free] = np.arange(free.size, dtype=np.int32)
 
-    size = sum(np.count_nonzero(w) * cmap.ids.shape[1] ** 2
-               for _, cmap, _, w in units)
-    rows, cols = np.empty((2, size), dtype=np.int32)
-    vals = np.empty(size)
-    coo, k = (rows, cols, vals), 0
-    recover = []
-    for kernel, cmap, own, writes in units:
+    # the entries each unit writes: per writing member, its free dofs squared
+    sizes = [int(np.square((index[cmap.ids[w]] >= 0).sum(axis=1)).sum())
+             for _, cmap, _, w in units]
+    m, k = free.size, sum(sizes)
+    dense = np.zeros((m, m)) if 2 * k >= m * m else None
+    coo = None if dense is not None else (*np.empty((2, k), np.int32), np.empty(k))
+    recover, at = [], 0
+    for (kernel, cmap, own, writes), size in zip(units, sizes):
         b, gs = _eliminate(kernel, g[cmap.interior].transpose(1, 0, 2))
         gs[:, :, 0] += own
-        if writes.any():
-            k = _write_free(cmap, kernel.S, index[cmap.ids], writes, coo, k)
+        if size and coo is not None:
+            at = _write_free(cmap, kernel.S, index[cmap.ids], writes, coo, at)
+        elif size:  # the unit's entries, their rows made flat indices in place
+            part = np.empty(size, np.int64), np.empty(size, np.int32), np.empty(size)
+            _write_free(cmap, kernel.S, index[cmap.ids], writes, part, 0)
+            flat, cols, vals = part
+            flat *= m
+            flat += cols
+            np.add.at(dense.ravel(), flat, vals)
         cmap.scatter(g, gs.transpose(1, 0, 2))
         recover.append((cmap, kernel.A, b))
 
-    return CondensedSystem(coo=(rows[:k], cols[:k], vals[:k]), rhs=g[free],
-                           free=free, x_pinned=xp, recover=recover)
+    return CondensedSystem(coo=coo, dense=dense, rhs=g[free], free=free,
+                           x_pinned=xp, recover=recover)
 
 
 def _private_units(layout: DofLayout, units: list, coarse: np.ndarray) -> list:
@@ -1183,7 +1177,7 @@ def _private_units(layout: DofLayout, units: list, coarse: np.ndarray) -> list:
                 ~mine & ~layout.pinned[ids])])
             col, first = _first_use(ids[at])
             r = at if cmap.rows is None else cmap.rows[i][at]
-            K, w = kernel.S[r][:, r], cmap.weights[i][at]
+            K, w = kernel.S[np.ix_(r, r)], cmap.weights[i][at]
             if first.size < col.size:
                 K = _summed(first.size, [(K, col, w)])
             else:
@@ -1248,15 +1242,14 @@ def solve_condensed(material: Material, f, layout: DofLayout,
     sparse matrix, which keeps memory bounded on fine high-order meshes.
     """
     system = condense(material, f, layout, x_pinned)
-    n, k = system.free.size, system.coo[2].size
-    # A coarse system of n dofs whose units wrote k entries is dense when
-    # 2 k >= n^2: its (n, n) sum then takes no more memory than the entries
-    # (8 bytes each against 16: two int32 indices and a value).  The sum
-    # is factored in place by `dpotrf` on its transpose, which is
-    # Fortran-ordered, and solved by `dpotrs`; a sparser system goes to
-    # SuperLU.  Both routes on the same entries, from the entries to the
-    # coarse solution, best of 30 per system on a 2-core x86-64 VM with one
-    # BLAS thread:
+    # A coarse system of n dofs whose units write k entries is dense when
+    # 2 k >= n^2 (`condense` sums it as written): its (n, n) sum then takes
+    # no more memory than the k entries the sparse route holds (8 bytes
+    # each against 16: two int32 indices and a value).  The sum is factored
+    # in place by `dpotrf` on its transpose, which is Fortran-ordered, and
+    # solved by `dpotrs`; a sparser system goes to SuperLU.  Both routes on
+    # the same entries, from the entries to the coarse solution, best of 30
+    # per system on a 2-core x86-64 VM with one BLAS thread:
     #
     #   bench study, step   n        k / n^2           SuperLU    dense
     #   smooth-h 0, 1, 2    122-250  0.57, 1.03, 1.02  0.41-2.9   0.08-0.46 ms
@@ -1268,8 +1261,8 @@ def solve_condensed(material: Material, f, layout: DofLayout,
     # from k >= 0.2 n^2 on (up to n = 470), lshape-adapt's peak RSS rose by
     # 0.7 MB in 3 of 3 bench pairs: the rule is tied to memory, not to the
     # time crossover.
-    if 2 * k >= n * n:
-        L = _cholesky(system.dense().T,
+    if system.dense is not None:
+        L = _cholesky(system.dense.T,
                       "sparse factorization failed; system not SPD")
         return system.expand(0, cholesky_solve(L, system.rhs[:, 0]))
     try:

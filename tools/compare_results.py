@@ -7,11 +7,12 @@ the package from `<root>/src` with one BLAS thread.  The studies are the
 three bench workloads of `bench/workloads.py` (nominal material), the
 20-step L-shape `adaptive_h`, the 12-step L-shape `adaptive_hp` and the
 5-step smooth `uniform_h` at p = 3.  For each study it prints one JSON
-line: whether both runs have the same `n_dofs` on every step, and the
-largest relative difference over the steps of `e_sigma`, `e_u`,
-`rel_combined` and `eta`, NEW against OLD (0.0 when bit-identical).
-ROADMAP's "rule for every gate on results" says which differences a
-change may make on which study.
+line: whether both runs have the same `n_dofs` on every step, whether
+every result of every step is bit-identical, and the largest relative
+difference over the steps of `e_sigma`, `e_u`, `rel_combined` and `eta`,
+NEW against OLD (0.0 when bit-identical).  The exit code is 1 when some
+study's `n_dofs` differ.  ROADMAP's "rule for every gate on results"
+says which differences a change may make on which study.
 """
 import json
 import os
@@ -60,15 +61,19 @@ def main() -> int:
         sys.stderr.write(__doc__)
         return 2
     old_root, new_root = map(os.path.abspath, sys.argv[1:])
+    status = 0
     for name, kwargs in STUDIES.items():
         old, new = run_study(old_root, kwargs), run_study(new_root, kwargs)
-        line = {"study": name, "n_dofs_equal": len(old) == len(new) and all(
-            a[0] == b[0] for a, b in zip(old, new))}
+        same_dofs = len(old) == len(new) and all(
+            a[0] == b[0] for a, b in zip(old, new))
+        line = {"study": name, "n_dofs_equal": same_dofs,
+                "bit_identical": old == new}
         for j, field in enumerate(FIELDS, start=1):
             line[field] = max(abs(b[j] - a[j]) / abs(a[j])
                               for a, b in zip(old, new))
         print(json.dumps(line), flush=True)
-    return 0
+        status |= not same_dofs
+    return status
 
 
 if __name__ == "__main__":

@@ -10,16 +10,17 @@ and lshape-adapt workloads.
 
 With no arguments it runs each study three times from this checkout and
 prints one JSON line per study: the median and range over the runs of
-the wall time, the last step's wall time and the peak RSS of the
-process, then the last step's dofs, the size of its coarse system (the
-free coarse dofs `condense` leaves) and the route that factored it,
-"dense" (Cholesky) or "superlu".
+the wall time, the last step's wall time, the peak RSS of the process
+and the minor page faults of the study (`ru_minflt` before and after
+it: the fresh pages it touched), then the last step's dofs, the size of
+its coarse system (the free coarse dofs `condense` leaves) and the route
+that factored it, "dense" (Cholesky) or "superlu".
 
 With two checkouts it runs each study five times in each, the two
 alternating and each pair starting with the other side, and prints per
-study and measure the median of each side and the median of the paired
-differences, NEW minus OLD, then the last step's dofs, coarse size and
-route of each side.  Pairs resolve changes that three runs of each
+study and measure the median of each side, and the median and range of
+the paired differences, NEW minus OLD, then the last step's dofs, coarse
+size and route of each side.  Pairs resolve changes that three runs of each
 cannot: the wall time of one study spreads by about 0.1 s from run to
 run.
 
@@ -39,7 +40,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 RUNS = 3
 PAIRS = 5
-SPREAD = ("wall_s", "last_step_s", "peak_rss_mb")
+SPREAD = ("wall_s", "last_step_s", "peak_rss_mb", "page_faults")
 LAST_STEP = ("last_step_dofs", "coarse_dofs", "coarse_route")
 SMOOTH = dict(benchmark="smooth", mode="uniform_h", p=3, delta_p=2,
               lam=1.0, mu=0.5)
@@ -69,12 +70,14 @@ def run_one(name: str) -> dict:
         return splu(*args, **kwargs)
 
     assembly.condense, assembly.splu = recorded_condense, recorded_splu
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     t0 = time.perf_counter()
     rows = run_convergence_study(StudyConfig(**STUDIES[name]))
     wall = time.perf_counter() - t0
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     return {"study": name, "wall_s": round(wall, 3),
-            "peak_rss_mb": round(resource.getrusage(
-                resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+            "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
+            "page_faults": usage.ru_minflt - faults,
             "last_step_dofs": int(rows[-1].n_dofs),
             "last_step_s": round(rows[-1].wall_time, 3),
             "coarse_dofs": coarse[-1][0], "coarse_route": coarse[-1][1]}
@@ -106,8 +109,8 @@ def summarize(name: str) -> dict:
 
 
 def compare(name: str, old_root: str, new_root: str) -> dict:
-    """Medians and median paired difference of PAIRS pairs of runs of one
-    study, old and new alternating."""
+    """Medians, and the median and range of the paired differences, of
+    PAIRS pairs of runs of one study, old and new alternating."""
     old, new = [], []
     for i in range(PAIRS):
         sides = [(old_root, old), (new_root, new)]
@@ -116,10 +119,12 @@ def compare(name: str, old_root: str, new_root: str) -> dict:
     summary = {"study": name, "pairs": PAIRS}
     for key in SPREAD:
         a, b = [run[key] for run in old], [run[key] for run in new]
+        diffs = [round(y - x, 3) for x, y in zip(a, b)]
         summary[key] = {
             "old": round(statistics.median(a), 3),
             "new": round(statistics.median(b), 3),
-            "diff": round(statistics.median(y - x for x, y in zip(a, b)), 3)}
+            "diff": round(statistics.median(diffs), 3),
+            "diff_range": [min(diffs), max(diffs)]}
     summary.update((key, [old[0][key], new[0][key]]) for key in LAST_STEP)
     return summary
 
