@@ -82,8 +82,6 @@ both routes, as it counts that method's factorizations by wrapping
 """
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -138,34 +136,33 @@ class ClassKernel:
 class KernelCache:
     """Element- and node-class kernels of a study, carried from step to step.
 
-    `kernels` maps (class key, material) and (node id, material) to a
-    `ClassKernel`.  A node key is the tuple of its children's keys, a
-    class key or a node id each, and `node_ids` interns it to a small int
-    that `ids` draws and no other key of the study takes, so a key stays
-    flat however deep its subtree.  `gram_factors` maps (p_tilde, vertex
-    offsets from vertex 0) to a Gram Cholesky factor, and `families` maps
-    (family key, material) to the coupling matrix of the shape family
-    (`_family`), from which each class's B is scaled.  `build_dof_layout`
-    drops every entry its classes and node classes do not use, so the
-    cache holds one step's classes, shapes, families and node classes.
+    `kernels` maps (class key, material) and (node key, material) to a
+    `ClassKernel`; a node key is the tuple of its children's class or
+    node keys, in child order.  `parent_keys` holds the keys of the last
+    layout's split elements whose children are leaves or nodes, node
+    classes or not (`_node_classes`).  `gram_factors` maps (p_tilde,
+    vertex offsets from vertex 0) to a Gram Cholesky factor, and
+    `families` maps (family key, material) to the coupling matrix of the
+    shape family (`_family`), from which each class's B is scaled.
+    `build_dof_layout` drops every entry its classes and parent keys do
+    not use, so the cache holds one step's classes, shapes, families and
+    node classes.
     """
 
     kernels: dict[tuple, ClassKernel] = field(default_factory=dict)
     gram_factors: dict[tuple, np.ndarray] = field(default_factory=dict)
     families: dict[tuple, np.ndarray] = field(default_factory=dict)
-    node_ids: dict[tuple, int] = field(default_factory=dict)
-    ids: Iterator[int] = field(default_factory=itertools.count)
+    parent_keys: set[tuple] = field(default_factory=set)
 
-    def retain(self, class_keys, node_keys) -> None:
-        """Keep only the entries of the given class and node keys."""
-        keys = set(class_keys)
+    def retain(self, class_keys, parent_keys) -> None:
+        """Keep only the entries of the given class and parent keys."""
+        self.parent_keys = set(parent_keys)
+        keys = self.parent_keys.union(class_keys)
         # a class key is (p, p_tilde, vertex offsets, per side: the trace
         # degree q and the leaves' flux degrees); its shape is (p_tilde,
         # offsets), its family the key with the offsets scaled to [0.5, 1)
-        shapes = {(key[1], key[2]) for key in keys}
-        families = {_family(key)[0] for key in keys}
-        self.node_ids = {key: self.node_ids[key] for key in node_keys}
-        keys.update(self.node_ids.values())
+        shapes = {(key[1], key[2]) for key in class_keys}
+        families = {_family(key)[0] for key in class_keys}
         self.kernels = {k: v for k, v in self.kernels.items() if k[0] in keys}
         self.gram_factors = {k: v for k, v in self.gram_factors.items()
                              if k in shapes}
@@ -501,7 +498,8 @@ def build_dof_layout(mesh: Mesh, degrees: DegreeMap,
     dof_node = _cross_nodes(mesh, vdof, trace_base, flux_base, bubbles,
                             fluxes, pinned.size)
     nodes, node_keys, node_maps, node_basis, parent_keys, closed = _node_classes(
-        mesh, active, dof_node, entries, element_class, class_keys, cache)
+        mesh, active, dof_node, entries, element_class, class_keys,
+        cache.parent_keys)
     cache.retain(class_keys, parent_keys)
     return DofLayout(
         mesh=mesh, n_dofs=pinned.size, vertex_dofs=vdof, trace_q=trace_q,
@@ -596,21 +594,20 @@ def _class_maps(member_class: np.ndarray, entries: tuple, interior: tuple):
 
 def _node_classes(mesh: Mesh, active: np.ndarray, dof_node: np.ndarray,
                   leaves: tuple, element_class: np.ndarray, class_keys: list,
-                  cache: KernelCache):
+                  previous: set):
     """Node classes, children before parents: per class the members' element
     ids, the node key, the `ClassMap` and the node basis (`_node_kernel`);
     then the keys of every split element whose children are leaves or
     nodes, and whether each element is a leaf or a node.
 
-    Such a split element's class is keyed by its children's keys in child
-    order, a class key for a leaf and the interned node id
-    (`KernelCache.node_ids`) for a node, so equal subtrees share a kernel.
-    The class is a node class when its kernel serves more than once: it
-    has two members, or its key is one of the step before (the cache's
-    `node_ids` hold the step before's keys).  `leaves` holds the leaves'
-    C_K entries by layout position, as `_class_maps` takes them; the
-    nodes' entries and function tags are added after them, so a child is
-    read the same way at any height.
+    Such a split element's class is keyed by the tuple of its children's
+    keys in child order, a class key for a leaf and a node key for a
+    node, so equal subtrees share a kernel.  The class is a node class
+    when its kernel serves more than once: it has two members, or its key
+    is in `previous`, the keys of the step before.  `leaves` holds the
+    leaves' C_K entries by layout position, as `_class_maps` takes them;
+    the nodes' entries and function tags are added after them, so a child
+    is read the same way at any height.
 
     The nodes of one subtree height go in one set of array passes.  A node's
     children's skeleton rows, laid end to end, are each a sum of its inner
@@ -664,15 +661,12 @@ def _node_classes(mesh: Mesh, active: np.ndarray, dof_node: np.ndarray,
         parents, kids = parents[whole], kids[whole]
         parent_class, lead = _first_use(unit[kids])
         unit[parents] = len(keys) + parent_class
+        new_keys = [tuple(keys[u] for u in units)
+                     for units in unit[kids[lead]].tolist()]
         shut = np.bincount(parent_class) > 1
-        for c, units in enumerate(unit[kids[lead]].tolist()):
-            key = tuple(keys[u] for u in units)
-            if key in cache.node_ids:
-                shut[c] = True
-            else:
-                cache.node_ids[key] = next(cache.ids)
-            keys.append(cache.node_ids[key])
-            parent_keys.append(key)
+        shut |= [key in previous for key in new_keys]
+        keys += new_keys
+        parent_keys += new_keys
         closed[parents] = shut[parent_class]
         nd = parents[closed[parents]]
         if not nd.size:
@@ -747,7 +741,7 @@ def _node_classes(mesh: Mesh, active: np.ndarray, dof_node: np.ndarray,
             k = group[0]
             a, *bounds = t_bound[4 * k:4 * k + 5].tolist()
             nodes.append(_read_only(nd[group])[0])
-            node_keys.append(parent_keys[len(parent_keys) - len(shut) + c])
+            node_keys.append(new_keys[c])
             node_maps.append(cmap)
             node_basis.append((int(n_in[k]), t_row[a:bounds[-1]],
                                t_col[a:bounds[-1]], t_w[a:bounds[-1]],
@@ -795,13 +789,12 @@ def _kernel(cache: KernelCache, key: tuple, material: Material,
             basis: tuple | None = None) -> ClassKernel:
     """The kernel of the class with class key `key`, or of the node class
     with node key `key` and node basis `basis`, from the cache or built
-    and cached; a node kernel is cached under its node id."""
-    name = key if basis is None else cache.node_ids[key]
-    kernel = cache.kernels.get((name, material))
+    and cached under its key."""
+    kernel = cache.kernels.get((key, material))
     if kernel is None:
         kernel = (_class_kernel(key, material, cache) if basis is None
                   else _node_kernel(key, basis, material, cache))
-        cache.kernels[name, material] = kernel
+        cache.kernels[key, material] = kernel
     return kernel
 
 
@@ -907,7 +900,10 @@ def _node_kernel(key: tuple, basis: tuple, material: Material,
     (ni, rows, cols, weights, bounds): child skeleton row `rows[t]`,
     counted over the children in order, takes `weights[t]` times node
     function `cols[t]`, an inner dof below ni and a boundary function from
-    ni on; `bounds` splits the entries, sorted by row, by child.
+    ni on; `bounds` splits the entries, sorted by row, by child.  Every
+    child's kernel is in `cache.kernels` under its key: `condense` builds
+    every element class's kernel before any node kernel, and children's
+    before parents'.
 
     K = sum_k T_k' S_k T_k is the children's Schur complements on the node
     basis (`_summed`); its inner block is the node's inner skeleton.  A
@@ -917,8 +913,7 @@ def _node_kernel(key: tuple, basis: tuple, material: Material,
     ni, rows, cols, weights, bounds = basis
     at, blocks = 0, []
     for child, a, b in zip(key, [0, *bounds], [*bounds, len(rows)]):
-        S = (cache.kernels[child, material] if isinstance(child, int)
-             else _kernel(cache, child, material)).S
+        S = cache.kernels[child, material].S
         r = rows[a:b] - at
         at += len(S)
         if r.size > len(S):     # some rows take more than one function

@@ -500,8 +500,7 @@ def node_schur_complement(layout, material, nc, i):
     expect, _, _ = eliminate_dense(total, np.zeros((used.size, 0)), keep)
     nmap = layout.node_maps[nc].member(i)
     C = full_map(nmap, n)[nmap.interior.shape[1]:]
-    S = layout.cache.kernels[layout.cache.node_ids[layout.node_keys[nc]],
-                             material].S
+    S = layout.cache.kernels[layout.node_keys[nc], material].S
     got = C[:, used[keep]].T @ S @ C[:, used[keep]]
     return expect, got, C
 

@@ -41,7 +41,8 @@ from dpg_elast.assembly import (KernelCache, build_dof_layout, condense,
 from dpg_elast.basis import edge_basis_eval
 from dpg_elast.local import local_bmat
 from dpg_elast.material import make_isotropic
-from dpg_elast.mesh import DegreeMap, build_initial_mesh, refine_marked
+from dpg_elast.mesh import (DegreeMap, build_initial_mesh, refine_marked,
+                            refine_uniform)
 from dpg_elast.study import (StudyConfig, greedy_mark, l2_errors,
                              make_benchmark, run_convergence_study)
 from oracle import (condense_per_element, degree_and_base,
@@ -232,11 +233,11 @@ def cached_arrays(cache, layout):
 
 
 def cached_keys(cache):
-    """The class keys and the node ids of the cached kernels; a node
-    kernel is cached under its node id, a class kernel under its key."""
+    """The class keys and the node keys of the cached kernels; a class
+    key starts with its degree p, a node key with its first child's key."""
     keys = {key for key, _ in cache.kernels}
-    node_ids = {key for key in keys if isinstance(key, int)}
-    return keys - node_ids, node_ids
+    node_keys = {key for key in keys if not isinstance(key[0], int)}
+    return keys - node_keys, node_keys
 
 
 def families(keys):
@@ -269,14 +270,13 @@ def test_adaptive_run_builds_only_new_classes(monkeypatch):
     for _ in range(6):
         layout = build_dof_layout(mesh, degrees, cache=cache)
         keys = set(layout.class_keys)
-        node_ids = {cache.node_ids[key] for key in layout.node_keys}
-        # eviction comes before any kernel of the step is built, and every
-        # node key the step uses is interned
+        node_keys = set(layout.node_keys)
+        # eviction comes before any kernel of the step is built
         cached_classes, cached_nodes = cached_keys(cache)
         assert cached_classes <= keys & previous
         assert ({key[0] for key in cache.families}
                 <= families(keys) & families(previous))
-        assert cached_nodes <= node_ids & previous_nodes
+        assert cached_nodes <= node_keys & previous_nodes
         before, nodes_before = len(builds), len(node_builds)
         x = solve_condensed(mat, bench.f, layout,
                             dirichlet_values(layout, bench.g))
@@ -285,19 +285,41 @@ def test_adaptive_run_builds_only_new_classes(monkeypatch):
         # one node kernel per node class it did not use
         assert len(builds) - before == len(families(keys) - families(previous))
         assert (len(node_builds) - nodes_before
-                == len(node_ids - previous_nodes))
+                == len(node_keys - previous_nodes))
         # the cache holds exactly this step's classes, shapes, families and
         # node classes
-        assert set(cache.kernels) == {(key, mat) for key in keys | node_ids}
-        assert cached_keys(cache) == (keys, node_ids)
+        assert set(cache.kernels) == {(key, mat) for key in keys | node_keys}
+        assert cached_keys(cache) == (keys, node_keys)
         assert set(cache.gram_factors) == {(key[1], key[2]) for key in keys}
         assert set(cache.families) == {(fam, mat) for fam in families(keys)}
         assert not any(a.flags.writeable for a in cached_arrays(cache, layout))
         reused += len(keys & previous)
-        nodes += len(node_ids)
-        previous, previous_nodes = keys, node_ids
+        nodes += len(node_keys)
+        previous, previous_nodes = keys, node_keys
         mesh = refine_marked(mesh, layout.elements[greedy_mark(indicators)])
     assert reused > 0 and nodes > 0
+
+
+def test_node_keys_do_not_depend_on_the_cache_history():
+    # the 2x2 square refined uniformly twice has node classes at two
+    # heights; laid out on a fresh cache and on one that has first laid
+    # out another mesh with nodes, it keys its node classes alike, each by
+    # the tuple of its children's class or node keys in child order
+    mesh = refine_uniform(refine_uniform(build_initial_mesh("unit_square", 2)))
+    other = refine_uniform(refine_uniform(build_initial_mesh("l_shape", 1)))
+    cache = KernelCache()
+    assert build_dof_layout(other, DegreeMap(other, p=1), cache).nodes
+    fresh = build_dof_layout(mesh, DegreeMap(mesh, p=1))
+    used = build_dof_layout(mesh, DegreeMap(mesh, p=1), cache)
+    assert [len(nodes) for nodes in fresh.nodes] == [16, 4]
+    assert used.node_keys == fresh.node_keys
+    key_of = {k: fresh.class_keys[fresh.element_class[position_of(fresh, k)]]
+              for k in mesh.active_elements.tolist()}
+    for nodes, key in zip(fresh.nodes, fresh.node_keys):
+        for e in nodes.tolist():
+            assert key == tuple(key_of[c] for c in
+                                (mesh.child[e] + np.arange(4)).tolist())
+            key_of[e] = key
 
 
 def count_kernel_builds(monkeypatch, config):

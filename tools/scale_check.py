@@ -16,17 +16,19 @@ it: the fresh pages it touched), then the last step's dofs, the size of
 its coarse system (the free coarse dofs `condense` leaves) and the route
 that factored it, "dense" (Cholesky) or "superlu".
 
-With two checkouts it runs each study five times in each, the two
+With two checkouts it runs each study ten times in each, the two
 alternating and each pair starting with the other side, and prints per
-study and measure the median of each side, and the median and range of
-the paired differences, NEW minus OLD, then the last step's dofs, coarse
-size and route of each side.  Pairs resolve changes that three runs of each
-cannot: the wall time of one study spreads by about 0.1 s from run to
-run.
+study and measure the median of each side, the median and range of the
+paired differences, NEW minus OLD, and the count of pairs in which NEW
+is lower, then the last step's dofs, coarse size and route of each side.
+Pairs resolve changes that three runs of each cannot: the wall time of
+one study spreads by about 0.1 s from run to run, and five pairs have
+agreed on a sign that ten reversed.  A change reads as lower or higher
+when nine of the ten pairs agree.
 
 Each study runs with one BLAS thread and imports the package from
 `<root>/src`.  A run with no arguments took 17 s on a 2-core x86-64 VM,
-one with two checkouts 80 s.
+one with two checkouts (10 pairs) 100 s.
 """
 import json
 import os
@@ -39,7 +41,7 @@ import time
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 RUNS = 3
-PAIRS = 5
+PAIRS = 10
 SPREAD = ("wall_s", "last_step_s", "peak_rss_mb", "page_faults")
 LAST_STEP = ("last_step_dofs", "coarse_dofs", "coarse_route")
 SMOOTH = dict(benchmark="smooth", mode="uniform_h", p=3, delta_p=2,
@@ -109,8 +111,9 @@ def summarize(name: str) -> dict:
 
 
 def compare(name: str, old_root: str, new_root: str) -> dict:
-    """Medians, and the median and range of the paired differences, of
-    PAIRS pairs of runs of one study, old and new alternating."""
+    """Medians, the median and range of the paired differences and the
+    count of pairs with new lower, of PAIRS pairs of runs of one study,
+    old and new alternating."""
     old, new = [], []
     for i in range(PAIRS):
         sides = [(old_root, old), (new_root, new)]
@@ -124,7 +127,8 @@ def compare(name: str, old_root: str, new_root: str) -> dict:
             "old": round(statistics.median(a), 3),
             "new": round(statistics.median(b), 3),
             "diff": round(statistics.median(diffs), 3),
-            "diff_range": [min(diffs), max(diffs)]}
+            "diff_range": [min(diffs), max(diffs)],
+            "lower": sum(y < x for x, y in zip(a, b))}
     summary.update((key, [old[0][key], new[0][key]]) for key in LAST_STEP)
     return summary
 
