@@ -87,12 +87,13 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import blas, lapack
+from scipy.linalg import blas
 from scipy.sparse.linalg import splu
 
 from .basis import _read_only, edge_basis_eval, gauss_rule
-from .local import (cholesky_solve, gram_factor, local_bmat, local_gram,
-                    local_loads, local_stiffness, lower_solve)
+from .local import (cholesky_factor, cholesky_solve, gram_factor, gram_solve,
+                    local_bmat, local_gram, local_loads, local_stiffness,
+                    lower_solve)
 from .material import Material
 from .mesh import DegreeMap, Mesh, _first_use
 
@@ -118,17 +119,19 @@ class ClassKernel:
     factor L of the interior block, `A` = (L L')^-1 Kis for the
     interior-skeleton block Kis, and `S` the Schur complement Kss - Kis' A
     averaged with its transpose, so symmetric to the bit.  For an element,
-    K = B'G^-1 B, `L` is the Gram Cholesky factor and `B` the coupling
-    matrix with its columns in class order.  For a node, K is its
-    children's Schur complements summed on the node basis (inner dofs,
-    then boundary functions), and `L` and `B` are None; so for a private
-    unit, whose K is its member's unpinned C' S C block (`_private_units`).
+    K = B'G^-1 B, `L` is the Gram factor (L_tau, L_v), the Cholesky
+    factors of the blocks of G = diag(G_tau, G_v, G_v) (`gram_factor`),
+    and `B` the coupling matrix with its columns in class order.  For a
+    node, K is its children's Schur complements summed on the node basis
+    (inner dofs, then boundary functions), and `L` and `B` are None; so for
+    a private unit, whose K is its member's unpinned C' S C block
+    (`_private_units`).
     """
 
     Kii: np.ndarray
     A: np.ndarray
     S: np.ndarray
-    L: np.ndarray | None = None
+    L: tuple[np.ndarray, np.ndarray] | None = None
     B: np.ndarray | None = None
 
 
@@ -141,7 +144,9 @@ class KernelCache:
     node keys, in child order.  `parent_keys` holds the keys of the last
     layout's split elements whose children are leaves or nodes, node
     classes or not (`_node_classes`).  `gram_factors` maps (p_tilde,
-    vertex offsets from vertex 0) to a Gram Cholesky factor, and
+    vertex offsets from vertex 0) to the Gram factor (L_tau, L_v), the
+    Cholesky factors of the Gram matrix's tau block and of its v block,
+    which serves both components (`gram_factor`), and
     `families` maps (family key, material) to the coupling matrix of the
     shape family (`_family`), from which each class's B is scaled.
     `build_dof_layout` drops every entry its classes and parent keys do
@@ -150,7 +155,7 @@ class KernelCache:
     """
 
     kernels: dict[tuple, ClassKernel] = field(default_factory=dict)
-    gram_factors: dict[tuple, np.ndarray] = field(default_factory=dict)
+    gram_factors: dict[tuple, tuple] = field(default_factory=dict)
     families: dict[tuple, np.ndarray] = field(default_factory=dict)
     parent_keys: set[tuple] = field(default_factory=set)
 
@@ -299,18 +304,23 @@ def _bubble_table(q_max: int):
     The side covers child `half` of the edge (the whole edge for -1) and
     runs against it when `reverse`.  On a half, a bubble restricts to
     bubbles of at most its degree plus a linear part, which the corner
-    values carry."""
+    values carry.  The edge basis is hierarchical, so degree q's block is
+    the leading (q - 1, q - 1) block of degree q_max's, and one solve per
+    half and direction at q_max gives every degree."""
+    t = gauss_rule(q_max + 1).points
+    full = []
+    for half, reverse in [(h, r) for h in (-1, 0, 1) for r in (False, True)]:
+        if half < 0:
+            full.append(np.diag(_reversal(q_max)[1][2:] if reverse
+                                else np.ones(q_max - 1)))
+        else:   # the edge functions at the points are T' times the side's
+            t_edge = 0.5 * ((-t if reverse else t) + 2 * half - 1)
+            full.append(np.triu(np.linalg.solve(
+                edge_basis_eval(q_max, t).T, edge_basis_eval(q_max, t_edge).T)[2:, 2:]))
     blocks = []
     for q in range(2, q_max + 1):
-        t = gauss_rule(q + 1).points
-        for half, reverse in [(h, r) for h in (-1, 0, 1) for r in (False, True)]:
-            if half < 0:
-                T = np.diag(_reversal(q)[1][2:] if reverse else np.ones(q - 1))
-            else:   # the edge functions at the points are T' times the side's
-                t_edge = 0.5 * ((-t if reverse else t) + 2 * half - 1)
-                T = np.triu(np.linalg.solve(edge_basis_eval(q, t).T,
-                                            edge_basis_eval(q, t_edge).T)[2:, 2:])
-            rows, cols = np.nonzero(T)
+        for T in full:
+            rows, cols = np.nonzero(T[:q - 1, :q - 1])
             blocks.append((rows, cols, T[rows, cols],
                            np.arange(rows.size) - np.searchsorted(rows, rows)))
     size = np.array([b[0].size for b in blocks])
@@ -750,7 +760,7 @@ def _node_classes(mesh: Mesh, active: np.ndarray, dof_node: np.ndarray,
 
 
 def element_full_bmat(layout: DofLayout, material: Material, f, pos: int):
-    """Gram Cholesky factor, full local coupling matrix, load, and the
+    """Gram factor (L_tau, L_v), full local coupling matrix, load, and the
     one-member `ClassMap` (interior dofs, C_K) of the element at `pos`.
 
     L and B are the element class's read-only matrices from `layout.cache`,
@@ -837,13 +847,12 @@ def _class_kernel(key: tuple, material: Material,
     if L is None:
         rel = np.frombuffer(shape, float).reshape(4, 2)
         try:
-            L = gram_factor(local_gram(rel, p_tilde))
+            L = _read_only(*gram_factor(local_gram(rel, p_tilde)))
         except RuntimeError as err:
             diameter = np.linalg.norm(rel[:, None] - rel, axis=2).max()
             raise RuntimeError(
                 f"Gram matrix is not positive definite: p_tilde = {p_tilde}, "
                 f"element diameter {diameter:.3e}") from err
-        L.setflags(write=False)
         cache.gram_factors[p_tilde, shape] = L
     family, e = _family(key)
     B_hat = cache.families.get((family, material))
@@ -853,7 +862,7 @@ def _class_kernel(key: tuple, material: Material,
         B_hat.setflags(write=False)
         cache.families[family, material] = B_hat
     scale = 2.0 ** e
-    B = B_hat * scale                   # keeps B_hat's column-major order
+    B = B_hat * scale
     B[:3 * (p_tilde + 1) ** 2, :3 * (p + 1) ** 2] *= scale
     return _condensed(local_stiffness(L, B), 5 * (p + 1) ** 2,
                       "interior block of an element matrix is not positive "
@@ -865,7 +874,7 @@ def _condensed(K: np.ndarray, ni: int, failure: str, **extra) -> ClassKernel:
     columns interior; RuntimeError(failure) when the interior block is not
     positive definite."""
     Kis, Kss = K[:ni, ni:], K[ni:, ni:]
-    Kii = _cholesky(K[:ni, :ni], failure)
+    Kii = cholesky_factor(K[:ni, :ni], failure)
     Wt = blas.dtrsm(1.0, Kii, Kis.T, side=1, lower=1, trans_a=1)
     At = blas.dtrsm(1.0, Kii, Wt, side=1, lower=1, overwrite_b=1)
     # Kss - Kis' A, not Kss - W'W: on a four-round hp mesh whose eliminated
@@ -879,19 +888,6 @@ def _condensed(K: np.ndarray, ni: int, failure: str, **extra) -> ClassKernel:
     S += S.T
     S *= 0.5
     return ClassKernel(*_read_only(Kii, At.T, S), **extra)
-
-
-def _cholesky(K: np.ndarray, failure: str) -> np.ndarray:
-    """The lower Cholesky factor of the symmetric K, in K's own memory when
-    K is Fortran-ordered; RuntimeError(failure) when K is not positive
-    definite."""
-    L, info = lapack.dpotrf(K, lower=1, overwrite_a=1)
-    if info > 0:
-        raise RuntimeError(failure)
-    if info < 0:
-        raise ValueError(f"LAPACK reported an illegal value in {-info}-th "
-                         "argument on entry to POTRF")
-    return L
 
 
 def _node_kernel(key: tuple, basis: tuple, material: Material,
@@ -986,9 +982,11 @@ def error_indicators(material: Material, f, layout: DofLayout,
                      x: np.ndarray) -> np.ndarray:
     """Elementwise V-norms of the error representation, by position.
 
-    The V-norm of e = G^-1 r is |L^-1 r|, with r = l - B x_K the residual
-    and x_K the element's interior dofs and C_K x; each class does one
-    triangular solve for all its members.
+    The V-norm of e = G^-1 r is |L^-1 r|, with r = l - B x_K the residual,
+    x_K the element's interior dofs and C_K x, and L^-1 = diag(L_tau^-1,
+    L_v^-1, L_v^-1); each class does one triangular solve with L_tau for
+    all its members' tau rows and one with L_v for both components' v
+    rows (`lower_solve`).
     """
     out = np.zeros(len(layout.elements))
     for cls, members in enumerate(layout.classes):
@@ -1064,8 +1062,9 @@ def condense(material: Material, f, layout: DofLayout,
     `x_pinned` holds the Dirichlet values on the pinned dofs, and `loads`
     is an optional (n_dofs, m) block of extra right-hand sides; a lift off
     the pinned dofs or a load on them raises ValueError.  The element
-    loads enter first: their interior part in the load block, their
-    skeleton part as the element class's own condensed load.  Given
+    loads B'G^-1 l enter first, one Gram solve per class for all members
+    (`gram_solve`): their interior part in the load block, their skeleton
+    part as the element class's own condensed load.  Given
     `x_pinned`, each member's load l is lifted there to l - B C x_pinned
     (B's skeleton columns), which takes S C x_pinned off its condensed
     load and A C x_pinned off its interior solution, once for all units.
@@ -1105,7 +1104,7 @@ def condense(material: Material, f, layout: DofLayout,
         ni = cmap.interior.shape[1]
         if x_pinned is not None:        # the lift, l - B C x_pinned
             lvecs = lvecs - kernel.B[:, ni:] @ cmap.gather(x_pinned).T
-        fl = kernel.B.T @ cholesky_solve(kernel.L, lvecs)
+        fl = kernel.B.T @ gram_solve(kernel.L, lvecs)
         g[cmap.interior, 0] = fl[:ni].T
         units.append((kernel, cmap, fl[ni:],
                       ~layout.in_node[layout.elements[members]]))
@@ -1257,8 +1256,8 @@ def solve_condensed(material: Material, f, layout: DofLayout,
     # 0.7 MB in 3 of 3 bench pairs: the rule is tied to memory, not to the
     # time crossover.
     if system.dense is not None:
-        L = _cholesky(system.dense.T,
-                      "sparse factorization failed; system not SPD")
+        L = cholesky_factor(system.dense.T,
+                            "sparse factorization failed; system not SPD")
         return system.expand(0, cholesky_solve(L, system.rhs[:, 0]))
     try:
         lu = splu(system.S, **SPD_SPLU_OPTIONS)

@@ -5,13 +5,20 @@ field (components tau11, tau12, tau22) and v a vector field, each component
 in Q_{pt,pt} with pt = p_K + delta_p.  The Gram matrix uses the broken
 H(div) x H1 inner product; the trial-test coupling implements the ultraweak
 bilinear form restricted to the element.
+
+The test norm couples neither tau to v nor the components of v, so the
+Gram matrix is diag(G_tau, G_v, G_v) and is kept, factored and solved by
+its blocks: one factor of the (3 ns, 3 ns) tau block and one of the
+(ns, ns) v block, which serves both components.  At pt = 5 this takes
+4.4 times fewer flops to factor than the whole (5 ns, 5 ns) matrix, 2.3
+times fewer per column to solve, and 60% less memory to keep.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .basis import (_read_only, edge_basis_eval, gauss_rule, gauss_rule_2d,
                     q_basis_eval, q_basis_table)
@@ -89,8 +96,13 @@ def _side_table(side: int, t0: float, t1: float, ne: int, p_tilde: int):
     return _read_only(rows, half * erule.weights, svals)
 
 
-def local_gram(coords: np.ndarray, p_tilde: int) -> np.ndarray:
-    """Gram matrix of the broken test norm on one element."""
+def local_gram(coords: np.ndarray, p_tilde: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrix of the broken test norm on one element, by its blocks.
+
+    The norm couples neither tau to v nor v1 to v2, so the Gram matrix is
+    diag(G_tau, G_v, G_v): G_tau, (3 ns, 3 ns), on (tau11, tau12, tau22)
+    and G_v, (ns, ns), on each component of v.  Returns (G_tau, G_v).
+    """
     w, vals, g = _volume_tables(coords, p_tilde)
     ns = vals.shape[0]
     M = (vals * w) @ vals.T
@@ -98,8 +110,8 @@ def local_gram(coords: np.ndarray, p_tilde: int) -> np.ndarray:
     Dyy = (g[:, 1] * w) @ g[:, 1].T
     Dxy = (g[:, 0] * w) @ g[:, 1].T
 
-    G = np.zeros((5 * ns, 5 * ns))
-    b = [slice(i * ns, (i + 1) * ns) for i in range(5)]  # tau11 tau12 tau22 v1 v2
+    G = np.zeros((3 * ns, 3 * ns))
+    b = [slice(i * ns, (i + 1) * ns) for i in range(3)]  # tau11 tau12 tau22
     G[b[0], b[0]] = M + Dxx
     G[b[0], b[1]] = Dxy
     G[b[1], b[0]] = Dxy.T
@@ -107,17 +119,28 @@ def local_gram(coords: np.ndarray, p_tilde: int) -> np.ndarray:
     G[b[1], b[2]] = Dxy
     G[b[2], b[1]] = Dxy.T
     G[b[2], b[2]] = M + Dyy
-    G[b[3], b[3]] = M + Dxx + Dyy
-    G[b[4], b[4]] = M + Dxx + Dyy
-    return G
+    return G, M + Dxx + Dyy
 
 
-def gram_factor(G: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor L of a Gram matrix, G = L L'."""
-    try:
-        return np.linalg.cholesky(G)
-    except np.linalg.LinAlgError as err:
-        raise RuntimeError("Gram matrix is not positive definite") from err
+def cholesky_factor(K: np.ndarray, failure: str) -> np.ndarray:
+    """The lower Cholesky factor of the symmetric K by LAPACK's potrf, in
+    K's own memory when K is Fortran-ordered; RuntimeError(failure) when K
+    is not positive definite."""
+    L, info = lapack.dpotrf(K, lower=1, overwrite_a=1)
+    if info > 0:
+        raise RuntimeError(failure)
+    if info < 0:
+        raise ValueError(f"LAPACK reported an illegal value in {-info}-th "
+                         "argument on entry to POTRF")
+    return L
+
+
+def gram_factor(G: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factors (L_tau, L_v) of the Gram blocks (G_tau, G_v),
+    G_tau = L_tau L_tau' and G_v = L_v L_v' (`local_gram`); the one L_v
+    serves both components of v."""
+    return tuple(cholesky_factor(g, "Gram matrix is not positive definite")
+                 for g in G)
 
 
 def _skeleton_columns(coords: np.ndarray, p_tilde: int,
@@ -192,8 +215,7 @@ def local_bmat(coords: np.ndarray, p: int, p_tilde: int, material: Material,
     b = [slice(i * ns, (i + 1) * ns) for i in range(5)]
 
     Bskel = _skeleton_columns(coords, p_tilde, sides)
-    # column-major, which LAPACK's triangular solve takes without a copy
-    B = np.zeros((5 * ns, 5 * nt + Bskel.shape[1]), order="F")
+    B = np.zeros((5 * ns, 5 * nt + Bskel.shape[1]))
     B[:, 5 * nt:] = Bskel
 
     Mmix = (tvals * w) @ uvals.T          # (ns, nt)
@@ -244,21 +266,6 @@ def local_loads(coords: np.ndarray, p_tilde: int, f) -> np.ndarray:
     return lvecs
 
 
-def lower_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """L^-1 b for a C-ordered lower triangular L, by LAPACK's trtrs.
-
-    trtrs reads Fortran order, so it solves with L' (upper, transposed),
-    which is L's own memory.
-    """
-    x, info = lapack.dtrtrs(L.T, b, lower=0, trans=1)
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            f"singular matrix: resolution failed at diagonal {info - 1}")
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
-    return x
-
-
 def cholesky_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     """A^-1 b from the lower Cholesky factor c of A, by LAPACK's potrs."""
     x, info = lapack.dpotrs(c, b, lower=1)
@@ -267,10 +274,41 @@ def cholesky_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def local_stiffness(L: np.ndarray, Bfull: np.ndarray) -> np.ndarray:
-    """SPD element matrix B' G^{-1} B.
+def lower_solve(L: tuple, b: np.ndarray) -> np.ndarray:
+    """diag(L_tau, L_v, L_v)^-1 b for the Gram factor L = (L_tau, L_v)
+    (`gram_factor`) and b of shape (5 ns, k), with its v rows node by
+    node: row 3 ns + 2 i + j of the result is row i of L_v^-1 b_vj.  Z'Z
+    and the column norms, all that is read of it, do not depend on the
+    order of the rows.
 
-    L is the lower Cholesky factor of the Gram matrix G (`gram_factor`).
+    Each block is one BLAS trsm from the right, X L' = b', in place on
+    the result's transposed rows: on the tau rows, and with L_v on the
+    (ns, 2 k) block [b_v1 | b_v2], whose rows are the v rows node by node.
+    At these sizes it runs faster than trtrs from the left.
+    """
+    ns, k = len(L[1]), b.shape[1]
+    z = np.empty(b.shape)
+    z[:3 * ns] = b[:3 * ns]
+    z[3 * ns:].reshape(ns, 2, k)[...] = b[3 * ns:].reshape(2, ns, k).transpose(1, 0, 2)
+    blas.dtrsm(1.0, L[0], z[:3 * ns].T, side=1, lower=1, trans_a=1, overwrite_b=1)
+    blas.dtrsm(1.0, L[1], z[3 * ns:].reshape(ns, 2 * k).T, side=1, lower=1,
+               trans_a=1, overwrite_b=1)
+    return z
+
+
+def gram_solve(L: tuple, b: np.ndarray) -> np.ndarray:
+    """G^-1 b for the Gram factor L = (L_tau, L_v) of G (`gram_factor`) and
+    b of shape (5 ns, k): LAPACK's potrs on the tau rows, and on both
+    components' v rows at once as the (ns, 2 k) block [b_v1 | b_v2]."""
+    ns, k = len(L[1]), b.shape[1]
+    v = cholesky_solve(L[1], np.concatenate([b[3 * ns:4 * ns], b[4 * ns:]], axis=1))
+    return np.concatenate([cholesky_solve(L[0], b[:3 * ns]), v[:, :k], v[:, k:]])
+
+
+def local_stiffness(L: tuple, Bfull: np.ndarray) -> np.ndarray:
+    """SPD element matrix B' G^{-1} B = Z'Z, Z = diag(L_tau, L_v, L_v)^-1 B.
+
+    L = (L_tau, L_v) is the Gram factor (`gram_factor`).
     """
     Z = lower_solve(L, Bfull)
     K = Z.T @ Z

@@ -68,7 +68,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import block_diag, cho_factor, cho_solve, solve_triangular
 from scipy.sparse.linalg import splu
 
 from dpg_elast import assembly
@@ -184,12 +184,35 @@ def local_load(coords, p_tilde, f):
     return lvec
 
 
+def full_gram(blocks):
+    """diag(X_tau, X_v, X_v), the whole (5 ns, 5 ns) matrix of a Gram pair
+    (X_tau, X_v): `local_gram`'s blocks or `gram_factor`'s factors."""
+    return block_diag(blocks[0], blocks[1], blocks[1])
+
+
+def long_double_stiffness(G, B):
+    """B'G^-1 B in extended precision (`np.longdouble`) from the float64
+    Gram blocks G = (G_tau, G_v) and coupling matrix B: a Cholesky factor
+    of the whole G and a forward substitution, a row at a time."""
+    G = full_gram(G).astype(np.longdouble)
+    L = np.zeros_like(G)
+    for j in range(len(G)):
+        L[j, j] = np.sqrt(G[j, j] - L[j, :j] @ L[j, :j])
+        L[j + 1:, j] = (G[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
+    Z = B.astype(np.longdouble)
+    for i in range(len(G)):
+        Z[i] = (Z[i] - L[i, :i] @ Z[:i]) / L[i, i]
+    return Z.T @ Z
+
+
 def error_representation(L, Bfull, lvec, x_loc):
     """Riesz representative of one element's residual and its V-norm.
 
-    L is the lower Cholesky factor of the Gram matrix G; the V-norm of
-    e = G^{-1} r is |L^{-1} r|.
+    L = (L_tau, L_v) is the Gram factor (`gram_factor`), whose whole lower
+    Cholesky factor of G is `full_gram(L)`; the V-norm of e = G^{-1} r is
+    |L^{-1} r|.
     """
+    L = full_gram(L)
     resid = lvec - Bfull @ x_loc
     z = solve_triangular(L, resid, lower=True, check_finite=False)
     e = solve_triangular(L, z, lower=True, trans="T", check_finite=False)
@@ -319,7 +342,8 @@ def assemble_full(mesh, degrees, material, f, layout):
 
 
 def load_product(L, Bfull, lvec):
-    """Element load B'G^-1 l, with L the Gram Cholesky factor."""
+    """Element load B'G^-1 l, with L = (L_tau, L_v) the Gram factor."""
+    L = full_gram(L)
     Z = solve_triangular(L, Bfull, lower=True)
     return Z.T @ solve_triangular(L, lvec, lower=True)
 
@@ -751,7 +775,7 @@ def validate(mesh):
             raise ValueError(f"edge {eid} used by {cnt} sides, expected {expected}")
 
 
-def restriction_rows(q, half, reverse):
+def restriction_rows(q, half, reverse, q_max=None):
     """Side coefficients from edge coefficients of the degree q edge basis,
     as rows of (weight, edge function) pairs, one row per side function.
 
@@ -759,7 +783,12 @@ def restriction_rows(q, half, reverse):
     runs against the edge when `reverse`: then the ends swap and the
     bubbles of odd degree change sign.  On a half, a bubble restricts to
     bubbles of at most its degree plus a linear part, which the corner
-    values carry; the rows of the side's ends are left out there.
+    values carry; the rows of the side's ends are left out there.  The
+    half's coefficients come from the solve at degree `q_max` (q when
+    None), whose leading block is degree q's as the edge basis is
+    hierarchical; `build_dof_layout` solves once at the mesh's largest
+    trace degree, and `test_bubble_table_matches_per_degree_solves` holds
+    that table to the solve at each q.
     """
     if half is None:
         T = np.eye(q + 1)
@@ -767,11 +796,12 @@ def restriction_rows(q, half, reverse):
             T = T[[1, 0, *range(2, q + 1)]]
             T[2:] *= ((-1.0) ** np.arange(2, q + 1))[:, None]
     else:
-        t = gauss_rule(q + 1).points
+        n = q if q_max is None else q_max
+        t = gauss_rule(n + 1).points
         t_edge = 0.5 * ((-t if reverse else t) + 2 * half - 1)
         # the edge functions at the points are T' times the side functions
-        T = np.linalg.solve(edge_basis_eval(q, t).T,
-                            edge_basis_eval(q, t_edge).T)
+        T = np.linalg.solve(edge_basis_eval(n, t).T,
+                            edge_basis_eval(n, t_edge).T)[:q + 1, :q + 1]
         T = np.vstack([np.zeros((2, q + 1)), np.triu(T[2:], 2)])
     return tuple(tuple((w, i) for i, w in enumerate(row) if w)
                  for row in T.tolist())
@@ -840,6 +870,7 @@ def layout_by_walk(mesh, degrees):
                 if mesh.boundary[leaf]:
                     boundary_verts.update(mesh.ends[leaf].tolist())
     trace_edges, flux_edges = sorted(trace_q), sorted(flux_p)
+    q_max = max(trace_q.values())
 
     n = 0
     interior_base = {}
@@ -899,7 +930,7 @@ def layout_by_walk(mesh, degrees):
             reverse = mesh.ends[own, 0] != verts[s]
             half = None if owner == own else halves(mesh, owner).index(own)
             rows += [[(w, base + 2 * (j - 2)) for w, j in r]
-                     for r in restriction_rows(q, half, reverse)[2:]]
+                     for r in restriction_rows(q, half, reverse, q_max)[2:]]
             # the flux also changes sign with the normal
             sign = -1.0 if reverse else 1.0
             nseg = len(leaves)

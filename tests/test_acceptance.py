@@ -24,7 +24,8 @@ from dpg_elast.study import (StudyConfig, best_approximation_errors,
                              greedy_mark, l2_errors, make_benchmark,
                              observed_rate, run_convergence_study)
 from oracle import (degree_and_base, edge_coords, apply_compliance, assemble_full, bilinear_maps,
-                    element_coords, interior_slices, layout_dicts, solve_full)
+                    element_coords, full_gram, interior_slices, layout_dicts,
+                    solve_full)
 
 STEEL_LAM, STEEL_MU = 123.0, 79.3
 
@@ -207,7 +208,7 @@ def test_criterion_07_spd_suite():
                    np.array([[0.0, 0.0], [1.0, 0.0], [1.5, 1.0], [0.5, 1.0]])):
         for p_tilde in range(1, 9):
             try:
-                cho_factor(local_gram(coords, p_tilde), lower=True)
+                cho_factor(full_gram(local_gram(coords, p_tilde)), lower=True)
             except np.linalg.LinAlgError:
                 ok_gram = False
     ok = max_asym <= 1e-12 and ok_fact and ok_gram
@@ -225,7 +226,7 @@ def test_criterion_08_test_function_identities():
     _, Bfull, _, cmap = element_full_bmat(layout, material, None, 0)
     p, _ = degree_and_base(layout, 0)
     p_tilde = p + degrees.delta_p
-    G = local_gram(element_coords(mesh, 0), p_tilde)
+    G = full_gram(local_gram(element_coords(mesh, 0), p_tilde))
     nt = (p + 1) ** 2
     ns = (p_tilde + 1) ** 2
 

@@ -219,11 +219,22 @@ def test_random_refinement_keeps_classes_exact(domain, data):
         check_class_keys(mesh, degrees, layout, seen)
 
 
+def kernel_arrays(kernel):
+    """(name, array) of every array of a `ClassKernel`; each block of the
+    Gram factor (L_tau, L_v) is one array, named L[0] and L[1]."""
+    for name, a in vars(kernel).items():
+        if isinstance(a, tuple):
+            yield from ((f"{name}[{i}]", block) for i, block in enumerate(a))
+        elif a is not None:
+            yield name, a
+
+
 def cached_arrays(cache, layout):
-    yield from cache.gram_factors.values()
+    for factor in cache.gram_factors.values():
+        yield from factor
     yield from cache.families.values()
     for kernel in cache.kernels.values():
-        yield from (a for a in vars(kernel).values() if a is not None)
+        yield from (a for _, a in kernel_arrays(kernel))
     yield from layout.loads.values()
     for nmap, nodes, (_, rows, cols, weights, _) in zip(
             layout.node_maps, layout.nodes, layout.node_basis):
@@ -463,8 +474,8 @@ def test_class_kernel_depends_on_its_key_alone():
     for key in layout.class_keys:
         fresh = assembly._class_kernel(key, MATERIAL, KernelCache())
         cached = layout.cache.kernels[key, MATERIAL]
-        for name, array in vars(fresh).items():
-            expect = getattr(cached, name)
+        for (name, array), (_, expect) in zip(kernel_arrays(fresh),
+                                              kernel_arrays(cached), strict=True):
             assert array.shape == expect.shape
             assert array.tobytes() == expect.tobytes()
 
@@ -511,8 +522,9 @@ def test_family_kernel_scales_exactly(p, delta_p, k, data):
     with mock.patch.object(assembly, "local_bmat", counted(builds)):
         assembly._class_kernel(key, MATERIAL, cache)
         got = assembly._class_kernel(scaled, MATERIAL, cache)
-        for name, array in vars(direct).items():
-            assert array.tobytes() == getattr(got, name).tobytes(), name
+        for (name, array), (_, expect) in zip(kernel_arrays(direct),
+                                              kernel_arrays(got), strict=True):
+            assert array.tobytes() == expect.tobytes(), name
         # one B for both, unless a turn by nearly a multiple of pi/2
         # leaves offsets below 2^-64 of the largest (then each shape is a
         # family of its own, and two shapes when k != 0)

@@ -10,7 +10,12 @@ by name, and on a third-party import outside `ALLOWED_THIRD_PARTY`.  It
 also fails on a public function of `assembly` or `rankone`, other than
 `build_dof_layout`, that takes a `Mesh`: after the layout is built, a
 step's solver functions take the layout alone.  A line of the package
-longer than 88 characters fails too.  A subprocess check keeps the heavy
+longer than 88 characters fails too, and so does a call or import of
+numpy's Cholesky factor (`np.linalg.cholesky`): every Cholesky factor of
+the package goes through scipy's `dpotrf` (`local.cholesky_factor`),
+with one error path, and `np.linalg.cholesky` took 1.3 to 2.4 times as
+long as `dpotrf` on SPD matrices of order 48 to 400 (one BLAS thread,
+2-core x86-64 VM).  A subprocess check keeps the heavy
 scipy subpackages out of `sys.modules`, at import and after a study:
 each one adds its import time and memory to every run.
 """
@@ -199,6 +204,20 @@ def test_no_long_lines():
             for i, line in enumerate(path.read_text().splitlines(), start=1)
             if len(line) > MAX_LINE]
     assert long == []
+
+
+def test_no_numpy_cholesky():
+    found = []
+    for name, tree in parse_package().items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "cholesky"
+                    and ast.unparse(node.value) in ("np.linalg", "numpy.linalg")):
+                found.append(f"{name}:{node.lineno} {ast.unparse(node)}")
+            elif (isinstance(node, ast.ImportFrom)
+                    and node.module == "numpy.linalg"
+                    and any(alias.name == "cholesky" for alias in node.names)):
+                found.append(f"{name}:{node.lineno} from numpy.linalg import")
+    assert found == []
 
 
 def test_third_party_imports_allowed():

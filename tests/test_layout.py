@@ -8,12 +8,13 @@ the members of every class, every `ClassMap` array byte for byte, and the
 side segments a class kernel derives from its key against the segments
 the walk finds for each element.
 """
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpg_elast.assembly import build_dof_layout
+from dpg_elast.assembly import _bubble_table, build_dof_layout
 from dpg_elast.mesh import DegreeMap, build_initial_mesh, refine_marked
-from oracle import layout_by_walk, layout_dicts, segments_of
+from oracle import layout_by_walk, layout_dicts, restriction_rows, segments_of
 
 
 def assert_same_array(got, expect):
@@ -58,3 +59,27 @@ def test_layout_matches_walk(domain, delta_p, data):
         members = layout.classes[layout.element_class[i]]
         assert members[layout.element_row[i]] == i
         assert segments_of(layout, k) == walk.segments[k]
+
+
+def test_bubble_table_matches_per_degree_solves():
+    # the table solves once at q_max and takes each lower degree's blocks
+    # as leading blocks; each must have the nonzeros of the solve at its
+    # own degree, with weights within 1e-14
+    for q_max in range(2, 11):
+        start, size, rows, cols, weights, place = _bubble_table(q_max)
+        block = 0
+        for q in range(2, q_max + 1):
+            for half in (None, 0, 1):
+                for reverse in (False, True):
+                    expect = [(i, j - 2, w, t) for i, row in enumerate(
+                        restriction_rows(q, half, reverse)[2:])
+                        for t, (w, j) in enumerate(row)]
+                    at = slice(start[block], start[block] + size[block])
+                    r, c, w, t = (np.array(a) for a in zip(*expect))
+                    assert rows[at].tolist() == r.tolist()
+                    assert cols[at].tolist() == c.tolist()
+                    assert place[at].tolist() == t.tolist()
+                    np.testing.assert_allclose(weights[at], w, rtol=0.0,
+                                               atol=1e-14)
+                    block += 1
+        assert block == start.size

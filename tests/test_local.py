@@ -5,13 +5,14 @@ from scipy.linalg import eigvalsh
 from dpg_elast.basis import ones_coefficients_2d
 from dpg_elast.assembly import build_dof_layout, element_full_bmat
 from dpg_elast.local import (_side_table, _volume_map_table, gram_factor,
-                             local_bmat, local_gram, local_loads,
+                             gram_solve, local_bmat, local_gram, local_loads,
                              local_stiffness)
 from dpg_elast.material import make_isotropic
 from dpg_elast.mesh import (DegreeMap, build_initial_mesh, refine_marked,
                             refine_uniform)
 from oracle import (degree_and_base, element_coords, error_representation,
-                    load_product, local_load, position_of)
+                    full_gram, load_product, local_load, long_double_stiffness,
+                    position_of)
 
 UNIT = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 SHEARED = np.array([[0.0, 0.0], [1.0, 0.0], [1.5, 1.0], [0.5, 1.0]])
@@ -31,7 +32,7 @@ def constant_test_coeffs(p_tilde, tau11=0.0, tau12=0.0, tau22=0.0,
 def test_gram_spd_and_symmetric():
     for coords in (UNIT, SHEARED):
         for p_tilde in range(1, 9):
-            G = local_gram(coords, p_tilde)
+            G = full_gram(local_gram(coords, p_tilde))
             assert G.shape == (5 * (p_tilde + 1) ** 2,) * 2
             assert np.max(np.abs(G - G.T)) <= 1e-12 * np.max(np.abs(G))
             assert eigvalsh(G).min() > 0.0
@@ -40,7 +41,7 @@ def test_gram_spd_and_symmetric():
 def test_gram_constant_norms():
     # || (I, 0) ||^2 = integral of |I|^2 = 2 * area for a constant test stress
     p_tilde = 3
-    G = local_gram(UNIT, p_tilde)
+    G = full_gram(local_gram(UNIT, p_tilde))
     c = constant_test_coeffs(p_tilde, tau11=1.0, tau22=1.0)
     assert c @ G @ c == pytest.approx(2.0, abs=1e-12)
     c = constant_test_coeffs(p_tilde, v1=1.0)
@@ -52,8 +53,8 @@ def test_gram_constant_norms():
 
 def test_gram_area_scaling():
     p_tilde = 2
-    G1 = local_gram(UNIT, p_tilde)
-    G2 = local_gram(0.5 * UNIT, p_tilde)
+    G1 = full_gram(local_gram(UNIT, p_tilde))
+    G2 = full_gram(local_gram(0.5 * UNIT, p_tilde))
     c = constant_test_coeffs(p_tilde, tau11=1.0)
     # constants have no derivative part, so the norm scales with the area
     assert c @ G2 @ c == pytest.approx(0.25 * (c @ G1 @ c), abs=1e-13)
@@ -129,7 +130,7 @@ def test_local_stiffness_oracle():
     lvec = local_load(SHEARED, 3, lambda pt: pt)
     L = gram_factor(G)
     K = local_stiffness(L, B)
-    Ginv = np.linalg.inv(G)
+    Ginv = np.linalg.inv(full_gram(G))
     np.testing.assert_allclose(K, B.T @ Ginv @ B, atol=1e-11 * np.abs(K).max())
     # the load product the oracle pairs with K
     np.testing.assert_allclose(load_product(L, B, lvec), B.T @ (Ginv @ lvec),
@@ -140,9 +141,65 @@ def test_local_stiffness_oracle():
 
 
 def test_local_stiffness_rejects_indefinite():
-    G = -np.eye(4)
+    G = (-np.eye(3), -np.eye(1))
     with pytest.raises(RuntimeError):
-        local_stiffness(gram_factor(G), np.eye(4))
+        local_stiffness(gram_factor(G), np.eye(5))
+
+
+def square_sides(p):
+    """A class key's sides for an unsplit element of degree p: the trace
+    degree p + 1 and one leaf of flux degree p on each side."""
+    return tuple((p + 1, (p,)) for _ in range(4))
+
+
+def test_block_route_matches_full_solve():
+    # G^-1 B and B'G^-1 B by the Gram blocks against one dense solve with
+    # the whole G, within eps cond(G) relative
+    m = make_isotropic(2.0, 0.8)
+    eps = np.finfo(float).eps
+    for coords in (UNIT, SHEARED, 2.0 ** -10 * UNIT):
+        for p_tilde in range(1, 8):
+            p = max(p_tilde - 2, 1)
+            G = local_gram(coords, p_tilde)
+            B = local_bmat(coords, p, p_tilde, m, square_sides(p))
+            full = full_gram(G)
+            X = np.linalg.solve(full, B)
+            bound = eps * np.linalg.cond(full)
+            L = gram_factor(G)
+            assert np.abs(gram_solve(L, B) - X).max() <= bound * np.abs(X).max()
+            K = B.T @ X
+            assert (np.abs(local_stiffness(L, B) - K).max()
+                    <= bound * np.abs(K).max())
+
+
+# max|K - K_ld| / max|K_ld| of the element stiffness on squares of side
+# 2^-k, by (p, k), p_tilde = p + 2, with the Cholesky factor of the whole
+# (5 ns, 5 ns) Gram matrix by numpy (OpenBLAS 0.3.31) that the block
+# factors replaced
+FULL_FACTOR_ERROR = {
+    (1, 2): 2.13e-14, (1, 3): 9.49e-14, (1, 4): 2.53e-13, (1, 5): 1.28e-12,
+    (1, 6): 9.52e-12, (1, 7): 4.29e-11, (1, 8): 9.29e-11,
+    (2, 2): 5.64e-14, (2, 3): 2.63e-13, (2, 4): 1.93e-12, (2, 5): 6.78e-12,
+    (2, 6): 2.64e-11, (2, 7): 1.35e-10, (2, 8): 4.55e-10,
+    (3, 2): 1.88e-13, (3, 3): 1.40e-12, (3, 4): 2.21e-12, (3, 5): 1.70e-11,
+    (3, 6): 4.14e-11, (3, 7): 2.37e-10, (3, 8): 7.09e-10,
+}
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="np.longdouble is no wider than float64 here")
+def test_stiffness_matches_long_double():
+    # the block factors keep B'G^-1 B within twice the error of the whole
+    # factor they replaced, against an extended-precision reference built
+    # from the same float64 G and B
+    m = make_isotropic(1.0, 0.5)
+    for (p, k), full_error in FULL_FACTOR_ERROR.items():
+        coords = 2.0 ** -k * UNIT
+        G = local_gram(coords, p + 2)
+        B = local_bmat(coords, p, p + 2, m, square_sides(p))
+        K_ld = long_double_stiffness(G, B)
+        error = np.abs(local_stiffness(gram_factor(G), B) - K_ld).max()
+        assert error <= 2.0 * full_error * np.abs(K_ld).max(), (p, k)
 
 
 def test_error_representation_oracle():
@@ -153,6 +210,7 @@ def test_error_representation_oracle():
     lvec = local_load(UNIT, 3, lambda pt: np.sin(pt))
     x = rng.standard_normal(B.shape[1])
     e, eta = error_representation(gram_factor(G), B, lvec, x)
+    G = full_gram(G)
     r = lvec - B @ x
     np.testing.assert_allclose(e, np.linalg.solve(G, r), atol=1e-12)
     assert eta == pytest.approx(np.sqrt(r @ np.linalg.solve(G, r)), rel=1e-10)
@@ -179,7 +237,8 @@ def test_translated_gram_factor_matches_absolute():
         for p_tilde in (2, 5):
             L_abs = gram_factor(local_gram(coords, p_tilde))
             L_rel = gram_factor(local_gram(coords - coords[0], p_tilde))
-            np.testing.assert_allclose(L_rel, L_abs, rtol=0.0, atol=1e-13)
+            for rel, absolute in zip(L_rel, L_abs, strict=True):
+                np.testing.assert_allclose(rel, absolute, rtol=0.0, atol=1e-13)
 
 
 def test_gram_factor_cached_per_geometry_class():
@@ -194,8 +253,9 @@ def test_gram_factor_cached_per_geometry_class():
         L, _, _, _ = element_full_bmat(layout, m, None, position_of(layout, k))
         p_tilde = degree_and_base(layout, k)[0] + degrees.delta_p
         L_abs = gram_factor(local_gram(element_coords(mesh, k), p_tilde))
-        np.testing.assert_allclose(L, L_abs, rtol=0.0, atol=1e-13)
-        assert not L.flags.writeable
+        for block, absolute in zip(L, L_abs, strict=True):
+            np.testing.assert_allclose(block, absolute, rtol=0.0, atol=1e-13)
+            assert not block.flags.writeable
     classes = {(degree_and_base(layout, k)[0] + degrees.delta_p,
                 tuple((element_coords(mesh, k) - element_coords(mesh, k)[0]).ravel()))
                for k in mesh.active_elements}

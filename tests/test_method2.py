@@ -14,8 +14,8 @@ from dpg_elast.rankone import (border_terms, ell_vector, solve_second,
 from dpg_elast.study import make_benchmark
 from oracle import (degree_and_base, apply_compliance, assemble_full, bilinear_maps,
                     element_coords, global_bmat, indefinite_below,
-                    indefinite_root_boundary, interior_slices, layout_dicts,
-                    solve_full)
+                    full_gram, indefinite_root_boundary, interior_slices,
+                    layout_dicts, solve_full)
 
 MAT = make_isotropic(1.0, 0.5)
 
@@ -114,7 +114,7 @@ def test_border_terms_match_gram_solve():
         r[:ns] = r[2 * ns: 3 * ns] = (m.Q / m.Q0) * (
             vals @ (rule.weights * np.linalg.det(jac)))
         B, gdofs = global_bmat(mesh, layout, m, k)
-        t = np.linalg.solve(local_gram(coords, p_tilde), r)
+        t = np.linalg.solve(full_gram(local_gram(coords, p_tilde)), r)
         c_ref[gdofs] += B.T @ t
         d_ref += r @ t
     np.testing.assert_allclose(c, c_ref, rtol=0.0,
