@@ -31,8 +31,8 @@ packer (`_class_maps`) lays out the maps of every element and node class.
 The class key is (p, p_tilde, vertex offsets from vertex 0, per side: the
 trace degree q and the leaves' flux degrees), every input of B and of the
 Gram factor; orientation, flux signs and hanging nodes do not split
-classes.  A class's kernel (Gram factor, B and the interior condensation
-blocks) is built whole from the class key and the material alone
+classes.  A class's kernel (Gram factor, Z = L^-1 B and the interior
+condensation blocks) is built whole from the class key and the material alone
 (`_class_kernel`); a `KernelCache` keyed by both carries it from one
 refinement step to the next.  Condensation, the error estimator and the
 rank-one border terms do their dense algebra once per class, with one
@@ -91,9 +91,8 @@ from scipy.linalg import blas
 from scipy.sparse.linalg import splu
 
 from .basis import _read_only, edge_basis_eval, gauss_rule
-from .local import (cholesky_factor, cholesky_solve, gram_factor, gram_solve,
-                    local_bmat, local_gram, local_loads, local_stiffness,
-                    lower_solve)
+from .local import (cholesky_factor, cholesky_solve, gram_factor, local_bmat,
+                    local_gram, local_loads, local_stiffness, lower_solve)
 from .material import Material
 from .mesh import DegreeMap, Mesh, _first_use
 
@@ -119,20 +118,20 @@ class ClassKernel:
     factor L of the interior block, `A` = (L L')^-1 Kis for the
     interior-skeleton block Kis, and `S` the Schur complement Kss - Kis' A
     averaged with its transpose, so symmetric to the bit.  For an element,
-    K = B'G^-1 B, `L` is the Gram factor (L_tau, L_v), the Cholesky
+    K = B'G^-1 B = Z'Z, `L` is the Gram factor (L_tau, L_v), the Cholesky
     factors of the blocks of G = diag(G_tau, G_v, G_v) (`gram_factor`),
-    and `B` the coupling matrix with its columns in class order.  For a
-    node, K is its children's Schur complements summed on the node basis
-    (inner dofs, then boundary functions), and `L` and `B` are None; so for
-    a private unit, whose K is its member's unpinned C' S C block
-    (`_private_units`).
+    and `Z` = diag(L_tau, L_v, L_v)^-1 B (`lower_solve`), B the coupling
+    matrix with its columns in class order.  For a node, K is its
+    children's Schur complements summed on the node basis (inner dofs,
+    then boundary functions), and `L` and `Z` are None; so for a private
+    unit, whose K is its member's unpinned C' S C block (`_private_units`).
     """
 
     Kii: np.ndarray
     A: np.ndarray
     S: np.ndarray
     L: tuple[np.ndarray, np.ndarray] | None = None
-    B: np.ndarray | None = None
+    Z: np.ndarray | None = None
 
 
 @dataclass
@@ -760,11 +759,12 @@ def _node_classes(mesh: Mesh, active: np.ndarray, dof_node: np.ndarray,
 
 
 def element_full_bmat(layout: DofLayout, material: Material, f, pos: int):
-    """Gram factor (L_tau, L_v), full local coupling matrix, load, and the
-    one-member `ClassMap` (interior dofs, C_K) of the element at `pos`.
+    """Gram factor (L_tau, L_v), Z = L^-1 B of the full local coupling
+    matrix B, load, and the one-member `ClassMap` (interior dofs, C_K) of
+    the element at `pos`.
 
-    L and B are the element class's read-only matrices from `layout.cache`,
-    built on the first request of the study; B's skeleton columns are the
+    L and Z are the element class's read-only matrices from `layout.cache`,
+    built on the first request of the study; Z's skeleton columns are the
     element's local skeleton dofs.  The first load request of the step for
     a degree computes the loads of every element of that degree and keeps
     them in `layout.loads`.
@@ -778,7 +778,7 @@ def element_full_bmat(layout: DofLayout, material: Material, f, pos: int):
         lvecs.setflags(write=False)
         layout.loads.update(((f, k), lvec)
                             for k, lvec in zip(rows.tolist(), lvecs))
-    return (kernel.L, kernel.B, layout.loads[f, pos],
+    return (kernel.L, kernel.Z, layout.loads[f, pos],
             layout.class_maps[cls].member(layout.element_row[pos]))
 
 
@@ -840,7 +840,7 @@ def _class_kernel(key: tuple, material: Material,
     family's first class and kept in `cache.families`) scaled by powers
     of two: a shape scaled by 2^e scales the (A sigma, tau) block by 4^e,
     as the area, and every other entry by 2^e, as the length, which is
-    exact, so B is the one `local_bmat` gives at the key's own offsets.
+    exact, so B, kept as Z = L^-1 B, is `local_bmat`'s at the key's offsets.
     """
     p, p_tilde, shape, sides = key
     L = cache.gram_factors.get((p_tilde, shape))
@@ -864,9 +864,9 @@ def _class_kernel(key: tuple, material: Material,
     scale = 2.0 ** e
     B = B_hat * scale
     B[:3 * (p_tilde + 1) ** 2, :3 * (p + 1) ** 2] *= scale
-    return _condensed(local_stiffness(L, B), 5 * (p + 1) ** 2,
-                      "interior block of an element matrix is not positive "
-                      "definite", L=L, B=_read_only(B)[0])
+    Z, K = local_stiffness(L, B)
+    return _condensed(K, 5 * (p + 1) ** 2, "interior block of an element "
+                      "matrix is not positive definite", L=L, Z=_read_only(Z)[0])
 
 
 def _condensed(K: np.ndarray, ni: int, failure: str, **extra) -> ClassKernel:
@@ -982,19 +982,26 @@ def error_indicators(material: Material, f, layout: DofLayout,
                      x: np.ndarray) -> np.ndarray:
     """Elementwise V-norms of the error representation, by position.
 
-    The V-norm of e = G^-1 r is |L^-1 r|, with r = l - B x_K the residual,
-    x_K the element's interior dofs and C_K x, and L^-1 = diag(L_tau^-1,
-    L_v^-1, L_v^-1); each class does one triangular solve with L_tau for
-    all its members' tau rows and one with L_v for both components' v
-    rows (`lower_solve`).
+    The V-norm of e = G^-1 r, r = l - B x_K the residual with x_K the
+    element's interior dofs and C_K x, is |L^-1 r| = |L^-1 l - Z x_K|,
+    one `lower_solve` per class for all its members (`_lower_residual`).
     """
     out = np.zeros(len(layout.elements))
     for cls, members in enumerate(layout.classes):
         kernel, lvecs, cmap = _class_members(layout, material, f, cls)
         xk = np.concatenate([x[cmap.interior], cmap.gather(x)], axis=1)
-        z = lower_solve(kernel.L, lvecs - kernel.B @ xk.T)
-        out[members] = np.linalg.norm(z, axis=0)
+        out[members] = np.linalg.norm(_lower_residual(kernel, lvecs, xk), axis=0)
     return out
+
+
+def _lower_residual(kernel: ClassKernel, lvecs: np.ndarray, xk: np.ndarray,
+                    first: int = 0) -> np.ndarray:
+    """L^-1 (l - B x) = L^-1 l - Z x, (5 ns, m), of an element class's
+    members' loads l, (5 ns, m), and values x, (m, n - first), on its
+    columns from `first` on, formed in place on L^-1 l."""
+    y = lower_solve(kernel.L, lvecs)
+    y -= kernel.Z[:, first:] @ xk.T
+    return y
 
 
 @dataclass
@@ -1052,8 +1059,7 @@ class CondensedSystem:
         return x
 
 
-def condense(material: Material, f, layout: DofLayout,
-             x_pinned: np.ndarray | None = None,
+def condense(material: Material, f, layout: DofLayout, x_pinned: np.ndarray,
              loads: np.ndarray | None = None) -> CondensedSystem:
     """Statically condense the element interiors, the nodes' inner
     skeletons and the roots' private dofs: one step per unit, children
@@ -1062,12 +1068,12 @@ def condense(material: Material, f, layout: DofLayout,
     `x_pinned` holds the Dirichlet values on the pinned dofs, and `loads`
     is an optional (n_dofs, m) block of extra right-hand sides; a lift off
     the pinned dofs or a load on them raises ValueError.  The element
-    loads B'G^-1 l enter first, one Gram solve per class for all members
-    (`gram_solve`): their interior part in the load block, their skeleton
-    part as the element class's own condensed load.  Given
-    `x_pinned`, each member's load l is lifted there to l - B C x_pinned
-    (B's skeleton columns), which takes S C x_pinned off its condensed
-    load and A C x_pinned off its interior solution, once for all units.
+    loads B'G^-1 (l - B_s C x_pinned) = Z'(L^-1 l - Z_s C x_pinned), with
+    the lift on the skeleton columns B_s and Z_s, enter first, one
+    `_lower_residual` per class for all members: their interior part in the
+    load block, their skeleton part as the element class's own condensed
+    load.  The lift takes S C x_pinned off that load and A C x_pinned off
+    the interior solution, once for all units.
     A unit, an element class, a node class or a root member's private dofs
     (`_private_units`), then solves its kernel's Kii for the loads r on
     its members' interiors in one call, scatters the condensed load -A'r
@@ -1080,11 +1086,10 @@ def condense(material: Material, f, layout: DofLayout,
     one's fill arrays of exactly that count (`CondensedSystem`).
     """
     n = layout.n_dofs
-    xp = np.zeros(n) if x_pinned is None else x_pinned
     loads = np.zeros((n, 0)) if loads is None else loads
     if np.any(loads[layout.pinned]):
         raise ValueError("extra loads must vanish on the pinned dofs")
-    if np.any(xp[~layout.pinned]):
+    if np.any(x_pinned[~layout.pinned]):
         raise ValueError("x_pinned must vanish off the pinned dofs")
     g = np.column_stack([np.zeros(n), loads])
     # the element interiors are numbered first and never pinned, so the free
@@ -1102,9 +1107,7 @@ def condense(material: Material, f, layout: DofLayout,
     for cls, members in enumerate(layout.classes):
         kernel, lvecs, cmap = _class_members(layout, material, f, cls)
         ni = cmap.interior.shape[1]
-        if x_pinned is not None:        # the lift, l - B C x_pinned
-            lvecs = lvecs - kernel.B[:, ni:] @ cmap.gather(x_pinned).T
-        fl = kernel.B.T @ gram_solve(kernel.L, lvecs)
+        fl = kernel.Z.T @ _lower_residual(kernel, lvecs, cmap.gather(x_pinned), ni)
         g[cmap.interior, 0] = fl[:ni].T
         units.append((kernel, cmap, fl[ni:],
                       ~layout.in_node[layout.elements[members]]))
@@ -1140,7 +1143,7 @@ def condense(material: Material, f, layout: DofLayout,
         recover.append((cmap, kernel.A, b))
 
     return CondensedSystem(coo=coo, dense=dense, rhs=g[free], free=free,
-                           x_pinned=xp, recover=recover)
+                           x_pinned=x_pinned, recover=recover)
 
 
 def _private_units(layout: DofLayout, units: list, coarse: np.ndarray) -> list:
@@ -1228,7 +1231,7 @@ def _write_free(cmap: ClassMap, S: np.ndarray, dof: np.ndarray, members,
 
 
 def solve_condensed(material: Material, f, layout: DofLayout,
-                    x_pinned: np.ndarray | None = None) -> np.ndarray:
+                    x_pinned: np.ndarray) -> np.ndarray:
     """Solve with static condensation of the interior (sigma, u) blocks.
 
     Factorizes only the coarse skeleton system, by dense Cholesky when it

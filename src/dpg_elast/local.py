@@ -277,9 +277,10 @@ def cholesky_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
 def lower_solve(L: tuple, b: np.ndarray) -> np.ndarray:
     """diag(L_tau, L_v, L_v)^-1 b for the Gram factor L = (L_tau, L_v)
     (`gram_factor`) and b of shape (5 ns, k), with its v rows node by
-    node: row 3 ns + 2 i + j of the result is row i of L_v^-1 b_vj.  Z'Z
-    and the column norms, all that is read of it, do not depend on the
-    order of the rows.
+    node: row 3 ns + 2 i + j of the result is row i of L_v^-1 b_vj; the
+    tau rows keep their order.  This is the package's one Gram solve: the
+    products Z'Y of two of its results and the column norms, all that is
+    read of the v rows, do not depend on their order.
 
     Each block is one BLAS trsm from the right, X L' = b', in place on
     the result's transposed rows: on the tau rows, and with L_v on the
@@ -296,20 +297,12 @@ def lower_solve(L: tuple, b: np.ndarray) -> np.ndarray:
     return z
 
 
-def gram_solve(L: tuple, b: np.ndarray) -> np.ndarray:
-    """G^-1 b for the Gram factor L = (L_tau, L_v) of G (`gram_factor`) and
-    b of shape (5 ns, k): LAPACK's potrs on the tau rows, and on both
-    components' v rows at once as the (ns, 2 k) block [b_v1 | b_v2]."""
-    ns, k = len(L[1]), b.shape[1]
-    v = cholesky_solve(L[1], np.concatenate([b[3 * ns:4 * ns], b[4 * ns:]], axis=1))
-    return np.concatenate([cholesky_solve(L[0], b[:3 * ns]), v[:, :k], v[:, k:]])
-
-
-def local_stiffness(L: tuple, Bfull: np.ndarray) -> np.ndarray:
-    """SPD element matrix B' G^{-1} B = Z'Z, Z = diag(L_tau, L_v, L_v)^-1 B.
+def local_stiffness(L: tuple, Bfull: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Z = diag(L_tau, L_v, L_v)^-1 B, with its rows in `lower_solve`'s
+    order, and the SPD element matrix B' G^{-1} B = Z'Z.
 
     L = (L_tau, L_v) is the Gram factor (`gram_factor`).
     """
     Z = lower_solve(L, Bfull)
     K = Z.T @ Z
-    return 0.5 * (K + K.T)
+    return Z, 0.5 * (K + K.T)

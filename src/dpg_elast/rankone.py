@@ -48,8 +48,9 @@ def border_terms(material: Material, f,
     scaled identity s I, s = Q / Q0.  Its optimal test function G^-1 r is
     s I itself, the vector s e_I with the coefficients of the constant in
     the tau_11 and tau_22 blocks (acceptance criterion 08 checks this).
-    So an element adds c_K = s B'e_I and d_K = r'G^-1 r = s^2 2|K|, both
-    without a Gram solve and once per element class.
+    So an element adds c_K = s B'e_I = s Z_tau'(L_tau' e_tau), as e_I has
+    no v part, and d_K = r'G^-1 r = s^2 2|K|, both without a Gram solve
+    and once per element class.
     """
     scale = material.Q / material.Q0
     c = np.zeros(layout.n_dofs)
@@ -57,14 +58,14 @@ def border_terms(material: Material, f,
     for cls, members in enumerate(layout.classes):
         p_tilde = int(layout.element_p[members[0]]) + layout.delta_p
         ns = (p_tilde + 1) ** 2
-        e_identity = np.zeros(5 * ns)
-        e_identity[:ns] = e_identity[2 * ns: 3 * ns] = ones_coefficients_2d(p_tilde)
+        e_tau = np.zeros(3 * ns)
+        e_tau[:ns] = e_tau[2 * ns:] = ones_coefficients_2d(p_tilde)
         # |K| is half the cross product of the diagonals
         x, y = layout.coords[members[0]].T
         area = 0.5 * ((x[2] - x[0]) * (y[3] - y[1]) - (x[3] - x[1]) * (y[2] - y[0]))
         dk = scale * scale * 2.0 * area
         kernel, _, cmap = _class_members(layout, material, f, cls)
-        ck = scale * (kernel.B.T @ e_identity)
+        ck = scale * (kernel.Z[:3 * ns].T @ (kernel.L[0].T @ e_tau))
         ni = cmap.interior.shape[1]
         c[cmap.interior] += ck[:ni]
         cmap.scatter(c, np.broadcast_to(ck[ni:], (len(members), cmap.n_skel)))
@@ -122,7 +123,8 @@ def solve_second(material: Material, f,
     ell = ell_vector(material, layout)
     c, d = border_terms(material, f, layout)
     c[layout.pinned] = 0.0  # the border row pairs only the free dofs
-    system = condense(material, f, layout, loads=np.column_stack([ell, c]))
+    system = condense(material, f, layout, np.zeros(layout.n_dofs),
+                      np.column_stack([ell, c]))
     # SuperLU whatever the density, unlike `solve_condensed`: the benchmark
     # counts this method's factorizations and back-substitutions by
     # wrapping `splu` here, so the dense route waits for the benchmark's

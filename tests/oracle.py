@@ -28,9 +28,11 @@ The library stacks the elements of a class or of a degree for the loads,
 condensation, the error estimator, the L2 errors and the Dirichlet data.
 The `*_per_element` helpers do the same work one element (or boundary
 edge) at a time, with one data call each, for tests to compare against.
-They take each element's L, B and C_K from `element_full_bmat` (the class
-kernels, whose B C_K `test_classes.py` checks against `global_bmat`) and
-compute its load with the single-element `local_load` below.
+They take each element's L, Z = L^-1 B and C_K from `element_full_bmat`
+(the class kernels, whose B C_K `test_classes.py` checks against
+`global_bmat`, with B from `class_bmat`), compute its load with the
+single-element `local_load` below, and form K = Z'Z and the load
+Z'(L^-1 l) with L^-1 l from `lower_rows`.
 
 `bilinear_maps`, `apply_compliance` and `interior_slices` are pointwise
 and per-element forms of what the library does in batches, for tests to
@@ -190,19 +192,55 @@ def full_gram(blocks):
     return block_diag(blocks[0], blocks[1], blocks[1])
 
 
-def long_double_stiffness(G, B):
-    """B'G^-1 B in extended precision (`np.longdouble`) from the float64
-    Gram blocks G = (G_tau, G_v) and coupling matrix B: a Cholesky factor
-    of the whole G and a forward substitution, a row at a time."""
+def _long_double_lower(G, X):
+    """L^-1 X in extended precision (`np.longdouble`), L the Cholesky
+    factor of the whole G from the float64 Gram blocks G = (G_tau, G_v):
+    the factor and a forward substitution, a row at a time."""
     G = full_gram(G).astype(np.longdouble)
     L = np.zeros_like(G)
     for j in range(len(G)):
         L[j, j] = np.sqrt(G[j, j] - L[j, :j] @ L[j, :j])
         L[j + 1:, j] = (G[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
-    Z = B.astype(np.longdouble)
+    Z = np.asarray(X, dtype=np.longdouble)
     for i in range(len(G)):
         Z[i] = (Z[i] - L[i, :i] @ Z[:i]) / L[i, i]
+    return Z
+
+
+def long_double_stiffness(G, B):
+    """B'G^-1 B in extended precision from the float64 Gram blocks G and
+    coupling matrix B (`_long_double_lower`)."""
+    Z = _long_double_lower(G, B)
     return Z.T @ Z
+
+
+def long_double_load(G, B, lvec, c):
+    """B'G^-1 (l - B_s c) in extended precision from the float64 Gram
+    blocks G, coupling matrix B, load l and lift c on B's last c.size
+    (skeleton) columns B_s (`_long_double_lower`)."""
+    wide = B.astype(np.longdouble)
+    r = lvec - wide[:, B.shape[1] - c.size:] @ c.astype(np.longdouble)
+    Z = _long_double_lower(G, np.column_stack([wide, r]))
+    return Z[:, :-1].T @ Z[:, -1]
+
+
+def lower_rows(L, b):
+    """diag(L_tau, L_v, L_v)^-1 b for the Gram factor L = (L_tau, L_v) by
+    one triangular solve with the whole factor, its rows put in the order
+    of `local.lower_solve`: the tau rows, then the v rows node by node."""
+    ns = len(L[1])
+    v = 3 * ns + np.arange(2 * ns).reshape(2, ns).T.ravel()
+    z = solve_triangular(full_gram(L), b, lower=True)
+    return z[np.concatenate([np.arange(3 * ns), v])]
+
+
+def class_bmat(layout, material, pos):
+    """The coupling matrix B of the element at layout position `pos` from
+    `local_bmat` at its class key's vertex offsets and sides, the B whose
+    Z = L^-1 B the class kernel keeps."""
+    p, p_tilde, shape, sides = layout.class_keys[layout.element_class[pos]]
+    return local_bmat(np.frombuffer(shape, float).reshape(4, 2), p, p_tilde,
+                      material, sides)
 
 
 def error_representation(L, Bfull, lvec, x_loc):
@@ -328,7 +366,7 @@ def assemble_full(mesh, degrees, material, f, layout):
         L = gram_factor(local_gram(coords, p_tilde))
         Bfull, gdofs = global_bmat(mesh, layout, material, k)
         lvec = local_load(coords, p_tilde, f)
-        K = local_stiffness(L, Bfull)
+        _, K = local_stiffness(L, Bfull)
         fl = load_product(L, Bfull, lvec)
         idx = np.broadcast_to(gdofs, (gdofs.size, gdofs.size))
         rows.append(idx.T.ravel())
@@ -373,13 +411,14 @@ def solve_full(E, g, layout, x_pinned=None, refine=0):
 
 
 def _element_matrices(mesh, layout, material, f, k, delta_p):
-    """Element k's class L and B and its dense map from the global to its
-    local dofs (`full_map`), with its own load."""
-    L, B, _, cmap = element_full_bmat(layout, material, f,
+    """Element k's class Z = L^-1 B, L^-1 l of its own load l in Z's row
+    order (`lower_rows`), and its dense map from the global to its local
+    dofs (`full_map`)."""
+    L, Z, _, cmap = element_full_bmat(layout, material, f,
                                       position_of(layout, k))
     lvec = local_load(element_coords(mesh, k),
                       degree_and_base(layout, k)[0] + delta_p, f)
-    return L, B, lvec, full_map(cmap, layout.n_dofs)
+    return Z, lower_rows(L, lvec), full_map(cmap, layout.n_dofs)
 
 
 def condense_per_element(mesh, degrees, material, f, layout, x_pinned,
@@ -396,15 +435,15 @@ def condense_per_element(mesh, degrees, material, f, layout, x_pinned,
     g = np.column_stack([np.zeros(n), loads])
     rows, cols, vals, recover = [], [], [], []
     for k in mesh.active_elements:
-        L, B, lvec, C = _element_matrices(mesh, layout, material, f, k,
-                                          degrees.delta_p)
+        Z, y, C = _element_matrices(mesh, layout, material, f, k,
+                                    degrees.delta_p)
         ni = 5 * (degree_and_base(layout, k)[0] + 1) ** 2
-        K = local_stiffness(L, B)
+        K = Z.T @ Z
         Kii = cho_factor(K[:ni, :ni], lower=True)
         Kis = K[:ni, ni:]
         A = cho_solve(Kii, Kis)
         S = K[ni:, ni:] - Kis.T @ A
-        fl = load_product(L, B, lvec)
+        fl = Z.T @ y
         ii, Csk = np.flatnonzero(C[:ni].any(axis=0)), C[ni:]
         b = cho_solve(Kii, np.column_stack([fl[:ni], loads[ii]]))
         gs = -(Kis.T @ b)
@@ -580,9 +619,9 @@ def error_indicators_per_element(mesh, degrees, material, f, layout, x):
     """Elementwise V-norms of the error representation function."""
     out = {}
     for k in mesh.active_elements:
-        L, B, lvec, C = _element_matrices(mesh, layout, material, f, k,
-                                          degrees.delta_p)
-        out[k] = error_representation(L, B, lvec, C @ x)[1]
+        Z, y, C = _element_matrices(mesh, layout, material, f, k,
+                                    degrees.delta_p)
+        out[k] = float(np.linalg.norm(y - Z @ (C @ x)))
     return out
 
 

@@ -284,7 +284,7 @@ def test_condensed_extra_loads_match_full_solve():
     c[layout.pinned] = 0.0
     loads = np.column_stack([ell, c])
     system = condense(MAT, f, layout, xp, loads)
-    unlifted = condense(MAT, f, layout, None, loads)
+    unlifted = condense(MAT, f, layout, np.zeros(layout.n_dofs), loads)
     np.testing.assert_array_equal(system.rhs[:, 1:], unlifted.rhs[:, 1:])
     assert np.any(system.rhs[:, 0] != unlifted.rhs[:, 0])
 
@@ -308,7 +308,7 @@ def test_condense_rejects_loads_on_pinned_dofs():
     loads = np.zeros((layout.n_dofs, 2))
     loads[np.flatnonzero(layout.pinned)[-1], 1] = 1.0
     with pytest.raises(ValueError, match="pinned"):
-        condense(MAT, None, layout, loads=loads)
+        condense(MAT, None, layout, np.zeros(layout.n_dofs), loads)
 
 
 def test_condense_rejects_lift_off_pinned_dofs():
@@ -338,7 +338,8 @@ def smooth_skeleton_system(p, method):
     c, _ = border_terms(material, bench.f, layout)
     c[layout.pinned] = 0.0
     loads = np.column_stack([ell_vector(material, layout), c])
-    return condense(material, bench.f, layout, loads=loads)
+    return condense(material, bench.f, layout, np.zeros(layout.n_dofs),
+                    loads)
 
 
 def hanging_skeleton_system():
@@ -485,7 +486,7 @@ def test_indefinite_patch_fails_before_superlu(monkeypatch):
             with pytest.raises(
                     RuntimeError,
                     match="^sparse factorization failed; system not SPD$"):
-                solve_condensed(MAT, None, layout)
+                solve_condensed(MAT, None, layout, np.zeros(layout.n_dofs))
 
 
 def test_indefinite_root_boundary_fails_before_superlu(monkeypatch):
@@ -496,7 +497,7 @@ def test_indefinite_root_boundary_fails_before_superlu(monkeypatch):
     monkeypatch.setattr(assembly, "splu", no_splu)
     with pytest.raises(RuntimeError,
                        match="^sparse factorization failed; system not SPD$"):
-        solve_condensed(MAT, None, layout)
+        solve_condensed(MAT, None, layout, np.zeros(layout.n_dofs))
 
 
 def recorded_writes(monkeypatch):
@@ -582,7 +583,7 @@ def test_not_spd_dense_coarse_system_fails_factorization(monkeypatch):
     layout = build_dof_layout(mesh, DegreeMap(mesh, p=1))
     with pytest.raises(RuntimeError,
                        match="^sparse factorization failed; system not SPD$"):
-        solve_condensed(MAT, None, layout)
+        solve_condensed(MAT, None, layout, np.zeros(layout.n_dofs))
 
 
 def private_records(layout, system):
@@ -602,7 +603,7 @@ def test_uniform_roots_keep_their_boundary_fluxes_private(p, per_root):
     for _ in range(2):
         mesh = refine_uniform(mesh)
     layout = build_dof_layout(mesh, DegreeMap(mesh, p=p))
-    system = condense(MAT, None, layout)
+    system = condense(MAT, None, layout, np.zeros(layout.n_dofs))
     private = private_records(layout, system)
     assert [cmap.interior.shape for cmap, _, _ in private] == [(1, per_root)] * 4
     edges = np.flatnonzero(mesh.boundary & (layout.flux_p > 0))
@@ -707,7 +708,7 @@ def test_condense_matches_global_route_on_singular_hp_mesh():
     # method's own, as the global route's shows
     layout = singular_hp_mesh()
     f = make_benchmark("smooth", MAT).f
-    system = condense(MAT, f, layout)
+    system = condense(MAT, f, layout, np.zeros(layout.n_dofs))
     S = system.S.toarray()
     S_ref, free_ref = condensed_matrix_by_global_coo(MAT, f, layout)
     expect, _, _ = eliminate_dense(S_ref, np.zeros((free_ref.size, 0)),
@@ -765,7 +766,7 @@ def test_gram_failure_names_degree_and_diameter():
     with pytest.raises(RuntimeError, match=(
             "^Gram matrix is not positive definite: p_tilde = 3, "
             f"element diameter {diameter:.3e}$")):
-        solve_condensed(MAT, None, layout)
+        solve_condensed(MAT, None, layout, np.zeros(layout.n_dofs))
 
 
 def traced_peak(fn):

@@ -39,13 +39,13 @@ from dpg_elast.assembly import (KernelCache, build_dof_layout, condense,
                                 dirichlet_values, element_full_bmat,
                                 error_indicators, solve_condensed)
 from dpg_elast.basis import edge_basis_eval
-from dpg_elast.local import local_bmat
+from dpg_elast.local import local_bmat, lower_solve
 from dpg_elast.material import make_isotropic
 from dpg_elast.mesh import (DegreeMap, build_initial_mesh, refine_marked,
                             refine_uniform)
 from dpg_elast.study import (StudyConfig, greedy_mark, l2_errors,
                              make_benchmark, run_convergence_study)
-from oracle import (condense_per_element, degree_and_base,
+from oracle import (class_bmat, condense_per_element, degree_and_base,
                     dirichlet_values_per_element, edge_coords,
                     element_coords, edge_param, eliminate_dense,
                     error_indicators_per_element, full_map, global_bmat,
@@ -66,10 +66,13 @@ def element_map(layout, k):
 
 def check_class_matrices(mesh, layout):
     """Every element's class B times its C_K against a fresh coupling
-    matrix on the global functions, by dof id."""
+    matrix on the global functions, by dof id; B is `local_bmat`'s at the
+    class key (`class_bmat`), and L^-1 B is the kernel's Z to the bit."""
     for k in mesh.active_elements:
-        _, B, _, _ = element_full_bmat(layout, MATERIAL, None,
-                                       position_of(layout, k))
+        pos = position_of(layout, k)
+        L, Z, _, _ = element_full_bmat(layout, MATERIAL, None, pos)
+        B = class_bmat(layout, MATERIAL, pos)
+        assert lower_solve(L, B).tobytes() == Z.tobytes()
         fresh, gdofs = global_bmat(mesh, layout, MATERIAL, k)
         expect = np.zeros((B.shape[0], layout.n_dofs))
         expect[:, gdofs] = fresh
@@ -425,7 +428,7 @@ def test_node_kernels_match_dense_schur_complements(domain, data):
             st.sets(st.sampled_from(active), min_size=1, max_size=3)))
     layout = layout_of_nodes(mesh, degrees)
     assert layout.nodes
-    condense(MATERIAL, None, layout)
+    condense(MATERIAL, None, layout, np.zeros(layout.n_dofs))
     vertices = vertex_functions(layout)
     for nc, nodes in enumerate(layout.nodes):
         for i in range(len(nodes)):
@@ -470,7 +473,7 @@ def test_class_kernel_depends_on_its_key_alone():
     layout = build_dof_layout(moved, degrees)
     assert layout.class_keys == build_dof_layout(mesh, degrees).class_keys
     assert len({key[0] for key in layout.class_keys}) > 1
-    condense(MATERIAL, None, layout)
+    condense(MATERIAL, None, layout, np.zeros(layout.n_dofs))
     for key in layout.class_keys:
         fresh = assembly._class_kernel(key, MATERIAL, KernelCache())
         cached = layout.cache.kernels[key, MATERIAL]

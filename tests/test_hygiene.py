@@ -15,7 +15,10 @@ numpy's Cholesky factor (`np.linalg.cholesky`): every Cholesky factor of
 the package goes through scipy's `dpotrf` (`local.cholesky_factor`),
 with one error path, and `np.linalg.cholesky` took 1.3 to 2.4 times as
 long as `dpotrf` on SPD matrices of order 48 to 400 (one BLAS thread,
-2-core x86-64 VM).  A subprocess check keeps the heavy
+2-core x86-64 VM).  LAPACK's `dpotrf` is named only in
+`local.cholesky_factor` and `dpotrs` only in `local.cholesky_solve`, so
+that no second route to a Cholesky solve, such as a Gram solve beside
+`local.lower_solve`, grows back.  A subprocess check keeps the heavy
 scipy subpackages out of `sys.modules`, at import and after a study:
 each one adds its import time and memory to every run.
 """
@@ -218,6 +221,33 @@ def test_no_numpy_cholesky():
                     and any(alias.name == "cholesky" for alias in node.names)):
                 found.append(f"{name}:{node.lineno} from numpy.linalg import")
     assert found == []
+
+
+# the one function of the package that may name each Cholesky LAPACK routine
+LAPACK_ENTRY_POINTS = {"dpotrf": ("local.py", "cholesky_factor"),
+                       "dpotrs": ("local.py", "cholesky_solve")}
+
+
+def lapack_references(tree):
+    """(routine, enclosing module-level definition or None, line) of every
+    attribute, name or import of a routine of `LAPACK_ENTRY_POINTS`."""
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name.split(".")[-1] for alias in node.names]
+            else:
+                names = [getattr(node, "attr", getattr(node, "id", None))]
+            yield from ((name, owner, node.lineno) for name in names
+                        if name in LAPACK_ENTRY_POINTS)
+
+
+def test_one_entry_point_per_cholesky_routine():
+    stray = [f"{name}:{line} {routine} in {owner}"
+             for name, tree in parse_package().items()
+             for routine, owner, line in lapack_references(tree)
+             if (name, owner) != LAPACK_ENTRY_POINTS[routine]]
+    assert stray == []
 
 
 def test_third_party_imports_allowed():

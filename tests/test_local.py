@@ -5,14 +5,14 @@ from scipy.linalg import eigvalsh
 from dpg_elast.basis import ones_coefficients_2d
 from dpg_elast.assembly import build_dof_layout, element_full_bmat
 from dpg_elast.local import (_side_table, _volume_map_table, gram_factor,
-                             gram_solve, local_bmat, local_gram, local_loads,
-                             local_stiffness)
+                             local_bmat, local_gram, local_loads,
+                             local_stiffness, lower_solve)
 from dpg_elast.material import make_isotropic
 from dpg_elast.mesh import (DegreeMap, build_initial_mesh, refine_marked,
                             refine_uniform)
 from oracle import (degree_and_base, element_coords, error_representation,
-                    full_gram, load_product, local_load, long_double_stiffness,
-                    position_of)
+                    full_gram, load_product, local_load, long_double_load,
+                    long_double_stiffness, lower_rows, position_of)
 
 UNIT = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 SHEARED = np.array([[0.0, 0.0], [1.0, 0.0], [1.5, 1.0], [0.5, 1.0]])
@@ -129,11 +129,13 @@ def test_local_stiffness_oracle():
     B = local_bmat(SHEARED, 1, 3, m, [])
     lvec = local_load(SHEARED, 3, lambda pt: pt)
     L = gram_factor(G)
-    K = local_stiffness(L, B)
+    Z, K = local_stiffness(L, B)
     Ginv = np.linalg.inv(full_gram(G))
     np.testing.assert_allclose(K, B.T @ Ginv @ B, atol=1e-11 * np.abs(K).max())
-    # the load product the oracle pairs with K
+    # the load products the oracle pairs with K, by B and by Z
     np.testing.assert_allclose(load_product(L, B, lvec), B.T @ (Ginv @ lvec),
+                               atol=1e-12)
+    np.testing.assert_allclose(Z.T @ lower_rows(L, lvec), B.T @ (Ginv @ lvec),
                                atol=1e-12)
     assert np.max(np.abs(K - K.T)) == 0.0
     w = eigvalsh(K)
@@ -152,9 +154,14 @@ def square_sides(p):
     return tuple((p + 1, (p,)) for _ in range(4))
 
 
+def load_field(pts):
+    x, y = pts.T
+    return np.column_stack([np.sin(3.0 * x + y), np.cos(x - 2.0 * y)])
+
+
 def test_block_route_matches_full_solve():
-    # G^-1 B and B'G^-1 B by the Gram blocks against one dense solve with
-    # the whole G, within eps cond(G) relative
+    # the load B'G^-1 b = Z'(L^-1 b) and B'G^-1 B = Z'Z by the Gram blocks
+    # against one dense solve with the whole G, within eps cond(G) relative
     m = make_isotropic(2.0, 0.8)
     eps = np.finfo(float).eps
     for coords in (UNIT, SHEARED, 2.0 ** -10 * UNIT):
@@ -162,14 +169,17 @@ def test_block_route_matches_full_solve():
             p = max(p_tilde - 2, 1)
             G = local_gram(coords, p_tilde)
             B = local_bmat(coords, p, p_tilde, m, square_sides(p))
+            b = local_load(coords, p_tilde, load_field)[:, None]
             full = full_gram(G)
-            X = np.linalg.solve(full, B)
+            X = np.linalg.solve(full, np.column_stack([B, b]))
             bound = eps * np.linalg.cond(full)
             L = gram_factor(G)
-            assert np.abs(gram_solve(L, B) - X).max() <= bound * np.abs(X).max()
-            K = B.T @ X
-            assert (np.abs(local_stiffness(L, B) - K).max()
-                    <= bound * np.abs(K).max())
+            Z, K_blocks = local_stiffness(L, B)
+            load = B.T @ X[:, -1:]
+            assert (np.abs(Z.T @ lower_solve(L, b) - load).max()
+                    <= bound * np.abs(load).max())
+            K = B.T @ X[:, :-1]
+            assert np.abs(K_blocks - K).max() <= bound * np.abs(K).max()
 
 
 # max|K - K_ld| / max|K_ld| of the element stiffness on squares of side
@@ -198,8 +208,60 @@ def test_stiffness_matches_long_double():
         G = local_gram(coords, p + 2)
         B = local_bmat(coords, p, p + 2, m, square_sides(p))
         K_ld = long_double_stiffness(G, B)
-        error = np.abs(local_stiffness(gram_factor(G), B) - K_ld).max()
+        error = np.abs(local_stiffness(gram_factor(G), B)[1] - K_ld).max()
         assert error <= 2.0 * full_error * np.abs(K_ld).max(), (p, k)
+
+
+# max|F - F_ld| / max|F_ld| of the lifted element load F = B'G^-1 (l - B_s c)
+# on squares of side 2^-k, by (p, k, lifted), p_tilde = p + 2, l the load
+# of `load_field` and c a standard normal lift on the skeleton columns B_s
+# (0 when not lifted), by the route the kernel's Z replaced: B'(G^-1 (l -
+# B_s c)) with LAPACK's potrs on the Gram blocks
+GRAM_SOLVE_LOAD_ERROR = {
+    (1, 2, False): 8.68e-15, (1, 3, False): 6.62e-15, (1, 4, False): 2.48e-14,
+    (1, 5, False): 1.42e-13, (1, 6, False): 1.44e-13, (1, 7, False): 3.45e-13,
+    (1, 8, False): 1.14e-11,
+    (2, 2, False): 4.95e-15, (2, 3, False): 2.14e-14, (2, 4, False): 5.38e-14,
+    (2, 5, False): 8.56e-14, (2, 6, False): 3.11e-13, (2, 7, False): 1.48e-12,
+    (2, 8, False): 3.18e-12,
+    (3, 2, False): 5.27e-15, (3, 3, False): 9.84e-15, (3, 4, False): 1.57e-14,
+    (3, 5, False): 8.55e-15, (3, 6, False): 1.98e-12, (3, 7, False): 3.48e-12,
+    (3, 8, False): 4.19e-13,
+    (1, 2, True): 6.20e-15, (1, 3, True): 4.33e-14, (1, 4, True): 1.80e-13,
+    (1, 5, True): 1.22e-12, (1, 6, True): 4.13e-12, (1, 7, True): 1.10e-11,
+    (1, 8, True): 4.47e-11,
+    (2, 2, True): 2.34e-14, (2, 3, True): 1.37e-13, (2, 4, True): 6.18e-13,
+    (2, 5, True): 2.57e-12, (2, 6, True): 4.48e-12, (2, 7, True): 1.89e-11,
+    (2, 8, True): 1.55e-10,
+    (3, 2, True): 3.80e-14, (3, 3, True): 1.27e-13, (3, 4, True): 1.25e-12,
+    (3, 5, True): 1.69e-12, (3, 6, True): 9.43e-12, (3, 7, True): 7.08e-11,
+    (3, 8, True): 1.07e-10,
+}
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="np.longdouble is no wider than float64 here")
+def test_load_product_matches_long_double():
+    # the lifted load Z'(L^-1 l - Z_s c), as `condense` forms it, within
+    # twice the error of the route it replaced, against an extended-
+    # precision reference built from the same float64 G, B, l and c
+    m = make_isotropic(1.0, 0.5)
+    for (p, k, lifted), old_error in GRAM_SOLVE_LOAD_ERROR.items():
+        coords = 2.0 ** -k * UNIT
+        G = local_gram(coords, p + 2)
+        B = local_bmat(coords, p, p + 2, m, square_sides(p))
+        lvec = local_load(coords, p + 2, load_field)
+        ni = 5 * (p + 1) ** 2
+        n_skel = B.shape[1] - ni
+        c = (np.random.default_rng(p).standard_normal(n_skel) if lifted
+             else np.zeros(n_skel))
+        L = gram_factor(G)
+        Z, _ = local_stiffness(L, B)
+        y = lower_solve(L, lvec[:, None])
+        y -= Z[:, ni:] @ c[:, None]
+        F_ld = long_double_load(G, B, lvec, c)
+        error = np.abs((Z.T @ y)[:, 0] - F_ld).max()
+        assert error <= 2.0 * old_error * np.abs(F_ld).max(), (p, k, lifted)
 
 
 def test_error_representation_oracle():
