@@ -32,12 +32,13 @@ The class key is (p, p_tilde, vertex offsets from vertex 0, per side: the
 trace degree q and the leaves' flux degrees), every input of B and of the
 Gram factor; orientation, flux signs and hanging nodes do not split
 classes.  A class's kernel (Gram factor, Z = L^-1 B and the interior
-condensation blocks) is built whole from the class key and the material alone
-(`_class_kernel`); a `KernelCache` keyed by both carries it from one
-refinement step to the next.  Condensation, the error estimator and the
-rank-one border terms do their dense algebra once per class, with one
-scatter through the members' C_K (`ClassMap`), and the loads of a step
-take one call of f per degree group.
+condensation blocks) is built whole from the class key and the material
+alone (`_class_kernel`); a `KernelCache` keyed by both carries it from
+one refinement step to the next, and holds element-level data only.
+Condensation, the error estimator and the rank-one border terms do their
+dense algebra once per class, with one scatter through the members' C_K
+(`ClassMap`), and the loads of a step take one call of f per degree
+group.
 
 The refinement forest condenses like an element, one level up at a
 time (nested dissection).  A split element's inner skeleton, its centre
@@ -48,14 +49,17 @@ of its children's skeleton rows off the inner dofs (a vertex's rows from
 two children are one function), and its kernel holds the children's
 Schur complements summed on that basis, condensed onto the boundary
 functions (`_node_kernel`).  A node class is keyed by its children's
-keys, so equal subtrees share one kernel, cached with the element
-kernels.  A class becomes a node class only when its kernel serves more
-than once: it has two members, or its key is one of the step before.  A
-subtree refined anew at every step, as the adaptive L-shape's chains to
-its corner are, is left to SuperLU, which factors a kernel used once
-faster than a dense node does.  The layout finds the nodes, children
-before parents, in array passes per subtree height, and keeps their C
-entries after the leaves', so a parent reads every child alike.
+keys, so equal subtrees share one kernel.  A class becomes a node class
+when its kernel serves more than once, that is when it has at least
+`NODE_MIN_MEMBERS` (two) members, and for no other reason, so a mesh's
+layout does not depend on what the cache holds.  A subtree refined anew
+at every step, as the adaptive L-shape's chains to its corner are, is
+left to SuperLU, which factors a kernel used once faster than a dense
+node does.  The layout finds the nodes, children before parents, in
+array passes per subtree height, and keeps their C entries after the
+leaves', so a parent reads every child alike.  Node kernels live for one
+`condense`: it builds them, children before parents, from its element
+classes' kernels, and keeps only their `A` for the recovery.
 
 `condense` takes one step per unit, children before parents: each
 element class, then each node class, then each root member's private
@@ -76,9 +80,9 @@ sum as it writes them, and `solve_condensed` factors the sum in place by
 dense Cholesky, 5 to 10 times faster than SuperLU there.  A sparser
 system, as on lshape-adapt's later steps (k / n^2 from 0.39 down to 0.11
 at n = 912), keeps its entries for SuperLU.  Method 2 (`rankone`) stays
-on SuperLU at any density until the benchmark has one factor hook for
-both routes, as it counts that method's factorizations by wrapping
-`splu`.
+on SuperLU at any density until one private factor function serves both
+routes (ROADMAP items 2 and 4), as the benchmark counts that method's
+factorizations by wrapping `splu`.
 """
 from __future__ import annotations
 
@@ -109,6 +113,11 @@ SPD_SPLU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                         relax=4, panel_size=10,
                         options=dict(SymmetricMode=True))
 
+# A split element whose children are leaves or nodes is a node when its
+# class has at least this many members; a kernel used once is left to the
+# coarse solve (`_node_classes`)
+NODE_MIN_MEMBERS = 2
+
 
 @dataclass(frozen=True)
 class ClassKernel:
@@ -136,32 +145,27 @@ class ClassKernel:
 
 @dataclass
 class KernelCache:
-    """Element- and node-class kernels of a study, carried from step to step.
+    """Element-class data of a study, carried from step to step.
 
-    `kernels` maps (class key, material) and (node key, material) to a
-    `ClassKernel`; a node key is the tuple of its children's class or
-    node keys, in child order.  `parent_keys` holds the keys of the last
-    layout's split elements whose children are leaves or nodes, node
-    classes or not (`_node_classes`).  `gram_factors` maps (p_tilde,
-    vertex offsets from vertex 0) to the Gram factor (L_tau, L_v), the
-    Cholesky factors of the Gram matrix's tau block and of its v block,
-    which serves both components (`gram_factor`), and
-    `families` maps (family key, material) to the coupling matrix of the
-    shape family (`_family`), from which each class's B is scaled.
-    `build_dof_layout` drops every entry its classes and parent keys do
-    not use, so the cache holds one step's classes, shapes, families and
-    node classes.
+    `kernels` maps (class key, material) to the class's `ClassKernel`.
+    `gram_factors` maps (p_tilde, vertex offsets from vertex 0) to the
+    Gram factor (L_tau, L_v), the Cholesky factors of the Gram matrix's
+    tau block and of its v block, which serves both components
+    (`gram_factor`), and `families` maps (family key, material) to the
+    coupling matrix of the shape family (`_family`), from which each
+    class's B is scaled.  `build_dof_layout` drops every entry its
+    classes do not use, so the cache holds one step's classes, shapes and
+    families.  Node kernels are never cached: `condense` builds them for
+    one solve.
     """
 
     kernels: dict[tuple, ClassKernel] = field(default_factory=dict)
     gram_factors: dict[tuple, tuple] = field(default_factory=dict)
     families: dict[tuple, np.ndarray] = field(default_factory=dict)
-    parent_keys: set[tuple] = field(default_factory=set)
 
-    def retain(self, class_keys, parent_keys) -> None:
-        """Keep only the entries of the given class and parent keys."""
-        self.parent_keys = set(parent_keys)
-        keys = self.parent_keys.union(class_keys)
+    def retain(self, class_keys) -> None:
+        """Keep only the entries of the given class keys."""
+        keys = set(class_keys)
         # a class key is (p, p_tilde, vertex offsets, per side: the trace
         # degree q and the leaves' flux degrees); its shape is (p_tilde,
         # offsets), its family the key with the offsets scaled to [0.5, 1)
@@ -263,8 +267,8 @@ class DofLayout:
     node_maps: list[ClassMap]
     node_basis: list[tuple]
     in_node: np.ndarray                      # element id -> inside a node
-    # class and node kernels and Gram factors of the study, built on a
-    # class's first request and kept for the steps after this one
+    # class kernels and Gram factors of the study, built on a class's
+    # first request and kept for the steps after this one
     cache: KernelCache
     # read-only element loads of this step, (f, position) -> load; the
     # first request for an element's load computes its whole degree group
@@ -506,10 +510,9 @@ def build_dof_layout(mesh: Mesh, degrees: DegreeMap,
     cache = KernelCache() if cache is None else cache
     dof_node = _cross_nodes(mesh, vdof, trace_base, flux_base, bubbles,
                             fluxes, pinned.size)
-    nodes, node_keys, node_maps, node_basis, parent_keys, closed = _node_classes(
-        mesh, active, dof_node, entries, element_class, class_keys,
-        cache.parent_keys)
-    cache.retain(class_keys, parent_keys)
+    nodes, node_keys, node_maps, node_basis, closed = _node_classes(
+        mesh, active, dof_node, entries, element_class, class_keys)
+    cache.retain(class_keys)
     return DofLayout(
         mesh=mesh, n_dofs=pinned.size, vertex_dofs=vdof, trace_q=trace_q,
         trace_base=trace_base, flux_p=flux_p, flux_base=flux_base,
@@ -602,18 +605,16 @@ def _class_maps(member_class: np.ndarray, entries: tuple, interior: tuple):
 
 
 def _node_classes(mesh: Mesh, active: np.ndarray, dof_node: np.ndarray,
-                  leaves: tuple, element_class: np.ndarray, class_keys: list,
-                  previous: set):
+                  leaves: tuple, element_class: np.ndarray, class_keys: list):
     """Node classes, children before parents: per class the members' element
     ids, the node key, the `ClassMap` and the node basis (`_node_kernel`);
-    then the keys of every split element whose children are leaves or
-    nodes, and whether each element is a leaf or a node.
+    then whether each element is a leaf or a node.
 
-    Such a split element's class is keyed by the tuple of its children's
-    keys in child order, a class key for a leaf and a node key for a
-    node, so equal subtrees share a kernel.  The class is a node class
-    when its kernel serves more than once: it has two members, or its key
-    is in `previous`, the keys of the step before.  `leaves` holds the
+    A split element whose children are leaves or nodes has a class keyed
+    by the tuple of its children's keys in child order, a class key for a
+    leaf and a node key for a node, so equal subtrees share a kernel.  The
+    class is a node class when its kernel serves more than once, that is
+    when it has at least `NODE_MIN_MEMBERS` members.  `leaves` holds the
     leaves' C_K entries by layout position, as `_class_maps` takes them;
     the nodes' entries and function tags are added after them, so a child
     is read the same way at any height.
@@ -648,7 +649,7 @@ def _node_classes(mesh: Mesh, active: np.ndarray, dof_node: np.ndarray,
         2 * mesh.verts[active][:, :, None] + np.arange(2)).reshape(-1, 8)
     closed = np.zeros(n_el, dtype=bool)     # a leaf or a node
     closed[active] = True
-    keys, parent_keys = list(class_keys), []
+    keys = list(class_keys)
     nodes, node_keys, node_maps, node_basis = [], [], [], []
     # the split elements by height, the depth of their subtree, so that
     # every child comes before its parent
@@ -660,8 +661,7 @@ def _node_classes(mesh: Mesh, active: np.ndarray, dof_node: np.ndarray,
     heights = height[split]
     for h in range(1, int(heights.max(initial=0)) + 1):
         # the parents whose children are leaves or nodes, by class; a class
-        # is a node class when its kernel serves more than once: it has two
-        # members, or its key is one of the step before
+        # is a node class when its kernel serves more than once
         parents = split[heights == h]
         kids = mesh.child[parents][:, None] + np.arange(4)
         whole = closed[kids].all(axis=1)
@@ -672,10 +672,8 @@ def _node_classes(mesh: Mesh, active: np.ndarray, dof_node: np.ndarray,
         unit[parents] = len(keys) + parent_class
         new_keys = [tuple(keys[u] for u in units)
                      for units in unit[kids[lead]].tolist()]
-        shut = np.bincount(parent_class) > 1
-        shut |= [key in previous for key in new_keys]
+        shut = np.bincount(parent_class) >= NODE_MIN_MEMBERS
         keys += new_keys
-        parent_keys += new_keys
         closed[parents] = shut[parent_class]
         nd = parents[closed[parents]]
         if not nd.size:
@@ -755,7 +753,7 @@ def _node_classes(mesh: Mesh, active: np.ndarray, dof_node: np.ndarray,
             node_basis.append((int(n_in[k]), t_row[a:bounds[-1]],
                                t_col[a:bounds[-1]], t_w[a:bounds[-1]],
                                [b - a for b in bounds[:-1]]))
-    return nodes, node_keys, node_maps, node_basis, parent_keys, closed
+    return nodes, node_keys, node_maps, node_basis, closed
 
 
 def element_full_bmat(layout: DofLayout, material: Material, f, pos: int):
@@ -795,15 +793,12 @@ def _class_members(layout: DofLayout, material: Material, f, cls: int):
             layout.class_maps[cls])
 
 
-def _kernel(cache: KernelCache, key: tuple, material: Material,
-            basis: tuple | None = None) -> ClassKernel:
-    """The kernel of the class with class key `key`, or of the node class
-    with node key `key` and node basis `basis`, from the cache or built
-    and cached under its key."""
+def _kernel(cache: KernelCache, key: tuple, material: Material) -> ClassKernel:
+    """The kernel of the class with class key `key`, from the cache or
+    built and cached under its key."""
     kernel = cache.kernels.get((key, material))
     if kernel is None:
-        kernel = (_class_kernel(key, material, cache) if basis is None
-                  else _node_kernel(key, basis, material, cache))
+        kernel = _class_kernel(key, material, cache)
         cache.kernels[key, material] = kernel
     return kernel
 
@@ -890,16 +885,13 @@ def _condensed(K: np.ndarray, ni: int, failure: str, **extra) -> ClassKernel:
     return ClassKernel(*_read_only(Kii, At.T, S), **extra)
 
 
-def _node_kernel(key: tuple, basis: tuple, material: Material,
-                 cache: KernelCache) -> ClassKernel:
-    """Kernel of the node class with node key `key` on its node basis
-    (ni, rows, cols, weights, bounds): child skeleton row `rows[t]`,
-    counted over the children in order, takes `weights[t]` times node
-    function `cols[t]`, an inner dof below ni and a boundary function from
-    ni on; `bounds` splits the entries, sorted by row, by child.  Every
-    child's kernel is in `cache.kernels` under its key: `condense` builds
-    every element class's kernel before any node kernel, and children's
-    before parents'.
+def _node_kernel(basis: tuple, children: list[ClassKernel]) -> ClassKernel:
+    """Kernel of a node class on its node basis (ni, rows, cols, weights,
+    bounds), from its children's kernels in child order: child skeleton
+    row `rows[t]`, counted over the children in order, takes `weights[t]`
+    times node function `cols[t]`, an inner dof below ni and a boundary
+    function from ni on; `bounds` splits the entries, sorted by row, by
+    child.
 
     K = sum_k T_k' S_k T_k is the children's Schur complements on the node
     basis (`_summed`); its inner block is the node's inner skeleton.  A
@@ -908,8 +900,8 @@ def _node_kernel(key: tuple, basis: tuple, material: Material,
     """
     ni, rows, cols, weights, bounds = basis
     at, blocks = 0, []
-    for child, a, b in zip(key, [0, *bounds], [*bounds, len(rows)]):
-        S = cache.kernels[child, material].S
+    for S, a, b in zip([child.S for child in children], [0, *bounds],
+                       [*bounds, len(rows)]):
         r = rows[a:b] - at
         at += len(S)
         if r.size > len(S):     # some rows take more than one function
@@ -1102,8 +1094,9 @@ def condense(material: Material, f, layout: DofLayout, x_pinned: np.ndarray,
         coarse[nmap.interior] = False
 
     # the units: kernel, map, own condensed load, members writing the
-    # coarse matrix (those outside every node)
-    units = []
+    # coarse matrix (those outside every node); the node kernels, children
+    # before parents, from the kernels by class and node key of this call
+    units, kernels = [], {}
     for cls, members in enumerate(layout.classes):
         kernel, lvecs, cmap = _class_members(layout, material, f, cls)
         ni = cmap.interior.shape[1]
@@ -1111,10 +1104,11 @@ def condense(material: Material, f, layout: DofLayout, x_pinned: np.ndarray,
         g[cmap.interior, 0] = fl[:ni].T
         units.append((kernel, cmap, fl[ni:],
                       ~layout.in_node[layout.elements[members]]))
+        kernels[layout.class_keys[cls]] = kernel
     for key, basis, nmap, nodes in zip(layout.node_keys, layout.node_basis,
                                        layout.node_maps, layout.nodes):
-        units.append((_kernel(layout.cache, key, material, basis), nmap, 0.0,
-                      ~layout.in_node[nodes]))
+        kernel = kernels[key] = _node_kernel(basis, [kernels[k] for k in key])
+        units.append((kernel, nmap, 0.0, ~layout.in_node[nodes]))
     units += _private_units(layout, units, coarse)
     free = n_interior + np.flatnonzero(coarse[n_interior:])
     index = np.full(n, -1, dtype=np.int32)

@@ -127,8 +127,8 @@ def solve_second(material: Material, f,
                       np.column_stack([ell, c]))
     # SuperLU whatever the density, unlike `solve_condensed`: the benchmark
     # counts this method's factorizations and back-substitutions by
-    # wrapping `splu` here, so the dense route waits for the benchmark's
-    # single factor hook (ROADMAP item 1)
+    # wrapping `splu` here, so the dense route waits for one private
+    # factor function that both methods call (ROADMAP items 2 and 4)
     try:
         lu = splu(system.S, **SPD_SPLU_OPTIONS)
     except RuntimeError as err:

@@ -20,9 +20,10 @@ one-level skeleton matrix by the global route (COO over all dofs, CSR, an
 blocks, for `test_assembly.py` to compare memory against and, through
 the dense elimination `eliminate_dense`, entries.
 `node_schur_complement` builds a node's Schur complement densely from
-its leaves, `layout_of_nodes` the layout in which every split element is
-a node, and `indefinite_below` a layout whose roots' inner blocks are
-indefinite.
+its leaves, against the node kernels `node_kernels` builds as
+`condense` does, `layout_of_nodes` the layout in which every split
+element is a node, and `indefinite_below` a layout whose roots' inner
+blocks are indefinite.
 
 The library stacks the elements of a class or of a degree for the loads,
 condensation, the error estimator, the L2 errors and the Dirichlet data.
@@ -74,8 +75,8 @@ from scipy.linalg import block_diag, cho_factor, cho_solve, solve_triangular
 from scipy.sparse.linalg import splu
 
 from dpg_elast import assembly
-from dpg_elast.assembly import (ClassMap, KernelCache, _class_members,
-                                build_dof_layout, element_full_bmat)
+from dpg_elast.assembly import (ClassMap, _class_members, build_dof_layout,
+                                element_full_bmat)
 from dpg_elast.basis import (edge_basis_eval, gauss_rule, gauss_rule_2d,
                              q_basis_table)
 from dpg_elast.local import (_FLUX_BLOCKS, _TRACE_BLOCKS, _side_table,
@@ -522,22 +523,37 @@ def eliminate_dense(S, g, keep):
 
 
 def layout_of_nodes(mesh, degrees):
-    """The layout in which every split element is a node: built again on
-    one cache until every node key is one of the build before."""
-    cache = KernelCache()
-    while True:
-        layout = build_dof_layout(mesh, degrees, cache)
-        if sum(map(len, layout.nodes)) == np.count_nonzero(mesh.child >= 0):
-            return layout
+    """The layout in which every split element is a node: laid out with a
+    node class's least member count set to 1 and then restored."""
+    threshold = assembly.NODE_MIN_MEMBERS
+    assembly.NODE_MIN_MEMBERS = 1
+    try:
+        layout = build_dof_layout(mesh, degrees)
+    finally:
+        assembly.NODE_MIN_MEMBERS = threshold
+    assert sum(map(len, layout.nodes)) == np.count_nonzero(mesh.child >= 0)
+    return layout
 
 
-def node_schur_complement(layout, material, nc, i):
+def node_kernels(layout, material):
+    """The kernel of every class and node class of the layout by its key:
+    the node kernels built children before parents from their children's,
+    as `condense` builds them for one solve."""
+    kernels = {key: assembly._kernel(layout.cache, key, material)
+               for key in layout.class_keys}
+    for key, basis in zip(layout.node_keys, layout.node_basis):
+        kernels[key] = assembly._node_kernel(basis, [kernels[k] for k in key])
+    return kernels
+
+
+def node_schur_complement(layout, kernels, nc, i):
     """Member i of node class nc by the dense route: its leaves' C_K' S_K
     C_K (`full_map` and the class kernels' S) summed on the dofs they
     touch, with the inner dofs of the node and of every node below it
     eliminated (`eliminate_dense`).  Returns that, the node's own C' S C
-    from its cached kernel on the same dofs, and its boundary map C as a
-    dense (n_boundary, n_dofs) matrix."""
+    from its kernel on the same dofs, and its boundary map C as a dense
+    (n_boundary, n_dofs) matrix; `kernels` maps the class and node keys
+    to their kernels (`node_kernels`)."""
     mesh, n = layout.mesh, layout.n_dofs
     inner = {e: nmap.interior[j] for nodes, nmap in
              zip(layout.nodes, layout.node_maps)
@@ -556,14 +572,14 @@ def node_schur_complement(layout, material, nc, i):
         cls = layout.element_class[pos]
         cmap = layout.class_maps[cls].member(layout.element_row[pos])
         maps.append(full_map(cmap, n)[cmap.interior.shape[1]:])
-        schur.append(layout.cache.kernels[layout.class_keys[cls], material].S)
+        schur.append(kernels[layout.class_keys[cls]].S)
     used = np.flatnonzero(np.any([(C != 0).any(axis=0) for C in maps], axis=0))
     total = sum(C[:, used].T @ S @ C[:, used] for C, S in zip(maps, schur))
     keep = ~np.isin(used, np.concatenate(eliminated))
     expect, _, _ = eliminate_dense(total, np.zeros((used.size, 0)), keep)
     nmap = layout.node_maps[nc].member(i)
     C = full_map(nmap, n)[nmap.interior.shape[1]:]
-    S = layout.cache.kernels[layout.node_keys[nc], material].S
+    S = kernels[layout.node_keys[nc]].S
     got = C[:, used[keep]].T @ S @ C[:, used[keep]]
     return expect, got, C
 
@@ -583,9 +599,9 @@ def indefinite_below(patcher, depth):
     name = "_class_kernel" if depth == 1 else "_node_kernel"
     build = getattr(assembly, name)
 
-    def indefinite(key, *args):
-        kernel = build(key, *args)
-        if depth == 2 and key != layout.node_keys[0]:
+    def indefinite(first, *args):     # a class key, or a node basis
+        kernel = build(first, *args)
+        if depth == 2 and first is not layout.node_basis[0]:
             return kernel
         S = kernel.S - 1e3 * np.abs(kernel.S).max() * np.eye(len(kernel.S))
         return replace(kernel, S=S)
@@ -606,8 +622,8 @@ def indefinite_root_boundary(patcher):
     assert [len(nodes) for nodes in layout.nodes] == [4]
     build = assembly._node_kernel
 
-    def indefinite(key, *args):
-        kernel = build(key, *args)
+    def indefinite(basis, children):
+        kernel = build(basis, children)
         S = kernel.S - 1e3 * np.abs(kernel.S).max() * np.eye(len(kernel.S))
         return replace(kernel, S=S)
 

@@ -15,7 +15,8 @@ kernel built from its class key alone, on a translated mesh, is checked
 byte for byte against the one the layout caches, and a kernel built
 through the coupling matrix of its shape family against one built at its
 own vertex offsets, on random trapezoids scaled by powers of two.  The
-cache's builds and evictions are counted on an adaptive L-shape run, and
+cache's builds and evictions are counted on an adaptive L-shape run, with
+the node kernels built anew for every solve and never cached, and
 the coupling-matrix builds of whole studies are counted exactly: one per
 shape family.  Every member of every node class, on meshes where every
 split element is a node, has its kernel checked against the dense Schur
@@ -50,8 +51,9 @@ from oracle import (class_bmat, condense_per_element, degree_and_base,
                     element_coords, edge_param, eliminate_dense,
                     error_indicators_per_element, full_map, global_bmat,
                     l2_errors_per_element, layout_by_walk, layout_dicts,
-                    layout_of_nodes, node_schur_complement, overlapping,
-                    position_of, segments_of, trace_at, validate)
+                    layout_of_nodes, node_kernels, node_schur_complement,
+                    overlapping, position_of, segments_of, trace_at,
+                    validate)
 
 MATERIAL = make_isotropic(1.0, 0.5)
 
@@ -279,42 +281,39 @@ def test_adaptive_run_builds_only_new_classes(monkeypatch):
     degrees = DegreeMap(mesh, p=1)
     cache = KernelCache()
     previous: set = set()
-    previous_nodes: set = set()
     reused = nodes = 0
     for _ in range(6):
         layout = build_dof_layout(mesh, degrees, cache=cache)
         keys = set(layout.class_keys)
-        node_keys = set(layout.node_keys)
         # eviction comes before any kernel of the step is built
         cached_classes, cached_nodes = cached_keys(cache)
         assert cached_classes <= keys & previous
         assert ({key[0] for key in cache.families}
                 <= families(keys) & families(previous))
-        assert cached_nodes <= node_keys & previous_nodes
+        assert not cached_nodes
         before, nodes_before = len(builds), len(node_builds)
         x = solve_condensed(mat, bench.f, layout,
                             dirichlet_values(layout, bench.g))
         indicators = error_indicators(mat, bench.f, layout, x)
         # one coupling matrix per shape family the step before did not use,
-        # one node kernel per node class it did not use
+        # and one node kernel per node class: none is kept from a step
         assert len(builds) - before == len(families(keys) - families(previous))
-        assert (len(node_builds) - nodes_before
-                == len(node_keys - previous_nodes))
-        # the cache holds exactly this step's classes, shapes, families and
-        # node classes
-        assert set(cache.kernels) == {(key, mat) for key in keys | node_keys}
-        assert cached_keys(cache) == (keys, node_keys)
+        assert len(node_builds) - nodes_before == len(layout.nodes)
+        # the cache holds exactly this step's classes, shapes and families,
+        # and no node kernel
+        assert set(cache.kernels) == {(key, mat) for key in keys}
+        assert cached_keys(cache) == (keys, set())
         assert set(cache.gram_factors) == {(key[1], key[2]) for key in keys}
         assert set(cache.families) == {(fam, mat) for fam in families(keys)}
         assert not any(a.flags.writeable for a in cached_arrays(cache, layout))
         reused += len(keys & previous)
-        nodes += len(node_keys)
-        previous, previous_nodes = keys, node_keys
+        nodes += len(layout.nodes)
+        previous = keys
         mesh = refine_marked(mesh, layout.elements[greedy_mark(indicators)])
     assert reused > 0 and nodes > 0
 
 
-def test_node_keys_do_not_depend_on_the_cache_history():
+def test_node_keys_do_not_depend_on_the_cache_history(monkeypatch):
     # the 2x2 square refined uniformly twice has node classes at two
     # heights; laid out on a fresh cache and on one that has first laid
     # out another mesh with nodes, it keys its node classes alike, each by
@@ -334,6 +333,31 @@ def test_node_keys_do_not_depend_on_the_cache_history():
             assert key == tuple(key_of[c] for c in
                                 (mesh.child[e] + np.arange(4)).tolist())
             key_of[e] = key
+
+    # the bench's lshape-adapt study, 10 steps on one carried cache as a
+    # study runs: its last layout has the nodes, node keys and free coarse
+    # dofs of the same mesh laid out on a fresh cache.  A node class is
+    # chosen by its member count alone, not by the keys of the step before
+    laid_out = []
+
+    def recorded_layout(*args, **kwargs):
+        laid_out.append((args, build_dof_layout(*args, **kwargs)))
+        return laid_out[-1][1]
+
+    monkeypatch.setattr(study, "build_dof_layout", recorded_layout)
+    run_convergence_study(StudyConfig(
+        benchmark="lshape", mode="adaptive_h", p=1, delta_p=2, steps=10,
+        lam=123.0, mu=79.3))
+    (mesh, degrees), carried = laid_out[-1]
+    fresh = build_dof_layout(mesh, degrees)
+    assert len(laid_out) == 10 and carried.cache is laid_out[0][1].cache
+    assert [n.tolist() for n in carried.nodes] == [n.tolist() for n in fresh.nodes]
+    assert carried.node_keys == fresh.node_keys
+    bench = make_benchmark("lshape", make_isotropic(123.0, 79.3))
+    mat = bench.solver_material
+    free = [condense(mat, bench.f, layout, dirichlet_values(layout, bench.g)).free
+            for layout in (carried, fresh)]
+    assert np.array_equal(*free)
 
 
 def count_kernel_builds(monkeypatch, config):
@@ -429,10 +453,11 @@ def test_node_kernels_match_dense_schur_complements(domain, data):
     layout = layout_of_nodes(mesh, degrees)
     assert layout.nodes
     condense(MATERIAL, None, layout, np.zeros(layout.n_dofs))
+    kernels = node_kernels(layout, MATERIAL)
     vertices = vertex_functions(layout)
     for nc, nodes in enumerate(layout.nodes):
         for i in range(len(nodes)):
-            expect, got, C = node_schur_complement(layout, MATERIAL, nc, i)
+            expect, got, C = node_schur_complement(layout, kernels, nc, i)
             assert np.max(np.abs(got - expect)) <= 1e-12 * np.abs(expect).max()
             rows = [sparse_row(row) for row in C]
             assert all(rows.count(row) == 1 for row in vertices & set(rows))
