@@ -101,16 +101,12 @@ from .material import Material
 from .mesh import DegreeMap, Mesh, _first_use
 
 # SuperLU options for the SPD condensed skeleton matrix: a symmetric
-# minimum-degree ordering of A'+A, with the pivots kept on the diagonal.
-# Relaxed supernodes of at most 4 columns with panels of 10 (SuperLU's
-# defaults are 10 and 20) factor the uniform p = 2, 3 skeleton matrices
-# about a quarter faster, with fewer explicit zeros stored, and move the
-# adaptive L-shape and matrices up to 30,722 dofs only within noise.  Stay
-# at or below the defaults: scipy 1.17's SuperLU corrupts the heap above
-# them (relax 20 with panel 40 aborted under MALLOC_CHECK_=3 on a 122-dof
-# matrix).
+# minimum-degree ordering of A'+A, with the pivots kept on the diagonal,
+# on SuperLU's default supernodes.  Any tuning must stay at or below the
+# defaults (relax 10, panel 20): scipy 1.17's SuperLU corrupts the heap
+# above them (relax 20 with panel 40 aborted under MALLOC_CHECK_=3 on a
+# 122-dof matrix).
 SPD_SPLU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                        relax=4, panel_size=10,
                         options=dict(SymmetricMode=True))
 
 # A split element whose children are leaves or nodes is a node when its
@@ -189,22 +185,19 @@ class ClassMap:
     come in (x, y) pairs: entry 2 s + c takes local dof 2 r + c to global
     dof g + c.  A member with fewer entries than the class's widest fills
     the rest with spare entries of weight zero, each a copy of its first
-    entry of the same component (entry t % 2).  `rows` is None when every
-    member's entries are its local dofs in order, one each.  `interior`
-    holds the members' interior (or inner) dof ids.
+    entry of the same component (entry t % 2).  `interior` holds the
+    members' interior (or inner) dof ids.
     """
 
     interior: np.ndarray        # (m, ni)
     ids: np.ndarray             # (m, nnz)
-    rows: np.ndarray | None     # (m, nnz), or None: rows[i, t] == t
+    rows: np.ndarray            # (m, nnz)
     weights: np.ndarray         # (m, nnz)
     n_skel: int                 # local skeleton dofs per member
 
     def gather(self, x: np.ndarray) -> np.ndarray:
         """The members' local skeleton values C_K x, shape (m, n_skel)."""
         vals = self.weights * x[self.ids]
-        if self.rows is None:
-            return vals
         m = len(self.ids)
         flat = (np.arange(m)[:, None] * self.n_skel + self.rows).ravel()
         return np.bincount(flat, vals.ravel(),
@@ -213,8 +206,7 @@ class ClassMap:
     def scatter(self, out: np.ndarray, vals: np.ndarray) -> None:
         """Add C_K' vals[i] of every member i to `out`; `vals` has shape
         (m, n_skel) or (m, n_skel, k) for an (n_dofs, k) `out`."""
-        if self.rows is not None:
-            vals = vals[np.arange(len(self.ids))[:, None], self.rows]
+        vals = vals[np.arange(len(self.ids))[:, None], self.rows]
         w = self.weights if vals.ndim == 2 else self.weights[..., None]
         np.add.at(out, self.ids, w * vals)
 
@@ -222,19 +214,16 @@ class ClassMap:
               out: np.ndarray | None = None) -> np.ndarray:
         """C_K' S C_K of the selected members as an (m, nnz, nnz) block:
         entry [i, a, b] adds to the global entry (ids[i, a], ids[i, b])."""
-        w = self.weights[members]
-        if self.rows is not None:
-            r = self.rows[members]
-            S = S[r[:, :, None], r[:, None, :]]
-        out = np.multiply(w[:, :, None], S, out=out)
+        w, r = self.weights[members], self.rows[members]
+        out = np.multiply(w[:, :, None], S[r[:, :, None], r[:, None, :]],
+                          out=out)
         out *= w[:, None, :]
         return out
 
     def member(self, i: int) -> "ClassMap":
         """The one-member map of member i."""
-        rows = None if self.rows is None else self.rows[i:i + 1]
-        return ClassMap(self.interior[i:i + 1], self.ids[i:i + 1], rows,
-                        self.weights[i:i + 1], self.n_skel)
+        return ClassMap(self.interior[i:i + 1], self.ids[i:i + 1],
+                        self.rows[i:i + 1], self.weights[i:i + 1], self.n_skel)
 
 
 @dataclass
@@ -584,21 +573,16 @@ def _class_maps(member_class: np.ndarray, entries: tuple, interior: tuple):
     at = start[order][slot] + np.where(spare, off % 2, off)
     m_ids, m_rows = ids[at], rows[at]
     m_w = np.where(spare, 0.0, w[at])
-    # the classes whose members' entries are their local dofs in order
-    in_order = np.logical_and.reduceat(
-        m_rows == off, np.cumsum(size * width) - size * width)
-    in_order &= width == n_skel[lead]
     slot, off = _ranges(i_count[order])
     m_in = inner[i_start[order][slot] + off]
     _read_only(m_ids, m_rows, m_w, m_in)
     maps, e_at, i_at = [], 0, 0
-    for m, wd, nb, ni, ordered in zip(size.tolist(), width.tolist(),
-                                      n_skel[lead].tolist(),
-                                      i_count[lead].tolist(), in_order.tolist()):
+    for m, wd, nb, ni in zip(size.tolist(), width.tolist(),
+                             n_skel[lead].tolist(), i_count[lead].tolist()):
         span = slice(e_at, e_at + m * wd)
         maps.append(ClassMap(m_in[i_at:i_at + m * ni].reshape(m, ni),
                              m_ids[span].reshape(m, wd),
-                             None if ordered else m_rows[span].reshape(m, wd),
+                             m_rows[span].reshape(m, wd),
                              m_w[span].reshape(m, wd), nb))
         e_at, i_at = e_at + m * wd, i_at + m * ni
     return maps, np.split(order, first[1:])
@@ -1122,6 +1106,8 @@ def condense(material: Material, f, layout: DofLayout, x_pinned: np.ndarray,
     coo = None if dense is not None else (*np.empty((2, k), np.int32), np.empty(k))
     recover, at = [], 0
     for (kernel, cmap, own, writes), size in zip(units, sizes):
+        if isinstance(kernel, tuple):   # a private unit's, built where used
+            kernel = _private_kernel(*kernel)
         b, gs = _eliminate(kernel, g[cmap.interior].transpose(1, 0, 2))
         gs[:, :, 0] += own
         if size and coo is not None:
@@ -1147,9 +1133,9 @@ def _private_units(layout: DofLayout, units: list, coarse: np.ndarray) -> list:
 
     The unit's one member has the private dofs as its interior and its
     other distinct unpinned dofs (free coarse dofs) as its map, each of
-    weight 1; its kernel condenses the member's C' S C block on them,
-    private dofs first, and its own load is 0.  The member leaves its
-    node unit's `writes`, and `coarse` drops the private dofs.
+    weight 1; in place of its kernel it holds the plan `_private_kernel`
+    builds it from, and its own load is 0.  The member leaves its node
+    unit's `writes`, and `coarse` drops the private dofs.
     """
     touched = np.bincount(np.concatenate(
         [cmap.ids[writes].ravel() for _, cmap, _, writes in units]),
@@ -1167,22 +1153,31 @@ def _private_units(layout: DofLayout, units: list, coarse: np.ndarray) -> list:
             at = np.concatenate([np.flatnonzero(mine), np.flatnonzero(
                 ~mine & ~layout.pinned[ids])])
             col, first = _first_use(ids[at])
-            r = at if cmap.rows is None else cmap.rows[i][at]
-            K, w = kernel.S[np.ix_(r, r)], cmap.weights[i][at]
-            if first.size < col.size:
-                K = _summed(first.size, [(K, col, w)])
-            else:
-                K *= w[:, None]
-                K *= w
             dofs, ni = ids[at][first], np.count_nonzero(mine)
+            n = dofs.size - ni
             private.append((
-                _condensed(K, ni, "sparse factorization failed; system not SPD"),
-                ClassMap(dofs[None, :ni], dofs[None, ni:], None,
-                         np.ones((1, dofs.size - ni)), dofs.size - ni),
+                (kernel.S, cmap.rows[i][at], cmap.weights[i][at], col, ni),
+                ClassMap(dofs[None, :ni], dofs[None, ni:],
+                         _read_only(np.arange(n)[None])[0], np.ones((1, n)), n),
                 0.0, np.ones(1, dtype=bool)))
             writes[i] = False
             coarse[dofs[:ni]] = False
     return private
+
+
+def _private_kernel(S: np.ndarray, rows: np.ndarray, weights: np.ndarray,
+                    cols: np.ndarray, ni: int) -> ClassKernel:
+    """Kernel of a private unit (`_private_units`): the block of S on
+    `rows`, row t weighted by weights[t] and taken to dof cols[t], several
+    rows of one dof summed (`_summed`), with its first ni dofs interior."""
+    K = S[np.ix_(rows, rows)]
+    n = int(cols.max()) + 1
+    if n < cols.size:
+        K = _summed(n, [(K, cols, weights)])
+    else:
+        K *= weights[:, None]
+        K *= weights
+    return _condensed(K, ni, "sparse factorization failed; system not SPD")
 
 
 def _eliminate(kernel: ClassKernel, rhs: np.ndarray):
@@ -1211,6 +1206,7 @@ def _write_free(cmap: ClassMap, S: np.ndarray, dof: np.ndarray, members,
     d, nnz = dof[whole], dof.shape[1]
     span = slice(k, k + d.size * nnz)
     block = (len(d), nnz, nnz)
+    # in place, at half a masked write's peak (`test_whole_member_writes_in_place`)
     cmap.outer(S, whole, vals[span].reshape(block))
     rows[span].reshape(block)[...] = d[:, :, None]
     cols[span].reshape(block)[...] = d[:, None, :]

@@ -350,9 +350,7 @@ def full_map(cmap, n_dofs):
     ni = cmap.interior.shape[1]
     C = np.zeros((ni + cmap.n_skel, n_dofs))
     C[np.arange(ni), cmap.interior[0]] = 1.0
-    rows = (np.arange(cmap.ids.shape[1]) if cmap.rows is None
-            else cmap.rows[0])
-    np.add.at(C, (ni + rows, cmap.ids[0]), cmap.weights[0])
+    np.add.at(C, (ni + cmap.rows[0], cmap.ids[0]), cmap.weights[0])
     return C
 
 
@@ -473,8 +471,7 @@ def condense_per_element(mesh, degrees, material, f, layout, x_pinned,
 def class_coo(cmap, S):
     """(rows, cols, values) of the sum of C_K' S C_K over a class's
     members, in global dof numbering."""
-    if cmap.rows is not None:
-        S = S[cmap.rows[:, :, None], cmap.rows[:, None, :]]
+    S = S[cmap.rows[:, :, None], cmap.rows[:, None, :]]
     vals = cmap.weights[:, :, None] * S * cmap.weights[:, None, :]
     return (np.broadcast_to(cmap.ids[:, :, None], vals.shape).ravel(),
             np.broadcast_to(cmap.ids[:, None, :], vals.shape).ravel(),
@@ -882,9 +879,7 @@ def class_map_of_rows(interior, member_rows):
     comp = np.arange(2)
     ids = (ids[:, :, None] + comp).reshape(m, -1)
     rows = (2 * rows[:, :, None] + comp).reshape(m, -1)
-    copies = max(nnz) == n
-    return ClassMap(interior, ids, None if copies else rows,
-                    np.repeat(weights, 2, axis=1), 2 * n)
+    return ClassMap(interior, ids, rows, np.repeat(weights, 2, axis=1), 2 * n)
 
 
 def layout_by_walk(mesh, degrees):

@@ -352,16 +352,11 @@ def hanging_skeleton_system():
     lambda: smooth_skeleton_system(2, 2),
     hanging_skeleton_system,
 ], ids=["smooth-p3-method1", "smooth-p2-method2", "hanging"])
-def test_relaxed_supernodes_solve_like_superlu_defaults(system_of):
-    # the supernode sizes change how SuperLU blocks the factorization, not
-    # the ordering or the pivots, so the solutions agree to roundoff
+def test_spd_splu_options_solve_to_roundoff(system_of):
+    # the SPD options on the method-1, method-2 and hanging-node systems:
+    # every load solved to a residual of roundoff
     system = system_of()
-    default = {k: v for k, v in SPD_SPLU_OPTIONS.items()
-               if k not in ("relax", "panel_size")}
     x = splu(system.S, **SPD_SPLU_OPTIONS).solve(system.rhs)
-    x_default = splu(system.S, **default).solve(system.rhs)
-    scale = np.abs(x_default).max()
-    np.testing.assert_allclose(x, x_default, rtol=0.0, atol=1e-10 * scale)
     residual = np.linalg.norm(system.S @ x - system.rhs, axis=0)
     assert np.all(residual <= 1e-12 * np.linalg.norm(system.rhs, axis=0))
 
@@ -370,8 +365,8 @@ def test_spd_splu_options_stay_within_superlu_defaults():
     # scipy 1.17's SuperLU corrupts the heap with relaxed supernodes or
     # panels above its defaults of 10 and 20: relax 20 with panel 40
     # aborted under MALLOC_CHECK_=3 on the 122-dof smooth p = 3 matrix
-    assert SPD_SPLU_OPTIONS["relax"] <= 10
-    assert SPD_SPLU_OPTIONS["panel_size"] <= 20
+    assert SPD_SPLU_OPTIONS.get("relax", 10) <= 10
+    assert SPD_SPLU_OPTIONS.get("panel_size", 20) <= 20
 
 
 def check_against_global_route(mesh, degrees, layout, data):
@@ -813,6 +808,27 @@ def test_summed_adds_block_by_block():
     peak = traced_peak(lambda: sums.append(assembly._summed(n, blocks)))
     np.testing.assert_array_equal(sums[0], expect)
     assert peak <= 1.5 * expect.nbytes
+
+
+def test_whole_member_writes_in_place():
+    # one member of 512 free dofs into a preallocated COO: bit for bit
+    # w S[rows][:, rows] w, written through the value array.  Measured:
+    # 2.14 MiB peak, the gather of S's block, against 4.33 MiB for the
+    # masked write of the partial members
+    rng = np.random.default_rng(2)
+    n = 512
+    S = rng.standard_normal((n, n))
+    rows, ids = rng.permutation(n)[None], rng.permutation(n)[None]
+    w = rng.standard_normal((1, n))
+    cmap = assembly.ClassMap(np.zeros((1, 0), int), ids, rows, w, n)
+    coo = (*np.empty((2, n * n), np.int32), np.empty(n * n))
+    peak = traced_peak(lambda: assembly._write_free(
+        cmap, S, ids.astype(np.int32), np.ones(1, bool), coo, 0))
+    expect = w[0, :, None] * S[rows[0][:, None], rows[0]] * w[0]
+    np.testing.assert_array_equal(coo[2], expect.ravel())
+    np.testing.assert_array_equal(coo[0], np.repeat(ids[0], n))
+    np.testing.assert_array_equal(coo[1], np.tile(ids[0], n))
+    assert peak <= 1.5 * S.nbytes
 
 
 def test_condensed_updates_in_place():

@@ -138,8 +138,7 @@ def check_constraint_maps(mesh, layout):
     flux_ids = list(tables.flux_edges)
     flux_ends = np.array([edge_coords(mesh, e) for e in flux_ids])
     for cmap in layout.class_maps:
-        arrays = [cmap.interior, cmap.ids, cmap.weights]
-        arrays += [] if cmap.rows is None else [cmap.rows]
+        arrays = [cmap.interior, cmap.ids, cmap.rows, cmap.weights]
         assert not any(a.flags.writeable for a in arrays)
     for k in mesh.active_elements:
         coords = element_coords(mesh, k)
@@ -243,9 +242,8 @@ def cached_arrays(cache, layout):
     yield from layout.loads.values()
     for nmap, nodes, (_, rows, cols, weights, _) in zip(
             layout.node_maps, layout.nodes, layout.node_basis):
-        yield from (nmap.interior, nmap.ids, nmap.weights, nodes, rows, cols,
-                    weights)
-        yield from [] if nmap.rows is None else [nmap.rows]
+        yield from (nmap.interior, nmap.ids, nmap.rows, nmap.weights, nodes,
+                    rows, cols, weights)
 
 
 def cached_keys(cache):
@@ -439,9 +437,7 @@ def test_node_kernels_match_dense_schur_complements(domain, data):
     # with every split element a node.  Every member of every node class:
     # its kernel's C' S C is the dense Schur complement of its leaves' with
     # every inner skeleton below it eliminated, and its boundary basis
-    # holds each vertex's trace function once.  Every class and node map
-    # keeps `rows` only when a member's entries are not its local dofs in
-    # order, one each
+    # holds each vertex's trace function once
     mesh = build_initial_mesh(*domain)
     degrees = DegreeMap(mesh, p=1, delta_p=2)
     for _ in range(data.draw(st.integers(1, 4))):
@@ -461,12 +457,6 @@ def test_node_kernels_match_dense_schur_complements(domain, data):
             assert np.max(np.abs(got - expect)) <= 1e-12 * np.abs(expect).max()
             rows = [sparse_row(row) for row in C]
             assert all(rows.count(row) == 1 for row in vertices & set(rows))
-    for cmap in [*layout.class_maps, *layout.node_maps]:
-        if cmap.rows is None:
-            assert cmap.ids.shape[1] == cmap.n_skel
-        else:
-            assert (cmap.ids.shape[1] != cmap.n_skel
-                    or np.any(cmap.rows != np.arange(cmap.n_skel)))
 
 
 def test_uniform_node_basis_holds_each_dof_once():
@@ -479,7 +469,8 @@ def test_uniform_node_basis_holds_each_dof_once():
     layout = build_dof_layout(mesh, DegreeMap(mesh, p=3, delta_p=2))
     assert [len(nodes) for nodes in layout.nodes] == [16, 4]
     for nmap in layout.node_maps:
-        assert nmap.rows is None
+        assert all(np.array_equal(rows, np.arange(nmap.n_skel))
+                   for rows in nmap.rows)
         assert all(np.unique(ids).size == ids.size for ids in nmap.ids)
 
 
@@ -563,6 +554,27 @@ def test_family_kernel_scales_exactly(p, delta_p, k, data):
         assembly._class_kernel(with_offsets(key, 3.0 * rel), MATERIAL, cache)
     assert len(builds) == 2 + alone
     assert len(cache.families) == 2 + alone
+
+
+def test_family_of_its_own_is_not_scaled():
+    # a trapezoid turned by 1e-300 rad, whose nonzero offsets span more
+    # than 2^64, and its copy scaled by 2^4: the scaled key is a family of
+    # its own, so its kernel, built on a cache that holds the unscaled
+    # key's family, is the one built straight from `local_bmat`, to the byte
+    angle = 1e-300
+    turn = np.array([[np.cos(angle), -np.sin(angle)],
+                     [np.sin(angle), np.cos(angle)]])
+    rel = np.array([[0.0, 0.0], [1.0, 0.0], [1.5, 1.0], [0.5, 1.0]]) @ turn.T
+    key = (1, 3, rel.tobytes(), ((2, (1,)),) * 4)
+    scaled = with_offsets(key, np.ldexp(rel, 4))
+    with mock.patch.object(assembly, "_family", lambda key: (key, 0)):
+        direct = assembly._class_kernel(scaled, MATERIAL, KernelCache())
+    cache = KernelCache()
+    assembly._class_kernel(key, MATERIAL, cache)
+    got = assembly._class_kernel(scaled, MATERIAL, cache)
+    for (name, array), (_, expect) in zip(kernel_arrays(direct),
+                                          kernel_arrays(got), strict=True):
+        assert array.tobytes() == expect.tobytes(), name
 
 
 def assert_close(got, expect, rtol=1e-12):

@@ -14,15 +14,17 @@ the wall time, the last step's wall time, the peak RSS of the process
 and the minor page faults of the study (`ru_minflt` before and after
 it: the fresh pages it touched), then the last step's dofs, the size of
 its coarse system (the free coarse dofs `condense` leaves), the route
-that factored it, "dense" (Cholesky) or "superlu", and its count of node
-classes (`len(layout.nodes)`).
+that factored it, "dense" (Cholesky) or "superlu", the entries its
+factor stores (`coarse_factor_nnz`: n (n + 1) / 2 on n dofs for
+Cholesky, `SuperLU.nnz` for SuperLU) and its count of node classes
+(`len(layout.nodes)`).
 
 With two checkouts it runs each study ten times in each, the two
 alternating and each pair starting with the other side, and prints per
 study and measure the median of each side, the median and range of the
 paired differences, NEW minus OLD, and the count of pairs in which NEW
-is lower, then the last step's dofs, coarse size, route and node-class
-count of each side.
+is lower, then the last step's dofs, coarse size, route, factor entries
+and node-class count of each side.
 Pairs resolve changes that three runs of each cannot: the wall time of
 one study spreads by about 0.1 s from run to run, and five pairs have
 agreed on a sign that ten reversed.  A change reads as lower or higher
@@ -45,7 +47,8 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUNS = 3
 PAIRS = 10
 SPREAD = ("wall_s", "last_step_s", "peak_rss_mb", "page_faults")
-LAST_STEP = ("last_step_dofs", "coarse_dofs", "coarse_route", "node_classes")
+LAST_STEP = ("last_step_dofs", "coarse_dofs", "coarse_route",
+             "coarse_factor_nnz", "node_classes")
 SMOOTH = dict(benchmark="smooth", mode="uniform_h", p=3, delta_p=2,
               lam=1.0, mu=0.5)
 STUDIES = {
@@ -61,17 +64,19 @@ def run_one(name: str) -> dict:
     from dpg_elast import assembly
     from dpg_elast.study import StudyConfig, run_convergence_study
 
-    coarse = []     # per step: coarse dofs, route, node classes
+    coarse = []     # per step: coarse dofs, route, factor entries, node classes
     condense, splu = assembly.condense, assembly.splu
 
     def recorded_condense(material, f, layout, *args, **kwargs):
         system = condense(material, f, layout, *args, **kwargs)
-        coarse.append([int(system.free.size), "dense", len(layout.nodes)])
+        n = int(system.free.size)
+        coarse.append([n, "dense", n * (n + 1) // 2, len(layout.nodes)])
         return system
 
     def recorded_splu(*args, **kwargs):
-        coarse[-1][1] = "superlu"
-        return splu(*args, **kwargs)
+        lu = splu(*args, **kwargs)
+        coarse[-1][1:3] = "superlu", int(lu.nnz)
+        return lu
 
     assembly.condense, assembly.splu = recorded_condense, recorded_splu
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -84,8 +89,7 @@ def run_one(name: str) -> dict:
             "page_faults": usage.ru_minflt - faults,
             "last_step_dofs": int(rows[-1].n_dofs),
             "last_step_s": round(rows[-1].wall_time, 3),
-            "coarse_dofs": coarse[-1][0], "coarse_route": coarse[-1][1],
-            "node_classes": coarse[-1][2]}
+            **dict(zip(LAST_STEP[1:], coarse[-1]))}
 
 
 def run_fresh(root: str, name: str) -> dict:
