@@ -46,20 +46,20 @@ and its inner cross at any depth, is carried by its descendants alone.
 A node is a split element whose four children are leaves or nodes: its
 basis is its inner dofs, then one boundary function per distinct part
 of its children's skeleton rows off the inner dofs (a vertex's rows from
-two children are one function), and its kernel holds the children's
-Schur complements summed on that basis, condensed onto the boundary
-functions (`_node_kernel`).  A node class is keyed by its children's
-keys, so equal subtrees share one kernel.  A class becomes a node class
-when its kernel serves more than once, that is when it has at least
-`NODE_MIN_MEMBERS` (two) members, and for no other reason, so a mesh's
-layout does not depend on what the cache holds.  A subtree refined anew
-at every step, as the adaptive L-shape's chains to its corner are, is
-left to SuperLU, which factors a kernel used once faster than a dense
-node does.  The layout finds the nodes, children before parents, in
-array passes per subtree height, and keeps their C entries after the
-leaves', so a parent reads every child alike.  Node kernels live for one
-`condense`: it builds them, children before parents, from its element
-classes' kernels, and keeps only their `A` for the recovery.
+two children are one function), one one-member `ClassMap` per child,
+and its kernel holds the children's Schur complements summed on that
+basis, condensed onto the boundary functions (`_node_kernel`).  A node
+class is keyed by its children's keys, so equal subtrees share one
+kernel.  A class becomes a node class when it has at least
+`NODE_MIN_MEMBERS` (two) members, so that its kernel serves more than
+once, and for no other reason: a layout does not depend on what the
+cache holds, and a subtree refined anew at every step, as the adaptive
+L-shape's chains to its corner are, is left to SuperLU, which factors a
+kernel used once faster than a dense node does.  The layout finds the
+nodes, children before parents, in array passes per subtree height, and
+keeps their C entries after the leaves', so a parent reads every child
+alike.  Node kernels live for one `condense`, which frees each after its
+unit's step but for the `A` of the recovery.
 
 `condense` takes one step per unit, children before parents: each
 element class, then each node class, then each root member's private
@@ -76,10 +76,11 @@ The coarse system is dense when its k entries on n coarse dofs give
 2 k >= n^2, as on every step of the bench's smooth-h (n = 122 to 250,
 k / n^2 near 1) and the first two of lshape-adapt.  `condense` counts k
 before any unit writes; each unit then adds its entries into the (n, n)
-sum as it writes them, and `solve_condensed` factors the sum in place by
-dense Cholesky, 5 to 10 times faster than SuperLU there.  A sparser
-system, as on lshape-adapt's later steps (k / n^2 from 0.39 down to 0.11
-at n = 912), keeps its entries for SuperLU.  Method 2 (`rankone`) stays
+sum as it writes them (`_add_dense`, which sums node fronts and private
+blocks alike), and `solve_condensed` factors the sum in place by dense
+Cholesky, 5 to 10 times faster than SuperLU there.  A sparser system, as
+on lshape-adapt's later steps (k / n^2 from 0.39 down to 0.11 at
+n = 912), keeps its entries for SuperLU.  Method 2 (`rankone`) stays
 on SuperLU at any density until one private factor function serves both
 routes (ROADMAP items 2 and 4), as the benchmark counts that method's
 factorizations by wrapping `splu`.
@@ -113,6 +114,9 @@ SPD_SPLU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
 # class has at least this many members; a kernel used once is left to the
 # coarse solve (`_node_classes`)
 NODE_MIN_MEMBERS = 2
+
+# the empty interior and the member mask of a one-member map
+_NO_INTERIOR, _ONE = _read_only(np.zeros((1, 0), dtype=int), np.ones(1, dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -177,8 +181,8 @@ class KernelCache:
 @dataclass(frozen=True)
 class ClassMap:
     """The constraint maps C_K of a class's members, with their interior
-    dofs; for a node class, the maps onto the nodes' boundary functions,
-    with their inner dofs.
+    dofs; for a node class, onto the nodes' boundary functions, with their
+    inner dofs; for a node's child or a private unit, onto its dense sum.
 
     Local skeleton dof `rows[i, t]` of member i takes `weights[i, t]` times
     global dof `ids[i, t]`, and x_K = C_K x sums these over t.  Entries
@@ -213,17 +217,14 @@ class ClassMap:
     def outer(self, S: np.ndarray, members: np.ndarray,
               out: np.ndarray | None = None) -> np.ndarray:
         """C_K' S C_K of the selected members as an (m, nnz, nnz) block:
-        entry [i, a, b] adds to the global entry (ids[i, a], ids[i, b])."""
+        entry [i, a, b] adds to the global entry (ids[i, a], ids[i, b]).
+        Without `out`, the block is weighted in the gather's buffer."""
         w, r = self.weights[members], self.rows[members]
-        out = np.multiply(w[:, :, None], S[r[:, :, None], r[:, None, :]],
-                          out=out)
+        block = S[r[:, :, None], r[:, None, :]]
+        out = np.multiply(w[:, :, None], block,
+                          out=block if out is None else out)
         out *= w[:, None, :]
         return out
-
-    def member(self, i: int) -> "ClassMap":
-        """The one-member map of member i."""
-        return ClassMap(self.interior[i:i + 1], self.ids[i:i + 1],
-                        self.rows[i:i + 1], self.weights[i:i + 1], self.n_skel)
 
 
 @dataclass
@@ -699,13 +700,13 @@ def _node_classes(mesh: Mesh, active: np.ndarray, dof_node: np.ndarray,
         n_in = np.bincount(on_node[use], minlength=n)
         i_base = np.cumsum(n_in) - n_in
         # every node's basis: entries (child row, node function, weight),
-        # by row, the rows and functions counted in the node, and where
-        # each child's rows start among them
+        # by row, each row counted in its child and each function in its
+        # node, and where each child's entries start among them
         t_row = np.concatenate([e_rows[on], out])
         t = np.argsort(t_row, kind="stable")
         t_row = t_row[t]
         t_bound = np.append(np.searchsorted(t_row, row0), t.size)
-        t_row -= np.repeat(row0[::4], np.diff(t_bound[::4]))
+        t_row -= np.repeat(row0, np.diff(t_bound))
         t_col = np.concatenate([rank - i_base[on_node],
                                 n_in[r_node[out]] + func])[t]
         t_w = np.concatenate([e_w[on], np.ones(out.size)])[t]
@@ -730,20 +731,20 @@ def _node_classes(mesh: Mesh, active: np.ndarray, dof_node: np.ndarray,
         _read_only(t_row, t_col, t_w)
         for c, group, cmap in zip(np.flatnonzero(shut).tolist(), groups, maps):
             k = group[0]
-            a, *bounds = t_bound[4 * k:4 * k + 5].tolist()
+            b = t_bound[4 * k:4 * k + 5].tolist()
             nodes.append(_read_only(nd[group])[0])
             node_keys.append(new_keys[c])
             node_maps.append(cmap)
-            node_basis.append((int(n_in[k]), t_row[a:bounds[-1]],
-                               t_col[a:bounds[-1]], t_w[a:bounds[-1]],
-                               [b - a for b in bounds[:-1]]))
+            node_basis.append((int(n_in[k] + n_fn[k]), int(n_in[k]), [
+                ClassMap(_NO_INTERIOR, t_col[None, s:e], t_row[None, s:e],
+                         t_w[None, s:e], nf) for s, e, nf in
+                zip(b, b[1:], fns[kid[4 * k:4 * k + 4]].tolist())]))
     return nodes, node_keys, node_maps, node_basis, closed
 
 
 def element_full_bmat(layout: DofLayout, material: Material, f, pos: int):
     """Gram factor (L_tau, L_v), Z = L^-1 B of the full local coupling
-    matrix B, load, and the one-member `ClassMap` (interior dofs, C_K) of
-    the element at `pos`.
+    matrix B, and load of the element at `pos`.
 
     L and Z are the element class's read-only matrices from `layout.cache`,
     built on the first request of the study; Z's skeleton columns are the
@@ -760,8 +761,7 @@ def element_full_bmat(layout: DofLayout, material: Material, f, pos: int):
         lvecs.setflags(write=False)
         layout.loads.update(((f, k), lvec)
                             for k, lvec in zip(rows.tolist(), lvecs))
-    return (kernel.L, kernel.Z, layout.loads[f, pos],
-            layout.class_maps[cls].member(layout.element_row[pos]))
+    return kernel.L, kernel.Z, layout.loads[f, pos]
 
 
 def _class_members(layout: DofLayout, material: Material, f, cls: int):
@@ -870,39 +870,21 @@ def _condensed(K: np.ndarray, ni: int, failure: str, **extra) -> ClassKernel:
 
 
 def _node_kernel(basis: tuple, children: list[ClassKernel]) -> ClassKernel:
-    """Kernel of a node class on its node basis (ni, rows, cols, weights,
-    bounds), from its children's kernels in child order: child skeleton
-    row `rows[t]`, counted over the children in order, takes `weights[t]`
-    times node function `cols[t]`, an inner dof below ni and a boundary
-    function from ni on; `bounds` splits the entries, sorted by row, by
-    child.
+    """Kernel of a node class on its node basis (n, ni, maps), from its
+    children's kernels in child order: the one-member `ClassMap` maps[k]
+    takes child k's skeleton rows to the node's n functions, inner dofs
+    below ni and boundary functions from ni on.
 
     K = sum_k T_k' S_k T_k is the children's Schur complements on the node
-    basis (`_summed`); its inner block is the node's inner skeleton.  A
-    failed Cholesky factor of that block means the skeleton system is not
-    SPD.
+    basis, each child's added as it comes (`_add_dense`); its inner block
+    is the node's inner skeleton.  A failed Cholesky factor of that block
+    means the skeleton system is not SPD.
     """
-    ni, rows, cols, weights, bounds = basis
-    at, blocks = 0, []
-    for S, a, b in zip([child.S for child in children], [0, *bounds],
-                       [*bounds, len(rows)]):
-        r = rows[a:b] - at
-        at += len(S)
-        if r.size > len(S):     # some rows take more than one function
-            S = S[np.ix_(r, r)]
-        blocks.append((S, cols[a:b], weights[a:b]))
-    return _condensed(_summed(cols.max() + 1, blocks), ni,
-                      "sparse factorization failed; system not SPD")
-
-
-def _summed(n: int, blocks) -> np.ndarray:
-    """The (n, n) sum of the blocks (S, c, w) entry by entry, each block
-    added as it comes: entry S[s, t] adds w[s] S[s, t] w[t] at (c[s], c[t]),
-    in the order of one `bincount` over all the blocks' entries."""
-    K = np.zeros(n * n)
-    for S, c, w in blocks:
-        np.add.at(K, (c[:, None] * n + c).ravel(), (w[:, None] * S * w).ravel())
-    return K.reshape(n, n)
+    n, ni, maps = basis
+    K = np.zeros((n, n))
+    for cmap, child in zip(maps, children):
+        _add_dense(K, cmap, child.S, cmap.ids, _ONE)
+    return _condensed(K, ni, "sparse factorization failed; system not SPD")
 
 
 def dirichlet_values(layout: DofLayout, g_data) -> np.ndarray:
@@ -1093,32 +1075,28 @@ def condense(material: Material, f, layout: DofLayout, x_pinned: np.ndarray,
                                        layout.node_maps, layout.nodes):
         kernel = kernels[key] = _node_kernel(basis, [kernels[k] for k in key])
         units.append((kernel, nmap, 0.0, ~layout.in_node[nodes]))
+    del kernels     # each node kernel now lives in its unit alone
     units += _private_units(layout, units, coarse)
     free = n_interior + np.flatnonzero(coarse[n_interior:])
     index = np.full(n, -1, dtype=np.int32)
     index[free] = np.arange(free.size, dtype=np.int32)
 
-    # the entries each unit writes: per writing member, its free dofs squared
-    sizes = [int(np.square((index[cmap.ids[w]] >= 0).sum(axis=1)).sum())
-             for _, cmap, _, w in units]
+    sizes = [_free_entries(index[cmap.ids], w) for _, cmap, _, w in units]
     m, k = free.size, sum(sizes)
     dense = np.zeros((m, m)) if 2 * k >= m * m else None
     coo = None if dense is not None else (*np.empty((2, k), np.int32), np.empty(k))
     recover, at = [], 0
-    for (kernel, cmap, own, writes), size in zip(units, sizes):
+    for i, size in enumerate(sizes):
+        # the unit leaves the list: only its A outlives its step
+        (kernel, cmap, own, writes), units[i] = units[i], None
         if isinstance(kernel, tuple):   # a private unit's, built where used
             kernel = _private_kernel(*kernel)
         b, gs = _eliminate(kernel, g[cmap.interior].transpose(1, 0, 2))
         gs[:, :, 0] += own
         if size and coo is not None:
             at = _write_free(cmap, kernel.S, index[cmap.ids], writes, coo, at)
-        elif size:  # the unit's entries, their rows made flat indices in place
-            part = np.empty(size, np.int64), np.empty(size, np.int32), np.empty(size)
-            _write_free(cmap, kernel.S, index[cmap.ids], writes, part, 0)
-            flat, cols, vals = part
-            flat *= m
-            flat += cols
-            np.add.at(dense.ravel(), flat, vals)
+        elif size:
+            _add_dense(dense, cmap, kernel.S, index[cmap.ids], writes)
         cmap.scatter(g, gs.transpose(1, 0, 2))
         recover.append((cmap, kernel.A, b))
 
@@ -1133,9 +1111,10 @@ def _private_units(layout: DofLayout, units: list, coarse: np.ndarray) -> list:
 
     The unit's one member has the private dofs as its interior and its
     other distinct unpinned dofs (free coarse dofs) as its map, each of
-    weight 1; in place of its kernel it holds the plan `_private_kernel`
-    builds it from, and its own load is 0.  The member leaves its node
-    unit's `writes`, and `coarse` drops the private dofs.
+    weight 1; in place of its kernel it holds the plan (root S, map to its
+    dofs, private count) `_private_kernel` builds it from, and its own
+    load is 0.  The member leaves its node unit's `writes`, and `coarse`
+    drops the private dofs.
     """
     touched = np.bincount(np.concatenate(
         [cmap.ids[writes].ravel() for _, cmap, _, writes in units]),
@@ -1148,35 +1127,34 @@ def _private_units(layout: DofLayout, units: list, coarse: np.ndarray) -> list:
             mine = coarse[ids] & (touched[ids] == 1)
             if not mine.any():
                 continue
-            # the private dofs' entries, then the unpinned others'; each
-            # dof numbered by its first entry, several summed (`_summed`)
+            # the private dofs' entries, then the unpinned others', by first use
             at = np.concatenate([np.flatnonzero(mine), np.flatnonzero(
                 ~mine & ~layout.pinned[ids])])
             col, first = _first_use(ids[at])
             dofs, ni = ids[at][first], np.count_nonzero(mine)
             n = dofs.size - ni
+            plan = ClassMap(_NO_INTERIOR, col[None], cmap.rows[i, at][None],
+                            cmap.weights[i, at][None], cmap.n_skel)
             private.append((
-                (kernel.S, cmap.rows[i][at], cmap.weights[i][at], col, ni),
+                (kernel.S, plan, ni),
                 ClassMap(dofs[None, :ni], dofs[None, ni:],
                          _read_only(np.arange(n)[None])[0], np.ones((1, n)), n),
-                0.0, np.ones(1, dtype=bool)))
+                0.0, _ONE))
             writes[i] = False
             coarse[dofs[:ni]] = False
     return private
 
 
-def _private_kernel(S: np.ndarray, rows: np.ndarray, weights: np.ndarray,
-                    cols: np.ndarray, ni: int) -> ClassKernel:
-    """Kernel of a private unit (`_private_units`): the block of S on
-    `rows`, row t weighted by weights[t] and taken to dof cols[t], several
-    rows of one dof summed (`_summed`), with its first ni dofs interior."""
-    K = S[np.ix_(rows, rows)]
-    n = int(cols.max()) + 1
-    if n < cols.size:
-        K = _summed(n, [(K, cols, weights)])
+def _private_kernel(S: np.ndarray, cmap: ClassMap, ni: int) -> ClassKernel:
+    """Kernel of a private unit (`_private_units`): C' S C on the map
+    `cmap` from its root's rows to its dofs, the first ni interior; the
+    rows of a dof taken several times are summed (`_add_dense`)."""
+    n = int(cmap.ids.max()) + 1
+    if n < cmap.ids.size:
+        K = np.zeros((n, n))
+        _add_dense(K, cmap, S, cmap.ids, _ONE)
     else:
-        K *= weights[:, None]
-        K *= weights
+        K = cmap.outer(S, _ONE)[0]
     return _condensed(K, ni, "sparse factorization failed; system not SPD")
 
 
@@ -1190,13 +1168,32 @@ def _eliminate(kernel: ClassKernel, rhs: np.ndarray):
     return b, gs
 
 
+def _free_entries(dof: np.ndarray, members) -> int:
+    """Entries `_write_free` writes: per member, its free dofs squared."""
+    return int(np.square((dof[members] >= 0).sum(axis=1)).sum())
+
+
+def _add_dense(out: np.ndarray, cmap: ClassMap, S: np.ndarray,
+               dof: np.ndarray, members) -> None:
+    """Add the members' C_K' S C_K entries into the C-ordered (n, n) `out`:
+    `_write_free` into a scratch, then one `np.add.at` in the order
+    written.  Every dense sum goes here: the dense coarse system, a node
+    front (`_node_kernel`) and a private block with repeated dofs."""
+    size = _free_entries(dof, members)
+    part = np.empty(size, np.int64), np.empty(size, np.int32), np.empty(size)
+    _write_free(cmap, S, dof, members, part, 0)
+    flat, cols, vals = part
+    flat *= len(out)
+    flat += cols
+    np.add.at(out.ravel(), flat, vals)
+
+
 def _write_free(cmap: ClassMap, S: np.ndarray, dof: np.ndarray, members,
                 coo: tuple, k: int) -> int:
     """Write the C_K' S C_K entries of the members selected by the mask
-    `members` at position k of the row, column and value
-    arrays `coo`, numbered by free coarse dof (`dof`, the members' ids in
-    that numbering, -1 where interior, inner or pinned); returns the next
-    position.
+    `members` at position k of the row, column and value arrays `coo`,
+    numbered by `dof`, the members' ids in the target's numbering, -1
+    where interior, inner or pinned; returns the next position.
 
     The members clear of the pinned dofs write every entry in place; the
     others write only the entries of their free rows and columns.
@@ -1211,6 +1208,8 @@ def _write_free(cmap: ClassMap, S: np.ndarray, dof: np.ndarray, members,
     rows[span].reshape(block)[...] = d[:, :, None]
     cols[span].reshape(block)[...] = d[:, None, :]
     part = members & ~whole
+    if not part.any():      # every member whole: node fronts, private blocks
+        return span.stop
     d = dof[part]
     keep = (d[:, :, None] >= 0) & (d[:, None, :] >= 0)
     span = slice(span.stop, span.stop + np.count_nonzero(keep))

@@ -29,11 +29,12 @@ The library stacks the elements of a class or of a degree for the loads,
 condensation, the error estimator, the L2 errors and the Dirichlet data.
 The `*_per_element` helpers do the same work one element (or boundary
 edge) at a time, with one data call each, for tests to compare against.
-They take each element's L, Z = L^-1 B and C_K from `element_full_bmat`
-(the class kernels, whose B C_K `test_classes.py` checks against
-`global_bmat`, with B from `class_bmat`), compute its load with the
-single-element `local_load` below, and form K = Z'Z and the load
-Z'(L^-1 l) with L^-1 l from `lower_rows`.
+They take each element's L and Z = L^-1 B from `element_full_bmat` and
+its C_K from `element_cmap` (the class kernels, whose B C_K
+`test_classes.py` checks against `global_bmat`, with B from
+`class_bmat`), compute its load with the single-element `local_load`
+below, and form K = Z'Z and the load Z'(L^-1 l) with L^-1 l from
+`lower_rows`.
 
 `bilinear_maps`, `apply_compliance` and `interior_slices` are pointwise
 and per-element forms of what the library does in batches, for tests to
@@ -344,6 +345,19 @@ def global_bmat(mesh, layout, material, k):
     return B, np.concatenate([np.arange(first, first + 5 * (p + 1) ** 2), ids])
 
 
+def member(cmap, i):
+    """The one-member `ClassMap` of member i of `cmap`."""
+    return ClassMap(cmap.interior[i:i + 1], cmap.ids[i:i + 1],
+                    cmap.rows[i:i + 1], cmap.weights[i:i + 1], cmap.n_skel)
+
+
+def element_cmap(layout, pos):
+    """The one-member `ClassMap` (interior dofs, C_K) of the element at
+    `pos`."""
+    return member(layout.class_maps[layout.element_class[pos]],
+                  layout.element_row[pos])
+
+
 def full_map(cmap, n_dofs):
     """A one-member `ClassMap` as a dense (ni + n_skel, n_dofs) matrix:
     the identity on the interior dofs, then C_K."""
@@ -413,8 +427,9 @@ def _element_matrices(mesh, layout, material, f, k, delta_p):
     """Element k's class Z = L^-1 B, L^-1 l of its own load l in Z's row
     order (`lower_rows`), and its dense map from the global to its local
     dofs (`full_map`)."""
-    L, Z, _, cmap = element_full_bmat(layout, material, f,
-                                      position_of(layout, k))
+    pos = position_of(layout, k)
+    L, Z, _ = element_full_bmat(layout, material, f, pos)
+    cmap = element_cmap(layout, pos)
     lvec = local_load(element_coords(mesh, k),
                       degree_and_base(layout, k)[0] + delta_p, f)
     return Z, lower_rows(L, lvec), full_map(cmap, layout.n_dofs)
@@ -567,14 +582,14 @@ def node_schur_complement(layout, kernels, nc, i):
     for e in leaves:
         pos = position_of(layout, e)
         cls = layout.element_class[pos]
-        cmap = layout.class_maps[cls].member(layout.element_row[pos])
+        cmap = element_cmap(layout, pos)
         maps.append(full_map(cmap, n)[cmap.interior.shape[1]:])
         schur.append(kernels[layout.class_keys[cls]].S)
     used = np.flatnonzero(np.any([(C != 0).any(axis=0) for C in maps], axis=0))
     total = sum(C[:, used].T @ S @ C[:, used] for C, S in zip(maps, schur))
     keep = ~np.isin(used, np.concatenate(eliminated))
     expect, _, _ = eliminate_dense(total, np.zeros((used.size, 0)), keep)
-    nmap = layout.node_maps[nc].member(i)
+    nmap = member(layout.node_maps[nc], i)
     C = full_map(nmap, n)[nmap.interior.shape[1]:]
     S = kernels[layout.node_keys[nc]].S
     got = C[:, used[keep]].T @ S @ C[:, used[keep]]

@@ -9,8 +9,7 @@ from scipy.linalg import cho_factor
 from scipy.sparse.linalg import splu
 
 from dpg_elast.assembly import (build_dof_layout, dirichlet_values,
-                                element_full_bmat, error_indicators,
-                                solve_condensed)
+                                error_indicators, solve_condensed)
 from dpg_elast.basis import (gauss_rule_2d, ones_coefficients_1d,
                              ones_coefficients_2d, q_basis_table)
 from dpg_elast.exact import (LShapeParams, lshape_effective_material,
@@ -24,8 +23,8 @@ from dpg_elast.study import (StudyConfig, best_approximation_errors,
                              greedy_mark, l2_errors, make_benchmark,
                              observed_rate, run_convergence_study)
 from oracle import (degree_and_base, edge_coords, apply_compliance, assemble_full, bilinear_maps,
-                    class_bmat, element_coords, full_gram, interior_slices,
-                    layout_dicts, solve_full)
+                    class_bmat, element_cmap, element_coords, full_gram,
+                    interior_slices, layout_dicts, solve_full)
 
 STEEL_LAM, STEEL_MU = 123.0, 79.3
 
@@ -223,7 +222,7 @@ def test_criterion_08_test_function_identities():
     mesh = build_initial_mesh("unit_square", 1)
     degrees = DegreeMap(mesh, p=1, delta_p=2)
     layout = build_dof_layout(mesh, degrees)
-    _, _, _, cmap = element_full_bmat(layout, material, None, 0)
+    cmap = element_cmap(layout, 0)
     Bfull = class_bmat(layout, material, 0)
     p, _ = degree_and_base(layout, 0)
     p_tilde = p + degrees.delta_p

@@ -496,16 +496,30 @@ def test_indefinite_root_boundary_fails_before_superlu(monkeypatch):
 
 
 def recorded_writes(monkeypatch):
-    """A list that gets (rows, cols, values) of every `_write_free` call,
-    in the order the calls write."""
-    writes = []
+    """A list that gets (rows, cols, values) of every `_write_free` call
+    into the coarse system, in the order the calls write; the calls that
+    sum a node's front or a private unit's block, made while
+    `_node_kernel` or `_private_kernel` builds, are left out."""
+    writes, building = [], []
 
     def recorded(cmap, S, dof, members, coo, k, inner=assembly._write_free):
         end = inner(cmap, S, dof, members, coo, k)
-        writes.append(tuple(a[k:end].copy() for a in coo))
+        if not building:
+            writes.append(tuple(a[k:end].copy() for a in coo))
         return end
 
+    def kernel_build(inner):
+        def build(*args):
+            building.append(inner)
+            kernel = inner(*args)
+            building.pop()
+            return kernel
+        return build
+
     monkeypatch.setattr(assembly, "_write_free", recorded)
+    for name in ("_node_kernel", "_private_kernel"):
+        monkeypatch.setattr(assembly, name,
+                            kernel_build(getattr(assembly, name)))
     return writes
 
 
@@ -791,11 +805,12 @@ def test_condense_peak_below_global_route():
     assert peak < 0.75 * ref
 
 
-def test_summed_adds_block_by_block():
-    # four 512 x 512 blocks into n = 1600, bit for bit one `bincount` of
-    # all their entries.  Measured: the (n, n) sum is 19.5 MiB, and the
-    # call peaked at 35.5 MiB with every block's flat indices and values
-    # held at once, at 25.6 MiB block by block
+def test_dense_sum_adds_block_by_block():
+    # four 512 x 512 blocks into n = 1600, each a one-member map through
+    # `_add_dense` as a node's children enter its front: bit for bit one
+    # `bincount` of all their entries.  Measured: the (n, n) sum is
+    # 19.5 MiB; the calls peaked at 35.5 MiB with every block's flat
+    # indices and values held at once, at 26.7 MiB block by block
     rng = np.random.default_rng(0)
     n, m = 1600, 512
     blocks = [(rng.standard_normal((m, m)), rng.choice(n, m, replace=False),
@@ -805,7 +820,16 @@ def test_summed_adds_block_by_block():
         np.concatenate([(w[:, None] * S * w).ravel() for S, _, w in blocks]),
         n * n).reshape(n, n)
     sums = []
-    peak = traced_peak(lambda: sums.append(assembly._summed(n, blocks)))
+
+    def summed():
+        K = np.zeros((n, n))
+        for S, c, w in blocks:
+            cmap = assembly.ClassMap(np.zeros((1, 0), int), c[None],
+                                     np.arange(m)[None], w[None], m)
+            assembly._add_dense(K, cmap, S, cmap.ids, np.ones(1, bool))
+        sums.append(K)
+
+    peak = traced_peak(summed)
     np.testing.assert_array_equal(sums[0], expect)
     assert peak <= 1.5 * expect.nbytes
 

@@ -48,7 +48,7 @@ from dpg_elast.study import (StudyConfig, greedy_mark, l2_errors,
                              make_benchmark, run_convergence_study)
 from oracle import (class_bmat, condense_per_element, degree_and_base,
                     dirichlet_values_per_element, edge_coords,
-                    element_coords, edge_param, eliminate_dense,
+                    element_cmap, element_coords, edge_param, eliminate_dense,
                     error_indicators_per_element, full_map, global_bmat,
                     l2_errors_per_element, layout_by_walk, layout_dicts,
                     layout_of_nodes, node_kernels, node_schur_complement,
@@ -61,9 +61,8 @@ MATERIAL = make_isotropic(1.0, 0.5)
 def element_map(layout, k):
     """Element k's dense map from the global to its local dofs: the
     identity on its interior dofs, then C_K."""
-    _, _, _, cmap = element_full_bmat(layout, MATERIAL, None,
-                                      position_of(layout, k))
-    return full_map(cmap, layout.n_dofs)
+    return full_map(element_cmap(layout, position_of(layout, k)),
+                    layout.n_dofs)
 
 
 def check_class_matrices(mesh, layout):
@@ -72,7 +71,7 @@ def check_class_matrices(mesh, layout):
     class key (`class_bmat`), and L^-1 B is the kernel's Z to the bit."""
     for k in mesh.active_elements:
         pos = position_of(layout, k)
-        L, Z, _, _ = element_full_bmat(layout, MATERIAL, None, pos)
+        L, Z, _ = element_full_bmat(layout, MATERIAL, None, pos)
         B = class_bmat(layout, MATERIAL, pos)
         assert lower_solve(L, B).tobytes() == Z.tobytes()
         fresh, gdofs = global_bmat(mesh, layout, MATERIAL, k)
@@ -240,10 +239,11 @@ def cached_arrays(cache, layout):
     for kernel in cache.kernels.values():
         yield from (a for _, a in kernel_arrays(kernel))
     yield from layout.loads.values()
-    for nmap, nodes, (_, rows, cols, weights, _) in zip(
+    for nmap, nodes, (_, _, maps) in zip(
             layout.node_maps, layout.nodes, layout.node_basis):
-        yield from (nmap.interior, nmap.ids, nmap.rows, nmap.weights, nodes,
-                    rows, cols, weights)
+        yield from (nmap.interior, nmap.ids, nmap.rows, nmap.weights, nodes)
+        for cmap in maps:
+            yield from (cmap.interior, cmap.ids, cmap.rows, cmap.weights)
 
 
 def cached_keys(cache):
@@ -416,8 +416,7 @@ def vertex_functions(layout):
     give it: (dof ids, weights) of its nonzero entries."""
     out = set()
     for pos in range(len(layout.elements)):
-        cmap = layout.class_maps[layout.element_class[pos]]
-        cmap = cmap.member(layout.element_row[pos])
+        cmap = element_cmap(layout, pos)
         C = full_map(cmap, layout.n_dofs)[cmap.interior.shape[1]:][:8]
         out.update(sparse_row(row) for row in C)
     return out
@@ -457,6 +456,38 @@ def test_node_kernels_match_dense_schur_complements(domain, data):
             assert np.max(np.abs(got - expect)) <= 1e-12 * np.abs(expect).max()
             rows = [sparse_row(row) for row in C]
             assert all(rows.count(row) == 1 for row in vertices & set(rows))
+
+
+def test_node_front_sums_repeated_child_rows(monkeypatch):
+    # the unit square split, then its first child split again, with every
+    # split element a node (p = 2).  The first child's function at the
+    # hanging midpoint of a half of the root's cross takes the root's
+    # centre and cross bubbles (inner dofs) and the side midpoint's
+    # function, so its row enters the root's basis several times.  The
+    # root's front is, bit for bit, each child's w S[r][:, r] w, with its
+    # repeated rows gathered, scattered by one `bincount` of all entries
+    mesh = refine_marked(build_initial_mesh("unit_square", 1), [0])
+    mesh = refine_marked(mesh, [mesh.child[0]])
+    layout = layout_of_nodes(mesh, DegreeMap(mesh, p=2, delta_p=2))
+    fronts = []
+
+    def recorded(K, *args, inner=assembly._condensed, **kwargs):
+        fronts.append(K.copy())
+        return inner(K, *args, **kwargs)
+
+    monkeypatch.setattr(assembly, "_condensed", recorded)
+    kernels = node_kernels(layout, MATERIAL)
+    assert [len(nodes) for nodes in layout.nodes] == [1, 1]
+    n, ni, maps = layout.node_basis[-1]
+    children = [kernels[key].S for key in layout.node_keys[-1]]
+    assert any(np.unique(cmap.rows).size < cmap.rows.size for cmap in maps)
+    entries = [(cmap.rows[0], cmap.ids[0], cmap.weights[0]) for cmap in maps]
+    expect = np.bincount(
+        np.concatenate([(c[:, None] * n + c).ravel() for _, c, _ in entries]),
+        np.concatenate([(w[:, None] * S[np.ix_(r, r)] * w).ravel()
+                        for (r, _, w), S in zip(entries, children)]),
+        n * n).reshape(n, n)
+    np.testing.assert_array_equal(fronts[-1], expect)
 
 
 def test_uniform_node_basis_holds_each_dof_once():

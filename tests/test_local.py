@@ -312,7 +312,7 @@ def test_gram_factor_cached_per_geometry_class():
     degrees = DegreeMap(mesh, p=1)
     layout = build_dof_layout(mesh, degrees)
     for k in mesh.active_elements:
-        L, _, _, _ = element_full_bmat(layout, m, None, position_of(layout, k))
+        L, _, _ = element_full_bmat(layout, m, None, position_of(layout, k))
         p_tilde = degree_and_base(layout, k)[0] + degrees.delta_p
         L_abs = gram_factor(local_gram(element_coords(mesh, k), p_tilde))
         for block, absolute in zip(L, L_abs, strict=True):

@@ -1,9 +1,10 @@
-"""Scale check: three large studies, each in fresh interpreters.
+"""Scale check: four large studies, each in fresh interpreters.
 
-Runs the smooth `uniform_h` study at p = 3 for 5 and 6 steps (113,666
-and 452,610 dofs on their last steps) and the L-shape `adaptive_h`
-study at p = 1 for 20 steps, with the materials of the bench's smooth-h
-and lshape-adapt workloads.
+Runs the smooth `uniform_h` study at p = 3 for 5, 6 and 7 steps
+(113,666, 452,610 and 1,806,338 dofs on their last steps) and the
+L-shape `adaptive_h` study at p = 1 for 20 steps, with the materials of
+the bench's smooth-h and lshape-adapt workloads.  The 7-step study
+peaks at about 1.2 GB of RSS, and the studies run one at a time.
 
     python tools/scale_check.py
     python tools/scale_check.py OLD_ROOT NEW_ROOT
@@ -31,8 +32,9 @@ agreed on a sign that ten reversed.  A change reads as lower or higher
 when nine of the ten pairs agree.
 
 Each study runs with one BLAS thread and imports the package from
-`<root>/src`.  A run with no arguments took 17 s on a 2-core x86-64 VM,
-one with two checkouts (10 pairs) 100 s.
+`<root>/src`.  Without the 7-step study, a run with no arguments took
+17 s on a 2-core x86-64 VM, one with two checkouts (10 pairs) 100 s;
+the 7-step study adds about 7 s per run there.
 """
 import json
 import os
@@ -54,6 +56,7 @@ SMOOTH = dict(benchmark="smooth", mode="uniform_h", p=3, delta_p=2,
 STUDIES = {
     "smooth-uniform-h-5": dict(SMOOTH, steps=5),
     "smooth-uniform-h-6": dict(SMOOTH, steps=6),
+    "smooth-uniform-h-7": dict(SMOOTH, steps=7),
     "lshape-adaptive-h-20": dict(benchmark="lshape", mode="adaptive_h", p=1,
                                  delta_p=2, steps=20, lam=123.0, mu=79.3),
 }
