@@ -48,18 +48,19 @@ basis is its inner dofs, then one boundary function per distinct part
 of its children's skeleton rows off the inner dofs (a vertex's rows from
 two children are one function), one one-member `ClassMap` per child,
 and its kernel holds the children's Schur complements summed on that
-basis, condensed onto the boundary functions (`_node_kernel`).  A node
-class is keyed by its children's keys, so equal subtrees share one
-kernel.  A class becomes a node class when it has at least
-`NODE_MIN_MEMBERS` (two) members, so that its kernel serves more than
-once, and for no other reason: a layout does not depend on what the
-cache holds, and a subtree refined anew at every step, as the adaptive
-L-shape's chains to its corner are, is left to SuperLU, which factors a
-kernel used once faster than a dense node does.  The layout finds the
-nodes, children before parents, in array passes per subtree height, and
-keeps their C entries after the leaves', so a parent reads every child
-alike.  Node kernels live for one `condense`, which frees each after its
-unit's step but for the `A` of the recovery.
+basis straight into the blocks Kii, Kis and Kss, condensed in their
+memory (`_node_kernel`).  A node class is keyed by its children's keys,
+so equal subtrees share one kernel.  A class becomes a node class when
+it has at least `NODE_MIN_MEMBERS` (two) members, so that its kernel
+serves more than once, and for no other reason: a layout does not
+depend on what the cache holds, and a subtree refined anew at every
+step, as the adaptive L-shape's chains to its corner are, is left to
+SuperLU, which factors a kernel used once faster than a dense node
+does.  The layout finds the nodes, children before parents, in array
+passes per subtree height, and keeps their C entries after the leaves',
+so a parent reads every child alike.  Node kernels live for one
+`condense`, which frees each after its unit's step but for the `A` of
+the recovery.
 
 `condense` takes one step per unit, children before parents: each
 element class, then each node class, then each root member's private
@@ -76,14 +77,14 @@ The coarse system is dense when its k entries on n coarse dofs give
 2 k >= n^2, as on every step of the bench's smooth-h (n = 122 to 250,
 k / n^2 near 1) and the first two of lshape-adapt.  `condense` counts k
 before any unit writes; each unit then adds its entries into the (n, n)
-sum as it writes them (`_add_dense`, which sums node fronts and private
-blocks alike), and `solve_condensed` factors the sum in place by dense
-Cholesky, 5 to 10 times faster than SuperLU there.  A sparser system, as
-on lshape-adapt's later steps (k / n^2 from 0.39 down to 0.11 at
-n = 912), keeps its entries for SuperLU.  Method 2 (`rankone`) stays
-on SuperLU at any density until one private factor function serves both
-routes (ROADMAP items 2 and 4), as the benchmark counts that method's
-factorizations by wrapping `splu`.
+sum at flat indices from its ids (`_add_dense`, which sums node fronts
+and private blocks alike), and `solve_condensed` factors the sum in
+place by dense Cholesky, 5 to 10 times faster than SuperLU there.  A
+sparser system, as on lshape-adapt's later steps (k / n^2 from 0.39 down
+to 0.11 at n = 912), keeps its entries for SuperLU (`_write_free`).
+Method 2 (`rankone`) stays on SuperLU at any density until one private
+factor function serves both routes (ROADMAP items 2 and 4), as the
+benchmark counts that method's factorizations by wrapping `splu`.
 """
 from __future__ import annotations
 
@@ -123,17 +124,17 @@ _NO_INTERIOR, _ONE = _read_only(np.zeros((1, 0), dtype=int), np.ones(1, dtype=bo
 class ClassKernel:
     """Read-only matrices of one element class, node class or private unit.
 
-    With K split into interior and skeleton blocks, `Kii` is the Cholesky
-    factor L of the interior block, `A` = (L L')^-1 Kis for the
-    interior-skeleton block Kis, and `S` the Schur complement Kss - Kis' A
-    averaged with its transpose, so symmetric to the bit.  For an element,
-    K = B'G^-1 B = Z'Z, `L` is the Gram factor (L_tau, L_v), the Cholesky
-    factors of the blocks of G = diag(G_tau, G_v, G_v) (`gram_factor`),
-    and `Z` = diag(L_tau, L_v, L_v)^-1 B (`lower_solve`), B the coupling
-    matrix with its columns in class order.  For a node, K is its
-    children's Schur complements summed on the node basis (inner dofs,
-    then boundary functions), and `L` and `Z` are None; so for a private
-    unit, whose K is its member's unpinned C' S C block (`_private_units`).
+    With K = [Kii Kis; Kis' Kss] split into interior and skeleton blocks,
+    `Kii` is the Cholesky factor L of Kii, `A` = (L L')^-1 Kis, and `S` the
+    Schur complement Kss - Kis' A averaged with its transpose, so symmetric
+    to the bit.  For an element, K = B'G^-1 B = Z'Z, `L` is the Gram factor
+    (L_tau, L_v), the Cholesky factors of the blocks of G = diag(G_tau,
+    G_v, G_v) (`gram_factor`), and `Z` = diag(L_tau, L_v, L_v)^-1 B
+    (`lower_solve`), B the coupling matrix with its columns in class order.
+    For a node, K is its children's Schur complements summed on the node
+    basis (inner dofs, then boundary functions), as its three blocks alone,
+    whose memory `Kii` and `S` take (`_condensed`), and `L` and `Z` are
+    None; so for a private unit, whose K is its member's unpinned C' S C.
     """
 
     Kii: np.ndarray
@@ -844,29 +845,45 @@ def _class_kernel(key: tuple, material: Material,
     B = B_hat * scale
     B[:3 * (p_tilde + 1) ** 2, :3 * (p + 1) ** 2] *= scale
     Z, K = local_stiffness(L, B)
-    return _condensed(K, 5 * (p + 1) ** 2, "interior block of an element "
-                      "matrix is not positive definite", L=L, Z=_read_only(Z)[0])
+    ni = 5 * (p + 1) ** 2
+    return _condensed(K[:ni, :ni], K[:ni, ni:], K[ni:, ni:], "interior block "
+                      "of an element matrix is not positive definite", L=L,
+                      Z=_read_only(Z)[0])
 
 
-def _condensed(K: np.ndarray, ni: int, failure: str, **extra) -> ClassKernel:
-    """The read-only condensation blocks of K with its first ni rows and
-    columns interior; RuntimeError(failure) when the interior block is not
-    positive definite."""
-    Kis, Kss = K[:ni, ni:], K[ni:, ni:]
-    Kii = cholesky_factor(K[:ni, :ni], failure)
-    Wt = blas.dtrsm(1.0, Kii, Kis.T, side=1, lower=1, trans_a=1)
-    At = blas.dtrsm(1.0, Kii, Wt, side=1, lower=1, overwrite_b=1)
+def _condensed(Kii: np.ndarray, Kis: np.ndarray, Kss: np.ndarray,
+               failure: str, **extra) -> ClassKernel:
+    """The read-only condensation blocks of K = [Kii Kis; Kis' Kss], in place
+    (L in Kii when Fortran-ordered, S in Kss when C-ordered); raises
+    RuntimeError(failure) when Kii is not positive definite."""
+    L = cholesky_factor(Kii, failure)
+    Wt = blas.dtrsm(1.0, L, Kis.T, side=1, lower=1, trans_a=1)
+    At = blas.dtrsm(1.0, L, Wt, side=1, lower=1, overwrite_b=1)
     # Kss - Kis' A, not Kss - W'W: on a four-round hp mesh whose eliminated
     # skeleton block had cond 1.2e7, W'W left the coarse matrix 1.2e-13
     # (relative) off the exact Schur complement, Kis' A 3e-14, as close as
-    # one dense LU solve of the global skeleton matrix.  S is formed and
-    # symmetrised in the product's buffer, and A overwrites W: each saves
-    # a transient array
-    S = At @ Kis
-    np.subtract(Kss, S, out=S)
-    S += S.T
-    S *= 0.5
-    return ClassKernel(*_read_only(Kii, At.T, S), **extra)
+    # one dense LU solve of the global skeleton matrix.  A overwrites W,
+    # and `dgemm` adds -Kis' A into Kss' (beta = 1), in place when Kss is
+    # C-ordered; an element's strided Kss gives a new array
+    S = blas.dgemm(-1.0, Kis.T, At, 1.0, Kss.T, trans_b=1, overwrite_c=1).T
+    return ClassKernel(*_read_only(L, At.T, _averaged(S)), **extra)
+
+
+def _averaged(S: np.ndarray) -> np.ndarray:
+    """S averaged with its transpose in place, by 128 x 128 tiles: bit-equal
+    to S += S.T; S *= 0.5, without that transposed copy of S."""
+    for i in range(0, len(S), 128):
+        for j in range(i, len(S), 128):
+            a, b = S[i:i + 128, j:j + 128], S[j:j + 128, i:i + 128]
+            a[...] = t = 0.5 * (a + b.T)
+            b[...] = t.T
+    return S
+
+
+def _front(n: int, ni: int) -> tuple:
+    """Zero blocks (Kii, Kis, Kss) of a sum on n dofs, ni inner; Kii F-ordered."""
+    return (np.zeros((ni, ni), order="F"), np.zeros((ni, n - ni)),
+            np.zeros((n - ni, n - ni)))
 
 
 def _node_kernel(basis: tuple, children: list[ClassKernel]) -> ClassKernel:
@@ -876,15 +893,15 @@ def _node_kernel(basis: tuple, children: list[ClassKernel]) -> ClassKernel:
     below ni and boundary functions from ni on.
 
     K = sum_k T_k' S_k T_k is the children's Schur complements on the node
-    basis, each child's added as it comes (`_add_dense`); its inner block
-    is the node's inner skeleton.  A failed Cholesky factor of that block
-    means the skeleton system is not SPD.
+    basis, each child's added as it comes into K's blocks (`_add_dense`),
+    condensed in place; Kii is the node's inner skeleton, and a failed
+    Cholesky factor of it means the skeleton system is not SPD.
     """
     n, ni, maps = basis
-    K = np.zeros((n, n))
+    blocks = _front(n, ni)
     for cmap, child in zip(maps, children):
-        _add_dense(K, cmap, child.S, cmap.ids, _ONE)
-    return _condensed(K, ni, "sparse factorization failed; system not SPD")
+        _add_dense(blocks, cmap, child.S, cmap.ids, _ONE)
+    return _condensed(*blocks, "sparse factorization failed; system not SPD")
 
 
 def dirichlet_values(layout: DofLayout, g_data) -> np.ndarray:
@@ -1083,8 +1100,8 @@ def condense(material: Material, f, layout: DofLayout, x_pinned: np.ndarray,
 
     sizes = [_free_entries(index[cmap.ids], w) for _, cmap, _, w in units]
     m, k = free.size, sum(sizes)
-    dense = np.zeros((m, m)) if 2 * k >= m * m else None
-    coo = None if dense is not None else (*np.empty((2, k), np.int32), np.empty(k))
+    blocks = _front(m, 0) if 2 * k >= m * m else (None,) * 3
+    coo = None if blocks[2] is not None else (*np.empty((2, k), np.int32), np.empty(k))
     recover, at = [], 0
     for i, size in enumerate(sizes):
         # the unit leaves the list: only its A outlives its step
@@ -1096,11 +1113,11 @@ def condense(material: Material, f, layout: DofLayout, x_pinned: np.ndarray,
         if size and coo is not None:
             at = _write_free(cmap, kernel.S, index[cmap.ids], writes, coo, at)
         elif size:
-            _add_dense(dense, cmap, kernel.S, index[cmap.ids], writes)
+            _add_dense(blocks, cmap, kernel.S, index[cmap.ids], writes)
         cmap.scatter(g, gs.transpose(1, 0, 2))
         recover.append((cmap, kernel.A, b))
 
-    return CondensedSystem(coo=coo, dense=dense, rhs=g[free], free=free,
+    return CondensedSystem(coo=coo, dense=blocks[2], rhs=g[free], free=free,
                            x_pinned=x_pinned, recover=recover)
 
 
@@ -1146,16 +1163,11 @@ def _private_units(layout: DofLayout, units: list, coarse: np.ndarray) -> list:
 
 
 def _private_kernel(S: np.ndarray, cmap: ClassMap, ni: int) -> ClassKernel:
-    """Kernel of a private unit (`_private_units`): C' S C on the map
-    `cmap` from its root's rows to its dofs, the first ni interior; the
-    rows of a dof taken several times are summed (`_add_dense`)."""
-    n = int(cmap.ids.max()) + 1
-    if n < cmap.ids.size:
-        K = np.zeros((n, n))
-        _add_dense(K, cmap, S, cmap.ids, _ONE)
-    else:
-        K = cmap.outer(S, _ONE)[0]
-    return _condensed(K, ni, "sparse factorization failed; system not SPD")
+    """Kernel of a private unit (`_private_units`): C' S C on the map `cmap`
+    from its root's rows to its dofs, the first ni interior, as a front."""
+    blocks = _front(int(cmap.ids.max()) + 1, ni)
+    _add_dense(blocks, cmap, S, cmap.ids, _ONE)
+    return _condensed(*blocks, "sparse factorization failed; system not SPD")
 
 
 def _eliminate(kernel: ClassKernel, rhs: np.ndarray):
@@ -1173,19 +1185,32 @@ def _free_entries(dof: np.ndarray, members) -> int:
     return int(np.square((dof[members] >= 0).sum(axis=1)).sum())
 
 
-def _add_dense(out: np.ndarray, cmap: ClassMap, S: np.ndarray,
+def _add_dense(blocks: tuple, cmap: ClassMap, S: np.ndarray,
                dof: np.ndarray, members) -> None:
-    """Add the members' C_K' S C_K entries into the C-ordered (n, n) `out`:
-    `_write_free` into a scratch, then one `np.add.at` in the order
-    written.  Every dense sum goes here: the dense coarse system, a node
-    front (`_node_kernel`) and a private block with repeated dofs."""
-    size = _free_entries(dof, members)
-    part = np.empty(size, np.int64), np.empty(size, np.int32), np.empty(size)
-    _write_free(cmap, S, dof, members, part, 0)
-    flat, cols, vals = part
-    flat *= len(out)
-    flat += cols
-    np.add.at(out.ravel(), flat, vals)
+    """Add the members' C_K' S C_K entries into the blocks (Kii, Kis, Kss)
+    of a dense sum (`_front`) on the ids `dof`, -1 outside it: the dense
+    coarse system (no inner dofs), a node front or a private block.  In
+    `_write_free`'s order, the members with every id in Kss go at once,
+    then each other member block by block, its entries there gathered from
+    S by its rows, by `np.add.at` at int64 flat indices from its ids."""
+    Kii, Kis, Kss = blocks
+    ni, ns = Kis.shape
+    d = dof.astype(np.int64)
+    whole = members & (d >= ni).all(axis=1)
+    if whole.any():     # 1-D indices: `np.add.at` is 4x slower on 2-D ones
+        b = d[whole] - ni
+        np.add.at(Kss.ravel(), (b[:, :, None] * ns + b[:, None, :]).ravel(),
+                  cmap.outer(S, whole).ravel())
+    for i in np.flatnonzero(members & ~whole).tolist():
+        di, r, w = d[i], cmap.rows[i], cmap.weights[i]
+        I, B = np.flatnonzero((di >= 0) & (di < ni)), np.flatnonzero(di >= ni)
+        dI, dB = di[I], di[B] - ni
+        for out, a, b, R, C in ((Kii, I, I, dI, dI * ni), (Kis, I, B, dI * ns, dB),
+                                (Kss, B, B, dB * ns, dB)):
+            vals = S.take(r[a], axis=0).take(r[b], axis=1)
+            vals *= w[a, None]
+            vals *= w[b]
+            np.add.at(out.ravel("K"), (R[:, None] + C).ravel(), vals.ravel())
 
 
 def _write_free(cmap: ClassMap, S: np.ndarray, dof: np.ndarray, members,

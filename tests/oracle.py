@@ -21,7 +21,8 @@ blocks, for `test_assembly.py` to compare memory against and, through
 the dense elimination `eliminate_dense`, entries.
 `node_schur_complement` builds a node's Schur complement densely from
 its leaves, against the node kernels `node_kernels` builds as
-`condense` does, `layout_of_nodes` the layout in which every split
+`condense` does, `full_front_kernel` a node kernel by the whole-front
+route that the block route replaced, `layout_of_nodes` the layout in which every split
 element is a node, and `indefinite_below` a layout whose roots' inner
 blocks are indefinite.
 
@@ -72,7 +73,8 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import block_diag, cho_factor, cho_solve, solve_triangular
+from scipy.linalg import (blas, block_diag, cho_factor, cho_solve, lapack,
+                          solve_triangular)
 from scipy.sparse.linalg import splu
 
 from dpg_elast import assembly
@@ -556,6 +558,38 @@ def node_kernels(layout, material):
     for key, basis in zip(layout.node_keys, layout.node_basis):
         kernels[key] = assembly._node_kernel(basis, [kernels[k] for k in key])
     return kernels
+
+
+def full_front_kernel(basis, children):
+    """The node kernel of `assembly._node_kernel` by the whole-front
+    route it replaced: the children's entries, as `_write_free` writes
+    them, added into the whole (n, n) front K by one `np.add.at` per
+    child, then K[:ni, :ni] factored in a copy, W and A by two `dtrsm`,
+    the Schur complement Kss - Kis' A in the buffer of numpy's product,
+    and its average with its transpose over the whole array.  For the
+    memory and accuracy tests of the block route."""
+    n, ni, maps = basis
+    K = np.zeros((n, n))
+    for cmap, child in zip(maps, children):
+        size = cmap.ids.size ** 2
+        flat, cols, vals = (np.empty(size, np.int64), np.empty(size, np.int32),
+                            np.empty(size))
+        assembly._write_free(cmap, child.S, cmap.ids, np.ones(1, bool),
+                             (flat, cols, vals), 0)
+        flat *= n
+        flat += cols
+        np.add.at(K.ravel(), flat, vals)
+        del flat, cols, vals
+    Kis, Kss = K[:ni, ni:], K[ni:, ni:]
+    L, info = lapack.dpotrf(K[:ni, :ni], lower=1, overwrite_a=1)
+    assert info == 0
+    Wt = blas.dtrsm(1.0, L, Kis.T, side=1, lower=1, trans_a=1)
+    At = blas.dtrsm(1.0, L, Wt, side=1, lower=1, overwrite_b=1)
+    S = At @ Kis
+    np.subtract(Kss, S, out=S)
+    S += S.T
+    S *= 0.5
+    return assembly.ClassKernel(L, At.T, S)
 
 
 def node_schur_complement(layout, kernels, nc, i):

@@ -23,9 +23,9 @@ from dpg_elast.study import StudyConfig, make_benchmark, run_convergence_study
 from oracle import (assemble_full, bilinear_maps,
                     condensed_matrix_by_global_coo, degree_and_base,
                     edge_coords, element_coords, eliminate_dense,
-                    indefinite_below, indefinite_root_boundary,
-                    interior_slices, layout_dicts, layout_of_nodes,
-                    solve_full, validate)
+                    full_front_kernel, indefinite_below,
+                    indefinite_root_boundary, interior_slices, layout_dicts,
+                    layout_of_nodes, solve_full, validate)
 
 MAT = make_isotropic(1.0, 0.5)
 
@@ -496,17 +496,29 @@ def test_indefinite_root_boundary_fails_before_superlu(monkeypatch):
 
 
 def recorded_writes(monkeypatch):
-    """A list that gets (rows, cols, values) of every `_write_free` call
-    into the coarse system, in the order the calls write; the calls that
-    sum a node's front or a private unit's block, made while
-    `_node_kernel` or `_private_kernel` builds, are left out."""
+    """A list that gets (rows, cols, values) of every unit's entries into
+    the coarse system, in the order the units write: a sparse system's
+    `_write_free` calls, and for each `_add_dense` call into a dense one
+    the entries `_write_free` writes for it; the calls that sum a node's
+    front or a private unit's block, made while `_node_kernel` or
+    `_private_kernel` builds, are left out."""
     writes, building = [], []
+    write_free = assembly._write_free
 
-    def recorded(cmap, S, dof, members, coo, k, inner=assembly._write_free):
-        end = inner(cmap, S, dof, members, coo, k)
+    def recorded(cmap, S, dof, members, coo, k):
+        end = write_free(cmap, S, dof, members, coo, k)
         if not building:
             writes.append(tuple(a[k:end].copy() for a in coo))
         return end
+
+    def recorded_dense(blocks, cmap, S, dof, members,
+                       inner=assembly._add_dense):
+        inner(blocks, cmap, S, dof, members)
+        if not building:
+            size = assembly._free_entries(dof, members)
+            coo = (*np.empty((2, size), np.int32), np.empty(size))
+            write_free(cmap, S, dof, members, coo, 0)
+            writes.append(coo)
 
     def kernel_build(inner):
         def build(*args):
@@ -517,6 +529,7 @@ def recorded_writes(monkeypatch):
         return build
 
     monkeypatch.setattr(assembly, "_write_free", recorded)
+    monkeypatch.setattr(assembly, "_add_dense", recorded_dense)
     for name in ("_node_kernel", "_private_kernel"):
         monkeypatch.setattr(assembly, name,
                             kernel_build(getattr(assembly, name)))
@@ -806,13 +819,16 @@ def test_condense_peak_below_global_route():
 
 
 def test_dense_sum_adds_block_by_block():
-    # four 512 x 512 blocks into n = 1600, each a one-member map through
-    # `_add_dense` as a node's children enter its front: bit for bit one
-    # `bincount` of all their entries.  Measured: the (n, n) sum is
-    # 19.5 MiB; the calls peaked at 35.5 MiB with every block's flat
-    # indices and values held at once, at 26.7 MiB block by block
+    # four 512 x 512 blocks into n = 1600, 500 inner, each a one-member
+    # map through `_add_dense` as a node's children enter its front: the
+    # blocks Kii, Kis and Kss are, bit for bit, the slices of one
+    # `bincount` of all their entries.  Measured: the blocks take
+    # 15.3 MiB, the whole (n, n) sum 19.5 MiB.  The calls peaked at
+    # 35.5 MiB with every block's flat indices and values held at once,
+    # at 26.7 MiB block by block into the whole sum, and at 18.2 MiB into
+    # the three blocks
     rng = np.random.default_rng(0)
-    n, m = 1600, 512
+    n, ni, m = 1600, 500, 512
     blocks = [(rng.standard_normal((m, m)), rng.choice(n, m, replace=False),
                rng.standard_normal(m)) for _ in range(4)]
     expect = np.bincount(
@@ -822,16 +838,77 @@ def test_dense_sum_adds_block_by_block():
     sums = []
 
     def summed():
-        K = np.zeros((n, n))
+        front = assembly._front(n, ni)
         for S, c, w in blocks:
             cmap = assembly.ClassMap(np.zeros((1, 0), int), c[None],
                                      np.arange(m)[None], w[None], m)
-            assembly._add_dense(K, cmap, S, cmap.ids, np.ones(1, bool))
-        sums.append(K)
+            assembly._add_dense(front, cmap, S, cmap.ids, np.ones(1, bool))
+        sums.append(front)
 
     peak = traced_peak(summed)
-    np.testing.assert_array_equal(sums[0], expect)
-    assert peak <= 1.5 * expect.nbytes
+    (Kii, Kis, Kss), = sums
+    assert Kii.flags.f_contiguous and Kss.flags.c_contiguous
+    np.testing.assert_array_equal(Kii, expect[:ni, :ni])
+    np.testing.assert_array_equal(Kis, expect[:ni, ni:])
+    np.testing.assert_array_equal(Kss, expect[ni:, ni:])
+    assert peak <= 1.25 * (Kii.nbytes + Kis.nbytes + Kss.nbytes)
+
+
+def synthetic_front(rng, n, ni, m):
+    """A node basis (n, ni, maps) of four one-member child maps of m rows
+    each, in a random order and with random weights, onto n functions,
+    ni inner, that every function is in, and the children's kernels,
+    whose S are SPD; for `_node_kernel`."""
+    perm, maps, children = rng.permutation(n), [], []
+    for k in range(4):
+        own = perm[k * n // 4:(k + 1) * n // 4]
+        more = rng.choice(np.setdiff1d(np.arange(n), own), m - own.size,
+                          replace=False)
+        ids = rng.permutation(np.concatenate([own, more]))
+        maps.append(assembly.ClassMap(np.zeros((1, 0), int), ids[None],
+                                      rng.permutation(m)[None],
+                                      rng.uniform(0.5, 2.0, (1, m)), m))
+        X = rng.standard_normal((m, m))
+        children.append(assembly.ClassKernel(None, None, X @ X.T + m * np.eye(m)))
+    return (n, ni, maps), children
+
+
+def test_node_kernel_peak_within_its_blocks():
+    # a front of 1,600 dofs, 500 inner, from four children of 512: the
+    # block route peaks within its three blocks and A plus 10%, below the
+    # whole-front route it replaced, and matches that route's kernel: the
+    # same factor and A, and S to roundoff.  Measured: 19.9 MiB against
+    # 19.5 MiB of blocks and A, and 44.2 MiB by the whole front
+    basis, children = synthetic_front(np.random.default_rng(3), 1600, 500, 512)
+    n, ni, _ = basis
+    kernels = []
+    peak = traced_peak(lambda: kernels.append(
+        assembly._node_kernel(basis, children)))
+    ref_peak = traced_peak(lambda: kernels.append(
+        full_front_kernel(basis, children)))
+    kernel, ref = kernels
+    blocks = 8 * (ni * ni + 2 * ni * (n - ni) + (n - ni) ** 2)
+    assert peak <= 1.1 * blocks and peak < ref_peak
+    np.testing.assert_array_equal(kernel.Kii, ref.Kii)
+    np.testing.assert_array_equal(kernel.A, ref.A)
+    assert np.abs(kernel.S - ref.S).max() <= 1e-14 * np.abs(ref.S).max()
+
+
+@pytest.mark.parametrize("n", [0, 1, 127, 128, 129, 300])
+def test_tiled_average_is_bit_equal(n):
+    # the Schur complement's average with its transpose by 128 x 128 tiles,
+    # for n - ni boundary dofs: in place, bit for bit 0.5 (S + S') and the
+    # whole-array S += S'; S *= 0.5, and symmetric to the bit
+    S = np.random.default_rng(n).standard_normal((n, n))
+    whole = S.copy()
+    whole += whole.T
+    whole *= 0.5
+    expect = 0.5 * (S + S.T)
+    got = assembly._averaged(S)
+    assert got is S
+    np.testing.assert_array_equal(got, expect)
+    np.testing.assert_array_equal(got, whole)
+    np.testing.assert_array_equal(got, got.T)
 
 
 def test_whole_member_writes_in_place():
@@ -856,26 +933,32 @@ def test_whole_member_writes_in_place():
 
 
 def test_condensed_updates_in_place():
-    # an SPD K of 1,536 dofs, 512 interior: the kernel matches the
-    # out-of-place formula bit for bit.  Measured beyond the kept kernel
-    # (K built before): 12.1 MiB with W, the product Kis' A and the Schur
-    # complement each in its own array, 8.1 MiB in place
+    # an SPD K of 1,536 dofs, 512 interior, as the blocks Kii (Fortran-
+    # ordered), Kis and Kss: the kernel matches the formula bit for bit,
+    # its factor in Kii's memory and its Schur complement in Kss's.
+    # Measured beyond the kernel's new arrays (K built before): 12.1 MiB
+    # with W, the product Kis' A and the Schur complement each in its own
+    # array, 8.1 MiB with the product's buffer reused, and 0.4 MiB (the
+    # tiles of the average) with only A new
     rng = np.random.default_rng(1)
     n, ni = 1536, 512
     X = rng.standard_normal((n, n))
     K = X @ X.T + n * np.eye(n)
+    blocks = (np.asfortranarray(K[:ni, :ni]), K[:ni, ni:].copy(),
+              K[ni:, ni:].copy())
     kernels = []
     peak = traced_peak(lambda: kernels.append(
-        assembly._condensed(K, ni, "not SPD")))
+        assembly._condensed(*blocks, "not SPD")))
     (kernel,) = kernels
-    kept = kernel.Kii.nbytes + kernel.A.nbytes + kernel.S.nbytes
-    assert peak - kept <= 10 * 2 ** 20
+    assert peak - kernel.A.nbytes <= 2 ** 20
+    assert np.shares_memory(kernel.Kii, blocks[0])
+    assert np.shares_memory(kernel.S, blocks[2])
 
     Kis, Kss = K[:ni, ni:], K[ni:, ni:]
     L, info = lapack.dpotrf(K[:ni, :ni], lower=1)
     Wt = blas.dtrsm(1.0, L, Kis.T, side=1, lower=1, trans_a=1)
     At = blas.dtrsm(1.0, L, Wt, side=1, lower=1)
-    S = Kss - At @ Kis
+    S = blas.dgemm(-1.0, Kis.T, At, 1.0, Kss.T, trans_b=1).T
     assert info == 0
     np.testing.assert_array_equal(kernel.Kii, L)
     np.testing.assert_array_equal(kernel.A, At.T)

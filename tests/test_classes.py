@@ -464,16 +464,17 @@ def test_node_front_sums_repeated_child_rows(monkeypatch):
     # hanging midpoint of a half of the root's cross takes the root's
     # centre and cross bubbles (inner dofs) and the side midpoint's
     # function, so its row enters the root's basis several times.  The
-    # root's front is, bit for bit, each child's w S[r][:, r] w, with its
-    # repeated rows gathered, scattered by one `bincount` of all entries
+    # root's front, its blocks Kii, Kis and Kss, is bit for bit the slices
+    # of each child's w S[r][:, r] w, with its repeated rows gathered,
+    # scattered by one `bincount` of all entries
     mesh = refine_marked(build_initial_mesh("unit_square", 1), [0])
     mesh = refine_marked(mesh, [mesh.child[0]])
     layout = layout_of_nodes(mesh, DegreeMap(mesh, p=2, delta_p=2))
     fronts = []
 
-    def recorded(K, *args, inner=assembly._condensed, **kwargs):
-        fronts.append(K.copy())
-        return inner(K, *args, **kwargs)
+    def recorded(*args, inner=assembly._condensed, **kwargs):
+        fronts.append([K.copy() for K in args[:3]])
+        return inner(*args, **kwargs)
 
     monkeypatch.setattr(assembly, "_condensed", recorded)
     kernels = node_kernels(layout, MATERIAL)
@@ -487,7 +488,10 @@ def test_node_front_sums_repeated_child_rows(monkeypatch):
         np.concatenate([(w[:, None] * S[np.ix_(r, r)] * w).ravel()
                         for (r, _, w), S in zip(entries, children)]),
         n * n).reshape(n, n)
-    np.testing.assert_array_equal(fronts[-1], expect)
+    Kii, Kis, Kss = fronts[-1]
+    np.testing.assert_array_equal(Kii, expect[:ni, :ni])
+    np.testing.assert_array_equal(Kis, expect[:ni, ni:])
+    np.testing.assert_array_equal(Kss, expect[ni:, ni:])
 
 
 def test_uniform_node_basis_holds_each_dof_once():

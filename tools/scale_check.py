@@ -18,14 +18,21 @@ its coarse system (the free coarse dofs `condense` leaves), the route
 that factored it, "dense" (Cholesky) or "superlu", the entries its
 factor stores (`coarse_factor_nnz`: n (n + 1) / 2 on n dofs for
 Cholesky, `SuperLU.nnz` for SuperLU) and its count of node classes
-(`len(layout.nodes)`).
+(`len(layout.nodes)`).  After the timed runs, one more run of the study
+traces the memory of four phases with `tracemalloc`: `build_dof_layout`,
+`solve_condensed`, `l2_errors` and `error_indicators`.  Each call is
+traced from its start, and `traced_peak_mb` holds, per phase, the
+largest traced size during the last step's call, in MB (2^20 bytes,
+as `peak_rss_mb`).  The timed runs are never traced, so tracing's
+overhead does not enter their times.
 
 With two checkouts it runs each study ten times in each, the two
 alternating and each pair starting with the other side, and prints per
 study and measure the median of each side, the median and range of the
 paired differences, NEW minus OLD, and the count of pairs in which NEW
-is lower, then the last step's dofs, coarse size, route, factor entries
-and node-class count of each side.
+is lower, then the last step's dofs, coarse size, route, factor entries,
+node-class count and `traced_peak_mb` of each side, the last from one
+traced run per side after the pairs.
 Pairs resolve changes that three runs of each cannot: the wall time of
 one study spreads by about 0.1 s from run to run, and five pairs have
 agreed on a sign that ten reversed.  A change reads as lower or higher
@@ -43,6 +50,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -51,6 +59,8 @@ PAIRS = 10
 SPREAD = ("wall_s", "last_step_s", "peak_rss_mb", "page_faults")
 LAST_STEP = ("last_step_dofs", "coarse_dofs", "coarse_route",
              "coarse_factor_nnz", "node_classes")
+PHASES = ("build_dof_layout", "solve_condensed", "l2_errors",
+          "error_indicators")
 SMOOTH = dict(benchmark="smooth", mode="uniform_h", p=3, delta_p=2,
               lam=1.0, mu=0.5)
 STUDIES = {
@@ -62,9 +72,32 @@ STUDIES = {
 }
 
 
-def run_one(name: str) -> dict:
-    """Run one study in this process and measure it."""
-    from dpg_elast import assembly
+def traced_phases(module) -> dict:
+    """Wrap the PHASES functions of `module` (the study module, which
+    calls them) so that each call is traced by `tracemalloc` from its
+    start; returns the dict that keeps each phase's peak of its latest
+    call, in MB (2^20 bytes)."""
+    peaks = {}
+
+    def traced(phase, inner):
+        def call(*args, **kwargs):
+            tracemalloc.start()
+            try:
+                return inner(*args, **kwargs)
+            finally:
+                peaks[phase] = round(tracemalloc.get_traced_memory()[1] / 2 ** 20, 1)
+                tracemalloc.stop()
+        return call
+
+    for phase in PHASES:
+        setattr(module, phase, traced(phase, getattr(module, phase)))
+    return peaks
+
+
+def run_one(name: str, traced: bool = False) -> dict:
+    """Run one study in this process and measure it; `traced` adds the
+    last step's traced peak of each phase and spoils the times."""
+    from dpg_elast import assembly, study
     from dpg_elast.study import StudyConfig, run_convergence_study
 
     coarse = []     # per step: coarse dofs, route, factor entries, node classes
@@ -82,6 +115,7 @@ def run_one(name: str) -> dict:
         return lu
 
     assembly.condense, assembly.splu = recorded_condense, recorded_splu
+    peaks = traced_phases(study) if traced else None
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     t0 = time.perf_counter()
     rows = run_convergence_study(StudyConfig(**STUDIES[name]))
@@ -92,15 +126,17 @@ def run_one(name: str) -> dict:
             "page_faults": usage.ru_minflt - faults,
             "last_step_dofs": int(rows[-1].n_dofs),
             "last_step_s": round(rows[-1].wall_time, 3),
-            **dict(zip(LAST_STEP[1:], coarse[-1]))}
+            **dict(zip(LAST_STEP[1:], coarse[-1])),
+            **({"traced_peak_mb": peaks} if traced else {})}
 
 
-def run_fresh(root: str, name: str) -> dict:
+def run_fresh(root: str, name: str, traced: bool = False) -> dict:
     """Run one study in a fresh interpreter on the package of `root`."""
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
-    done = subprocess.run([sys.executable, os.path.abspath(__file__), name],
+    done = subprocess.run([sys.executable, os.path.abspath(__file__), name,
+                           *(["traced"] if traced else [])],
                           cwd=root, env=env, capture_output=True, text=True)
     if done.returncode:
         sys.stderr.write(done.stderr)
@@ -117,6 +153,7 @@ def summarize(name: str) -> dict:
         summary[key] = round(statistics.median(vals), 3)
         summary[key + "_range"] = [min(vals), max(vals)]
     summary.update((key, runs[0][key]) for key in LAST_STEP)
+    summary["traced_peak_mb"] = run_fresh(REPO, name, True)["traced_peak_mb"]
     return summary
 
 
@@ -140,12 +177,16 @@ def compare(name: str, old_root: str, new_root: str) -> dict:
             "diff_range": [min(diffs), max(diffs)],
             "lower": sum(y < x for x, y in zip(a, b))}
     summary.update((key, [old[0][key], new[0][key]]) for key in LAST_STEP)
+    peaks = [run_fresh(root, name, True)["traced_peak_mb"]
+             for root in (old_root, new_root)]
+    summary["traced_peak_mb"] = {phase: [side.get(phase) for side in peaks]
+                                 for phase in PHASES}
     return summary
 
 
 def main() -> int:
-    if len(sys.argv) == 2 and sys.argv[1] in STUDIES:
-        print(json.dumps(run_one(sys.argv[1])))
+    if len(sys.argv) in (2, 3) and sys.argv[1] in STUDIES:
+        print(json.dumps(run_one(sys.argv[1], sys.argv[2:] == ["traced"])))
         return 0
     if len(sys.argv) not in (1, 3):
         sys.stderr.write(__doc__)
