@@ -299,10 +299,12 @@ def lower_solve(L: tuple, b: np.ndarray) -> np.ndarray:
 
 def local_stiffness(L: tuple, Bfull: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Z = diag(L_tau, L_v, L_v)^-1 B, with its rows in `lower_solve`'s
-    order, and the SPD element matrix B' G^{-1} B = Z'Z.
+    order, and the SPD element matrix B' G^{-1} B = Z'Z, symmetric to the bit.
 
-    L = (L_tau, L_v) is the Gram factor (`gram_factor`).
+    L = (L_tau, L_v) is the Gram factor (`gram_factor`).  Z'Z is one `dgemm`
+    of scipy's BLAS, the build that factors, solves and condenses every
+    kernel, not of numpy's own OpenBLAS, whose buffers it would touch.
     """
     Z = lower_solve(L, Bfull)
-    K = Z.T @ Z
+    K = blas.dgemm(1.0, Z, Z, trans_a=1)
     return Z, 0.5 * (K + K.T)

@@ -592,6 +592,29 @@ def full_front_kernel(basis, children):
     return assembly.ClassKernel(L, At.T, S)
 
 
+def summed_private_kernel(S, cmap, ni):
+    """The private-unit kernel of `assembly._private_kernel` by the summed
+    route it replaced: the one member's entries added into zero blocks
+    (Kii, Kis, Kss) of its front, block by block, each block gathered
+    whole from S (by its rows, then its columns), weighted, and added by
+    one `np.add.at`, then condensed by `assembly._condensed`.  For the
+    bit and memory tests of the route that writes each dof's first entry."""
+    d, r, w = cmap.ids[0].astype(np.int64), cmap.rows[0], cmap.weights[0]
+    n = int(d.max()) + 1
+    blocks = (np.zeros((ni, ni), order="F"), np.zeros((ni, n - ni)),
+              np.zeros((n - ni, n - ni)))
+    I, B = np.flatnonzero(d < ni), np.flatnonzero(d >= ni)
+    dI, dB = d[I], d[B] - ni
+    for out, a, b, R, C in ((blocks[0], I, I, dI, dI * ni),
+                            (blocks[1], I, B, dI * (n - ni), dB),
+                            (blocks[2], B, B, dB * (n - ni), dB)):
+        vals = S.take(r[a], axis=0).take(r[b], axis=1)
+        vals *= w[a, None]
+        vals *= w[b]
+        np.add.at(out.ravel("K"), (R[:, None] + C).ravel(), vals.ravel())
+    return assembly._condensed(*blocks, "not SPD")
+
+
 def node_schur_complement(layout, kernels, nc, i):
     """Member i of node class nc by the dense route: its leaves' C_K' S_K
     C_K (`full_map` and the class kernels' S) summed on the dofs they

@@ -25,7 +25,8 @@ from oracle import (assemble_full, bilinear_maps,
                     edge_coords, element_coords, eliminate_dense,
                     full_front_kernel, indefinite_below,
                     indefinite_root_boundary, interior_slices, layout_dicts,
-                    layout_of_nodes, solve_full, validate)
+                    layout_of_nodes, solve_full, summed_private_kernel,
+                    validate)
 
 MAT = make_isotropic(1.0, 0.5)
 
@@ -500,8 +501,8 @@ def recorded_writes(monkeypatch):
     the coarse system, in the order the units write: a sparse system's
     `_write_free` calls, and for each `_add_dense` call into a dense one
     the entries `_write_free` writes for it; the calls that sum a node's
-    front or a private unit's block, made while `_node_kernel` or
-    `_private_kernel` builds, are left out."""
+    front, made while `_node_kernel` builds, are left out (a private
+    unit's block is written by `_private_kernel` without `_add_dense`)."""
     writes, building = [], []
     write_free = assembly._write_free
 
@@ -520,19 +521,15 @@ def recorded_writes(monkeypatch):
             write_free(cmap, S, dof, members, coo, 0)
             writes.append(coo)
 
-    def kernel_build(inner):
-        def build(*args):
-            building.append(inner)
-            kernel = inner(*args)
-            building.pop()
-            return kernel
-        return build
+    def node_kernel(*args, inner=assembly._node_kernel):
+        building.append(inner)
+        kernel = inner(*args)
+        building.pop()
+        return kernel
 
     monkeypatch.setattr(assembly, "_write_free", recorded)
     monkeypatch.setattr(assembly, "_add_dense", recorded_dense)
-    for name in ("_node_kernel", "_private_kernel"):
-        monkeypatch.setattr(assembly, name,
-                            kernel_build(getattr(assembly, name)))
+    monkeypatch.setattr(assembly, "_node_kernel", node_kernel)
     return writes
 
 
@@ -819,18 +816,22 @@ def test_condense_peak_below_global_route():
 
 
 def test_dense_sum_adds_block_by_block():
-    # four 512 x 512 blocks into n = 1600, 500 inner, each a one-member
-    # map through `_add_dense` as a node's children enter its front: the
-    # blocks Kii, Kis and Kss are, bit for bit, the slices of one
-    # `bincount` of all their entries.  Measured: the blocks take
-    # 15.3 MiB, the whole (n, n) sum 19.5 MiB.  The calls peaked at
-    # 35.5 MiB with every block's flat indices and values held at once,
-    # at 26.7 MiB block by block into the whole sum, and at 18.2 MiB into
-    # the three blocks
+    # six children into n = 1600, 500 inner, each a one-member map through
+    # `_add_dense` as a node's children enter its front: four of 512 rows,
+    # one of 600, taller than two row chunks, and one of 300 whose ids all
+    # fall in Kss, as the members `_add_dense` takes first.  The blocks
+    # Kii, Kis and Kss are, bit for bit, the slices of one `bincount` of
+    # all their entries.  Measured: the blocks take 15.3 MiB, the whole (n, n) sum
+    # 19.5 MiB.  The four 512-row children alone peaked at 35.5 MiB with
+    # every block's flat indices and values held at once, at 26.7 MiB
+    # block by block into the whole sum, at 18.2 MiB into the three blocks
+    # and at 17.5 MiB by row chunks; all six at 19.1 MiB with each block
+    # gathered whole, at 17.9 MiB by row chunks
     rng = np.random.default_rng(0)
-    n, ni, m = 1600, 500, 512
-    blocks = [(rng.standard_normal((m, m)), rng.choice(n, m, replace=False),
-               rng.standard_normal(m)) for _ in range(4)]
+    n, ni = 1600, 500
+    blocks = [(rng.standard_normal((m, m)), rng.choice(ids, m, replace=False),
+               rng.standard_normal(m))
+              for m, ids in [(512, n)] * 4 + [(600, n), (300, np.arange(ni, n))]]
     expect = np.bincount(
         np.concatenate([(c[:, None] * n + c).ravel() for _, c, _ in blocks]),
         np.concatenate([(w[:, None] * S * w).ravel() for S, _, w in blocks]),
@@ -840,6 +841,7 @@ def test_dense_sum_adds_block_by_block():
     def summed():
         front = assembly._front(n, ni)
         for S, c, w in blocks:
+            m = len(c)
             cmap = assembly.ClassMap(np.zeros((1, 0), int), c[None],
                                      np.arange(m)[None], w[None], m)
             assembly._add_dense(front, cmap, S, cmap.ids, np.ones(1, bool))
@@ -852,6 +854,42 @@ def test_dense_sum_adds_block_by_block():
     np.testing.assert_array_equal(Kis, expect[:ni, ni:])
     np.testing.assert_array_equal(Kss, expect[ni:, ni:])
     assert peak <= 1.25 * (Kii.nbytes + Kis.nbytes + Kss.nbytes)
+
+
+def private_plan(rng, n, ni, repeat):
+    """A private unit's plan (`_private_units`) on a root S of n + 200
+    rows: a one-member map whose entries take S's rows, in a random order
+    and with random weights, to n front dofs numbered by first use, the
+    ni private ones first; with `repeat`, a private and another dof take
+    a second entry each.  Returns (S, map, ni) for `_private_kernel`."""
+    col = np.arange(n)
+    if repeat:
+        col = np.concatenate([col[:ni], [3], col[ni:], [ni + 5]])
+    X = rng.standard_normal((n + 200, n + 200))
+    S = X @ X.T + (n + 200) * np.eye(n + 200)
+    rows = rng.choice(n + 200, col.size, replace=False)
+    cmap = assembly.ClassMap(np.zeros((1, 0), int), col[None], rows[None],
+                             rng.uniform(0.5, 2.0, (1, col.size)), n + 200)
+    return S, cmap, ni
+
+
+@pytest.mark.parametrize("repeat", [False, True])
+def test_private_kernel_matches_summed_reference(repeat):
+    # a private unit of 1,200 dofs, 400 private, from a root S of 1,400
+    # rows: the kernel written from each dof's first entry (and, with a
+    # repeated dof, its further entries added after) is bit for bit the
+    # kernel of its entries summed into zero blocks, and peaks lower.
+    # Measured: 14.5 MiB against 24.5 MiB for the summed route (14.7 and
+    # 24.5 MiB with the repeat)
+    plan = private_plan(np.random.default_rng(4), 1200, 400, repeat)
+    kernels = []
+    peak = traced_peak(lambda: kernels.append(assembly._private_kernel(*plan)))
+    ref_peak = traced_peak(lambda: kernels.append(summed_private_kernel(*plan)))
+    kernel, ref = kernels
+    np.testing.assert_array_equal(kernel.Kii, ref.Kii)
+    np.testing.assert_array_equal(kernel.A, ref.A)
+    np.testing.assert_array_equal(kernel.S, ref.S)
+    assert peak < ref_peak
 
 
 def synthetic_front(rng, n, ni, m):
@@ -963,6 +1001,17 @@ def test_condensed_updates_in_place():
     np.testing.assert_array_equal(kernel.Kii, L)
     np.testing.assert_array_equal(kernel.A, At.T)
     np.testing.assert_array_equal(kernel.S, 0.5 * (S + S.T))
+
+
+def test_condensed_without_boundary_dofs():
+    # a unit with no boundary dofs (a 3 x 3 Kii, a 3 x 0 Kis): the kernel
+    # is Kii's factor, an empty A and an empty S, where scipy's `dgemm`
+    # rejects the empty product
+    K = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
+    kernel = assembly._condensed(np.asfortranarray(K), np.zeros((3, 0)),
+                                 np.zeros((0, 0)), "not SPD")
+    assert kernel.A.shape == (3, 0) and kernel.S.shape == (0, 0)
+    np.testing.assert_array_equal(kernel.Kii, lapack.dpotrf(K, lower=1)[0])
 
 
 def test_solution_error_decreases_under_refinement():
