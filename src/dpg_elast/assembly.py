@@ -78,9 +78,9 @@ The coarse system is dense when its k entries on n coarse dofs give
 k / n^2 near 1) and the first two of lshape-adapt.  `condense` counts k
 before any unit writes; each unit then adds its entries into the (n, n)
 sum at flat indices from its ids, by row chunks of each member's block
-(`_add_dense`, which sums node fronts alike; a private unit writes its
-block from its root's S), and `solve_condensed` factors the sum in
-place by dense Cholesky, 5 to 10 times faster than SuperLU there.  A
+(`_add_dense`, which sums node fronts and private blocks alike), and
+`solve_condensed` factors the sum in place by dense Cholesky, 5 to 10
+times faster than SuperLU there.  A
 sparser system, as on lshape-adapt's later steps (k / n^2 from 0.39 down
 to 0.11 at n = 912), keeps its entries for SuperLU (`_write_free`).
 Method 2 (`rankone`) stays on SuperLU at any density until one private
@@ -117,7 +117,7 @@ SPD_SPLU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
 # coarse solve (`_node_classes`)
 NODE_MIN_MEMBERS = 2
 
-# rows of a member's block that a dense sum gathers at once (`_member_rows`)
+# rows of a member's block that a dense sum gathers at once (`_add_dense`)
 _CHUNK = 256
 
 # the empty interior and the member mask of a one-member map
@@ -1169,19 +1169,9 @@ def _private_units(layout: DofLayout, units: list, coarse: np.ndarray) -> list:
 
 def _private_kernel(S: np.ndarray, cmap: ClassMap, ni: int) -> ClassKernel:
     """Kernel of a private unit (`_private_units`): C' S C on the map `cmap`
-    from its root's rows to its dofs, numbered by first use, the first ni
-    interior, as a front: each dof's first entry writes the blocks from S
-    (`_member_rows`), and its further entries, if any, then add theirs."""
-    col, r, w = cmap.ids[0], cmap.rows[0], cmap.weights[0]
-    first = np.diff(np.maximum.accumulate(col), prepend=-1) > 0
-    blocks = _front(int(col.max()) + 1, ni)
-    for flat, R, C, vals, _, _ in _member_rows(blocks, S, r[first], w[first],
-                                               col[first]):
-        flat[R + C] = vals
-    if not first.all():
-        for flat, R, C, vals, a, b in _member_rows(blocks, S, r, w, col):
-            keep = ~(first[a, None] & first[b])
-            np.add.at(flat, (R + C)[keep], vals[keep])
+    from its root's rows to its dofs, the first ni interior, as a front."""
+    blocks = _front(int(cmap.ids.max()) + 1, ni)
+    _add_dense(blocks, cmap, S, cmap.ids, _ONE)
     return _condensed(*blocks, "sparse factorization failed; system not SPD")
 
 
@@ -1204,36 +1194,28 @@ def _add_dense(blocks: tuple, cmap: ClassMap, S: np.ndarray,
                dof: np.ndarray, members) -> None:
     """Add the members' C_K' S C_K entries into the blocks (Kii, Kis, Kss)
     of a dense sum (`_front`) on the ids `dof`, -1 outside it: the dense
-    coarse system (no inner dofs) or a node front.  In `_write_free`'s
-    order, the members with every id in Kss first, each member adds its
-    blocks by row chunks (`_member_rows`), one `np.add.at` per chunk."""
-    d = dof.astype(np.int64)
-    whole = members & (d >= len(blocks[0])).all(axis=1)
-    for i in [*np.flatnonzero(whole), *np.flatnonzero(members & ~whole)]:
-        for flat, R, C, vals, _, _ in _member_rows(blocks, S, cmap.rows[i],
-                                                   cmap.weights[i], d[i]):
-            np.add.at(flat, (R + C).ravel(), vals.ravel())
-
-
-def _member_rows(blocks: tuple, S: np.ndarray, r: np.ndarray, w: np.ndarray,
-                 d: np.ndarray):
-    """One member's C' S C entries in the blocks (Kii, Kis, Kss) of a front
-    on its ids d (-1 outside), block by block in chunks of `_CHUNK` rows: the
-    block as a flat view, int64 offsets R, C whose sum (formed by the caller,
-    so that it dies with the call) indexes there the values w_a S[r_a, r_b]
-    w_b, gathered by S's rows and then columns, and the entries a, b."""
+    coarse system (no inner dofs), a node front or a private block.  In
+    `_write_free`'s order, the members with every id in Kss first, each
+    member adds its blocks in chunks of `_CHUNK` rows: w_a S[r_a, r_b] w_b,
+    gathered by S's rows and then columns, by one `np.add.at` at int64 flat
+    indices from its ids, so that no transient outgrows one chunk."""
     Kii, Kis, Kss = blocks
     ni, ns = Kis.shape
-    I, B = np.flatnonzero((d >= 0) & (d < ni)), np.flatnonzero(d >= ni)
-    dI, dB = d[I], d[B] - ni
-    for out, a, b, R, C in ((Kii, I, I, dI, dI * ni), (Kis, I, B, dI * ns, dB),
-                            (Kss, B, B, dB * ns, dB)):
-        for s in range(0, a.size, _CHUNK):
-            c = a[s:s + _CHUNK]
-            vals = S.take(r[c], axis=0).take(r[b], axis=1)
-            vals *= w[c, None]
-            vals *= w[b]
-            yield out.ravel("K"), R[s:s + _CHUNK, None], C, vals, c, b
+    d = dof.astype(np.int64)
+    whole = members & (d >= ni).all(axis=1)
+    for i in [*np.flatnonzero(whole), *np.flatnonzero(members & ~whole)]:
+        di, r, w = d[i], cmap.rows[i], cmap.weights[i]
+        I, B = np.flatnonzero((di >= 0) & (di < ni)), np.flatnonzero(di >= ni)
+        dI, dB = di[I], di[B] - ni
+        for out, a, b, R, C in ((Kii, I, I, dI, dI * ni), (Kis, I, B, dI * ns, dB),
+                                (Kss, B, B, dB * ns, dB)):
+            for s in range(0, a.size, _CHUNK):
+                c = a[s:s + _CHUNK]
+                vals = S.take(r[c], axis=0).take(r[b], axis=1)
+                vals *= w[c, None]
+                vals *= w[b]
+                np.add.at(out.ravel("K"), (R[s:s + _CHUNK, None] + C).ravel(),
+                          vals.ravel())
 
 
 def _write_free(cmap: ClassMap, S: np.ndarray, dof: np.ndarray, members,

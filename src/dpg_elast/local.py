@@ -302,8 +302,9 @@ def local_stiffness(L: tuple, Bfull: np.ndarray) -> tuple[np.ndarray, np.ndarray
     order, and the SPD element matrix B' G^{-1} B = Z'Z, symmetric to the bit.
 
     L = (L_tau, L_v) is the Gram factor (`gram_factor`).  Z'Z is one `dgemm`
-    of scipy's BLAS, the build that factors, solves and condenses every
-    kernel, not of numpy's own OpenBLAS, whose buffers it would touch.
+    of scipy's BLAS: against numpy's `Z.T @ Z` it lowered the bench's
+    smooth-h peak RSS from 69.29 to 69.01 MB (10 of 10 pairs), and it
+    moves the last bits of K; why it lowers the peak is not measured.
     """
     Z = lower_solve(L, Bfull)
     K = blas.dgemm(1.0, Z, Z, trans_a=1)

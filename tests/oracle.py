@@ -598,7 +598,7 @@ def summed_private_kernel(S, cmap, ni):
     (Kii, Kis, Kss) of its front, block by block, each block gathered
     whole from S (by its rows, then its columns), weighted, and added by
     one `np.add.at`, then condensed by `assembly._condensed`.  For the
-    bit and memory tests of the route that writes each dof's first entry."""
+    bit and memory tests of the sum by row chunks that replaced it."""
     d, r, w = cmap.ids[0].astype(np.int64), cmap.rows[0], cmap.weights[0]
     n = int(d.max()) + 1
     blocks = (np.zeros((ni, ni), order="F"), np.zeros((ni, n - ni)),

@@ -501,8 +501,8 @@ def recorded_writes(monkeypatch):
     the coarse system, in the order the units write: a sparse system's
     `_write_free` calls, and for each `_add_dense` call into a dense one
     the entries `_write_free` writes for it; the calls that sum a node's
-    front, made while `_node_kernel` builds, are left out (a private
-    unit's block is written by `_private_kernel` without `_add_dense`)."""
+    front or a private unit's block, made while `_node_kernel` or
+    `_private_kernel` builds, are left out."""
     writes, building = [], []
     write_free = assembly._write_free
 
@@ -521,15 +521,19 @@ def recorded_writes(monkeypatch):
             write_free(cmap, S, dof, members, coo, 0)
             writes.append(coo)
 
-    def node_kernel(*args, inner=assembly._node_kernel):
-        building.append(inner)
-        kernel = inner(*args)
-        building.pop()
-        return kernel
+    def kernel_build(inner):
+        def build(*args):
+            building.append(inner)
+            kernel = inner(*args)
+            building.pop()
+            return kernel
+        return build
 
     monkeypatch.setattr(assembly, "_write_free", recorded)
     monkeypatch.setattr(assembly, "_add_dense", recorded_dense)
-    monkeypatch.setattr(assembly, "_node_kernel", node_kernel)
+    for name in ("_node_kernel", "_private_kernel"):
+        monkeypatch.setattr(assembly, name,
+                            kernel_build(getattr(assembly, name)))
     return writes
 
 
@@ -876,11 +880,11 @@ def private_plan(rng, n, ni, repeat):
 @pytest.mark.parametrize("repeat", [False, True])
 def test_private_kernel_matches_summed_reference(repeat):
     # a private unit of 1,200 dofs, 400 private, from a root S of 1,400
-    # rows: the kernel written from each dof's first entry (and, with a
-    # repeated dof, its further entries added after) is bit for bit the
-    # kernel of its entries summed into zero blocks, and peaks lower.
-    # Measured: 14.5 MiB against 24.5 MiB for the summed route (14.7 and
-    # 24.5 MiB with the repeat)
+    # rows: the kernel summed by row chunks (`_add_dense`), with or without
+    # a repeated dof, is bit for bit the kernel of its entries summed into
+    # zero blocks by whole-block gathers, and peaks lower.
+    # Measured: 14.5 MiB against 24.5 MiB for the whole-block route (the
+    # same with the repeat)
     plan = private_plan(np.random.default_rng(4), 1200, 400, repeat)
     kernels = []
     peak = traced_peak(lambda: kernels.append(assembly._private_kernel(*plan)))

@@ -4,7 +4,7 @@ Runs the smooth `uniform_h` study at p = 3 for 5, 6 and 7 steps
 (113,666, 452,610 and 1,806,338 dofs on their last steps) and the
 L-shape `adaptive_h` study at p = 1 for 20 steps, with the materials of
 the bench's smooth-h and lshape-adapt workloads.  The 7-step study
-peaks at about 1.2 GB of RSS, and the studies run one at a time.
+peaks at about 860 MB of RSS, and the studies run one at a time.
 
     python tools/scale_check.py
     python tools/scale_check.py OLD_ROOT NEW_ROOT
