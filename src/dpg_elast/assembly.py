@@ -80,9 +80,10 @@ before any unit writes; each unit then adds its entries into the (n, n)
 sum at flat indices from its ids, by row chunks of each member's block
 (`_add_dense`, which sums node fronts and private blocks alike), and
 `solve_condensed` factors the sum in place by dense Cholesky, 5 to 10
-times faster than SuperLU there.  A
-sparser system, as on lshape-adapt's later steps (k / n^2 from 0.39 down
-to 0.11 at n = 912), keeps its entries for SuperLU (`_write_free`).
+times faster than SuperLU there.  A sparser system, as on lshape-adapt's
+later steps (k / n^2 from 0.39 down to 0.11 at n = 912), keeps for
+SuperLU only the upper triangles of its members' blocks, about k / 2
+entries (`_write_free`), and their sum H becomes the CSC matrix H + H'.
 Method 2 (`rankone`) stays on SuperLU at any density until one private
 factor function serves both routes (ROADMAP items 2 and 4), as the
 benchmark counts that method's factorizations by wrapping `splu`.
@@ -117,7 +118,8 @@ SPD_SPLU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
 # coarse solve (`_node_classes`)
 NODE_MIN_MEMBERS = 2
 
-# rows of a member's block that a dense sum gathers at once (`_add_dense`)
+# rows of a member's block that a dense sum gathers at once (`_add_dense`),
+# and of the largest triangle `_write_free` caches
 _CHUNK = 256
 
 # the empty interior and the member mask of a one-member map
@@ -219,18 +221,6 @@ class ClassMap:
         w = self.weights if vals.ndim == 2 else self.weights[..., None]
         np.add.at(out, self.ids, w * vals)
 
-    def outer(self, S: np.ndarray, members: np.ndarray,
-              out: np.ndarray | None = None) -> np.ndarray:
-        """C_K' S C_K of the selected members as an (m, nnz, nnz) block:
-        entry [i, a, b] adds to the global entry (ids[i, a], ids[i, b]).
-        Without `out`, the block is weighted in the gather's buffer."""
-        w, r = self.weights[members], self.rows[members]
-        block = S[r[:, :, None], r[:, None, :]]
-        out = np.multiply(w[:, :, None], block,
-                          out=block if out is None else out)
-        out *= w[:, None, :]
-        return out
-
 
 @dataclass
 class DofLayout:
@@ -249,7 +239,6 @@ class DofLayout:
     interior_base: np.ndarray                # position -> first interior dof
     coords: np.ndarray                       # (n, 4, 2) vertices, by position
     element_class: np.ndarray                # position -> class id
-    element_row: np.ndarray                  # position -> row in its class
     degree_groups: dict[int, np.ndarray]     # p -> positions of degree p
     classes: list[np.ndarray]                # class id -> member positions
     class_keys: list[tuple]                  # class id -> class key
@@ -435,21 +424,29 @@ def build_dof_layout(mesh: Mesh, degrees: DegreeMap,
                                    trace_base[masters].tolist(),
                                    v0[masters].tolist(), v1[masters].tolist())))
     table_w, table_g = [1.0] * n_verts, vdof.tolist()
-
-    @lru_cache(maxsize=None)
-    def vertex_entries(v: int) -> tuple[list, list]:
-        """The trace at vertex v: weights and global x dofs."""
-        if v not in master:
-            return [1.0], [table_g[v]]
-        q, base, end0, end1 = master[v]
-        vals = _midpoint_values(q)
-        (w0, g0), (w1, g1) = vertex_entries(end0), vertex_entries(end1)
-        return ([w * vals[0] for w in w0] + [w * vals[1] for w in w1] + list(vals[2:]),
-                g0 + g1 + list(range(base, base + 2 * q - 2, 2)))
-
     start, count = np.arange(n_verts), np.ones(n_verts, dtype=int)
+    # the trace at each vertex as (weights, global x dofs), a hanging one's
+    # after its master's ends, which may hang too (`vertex_entries`)
+    vertex_entries = {}
     for v in hanging.tolist():
-        w, g = vertex_entries(v)
+        stack = [v]
+        while stack:
+            u = stack[-1]
+            if u not in master:
+                vertex_entries[u] = [1.0], [table_g[u]]
+            elif u not in vertex_entries:
+                q, base, end0, end1 = master[u]
+                ends = [e for e in (end0, end1) if e not in vertex_entries]
+                if ends:
+                    stack += ends
+                    continue
+                vals = _midpoint_values(q)
+                (w0, g0), (w1, g1) = vertex_entries[end0], vertex_entries[end1]
+                weights = [w * vals[0] for w in w0] + [w * vals[1] for w in w1]
+                vertex_entries[u] = (weights + list(vals[2:]), g0 + g1 + list(
+                    range(base, base + 2 * q - 2, 2)))
+            stack.pop()
+        w, g = vertex_entries[v]
         start[v], count[v] = len(table_w), len(w)
         table_w += w
         table_g += g
@@ -500,8 +497,6 @@ def build_dof_layout(mesh: Mesh, degrees: DegreeMap,
                np.cumsum(count) - count, count, 2 * n_rows)
     class_maps, classes = _class_maps(
         element_class, entries, (np.arange(n), interior_base, ni))
-    element_row = np.empty(n_el, dtype=int)
-    element_row[np.concatenate(classes)] = _ranges(np.bincount(element_class))[1]
     cache = KernelCache() if cache is None else cache
     dof_node = _cross_nodes(mesh, vdof, trace_base, flux_base, bubbles,
                             fluxes, pinned.size)
@@ -514,7 +509,7 @@ def build_dof_layout(mesh: Mesh, degrees: DegreeMap,
         hanging=np.column_stack([hanging, masters]),
         pinned=pinned, delta_p=degrees.delta_p, elements=active, element_p=p,
         interior_base=interior_base, coords=coords,
-        element_class=element_class, element_row=element_row,
+        element_class=element_class,
         degree_groups={int(q): np.flatnonzero(p == q) for q in np.unique(p)},
         classes=classes, class_keys=class_keys, class_maps=class_maps,
         nodes=nodes, node_keys=node_keys, node_maps=node_maps,
@@ -1001,15 +996,17 @@ class CondensedSystem:
 
     The Schur complement on the free coarse dofs is held by density
     (`condense`): a dense system's as the C-ordered (n, n) sum `dense`,
-    which `solve_condensed` factors in place, a sparser one's as the
-    units' entries `coo`, unsummed; the other is None.  `S`, the CSC
-    matrix for SuperLU (the sparse route, and method 2 at any density)
-    and the tests, is built on first use from whichever the system holds
-    and kept in its place, releasing it, so that the source does not sit
-    beside SuperLU's factor; `S` can be assigned.
+    which `solve_condensed` factors in place, a sparser one's as the upper
+    triangles of the units' blocks `coo` (`_write_free`), unsummed, about
+    half the entries of the whole blocks; the other is None.  `S`, the
+    CSC matrix for SuperLU (the sparse route, and method 2 at any
+    density) and the tests, is built on first use from whichever the
+    system holds, from `coo` as H + H' for the triangles' sum H, and kept
+    in its place, releasing it, so that the source does not sit beside
+    SuperLU's factor; `S` can be assigned.
     """
 
-    coo: tuple | None       # the units' C' S C entries: rows, cols, values
+    coo: tuple | None       # the units' C' S C triangles: rows, cols, values
     dense: np.ndarray | None    # their (n, n) sum
     rhs: np.ndarray         # (n free coarse dofs, 1 + m)
     free: np.ndarray        # ids of the free coarse dofs
@@ -1018,12 +1015,31 @@ class CondensedSystem:
 
     @cached_property
     def S(self) -> sp.csc_matrix:
-        """The Schur complement on the free coarse dofs as a CSC matrix,
-        built on first use from `dense` or from `coo`, the duplicates
-        summed; both are None from then on."""
-        held = self.dense if self.coo is None else (self.coo[2], self.coo[:2])
-        self.dense = self.coo = None
-        return sp.csc_matrix(held, shape=(self.free.size,) * 2)
+        """The Schur complement on the free coarse dofs as a canonical CSC
+        matrix, built on first use from `dense`, or as H + H' from the sum
+        H of the triangles in `coo`, its arrays sized to its entries; both
+        are None from then on."""
+        shape = (self.free.size,) * 2
+        if self.coo is None:
+            S, self.dense = sp.csc_matrix(self.dense, shape=shape), None
+            return S
+        (rows, cols, vals), self.coo = self.coo, None
+        H = sp.csc_matrix((vals, (rows, cols)), shape=shape)
+        del rows, cols, vals
+        S = H + H.T
+        del H
+        # scipy sizes the sum's arrays for both terms' entries and keeps
+        # views of them.  SuperLU holds S, so they shrink to its entries in
+        # place; copies, placed above them in the heap, raised lshape-adapt's
+        # peak RSS by 0.6 MB
+        nnz = S.nnz
+        for name in ("indices", "data"):
+            full = getattr(S, name)
+            full = full if full.base is None else full.base
+            setattr(S, name, None)
+            full.resize(nnz)    # raises if anything else still views it
+            setattr(S, name, full)
+        return S
 
     def expand(self, j: int, xs: np.ndarray) -> np.ndarray:
         """Full dof vector of load j from its free coarse values `xs`: the
@@ -1061,9 +1077,11 @@ def condense(material: Material, f, layout: DofLayout, x_pinned: np.ndarray,
 
     Neither the full sparse matrix nor a global skeleton matrix is formed.
     The C' S C entries, numbered by free coarse dof without the pinned
-    ones, are counted first; a dense system's units then each add theirs
-    into the (n, n) sum through a scratch of their own, and a sparser
-    one's fill arrays of exactly that count (`CondensedSystem`).
+    ones, are counted first, those of the whole blocks, which choose the
+    route, and those of their upper triangles (`_free_entries`); a dense
+    system's units then each add their whole blocks into the (n, n) sum
+    through a scratch of their own, and a sparser one's write their
+    triangles into arrays of exactly that count (`CondensedSystem`).
     """
     n = layout.n_dofs
     loads = np.zeros((n, 0)) if loads is None else loads
@@ -1104,11 +1122,12 @@ def condense(material: Material, f, layout: DofLayout, x_pinned: np.ndarray,
     index[free] = np.arange(free.size, dtype=np.int32)
 
     sizes = [_free_entries(index[cmap.ids], w) for _, cmap, _, w in units]
-    m, k = free.size, sum(sizes)
+    m, k, half = free.size, *map(sum, zip(*sizes))
     blocks = _front(m, 0) if 2 * k >= m * m else (None,) * 3
-    coo = None if blocks[2] is not None else (*np.empty((2, k), np.int32), np.empty(k))
+    coo = None if blocks[2] is not None else (
+        *np.empty((2, half), np.int32), np.empty(half))
     recover, at = [], 0
-    for i, size in enumerate(sizes):
+    for i, (size, _) in enumerate(sizes):
         # the unit leaves the list: only its A outlives its step
         (kernel, cmap, own, writes), units[i] = units[i], None
         if isinstance(kernel, tuple):   # a private unit's, built where used
@@ -1185,18 +1204,21 @@ def _eliminate(kernel: ClassKernel, rhs: np.ndarray):
     return b, gs
 
 
-def _free_entries(dof: np.ndarray, members) -> int:
-    """Entries `_write_free` writes: per member, its free dofs squared."""
-    return int(np.square((dof[members] >= 0).sum(axis=1)).sum())
+def _free_entries(dof: np.ndarray, members) -> tuple[int, int]:
+    """Entries of the members' C_K' S C_K blocks on their free dofs, from
+    each member's count f of free ids: all of them, the sum of f^2, and
+    the upper triangles `_write_free` writes, the sum of f (f + 1) / 2."""
+    f = np.count_nonzero(dof[members] >= 0, axis=1)
+    return int(f @ f), int(f @ (f + 1)) // 2
 
 
 def _add_dense(blocks: tuple, cmap: ClassMap, S: np.ndarray,
                dof: np.ndarray, members) -> None:
     """Add the members' C_K' S C_K entries into the blocks (Kii, Kis, Kss)
     of a dense sum (`_front`) on the ids `dof`, -1 outside it: the dense
-    coarse system (no inner dofs), a node front or a private block.  In
-    `_write_free`'s order, the members with every id in Kss first, each
-    member adds its blocks in chunks of `_CHUNK` rows: w_a S[r_a, r_b] w_b,
+    coarse system (no inner dofs), a node front or a private block.  The
+    members with every id in Kss first, then the others, each member adds
+    its blocks in chunks of `_CHUNK` rows: w_a S[r_a, r_b] w_b,
     gathered by S's rows and then columns, by one `np.add.at` at int64 flat
     indices from its ids, so that no transient outgrows one chunk."""
     Kii, Kis, Kss = blocks
@@ -1220,33 +1242,64 @@ def _add_dense(blocks: tuple, cmap: ClassMap, S: np.ndarray,
 
 def _write_free(cmap: ClassMap, S: np.ndarray, dof: np.ndarray, members,
                 coo: tuple, k: int) -> int:
-    """Write the C_K' S C_K entries of the members selected by the mask
-    `members` at position k of the row, column and value arrays `coo`,
-    numbered by `dof`, the members' ids in the target's numbering, -1
-    where interior, inner or pinned; returns the next position.
+    """Write the upper triangle of the C_K' S C_K block of each member
+    selected by the mask `members` at position k of the row, column and
+    value arrays `coo`, numbered by `dof`, the members' ids in the target's
+    numbering, -1 where interior, inner or pinned; returns the next
+    position.  The coarse matrix is H + H' for the sum H of these entries.
 
-    The members clear of the pinned dofs write every entry in place; the
-    others write only the entries of their free rows and columns.
+    A member takes its free entries (ids at least 0) in the order of their
+    ids and writes, of its block on them, the f (f + 1) / 2 entries (a, b)
+    with a <= b for f free entries, by rows, w_a S[r_a, r_b] w_b with the
+    diagonal halved; so H is upper triangular, and its conversion to CSC
+    sorts runs already in order.  The members with the same f write as
+    one block, the largest f first (the members clear of the pinned dofs),
+    into `coo`'s memory: row a's entries are row a of the block from
+    column a on, gathered at S's flat indices r_a n + r_b.
     """
-    rows, cols, vals = coo
-    whole = members & (dof >= 0).all(axis=1)
-    d, nnz = dof[whole], dof.shape[1]
-    span = slice(k, k + d.size * nnz)
-    block = (len(d), nnz, nnz)
-    # in place, at half a masked write's peak (`test_whole_member_writes_in_place`)
-    cmap.outer(S, whole, vals[span].reshape(block))
-    rows[span].reshape(block)[...] = d[:, :, None]
-    cols[span].reshape(block)[...] = d[:, None, :]
-    part = members & ~whole
-    if not part.any():      # every member clear of the pinned dofs
-        return span.stop
-    d = dof[part]
-    keep = (d[:, :, None] >= 0) & (d[:, None, :] >= 0)
-    span = slice(span.stop, span.stop + np.count_nonzero(keep))
-    rows[span] = np.broadcast_to(d[:, :, None], keep.shape)[keep]
-    cols[span] = np.broadcast_to(d[:, None, :], keep.shape)[keep]
-    vals[span] = cmap.outer(S, part)[keep]
-    return span.stop
+    n, S = len(S), S.ravel()    # C-ordered, as `_condensed` leaves every S
+    d = dof[members]
+    m, w = d.shape
+    # the free entries last, in order of their ids
+    order = d.argsort(axis=1, kind="stable")
+    order += w * np.arange(m)[:, None]
+    d, r, wt = (x.take(order) for x in (d, cmap.rows[members].astype(np.int32),
+                                        cmap.weights[members]))
+    free = np.count_nonzero(d >= 0, axis=1)
+    for f in sorted(set(free.tolist()) - {0}, reverse=True):
+        sel = free == f
+        dk, rk, wk = (x[sel, w - f:] for x in (d, r, wt))
+        # a larger triangle's columns would take as much memory as its values
+        count, first, b = (_triangle if f <= _CHUNK else _triangle.__wrapped__)(f)
+        span = slice(k, k + len(dk) * b.size)
+        R, C, V = (x[span].reshape(len(dk), b.size) for x in coo)
+        # S's flat indices r_a n + r_b in the row array (n^2 < 2^31: S of
+        # n = 46,341 would take 17 GB); mode "clip": numpy's default,
+        # "raise", takes through a copy
+        R[...] = rk.repeat(count, axis=1)
+        R *= n
+        R += rk.take(b, axis=1, out=C, mode="clip")
+        S.take(R, out=V, mode="clip")
+        V *= wk.repeat(count, axis=1)
+        V *= wk.take(b, axis=1)
+        V[:, first] *= 0.5
+        R[...] = dk.repeat(count, axis=1)
+        dk.take(b, axis=1, out=C, mode="clip")
+        k = span.stop
+    return k
+
+
+@lru_cache(maxsize=64)      # bounded: the 20-step L-shape meets 44 sizes
+def _triangle(f: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The upper triangle of an (f, f) block by rows: each row a's count
+    f - a of columns a to f - 1, the place of its first entry (a, a), and
+    each entry's column.  The columns stay writeable: numpy's `take`
+    copies a read-only index array."""
+    count = np.arange(f, 0, -1)
+    first = np.cumsum(count) - count
+    b = np.arange(first[-1] + 1)
+    b -= np.repeat(first - np.arange(f), count)
+    return *_read_only(count, first), b
 
 
 def solve_condensed(material: Material, f, layout: DofLayout,
@@ -1256,16 +1309,23 @@ def solve_condensed(material: Material, f, layout: DofLayout,
     Factorizes only the coarse skeleton system, by dense Cholesky when it
     is dense and by SuperLU when it is sparse, and never forms the full
     sparse matrix, which keeps memory bounded on fine high-order meshes.
+    A sparse system reaches SuperLU as H + H', H summed from the upper
+    triangles its units wrote, in arrays of exactly its entries.
     """
     system = condense(material, f, layout, x_pinned)
-    # A coarse system of n dofs whose units write k entries is dense when
-    # 2 k >= n^2 (`condense` sums it as written): its (n, n) sum then takes
-    # no more memory than the k entries the sparse route holds (8 bytes
-    # each against 16: two int32 indices and a value).  The sum is factored
-    # in place by `dpotrf` on its transpose, which is Fortran-ordered, and
-    # solved by `dpotrs`; a sparser system goes to SuperLU.  Both routes on
-    # the same entries, from the entries to the coarse solution, best of 30
-    # per system on a 2-core x86-64 VM with one BLAS thread:
+    # A coarse system of n dofs whose units' whole blocks hold k entries is
+    # dense when 2 k >= n^2 (`condense` sums it as written).  The rule was
+    # set when the sparse route held all k entries, 16 bytes each (two
+    # int32 indices and a value) against the sum's 8 bytes per entry of
+    # (n, n).  It now holds the upper triangles, about k / 2 entries, so
+    # near the switch the dense sum takes up to twice their memory; the
+    # rule still counts the whole blocks, which keeps every system on its
+    # route, and there the dense route is also the faster one.  The sum is
+    # factored in place by `dpotrf` on its transpose, which is
+    # Fortran-ordered, and solved by `dpotrs`; a sparser system goes to
+    # SuperLU.  Both routes on the same entries, from the entries to the
+    # coarse solution, best of 30 per system on a 2-core x86-64 VM with one
+    # BLAS thread, before the sparse route wrote triangles:
     #
     #   bench study, step   n        k / n^2           SuperLU    dense
     #   smooth-h 0, 1, 2    122-250  0.57, 1.03, 1.02  0.41-2.9   0.08-0.46 ms

@@ -121,18 +121,18 @@ def _closure_order(mesh: Mesh, marked: list) -> list:
     up = mesh.edge_parent[mesh.sides[active]]
     coarse = dict(zip(active.tolist(), np.where(up >= 0, owner[up], -1).tolist()))
     order, done = [], set()
-
-    def visit(k):
-        if k in done:
-            return
-        for c in coarse[k]:
-            if c >= 0:
-                visit(c)
-        done.add(k)
-        order.append(k)
-
     for k in marked:
-        visit(k)
+        stack = [k]     # an element stays until its coarser neighbours are done
+        while stack:
+            u = stack[-1]
+            if u not in done:
+                todo = [c for c in coarse[u] if c >= 0 and c not in done]
+                if todo:
+                    stack += todo[::-1]
+                    continue
+                done.add(u)
+                order.append(u)
+            stack.pop()
     return order
 
 

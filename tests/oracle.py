@@ -24,7 +24,10 @@ its leaves, against the node kernels `node_kernels` builds as
 `condense` does, `full_front_kernel` a node kernel by the whole-front
 route that the block route replaced, `layout_of_nodes` the layout in which every split
 element is a node, and `indefinite_below` a layout whose roots' inner
-blocks are indefinite.
+blocks are indefinite.  `full_block_writes` writes the members' whole
+`C' S C` blocks as the sparse coarse route wrote them before it kept
+upper triangles, the reference for the dense sums and the entry counts,
+and `upper_triangle` takes from it the triangle `_write_free` writes.
 
 The library stacks the elements of a class or of a degree for the loads,
 condensation, the error estimator, the L2 errors and the Dirichlet data.
@@ -353,11 +356,17 @@ def member(cmap, i):
                     cmap.rows[i:i + 1], cmap.weights[i:i + 1], cmap.n_skel)
 
 
+def element_row(layout, pos):
+    """The row of the element at `pos` in its class's members."""
+    members = layout.classes[layout.element_class[pos]]
+    return int(np.flatnonzero(members == pos)[0])
+
+
 def element_cmap(layout, pos):
     """The one-member `ClassMap` (interior dofs, C_K) of the element at
     `pos`."""
     return member(layout.class_maps[layout.element_class[pos]],
-                  layout.element_row[pos])
+                  element_row(layout, pos))
 
 
 def full_map(cmap, n_dofs):
@@ -560,10 +569,54 @@ def node_kernels(layout, material):
     return kernels
 
 
+def full_block_writes(cmap, S, dof, members, coo, k):
+    """The whole C_K' S C_K blocks of the members selected by the mask
+    `members`, on their free ids (`dof` at least 0), written at position
+    k of the row, column and value arrays `coo` as `assembly._write_free`
+    wrote them before it wrote upper triangles; returns the next position.
+    Entry (a, b) of member i is w_a S[r_a, r_b] w_b at (dof[i, a],
+    dof[i, b]), the members clear of the pinned dofs first and each
+    member's entries by rows.  For the sums and counts that take every
+    entry."""
+    def outer(sel):
+        w, r = cmap.weights[sel], cmap.rows[sel]
+        block = S[r[:, :, None], r[:, None, :]]
+        block *= w[:, :, None]
+        block *= w[:, None, :]
+        return block
+
+    rows, cols, vals = coo
+    for sel in (members & (dof >= 0).all(axis=1),
+                members & ~(dof >= 0).all(axis=1)):
+        d = dof[sel]
+        keep = (d[:, :, None] >= 0) & (d[:, None, :] >= 0)
+        span = slice(k, k + np.count_nonzero(keep))
+        rows[span] = np.broadcast_to(d[:, :, None], keep.shape)[keep]
+        cols[span] = np.broadcast_to(d[:, None, :], keep.shape)[keep]
+        vals[span] = outer(sel)[keep]
+        k = span.stop
+    return k
+
+
+def upper_triangle(cmap, S, dof, i):
+    """(rows, cols, values) that `assembly._write_free` writes for member i:
+    its whole block on its free ids (`full_block_writes`), those ids in
+    ascending order (a stable sort), and of that block the entries on and
+    above the diagonal, by rows, the diagonal halved."""
+    f = np.count_nonzero(dof[i] >= 0)
+    full = (*np.empty((2, f * f), np.int32), np.empty(f * f))
+    full_block_writes(cmap, S, dof, np.arange(len(dof)) == i, full, 0)
+    order = np.argsort(dof[i][dof[i] >= 0], kind="stable")
+    upper = np.triu_indices(f)
+    r, c, v = (a.reshape(f, f)[np.ix_(order, order)][upper] for a in full)
+    v[upper[0] == upper[1]] *= 0.5
+    return r, c, v
+
+
 def full_front_kernel(basis, children):
     """The node kernel of `assembly._node_kernel` by the whole-front
-    route it replaced: the children's entries, as `_write_free` writes
-    them, added into the whole (n, n) front K by one `np.add.at` per
+    route it replaced: the children's whole blocks (`full_block_writes`),
+    added into the whole (n, n) front K by one `np.add.at` per
     child, then K[:ni, :ni] factored in a copy, W and A by two `dtrsm`,
     the Schur complement Kss - Kis' A in the buffer of numpy's product,
     and its average with its transpose over the whole array.  For the
@@ -574,8 +627,8 @@ def full_front_kernel(basis, children):
         size = cmap.ids.size ** 2
         flat, cols, vals = (np.empty(size, np.int64), np.empty(size, np.int32),
                             np.empty(size))
-        assembly._write_free(cmap, child.S, cmap.ids, np.ones(1, bool),
-                             (flat, cols, vals), 0)
+        full_block_writes(cmap, child.S, cmap.ids, np.ones(1, bool),
+                          (flat, cols, vals), 0)
         flat *= n
         flat += cols
         np.add.at(K.ravel(), flat, vals)

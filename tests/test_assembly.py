@@ -23,10 +23,10 @@ from dpg_elast.study import StudyConfig, make_benchmark, run_convergence_study
 from oracle import (assemble_full, bilinear_maps,
                     condensed_matrix_by_global_coo, degree_and_base,
                     edge_coords, element_coords, eliminate_dense,
-                    full_front_kernel, indefinite_below,
+                    full_block_writes, full_front_kernel, indefinite_below,
                     indefinite_root_boundary, interior_slices, layout_dicts,
                     layout_of_nodes, solve_full, summed_private_kernel,
-                    validate)
+                    upper_triangle, validate)
 
 MAT = make_isotropic(1.0, 0.5)
 
@@ -498,28 +498,29 @@ def test_indefinite_root_boundary_fails_before_superlu(monkeypatch):
 
 def recorded_writes(monkeypatch):
     """A list that gets (rows, cols, values) of every unit's entries into
-    the coarse system, in the order the units write: a sparse system's
-    `_write_free` calls, and for each `_add_dense` call into a dense one
-    the entries `_write_free` writes for it; the calls that sum a node's
-    front or a private unit's block, made while `_node_kernel` or
+    the coarse system as whole blocks (the oracle's `full_block_writes`),
+    in the order the units write: for each `_write_free` call into a sparse
+    system, which writes the blocks' upper triangles, and each
+    `_add_dense` call into a dense one; the calls that sum a node's front
+    or a private unit's block, made while `_node_kernel` or
     `_private_kernel` builds, are left out."""
     writes, building = [], []
-    write_free = assembly._write_free
 
-    def recorded(cmap, S, dof, members, coo, k):
-        end = write_free(cmap, S, dof, members, coo, k)
+    def record(cmap, S, dof, members):
         if not building:
-            writes.append(tuple(a[k:end].copy() for a in coo))
-        return end
+            size = assembly._free_entries(dof, members)[0]
+            coo = (*np.empty((2, size), np.int32), np.empty(size))
+            full_block_writes(cmap, S, dof, members, coo, 0)
+            writes.append(coo)
+
+    def recorded(cmap, S, dof, members, coo, k, inner=assembly._write_free):
+        record(cmap, S, dof, members)
+        return inner(cmap, S, dof, members, coo, k)
 
     def recorded_dense(blocks, cmap, S, dof, members,
                        inner=assembly._add_dense):
         inner(blocks, cmap, S, dof, members)
-        if not building:
-            size = assembly._free_entries(dof, members)
-            coo = (*np.empty((2, size), np.int32), np.empty(size))
-            write_free(cmap, S, dof, members, coo, 0)
-            writes.append(coo)
+        record(cmap, S, dof, members)
 
     def kernel_build(inner):
         def build(*args):
@@ -535,6 +536,23 @@ def recorded_writes(monkeypatch):
         monkeypatch.setattr(assembly, name,
                             kernel_build(getattr(assembly, name)))
     return writes
+
+
+def triangle_counts(monkeypatch):
+    """A list that gets, for each `_write_free` call, the entries it
+    wrote, checked against the sum of f (f + 1) / 2 over its members, f
+    a member's count of free ids."""
+    counts = []
+
+    def counted(cmap, S, dof, members, coo, k, inner=assembly._write_free):
+        end = inner(cmap, S, dof, members, coo, k)
+        f = (dof[members] >= 0).sum(axis=1)
+        counts.append(end - k)
+        assert counts[-1] == (f * (f + 1) // 2).sum()
+        return end
+
+    monkeypatch.setattr(assembly, "_write_free", counted)
+    return counts
 
 
 def smooth_h_last_layout():
@@ -575,8 +593,8 @@ def test_dense_coarse_route_matches_superlu(monkeypatch):
 
 def test_dense_coarse_sum_is_one_bincount_of_the_written_entries(monkeypatch):
     # the smooth-h last layout: the (n, n) array condense sums unit by
-    # unit is, bit for bit, one `bincount` of the entries its units wrote
-    # through `_write_free`, in the order they wrote them
+    # unit is, bit for bit, one `bincount` of its units' whole blocks
+    # (`full_block_writes`), in the order the units wrote them
     bench, layout, xp = smooth_h_last_layout()
     writes = recorded_writes(monkeypatch)
     system = condense(bench.solver_material, bench.f, layout, xp)
@@ -675,18 +693,22 @@ def test_bench_last_coarse_systems_keep_their_size(name, coarse, monkeypatch):
 
 def test_sparse_coarse_systems_go_to_superlu(monkeypatch):
     # the bench's lshape-adapt study: its first two coarse systems (44 and
-    # 28 dofs) are dense (2 k >= n^2 for k entries); the six after them,
-    # down to k / n^2 = 0.11 at the last step's 912 dofs, reach SuperLU
+    # 28 dofs) are dense (2 k >= n^2 for the k entries of the units' whole
+    # blocks); the six after them, down to k / n^2 = 0.11 at the last
+    # step's 912 dofs, reach SuperLU, and their units write the upper
+    # triangles alone, the sum of f (f + 1) / 2 entries for f free ids
     sizes, factored = [], []
     writes = recorded_writes(monkeypatch)
+    written = triangle_counts(monkeypatch)
 
     def condensed(*args, inner=assembly.condense, **kwargs):
         writes.clear()
+        written.clear()
         system = inner(*args, **kwargs)
         n, k = system.free.size, sum(vals.size for _, _, vals in writes)
         assert (system.dense is None) == (2 * k < n * n)
-        if system.coo is not None:      # allocated at exactly k entries
-            assert system.coo[2].size == k
+        if system.coo is not None:      # allocated at exactly the triangles
+            assert system.coo[2].size == sum(written) < k
         sizes.append((n, k))
         return system
 
@@ -699,6 +721,46 @@ def test_sparse_coarse_systems_go_to_superlu(monkeypatch):
     run_convergence_study(StudyConfig(**BENCH_STUDIES["lshape-adapt"]))
     assert factored == [n for n, k in sizes if 2 * k < n * n]
     assert len(factored) == len(sizes) - 2 and factored[-1] == 912
+
+
+def owned_size(a):
+    """The item count of the memory that array `a` views."""
+    while a.base is not None:
+        a = a.base
+    return a.nbytes // a.itemsize
+
+
+def test_sparse_coarse_system_sums_its_triangles(monkeypatch):
+    # lshape-adapt's last coarse system (912 dofs): its COO holds exactly
+    # the units' upper triangles, H + H' matches the sum of their whole
+    # blocks, and the CSC's arrays hold its entries alone (the CSC summed
+    # from the whole blocks kept arrays of 92,776 entries for 55,696)
+    systems, sizes = [], []
+    writes = recorded_writes(monkeypatch)
+    written = triangle_counts(monkeypatch)
+
+    def condensed(*args, inner=assembly.condense, **kwargs):
+        writes.clear()
+        written.clear()
+        systems.append(inner(*args, **kwargs))
+        sizes.append(systems[-1].coo[2].size if systems[-1].coo else 0)
+        return systems[-1]
+
+    monkeypatch.setattr(assembly, "condense", condensed)
+    run_convergence_study(StudyConfig(**BENCH_STUDIES["lshape-adapt"]))
+    system, n = systems[-1], systems[-1].free.size
+    rows, cols, vals = (np.concatenate(a) for a in zip(*writes))
+    assert n == 912 and vals.size == 92_776
+    assert sizes[-1] == sum(written) == 47_514
+    expect = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
+    S = system.S
+    assert S.format == "csc" and S.has_canonical_format
+    # H + H' leaves out the two entries that are exactly zero
+    assert expect.nnz == 55_696 and S.nnz == np.count_nonzero(expect.data)
+    scale = np.abs(expect).max()
+    assert abs(S - expect).max() <= 1e-13 * scale
+    assert abs(S - S.T).max() == 0.0
+    assert owned_size(S.data) == owned_size(S.indices) == S.nnz
 
 
 def test_lshape_adaptive_roots_private_dofs(monkeypatch):
@@ -954,24 +1016,56 @@ def test_tiled_average_is_bit_equal(n):
 
 
 def test_whole_member_writes_in_place():
-    # one member of 512 free dofs into a preallocated COO: bit for bit
-    # w S[rows][:, rows] w, written through the value array.  Measured:
-    # 2.14 MiB peak, the gather of S's block, against 4.33 MiB for the
-    # masked write of the partial members
+    # one member of 512 free dofs into a preallocated COO: bit for bit the
+    # upper triangle, its ids in ascending order, of its whole block
+    # w S[rows][:, rows] w (`upper_triangle`), the diagonal halved, written
+    # through the COO's arrays.  Measured: 2.0 MiB peak, the columns of the
+    # triangle and its flat indices into S, against 2.14 MiB for the gather
+    # of the whole block
     rng = np.random.default_rng(2)
     n = 512
     S = rng.standard_normal((n, n))
     rows, ids = rng.permutation(n)[None], rng.permutation(n)[None]
     w = rng.standard_normal((1, n))
     cmap = assembly.ClassMap(np.zeros((1, 0), int), ids, rows, w, n)
-    coo = (*np.empty((2, n * n), np.int32), np.empty(n * n))
+    size = n * (n + 1) // 2
+    coo = (*np.empty((2, size), np.int32), np.empty(size))
+    dof = ids.astype(np.int32)
     peak = traced_peak(lambda: assembly._write_free(
-        cmap, S, ids.astype(np.int32), np.ones(1, bool), coo, 0))
-    expect = w[0, :, None] * S[rows[0][:, None], rows[0]] * w[0]
-    np.testing.assert_array_equal(coo[2], expect.ravel())
-    np.testing.assert_array_equal(coo[0], np.repeat(ids[0], n))
-    np.testing.assert_array_equal(coo[1], np.tile(ids[0], n))
+        cmap, S, dof, np.ones(1, bool), coo, 0))
+    for got, want in zip(coo, upper_triangle(cmap, S, dof, 0)):
+        np.testing.assert_array_equal(got, want)
+    assert (coo[0] <= coo[1]).all()
     assert peak <= 1.5 * S.nbytes
+
+
+def test_partial_members_write_their_free_triangles():
+    # a class of six members of 40 entries, five of them writing: two clear
+    # of the pinned dofs, three with some ids at -1, and one id repeated.
+    # The members write by their count of free ids, the largest first, and
+    # in member order within a count, each the upper triangle of its whole
+    # block on its free ids in ascending order (`upper_triangle`), bit for
+    # bit
+    rng = np.random.default_rng(5)
+    m, nnz, n_skel = 6, 40, 50
+    S = rng.standard_normal((n_skel, n_skel))
+    rows = np.array([rng.choice(n_skel, nnz, replace=False) for _ in range(m)])
+    ids = np.array([rng.permutation(60)[:nnz] for _ in range(m)])
+    ids[2, 7] = ids[2, 30]
+    cmap = assembly.ClassMap(np.zeros((m, 0), int), ids, rows,
+                             rng.standard_normal((m, nnz)), n_skel)
+    dof = ids.astype(np.int32)
+    for i, cut in ((1, 5), (3, 39), (4, 17)):
+        dof[i, rng.choice(nnz, cut, replace=False)] = -1
+    members = np.arange(m) < 5
+    k_full, size = assembly._free_entries(dof, members)
+    assert k_full == 2 * 40 ** 2 + 35 ** 2 + 1 + 23 ** 2
+    coo = (*np.empty((2, size + 3), np.int32), np.empty(size + 3))
+    assert assembly._write_free(cmap, S, dof, members, coo, 3) == size + 3
+    expect = [upper_triangle(cmap, S, dof, i) for i in (0, 2, 1, 4, 3)]
+    for got, want in zip(coo, zip(*expect)):
+        np.testing.assert_array_equal(got[3:], np.concatenate(want))
+    assert (coo[0][3:] <= coo[1][3:]).all()
 
 
 def test_condensed_updates_in_place():

@@ -17,13 +17,15 @@ it: the fresh pages it touched), then the last step's dofs, the size of
 its coarse system (the free coarse dofs `condense` leaves), the route
 that factored it, "dense" (Cholesky) or "superlu", the entries its
 factor stores (`coarse_factor_nnz`: n (n + 1) / 2 on n dofs for
-Cholesky, `SuperLU.nnz` for SuperLU) and its count of node classes
-(`len(layout.nodes)`).  After the timed runs, one more run of the study
-traces the memory of four phases with `tracemalloc`: `build_dof_layout`,
-`solve_condensed`, `l2_errors` and `error_indicators`.  Each call is
-traced from its start, and `traced_peak_mb` holds, per phase, the
-largest traced size during the last step's call, in MB (2^20 bytes,
-as `peak_rss_mb`).  The timed runs are never traced, so tracing's
+Cholesky, `SuperLU.nnz` for SuperLU), the entries the sparse route's
+units wrote before they were summed (`coarse_entries`, the length of
+`CondensedSystem.coo`; 0 on the dense route) and its count of node
+classes (`len(layout.nodes)`).  After the timed runs, one more run of
+the study traces the memory of four phases with `tracemalloc`:
+`build_dof_layout`, `solve_condensed`, `l2_errors` and
+`error_indicators`.  Each call is traced from its start, and
+`traced_peak_mb` holds, per phase, the largest traced size during the
+last step's call, in MB (2^20 bytes, as `peak_rss_mb`).  The timed runs are never traced, so tracing's
 overhead does not enter their times.
 
 With two checkouts it runs each study ten times in each, the two
@@ -31,8 +33,8 @@ alternating and each pair starting with the other side, and prints per
 study and measure the median of each side, the median and range of the
 paired differences, NEW minus OLD, and the count of pairs in which NEW
 is lower, then the last step's dofs, coarse size, route, factor entries,
-node-class count and `traced_peak_mb` of each side, the last from one
-traced run per side after the pairs.
+written entries, node-class count and `traced_peak_mb` of each side, the
+last from one traced run per side after the pairs.
 Pairs resolve changes that three runs of each cannot: the wall time of
 one study spreads by about 0.1 s from run to run, and five pairs have
 agreed on a sign that ten reversed.  A change reads as lower or higher
@@ -58,7 +60,7 @@ RUNS = 3
 PAIRS = 10
 SPREAD = ("wall_s", "last_step_s", "peak_rss_mb", "page_faults")
 LAST_STEP = ("last_step_dofs", "coarse_dofs", "coarse_route",
-             "coarse_factor_nnz", "node_classes")
+             "coarse_factor_nnz", "coarse_entries", "node_classes")
 PHASES = ("build_dof_layout", "solve_condensed", "l2_errors",
           "error_indicators")
 SMOOTH = dict(benchmark="smooth", mode="uniform_h", p=3, delta_p=2,
@@ -100,13 +102,16 @@ def run_one(name: str, traced: bool = False) -> dict:
     from dpg_elast import assembly, study
     from dpg_elast.study import StudyConfig, run_convergence_study
 
-    coarse = []     # per step: coarse dofs, route, factor entries, node classes
+    # per step: coarse dofs, route, factor entries, written entries, node
+    # classes
+    coarse = []
     condense, splu = assembly.condense, assembly.splu
 
     def recorded_condense(material, f, layout, *args, **kwargs):
         system = condense(material, f, layout, *args, **kwargs)
         n = int(system.free.size)
-        coarse.append([n, "dense", n * (n + 1) // 2, len(layout.nodes)])
+        written = 0 if system.coo is None else int(system.coo[2].size)
+        coarse.append([n, "dense", n * (n + 1) // 2, written, len(layout.nodes)])
         return system
 
     def recorded_splu(*args, **kwargs):
