@@ -160,15 +160,22 @@ class KernelCache:
     tau block and of its v block, which serves both components
     (`gram_factor`), and `families` maps (family key, material) to the
     coupling matrix of the shape family (`_family`), from which each
-    class's B is scaled.  `build_dof_layout` drops every entry its
-    classes do not use, so the cache holds one step's classes, shapes and
-    families.  Node kernels are never cached: `condense` builds them for
-    one solve.
+    class's B is scaled.  A family's B is built by `local_bmat` from two
+    kinds of piece, shared by the families they serve: `volume_blocks`
+    maps (p, p_tilde, family offsets, material) to B's interior columns,
+    a view of the first such family's B, and `side_entries` maps
+    (p_tilde, family offsets, side, q, leaf flux degrees) to one side's
+    skeleton entries.  `build_dof_layout` drops
+    every entry its classes do not use, so the cache holds one step's
+    classes, shapes, families and pieces.  Node kernels are never cached:
+    `condense` builds them for one solve.
     """
 
     kernels: dict[tuple, ClassKernel] = field(default_factory=dict)
     gram_factors: dict[tuple, tuple] = field(default_factory=dict)
     families: dict[tuple, np.ndarray] = field(default_factory=dict)
+    volume_blocks: dict[tuple, np.ndarray] = field(default_factory=dict)
+    side_entries: dict[tuple, tuple] = field(default_factory=dict)
 
     def retain(self, class_keys) -> None:
         """Keep only the entries of the given class keys."""
@@ -178,11 +185,18 @@ class KernelCache:
         # offsets), its family the key with the offsets scaled to [0.5, 1)
         shapes = {(key[1], key[2]) for key in class_keys}
         families = {_family(key)[0] for key in class_keys}
+        volumes = {family[:3] for family in families}
+        sides = {(p_tilde, shape, s, *side) for _, p_tilde, shape, sides
+                 in families for s, side in enumerate(sides)}
         self.kernels = {k: v for k, v in self.kernels.items() if k[0] in keys}
         self.gram_factors = {k: v for k, v in self.gram_factors.items()
                              if k in shapes}
         self.families = {k: v for k, v in self.families.items()
                          if k[0] in families}
+        self.volume_blocks = {k: v for k, v in self.volume_blocks.items()
+                              if k[:3] in volumes}
+        self.side_entries = {k: v for k, v in self.side_entries.items()
+                             if k in sides}
 
 
 @dataclass(frozen=True)
@@ -766,14 +780,16 @@ def element_full_bmat(layout: DofLayout, material: Material, f, pos: int):
 
 def _class_members(layout: DofLayout, material: Material, f, cls: int):
     """Class cls's kernel, its members' loads as the columns of a
-    (5 ns, m) block, and its `ClassMap`.
+    (5 ns, m) block, and its `ClassMap`.  Without a body force (f None)
+    the loads are None: they vanish, and `_lower_residual` then solves
+    nothing for them.
 
     Every member goes through `element_full_bmat` once.
     """
-    members = layout.classes[cls]
-    lvecs = np.column_stack([element_full_bmat(layout, material, f, k)[2]
-                             for k in members.tolist()])
-    return (_kernel(layout.cache, layout.class_keys[cls], material), lvecs,
+    loads = [element_full_bmat(layout, material, f, k)[2]
+             for k in layout.classes[cls].tolist()]
+    return (_kernel(layout.cache, layout.class_keys[cls], material),
+            None if f is None else np.column_stack(loads),
             layout.class_maps[cls])
 
 
@@ -816,7 +832,8 @@ def _class_kernel(key: tuple, material: Material,
     The Gram factor depends only on p_tilde and the offsets, and every
     class of that shape shares it through `cache.gram_factors`.  B is the
     coupling matrix of the key's shape family (`_family`, built on the
-    family's first class and kept in `cache.families`) scaled by powers
+    family's first class from the pieces in `cache.volume_blocks` and
+    `cache.side_entries`, and kept in `cache.families`) scaled by powers
     of two: a shape scaled by 2^e scales the (A sigma, tau) block by 4^e,
     as the area, and every other entry by 2^e, as the length, which is
     exact, so B, kept as Z = L^-1 B, is `local_bmat`'s at the key's offsets.
@@ -837,7 +854,8 @@ def _class_kernel(key: tuple, material: Material,
     B_hat = cache.families.get((family, material))
     if B_hat is None:
         B_hat = local_bmat(np.frombuffer(family[2], float).reshape(4, 2),
-                           p, p_tilde, material, sides)
+                           p, p_tilde, material, sides, cache.volume_blocks,
+                           cache.side_entries)
         B_hat.setflags(write=False)
         cache.families[family, material] = B_hat
     scale = 2.0 ** e
@@ -959,7 +977,8 @@ def error_indicators(material: Material, f, layout: DofLayout,
 
     The V-norm of e = G^-1 r, r = l - B x_K the residual with x_K the
     element's interior dofs and C_K x, is |L^-1 r| = |L^-1 l - Z x_K|,
-    one `lower_solve` per class for all its members (`_lower_residual`).
+    one `lower_solve` per class for all its members (`_lower_residual`),
+    and none without a body force.
     """
     out = np.zeros(len(layout.elements))
     for cls, members in enumerate(layout.classes):
@@ -969,13 +988,17 @@ def error_indicators(material: Material, f, layout: DofLayout,
     return out
 
 
-def _lower_residual(kernel: ClassKernel, lvecs: np.ndarray, xk: np.ndarray,
-                    first: int = 0) -> np.ndarray:
+def _lower_residual(kernel: ClassKernel, lvecs: np.ndarray | None,
+                    xk: np.ndarray, first: int = 0) -> np.ndarray:
     """L^-1 (l - B x) = L^-1 l - Z x, (5 ns, m), of an element class's
     members' loads l, (5 ns, m), and values x, (m, n - first), on its
-    columns from `first` on, formed in place on L^-1 l."""
+    columns from `first` on, formed in place on L^-1 l.  Loads None are
+    zero: the result is then 0 - Z x, the same bits without a Gram solve."""
+    Zx = kernel.Z[:, first:] @ xk.T
+    if lvecs is None:
+        return np.subtract(0.0, Zx, out=Zx)
     y = lower_solve(kernel.L, lvecs)
-    y -= kernel.Z[:, first:] @ xk.T
+    y -= Zx
     return y
 
 
@@ -1031,13 +1054,17 @@ class CondensedSystem:
         # scipy sizes the sum's arrays for both terms' entries and keeps
         # views of them.  SuperLU holds S, so they shrink to its entries in
         # place; copies, placed above them in the heap, raised lshape-adapt's
-        # peak RSS by 0.6 MB
+        # peak RSS by 0.6 MB.  Each view is S's alone, of a buffer that
+        # nothing else views (`test_sparse_sum_views_buffers_of_its_own`):
+        # once S lets go of the view, the buffer is free to move, so the
+        # resize skips its reference count, which a tracer or a profiler
+        # (`sys.settrace`, `sys.setprofile`) raises by holding the frame
         nnz = S.nnz
         for name in ("indices", "data"):
             full = getattr(S, name)
             full = full if full.base is None else full.base
             setattr(S, name, None)
-            full.resize(nnz)    # raises if anything else still views it
+            full.resize(nnz, refcheck=False)
             setattr(S, name, full)
         return S
 

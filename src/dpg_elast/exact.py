@@ -91,20 +91,18 @@ def lshape_exponent(material: Material, bracket=(0.01, 0.999)) -> float:
     grid = np.linspace(lo, hi, 800)
     vals = _corner_equation_cleared(grid, nu)
     i = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
-    a, b, fa, fb = grid[i], grid[i + 1], vals[i], vals[i + 1]
-    # bisect every sign change at once, until no midpoint lies strictly
+    # bisect each sign change on scalars, until no midpoint lies strictly
     # between its neighbouring floats
-    while True:
-        mid = 0.5 * (a + b)
-        inside = (a < mid) & (mid < b)
-        if not inside.any():
-            break
-        fm = _corner_equation_cleared(mid, nu)
-        right = inside & (np.sign(fm) == np.sign(fa))
-        left = inside & ~right
-        a, fa = np.where(right, mid, a), np.where(right, fm, fa)
-        b, fb = np.where(left, mid, b), np.where(left, fm, fb)
-    roots = np.where(np.abs(fa) <= np.abs(fb), a, b)
+    roots = []
+    for a, b, fa, fb in zip(*(x.tolist() for x in (
+            grid[i], grid[i + 1], vals[i], vals[i + 1]))):
+        while a < (mid := 0.5 * (a + b)) < b:
+            fm = _corner_equation_cleared(mid, nu)
+            if np.sign(fm) == np.sign(fa):
+                a, fa = mid, fm
+            else:
+                b, fb = mid, fm
+        roots.append(a if abs(fa) <= abs(fb) else b)
     # keep only roots of the original equation, not poles of C1
     roots = [r for r in roots if abs(_corner_equation(r, nu)) < 1e-9]
     if not roots:

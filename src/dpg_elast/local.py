@@ -143,8 +143,48 @@ def gram_factor(G: tuple) -> tuple[np.ndarray, np.ndarray]:
                  for g in G)
 
 
-def _skeleton_columns(coords: np.ndarray, p_tilde: int,
-                      sides: tuple) -> np.ndarray:
+def _side_entries(coords: np.ndarray, p_tilde: int, side: int, q: int,
+                  fps: tuple) -> tuple:
+    """One side's part of the skeleton couplings (`_skeleton_columns`), the
+    trace of degree q along it and one flux per leaf of degree `fps[i]`:
+    per entry its values on the element's test basis, (r, ns), its column
+    on the side's own functions, 2 k + component for function k (the trace
+    functions 0..q, the side's corners first, then each leaf's flux
+    functions), and its test block."""
+    ne = max(p_tilde, q) + 3
+    tau = gauss_rule(ne).points
+    trace = np.arange(q + 1)
+    parts, cols, blocks = [], [], []
+    k = q + 1
+    for i, fp in enumerate(fps):
+        t0, t1 = -1.0 + 2.0 * i / len(fps), -1.0 + 2.0 * (i + 1) / len(fps)
+        flux = k + np.arange(fp + 1)
+        k += fp + 1
+        rows_map, wref, svals = _side_table(side, t0, t1, ne, p_tilde)
+        tang = rows_map[1] @ coords  # (ne, 2)
+        # arc-length weight times unit outward normal
+        wn = (wref * tang[:, 1], -wref * tang[:, 0])
+
+        # -<u_hat, tau n>: trace function i adds R1[i], R2[i] to
+        # (tau11, tau12) of its x dof and to (tau12, tau22) of its y
+        # dof; the side parameter of the leaf's points
+        prof = edge_basis_eval(q, 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * tau)
+        R = np.concatenate([prof * wn[0], prof * wn[1]]) @ svals.T
+        parts += [R, R]
+        cols += [2 * trace, 2 * trace, 2 * trace + 1, 2 * trace + 1]
+        blocks.append(np.repeat(_TRACE_BLOCKS, q + 1))
+
+        # -<v, sigma_hat_n>
+        wf = wref * np.hypot(tang[:, 0], tang[:, 1])
+        F = (edge_basis_eval(fp, tau) * wf) @ svals.T
+        parts += [F, F]
+        cols += [2 * flux, 2 * flux + 1]
+        blocks.append(np.repeat(_FLUX_BLOCKS, fp + 1))
+    return _read_only(*map(np.concatenate, (parts, cols, blocks)))
+
+
+def _skeleton_columns(coords: np.ndarray, p_tilde: int, sides: tuple,
+                      side_entries: dict | None = None) -> np.ndarray:
     """Skeleton trace and flux couplings on the element's own basis, a
     (5 ns, n) block.
 
@@ -155,6 +195,11 @@ def _skeleton_columns(coords: np.ndarray, p_tilde: int,
     basis along the leaf, times the outward normal.  The n columns are the
     x and y components (interleaved) of the four corner functions, then
     each side's trace bubbles, then each leaf's flux functions.
+
+    Each side's entries (`_side_entries`) come from `side_entries`, when
+    given, under (p_tilde, coords' bytes, side, q, leaf degrees), or are
+    built and kept there; one `np.add.at` sums them all, in side order,
+    so the block does not depend on what the cache held.
     """
     ns = (p_tilde + 1) ** 2
     if not sides:
@@ -163,35 +208,24 @@ def _skeleton_columns(coords: np.ndarray, p_tilde: int,
     nb = np.array([q - 1 for q, _ in sides])
     bubble = 4 + np.cumsum(nb) - nb
     n = 4 + int(nb.sum())
+    shape = coords.tobytes()
     parts, cols, blocks = [], [], []
     for s, (q, fps) in enumerate(sides):
-        trace = np.concatenate([[s, (s + 1) % 4], bubble[s] + np.arange(q - 1)])
-        ne = max(p_tilde, q) + 3
-        tau = gauss_rule(ne).points
-        for i, fp in enumerate(fps):
-            t0, t1 = -1.0 + 2.0 * i / len(fps), -1.0 + 2.0 * (i + 1) / len(fps)
-            flux = n + np.arange(fp + 1)
-            n += fp + 1
-            rows_map, wref, svals = _side_table(s, t0, t1, ne, p_tilde)
-            tang = rows_map[1] @ coords  # (ne, 2)
-            # arc-length weight times unit outward normal
-            wn = (wref * tang[:, 1], -wref * tang[:, 0])
-
-            # -<u_hat, tau n>: trace function i adds R1[i], R2[i] to
-            # (tau11, tau12) of its x dof and to (tau12, tau22) of its y
-            # dof; the side parameter of the leaf's points
-            prof = edge_basis_eval(q, 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * tau)
-            R = np.concatenate([prof * wn[0], prof * wn[1]]) @ svals.T
-            parts += [R, R]
-            cols += [2 * trace, 2 * trace, 2 * trace + 1, 2 * trace + 1]
-            blocks.append(np.repeat(_TRACE_BLOCKS, q + 1))
-
-            # -<v, sigma_hat_n>
-            wf = wref * np.hypot(tang[:, 0], tang[:, 1])
-            F = (edge_basis_eval(fp, tau) * wf) @ svals.T
-            parts += [F, F]
-            cols += [2 * flux, 2 * flux + 1]
-            blocks.append(np.repeat(_FLUX_BLOCKS, fp + 1))
+        key = (p_tilde, shape, s, q, fps)
+        entries = None if side_entries is None else side_entries.get(key)
+        if entries is None:
+            entries = _side_entries(coords, p_tilde, s, q, fps)
+            if side_entries is not None:
+                side_entries[key] = entries
+        vals, col, block = entries
+        # the side's functions as the element's: corners, bubbles, fluxes
+        nf = sum(fp + 1 for fp in fps)
+        fns = np.concatenate([[s, (s + 1) % 4], bubble[s] + np.arange(q - 1),
+                              n + np.arange(nf)])
+        n += nf
+        parts.append(vals)
+        cols.append(2 * fns[col // 2] + col % 2)
+        blocks.append(block)
 
     acc = np.zeros((5, 2 * n, ns))
     np.add.at(acc, (np.concatenate(blocks), np.concatenate(cols)),
@@ -199,24 +233,15 @@ def _skeleton_columns(coords: np.ndarray, p_tilde: int,
     return -acc.transpose(0, 2, 1).reshape(5 * ns, 2 * n)
 
 
-def local_bmat(coords: np.ndarray, p: int, p_tilde: int, material: Material,
-               sides: tuple) -> np.ndarray:
-    """Trial-test coupling matrix on one element.
-
-    The columns of B are the element's interior trial dofs (sigma then u,
-    component-major) followed by its local skeleton dofs (see
-    `_skeleton_columns`, which reads `sides`).  B depends on the vertex
-    offsets and the degrees alone, not on the element's position.
-    """
+def _volume_block(coords: np.ndarray, p: int, p_tilde: int,
+                  material: Material) -> np.ndarray:
+    """The interior trial columns of `local_bmat`'s B, (5 ns, 5 nt)."""
     w, tvals, g = _volume_tables(coords, p_tilde)
     uvals, _ = q_basis_table(p, _volume_nq(p_tilde))
     ns = tvals.shape[0]
     nt = uvals.shape[0]
     b = [slice(i * ns, (i + 1) * ns) for i in range(5)]
-
-    Bskel = _skeleton_columns(coords, p_tilde, sides)
-    B = np.zeros((5 * ns, 5 * nt + Bskel.shape[1]))
-    B[:, 5 * nt:] = Bskel
+    B = np.zeros((5 * ns, 5 * nt))
 
     Mmix = (tvals * w) @ uvals.T          # (ns, nt)
     DxMix = (g[:, 0] * w) @ uvals.T
@@ -243,6 +268,34 @@ def local_bmat(coords: np.ndarray, p: int, p_tilde: int, material: Material,
     B[b[3], c[1]] += DyMix
     B[b[4], c[1]] += DxMix
     B[b[4], c[2]] += DyMix
+    return B
+
+
+def local_bmat(coords: np.ndarray, p: int, p_tilde: int, material: Material,
+               sides: tuple, volume_blocks: dict | None = None,
+               side_entries: dict | None = None) -> np.ndarray:
+    """Trial-test coupling matrix on one element.
+
+    The columns of B are the element's interior trial dofs (sigma then u,
+    component-major) followed by its local skeleton dofs (see
+    `_skeleton_columns`, which reads `sides`).  B depends on the vertex
+    offsets and the degrees alone, not on the element's position.
+
+    `volume_blocks` and `side_entries`, when given, keep B's pieces from
+    call to call: the interior columns (`_volume_block`) under (p,
+    p_tilde, coords' bytes, material), and each side's skeleton entries
+    under the key `_skeleton_columns` gives them.  B is the same to the
+    bit with or without them.  A B whose interior columns enter
+    `volume_blocks` keeps them, as a view, and is read-only.
+    """
+    key = (p, p_tilde, coords.tobytes(), material)
+    volume = None if volume_blocks is None else volume_blocks.get(key)
+    B = np.hstack([_volume_block(coords, p, p_tilde, material)
+                   if volume is None else volume,
+                   _skeleton_columns(coords, p_tilde, sides, side_entries)])
+    if volume is None and volume_blocks is not None:
+        # no second copy of the columns beside the B a caller keeps
+        volume_blocks[key] = _read_only(B)[0][:, :5 * (p + 1) ** 2]
     return B
 
 

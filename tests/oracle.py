@@ -40,6 +40,13 @@ its C_K from `element_cmap` (the class kernels, whose B C_K
 below, and form K = Z'Z and the load Z'(L^-1 l) with L^-1 l from
 `lower_rows`.
 
+`whole_bmat` is the coupling matrix built in one piece, every side's
+entries and the interior columns afresh on each call, as `local_bmat`
+built it before it kept those pieces in the kernel cache; the library's
+B must equal it to the bit.  `lshape_exponent_by_arrays` is the corner
+exponent bisected on arrays of brackets, as `exact.lshape_exponent` did
+before it bisected each bracket on scalars.
+
 `bilinear_maps`, `apply_compliance` and `interior_slices` are pointwise
 and per-element forms of what the library does in batches, for tests to
 build independent references with.
@@ -85,9 +92,11 @@ from dpg_elast.assembly import (ClassMap, _class_members, build_dof_layout,
                                 element_full_bmat)
 from dpg_elast.basis import (edge_basis_eval, gauss_rule, gauss_rule_2d,
                              q_basis_table)
+from dpg_elast.exact import _corner_equation, _corner_equation_cleared
 from dpg_elast.local import (_FLUX_BLOCKS, _TRACE_BLOCKS, _side_table,
-                             _volume_nq, _volume_points, gram_factor,
-                             local_bmat, local_gram, local_stiffness)
+                             _volume_nq, _volume_points, _volume_tables,
+                             gram_factor, local_bmat, local_gram,
+                             local_stiffness)
 from dpg_elast.mesh import (DegreeMap, bilinear_shape, build_initial_mesh,
                             refine_uniform)
 
@@ -248,6 +257,99 @@ def class_bmat(layout, material, pos):
     p, p_tilde, shape, sides = layout.class_keys[layout.element_class[pos]]
     return local_bmat(np.frombuffer(shape, float).reshape(4, 2), p, p_tilde,
                       material, sides)
+
+
+def whole_bmat(coords, p, p_tilde, material, sides):
+    """`local_bmat`'s B built in one piece: its interior columns and one
+    `np.add.at` of every side's trace and flux entries, all computed on
+    this call."""
+    w, tvals, g = _volume_tables(coords, p_tilde)
+    uvals, _ = q_basis_table(p, _volume_nq(p_tilde))
+    ns = tvals.shape[0]
+    nt = uvals.shape[0]
+    b = [slice(i * ns, (i + 1) * ns) for i in range(5)]
+
+    Bskel = np.zeros((5 * ns, 0))
+    if sides:
+        nb = np.array([q - 1 for q, _ in sides])
+        bubble = 4 + np.cumsum(nb) - nb
+        n = 4 + int(nb.sum())
+        parts, cols, blocks = [], [], []
+        for s, (q, fps) in enumerate(sides):
+            trace = np.concatenate([[s, (s + 1) % 4],
+                                    bubble[s] + np.arange(q - 1)])
+            ne = max(p_tilde, q) + 3
+            tau = gauss_rule(ne).points
+            for i, fp in enumerate(fps):
+                t0, t1 = -1.0 + 2.0 * i / len(fps), -1.0 + 2.0 * (i + 1) / len(fps)
+                flux = n + np.arange(fp + 1)
+                n += fp + 1
+                rows_map, wref, svals = _side_table(s, t0, t1, ne, p_tilde)
+                tang = rows_map[1] @ coords
+                wn = (wref * tang[:, 1], -wref * tang[:, 0])
+                prof = edge_basis_eval(q, 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * tau)
+                R = np.concatenate([prof * wn[0], prof * wn[1]]) @ svals.T
+                parts += [R, R]
+                cols += [2 * trace, 2 * trace, 2 * trace + 1, 2 * trace + 1]
+                blocks.append(np.repeat(_TRACE_BLOCKS, q + 1))
+                wf = wref * np.hypot(tang[:, 0], tang[:, 1])
+                F = (edge_basis_eval(fp, tau) * wf) @ svals.T
+                parts += [F, F]
+                cols += [2 * flux, 2 * flux + 1]
+                blocks.append(np.repeat(_FLUX_BLOCKS, fp + 1))
+        acc = np.zeros((5, 2 * n, ns))
+        np.add.at(acc, (np.concatenate(blocks), np.concatenate(cols)),
+                  np.concatenate(parts))
+        Bskel = -acc.transpose(0, 2, 1).reshape(5 * ns, 2 * n)
+
+    B = np.zeros((5 * ns, 5 * nt + Bskel.shape[1]))
+    B[:, 5 * nt:] = Bskel
+    Mmix = (tvals * w) @ uvals.T
+    DxMix = (g[:, 0] * w) @ uvals.T
+    DyMix = (g[:, 1] * w) @ uvals.T
+    P, Q = material.P, material.Q
+    alpha = 0.5 * (P + Q)
+    beta = 0.5 * (Q - P)
+    c = [slice(i * nt, (i + 1) * nt) for i in range(5)]
+    B[b[0], c[0]] += alpha * Mmix
+    B[b[0], c[2]] += beta * Mmix
+    B[b[1], c[1]] += 2.0 * P * Mmix
+    B[b[2], c[0]] += beta * Mmix
+    B[b[2], c[2]] += alpha * Mmix
+    B[b[0], c[3]] += DxMix
+    B[b[1], c[3]] += DyMix
+    B[b[1], c[4]] += DxMix
+    B[b[2], c[4]] += DyMix
+    B[b[3], c[0]] += DxMix
+    B[b[3], c[1]] += DyMix
+    B[b[4], c[1]] += DxMix
+    B[b[4], c[2]] += DyMix
+    return B
+
+
+def lshape_exponent_by_arrays(nu, bracket=(0.01, 0.999)):
+    """The smallest root in `bracket` of the corner equation at Poisson
+    ratio nu, every sign change of an 800-point grid bisected at once on
+    arrays until no midpoint lies strictly between its neighbouring
+    floats."""
+    lo, hi = bracket
+    grid = np.linspace(lo, hi, 800)
+    vals = _corner_equation_cleared(grid, nu)
+    i = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
+    a, b, fa, fb = grid[i], grid[i + 1], vals[i], vals[i + 1]
+    while True:
+        mid = 0.5 * (a + b)
+        inside = (a < mid) & (mid < b)
+        if not inside.any():
+            break
+        fm = _corner_equation_cleared(mid, nu)
+        right = inside & (np.sign(fm) == np.sign(fa))
+        left = inside & ~right
+        a, fa = np.where(right, mid, a), np.where(right, fm, fa)
+        b, fb = np.where(left, mid, b), np.where(left, fm, fb)
+    roots = np.where(np.abs(fa) <= np.abs(fb), a, b)
+    roots = [r for r in roots if abs(_corner_equation(r, nu)) < 1e-9]
+    return float(min(roots))
 
 
 def error_representation(L, Bfull, lvec, x_loc):

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -761,6 +762,96 @@ def test_sparse_coarse_system_sums_its_triangles(monkeypatch):
     assert abs(S - expect).max() <= 1e-13 * scale
     assert abs(S - S.T).max() == 0.0
     assert owned_size(S.data) == owned_size(S.indices) == S.nnz
+
+
+def test_sparse_sum_views_buffers_of_its_own():
+    # `CondensedSystem.S` shrinks the arrays of scipy's H + H' in place
+    # without numpy's reference count check, which holds only while each
+    # array is owned or is the view of a buffer that nothing else holds
+    rng = np.random.default_rng(5)
+    rows, cols = np.sort(rng.integers(0, 60, (2, 400)), axis=0)
+    H = sp.csc_matrix((rng.standard_normal(400), (rows, cols)), shape=(60, 60))
+    S = H + H.T
+    del H
+    assert S.nnz < S.indices.base.size      # sized for both terms
+    for name in ("indices", "data"):
+        view = getattr(S, name)
+        assert view.base.base is None
+        # held by the view alone, and by the call's argument
+        count = sys.getrefcount(view.base)
+        assert count == 2
+
+
+def test_sparse_solve_runs_under_tracers_and_profilers(monkeypatch):
+    # cProfile, pdb and coverage hook in through `sys.setprofile` or
+    # `sys.settrace`, and their references made the in-place shrink of the
+    # sparse coarse arrays raise; step 3 of the bench's lshape-adapt study
+    # has a sparse coarse system
+    kwargs = dict(BENCH_STUDIES["lshape-adapt"], steps=4)
+    layout, _ = condensed_steps(monkeypatch, **kwargs)[-1]
+    bench = make_benchmark("lshape", make_isotropic(123.0, 79.3))
+    args = (bench.solver_material, bench.f, layout,
+            dirichlet_values(layout, bench.g))
+    assert condense(*args).coo is not None
+    expect = solve_condensed(*args)
+
+    def hook(frame, event, arg):
+        return hook
+
+    for get, put in ((sys.gettrace, sys.settrace),
+                     (sys.getprofile, sys.setprofile)):
+        previous = get()
+        put(hook)
+        try:
+            got = solve_condensed(*args)
+        finally:
+            put(previous)
+        assert got.tobytes() == expect.tobytes()
+
+
+def test_no_body_force_runs_no_gram_solve(monkeypatch):
+    # without a body force the element loads vanish, and `condense` and
+    # the estimator give what an explicit zero force gives, to the bit,
+    # without a Gram solve; on an hp L-shape with hanging nodes and a
+    # Dirichlet lift
+    mesh = build_initial_mesh("l_shape", 1)
+    degrees = DegreeMap(mesh, p=1, delta_p=2)
+    for _ in range(3):
+        active = mesh.active_elements
+        degrees.increment(active[0], mesh)
+        mesh = refine_marked(mesh, active[-2:])
+    layout = build_dof_layout(mesh, degrees)
+    bench = make_benchmark("lshape", make_isotropic(123.0, 79.3))
+    mat, xp = bench.solver_material, dirichlet_values(layout, bench.g)
+    assert bench.f is None and np.any(xp)
+    solves = []
+
+    def counted(*args, inner=assembly.lower_solve):
+        solves.append(1)
+        return inner(*args)
+
+    def zero_force(pts):
+        return np.zeros_like(pts)
+
+    monkeypatch.setattr(assembly, "lower_solve", counted)
+    got, expect = {}, {}
+    for f, out in ((None, got), (zero_force, expect)):
+        del solves[:]
+        system = condense(mat, f, layout, xp)
+        out["rhs"] = system.rhs
+        out["b"] = [b for _, _, b in system.recover]
+        out["S"] = system.S.toarray()
+        out["x"] = x = solve_condensed(mat, f, layout, xp)
+        out["eta"] = error_indicators(mat, f, layout, x)
+        out["solves"] = len(solves)
+    assert got.pop("solves") == 0
+    assert expect.pop("solves") == 3 * len(layout.classes)
+    for name, value in got.items():
+        if name == "b":
+            assert all(a.tobytes() == b.tobytes()
+                       for a, b in zip(value, expect[name], strict=True))
+        else:
+            assert value.tobytes() == expect[name].tobytes(), name
 
 
 def test_lshape_adaptive_roots_private_dofs(monkeypatch):

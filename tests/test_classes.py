@@ -35,7 +35,7 @@ import numpy as np
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from dpg_elast import assembly, study
+from dpg_elast import assembly, local, study
 from dpg_elast.assembly import (KernelCache, build_dof_layout, condense,
                                 dirichlet_values, element_full_bmat,
                                 error_indicators, solve_condensed)
@@ -236,6 +236,9 @@ def cached_arrays(cache, layout):
     for factor in cache.gram_factors.values():
         yield from factor
     yield from cache.families.values()
+    yield from cache.volume_blocks.values()
+    for entries in cache.side_entries.values():
+        yield from entries
     for kernel in cache.kernels.values():
         yield from (a for _, a in kernel_arrays(kernel))
     yield from layout.loads.values()
@@ -257,6 +260,14 @@ def cached_keys(cache):
 def families(keys):
     """The shape families of a set of class keys."""
     return {assembly._family(key)[0] for key in keys}
+
+
+def pieces(fams, material):
+    """The keys of the pieces of the coupling matrices of a set of shape
+    families: their volume blocks, and their sides' entries."""
+    return ({(*family[:3], material) for family in fams},
+            {(p_tilde, shape, s, *side) for _, p_tilde, shape, sides in fams
+             for s, side in enumerate(sides)})
 
 
 def counted(builds, fn=local_bmat):
@@ -288,6 +299,10 @@ def test_adaptive_run_builds_only_new_classes(monkeypatch):
         assert cached_classes <= keys & previous
         assert ({key[0] for key in cache.families}
                 <= families(keys) & families(previous))
+        for cached, kept, used in zip(
+                (cache.volume_blocks, cache.side_entries),
+                pieces(families(keys), mat), pieces(families(previous), mat)):
+            assert set(cached) <= kept & used
         assert not cached_nodes
         before, nodes_before = len(builds), len(node_builds)
         x = solve_condensed(mat, bench.f, layout,
@@ -303,6 +318,8 @@ def test_adaptive_run_builds_only_new_classes(monkeypatch):
         assert cached_keys(cache) == (keys, set())
         assert set(cache.gram_factors) == {(key[1], key[2]) for key in keys}
         assert set(cache.families) == {(fam, mat) for fam in families(keys)}
+        assert (set(cache.volume_blocks), set(cache.side_entries)) == pieces(
+            families(keys), mat)
         assert not any(a.flags.writeable for a in cached_arrays(cache, layout))
         reused += len(keys & previous)
         nodes += len(layout.nodes)
@@ -361,8 +378,8 @@ def test_node_keys_do_not_depend_on_the_cache_history(monkeypatch):
 def count_kernel_builds(monkeypatch, config):
     """A study's coupling-matrix builds, and the builds its class keys call
     for: each step builds the shape families the step before it did not
-    use."""
-    builds, fams = [], []
+    use; then the volume blocks and side entries built for them."""
+    builds, fams, volumes, sides = [], [], [], []
 
     def recorded_layout(*args, **kwargs):
         layout = build_dof_layout(*args, **kwargs)
@@ -370,24 +387,31 @@ def count_kernel_builds(monkeypatch, config):
         return layout
 
     monkeypatch.setattr(assembly, "local_bmat", counted(builds))
+    monkeypatch.setattr(local, "_volume_block",
+                        counted(volumes, local._volume_block))
+    monkeypatch.setattr(local, "_side_entries",
+                        counted(sides, local._side_entries))
     monkeypatch.setattr(study, "build_dof_layout", recorded_layout)
     run_convergence_study(config)
-    return len(builds), sum(len(now - before)
-                            for before, now in zip([set()] + fams, fams))
+    return len(builds), sum(len(now - before) for before, now in zip(
+        [set()] + fams, fams)), (len(volumes), len(sides))
 
 
 def test_study_kernel_builds_are_exact(monkeypatch):
     # the bench's lshape-adapt workload: its 35 classes are 8 shapes up to
-    # a power-of-two size
-    builds, new = count_kernel_builds(monkeypatch, StudyConfig(
+    # a power-of-two size, the square's with one or two leaves per side,
+    # so its 8 families share one volume block and 8 sides' entries
+    builds, new, built = count_kernel_builds(monkeypatch, StudyConfig(
         benchmark="lshape", mode="adaptive_h", p=1, delta_p=2, steps=8,
         lam=123.0, mu=79.3))
     assert builds == new == 8
+    assert built == (1, 8)
     # the equal squares of a uniform mesh form one class per step, and the
     # squares of every step one family
-    builds, new = count_kernel_builds(monkeypatch, StudyConfig(
+    builds, new, built = count_kernel_builds(monkeypatch, StudyConfig(
         mode="uniform_h", p=3, steps=3))
     assert builds == new == 1
+    assert built == (1, 4)
 
 
 def test_uniform_study_builds_one_node_kernel_per_level_and_step(

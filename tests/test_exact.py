@@ -9,7 +9,7 @@ from dpg_elast.exact import (LShapeParams, _corner_equation,
                              smooth_solution)
 from dpg_elast.material import Material, make_isotropic
 from dpg_elast.study import make_benchmark
-from oracle import apply_compliance
+from oracle import apply_compliance, lshape_exponent_by_arrays
 
 STEEL = make_isotropic(123.0, 79.3)
 
@@ -83,6 +83,15 @@ def test_lshape_exponent_pinned(lam_mu, expected):
     a = lshape_exponent(material)
     assert a == pytest.approx(expected, rel=1e-14)
     assert abs(_corner_equation(a, material.nu)) <= 1e-12
+
+
+def test_lshape_exponent_matches_array_bisection():
+    # each bracket bisected on scalars lands on the float that bisecting
+    # all brackets at once on arrays gave
+    for nu in np.linspace(0.01, 0.499, 60).tolist():
+        material = Material(lam=2.0 * nu / (1.0 - 2.0 * nu), mu=1.0)
+        assert material.nu == pytest.approx(nu, rel=1e-12)
+        assert lshape_exponent(material) == lshape_exponent_by_arrays(material.nu)
 
 
 def test_lshape_exponent_rejects_bad_input():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigvalsh
 
 from dpg_elast.basis import ones_coefficients_2d
@@ -12,7 +14,8 @@ from dpg_elast.mesh import (DegreeMap, build_initial_mesh, refine_marked,
                             refine_uniform)
 from oracle import (degree_and_base, element_coords, error_representation,
                     full_gram, load_product, local_load, long_double_load,
-                    long_double_stiffness, lower_rows, position_of)
+                    long_double_stiffness, lower_rows, position_of,
+                    whole_bmat)
 
 UNIT = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 SHEARED = np.array([[0.0, 0.0], [1.0, 0.0], [1.5, 1.0], [0.5, 1.0]])
@@ -345,3 +348,39 @@ def test_uniform_mesh_shares_kernels():
 def test_side_and_map_tables_are_read_only():
     for table in (_volume_map_table(4), *_side_table(1, -1.0, 0.0, 5, 3)):
         assert not table.flags.writeable
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.integers(1, 3), delta_p=st.integers(1, 2), data=st.data())
+def test_bmat_from_cached_pieces_matches_whole_oracle(p, delta_p, data):
+    # B from the interior columns and the side entries that earlier calls
+    # left in the caches is B built in one piece, to the bit, on the tests'
+    # trapezoids and a drawn one, with sides split into two leaves and
+    # degrees above the element's (jumps)
+    size = st.floats(0.25, 2.0)
+    width, top, height = data.draw(size), data.draw(size), data.draw(size)
+    shift = data.draw(st.floats(-1.0, 1.0))
+    drawn = np.array([[0.0, 0.0], [width, 0.0], [shift + top, height],
+                      [shift, height]])
+    coords = data.draw(st.sampled_from([UNIT, SHEARED, drawn]))
+    side = st.tuples(st.integers(p + 1, p + 3),
+                     st.lists(st.integers(p, p + 2), min_size=1,
+                              max_size=2).map(tuple))
+    configs = data.draw(st.lists(st.tuples(side, side, side, side),
+                                 min_size=1, max_size=4))
+    lams = data.draw(st.lists(st.sampled_from([1.0, 123.0]),
+                              min_size=len(configs), max_size=len(configs)))
+    volumes, entries = {}, {}
+    for sides, lam in zip(configs, lams):
+        m = make_isotropic(lam, 0.5)
+        expect = whole_bmat(coords, p, p + delta_p, m, sides)
+        for cached in ((volumes, entries), ()):
+            B = local_bmat(coords, p, p + delta_p, m, sides, *cached)
+            assert B.shape == expect.shape
+            assert B.tobytes() == expect.tobytes()
+    # one piece per distinct key, read-only
+    assert len(volumes) == len(set(lams))
+    assert len(entries) == len({(s, *config[s]) for config in configs
+                                for s in range(4)})
+    for piece in (*volumes.values(), *(a for e in entries.values() for a in e)):
+        assert not piece.flags.writeable
